@@ -31,7 +31,6 @@ possible without compromising query performance.  Its pieces:
 from repro.core.cache import RetrievalCache
 from repro.core.chunkstore import (
     ChunkStore,
-    LatencyChunkStore,
     LatencyStore,
     MemoryChunkStore,
 )
@@ -98,7 +97,6 @@ __all__ = [
     "Float16Scheme",
     "Float32Scheme",
     "FloatScheme",
-    "LatencyChunkStore",
     "LatencyStore",
     "MatrixRef",
     "MatrixStorageGraph",

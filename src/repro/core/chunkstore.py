@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import time
 import zlib
 from pathlib import Path
 from typing import Iterator, Optional
@@ -23,10 +24,6 @@ from typing import Iterator, Optional
 from repro.faults import fs as ffs
 from repro.obs.cost import charge
 from repro.obs.metrics import MetricsRegistry, get_registry
-
-
-def _digest(data: bytes) -> str:
-    return hashlib.sha256(data).hexdigest()
 
 
 class ChunkIntegrityError(ValueError):
@@ -42,39 +39,77 @@ class ChunkIntegrityError(ValueError):
 _tmp_counter = itertools.count()
 
 
-class _StoreMetrics:
-    """The chunk-store counter set, bound to one registry."""
+class BlobCodec:
+    """The blob format, implemented once for every store.
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+    A blob's address is the SHA-256 of its *uncompressed* content; it is
+    stored zlib-compressed; every read decompresses and re-hashes, so
+    silent corruption surfaces as :class:`ChunkIntegrityError`.  The
+    ``chunkstore.*`` counters and the per-request read bill live here
+    too.  Subclasses move the already-encoded bytes — files, rows, a
+    dict — and add their own fault sites and transaction joins; none of
+    them knows the format.
+    """
+
+    def __init__(
+        self, level: int = 6, registry: Optional[MetricsRegistry] = None
+    ) -> None:
+        self.level = level
         self.registry = registry if registry is not None else get_registry()
-        self.put_calls = self.registry.counter("chunkstore.put_calls")
-        self.put_bytes = self.registry.counter("chunkstore.put_bytes")
-        self.dedup_hits = self.registry.counter("chunkstore.dedup_hits")
-        self.dedup_bytes = self.registry.counter("chunkstore.dedup_bytes")
-        self.get_calls = self.registry.counter("chunkstore.get_calls")
-        self.get_bytes = self.registry.counter("chunkstore.get_bytes")
+        self._put_calls = self.registry.counter("chunkstore.put_calls")
+        self._put_bytes = self.registry.counter("chunkstore.put_bytes")
+        self._dedup_hits = self.registry.counter("chunkstore.dedup_hits")
+        self._dedup_bytes = self.registry.counter("chunkstore.dedup_bytes")
+        self._get_calls = self.registry.counter("chunkstore.get_calls")
+        self._get_bytes = self.registry.counter("chunkstore.get_bytes")
 
-    def record_put(self, nbytes: int, deduplicated: bool) -> None:
-        self.put_calls.inc()
-        self.put_bytes.inc(nbytes)
+    @staticmethod
+    def _address(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    @staticmethod
+    def _missing(sha: str) -> KeyError:
+        return KeyError(f"no chunk {sha}")
+
+    def _encode(self, data: bytes) -> bytes:
+        return zlib.compress(data, self.level)
+
+    def _count_put(self, nbytes: int, deduplicated: bool) -> None:
+        self._put_calls.inc()
+        self._put_bytes.inc(nbytes)
         if deduplicated:
-            self.dedup_hits.inc()
-            self.dedup_bytes.inc(nbytes)
+            self._dedup_hits.inc()
+            self._dedup_bytes.inc(nbytes)
 
-    def record_get(self, nbytes: int) -> None:
-        self.get_calls.inc()
-        self.get_bytes.inc(nbytes)
+    def _decode(self, sha: str, stored: bytes) -> bytes:
+        """Decompress and verify what a backend read back for ``sha``."""
+        try:
+            data = zlib.decompress(stored)
+        except zlib.error as exc:
+            raise ChunkIntegrityError(sha, f"undecodable: {exc}") from exc
+        if self._address(data) != sha:
+            raise ChunkIntegrityError(sha, "hash mismatch")
+        self._get_calls.inc()
+        self._get_bytes.inc(len(data))
         # Bill the active request, if any: this is the single choke point
-        # every chunk read (disk- or memory-backed) passes through.
-        charge(bytes_read=nbytes, chunks_fetched=1)
+        # every chunk read passes through, whatever holds the bytes.
+        charge(bytes_read=len(data), chunks_fetched=1)
+        return data
+
+    def verify_blob(self, sha: str) -> bool:
+        """Re-hash one stored blob; ``False`` when corrupt or undecodable."""
+        try:
+            self.get(sha)
+        except ChunkIntegrityError:
+            return False
+        return True
 
 
-class ChunkStore:
+class ChunkStore(BlobCodec):
     """Filesystem-backed content-addressed store.
 
-    Blobs live at ``<root>/<sha[:2]>/<sha>`` compressed with zlib.  The
-    address is the SHA-256 of the *uncompressed* content, so integrity is
-    verifiable on read.
+    Blobs live at ``<root>/<sha[:2]>/<sha>`` in the :class:`BlobCodec`
+    format.
     """
 
     def __init__(
@@ -84,19 +119,15 @@ class ChunkStore:
         registry: Optional[MetricsRegistry] = None,
         durable: bool = True,
     ) -> None:
+        super().__init__(level, registry)
         self.root = Path(root)
-        self.level = level
         self.durable = durable
-        self.metrics = _StoreMetrics(registry)
         self.root.mkdir(parents=True, exist_ok=True)
         self.sweep_stale_tmps()
 
-    def _path(self, sha: str) -> Path:
-        return self.root / sha[:2] / sha
-
     def blob_path(self, sha: str) -> Path:
         """On-disk location of one blob (it may not exist)."""
-        return self._path(sha)
+        return self.root / sha[:2] / sha
 
     def sweep_stale_tmps(self) -> int:
         """Remove ``*.tmp`` litter left by crashed writers; returns count."""
@@ -105,7 +136,7 @@ class ChunkStore:
             ffs.unlink(tmp, site="chunkstore.sweep", missing_ok=True)
             removed += 1
         if removed:
-            self.metrics.registry.counter("chunkstore.tmps_swept").inc(removed)
+            self.registry.counter("chunkstore.tmps_swept").inc(removed)
         return removed
 
     def put(self, data: bytes) -> str:
@@ -117,8 +148,8 @@ class ChunkStore:
         directory is fsynced so the entry survives power loss.  A crash
         leaves at worst a stale tmp, swept on the next store open.
         """
-        sha = _digest(data)
-        path = self._path(sha)
+        sha = self._address(data)
+        path = self.blob_path(sha)
         existed = path.exists()
         if not existed:
             path.parent.mkdir(exist_ok=True)
@@ -126,7 +157,7 @@ class ChunkStore:
             try:
                 ffs.write_bytes(
                     tmp,
-                    zlib.compress(data, self.level),
+                    self._encode(data),
                     site="chunkstore.put.write",
                     fsync=self.durable,
                 )
@@ -139,7 +170,7 @@ class ChunkStore:
                 raise
             if self.durable:
                 ffs.fsync_dir(path.parent, site="chunkstore.put.dirsync")
-        self.metrics.record_put(len(data), deduplicated=existed)
+        self._count_put(len(data), deduplicated=existed)
         return sha
 
     def get(self, sha: str) -> bytes:
@@ -150,57 +181,88 @@ class ChunkStore:
             ChunkIntegrityError: when the stored content fails integrity
                 checking (a :class:`ValueError` subclass).
         """
-        path = self._path(sha)
-        if not path.exists():
-            raise KeyError(f"no chunk {sha}")
+        # No exists() pre-check: a concurrent gc/delete between the check
+        # and the read would escape as FileNotFoundError, which no
+        # recovery ladder catches.
         try:
-            data = zlib.decompress(path.read_bytes())
-        except zlib.error as exc:
-            raise ChunkIntegrityError(sha, f"undecodable: {exc}") from exc
-        if _digest(data) != sha:
-            raise ChunkIntegrityError(sha, "hash mismatch")
-        self.metrics.record_get(len(data))
-        return data
-
-    def verify_blob(self, sha: str) -> bool:
-        """Re-hash one stored blob; ``False`` when corrupt or undecodable."""
-        try:
-            self.get(sha)
-        except ChunkIntegrityError:
-            return False
-        return True
+            stored = self.blob_path(sha).read_bytes()
+        except FileNotFoundError:
+            raise self._missing(sha) from None
+        return self._decode(sha, stored)
 
     def __contains__(self, sha: str) -> bool:
-        return self._path(sha).exists()
+        return self.blob_path(sha).exists()
 
     def delete(self, sha: str) -> bool:
         """Remove a blob; returns whether it existed."""
-        path = self._path(sha)
-        if path.exists():
-            path.unlink()
-            return True
-        return False
+        try:
+            self.blob_path(sha).unlink()
+        except FileNotFoundError:
+            return False
+        return True
 
     def stored_size(self, sha: str) -> int:
         """On-disk (compressed) size of one blob."""
-        path = self._path(sha)
-        if not path.exists():
-            raise KeyError(f"no chunk {sha}")
-        return path.stat().st_size
+        try:
+            return self.blob_path(sha).stat().st_size
+        except FileNotFoundError:
+            raise self._missing(sha) from None
+
+    def _blob_files(self) -> Iterator[Path]:
+        for path in sorted(self.root.glob("*/*")):
+            if path.is_file() and path.suffix != ".tmp":
+                yield path
 
     def total_size(self) -> int:
         """Total on-disk bytes across all blobs."""
-        return sum(
-            p.stat().st_size
-            for p in self.root.glob("*/*")
-            if p.is_file() and p.suffix != ".tmp"
-        )
+        return sum(path.stat().st_size for path in self._blob_files())
 
     def addresses(self) -> Iterator[str]:
         """Iterate over every stored content address."""
-        for path in sorted(self.root.glob("*/*")):
-            if path.is_file() and path.suffix != ".tmp":
-                yield path.name
+        return (path.name for path in self._blob_files())
+
+
+class MemoryChunkStore(BlobCodec):
+    """In-memory store with the same interface, for tests and benchmarks."""
+
+    def __init__(
+        self, level: int = 6, registry: Optional[MetricsRegistry] = None
+    ) -> None:
+        super().__init__(level, registry)
+        self._blobs: dict[str, bytes] = {}
+
+    def put(self, data: bytes) -> str:
+        sha = self._address(data)
+        existed = sha in self._blobs
+        if not existed:
+            self._blobs[sha] = self._encode(data)
+        self._count_put(len(data), deduplicated=existed)
+        return sha
+
+    def get(self, sha: str) -> bytes:
+        try:
+            stored = self._blobs[sha]
+        except KeyError:
+            raise self._missing(sha) from None
+        return self._decode(sha, stored)
+
+    def __contains__(self, sha: str) -> bool:
+        return sha in self._blobs
+
+    def delete(self, sha: str) -> bool:
+        return self._blobs.pop(sha, None) is not None
+
+    def stored_size(self, sha: str) -> int:
+        try:
+            return len(self._blobs[sha])
+        except KeyError:
+            raise self._missing(sha) from None
+
+    def total_size(self) -> int:
+        return sum(len(b) for b in self._blobs.values())
+
+    def addresses(self) -> Iterator[str]:
+        return iter(sorted(self._blobs))
 
 
 class LatencyStore:
@@ -209,7 +271,8 @@ class LatencyStore:
     Stands in for the paper's *remote storage* tier: PAS can offload the
     low-order byte planes to slower, cheaper storage (Sec. IV-B), and the
     archival optimizer can model such edges with higher recreation cost.
-    The latency is charged once per ``get``/``put`` — a fixed round trip.
+    The latency is charged once per ``get``/``put`` — a fixed round trip;
+    every other operation is the inner store's own.
     """
 
     def __init__(self, inner, get_latency: float = 0.0, put_latency: float = 0.0) -> None:
@@ -219,102 +282,20 @@ class LatencyStore:
         self.get_count = 0
         self.put_count = 0
 
-    def _wait(self, seconds: float) -> None:
-        if seconds > 0:
-            import time
-
-            time.sleep(seconds)
-
     def put(self, data: bytes) -> str:
         self.put_count += 1
-        self._wait(self.put_latency)
+        if self.put_latency > 0:
+            time.sleep(self.put_latency)
         return self.inner.put(data)
 
     def get(self, sha: str) -> bytes:
         self.get_count += 1
-        self._wait(self.get_latency)
+        if self.get_latency > 0:
+            time.sleep(self.get_latency)
         return self.inner.get(sha)
 
     def __contains__(self, sha: str) -> bool:
         return sha in self.inner
 
-    def delete(self, sha: str) -> bool:
-        return self.inner.delete(sha)
-
-    def stored_size(self, sha: str) -> int:
-        return self.inner.stored_size(sha)
-
-    def total_size(self) -> int:
-        return self.inner.total_size()
-
-    def addresses(self) -> Iterator[str]:
-        return self.inner.addresses()
-
-    def verify_blob(self, sha: str) -> bool:
-        """Re-hash one stored blob (latency is charged via ``get``)."""
-        try:
-            self.get(sha)
-        except ChunkIntegrityError:
-            return False
-        return True
-
-
-class MemoryChunkStore:
-    """In-memory store with the same interface, for tests and benchmarks."""
-
-    def __init__(
-        self, level: int = 6, registry: Optional[MetricsRegistry] = None
-    ) -> None:
-        self.level = level
-        self.metrics = _StoreMetrics(registry)
-        self._blobs: dict[str, bytes] = {}
-
-    def put(self, data: bytes) -> str:
-        sha = _digest(data)
-        existed = sha in self._blobs
-        if not existed:
-            self._blobs[sha] = zlib.compress(data, self.level)
-        self.metrics.record_put(len(data), deduplicated=existed)
-        return sha
-
-    def get(self, sha: str) -> bytes:
-        if sha not in self._blobs:
-            raise KeyError(f"no chunk {sha}")
-        try:
-            data = zlib.decompress(self._blobs[sha])
-        except zlib.error as exc:
-            raise ChunkIntegrityError(sha, f"undecodable: {exc}") from exc
-        if _digest(data) != sha:
-            raise ChunkIntegrityError(sha, "hash mismatch")
-        self.metrics.record_get(len(data))
-        return data
-
-    def __contains__(self, sha: str) -> bool:
-        return sha in self._blobs
-
-    def delete(self, sha: str) -> bool:
-        return self._blobs.pop(sha, None) is not None
-
-    def stored_size(self, sha: str) -> int:
-        if sha not in self._blobs:
-            raise KeyError(f"no chunk {sha}")
-        return len(self._blobs[sha])
-
-    def total_size(self) -> int:
-        return sum(len(b) for b in self._blobs.values())
-
-    def addresses(self) -> Iterator[str]:
-        return iter(sorted(self._blobs))
-
-    def verify_blob(self, sha: str) -> bool:
-        """Re-hash one stored blob; ``False`` when corrupt or undecodable."""
-        try:
-            self.get(sha)
-        except ChunkIntegrityError:
-            return False
-        return True
-
-
-#: Interface-conformant name for the latency wrapper (the historical
-#: ``LatencyStore`` name remains as an alias).
-LatencyChunkStore = LatencyStore
+    def __getattr__(self, name: str):
+        return getattr(self.inner, name)

@@ -13,17 +13,19 @@ the stored bytes.
 from __future__ import annotations
 
 import threading
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
+from repro.core.cache import PlaneCache
 from repro.core.retrieval import PlanArchive
 from repro.core.segmentation import NUM_PLANES
 from repro.dnn.interval import Interval, argmax_determined, tight_intervals
 from repro.dnn.network import Network
 from repro.obs.cost import charge
-from repro.obs.metrics import counter, histogram
+from repro.obs.metrics import MetricsRegistry, counter, histogram
 from repro.obs.tracing import trace_span
 
 
@@ -97,20 +99,17 @@ class ProgressiveEvaluator:
         tight: Use the tighter (costlier) interval products — pays off on
             deep networks, where the default midpoint-radius bound
             compounds layer by layer and rarely determines predictions.
-        plane_cache: Optional shared cache with a
-            ``get_or_load(key, loader)`` method (the serving layer's
-            :class:`repro.serve.PlaneCache`); ``loader`` returns a
-            ``(value, nbytes)`` pair.  When given, per-plane bounds and
-            the exact weights are stored there — shared across every
-            evaluator serving the same snapshot — instead of in the
-            evaluator's private memo.
+        plane_cache: The :class:`~repro.core.cache.PlaneCache` holding
+            per-plane bounds and the exact weights — the serving layer
+            passes one shared by every evaluator of the same snapshot;
+            when omitted the evaluator gets a private one.
 
-    The evaluator is *reusable*: interval bounds per plane count, the
-    exact weights, and the stored-plane-size accounting are each computed
-    from the archive once and memoized, so repeated ``evaluate`` calls
-    against the same snapshot do not re-read any chunks.  The memo is
-    guarded by a lock, making concurrent queries against one evaluator
-    safe (the weight-installing exact fallback is serialized).
+    The evaluator is *reusable*: interval bounds per plane count and the
+    exact weights are each read from the archive once (single-flight,
+    even under concurrent queries) and kept in the plane cache, so
+    repeated ``evaluate`` calls against the same snapshot do not re-read
+    any chunks.  The weight-installing exact fallback is serialized by a
+    lock, making concurrent queries against one evaluator safe.
     """
 
     def __init__(
@@ -128,7 +127,6 @@ class ProgressiveEvaluator:
         self.archive = archive
         self.snapshot_id = snapshot_id
         self.tight = tight
-        self.plane_cache = plane_cache
         if logits_node is None:
             sink = net.output_name
             logits_node = (
@@ -143,14 +141,11 @@ class ProgressiveEvaluator:
         # archive can compute one: two models whose chains resolve to the
         # same weights (common in dedup'd fine-tuned families) then share
         # bounds/weights entries and single-flight loads across evaluators.
-        self._cache_ns = snapshot_id
-        if plane_cache is not None:
-            fingerprint = archive.snapshot_fingerprint(snapshot_id)
-            if fingerprint is not None:
-                self._cache_ns = fingerprint
+        self._cache_ns = archive.snapshot_fingerprint(snapshot_id) or snapshot_id
+        if plane_cache is None:
+            plane_cache = PlaneCache(registry=MetricsRegistry())
+        self.plane_cache = plane_cache
         self._lock = threading.RLock()
-        self._bounds_memo: dict[int, dict[str, dict[str, Interval]]] = {}
-        self._weights_memo: Optional[dict[str, dict[str, np.ndarray]]] = None
         self._plane_sizes_memo: Optional[list[int]] = None
         self._exact_installed = False
 
@@ -160,7 +155,7 @@ class ProgressiveEvaluator:
         """Interval bounds for every archived parameter at ``planes`` depth.
 
         Uncached — this is the raw archive read; use :meth:`param_bounds`
-        for the memoized entry point.
+        for the cached entry point.
         """
         bounds: dict[str, dict[str, Interval]] = {}
         for matrix_id in self._members:
@@ -175,90 +170,63 @@ class ProgressiveEvaluator:
         return bounds
 
     def param_bounds(self, planes: int) -> dict[str, dict[str, Interval]]:
-        """Memoized interval bounds at ``planes`` depth (thread-safe).
+        """Cached interval bounds at ``planes`` depth (thread-safe).
 
-        With a ``plane_cache`` the bounds live in the shared cache under
-        ``("bounds", snapshot_id, planes)``; otherwise in a private memo.
-        Either way the archive is read at most once per plane count.
+        The bounds live in the plane cache under
+        ``("bounds", snapshot, planes)``; the archive is read at most
+        once per plane count while they stay cached.
         """
         planes = min(planes, NUM_PLANES)
-        if self.plane_cache is not None:
-            def load() -> tuple[dict, int]:
-                bounds = self._param_bounds(planes)
-                return bounds, _bounds_nbytes(bounds)
 
-            return self.plane_cache.get_or_load(
-                ("bounds", self._cache_ns, planes), load
-            )
-        with self._lock:
-            bounds = self._bounds_memo.get(planes)
-        if bounds is None:
-            # Read the archive outside the lock: chunk retrieval can take
-            # tens of milliseconds and must not serialize other queries.
-            # Racing computes are possible; the first store wins so the
-            # memo stays identity-stable.
+        def load() -> tuple[dict, int]:
             bounds = self._param_bounds(planes)
-            with self._lock:
-                bounds = self._bounds_memo.setdefault(planes, bounds)
-        return bounds
+            return bounds, _bounds_nbytes(bounds)
+
+        return self.plane_cache.get_or_load(
+            ("bounds", self._cache_ns, planes), load
+        )
 
     def exact_weights(self) -> dict[str, dict[str, np.ndarray]]:
         """The snapshot's full-precision weights, read from PAS once."""
-        if self.plane_cache is not None:
-            def load() -> tuple[dict, int]:
-                weights = self._read_exact_weights()
-                # Entries may be shared across models (content-keyed), so
-                # freeze them — matching the RetrievalCache convention.
-                for params in weights.values():
-                    for value in params.values():
-                        value.setflags(write=False)
-                return weights, _weights_nbytes(weights)
 
-            return self.plane_cache.get_or_load(
-                ("weights", self._cache_ns), load
-            )
-        with self._lock:
-            weights = self._weights_memo
-        if weights is None:
-            # PAS reconstruction stays outside the lock (see param_bounds);
-            # first writer wins so every caller shares one array set.
-            weights = self._read_exact_weights()
-            with self._lock:
-                if self._weights_memo is None:
-                    self._weights_memo = weights
-                weights = self._weights_memo
-        return weights
+        def load() -> tuple[dict, int]:
+            weights = self._read_weights()
+            # Entries may be shared across models (content-keyed), so
+            # freeze them — matching the RetrievalCache convention.
+            for params in weights.values():
+                for value in params.values():
+                    value.setflags(write=False)
+            return weights, _weights_nbytes(weights)
 
-    def _read_exact_weights(self) -> dict[str, dict[str, np.ndarray]]:
+        return self.plane_cache.get_or_load(("weights", self._cache_ns), load)
+
+    def _read_weights(
+        self, planes: int = NUM_PLANES
+    ) -> dict[str, dict[str, np.ndarray]]:
         weights: dict[str, dict[str, np.ndarray]] = {}
         for matrix_id in self._members:
             layer, param = _weights_key(matrix_id)
             weights.setdefault(layer, {})[param] = self.archive.recreate_matrix(
-                matrix_id
+                matrix_id, planes=planes
             )
         return weights
 
-    def _install_exact(
-        self,
-        weights: dict[str, dict[str, np.ndarray]],
-        force: bool = False,
-    ) -> None:
+    def _install_exact(self, weights: dict[str, dict[str, np.ndarray]]) -> None:
         """Install pre-fetched exact weights. Caller must hold ``_lock``.
 
         Idempotent between calls that truncate the weights: repeated
         progressive queries skip the (re-)install unless something
         installed other weights in between (``evaluate_at_planes`` resets
-        the flag; pass ``force=True`` after external mutation).  The
-        weights are fetched by the caller *outside* the lock
-        (:meth:`exact_weights`) so chunk retrieval never serializes
+        the flag).  The weights are fetched by the caller *outside* the
+        lock (:meth:`exact_weights`) so chunk retrieval never serializes
         concurrent queries on I/O.
         """
-        if self._exact_installed and not force:
+        if self._exact_installed:
             return
         self.net.set_weights(weights)
         self._exact_installed = True
 
-    def _load_exact(self, force: bool = False) -> None:
+    def _load_exact(self) -> None:
         """Fetch and install the full-precision weights (convenience).
 
         Fetches outside the lock, installs under it.  Do not call while
@@ -267,7 +235,7 @@ class ProgressiveEvaluator:
         """
         weights = self.exact_weights()
         with self._lock:
-            self._install_exact(weights, force=force)
+            self._install_exact(weights)
 
     def forward_exact_many(
         self, batches: list[np.ndarray]
@@ -307,6 +275,16 @@ class ProgressiveEvaluator:
         return sizes
 
     # -- evaluation ------------------------------------------------------------
+
+    def _determined(
+        self, x: np.ndarray, bounds: dict, k: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One interval pass + Lemma 4: ``(determined, labels)`` per row."""
+        with tight_intervals() if self.tight else nullcontext():
+            logit_iv = self.net.forward_interval(
+                x, bounds, upto=self.logits_node
+            )
+        return argmax_determined(logit_iv, k=k)
 
     def evaluate(
         self,
@@ -348,16 +326,7 @@ class ProgressiveEvaluator:
                 still_open = []
                 for start in range(0, unresolved.size, batch):
                     idx = unresolved[start : start + batch]
-                    if self.tight:
-                        with tight_intervals():
-                            logit_iv = self.net.forward_interval(
-                                x[idx], bounds, upto=self.logits_node
-                            )
-                    else:
-                        logit_iv = self.net.forward_interval(
-                            x[idx], bounds, upto=self.logits_node
-                        )
-                    determined, labels = argmax_determined(logit_iv, k=k)
+                    determined, labels = self._determined(x[idx], bounds, k)
                     done = idx[determined]
                     predictions[done] = labels[determined]
                     resolved_at[done] = planes
@@ -425,17 +394,7 @@ class ProgressiveEvaluator:
             planes=planes,
             rows=len(x),
         ) as span:
-            bounds = self.param_bounds(planes)
-            if self.tight:
-                with tight_intervals():
-                    logit_iv = self.net.forward_interval(
-                        x, bounds, upto=self.logits_node
-                    )
-            else:
-                logit_iv = self.net.forward_interval(
-                    x, bounds, upto=self.logits_node
-                )
-            result = argmax_determined(logit_iv, k=k)
+            result = self._determined(x, self.param_bounds(planes), k)
         charge(compute_s=span.elapsed)
         return result
 
@@ -461,12 +420,7 @@ class ProgressiveEvaluator:
         Used by the Fig. 6(d) benchmark to measure the raw error rate of
         partial-precision evaluation.
         """
-        weights: dict[str, dict[str, np.ndarray]] = {}
-        for matrix_id in self._members:
-            layer, param = _weights_key(matrix_id)
-            weights.setdefault(layer, {})[param] = self.archive.recreate_matrix(
-                matrix_id, planes=planes
-            )
+        weights = self._read_weights(planes)
         with self._lock:
             self.net.set_weights(weights)
             self._exact_installed = planes >= NUM_PLANES

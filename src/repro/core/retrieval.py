@@ -135,7 +135,6 @@ class PlanArchive:
 
     Args:
         store: Chunk store for the high-order byte planes.
-        level: zlib level (informational; stores own their compression).
         low_order_store: Optional second store for the low-order planes —
             the paper's "offload low-order bytes to remote storage"
             design.  When given, planes with index >= ``offload_from`` are
@@ -164,7 +163,6 @@ class PlanArchive:
     def __init__(
         self,
         store,
-        level: int = 6,
         low_order_store=None,
         offload_from: int = 2,
         replica_store=None,
@@ -174,7 +172,6 @@ class PlanArchive:
         plane_cache=None,
     ) -> None:
         self.store = store
-        self.level = level
         self.low_order_store = low_order_store
         self.offload_from = offload_from
         self.replica_store = replica_store
@@ -201,11 +198,7 @@ class PlanArchive:
         matrices: dict[str, np.ndarray],
         plan: StoragePlan,
         delta_kind: str = "sub",
-        low_order_store=None,
-        offload_from: int = 2,
-        replica_store=None,
-        replicate_planes: int = 2,
-        page_store=None,
+        **tiers,
     ) -> "PlanArchive":
         """Archive ``matrices`` according to ``plan``.
 
@@ -217,22 +210,15 @@ class PlanArchive:
             plan: The storage plan to follow; every non-root edge becomes a
                 delta of kind ``delta_kind``.
             delta_kind: ``"sub"`` or ``"xor"``.
-            low_order_store / offload_from: Optional remote tier for the
-                low-order byte planes (see class docs).
-            replica_store / replicate_planes: Optional redundancy tier for
-                the high-order byte planes (see class docs).
-            page_store: Dedup page tier; required when the plan contains
-                ``kind="pages"`` root edges (``--dedup`` archival).
+            **tiers: The constructor's tier arguments (see class docs) —
+                ``low_order_store`` / ``offload_from`` (remote tier for
+                the low-order planes), ``replica_store`` /
+                ``replicate_planes`` (redundancy tier for the high-order
+                planes), and ``page_store`` (required when the plan has
+                ``kind="pages"`` root edges, i.e. ``--dedup`` archival).
         """
         plan.validate()
-        archive = cls(
-            store,
-            low_order_store=low_order_store,
-            offload_from=offload_from,
-            replica_store=replica_store,
-            replicate_planes=replicate_planes,
-            page_store=page_store,
-        )
+        archive = cls(store, **tiers)
         archive._snapshots = plan.graph.snapshots
         # Write parents before children so delta bases conceptually exist;
         # content-addressing makes the order immaterial on disk but the
@@ -271,44 +257,36 @@ class PlanArchive:
     ) -> None:
         target = np.asarray(matrices[matrix_id], dtype=np.float32)
         if as_pages:
-            self._write_paged_payload(matrix_id, target)
-            return
-        if parent == ROOT:
+            if self.page_store is None:
+                raise ValueError(
+                    "plan contains page-dedup edges but no page_store was given"
+                )
+            # Page-encoded matrices are root-anchored, in the shared tier.
             payload = target
-            kind = "materialize"
+            entry = _StoredPayload(matrix_id, ROOT, "pages", target.shape, pages={})
         else:
-            base = np.asarray(matrices[parent], dtype=np.float32)
-            if base.shape != target.shape:
-                # Footnote-3 mismatched-dimension delta: crop/pad the base.
-                base = embed_like(base, target.shape)
-            if delta_kind == "sub":
-                payload = delta_sub(target, base)
+            if parent == ROOT:
+                payload = target
+                kind = "materialize"
             else:
-                payload = delta_xor(target, base).view("<f4")
-            kind = delta_kind
-        planes = segment_planes(payload)
-        entry = _StoredPayload(matrix_id, parent, kind, target.shape)
-        for index, plane in enumerate(planes):
-            entry.chunk_ids.append(self.plane_store(index).put(plane))
-            if self.replica_store is not None and index < self.replicate_planes:
-                self.replica_store.put(plane)
-        self._manifest[matrix_id] = entry
-
-    def _write_paged_payload(self, matrix_id: str, target: np.ndarray) -> None:
-        """Page-encode a matrix into the shared dedup tier.
-
-        The replica tier still mirrors the leading *assembled* planes
-        (keyed by the plane digest recorded in the manifest), so the
-        exact-recovery guarantee of the replica design survives page
-        encoding.
-        """
-        if self.page_store is None:
-            raise ValueError(
-                "plan contains page-dedup edges but no page_store was given"
-            )
-        entry = _StoredPayload(matrix_id, ROOT, "pages", target.shape, pages={})
-        for index, plane in enumerate(segment_planes(target)):
-            entry.pages[index] = self.page_store.encode_plane(plane)
+                base = np.asarray(matrices[parent], dtype=np.float32)
+                if base.shape != target.shape:
+                    # Footnote-3 mismatched-dimension delta: crop/pad the base.
+                    base = embed_like(base, target.shape)
+                if delta_kind == "sub":
+                    payload = delta_sub(target, base)
+                else:
+                    payload = delta_xor(target, base).view("<f4")
+                kind = delta_kind
+            entry = _StoredPayload(matrix_id, parent, kind, target.shape)
+        for index, plane in enumerate(segment_planes(payload)):
+            if as_pages:
+                entry.pages[index] = self.page_store.encode_plane(plane)
+            else:
+                entry.chunk_ids.append(self.plane_store(index).put(plane))
+            # The replica tier mirrors the leading *assembled* planes under
+            # their own digest (a page manifest records it), so its
+            # exact-recovery guarantee survives page encoding.
             if self.replica_store is not None and index < self.replicate_planes:
                 self.replica_store.put(plane)
         self._manifest[matrix_id] = entry
@@ -339,25 +317,13 @@ class PlanArchive:
         cls,
         store,
         manifest: dict,
-        low_order_store=None,
-        offload_from: int = 2,
-        replica_store=None,
-        replicate_planes: int = 2,
-        degraded: bool = False,
-        page_store=None,
-        plane_cache=None,
+        **options,
     ) -> "PlanArchive":
-        """Reopen an archive from its serialized manifest."""
-        archive = cls(
-            store,
-            low_order_store=low_order_store,
-            offload_from=offload_from,
-            replica_store=replica_store,
-            replicate_planes=replicate_planes,
-            degraded=degraded,
-            page_store=page_store,
-            plane_cache=plane_cache,
-        )
+        """Reopen an archive from its serialized manifest.
+
+        ``options`` are the constructor's keyword arguments.
+        """
+        archive = cls(store, **options)
         archive._snapshots = {
             k: list(v) for k, v in manifest["snapshots"].items()
         }
@@ -479,25 +445,50 @@ class PlanArchive:
     def _fetch_plane(
         self, entry: _StoredPayload, index: int
     ) -> tuple[Optional[bytes], int]:
-        """Read one plane chunk, taking the recovery path on failure.
+        """Read one plane, taking the recovery path on failure.
+
+        The active request is billed ``charge(planes_fetched=1,
+        plane_bytes=...)`` in stored (compressed, deduplicated) bytes —
+        the paper's progressive-query byte-savings unit — whether the
+        plane is one chunk or reassembled from pages.
 
         Returns ``(bytes, stored_size)``; ``(None, 0)`` means the plane
         was lost and the caller should zero-fill it (degraded mode).
         """
-        if entry.kind == "pages":
-            return self._fetch_paged_plane(entry, index)
-        sha = entry.chunk_ids[index]
-        store = self.plane_store(index)
         try:
-            data, nbytes = store.get(sha), store.stored_size(sha)
+            data, nbytes = self._read_plane(entry, index)
         except (KeyError, ValueError) as exc:
-            data, nbytes = self._recover_plane(entry, index, sha, exc)
+            data, nbytes = self._recover_plane(entry, index, exc)
         if data is not None:
-            # Per-plane byte accounting for the active request's bill
-            # (stored/compressed bytes — the paper's progressive-query
-            # byte-savings unit).
             charge(planes_fetched=1, plane_bytes={index: nbytes})
         return data, nbytes
+
+    def _read_plane(
+        self, entry: _StoredPayload, index: int, **page_options
+    ) -> tuple[bytes, int]:
+        """One plane's bytes and stored size, straight from its tier: a
+        chunk, or (``kind="pages"``) pages of the shared dedup tier."""
+        if entry.kind == "pages":
+            data = _decode_paged_plane(
+                self._page_manifest(entry, index), self._fetch_page,
+                **page_options,
+            )
+            return data, self.plane_stored_size(entry, index)
+        store, sha = self.plane_store(index), entry.chunk_ids[index]
+        return store.get(sha), store.stored_size(sha)
+
+    def _page_manifest(self, entry: _StoredPayload, index: int) -> dict:
+        if self.page_store is None:
+            raise KeyError(
+                f"{entry.matrix_id!r} is page-encoded but this archive has "
+                "no page store"
+            )
+        manifest = (entry.pages or {}).get(index)
+        if manifest is None:
+            raise KeyError(
+                f"{entry.matrix_id!r} has no page manifest for plane {index}"
+            )
+        return manifest
 
     def _fetch_page(self, sha: str) -> bytes:
         """Read one page blob, through the shared cache when present."""
@@ -511,98 +502,36 @@ class PlanArchive:
 
         return self.plane_cache.get_or_load(("page", sha), load)
 
-    def _fetch_paged_plane(
-        self, entry: _StoredPayload, index: int
-    ) -> tuple[Optional[bytes], int]:
-        """Reassemble one page-encoded plane, with the recovery ladder.
-
-        Bills the plane's stored (deduplicated) footprint exactly like a
-        direct chunk read — ``charge(planes_fetched=1, plane_bytes=...)``
-        — so page-assembled retrievals cost the same units as chunked
-        ones.  A lost page falls back to the replica copy of the whole
-        assembled plane, then (planes >= 1, degraded mode) to zero-fill.
-        """
-        if self.page_store is None:
-            raise KeyError(
-                f"{entry.matrix_id!r} is page-encoded but this archive has "
-                "no page store"
-            )
-        manifest = (entry.pages or {}).get(index)
-        if manifest is None:
-            raise KeyError(
-                f"{entry.matrix_id!r} has no page manifest for plane {index}"
-            )
-        nbytes = self.plane_stored_size(entry, index)
-        try:
-            data = _decode_paged_plane(manifest, self._fetch_page)
-        except (KeyError, ValueError) as exc:
-            data, nbytes = self._recover_paged_plane(entry, index, manifest, exc)
-        if data is not None:
-            charge(planes_fetched=1, plane_bytes={index: nbytes})
-        return data, nbytes
-
-    def _recover_paged_plane(
-        self,
-        entry: _StoredPayload,
-        index: int,
-        manifest: dict,
-        exc: Exception,
-    ) -> tuple[Optional[bytes], int]:
-        """Alternate path for a paged plane: replica plane, then zero-fill."""
-        plane_sha = manifest.get("sha", "")
-        if self.replica_store is not None and plane_sha:
-            try:
-                data = self.replica_store.get(plane_sha)
-            except (KeyError, ValueError):
-                pass
-            else:
-                self.recovery.events.append(
-                    RecoveryEvent(
-                        entry.matrix_id, plane_sha, index, "replica", True,
-                        str(exc),
-                    )
-                )
-                counter("recovery.replica_reads").inc()
-                try:
-                    nbytes = self.replica_store.stored_size(plane_sha)
-                except KeyError:  # pragma: no cover - store raced away
-                    nbytes = len(data)
-                return data, nbytes
-        if self.degraded and index >= 1:
-            lost: list[str] = []
-            data = _decode_paged_plane(
-                manifest,
-                self._fetch_page,
-                missing_ok=True,
-                on_missing=lambda sha, _err: lost.append(sha),
-            )
-            for sha in lost:
-                self.recovery.events.append(
-                    RecoveryEvent(
-                        entry.matrix_id, sha, index, "zero-fill", False,
-                        str(exc),
-                    )
-                )
-            counter("recovery.degraded_pages").inc(max(1, len(lost)))
-            return data, self.plane_stored_size(entry, index)
-        counter("recovery.failures").inc()
-        raise exc
-
     def _recover_plane(
-        self, entry: _StoredPayload, index: int, sha: str, exc: Exception
+        self, entry: _StoredPayload, index: int, exc: Exception
     ) -> tuple[Optional[bytes], int]:
-        """Alternate-path read: replica tier first, then zero-fill."""
-        if self.replica_store is not None:
+        """Alternate-path read: replica tier first, then zero-fill.
+
+        The replica tier holds whole planes: under the chunk id, or under
+        the assembled-plane digest a page manifest records.  Zero-fill
+        (degraded mode, planes >= 1 only) drops the whole plane of a
+        chunk payload but only the unreadable pages of a paged one.
+        """
+        if entry.kind == "pages":
+            sha = self._page_manifest(entry, index).get("sha", "")
+        else:
+            sha = entry.chunk_ids[index]
+
+        def record(lost_sha: str, action: str) -> None:
+            self.recovery.events.append(
+                RecoveryEvent(
+                    entry.matrix_id, lost_sha, index, action,
+                    action == "replica", str(exc),
+                )
+            )
+
+        if self.replica_store is not None and sha:
             try:
                 data = self.replica_store.get(sha)
             except (KeyError, ValueError):
                 pass
             else:
-                self.recovery.events.append(
-                    RecoveryEvent(
-                        entry.matrix_id, sha, index, "replica", True, str(exc)
-                    )
-                )
+                record(sha, "replica")
                 counter("recovery.replica_reads").inc()
                 try:
                     nbytes = self.replica_store.stored_size(sha)
@@ -610,13 +539,19 @@ class PlanArchive:
                     nbytes = len(data)
                 return data, nbytes
         if self.degraded and index >= 1:
-            self.recovery.events.append(
-                RecoveryEvent(
-                    entry.matrix_id, sha, index, "zero-fill", False, str(exc)
+            if entry.kind == "pages":
+                lost: list[str] = []
+                data, nbytes = self._read_plane(
+                    entry, index, missing_ok=True,
+                    on_missing=lambda page_sha, _err: lost.append(page_sha),
                 )
-            )
-            counter("recovery.degraded_planes").inc()
-            return None, 0
+                counter("recovery.degraded_pages").inc(max(1, len(lost)))
+            else:
+                lost, data, nbytes = [sha], None, 0
+                counter("recovery.degraded_planes").inc()
+            for lost_sha in lost:
+                record(lost_sha, "zero-fill")
+            return data, nbytes
         counter("recovery.failures").inc()
         raise exc
 
@@ -690,43 +625,33 @@ class PlanArchive:
                 matrix_span.set_attr("bytes_read", nbytes)
             return value, nbytes
 
-        bytes_read = 0
-        results: dict[str, np.ndarray] = {}
         with trace_span(
             "pas.snapshot",
             snapshot=snapshot_id,
             scheme=scheme.value,
             planes=planes,
         ) as span:
-            if scheme is RetrievalScheme.INDEPENDENT:
-                for matrix_id in members:
-                    value, nbytes = resolve_traced(matrix_id)
-                    results[matrix_id] = value
-                    bytes_read += nbytes
-            elif scheme is RetrievalScheme.PARALLEL:
+            if scheme is RetrievalScheme.PARALLEL:
                 with ThreadPoolExecutor(max_workers=max_workers) as pool:
                     # Pool threads inherit no contextvars: copy the caller's
                     # context per task so per-matrix spans stay children of
                     # this snapshot span and cost charges reach the active
                     # request bill instead of vanishing.
-                    futures = {
-                        matrix_id: pool.submit(
+                    futures = [
+                        pool.submit(
                             contextvars.copy_context().run,
                             resolve_traced,
                             matrix_id,
                         )
                         for matrix_id in members
-                    }
-                    for matrix_id, future in futures.items():
-                        value, nbytes = future.result()
-                        results[matrix_id] = value
-                        bytes_read += nbytes
-            else:  # REUSABLE: cache shared path prefixes.
-                cache: dict[str, np.ndarray] = {}
-                for matrix_id in members:
-                    value, nbytes = resolve_traced(matrix_id, cache)
-                    results[matrix_id] = value
-                    bytes_read += nbytes
+                    ]
+                    resolved = [future.result() for future in futures]
+            else:
+                # REUSABLE caches shared path prefixes across members.
+                cache = {} if scheme is RetrievalScheme.REUSABLE else None
+                resolved = [resolve_traced(m, cache) for m in members]
+            results = {m: value for m, (value, _) in zip(members, resolved)}
+            bytes_read = sum(nbytes for _, nbytes in resolved)
             span.set_attr("bytes_read", bytes_read)
         counter("retrieval.snapshots").inc()
         counter("retrieval.matrices").inc(len(members))
@@ -763,21 +688,10 @@ class PlanArchive:
             entry = self._manifest[node]
             prefix = []
             for i in range(planes):
-                if entry.kind == "pages":
-                    data, _nbytes = self._fetch_paged_plane(entry, i)
-                    if data is None:  # degraded zero-fill has no bounds
-                        raise KeyError(
-                            f"plane {i} of {node!r} is unreadable"
-                        )
-                    prefix.append(data)
-                    continue
-                store = self.plane_store(i)
-                sha = entry.chunk_ids[i]
-                prefix.append(store.get(sha))
-                charge(
-                    planes_fetched=1,
-                    plane_bytes={i: store.stored_size(sha)},
-                )
+                data, _nbytes = self._fetch_plane(entry, i)
+                if data is None:  # degraded zero-fill has no bounds
+                    raise KeyError(f"plane {i} of {node!r} is unreadable")
+                prefix.append(data)
             lo, hi = bounds_from_prefix(prefix, entry.shape)
             if lo_total is None:
                 lo_total, hi_total = lo.astype(np.float64), hi.astype(np.float64)

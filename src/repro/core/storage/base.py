@@ -81,9 +81,12 @@ class TxnState:
 class BlobStore(Protocol):
     """Structural interface of a content-addressed chunk store.
 
-    ``ChunkStore``, ``MemoryChunkStore``, ``LatencyChunkStore``, and the
-    SQLite-backed store all conform; the address of a blob is the
-    SHA-256 hex digest of its *uncompressed* content.
+    Conformers: ``ChunkStore`` (loose files), ``MemoryChunkStore``
+    (dict) and ``SQLiteBlobStore`` (rows) — raw keyed-bytes I/O under
+    the one :class:`~repro.core.chunkstore.BlobCodec` format, in which
+    the address of a blob is the SHA-256 hex digest of its
+    *uncompressed* content — and the ``LatencyStore`` wrapper around
+    any of them.
     """
 
     def put(self, data: bytes) -> str:

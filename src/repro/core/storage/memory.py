@@ -20,8 +20,7 @@ from __future__ import annotations
 import sqlite3
 import threading
 
-from repro.core.storage.base import TxnState
-from repro.core.storage.sqlite import _STORE_SCHEMA, SQLiteBackend, SQLiteBlobStore, SQLiteJournal
+from repro.core.storage.sqlite import SQLiteBackend
 
 
 class MemoryBackend(SQLiteBackend):
@@ -39,27 +38,10 @@ class MemoryBackend(SQLiteBackend):
         self.name = name
         self.path = None
         self.root = f"mem://{name}"  # re-openable token: the URL itself
-        self.txn = TxnState()
-        self._write_lock = threading.RLock()
-        self._owner_thread = threading.get_ident()
-        self._readers: list[sqlite3.Connection] = []
-        self._readers_lock = threading.Lock()
-        self._closed = False
         if conn is None:
             conn = sqlite3.connect(":memory:", check_same_thread=False)
         conn.row_factory = sqlite3.Row
-        self._writer = conn
-        self._writer.executescript(_STORE_SCHEMA)
-        self._writer.commit()
-        from repro.dlv.catalog import Catalog
-
-        self.catalog = Catalog(conn=self._writer, txn=self.txn)
-        self.chunks = SQLiteBlobStore(self, "chunks")
-        self.replica = SQLiteBlobStore(self, "replica")
-        self.pages = SQLiteBlobStore(self, "pages")
-        self.journal = SQLiteJournal(self)
-        if create:
-            self.write_config()
+        self._attach(conn, create)
 
     def _read_conn(self) -> sqlite3.Connection:
         # A :memory: database exists only on its creating connection, so

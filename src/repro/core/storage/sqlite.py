@@ -41,12 +41,11 @@ import sqlite3
 import tempfile
 import threading
 import uuid
-import zlib
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, Optional
 
-from repro.core.chunkstore import ChunkIntegrityError, _digest, _StoreMetrics
+from repro.core.chunkstore import BlobCodec
 from repro.core.storage.base import StorageBackend, TxnState
 from repro.faults import fs as ffs
 from repro.faults.plan import CrashSimulated
@@ -81,29 +80,37 @@ CREATE TABLE IF NOT EXISTS store_quarantine (
 DB_NAME = "repo.db"
 
 
-class SQLiteBlobStore:
+class SQLiteBlobStore(BlobCodec):
     """One content-addressed tier (``chunks`` / ``replica``) as blob rows.
 
-    Conforms to :class:`~repro.core.storage.base.BlobStore`; blobs are
-    zlib-compressed and addressed by the SHA-256 of their uncompressed
-    content, exactly like :class:`~repro.core.chunkstore.ChunkStore`.
+    Conforms to :class:`~repro.core.storage.base.BlobStore`; rows hold
+    the :class:`~repro.core.chunkstore.BlobCodec` stored form, exactly
+    like the files of :class:`~repro.core.chunkstore.ChunkStore`.
     """
 
     def __init__(self, backend: "SQLiteBackend", ns: str, level: int = 6) -> None:
+        super().__init__(level)
         self._backend = backend
         self.ns = ns
-        self.level = level
-        self.metrics = _StoreMetrics()
+
+    def _row(self, select: str, sha: str):
+        row = self._backend._read_conn().execute(
+            f"SELECT {select} FROM store_blob WHERE ns = ? AND sha = ?",
+            (self.ns, sha),
+        ).fetchone()
+        if row is None:
+            raise self._missing(sha)
+        return row[0]
 
     def put(self, data: bytes) -> str:
         """Store a blob; commits immediately unless a catalog txn is open."""
-        sha = _digest(data)
+        sha = self._address(data)
         backend = self._backend
         with backend._write_lock:
             existed = backend._blob_exists(self.ns, sha)
             if not existed:
                 payload, crash_after = ffs.prepare_write(
-                    "chunkstore.put.write", zlib.compress(data, self.level)
+                    "chunkstore.put.write", self._encode(data)
                 )
                 backend._writer.execute(
                     "INSERT OR REPLACE INTO store_blob (ns, sha, data) "
@@ -115,7 +122,7 @@ class SQLiteBlobStore:
                     raise CrashSimulated(
                         "simulated crash after torn write (chunkstore.put.write)"
                     )
-        self.metrics.record_put(len(data), deduplicated=existed)
+        self._count_put(len(data), deduplicated=existed)
         return sha
 
     def get(self, sha: str) -> bytes:
@@ -126,20 +133,7 @@ class SQLiteBlobStore:
             ChunkIntegrityError: when the stored content fails integrity
                 checking.
         """
-        row = self._backend._read_conn().execute(
-            "SELECT data FROM store_blob WHERE ns = ? AND sha = ?",
-            (self.ns, sha),
-        ).fetchone()
-        if row is None:
-            raise KeyError(f"no chunk {sha}")
-        try:
-            data = zlib.decompress(row[0])
-        except zlib.error as exc:
-            raise ChunkIntegrityError(sha, f"undecodable: {exc}") from exc
-        if _digest(data) != sha:
-            raise ChunkIntegrityError(sha, "hash mismatch")
-        self.metrics.record_get(len(data))
-        return data
+        return self._decode(sha, self._row("data", sha))
 
     def __contains__(self, sha: str) -> bool:
         return self._backend._blob_exists(self.ns, sha, read=True)
@@ -156,13 +150,7 @@ class SQLiteBlobStore:
 
     def stored_size(self, sha: str) -> int:
         """Stored (compressed) size of one blob."""
-        row = self._backend._read_conn().execute(
-            "SELECT length(data) FROM store_blob WHERE ns = ? AND sha = ?",
-            (self.ns, sha),
-        ).fetchone()
-        if row is None:
-            raise KeyError(f"no chunk {sha}")
-        return row[0]
+        return self._row("length(data)", sha)
 
     def total_size(self) -> int:
         """Total stored bytes across this tier."""
@@ -179,14 +167,6 @@ class SQLiteBlobStore:
             "SELECT sha FROM store_blob WHERE ns = ? ORDER BY sha", (self.ns,)
         ).fetchall()
         return iter([r[0] for r in rows])
-
-    def verify_blob(self, sha: str) -> bool:
-        """Re-hash one stored blob; ``False`` when corrupt or undecodable."""
-        try:
-            self.get(sha)
-        except ChunkIntegrityError:
-            return False
-        return True
 
 
 class SQLiteJournal:
@@ -290,6 +270,10 @@ class SQLiteBackend(StorageBackend):
             raise FileNotFoundError(
                 f"{self.path} is not a dlv repository (run Repository.init)"
             )
+        self._attach(self._connect(), create)
+
+    def _attach(self, writer: sqlite3.Connection, create: bool) -> None:
+        """Wire the blob tiers, journal and catalog onto one writer."""
         self.txn = TxnState()
         self._write_lock = threading.RLock()
         self._owner_thread = threading.get_ident()
@@ -297,12 +281,12 @@ class SQLiteBackend(StorageBackend):
         self._readers: list[sqlite3.Connection] = []
         self._readers_lock = threading.Lock()
         self._closed = False
-        self._writer = self._connect()
-        self._writer.executescript(_STORE_SCHEMA)
-        self._writer.commit()
+        self._writer = writer
+        writer.executescript(_STORE_SCHEMA)
+        writer.commit()
         from repro.dlv.catalog import Catalog
 
-        self.catalog = Catalog(self.path, conn=self._writer, txn=self.txn)
+        self.catalog = Catalog(self.path, conn=writer, txn=self.txn)
         self.chunks = SQLiteBlobStore(self, "chunks")
         self.replica = SQLiteBlobStore(self, "replica")
         self.pages = SQLiteBlobStore(self, "pages")

@@ -349,6 +349,16 @@ def _human_bytes(count: float) -> str:
     return f"{count:.1f} GiB"  # pragma: no cover - loop always returns
 
 
+def _cache_line(label: str, stats: dict) -> str:
+    """One line for a ``PlaneCache.stats()`` dict (``dlv stats`` / ``top``)."""
+    return (
+        f"{label}: hits={stats['hits']} misses={stats['misses']} "
+        f"evictions={stats['evictions']} "
+        f"hit_rate={100.0 * stats['hit_rate']:.1f}% "
+        f"cached={_human_bytes(stats['cached_bytes'])}"
+    )
+
+
 def _render_stats_text(report: dict) -> None:
     repo_info = report["repository"]
     print(
@@ -369,14 +379,8 @@ def _render_stats_text(report: dict) -> None:
                 s=_human_bytes(dedup["bytes_saved"]),
             )
         )
-    cache = report.get("cache")
-    if cache:
-        print(
-            f"cache: hits={cache['hits']} misses={cache['misses']} "
-            f"evictions={cache['evictions']} "
-            f"hit_rate={100.0 * cache['hit_rate']:.1f}% "
-            f"cached={_human_bytes(cache['cached_bytes'])}"
-        )
+    if report.get("cache"):
+        print(_cache_line("cache", report["cache"]))
     metrics = report["metrics"]
     if metrics["counters"]:
         print("counters:")
@@ -500,16 +504,8 @@ def _render_top(payload: dict) -> list[str]:
     if queues is not None:
         depth = " ".join(f"{k}={v}" for k, v in sorted(queues.items()))
         lines.append(f"queues: {depth or '(idle)'}")
-    cache = payload.get("plane_cache")
-    if cache:
-        lines.append(
-            "plane cache: hits={hits} misses={misses} "
-            "cached={cached}".format(
-                hits=cache.get("hits", 0),
-                misses=cache.get("misses", 0),
-                cached=_human_bytes(cache.get("cached_bytes", 0)),
-            )
-        )
+    if payload.get("plane_cache"):
+        lines.append(_cache_line("plane cache", payload["plane_cache"]))
     windows = metrics.get("windows") or {}
     if windows:
         lines.append(

@@ -32,7 +32,8 @@ registry / recorder):
 ========================  =====================================================
 ``chunkstore.*``          put/get calls, raw bytes in/out, dedup hits
 ``cache.*``               per-:class:`~repro.core.cache.RetrievalCache`
-                          hit/miss/eviction counters (injectable registry)
+                          ``hits`` / ``misses`` / ``evictions`` counters and
+                          ``bytes`` / ``entries`` gauges (injectable registry)
 ``retrieval.*``           snapshot recreation latency + stored bytes read
 ``archival.*``            storage-plan search timing per algorithm
 ``progressive.*``         per-plane evaluation timing and resolution counts
@@ -44,8 +45,9 @@ registry / recorder):
                           escalations, degraded responses, batch shape
                           histograms, per-model queue-depth gauges;
                           ``serve.predict`` rolling latency window
-``serve.cache.*``         shared plane-cache hits/misses/evictions plus
-                          cached-bytes and entry-count gauges
+``serve.cache.*``         the serving tier's shared
+                          :class:`~repro.core.cache.PlaneCache`: the same
+                          five names under its own prefix
 ========================  =====================================================
 
 Spans use the same dotted names (``pas.matrix``, ``pas.snapshot``,

@@ -54,6 +54,37 @@ def make_repo_target(tmp_path):
             memstore.drop(target[len("mem://"):])
 
 
+def _flip_stored_byte(store, sha: str, xor: int = 0x20) -> None:
+    """Flip one byte of a blob's stored (compressed) form in any store."""
+
+    def flipped(stored: bytes) -> bytes:
+        data = bytearray(stored)
+        data[len(data) // 2] ^= xor
+        return bytes(data)
+
+    if hasattr(store, "blob_path"):  # loose files
+        path = store.blob_path(sha)
+        path.write_bytes(flipped(path.read_bytes()))
+    elif hasattr(store, "_blobs"):  # dict
+        store._blobs[sha] = flipped(store._blobs[sha])
+    else:  # sqlite rows
+        conn, where = store._backend._writer, "WHERE ns = ? AND sha = ?"
+        row = conn.execute(
+            f"SELECT data FROM store_blob {where}", (store.ns, sha)
+        ).fetchone()
+        conn.execute(
+            f"UPDATE store_blob SET data = ? {where}",
+            (flipped(row["data"]), store.ns, sha),
+        )
+        conn.commit()
+
+
+@pytest.fixture
+def corrupt_store():
+    """``corrupt(store, sha, xor=0x20)`` on any ``BlobStore`` conformer."""
+    return _flip_stored_byte
+
+
 @pytest.fixture
 def corrupt_blob():
     """Flip one byte of a stored (compressed) blob, on any backend."""
@@ -64,23 +95,7 @@ def corrupt_blob():
             "replica": repo.replica,
             "pages": repo.pages,
         }[ns]
-        if hasattr(store, "blob_path"):  # loose-file layout
-            path = store.blob_path(sha)
-            data = bytearray(path.read_bytes())
-            data[len(data) // 2] ^= xor
-            path.write_bytes(bytes(data))
-            return
-        conn = repo.backend._writer
-        row = conn.execute(
-            "SELECT data FROM store_blob WHERE ns = ? AND sha = ?", (ns, sha)
-        ).fetchone()
-        data = bytearray(row["data"])
-        data[len(data) // 2] ^= xor
-        conn.execute(
-            "UPDATE store_blob SET data = ? WHERE ns = ? AND sha = ?",
-            (bytes(data), ns, sha),
-        )
-        conn.commit()
+        _flip_stored_byte(store, sha, xor)
 
     return corrupt
 

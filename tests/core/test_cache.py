@@ -1,4 +1,8 @@
-"""Retrieval cache tests: correctness, LRU behaviour, budgets, invalidation."""
+"""Retrieval cache tests: what the ``(matrix_id, planes)`` adapter adds.
+
+Eviction, budgets, accounting and single-flight are the LRU's and are
+tested once, in ``tests/serve/test_plane_cache.py``.
+"""
 
 import numpy as np
 import pytest
@@ -61,55 +65,6 @@ class TestCorrectness:
             cache.recreate_snapshot("ghost")
 
 
-class TestLRU:
-    def test_hit_miss_accounting(self, archive):
-        built, _ = archive
-        cache = RetrievalCache(built)
-        cache.recreate_matrix("m0")
-        cache.recreate_matrix("m0")
-        cache.recreate_matrix("m1")
-        stats = cache.stats()
-        assert stats["hits"] == 1
-        assert stats["misses"] == 2
-        assert 0 < stats["hit_rate"] < 1
-
-    def test_eviction_under_budget(self, archive):
-        built, matrices = archive
-        one_matrix = next(iter(matrices.values())).nbytes
-        cache = RetrievalCache(built, max_bytes=2 * one_matrix)
-        for mid in ("m0", "m1", "m2"):
-            cache.recreate_matrix(mid)
-        assert cache.stats()["evictions"] == 1
-        assert cache.cached_bytes <= cache.max_bytes
-        # m0 was least recently used: refetching it is a miss.
-        misses_before = cache.misses
-        cache.recreate_matrix("m0")
-        assert cache.misses == misses_before + 1
-
-    def test_recency_updates_on_hit(self, archive):
-        built, matrices = archive
-        one_matrix = next(iter(matrices.values())).nbytes
-        cache = RetrievalCache(built, max_bytes=2 * one_matrix)
-        cache.recreate_matrix("m0")
-        cache.recreate_matrix("m1")
-        cache.recreate_matrix("m0")  # refresh m0
-        cache.recreate_matrix("m2")  # evicts m1, not m0
-        hits_before = cache.hits
-        cache.recreate_matrix("m0")
-        assert cache.hits == hits_before + 1
-
-    def test_oversized_entry_not_cached(self, archive):
-        built, _ = archive
-        cache = RetrievalCache(built, max_bytes=16)
-        cache.recreate_matrix("m0")
-        assert len(cache) == 0
-
-    def test_invalid_budget(self, archive):
-        built, _ = archive
-        with pytest.raises(ValueError):
-            RetrievalCache(built, max_bytes=0)
-
-
 class TestInvalidation:
     def test_invalidate_one_matrix(self, archive):
         built, _ = archive
@@ -119,11 +74,19 @@ class TestInvalidation:
         cache.recreate_matrix("m1")
         assert cache.invalidate("m0") == 2
         assert len(cache) == 1
+        assert cache.cached_bytes == cache.recreate_matrix("m1").nbytes
 
-    def test_clear(self, archive):
-        built, _ = archive
-        cache = RetrievalCache(built)
-        cache.recreate_matrix("m0")
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.cached_bytes == 0
+    def test_budget_and_accounting_are_the_lrus(self, archive):
+        built, matrices = archive
+        one_matrix = next(iter(matrices.values())).nbytes
+        cache = RetrievalCache(built, max_bytes=2 * one_matrix)
+        for mid in ("m0", "m1", "m2", "m2"):
+            cache.recreate_matrix(mid)
+        stats = cache.stats()
+        assert (stats["hits"], stats["misses"], stats["evictions"]) == (1, 3, 1)
+        assert cache.cached_bytes <= cache.max_bytes
+        cache.reset()  # per-phase hit rates: counters zeroed, entries kept
+        assert cache.recreate_matrix("m2") is not None
+        assert cache.stats()["hit_rate"] == 1.0 and len(cache) == 2
+        with pytest.raises(ValueError):
+            RetrievalCache(built, max_bytes=0)

@@ -195,23 +195,32 @@ class TestRepositoryMatrixIds:
 
 
 class TestConcurrentReuse:
-    def test_concurrent_queries_single_archive_read(self, trained_tiny, digits):
+    @pytest.mark.parametrize("shared", [True, False])
+    def test_concurrent_queries_single_archive_read(
+        self, trained_tiny, digits, shared
+    ):
+        """N concurrent callers cost one archive read per artifact —
+        through the serving tier's shared cache and through the private
+        one an evaluator built without ``plane_cache`` gets (whose
+        predecessor memo documented "racing computes are possible")."""
         net, _, _ = trained_tiny
         registry = MetricsRegistry()
         archive = archive_with_registry(net, registry)
         fresh = Network.from_spec(net.spec()).build(0)
-        cache = PlaneCache(64 << 20, registry=registry)
+        cache = PlaneCache(64 << 20, registry=registry) if shared else None
         evaluator = ProgressiveEvaluator(
             fresh, archive, "snap", plane_cache=cache
         )
         x = digits.x_test[:10]
+        barrier = threading.Barrier(8, timeout=10.0)
         results = []
         errors = []
 
         def query():
             try:
+                barrier.wait()
                 determined, labels = evaluator.evaluate_bounded(x, 2)
-                results.append((determined, labels))
+                results.append((determined, labels, evaluator.exact_weights()))
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -222,13 +231,19 @@ class TestConcurrentReuse:
             t.join(timeout=30.0)
         assert not errors, errors
         assert len(results) == 8
-        base_det, base_lab = results[0]
-        for det, lab in results[1:]:
+        base_det, base_lab, base_weights = results[0]
+        for det, lab, weights in results[1:]:
             np.testing.assert_array_equal(det, base_det)
             np.testing.assert_array_equal(lab, base_lab)
-        # Single-flight cache: the plane-2 bounds were loaded exactly once.
-        assert registry.counter("serve.cache.misses").value == 1
-        assert registry.counter("serve.cache.hits").value == 7
+            assert weights is base_weights
+        # Cached weight sets may be shared across models: always frozen.
+        assert not base_weights["fc1"]["W"].flags.writeable
+        # Single-flight: the plane-2 bounds and the exact weights were each
+        # loaded exactly once — 2 + 4 plane reads per matrix.
+        lru = evaluator.plane_cache
+        assert (lru.misses, lru.hits) == (2, 14)
+        reads = registry.counter("chunkstore.get_calls").value
+        assert reads == 6 * len(archive.manifest)
 
     def test_shared_cache_across_evaluators(self, trained_tiny, digits):
         """Two evaluators over one snapshot share the plane cache."""

@@ -18,7 +18,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.core.chunkstore import ChunkIntegrityError
 from repro.core.storage import memory as memstore
 from repro.core.storage import parse_storage_url
 from repro.dlv.cli import main as dlv_main
@@ -49,33 +48,9 @@ def any_repo(request, make_repo_target):
 # -- conformance: every backend satisfies the same contract ------------------
 
 
-class TestBlobStoreContract:
-    def test_put_get_roundtrip_and_dedup(self, any_repo):
-        store = any_repo.store
-        sha = store.put(b"some plane bytes")
-        assert store.put(b"some plane bytes") == sha  # idempotent dedup
-        assert sha in store
-        assert store.get(sha) == b"some plane bytes"
-        assert store.stored_size(sha) > 0
-        assert store.total_size() >= store.stored_size(sha)
-        assert sha in store.addresses()
-        assert store.verify_blob(sha)
-
-    def test_delete_and_missing(self, any_repo):
-        store = any_repo.store
-        sha = store.put(b"short-lived")
-        store.delete(sha)
-        assert sha not in store
-        with pytest.raises(KeyError):
-            store.get(sha)
-
-    def test_corruption_is_detected(self, any_repo, corrupt_blob):
-        store = any_repo.store
-        sha = store.put(b"bytes that will rot " * 8)
-        corrupt_blob(any_repo, sha)
-        assert not store.verify_blob(sha)
-        with pytest.raises(ChunkIntegrityError):
-            store.get(sha)
+class TestBlobTiers:
+    # Blob-level put/get/delete/corruption behaviour of every store is
+    # covered once, in tests/core/test_chunkstore.py.
 
     def test_replica_store_is_independent(self, any_repo):
         sha = any_repo.store.put(b"chunks only")

@@ -304,27 +304,6 @@ def test_page_cache_shares_entries_across_models(make_repo_target):
     repo.close()
 
 
-def test_shared_cache_weights_are_frozen(make_repo_target):
-    from repro.core.progressive import ProgressiveEvaluator
-
-    repo = Repository.init(make_repo_target("sqlite"))
-    nets = _commit_family(repo, n=2)
-    repo.archive(alpha=4.0, dedup=True)
-    cache = PlaneCache(8 * 1024 * 1024)
-    archive = repo.archive_view(plane_cache=cache)
-    snap = sorted(
-        {f"v{r['version_id']}/s{r['snapshot_idx']}"
-         for r in repo.catalog.get_matrices()}
-    )[0]
-    evaluator = ProgressiveEvaluator(
-        nets[0].clone().build(0), archive, snap, plane_cache=cache
-    )
-    weights = evaluator.exact_weights()
-    arr = next(iter(next(iter(weights.values())).values()))
-    assert not arr.flags.writeable
-    repo.close()
-
-
 # ---------------------------------------------------------------------------
 # metrics & CLI
 

@@ -59,10 +59,19 @@ class TestBasics:
         stats = cache.stats()
         assert stats["hits"] == 1
         assert stats["misses"] == 1
-        assert stats["hit_rate"] == 0.5
+        assert stats["hit_rate"] == stats["miss_rate"] == 0.5
         assert stats["cached_bytes"] == 100
         assert stats["entries"] == 1
         assert 0 < stats["fill_fraction"] <= 1
+
+
+    def test_fresh_stats_are_zero_guarded_and_reset_keeps_entries(self):
+        cache = make_cache()
+        assert cache.stats()["hit_rate"] == cache.stats()["miss_rate"] == 0.0
+        cache.get_or_load("k", lambda: (1, 100))
+        cache.reset()
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
+        assert cache.keys() == ["k"]
 
 
 class TestEviction:
@@ -94,15 +103,23 @@ class TestEviction:
         cache.get_or_load("big", lambda: (calls.append(1) or "huge", 1000))
         assert calls == [1]
 
-    def test_gauges_track_contents(self):
+    @pytest.mark.parametrize(
+        "kwargs, prefix", [({}, "serve.cache"), ({"prefix": "cache"}, "cache")]
+    )
+    def test_metrics_track_contents_under_the_prefix(self, kwargs, prefix):
         registry = MetricsRegistry()
-        cache = PlaneCache(100, registry=registry)
+        cache = PlaneCache(100, registry=registry, **kwargs)
         cache.get_or_load("a", lambda: (1, 60))
-        assert registry.gauge("serve.cache.bytes").value == 60
-        assert registry.gauge("serve.cache.entries").value == 1
+        assert registry.gauge(f"{prefix}.bytes").value == 60
+        assert registry.gauge(f"{prefix}.entries").value == 1
         cache.get_or_load("b", lambda: (2, 60))  # evicts a
-        assert registry.gauge("serve.cache.bytes").value == 60
-        assert registry.counter("serve.cache.evictions").value == 1
+        assert registry.gauge(f"{prefix}.bytes").value == 60
+        assert registry.counter(f"{prefix}.evictions").value == 1
+        emitted = {n for kind in registry.as_dict().values() for n in kind}
+        assert emitted == {
+            f"{prefix}.{name}"
+            for name in ("hits", "misses", "evictions", "bytes", "entries")
+        }
 
 
 class TestSingleFlight:
