@@ -24,7 +24,8 @@ ICDE 2017).  It is organised into five subpackages:
     ``select`` / ``slice`` / ``construct`` / ``evaluate`` queries.
 
 ``repro.hub``
-    A directory-backed ModelHub sharing service (publish / search / pull).
+    The ModelHub sharing service (publish / search / pull): a hub directory,
+    an HTTP server and replicas in front of it, one pull engine over them.
 
 ``repro.lifecycle``
     The synthetic auto-modeler that generates SD/RD-style repositories of

@@ -91,8 +91,8 @@ BLOCKING_CALL_ATTRS = {
     "recvfrom", "sendall", "communicate", "check_output", "select",
     "read_bytes", "read_text", "write_bytes", "write_text",
     "recreate_matrix", "recreate_snapshot", "get_snapshot_weights",
-    "matrix_bounds", "get_or_load", "fetch_tree", "pull",
-    "pull_for_serving",
+    "matrix_bounds", "get_or_load", "fetch_file", "fetch_revision",
+    "pull", "pull_for_serving",
 }
 
 #: Plain-name calls that block (when imported directly).

@@ -1,40 +1,36 @@
 """ModelHub sharing service: publish, search, and pull DLV repositories.
 
 The paper hosts DLV repositories in an online service playing the role
-GitHub plays for code (Sec. III-C).  Networking is out of scope offline,
-so the hub here is a *directory-backed* service with the same API surface:
-a :class:`~repro.hub.server.HubServer` owning a hub directory, and a
-:class:`~repro.hub.client.HubClient` that publishes whole repositories,
-searches their metadata, and pulls them back as working local
-repositories.  Because a DLV repository is standalone (catalog + chunk
-store), hosting it whole is exactly the paper's design.
+GitHub plays for code (Sec. III-C).  Because a DLV repository is
+standalone (catalog + chunk store), hosting it whole is exactly the
+paper's design.  The hub is three layers:
 
-:class:`~repro.hub.httpd.HubHTTPServer` puts a real (stdlib) HTTP
-transport in front of the same directory: ``dlv hub-serve`` exposes
-search and pull over the wire, with ``/metrics`` (JSON or Prometheus
-text) and ``traceparent`` adoption, and :class:`HubClient` speaks to it
-transparently whenever the hub location is an ``http(s)://`` URL.
-
-The hub scales out as a *replicated fleet*: a primary (the only
-writable peer) plus read replicas kept in sync by
-:class:`~repro.hub.replication.Replicator` (async pull-based sync with
-revision watermarks and lag metrics).  :class:`~repro.hub.fleet.FleetClient`
-— used automatically by :class:`HubClient` when given several URLs —
-adds health-checked read routing, per-peer circuit breakers, and
-mid-pull failover on top of the resumable chunk transfer in
-:mod:`repro.hub.transfer`, so one dead or flapping peer never fails a
-pull.
+* **Sources** answer one read protocol — ``search``, ``revisions``,
+  ``resolve_revision``, ``manifest``, ``files``, ``fetch_file``.
+  :class:`~repro.hub.server.HubServer` is the hub *directory* (the
+  storage, the only writer, and the only definition of which revisions
+  are visible); :class:`~repro.hub.httpd.RemoteHub` is the same six
+  calls over HTTP against a :class:`~repro.hub.httpd.HubHTTPServer`
+  (``dlv hub-serve``: read-only, ``/metrics``, ``traceparent`` adoption).
+* **One engine**, :class:`~repro.hub.fleet.FleetClient`, reads and pulls
+  over 1..N sources: round-robin, per-peer circuit breakers, failover,
+  the resumable per-file transfer of :mod:`repro.hub.transfer`,
+  whole-tree verification, atomic install.
+  :class:`~repro.hub.replication.Replicator` keeps follower hubs in sync
+  through the same engine.
+* **One facade**, :class:`~repro.hub.client.HubClient`, turns a location
+  (directory, URL, several URLs) into sources, and adds ``publish``.
 """
 
 from repro.hub.client import HubClient
-from repro.hub.fleet import CircuitBreaker, FleetClient, HubFleet, NoHealthyPeer
+from repro.hub.fleet import CircuitBreaker, FleetClient, NoHealthyPeer
 from repro.hub.httpd import (
     HubHTTPServer,
     RemoteHub,
     RemoteHubError,
     RemoteHubUnavailable,
 )
-from repro.hub.replication import Replicator
+from repro.hub.replication import HubFleet, Replicator
 from repro.hub.server import HubRecord, HubServer
 
 __all__ = [

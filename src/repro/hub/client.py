@@ -1,70 +1,34 @@
 """Hub client: the ``dlv publish`` / ``dlv search`` / ``dlv pull`` verbs.
 
-All verbs run under a :class:`~repro.hub.retry.Retrier` (exponential
-backoff, deterministic jitter, optional total-elapsed deadline), so
-transient I/O failures are absorbed.  ``pull`` is atomic: the tree lands
-in a temporary directory beside the destination, is verified against the
-revision's checksum manifest, and only then renamed into place — an
-interrupted or corrupt pull never installs a half-built repository.
+:class:`HubClient` is a facade: it hands a hub *location* — a directory
+or :class:`~repro.hub.server.HubServer` (the paper's offline stand-in),
+the URL of a running :class:`~repro.hub.httpd.HubHTTPServer`, or several
+URLs naming a replicated fleet — to the one pull engine
+(:class:`~repro.hub.fleet.FleetClient`) and adds ``publish``.  Every read
+verb is the engine's, so it is identical across locations: it runs under
+a :class:`~repro.hub.retry.Retrier`, fails over between peers when there
+are several, and ``pull`` is atomic, verified against the revision's
+checksum manifest and *resumable* (see :mod:`repro.hub.transfer`) — a
+pull interrupted by a crash, a failed copy or a dead peer continues
+where it stopped.  Every ``pull`` runs under a ``hub.pull`` trace span
+(joining any caller trace), bills the bytes it moves to the context's
+request cost, and feeds the ``hub.pull`` rolling latency window.
 
-The hub location may be:
-
-* a directory path (the paper's offline stand-in),
-* an ``http://``/``https://`` URL of a running
-  :class:`~repro.hub.httpd.HubHTTPServer`, or
-* *several* URLs (a list, or one comma-separated string) — a replicated
-  fleet, in which case every read verb routes through a
-  :class:`~repro.hub.fleet.FleetClient` with health-checked failover.
-
-The client picks the transport from the location's shape, and every
-verb is identical across them.  Remote hubs are read-only: ``publish``
-over HTTP raises.
-
-Remote pulls are *resumable*: per-file progress is verified against the
-sha256 manifest and recorded in a ``.partial`` state file (see
-:mod:`repro.hub.transfer`), so a pull interrupted by a crash or a dead
-peer continues where it stopped instead of re-downloading completed
-files.  Every ``pull`` runs under a ``hub.pull`` trace span (joining any
-caller trace), bills the bytes it moves to the context's request cost,
-and feeds the ``hub.pull`` rolling latency window ``/metrics`` exposes.
+Remote hubs are read-only: ``publish`` over HTTP raises.
 """
 
 from __future__ import annotations
 
 import shutil
+import tempfile
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 from repro.dlv.repository import Repository
-from repro.faults import fs as ffs
-from repro.hub.fleet import FleetClient
-from repro.hub.httpd import DEFAULT_HUB_TIMEOUT_S, RemoteHub
+from repro.hub.fleet import FleetClient, HubLocation
+from repro.hub.httpd import DEFAULT_HUB_TIMEOUT_S
 from repro.hub.retry import Retrier
-from repro.hub.server import HubRecord, HubServer, verify_tree
-from repro.hub.transfer import PARTIAL_STATE_NAME, open_transfer
-from repro.obs.cost import charge
-from repro.obs.metrics import counter, get_registry
-from repro.obs.tracing import trace_span
-
-
-def _tree_bytes(root: Path) -> int:
-    """Total file bytes under ``root`` (what a local copy moved)."""
-    return sum(p.stat().st_size for p in root.rglob("*") if p.is_file())
-
-
-def _is_url(location: str) -> bool:
-    return location.startswith(("http://", "https://"))
-
-
-def _split_urls(hub: Union[str, Sequence[str]]) -> Optional[list[str]]:
-    """Interpret ``hub`` as one-or-more http URLs, or ``None`` if not."""
-    if isinstance(hub, (list, tuple)):
-        urls = [str(u) for u in hub]
-        return urls if urls and all(_is_url(u) for u in urls) else None
-    if isinstance(hub, str) and _is_url(hub):
-        parts = [p.strip() for p in hub.split(",") if p.strip()]
-        return parts if all(_is_url(p) for p in parts) else None
-    return None
+from repro.hub.server import HubRecord, HubServer
 
 
 class HubClient:
@@ -74,7 +38,9 @@ class HubClient:
         hub: Hub directory path, an existing :class:`HubServer`, one
             ``http(s)://`` URL, or several URLs (list or comma-separated
             string) naming a replicated fleet.
-        retrier: Retry policy for hub I/O (a default one when omitted).
+        retrier: Retry policy for hub I/O.  When omitted, one source
+            gets the stock :class:`Retrier`; several get a single pass,
+            because failover across peers already is the retry.
         timeout: Socket/read timeout, seconds, for every remote request
             — a hung peer fails the request (retriable) instead of
             blocking a pull forever.
@@ -82,28 +48,18 @@ class HubClient:
 
     def __init__(
         self,
-        hub: Union[str, Path, HubServer, Sequence[str]],
+        hub: HubLocation,
         retrier: Optional[Retrier] = None,
         timeout: float = DEFAULT_HUB_TIMEOUT_S,
     ) -> None:
-        self.remote: Optional[RemoteHub] = None
-        self.server: Optional[HubServer] = None
-        self.fleet: Optional[FleetClient] = None
-        self.timeout = timeout
-        urls = None if isinstance(hub, (HubServer, Path)) else _split_urls(hub)
-        if isinstance(hub, HubServer):
-            self.server = hub
-        elif urls is not None and len(urls) > 1:
-            self.fleet = FleetClient(urls, timeout=timeout, retrier=retrier)
-        elif urls is not None:
-            self.remote = RemoteHub(urls[0], timeout=timeout)
-        else:
-            self.server = HubServer(hub)
-        self.retrier = retrier if retrier is not None else Retrier()
-
-    @property
-    def is_remote(self) -> bool:
-        return self.remote is not None or self.fleet is not None
+        self.engine = FleetClient(hub, timeout=timeout, retrier=retrier)
+        self.retrier = self.engine.retrier
+        #: Where ``publish`` lands: the directory, when the hub is one.
+        self.server: Optional[HubServer] = next(
+            (p.source for p in self.engine.peers
+             if isinstance(p.source, HubServer)),
+            None,
+        )
 
     def publish(
         self, repo: Repository, name: str, description: str = ""
@@ -135,19 +91,11 @@ class HubClient:
 
     def search(self, pattern: str = "*") -> list[HubRecord]:
         """``dlv search``: find published repositories."""
-        if self.fleet is not None:
-            return self.fleet.search(pattern)
-        if self.remote is not None:
-            return self.retrier.call(self.remote.search, pattern)
-        return self.retrier.call(self.server.search, pattern)
+        return self.engine.search(pattern)
 
     def revisions(self, name: str) -> list[int]:
-        """All stored revisions of a published repository."""
-        if self.fleet is not None:
-            return self.fleet.revisions(name)
-        if self.remote is not None:
-            return self.retrier.call(self.remote.revisions, name)
-        return self.retrier.call(self.server.revisions, name)
+        """All visible revisions of a published repository."""
+        return self.engine.revisions(name)
 
     def pull(
         self,
@@ -157,99 +105,13 @@ class HubClient:
     ) -> Path:
         """``dlv pull``: materialize a published repository locally.
 
-        The copy lands in a temp directory, is verified against the
-        published checksum manifest (when one exists), and is renamed
-        into place atomically.  Remote pulls are resumable: completed
-        files (verified per-file against the manifest) are recorded in a
-        ``.partial`` state file and skipped by any subsequent attempt —
-        including a fresh process after a crash.  Fleet pulls
-        additionally fail over to another replica mid-transfer.
-
-        Returns the destination path, which is a ready-to-open DLV
-        repository.
+        The tree lands in a workspace under ``dest``, is verified
+        against the published checksum manifest (when one exists) and
+        renamed into place atomically; a failed pull keeps its verified
+        files for the next attempt.  Returns ``dest``, a ready-to-open
+        DLV repository.
         """
-        if self.fleet is not None:
-            return self.fleet.pull(name, dest, revision)
-        dest = Path(dest)
-        target = dest / Repository.DLV_DIR
-        if target.exists():
-            raise FileExistsError(f"{dest} already contains a dlv repository")
-        created_dest = not dest.exists()
-        dest.mkdir(parents=True, exist_ok=True)
-        with trace_span(
-            "hub.pull", repo=name, remote=self.is_remote
-        ) as span:
-            try:
-                if self.remote is not None:
-                    moved = self._pull_remote(name, dest, target, revision)
-                else:
-                    moved = self._pull_local(name, dest, target, revision)
-            except Exception:
-                # Graceful failure: never install half a repository.  A
-                # remote pull keeps its .partial workspace for resume;
-                # a local copy is cheap and cleaned entirely.  A
-                # CrashSimulated (BaseException) skips all of this — a
-                # dead process leaves litter for the next pull to adopt.
-                resumable = (
-                    self.remote is not None
-                    and (dest / PARTIAL_STATE_NAME).exists()
-                )
-                if not resumable:
-                    shutil.rmtree(dest / ".dlv.pull.tmp", ignore_errors=True)
-                    if created_dest:
-                        shutil.rmtree(dest, ignore_errors=True)
-                raise
-            span.set_attr("bytes", moved)
-        get_registry().window("hub.pull").observe(span.elapsed)
-        return dest
-
-    def _pull_local(
-        self, name: str, dest: Path, target: Path, revision: Optional[int]
-    ) -> int:
-        """Directory-to-directory pull: whole-tree copy under retry."""
-        tmp = dest / ".dlv.pull.tmp"
-
-        def attempt() -> int:
-            if tmp.exists():
-                shutil.rmtree(tmp)
-            source = self.server.get(name, revision)
-            ffs.copytree(source, tmp, site="hub.pull.copytree")
-            manifest = self.server.manifest(name, revision)
-            moved = _tree_bytes(tmp)
-            # Remote fetches bill per file inside the transfer; local
-            # copies bill the whole tree here so both transports produce
-            # a comparable hub.pull cost line.
-            charge(bytes_read=moved)
-            if manifest is not None:
-                verify_tree(tmp, manifest)
-                counter("hub.pulls_verified").inc()
-            return moved
-
-        moved = self.retrier.call(attempt)
-        ffs.replace(tmp, target, site="hub.pull.replace")
-        return moved
-
-    def _pull_remote(
-        self, name: str, dest: Path, target: Path, revision: Optional[int]
-    ) -> int:
-        """HTTP pull: per-file resumable transfer under retry."""
-        rev = self.retrier.call(self.remote.resolve_revision, name, revision)
-        manifest = self.retrier.call(self.remote.manifest, name, rev)
-        files = self.retrier.call(self.remote.files, name, rev)
-        transfer = open_transfer(dest, name, rev, manifest or {}, files)
-
-        def fetch(rel: str, offset: int) -> bytes:
-            return self.remote.fetch_file(name, rev, rel, offset)
-
-        # Each retry re-enters the transfer, which skips everything the
-        # previous attempt completed — retry == resume, not restart.
-        self.retrier.call(transfer.run, fetch)
-        if manifest is not None:
-            verify_tree(transfer.tmp, manifest)
-            counter("hub.pulls_verified").inc()
-        ffs.replace(transfer.tmp, target, site="hub.pull.replace")
-        transfer.state.discard()
-        return transfer.stats.bytes_fetched
+        return self.engine.pull(name, dest, revision)
 
     def pull_repository(
         self, name: str, dest: str | Path, revision: Optional[int] = None
@@ -266,10 +128,6 @@ class HubClient:
         verified, openable repository — so the destination is a new
         temporary directory the caller may delete after shutdown.
         """
-        import tempfile
-
-        if self.fleet is not None:
-            return self.fleet.pull_for_serving(name, revision)
         scratch = Path(tempfile.mkdtemp(prefix=f"dlv-serve-{name}-"))
         try:
             return self.pull(name, scratch / "repo", revision)
@@ -279,7 +137,4 @@ class HubClient:
 
     def close(self) -> None:
         """Release remote connections (no-op for directory hubs)."""
-        if self.remote is not None:
-            self.remote.close()
-        if self.fleet is not None:
-            self.fleet.close()
+        self.engine.close()

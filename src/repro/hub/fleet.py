@@ -1,58 +1,62 @@
-"""Replicated hub fleet: failover reads over N peers.
+"""The hub pull engine: failover reads over 1..N sources.
 
 The paper's ModelHub is a single always-available service; in practice
 one hub process is one fault away from failing every ``dlv serve --hub``
-boot.  This module is the client half of the replicated answer (the
-server half is :mod:`repro.hub.replication`):
+boot.  This module is the one read path every hub location shares (the
+server half of replication is :mod:`repro.hub.replication`):
 
 * :class:`CircuitBreaker` — per-peer failure accounting.  After
   ``failure_threshold`` consecutive failures the breaker *opens* and the
   peer is skipped for ``cooldown_s`` (measured on an injectable
   monotonic clock, so tests advance time explicitly); after the
   cooldown one probe request half-opens it.
-* :class:`FleetClient` — fronts a list of
-  :class:`~repro.hub.httpd.RemoteHub` peers with health-checked routing,
-  per-request socket deadlines, round-robin read spreading, and
-  automatic failover: any network-shaped failure (connection refused or
-  dropped, truncated body, timeout, 429/5xx) marks the peer and moves to
-  the next one.  Pulls are *resumable across failover*: the per-file
-  sha256 progress in the ``.partial`` state file (see
-  :mod:`repro.hub.transfer`) means a pull that loses its peer mid-tree
-  continues on another replica without re-downloading verified files.
-* :class:`HubFleet` — boots a simulated primary + followers fleet in
-  one process (each peer its own directory and
-  :class:`~repro.hub.httpd.HubHTTPServer`), the fixture the chaos suite
-  and the examples stand on.
+* :class:`FleetClient` — fronts one or more *sources* (a directory
+  :class:`~repro.hub.server.HubServer` or an HTTP
+  :class:`~repro.hub.httpd.RemoteHub`, which answer the same six read
+  calls) with round-robin routing and failover: any network-shaped
+  failure (refused or dropped connection, truncated body, timeout,
+  429/5xx, a file failing its checksum) marks the peer and moves on.
+  It is itself a source, and owns the only pull there is: resolve →
+  manifest → resumable per-file transfer (:mod:`repro.hub.transfer`) →
+  whole-tree ``verify_tree`` → atomic rename.  A pull that loses its
+  peer mid-tree continues on another replica — or, for a lone source,
+  on the caller's next retry — without refetching verified files.
 
-A replica that answers but *lags* (404 for a revision it has not synced
-yet) is not a failure — the client just tries the next peer without
-charging the breaker.
+A replica that answers but *lags* (``KeyError`` / 404 for a revision it
+has not synced yet) is not a failure — the client just tries the next
+peer without charging the breaker.
 """
 
 from __future__ import annotations
 
 import http.client
 import shutil
-import tempfile
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, Union
 
 from repro.dlv.repository import Repository
 from repro.faults import fs as ffs
-from repro.hub.httpd import DEFAULT_HUB_TIMEOUT_S, HubHTTPServer, RemoteHub
-from repro.hub.replication import Replicator
+from repro.hub.httpd import DEFAULT_HUB_TIMEOUT_S, RemoteHub
 from repro.hub.retry import Retrier
 from repro.hub.server import HubRecord, HubServer, verify_tree
-from repro.hub.transfer import open_transfer
+from repro.hub.transfer import (
+    PARTIAL_STATE_NAME,
+    TMP_DIR_NAME,
+    ResumableTransfer,
+    open_transfer,
+)
 from repro.obs.metrics import counter, get_registry
 from repro.obs.tracing import trace_span
 
-__all__ = ["CircuitBreaker", "FleetClient", "HubFleet", "NoHealthyPeer"]
+__all__ = ["CircuitBreaker", "FleetClient", "NoHealthyPeer"]
 
 #: Exception shapes that mean "this peer failed", triggering failover.
 NETWORK_FAILURES = (OSError, http.client.HTTPException)
+
+#: A directory, an open source, "url[,url...]", or a list of any of those.
+HubLocation = Union[str, Path, HubServer, RemoteHub, Sequence]
 
 
 class NoHealthyPeer(OSError):
@@ -123,69 +127,72 @@ class CircuitBreaker:
 
 
 class _Peer:
-    """One fleet member: url + lazy connection + breaker."""
+    """One fleet member: a source, its display address, its breaker."""
 
-    def __init__(
-        self, url: str, timeout: float, breaker: CircuitBreaker
-    ) -> None:
-        self.url = url.rstrip("/")
-        self.timeout = timeout
+    def __init__(self, source, breaker: CircuitBreaker) -> None:
+        self.source = source
+        self.url = getattr(source, "url", None) or str(source.root)
         self.breaker = breaker
-        self.remote = RemoteHub(self.url, timeout=timeout)
 
-    def close(self) -> None:
-        self.remote.close()
+
+def _open_sources(location: HubLocation, timeout: float) -> list:
+    """Turn a hub location into the sources that answer for it."""
+    if isinstance(location, str) and "://" in location:
+        location = [u.strip() for u in location.split(",") if u.strip()]
+    elif not isinstance(location, (list, tuple)):
+        location = [location]
+    sources = []
+    for item in location:
+        if isinstance(item, str) and "://" in item:
+            item = RemoteHub(item, timeout=timeout)
+        elif not isinstance(item, (HubServer, RemoteHub)):
+            item = HubServer(item)
+        sources.append(item)
+    return sources
 
 
 class FleetClient:
-    """Read client over a replicated hub fleet.
+    """Read client and pull engine over one or more hub sources.
 
     Args:
-        urls: Peer addresses (list, or one comma-separated string).
-            Order matters only as a tiebreak — reads round-robin across
-            peers whose breaker is closed.
+        sources: Where the hub is — a directory, a
+            :class:`~repro.hub.server.HubServer`, a URL, several URLs
+            (list or one comma-separated string), or a list mixing them.
+            Reads round-robin across peers whose breaker is closed.
         timeout: Per-request socket deadline, seconds.
-        retrier: Policy for *metadata* reads (search/revisions/manifest)
-            once failover across all peers has been exhausted; defaults
-            to a single pass (failover across N peers already is the
-            retry).  File transfers never retry blindly — they resume.
+        retrier: Policy applied once every peer has failed.  Defaults to
+            a single pass for several peers (failover already is the
+            retry) and to the stock :class:`~repro.hub.retry.Retrier`
+            for one.  A retried transfer never restarts — it resumes.
         failure_threshold / cooldown_s / clock: Breaker tuning (see
             :class:`CircuitBreaker`).
     """
 
     def __init__(
         self,
-        urls: str | Sequence[str],
+        sources: HubLocation,
         timeout: float = DEFAULT_HUB_TIMEOUT_S,
         retrier: Optional[Retrier] = None,
         failure_threshold: int = 3,
         cooldown_s: float = 30.0,
         clock: Optional[Callable[[], float]] = None,
     ) -> None:
-        if isinstance(urls, str):
-            urls = [u.strip() for u in urls.split(",") if u.strip()]
-        if not urls:
-            raise ValueError("fleet needs at least one peer url")
-        for url in urls:
-            if not url.startswith(("http://", "https://")):
-                raise ValueError(f"not an http(s) peer url: {url!r}")
-        clock = clock if clock is not None else time.monotonic
-        self.timeout = timeout
         self.peers = [
-            _Peer(
-                url,
-                timeout,
-                CircuitBreaker(failure_threshold, cooldown_s, clock),
-            )
-            for url in urls
+            _Peer(source, CircuitBreaker(failure_threshold, cooldown_s, clock))
+            for source in _open_sources(sources, timeout)
         ]
-        self.retrier = retrier if retrier is not None else Retrier(attempts=1)
+        if not self.peers:
+            raise ValueError("fleet needs at least one peer")
+        if retrier is None:
+            retrier = Retrier(attempts=1) if len(self.peers) > 1 else Retrier()
+        self.retrier = retrier
         self._lock = threading.Lock()
         self._rr = 0
 
     def close(self) -> None:
         for peer in self.peers:
-            peer.close()
+            if isinstance(peer.source, RemoteHub):
+                peer.source.close()
 
     def __enter__(self) -> "FleetClient":
         return self
@@ -205,41 +212,92 @@ class FleetClient:
         # All breakers open: trying *something* beats failing for sure.
         return available or ordered
 
-    def _each_peer(self, fn: Callable[[_Peer], object], what: str):
-        """Run ``fn`` against peers in rotation until one succeeds.
+    def _each_peer(self, fn: Callable, what: str, every: bool = False):
+        """Run ``fn(peer)`` against peers in rotation until one succeeds.
 
         ``KeyError`` (a lagging replica that lacks the name/revision) is
-        remembered but does not charge the breaker; network failures do.
-        Raises the last error when every peer failed, or the remembered
-        ``KeyError`` when peers were healthy but none had the data.
+        remembered but does not charge the breaker; network failures do;
+        ``PermissionError`` (a refused path) is the caller's mistake and
+        propagates.  With ``every`` all peers are asked and the list of
+        answers returned.  When none answers: the remembered ``KeyError``
+        if peers were healthy but lacked the data, a lone source's own
+        error, else :class:`NoHealthyPeer`.
         """
+        answers = []
         last_network: Optional[Exception] = None
         last_missing: Optional[KeyError] = None
         for peer in self._rotation():
             try:
-                result = fn(peer)
+                answers.append(fn(peer))
+            except PermissionError:
+                raise
             except KeyError as exc:
                 last_missing = exc
-                continue
             except NETWORK_FAILURES as exc:
                 peer.breaker.record_failure()
                 counter("hub.fleet.peer_failures").inc()
                 last_network = exc
+            else:
+                peer.breaker.record_success()
+                if not every:
+                    return answers[0]
                 continue
-            peer.breaker.record_success()
-            return result
-        if last_missing is not None and last_network is None:
-            raise last_missing
+            counter("hub.fleet.failovers").inc()
+        if answers:
+            return answers
+        cause = last_network or last_missing
+        if last_network is None or len(self.peers) == 1:
+            raise cause
         counter("hub.fleet.exhausted").inc()
         raise NoHealthyPeer(
             f"all {len(self.peers)} hub peers failed during {what}"
-        ) from (last_network or last_missing)
+        ) from cause
 
-    # -- read surface ---------------------------------------------------------
+    def _read(self, verb: str, *args):
+        return self.retrier.call(
+            self._each_peer, lambda p: getattr(p.source, verb)(*args), verb
+        )
+
+    # -- the read protocol (a fleet is itself a source) -----------------------
+
+    def search(self, pattern: str = "*") -> list[HubRecord]:
+        return self._read("search", pattern)
+
+    def revisions(self, name: str) -> list[int]:
+        return self._read("revisions", name)
+
+    def manifest(
+        self, name: str, revision: Optional[int] = None
+    ) -> Optional[dict]:
+        return self._read("manifest", name, revision)
+
+    def files(self, name: str, revision: Optional[int] = None) -> list[str]:
+        return self._read("files", name, revision)
+
+    def fetch_file(
+        self, name: str, revision: int, rel: str, offset: int = 0
+    ) -> bytes:
+        return self._read("fetch_file", name, revision, rel, offset)
+
+    def resolve_revision(
+        self, name: str, revision: Optional[int] = None
+    ) -> int:
+        if revision is not None:
+            return revision
+        # "latest" must come from the most caught-up peer that answers —
+        # a lagging replica would silently serve an old revision.
+        return max(self.retrier.call(
+            self._each_peer,
+            lambda p: p.source.resolve_revision(name),
+            "resolve_revision",
+            every=True,
+        ))
 
     def health(self) -> dict:
-        """Health of the first answering peer (fleet-level liveness)."""
-        return self._each_peer(lambda p: p.remote.health(), "health")
+        """Health of the first answering peer, plus that peer's ``url``."""
+        return self._each_peer(
+            lambda p: {**p.source.health(), "url": p.url}, "health"
+        )
 
     def status(self) -> list[dict]:
         """Per-peer probe: healthz payload (or error) + breaker state.
@@ -252,7 +310,7 @@ class FleetClient:
         for peer in self.peers:
             entry = {"url": peer.url, "breaker": peer.breaker.state}
             try:
-                entry.update(peer.remote.health())
+                entry.update(peer.source.health())
                 entry["ok"] = True
             except NETWORK_FAILURES as exc:
                 entry["ok"] = False
@@ -260,56 +318,7 @@ class FleetClient:
             report.append(entry)
         return report
 
-    def search(self, pattern: str = "*") -> list[HubRecord]:
-        return self.retrier.call(
-            self._each_peer, lambda p: p.remote.search(pattern), "search"
-        )
-
-    def revisions(self, name: str) -> list[int]:
-        return self.retrier.call(
-            self._each_peer, lambda p: p.remote.revisions(name), "revisions"
-        )
-
-    def manifest(
-        self, name: str, revision: Optional[int] = None
-    ) -> Optional[dict]:
-        return self.retrier.call(
-            self._each_peer,
-            lambda p: p.remote.manifest(name, revision),
-            "manifest",
-        )
-
-    def resolve_revision(
-        self, name: str, revision: Optional[int] = None
-    ) -> int:
-        if revision is not None:
-            return revision
-        # "latest" must come from the most caught-up peer that answers —
-        # a lagging replica would silently serve an old revision.
-        def newest(peer: _Peer) -> int:
-            revs = peer.remote.revisions(name)
-            if not revs:
-                raise KeyError(f"hub has no repository {name!r}")
-            return revs[-1]
-
-        candidates: list[int] = []
-        for peer in self._rotation():
-            try:
-                candidates.append(newest(peer))
-                peer.breaker.record_success()
-            except KeyError:
-                continue
-            except NETWORK_FAILURES:
-                peer.breaker.record_failure()
-                counter("hub.fleet.peer_failures").inc()
-                continue
-        if not candidates:
-            raise NoHealthyPeer(
-                f"no peer could resolve latest revision of {name!r}"
-            )
-        return max(candidates)
-
-    # -- the failover pull ----------------------------------------------------
+    # -- the pull -------------------------------------------------------------
 
     def pull(
         self,
@@ -317,197 +326,69 @@ class FleetClient:
         dest: str | Path,
         revision: Optional[int] = None,
     ) -> Path:
-        """``dlv pull`` with mid-transfer failover and resume.
+        """``dlv pull``: materialize a published revision under ``dest``.
 
-        The manifest is fetched first (from any peer) and becomes the
-        transfer's ground truth; files then stream from one peer until
-        it fails, at which point the transfer continues on the next —
-        files already verified against the manifest are never fetched
-        again, in this process or a restarted one (the ``.partial``
-        state survives crashes).  The assembled tree is verified whole
-        against the manifest before the atomic rename into place.
+        The tree lands in the ``.dlv.pull.tmp`` workspace, is verified
+        whole against the manifest, and only then renamed into place.
+        A pull that fails leaves either nothing it created or — once the
+        transfer has started — exactly that workspace and its
+        ``.dlv.pull.partial.json`` state, which the next pull of the
+        same revision adopts (in this process or a restarted one).
         """
         dest = Path(dest)
         target = dest / Repository.DLV_DIR
         if target.exists():
             raise FileExistsError(f"{dest} already contains a dlv repository")
-        dest.mkdir(parents=True, exist_ok=True)
-        with trace_span("hub.fleet.pull", repo=name) as span:
-            rev = self.resolve_revision(name, revision)
-            manifest = self.manifest(name, rev)
-            files = self._each_peer(
-                lambda p: p.remote.files(name, rev), "files"
-            )
-            transfer = open_transfer(dest, name, rev, manifest or {}, files)
-            failovers = self._transfer_with_failover(transfer, name, rev)
-            if manifest is not None:
-                verify_tree(transfer.tmp, manifest)
-                counter("hub.pulls_verified").inc()
-            ffs.replace(transfer.tmp, target, site="hub.pull.replace")
-            transfer.state.discard()
-            span.set_attr("revision", rev)
-            span.set_attr("failovers", failovers)
+        created_dest = not dest.exists()
+        with trace_span("hub.pull", repo=name) as span:
+            try:
+                transfer = self.fetch_revision(name, revision, dest)
+                ffs.replace(transfer.tmp, target, site="hub.pull.replace")
+                transfer.state.discard()
+            except Exception:
+                # Never install half a repository.  A CrashSimulated
+                # (BaseException) skips this — a dead process leaves its
+                # workspace for the next pull to adopt.
+                if not (dest / PARTIAL_STATE_NAME).exists():
+                    shutil.rmtree(dest / TMP_DIR_NAME, ignore_errors=True)
+                    if created_dest:
+                        shutil.rmtree(dest, ignore_errors=True)
+                raise
+            span.set_attr("revision", transfer.state.revision)
             span.set_attr("files_fetched", transfer.stats.files_fetched)
             span.set_attr("files_resumed", transfer.stats.files_resumed)
             span.set_attr("bytes", transfer.stats.bytes_fetched)
         get_registry().window("hub.pull").observe(span.elapsed)
         return dest
 
-    def _transfer_with_failover(self, transfer, name: str, rev: int) -> int:
-        """Drive the resumable transfer across peers; returns failovers."""
-        failovers = 0
-        last_error: Optional[Exception] = None
-        attempts_left = 2 * len(self.peers)  # bounded even if all flap
-        while transfer.pending():
-            if attempts_left <= 0:
-                counter("hub.fleet.exhausted").inc()
-                raise NoHealthyPeer(
-                    f"pull of {name!r} rev {rev} exhausted all peers "
-                    f"({len(transfer.pending())} files remaining)"
-                ) from last_error
-            attempts_left -= 1
-            peer = self._rotation()[0]
-            try:
-                transfer.run(
-                    lambda rel, offset, _p=peer: _p.remote.fetch_file(
-                        name, rev, rel, offset
-                    )
-                )
-                peer.breaker.record_success()
-            except KeyError as exc:
-                # Lagging replica: no breaker charge, just another peer.
-                last_error = exc
-                failovers += 1
-                counter("hub.fleet.failovers").inc()
-            except NETWORK_FAILURES as exc:
-                peer.breaker.record_failure()
-                counter("hub.fleet.peer_failures").inc()
-                last_error = exc
-                failovers += 1
-                counter("hub.fleet.failovers").inc()
-        return failovers
+    def fetch_revision(
+        self, name: str, revision: Optional[int], workdir: str | Path
+    ) -> ResumableTransfer:
+        """Fetch one revision into ``workdir``'s transfer workspace, verified.
 
-    def pull_repository(
-        self, name: str, dest: str | Path, revision: Optional[int] = None
-    ) -> Repository:
-        """Pull and open in one step."""
-        return Repository.open(str(self.pull(name, dest, revision)))
-
-    def pull_for_serving(
-        self, name: str, revision: Optional[int] = None
-    ) -> Path:
-        """Pull into a fresh scratch directory (``dlv serve --hub``)."""
-        scratch = Path(tempfile.mkdtemp(prefix=f"dlv-serve-{name}-"))
-        try:
-            return self.pull(name, scratch / "repo", revision)
-        except Exception:
-            shutil.rmtree(scratch, ignore_errors=True)
-            raise
-
-
-class HubFleet:
-    """A simulated fleet: one primary + ``size - 1`` replicas, one process.
-
-    Each peer owns its own hub directory under ``root`` and its own
-    :class:`~repro.hub.httpd.HubHTTPServer`; replicas carry a
-    :class:`~repro.hub.replication.Replicator` pointed at the primary.
-    By default replication is driven manually via :meth:`sync` (what the
-    deterministic chaos tests need); pass ``sync_interval_s`` to run the
-    replicator threads instead.
-
-    Usage::
-
-        with HubFleet(tmp_path, size=3) as fleet:
-            fleet.publish(repo, "shared")
-            fleet.sync()                      # replicas catch up
-            client = fleet.client()           # FleetClient over all peers
-            client.pull("shared", dest)
-    """
-
-    def __init__(
-        self,
-        root: str | Path,
-        size: int = 3,
-        sync_interval_s: Optional[float] = None,
-        timeout: float = DEFAULT_HUB_TIMEOUT_S,
-    ) -> None:
-        if size < 1:
-            raise ValueError("fleet size must be >= 1")
-        self.root = Path(root)
-        self.size = size
-        self.sync_interval_s = sync_interval_s
-        self.timeout = timeout
-        self.servers: list[HubHTTPServer] = []
-        self.replicators: list[Replicator] = []
-
-    @property
-    def primary(self) -> HubHTTPServer:
-        return self.servers[0]
-
-    @property
-    def urls(self) -> list[str]:
-        return [server.url for server in self.servers]
-
-    def start(self) -> "HubFleet":
-        primary = HubHTTPServer(
-            self.root / "n0", peer_name="n0", role="primary"
-        ).start()
-        self.servers.append(primary)
-        for i in range(1, self.size):
-            store = HubServer(self.root / f"n{i}")
-            replicator = Replicator(
-                store,
-                primary.url,
-                interval_s=self.sync_interval_s or 2.0,
-                timeout=self.timeout,
-            )
-            server = HubHTTPServer(
-                store,
-                peer_name=f"n{i}",
-                role="replica",
-                replicator=replicator,
-            ).start()
-            self.replicators.append(replicator)
-            self.servers.append(server)
-        if self.sync_interval_s is not None:
-            for replicator in self.replicators:
-                replicator.start()
-        return self
-
-    def stop(self) -> None:
-        for replicator in self.replicators:
-            replicator.stop()
-        for server in self.servers:
-            server.stop()
-        self.servers = []
-        self.replicators = []
-
-    def publish(self, repo: Repository, name: str, description: str = ""):
-        """Publish to the primary (the only writable peer)."""
-        model_names = sorted({v.name for v in repo.list_versions()})
-        with repo.backend.publish_tree() as tree:
-            return self.primary.server.publish(
-                name,
-                tree,
-                description=description,
-                model_names=model_names,
-            )
-
-    def sync(self) -> int:
-        """Run one sync round on every replica; returns revisions copied."""
-        return sum(r.sync_once() for r in self.replicators)
-
-    def client(self, **kwargs) -> FleetClient:
-        """A :class:`FleetClient` over every peer in this fleet."""
-        kwargs.setdefault("timeout", self.timeout)
-        return FleetClient(self.urls, **kwargs)
-
-    def kill(self, index: int) -> None:
-        """Hard-stop one peer (chaos: the node is gone, port refused)."""
-        self.servers[index].stop()
-
-    def __enter__(self) -> "HubFleet":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
+        The manifest (from any peer) is the transfer's ground truth;
+        files stream from one peer until it fails, then from the next —
+        files already verified are never fetched again.  Returns the
+        completed transfer: ``.tmp`` holds the tree, checked whole
+        against ``.manifest``; the caller moves it into place and
+        discards ``.state``.
+        """
+        workdir = Path(workdir)
+        rev = self.resolve_revision(name, revision)
+        manifest = self.manifest(name, rev)
+        files = self.files(name, rev)
+        workdir.mkdir(parents=True, exist_ok=True)
+        transfer = open_transfer(workdir, name, rev, manifest or {}, files)
+        # One pass per peer in rotation; each retry re-enters the transfer,
+        # which skips what the last pass completed — retry == resume.
+        self.retrier.call(
+            self._each_peer,
+            lambda p: transfer.run(
+                lambda rel, offset: p.source.fetch_file(name, rev, rel, offset)
+            ),
+            f"pull of {name!r} rev {rev}",
+        )
+        if manifest is not None:
+            verify_tree(transfer.tmp, manifest)
+            counter("hub.pulls_verified").inc()
+        return transfer

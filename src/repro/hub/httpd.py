@@ -1,9 +1,12 @@
 """HTTP transport for the hub: :class:`HubHTTPServer` and :class:`RemoteHub`.
 
-The directory-backed :class:`~repro.hub.server.HubServer` stays the
-source of truth; this module puts a stdlib ``ThreadingHTTPServer`` in
-front of it so a :class:`~repro.hub.client.HubClient` on another machine
-(or just another process) can search and pull over the wire.  Endpoints:
+The directory-backed :class:`~repro.hub.server.HubServer` is the storage
+and the source of truth; this module puts a stdlib
+``ThreadingHTTPServer`` in front of it so a
+:class:`~repro.hub.client.HubClient` on another machine (or just another
+process) can search and pull over the wire.  Every ``/v1`` route is one
+call of the store's read protocol — the handler never touches the
+published trees itself.  Endpoints:
 
 =============================================  ==============================
 ``GET /healthz``                               Liveness + fleet identity:
@@ -16,7 +19,7 @@ front of it so a :class:`~repro.hub.client.HubClient` on another machine
 ``GET /v1/trace``                              Span ring buffer (orphan-
                                                marked dicts).
 ``GET /v1/index?pattern=``                     Search the published index.
-``GET /v1/repos/<name>/revisions``             Stored revisions of a repo.
+``GET /v1/repos/<name>/revisions``             Visible revisions of a repo.
 ``GET /v1/repos/<name>/<rev>/manifest``        Checksum manifest (``latest``
                                                resolves the newest revision).
 ``GET /v1/repos/<name>/<rev>/files``           Relative paths in the tree.
@@ -37,16 +40,15 @@ status, a 503 + ``Retry-After``, a dropped connection, a truncated body,
 or an injected delay — which is how the fleet's failover paths are
 proven without real networks misbehaving on cue.
 
-:class:`RemoteHub` is the matching client: keep-alive ``http.client``
-with a per-request socket timeout, the same ``search``/``revisions``/
-``manifest`` surface as :class:`HubServer`, plus :meth:`RemoteHub.fetch_file`
-(range-resumable single file) and :meth:`RemoteHub.fetch_tree`, which
-downloads a whole published revision file-by-file.  It sends the calling
-context's ``traceparent`` on every request and bills downloaded bytes to
-the context's :class:`~repro.obs.cost.RequestCost`.  429/5xx
-responses raise :class:`RemoteHubUnavailable` — an :class:`OSError`
-carrying any server ``Retry-After`` — so retriers and the fleet's
-circuit breakers treat them as transient.
+:class:`RemoteHub` is the matching client: the same six read calls as
+:class:`HubServer` (``search``, ``revisions``, ``resolve_revision``,
+``manifest``, ``files``, range-resumable ``fetch_file``) over keep-alive
+``http.client`` with a per-request socket timeout.  It sends the calling
+context's ``traceparent`` on every request.  404 raises ``KeyError`` and
+403 ``PermissionError`` exactly as the directory does; 429/5xx raise
+:class:`RemoteHubUnavailable` — an :class:`OSError` carrying any server
+``Retry-After`` — so retriers and the pull engine's circuit breakers
+treat them as transient.
 """
 
 from __future__ import annotations
@@ -62,7 +64,6 @@ from typing import Optional
 
 from repro.faults.net import get_net_plan
 from repro.hub.server import HubRecord, HubServer
-from repro.obs.cost import charge
 from repro.obs.export import mark_orphans
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.propagation import (
@@ -225,6 +226,8 @@ class _Handler(BaseHTTPRequestHandler):
             self._send_json(exc.status, exc.payload)
         except KeyError as exc:
             self._send_json(404, {"error": str(exc)})
+        except PermissionError as exc:
+            self._send_json(403, {"error": str(exc)})
         except BrokenPipeError:  # pragma: no cover - client went away
             pass
         except Exception as exc:  # noqa: BLE001 - surface, don't kill thread
@@ -263,40 +266,21 @@ class _Handler(BaseHTTPRequestHandler):
                 "revisions": hub.server.revisions(parts[2]),
             })
         elif len(parts) == 5 and parts[:2] == ["v1", "repos"] \
-                and parts[4] == "manifest":
-            name, revision = parts[2], self._revision(parts[3])
-            self._send_json(200, {
-                "name": name,
-                "revision": self._resolve(hub, name, revision),
-                "manifest": hub.server.manifest(name, revision),
-            })
-        elif len(parts) == 5 and parts[:2] == ["v1", "repos"] \
-                and parts[4] == "files":
-            name, revision = parts[2], self._revision(parts[3])
-            tree = hub.server.get(name, revision)
-            files = sorted(
-                p.relative_to(tree).as_posix()
-                for p in tree.rglob("*")
-                if p.is_file()
+                and parts[4] in ("manifest", "files"):
+            name, what = parts[2], parts[4]
+            revision = hub.server.resolve_revision(
+                name, self._revision(parts[3])
             )
             self._send_json(200, {
                 "name": name,
-                "revision": self._resolve(hub, name, revision),
-                "files": files,
+                "revision": revision,
+                what: getattr(hub.server, what)(name, revision),
             })
         elif len(parts) >= 6 and parts[:2] == ["v1", "repos"] \
                 and parts[4] == "files":
-            name, revision = parts[2], self._revision(parts[3])
-            rel = "/".join(parts[5:])
-            tree = hub.server.get(name, revision).resolve()
-            target = (tree / rel).resolve()
-            # Traversal guard: the resolved path must stay inside the
-            # published tree, whatever ".." or symlink tricks ``rel`` pulls.
-            if tree not in target.parents and target != tree:
-                raise _HTTPError(403, {"error": f"path escapes tree: {rel}"})
-            if not target.is_file():
-                raise _HTTPError(404, {"error": f"no file {rel}"})
-            data = target.read_bytes()
+            data = hub.server.fetch_file(
+                parts[2], self._revision(parts[3]), "/".join(parts[5:])
+            )
             start = self._range_start(len(data))
             if start is None:
                 self._send_bytes(200, data)
@@ -341,16 +325,6 @@ class _Handler(BaseHTTPRequestHandler):
             return int(raw)
         except ValueError:
             raise _HTTPError(400, {"error": f"bad revision {raw!r}"}) from None
-
-    @staticmethod
-    def _resolve(hub: "HubHTTPServer", name: str,
-                 revision: Optional[int]) -> int:
-        if revision is not None:
-            return revision
-        revisions = hub.server.revisions(name)
-        if not revisions:
-            raise KeyError(f"hub has no repository {name!r}")
-        return revisions[-1]
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
         self._dispatch()
@@ -421,11 +395,7 @@ class HubHTTPServer:
     def health_payload(self) -> dict:
         """What ``/healthz`` reports: liveness plus fleet identity."""
         payload = {
-            "status": "ok",
-            "root": str(self.server.root),
-            "peer": self.peer_name,
-            "role": self.role,
-            "watermark": self.server.watermark(),
+            **self.server.health(), "peer": self.peer_name, "role": self.role
         }
         if self.replicator is not None:
             payload["replication"] = self.replicator.stats()
@@ -467,9 +437,8 @@ class HubHTTPServer:
 class RemoteHub:
     """Keep-alive HTTP client for a :class:`HubHTTPServer`.
 
-    Mirrors the read side of :class:`HubServer` — ``search``,
-    ``revisions``, ``manifest`` — and adds :meth:`fetch_file` /
-    :meth:`fetch_tree` for materializing published bytes locally.  One
+    The HTTP implementation of the read protocol :class:`HubServer`
+    defines — the same six calls with the same results and errors.  One
     instance per thread; the underlying connection is not thread-safe.
 
     Args:
@@ -567,6 +536,8 @@ class RemoteHub:
             data = {"error": raw.decode(errors="replace")}
         if status == 404:
             raise KeyError(data.get("error", f"not found: {path}"))
+        if status == 403:
+            raise PermissionError(data.get("error", f"forbidden: {path}"))
         if status == 429 or status >= 500:
             # Any server-side failure is transient from the client's
             # seat: retryable here, failover-eligible in a fleet.
@@ -605,6 +576,11 @@ class RemoteHub:
         payload = self._get_json(f"/v1/index?pattern={quoted}")
         return [HubRecord.from_dict(d) for d in payload["records"]]
 
+    def _repo(self, name: str, revision: Optional[int], what: str) -> dict:
+        rev = "latest" if revision is None else str(revision)
+        quoted = urllib.parse.quote(name, safe="")
+        return self._get_json(f"/v1/repos/{quoted}/{rev}/{what}")
+
     def revisions(self, name: str) -> list[int]:
         quoted = urllib.parse.quote(name, safe="")
         return self._get_json(f"/v1/repos/{quoted}/revisions")["revisions"]
@@ -612,25 +588,22 @@ class RemoteHub:
     def manifest(
         self, name: str, revision: Optional[int] = None
     ) -> Optional[dict]:
-        quoted = urllib.parse.quote(name, safe="")
-        rev = "latest" if revision is None else str(revision)
-        return self._get_json(
-            f"/v1/repos/{quoted}/{rev}/manifest"
-        )["manifest"]
+        return self._repo(name, revision, "manifest")["manifest"]
+
+    def files(self, name: str, revision: Optional[int] = None) -> list[str]:
+        return self._repo(name, revision, "files")["files"]
 
     def resolve_revision(
         self, name: str, revision: Optional[int] = None
     ) -> int:
-        """The concrete revision number ``latest`` currently means."""
+        """The concrete revision number ``latest`` currently means.
+
+        An explicit revision is returned as is (no round trip); the
+        ``manifest``/``files`` call that follows reports it missing.
+        """
         if revision is not None:
             return revision
-        quoted = urllib.parse.quote(name, safe="")
-        return self._get_json(f"/v1/repos/{quoted}/latest/files")["revision"]
-
-    def files(self, name: str, revision: Optional[int] = None) -> list[str]:
-        quoted = urllib.parse.quote(name, safe="")
-        rev = "latest" if revision is None else str(revision)
-        return self._get_json(f"/v1/repos/{quoted}/{rev}/files")["files"]
+        return self._repo(name, None, "files")["revision"]
 
     def fetch_file(
         self, name: str, revision: int, rel: str, offset: int = 0
@@ -640,8 +613,7 @@ class RemoteHub:
         A non-zero offset is sent as ``Range: bytes=N-``; a server that
         ignores the header (answering 200 with the full body) is
         handled by slicing locally, so callers always receive exactly
-        the tail they asked for.  Downloaded bytes are billed to the
-        calling context's request cost.
+        the tail they asked for.
         """
         quoted = urllib.parse.quote(name, safe="")
         quoted_rel = "/".join(
@@ -652,25 +624,4 @@ class RemoteHub:
         status, data = self._get_bytes(path, headers)
         if offset > 0 and status != 206:
             data = data[offset:]
-        charge(bytes_read=len(data), chunks_fetched=1)
         return data
-
-    def fetch_tree(
-        self, name: str, revision: Optional[int], dest: str | Path
-    ) -> int:
-        """Download a published revision into ``dest``; returns bytes read.
-
-        Files land one request at a time over the keep-alive connection;
-        each file's bytes are billed to the calling context's request
-        cost, so a ``hub.pull`` bill reflects real transfer volume.
-        """
-        dest = Path(dest)
-        rev = self.resolve_revision(name, revision)
-        total = 0
-        for rel in self.files(name, rev):
-            data = self.fetch_file(name, rev, rel)
-            target = dest / rel
-            target.parent.mkdir(parents=True, exist_ok=True)
-            target.write_bytes(data)
-            total += len(data)
-        return total

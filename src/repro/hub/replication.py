@@ -6,9 +6,11 @@ the primary's HTTP surface.  Replication is pull-based and idempotent:
 
 1. list the primary's index and per-name revisions,
 2. for every ``(name, revision)`` tree the follower does not hold,
-   fetch it file-by-file into a temp directory,
-3. verify the tree against the primary's sha256 manifest,
-4. atomically install it (manifest file → tree rename → index update)
+   fetch it through the same pull engine ``dlv pull`` uses
+   (:meth:`~repro.hub.fleet.FleetClient.fetch_revision`: per-file
+   verified, resumable across rounds, whole tree checked against the
+   primary's sha256 manifest),
+3. atomically install it (manifest file → tree rename → index update)
    via :meth:`~repro.hub.server.HubServer.install_revision`.
 
 Because revisions are immutable once published, there is no conflict
@@ -22,21 +24,27 @@ Sync runs either on demand (:meth:`Replicator.sync_once` — what the
 deterministic chaos tests drive) or on a background thread
 (:meth:`start`/:meth:`stop`) that polls at ``interval_s`` using an
 ``Event`` wait, so ``stop`` never blocks for a full interval.
+:class:`HubFleet` wires a primary and its followers together in one
+process — the fixture the chaos suite and the examples stand on.
 """
 
 from __future__ import annotations
 
-import http.client
 import shutil
 import threading
+from pathlib import Path
 from typing import Optional
 
-from repro.hub.httpd import RemoteHub
-from repro.hub.server import HubServer, verify_tree
+from repro.dlv.repository import Repository
+from repro.hub.client import HubClient
+from repro.hub.fleet import FleetClient
+from repro.hub.httpd import DEFAULT_HUB_TIMEOUT_S, HubHTTPServer
+from repro.hub.retry import Retrier
+from repro.hub.server import HubServer
 from repro.obs.metrics import counter, gauge
 from repro.obs.tracing import trace_span
 
-__all__ = ["Replicator"]
+__all__ = ["HubFleet", "Replicator"]
 
 
 class Replicator:
@@ -45,9 +53,9 @@ class Replicator:
     Args:
         local: The follower's hub directory (written by sync).
         primary_urls: One or more ``http://`` addresses of the primary
-            tier; sync uses the first one that answers, so a primary
-            behind several addresses (or a re-elected one) still feeds
-            the follower.
+            tier (list or comma-separated); reads fail over between
+            them, so a primary behind several addresses (or a
+            re-elected one) still feeds the follower.
         interval_s: Poll period of the background thread.
         timeout: Socket timeout for primary requests.
     """
@@ -59,16 +67,11 @@ class Replicator:
         interval_s: float = 2.0,
         timeout: float = 10.0,
     ) -> None:
-        if isinstance(primary_urls, str):
-            primary_urls = [
-                u.strip() for u in primary_urls.split(",") if u.strip()
-            ]
-        if not primary_urls:
-            raise ValueError("replicator needs at least one primary url")
         self.local = local
-        self.primary_urls = list(primary_urls)
         self.interval_s = interval_s
         self.timeout = timeout
+        # Building an engine once validates and splits the addresses.
+        self.primary_urls = [p.url for p in self._engine(primary_urls).peers]
         self._thread: Optional[threading.Thread] = None
         self._wake = threading.Event()
         # Guards lifecycle writes (_thread) and the stats dict.
@@ -102,64 +105,51 @@ class Replicator:
                 raise
         return copied
 
-    def _sync_round(self) -> int:
-        last_error: Optional[Exception] = None
-        for url in self.primary_urls:
-            remote = RemoteHub(url, timeout=self.timeout)
-            try:
-                copied, primary_watermark = self._sync_from(remote)
-            except (OSError, http.client.HTTPException) as exc:
-                last_error = exc
-                continue
-            finally:
-                remote.close()
-            lag = max(0, primary_watermark - self.local.watermark())
-            gauge("hub.replication.lag").set(lag)
-            with self._lock:
-                self._stats["synced_revisions"] += copied
-                self._stats["sync_rounds"] += 1
-                self._stats["lag"] = lag
-                self._stats["primary"] = url
-                self._stats["last_error"] = ""
-            if copied:
-                counter("hub.replication.synced_revisions").inc(copied)
-            return copied
-        raise OSError(
-            f"no primary reachable among {self.primary_urls}"
-        ) from last_error
-
-    def _sync_from(self, remote: RemoteHub) -> tuple[int, int]:
-        primary_watermark = int(remote.health().get("watermark", 0))
-        copied = 0
-        for record in remote.search("*"):
-            have = set(self.local.revisions(record.name))
-            for revision in remote.revisions(record.name):
-                if revision in have:
-                    continue
-                if self._copy_revision(remote, record, revision):
-                    copied += 1
-        return copied, primary_watermark
-
-    def _copy_revision(self, remote, record, revision: int) -> bool:
-        """Fetch + verify + install one revision tree; True when installed."""
-        manifest = remote.manifest(record.name, revision)
-        tmp = (
-            self.local.root / "repos" / record.name
-            / f".sync.{revision}.tmp"
+    def _engine(self, urls) -> FleetClient:
+        """A single-pass engine: the next address or round is the retry."""
+        return FleetClient(
+            urls, timeout=self.timeout, retrier=Retrier(attempts=1)
         )
-        if tmp.exists():
-            shutil.rmtree(tmp)
-        tmp.parent.mkdir(parents=True, exist_ok=True)
+
+    def _sync_round(self) -> int:
+        # A fresh engine per round: connections are not shared between
+        # the poll thread and a caller driving sync_once() directly.
+        with self._engine(self.primary_urls) as primary:
+            health = primary.health()
+            copied = 0
+            for record in primary.search("*"):
+                have = set(self.local.revisions(record.name))
+                for revision in primary.revisions(record.name):
+                    if revision not in have:
+                        copied += self._copy_revision(primary, record, revision)
+        lag = max(0, int(health.get("watermark", 0)) - self.local.watermark())
+        gauge("hub.replication.lag").set(lag)
+        with self._lock:
+            self._stats["synced_revisions"] += copied
+            self._stats["sync_rounds"] += 1
+            self._stats["lag"] = lag
+            self._stats["primary"] = health["url"]
+            self._stats["last_error"] = ""
+        if copied:
+            counter("hub.replication.synced_revisions").inc(copied)
+        return copied
+
+    def _copy_revision(self, primary: FleetClient, record, revision: int) -> bool:
+        """Fetch + verify + install one revision tree; True when installed.
+
+        The workspace's non-numeric name keeps it out of the revision
+        listing; a failed fetch leaves it for the next round to resume.
+        """
+        workdir = (
+            self.local.root / "repos" / record.name / f".sync.{revision}"
+        )
+        transfer = primary.fetch_revision(record.name, revision, workdir)
         try:
-            remote.fetch_tree(record.name, revision, tmp)
-            if manifest is not None:
-                verify_tree(tmp, manifest)
             return self.local.install_revision(
-                record.name, revision, tmp, manifest or {}, record
+                record.name, revision, transfer.tmp, transfer.manifest, record
             )
-        except Exception:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
+        finally:
+            shutil.rmtree(workdir, ignore_errors=True)
 
     # -- background thread ----------------------------------------------------
 
@@ -200,6 +190,107 @@ class Replicator:
             return dict(self._stats)
 
     def __enter__(self) -> "Replicator":
+        return self.start()
+
+    def __exit__(self, *exc_info) -> None:
+        self.stop()
+
+
+class HubFleet:
+    """A simulated fleet: one primary + ``size - 1`` replicas, one process.
+
+    Each peer owns its own hub directory under ``root`` and its own
+    :class:`~repro.hub.httpd.HubHTTPServer`; replicas carry a
+    :class:`~repro.hub.replication.Replicator` pointed at the primary.
+    By default replication is driven manually via :meth:`sync` (what the
+    deterministic chaos tests need); pass ``sync_interval_s`` to run the
+    replicator threads instead.
+
+    Usage::
+
+        with HubFleet(tmp_path, size=3) as fleet:
+            fleet.publish(repo, "shared")
+            fleet.sync()                      # replicas catch up
+            client = fleet.client()           # FleetClient over all peers
+            client.pull("shared", dest)
+    """
+
+    def __init__(
+        self,
+        root: str | Path,
+        size: int = 3,
+        sync_interval_s: Optional[float] = None,
+        timeout: float = DEFAULT_HUB_TIMEOUT_S,
+    ) -> None:
+        if size < 1:
+            raise ValueError("fleet size must be >= 1")
+        self.root = Path(root)
+        self.size = size
+        self.sync_interval_s = sync_interval_s
+        self.timeout = timeout
+        self.servers: list[HubHTTPServer] = []
+        self.replicators: list[Replicator] = []
+
+    @property
+    def primary(self) -> HubHTTPServer:
+        return self.servers[0]
+
+    @property
+    def urls(self) -> list[str]:
+        return [server.url for server in self.servers]
+
+    def start(self) -> "HubFleet":
+        primary = HubHTTPServer(
+            self.root / "n0", peer_name="n0", role="primary"
+        ).start()
+        self.servers.append(primary)
+        for i in range(1, self.size):
+            store = HubServer(self.root / f"n{i}")
+            replicator = Replicator(
+                store,
+                primary.url,
+                interval_s=self.sync_interval_s or 2.0,
+                timeout=self.timeout,
+            )
+            server = HubHTTPServer(
+                store,
+                peer_name=f"n{i}",
+                role="replica",
+                replicator=replicator,
+            ).start()
+            self.replicators.append(replicator)
+            self.servers.append(server)
+        if self.sync_interval_s is not None:
+            for replicator in self.replicators:
+                replicator.start()
+        return self
+
+    def stop(self) -> None:
+        for replicator in self.replicators:
+            replicator.stop()
+        for server in self.servers:
+            server.stop()
+        self.servers = []
+        self.replicators = []
+
+    def publish(self, repo: Repository, name: str, description: str = ""):
+        """Publish to the primary (the only writable peer)."""
+        return HubClient(self.primary.server).publish(repo, name, description)
+
+    def sync(self) -> int:
+        """Run one sync round on every replica; returns revisions copied."""
+        return sum(r.sync_once() for r in self.replicators)
+
+    def client(self, **kwargs) -> FleetClient:
+        """A :class:`FleetClient` over every peer in this fleet."""
+        kwargs.setdefault("timeout", self.timeout)
+        return FleetClient(self.urls, **kwargs)
+
+    def kill(self, index: int) -> None:
+        """Hard-stop one peer (chaos: the node is gone, port refused)."""
+        self.servers[index].stop()
+
+    def __enter__(self) -> "HubFleet":
         return self.start()
 
     def __exit__(self, *exc_info) -> None:

@@ -107,7 +107,18 @@ class HubRecord:
 
 
 class HubServer:
-    """Owns a hub directory: the index plus published repository trees."""
+    """Owns a hub directory: the index plus published repository trees.
+
+    The *directory* implementation of the hub read protocol — ``search``,
+    ``revisions``, ``resolve_revision``, ``manifest``, ``files``,
+    ``fetch_file`` — which :class:`~repro.hub.httpd.RemoteHub` speaks
+    over HTTP, and the only place that walks a published tree, guards
+    against path traversal, or decides what "latest" means.
+
+    A revision is *visible* iff it is at most the name's index revision
+    (the index update is every writer's commit point) and its directory
+    is present: a tree left by a writer that died is never served.
+    """
 
     def __init__(self, root: str | Path) -> None:
         self.root = Path(root)
@@ -133,55 +144,16 @@ class HubServer:
     def _manifest_path(self, name: str, revision: int) -> Path:
         return self.root / "repos" / name / f"{revision}.manifest.json"
 
-    def manifest(self, name: str, revision: Optional[int] = None) -> Optional[dict]:
-        """Checksum manifest of one published revision (None when absent)."""
-        index = self._load_index()
-        if name not in index:
-            raise KeyError(f"hub has no repository {name!r}")
-        revision = revision or index[name]["revision"]
-        path = self._manifest_path(name, revision)
-        if not path.exists():
-            return None
-        return json.loads(path.read_text())
-
-    def publish(
-        self,
-        name: str,
-        dlv_dir: Path,
-        description: str = "",
-        model_names: Optional[list[str]] = None,
-    ) -> HubRecord:
-        """Store a copy of a repository's ``.dlv`` tree under ``name``.
-
-        A checksum manifest is written beside the revision so pullers can
-        verify the transfer; the index update comes last, so a publish
-        that dies midway never becomes visible.
-        """
-        _count_request("publish")
-        index = self._load_index()
-        revision = index.get(name, {}).get("revision", 0) + 1
-        dest = self.root / "repos" / name / str(revision)
-        if dest.exists():
-            shutil.rmtree(dest)
-        dest.parent.mkdir(parents=True, exist_ok=True)
-        ffs.copytree(dlv_dir, dest, site="hub.publish.copytree")
+    def _write_manifest(
+        self, name: str, revision: int, manifest: dict[str, str], site: str
+    ) -> None:
         ffs.write_bytes(
             self._manifest_path(name, revision),
-            json.dumps(compute_manifest(dest), indent=2).encode(),
-            site="hub.publish.manifest",
+            json.dumps(manifest, indent=2).encode(),
+            site=site,
         )
-        record = HubRecord(
-            name=name,
-            description=description,
-            revision=revision,
-            published_at=datetime.datetime.now(
-                datetime.timezone.utc
-            ).isoformat(),
-            model_names=model_names or [],
-        )
-        index[name] = record.to_dict()
-        self._save_index(index)
-        return record
+
+    # -- the read protocol ---------------------------------------------------
 
     def search(self, pattern: str = "*") -> list[HubRecord]:
         """Match records by glob pattern on name, description, or models."""
@@ -200,6 +172,51 @@ class HubServer:
                 matched.append(record)
         return sorted(matched, key=lambda r: r.name)
 
+    def _visible(self, name: str, committed: int) -> list[int]:
+        base = self.root / "repos" / name
+        if not committed or not base.exists():
+            return []
+        return sorted(
+            int(p.name)
+            for p in base.iterdir()
+            if p.is_dir() and p.name.isdigit() and int(p.name) <= committed
+        )
+
+    def revisions(self, name: str) -> list[int]:
+        """All visible revisions of a repository (``[]`` when unknown)."""
+        _count_request("revisions")
+        record = self._load_index().get(name, {})
+        return self._visible(name, record.get("revision", 0))
+
+    def resolve_revision(
+        self, name: str, revision: Optional[int] = None
+    ) -> int:
+        """The visible revision ``revision`` names (``None`` -> latest).
+
+        "Latest" is the index's committed revision, not the highest
+        directory on disk.
+
+        Raises:
+            KeyError: unknown name, or a revision that is not visible.
+        """
+        index = self._load_index()
+        if name not in index:
+            raise KeyError(f"hub has no repository {name!r}")
+        committed = index[name]["revision"]
+        revision = revision or committed
+        if revision > committed or not (
+            self.root / "repos" / name / str(revision)
+        ).is_dir():
+            raise KeyError(f"{name!r} has no revision {revision}")
+        return revision
+
+    def manifest(self, name: str, revision: Optional[int] = None) -> Optional[dict]:
+        """Checksum manifest of one revision (None for pre-manifest ones)."""
+        path = self._manifest_path(name, self.resolve_revision(name, revision))
+        if not path.exists():
+            return None
+        return json.loads(path.read_text())
+
     def get(self, name: str, revision: Optional[int] = None) -> Path:
         """Path of a published repository tree.
 
@@ -207,48 +224,98 @@ class HubServer:
             KeyError: unknown name or revision.
         """
         _count_request("get")
-        index = self._load_index()
-        if name not in index:
-            raise KeyError(f"hub has no repository {name!r}")
-        revision = revision or index[name]["revision"]
-        path = self.root / "repos" / name / str(revision)
-        if not path.exists():
-            raise KeyError(f"{name!r} has no revision {revision}")
-        return path
+        revision = self.resolve_revision(name, revision)
+        return self.root / "repos" / name / str(revision)
 
-    def revisions(self, name: str) -> list[int]:
-        """All stored revisions of a repository."""
-        _count_request("revisions")
-        base = self.root / "repos" / name
-        if not base.exists():
-            return []
-        return sorted(int(p.name) for p in base.iterdir() if p.is_dir())
+    def files(self, name: str, revision: Optional[int] = None) -> list[str]:
+        """Sorted relative paths of every file in one revision's tree."""
+        tree = self.get(name, revision)
+        return sorted(
+            p.relative_to(tree).as_posix()
+            for p in tree.rglob("*")
+            if p.is_file()
+        )
 
-    def names(self) -> list[str]:
-        """All published repository names."""
-        return sorted(self._load_index())
+    def fetch_file(
+        self, name: str, revision: Optional[int], rel: str, offset: int = 0
+    ) -> bytes:
+        """Bytes of one published file, from ``offset`` to EOF.
+
+        Raises:
+            PermissionError: ``rel`` resolves outside the published tree
+                (whatever ``..`` or symlink tricks it pulls).
+            KeyError: unknown name, revision or file.
+        """
+        tree = self.get(name, revision).resolve()
+        target = (tree / rel).resolve()
+        if tree not in target.parents:
+            raise PermissionError(f"path escapes tree: {rel}")
+        if not target.is_file():
+            raise KeyError(f"no file {rel}")
+        with open(target, "rb") as handle:
+            handle.seek(offset)
+            return handle.read()
 
     def watermark(self) -> int:
-        """Replication watermark: count of ``(name, revision)`` trees held.
+        """Replication watermark: count of visible ``(name, revision)`` trees.
 
         Publishes only ever add trees, so the watermark is monotone; a
         follower is caught up exactly when its watermark matches the
-        primary's.  Counted from the ``repos/`` directory rather than
-        the index so a follower mid-sync reports the trees it can
-        actually serve.
+        primary's.  Counts what :meth:`revisions` lists, so a follower
+        mid-sync reports exactly the trees it can serve.
         """
-        repos = self.root / "repos"
-        if not repos.exists():
-            return 0
-        total = 0
-        for name_dir in repos.iterdir():
-            if name_dir.is_dir():
-                total += sum(
-                    1
-                    for p in name_dir.iterdir()
-                    if p.is_dir() and p.name.isdigit()
-                )
-        return total
+        return sum(
+            len(self._visible(name, record["revision"]))
+            for name, record in self._load_index().items()
+        )
+
+    def health(self) -> dict:
+        """Liveness payload (what ``/healthz`` reports about the store)."""
+        return {
+            "status": "ok",
+            "root": str(self.root),
+            "watermark": self.watermark(),
+        }
+
+    # -- writes ---------------------------------------------------------------
+
+    def publish(
+        self,
+        name: str,
+        dlv_dir: Path,
+        description: str = "",
+        model_names: Optional[list[str]] = None,
+    ) -> HubRecord:
+        """Store a copy of a repository's ``.dlv`` tree under ``name``.
+
+        A checksum manifest is written beside the revision so pullers can
+        verify the transfer; the index update comes last and is the
+        commit point, so a publish that dies midway never becomes
+        visible and its leftover directory is overwritten by the next.
+        """
+        _count_request("publish")
+        index = self._load_index()
+        revision = index.get(name, {}).get("revision", 0) + 1
+        dest = self.root / "repos" / name / str(revision)
+        if dest.exists():
+            shutil.rmtree(dest)
+        dest.parent.mkdir(parents=True, exist_ok=True)
+        ffs.copytree(dlv_dir, dest, site="hub.publish.copytree")
+        self._write_manifest(
+            name, revision, compute_manifest(dest), "hub.publish.manifest"
+        )
+        record = HubRecord(
+            name=name,
+            description=description,
+            revision=revision,
+            published_at=datetime.datetime.now(
+                datetime.timezone.utc
+            ).isoformat(),
+            model_names=model_names or [],
+        )
+        index[name] = record.to_dict()
+        self._save_index(index)
+        return record
 
     def install_revision(
         self,
@@ -261,33 +328,29 @@ class HubServer:
         """Adopt an already-verified tree as ``name``/``revision``.
 
         The replication path: a follower fetched and checksum-verified
-        ``tree`` from its primary and now *moves* it into place (the
-        manifest file lands first, the atomic rename is the commit
-        point, the index update comes last — the same
-        never-visible-half-done ordering ``publish`` uses).  Returns
-        ``False`` without touching anything when the revision already
-        exists locally.
+        ``tree`` from its primary and now *moves* it into place (manifest
+        file, then the atomic rename, then the index update that commits
+        it — ``publish``'s never-visible-half-done ordering).  Returns
+        ``False`` untouched when the revision is already visible; a
+        directory left by an install that died uncommitted is overwritten.
         """
         _count_request("install")
         dest = self.root / "repos" / name / str(revision)
-        if dest.exists():
+        if revision in self.revisions(name):
             shutil.rmtree(tree, ignore_errors=True)
             return False
+        if dest.exists():
+            shutil.rmtree(dest)
         dest.parent.mkdir(parents=True, exist_ok=True)
-        ffs.write_bytes(
-            self._manifest_path(name, revision),
-            json.dumps(manifest, indent=2).encode(),
-            site="hub.sync.manifest",
-        )
+        self._write_manifest(name, revision, manifest, "hub.sync.manifest")
         ffs.replace(tree, dest, site="hub.sync.install")
         index = self._load_index()
         current = index.get(name, {})
-        latest = max(self.revisions(name))
         merged = record.to_dict() if record is not None else dict(current)
         merged.setdefault("name", name)
         # Advertise only what this hub can actually serve: the newest
         # locally held revision, whatever the primary is already at.
-        merged["revision"] = latest
+        merged["revision"] = max(current.get("revision", 0), revision)
         index[name] = merged
         self._save_index(index)
         return True

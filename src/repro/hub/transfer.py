@@ -20,9 +20,8 @@ protocol:
   and call :meth:`run` again — completed files are not re-downloaded.
 
 The fetch function signature is ``fetch(rel, offset) -> bytes`` (bytes
-from ``offset`` to EOF), which both :class:`~repro.hub.httpd.RemoteHub`
-and test doubles satisfy; the transfer layer itself never touches a
-socket.
+from ``offset`` to EOF) — any hub source's ``fetch_file`` bound to a
+name and revision; the transfer layer itself never touches a socket.
 """
 
 from __future__ import annotations
@@ -36,6 +35,7 @@ from typing import Callable, Optional
 
 from repro.faults import fs as ffs
 from repro.hub.server import HubIntegrityError
+from repro.obs.cost import charge
 from repro.obs.metrics import counter
 
 __all__ = ["PartialState", "ResumableTransfer", "TransferStats"]
@@ -143,10 +143,12 @@ class ResumableTransfer:
         """Files not yet verified-complete (adopting prior state)."""
         remaining = []
         for rel in self.files:
-            expected = self.manifest.get(rel)
+            recorded = self.state.completed.get(rel)
+            # A pre-manifest revision has no entry to compare against:
+            # the digest recorded when the file landed stands in.
             done = (
-                expected is not None
-                and self.state.completed.get(rel) == expected
+                recorded is not None
+                and recorded == self.manifest.get(rel, recorded)
                 and (self.tmp / rel).is_file()
             )
             if not done:
@@ -183,6 +185,7 @@ class ResumableTransfer:
                 data = fetch(rel, 0)
                 target.write_bytes(data)
             self.stats.bytes_fetched += len(data)
+            charge(bytes_read=len(data), chunks_fetched=1)
             digest = hashlib.sha256(target.read_bytes()).hexdigest()
             if expected is None or digest == expected:
                 self.stats.files_fetched += 1
@@ -210,20 +213,26 @@ def open_transfer(
     Uses the well-known ``.dlv.pull.tmp`` / ``.dlv.pull.partial.json``
     names so a crashed pull's leftovers are found and resumed instead of
     accumulating as orphans.  State belonging to a *different*
-    name/revision is discarded along with its temp tree.
+    name/revision is discarded along with its temp tree.  Adopted files
+    are re-hashed: only the state file is fsynced, so an entry whose
+    file was torn by power loss is dropped and refetched instead of
+    failing every later pull.
     """
     tmp = dest / TMP_DIR_NAME
     state_path = dest / PARTIAL_STATE_NAME
     state = PartialState.load(state_path)
     if state is not None and state.matches(name, revision):
-        resumed = sum(
-            1
-            for rel, digest in state.completed.items()
-            if manifest.get(rel) == digest and (tmp / rel).is_file()
-        )
-        if resumed:
+        for rel, digest in list(state.completed.items()):
+            path = tmp / rel
+            intact = path.is_file() and manifest.get(rel, digest) == digest == (
+                hashlib.sha256(path.read_bytes()).hexdigest()
+            )
+            if not intact:
+                del state.completed[rel]
+                path.unlink(missing_ok=True)
+        if state.completed:
             counter("hub.pull.resumes").inc()
-            counter("hub.pull.files_resumed").inc(resumed)
+            counter("hub.pull.files_resumed").inc(len(state.completed))
     else:
         if tmp.exists():
             shutil.rmtree(tmp)
@@ -231,7 +240,5 @@ def open_transfer(
         state.save()
     tmp.mkdir(parents=True, exist_ok=True)
     transfer = ResumableTransfer(tmp, state, manifest, files)
-    transfer.stats.files_resumed = len(transfer.files) - len(
-        transfer.pending()
-    )
+    transfer.stats.files_resumed = len(state.completed)
     return transfer

@@ -39,8 +39,16 @@ registry / recorder):
 ``progressive.*``         per-plane evaluation timing and resolution counts
 ``dql.*``                 parse/execute latency, query counts per verb
 ``training.*``            per-iteration loss, examples, step latency
-``hub.*``                 request counters per operation; ``hub.pull``
+``hub.*``                 request counters per operation, ``pulls_verified``,
+                          ``verify_failures``, ``hub.retry.*``; ``hub.pull``
                           rolling latency window
+``hub.pull.*``            the resumable transfer: ``files_fetched``,
+                          ``resumes``, ``files_resumed``, ``bytes_resumed``,
+                          ``file_checksum_retries``
+``hub.fleet.*``           the pull engine's routing: ``peer_failures``,
+                          ``failovers``, ``breaker_opened``, ``exhausted``
+``hub.replication.*``     follower sync: ``synced_revisions``,
+                          ``sync_errors``, the ``lag`` gauge
 ``serve.*``               serving tier: requests/completed/shed/errors,
                           escalations, degraded responses, batch shape
                           histograms, per-model queue-depth gauges;
@@ -52,7 +60,7 @@ registry / recorder):
 
 Spans use the same dotted names (``pas.matrix``, ``pas.snapshot``,
 ``archival.solve``, ``progressive.plane``, ``dql.parse``, ``dql.execute``,
-``serve.predict``, ``serve.batch``, ``hub.pull``).
+``serve.predict``, ``serve.batch``, ``hub.pull``, ``hub.replication.sync``).
 """
 
 from repro.obs.cost import (

@@ -311,7 +311,7 @@ class TestHubStatus:
 
     @pytest.fixture
     def fleet(self, tmp_path):
-        from repro.hub.fleet import HubFleet
+        from repro.hub import HubFleet
 
         src = tmp_path / "tree"
         src.mkdir()

@@ -20,7 +20,7 @@ import pytest
 
 from repro.dlv.repository import Repository
 from repro.faults.net import NetFaultPlan, NetFaultPoint, inject_net
-from repro.hub.fleet import HubFleet, NoHealthyPeer
+from repro.hub import HubClient, HubFleet, NoHealthyPeer
 from repro.hub.server import compute_manifest, verify_tree
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.serve import ModelServer, ServeConfig, ServeClient
@@ -211,8 +211,8 @@ class TestServeUnderChaos:
         plan = NetFaultPlan([
             NetFaultPoint(site="n0:*", action="drop", count=ALWAYS)
         ])
-        with model_fleet.client() as client, inject_net(plan):
-            path = client.pull_for_serving("shared")
+        with inject_net(plan):
+            path = HubClient(model_fleet.urls).pull_for_serving("shared")
         repo = Repository.open(path)
         try:
             server = ModelServer(

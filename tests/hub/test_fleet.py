@@ -1,18 +1,15 @@
-"""FleetClient: breaker state machine, routing, failover pulls, HubFleet."""
+"""FleetClient: breaker state machine, routing, failover pulls, HubFleet.
+
+What a 3-peer fleet shares with every other hub location (the read calls,
+the pull) is in ``test_transports.py``; this file is what only N > 1 has.
+"""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.faults.net import NetFaultPlan, NetFaultPoint, inject_net
-from repro.hub.client import HubClient
-from repro.hub.fleet import (
-    CircuitBreaker,
-    FleetClient,
-    HubFleet,
-    NoHealthyPeer,
-)
-from repro.hub.retry import Retrier
+from repro.hub import CircuitBreaker, FleetClient, HubFleet, NoHealthyPeer
 from repro.hub.server import compute_manifest
 from repro.obs.metrics import get_registry
 
@@ -99,12 +96,6 @@ def fleet(tmp_path):
 
 
 class TestFleetClientReads:
-    def test_search_and_revisions(self, fleet):
-        with fleet.client() as client:
-            [record] = client.search("demo")
-            assert record.name == "demo"
-            assert client.revisions("demo") == [1]
-
     def test_reads_round_robin_across_peers(self, fleet):
         with fleet.client() as client:
             for _ in range(3):
@@ -158,18 +149,6 @@ class TestFleetClientReads:
 
 
 class TestFleetPull:
-    def test_plain_pull_verifies_and_cleans_workspace(self, fleet, tmp_path):
-        with fleet.client() as client:
-            dest = client.pull("demo", tmp_path / "pulled")
-        tree = dest / ".dlv"
-        assert (tree / "one.bin").read_bytes() == b"1" * 3000
-        assert compute_manifest(tree) == fleet.primary.server.manifest(
-            "demo", 1
-        )
-        # Workspace gone after success.
-        assert not (dest / ".dlv.pull.tmp").exists()
-        assert not (dest / ".dlv.pull.partial.json").exists()
-
     def test_pull_fails_over_mid_transfer(self, fleet, tmp_path):
         registry = get_registry()
         before = registry.counter("hub.fleet.failovers").value
@@ -213,37 +192,6 @@ class TestFleetPull:
             assert (dest / ".dlv").exists()
             for peer in client.peers:
                 assert peer.breaker.state == "closed"
-
-    def test_pull_for_serving_cleans_scratch_on_failure(self, fleet):
-        plan = NetFaultPlan([
-            NetFaultPoint(site="*", action="drop", count=9999)
-        ])
-        with fleet.client() as client, inject_net(plan):
-            with pytest.raises(NoHealthyPeer):
-                client.pull_for_serving("demo")
-
-
-class TestHubClientFleetDispatch:
-    def test_comma_separated_urls_build_fleet(self, fleet):
-        client = HubClient(",".join(fleet.urls))
-        assert client.fleet is not None and client.is_remote
-        assert [r.name for r in client.search("*")] == ["demo"]
-        client.close()
-
-    def test_url_list_builds_fleet(self, fleet, tmp_path):
-        client = HubClient(fleet.urls, retrier=Retrier(sleep=lambda s: None))
-        dest = client.pull("demo", tmp_path / "pulled")
-        assert (dest / ".dlv").exists()
-        client.close()
-
-    def test_single_url_stays_remote(self, fleet):
-        client = HubClient(fleet.urls[0])
-        assert client.fleet is None and client.remote is not None
-        client.close()
-
-    def test_directory_hub_unaffected(self, tmp_path):
-        client = HubClient(tmp_path / "dir-hub")
-        assert client.server is not None and not client.is_remote
 
 
 class TestHubFleet:

@@ -1,8 +1,10 @@
-"""Hub server/client tests: publish, search, pull, revisions."""
+"""Directory hub writes and index: publish, search, delete, revisions.
+
+Reads and pulls are covered for every transport in ``test_transports.py``.
+"""
 
 import pytest
 
-from repro.dlv.repository import Repository
 from repro.hub.client import HubClient
 from repro.hub.server import HubRecord, HubServer
 
@@ -56,36 +58,6 @@ class TestSearch:
     def test_no_match(self, published):
         _, client, _, _ = published
         assert client.search("nonexistent*") == []
-
-
-class TestPull:
-    def test_pulled_repo_is_usable(self, published, tmp_path, digits):
-        _, client, _, _ = published
-        pulled = client.pull_repository("demo-repo", tmp_path / "pulled")
-        versions = pulled.list_versions()
-        assert [v.name for v in versions] == ["shared-model"]
-        evaluation = pulled.evaluate(
-            "shared-model", digits.x_test[:10], digits.y_test[:10]
-        )
-        assert 0.0 <= evaluation["accuracy"] <= 1.0
-        pulled.close()
-
-    def test_pull_specific_revision(self, published, tmp_path):
-        _, client, repo, _ = published
-        client.publish(repo, "demo-repo")  # revision 2
-        path = client.pull("demo-repo", tmp_path / "rev1", revision=1)
-        assert Repository.open(path).list_versions()
-
-    def test_pull_unknown_raises(self, published, tmp_path):
-        _, client, _, _ = published
-        with pytest.raises(KeyError):
-            client.pull("ghost", tmp_path / "x")
-
-    def test_pull_into_existing_repo_rejected(self, published, tmp_path):
-        _, client, _, _ = published
-        client.pull("demo-repo", tmp_path / "dest")
-        with pytest.raises(FileExistsError):
-            client.pull("demo-repo", tmp_path / "dest")
 
 
 class TestServerManagement:

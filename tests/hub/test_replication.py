@@ -107,25 +107,31 @@ class TestSyncOnce:
         assert replicator.sync_once() == 1
         assert replicator.stats()["primary"] == primary_httpd.url
 
-    def test_interrupted_sync_leaves_no_half_revision(
+    def test_interrupted_sync_leaves_no_half_revision_and_resumes(
         self, primary_httpd, follower
     ):
-        # Drop every file request: the fetch dies mid-tree.
+        # One file lands, then every file request drops: the fetch dies
+        # mid-tree.
         plan = NetFaultPlan([
             NetFaultPoint(
-                site="n0:/v1/repos/demo/1/files/*", action="drop", count=99
+                site="n0:/v1/repos/demo/1/files/*",
+                action="drop", op=1, count=99,
             )
         ])
         replicator = Replicator(follower, primary_httpd.url, timeout=2.0)
         with inject_net(plan):
-            with pytest.raises(Exception):
+            with pytest.raises(OSError):
                 replicator.sync_once()
         # No revision installed, no temp litter adopted as real data.
         assert follower.revisions("demo") == []
         assert follower.watermark() == 0
-        # Recovery: next round (faults gone) completes.
+        # Recovery: the next round (faults gone) adopts the verified file
+        # and fetches only the rest, like any resumed pull.
+        resumed = get_registry().counter("hub.pull.files_resumed").value
         assert replicator.sync_once() == 1
+        assert get_registry().counter("hub.pull.files_resumed").value == resumed + 1
         assert follower.watermark() == 1
+        assert not list((follower.root / "repos" / "demo").glob(".sync.*"))
 
 
 class TestBackgroundThread:

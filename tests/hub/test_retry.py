@@ -1,14 +1,15 @@
-"""Hub robustness: retries, checksum manifests, and atomic pulls."""
+"""Hub robustness: the ``Retrier`` and checksum manifests.
+
+Atomic, retried and resumed pulls are in ``test_transports.py``.
+"""
 
 from __future__ import annotations
-
-import json
 
 import pytest
 
 from repro.dlv.repository import Repository
 from repro.dnn.zoo import tiny_mlp
-from repro.faults import CrashSimulated, FaultPlan, FaultPoint, inject
+from repro.faults import CrashSimulated
 from repro.hub.client import HubClient
 from repro.hub.retry import Retrier, RetryDeadlineExceeded
 from repro.hub.server import (
@@ -256,83 +257,3 @@ def test_verify_tree_detects_missing_file(tmp_path):
     manifest["gone"] = "0" * 64
     with pytest.raises(HubIntegrityError, match="missing gone"):
         verify_tree(tmp_path, manifest)
-
-
-# -- pull -----------------------------------------------------------------------
-
-
-def test_pull_verifies_and_opens(published):
-    _server, client, _record, tmp = published
-    pulled = client.pull_repository("pub", tmp / "pulled")
-    assert [v.message for v in pulled.list_versions()] == ["v1"]
-    assert not list((tmp / "pulled").glob(".dlv.pull.*"))
-    pulled.close()
-
-
-def test_pull_retries_transient_copy_failure(published):
-    _server, client, _record, tmp = published
-    plan = FaultPlan(
-        [FaultPoint(site="hub.pull.copytree", action="error")]
-    )
-    with inject(plan):
-        dest = client.pull("pub", tmp / "retried")
-    assert [f.action for f in plan.fired] == ["error"]
-    repo = Repository.open(dest)
-    assert repo.list_versions()
-    repo.close()
-
-
-def test_pull_cleans_up_on_persistent_failure(published):
-    _server, client, _record, tmp = published
-    plan = FaultPlan(
-        [FaultPoint(site="hub.pull.copytree", action="error", once=False)]
-    )
-    with inject(plan):
-        with pytest.raises(OSError):
-            client.pull("pub", tmp / "doomed")
-    assert not (tmp / "doomed").exists()
-
-
-def test_pull_rejects_corrupt_transfer(published):
-    server, client, record, tmp = published
-    # Corrupt the published tree but NOT its manifest: every copy is bad.
-    tree = server.get("pub", record.revision)
-    victim = tree / "catalog.db"
-    victim.write_bytes(victim.read_bytes() + b"tampered")
-    with pytest.raises(HubIntegrityError):
-        client.pull("pub", tmp / "rejected")
-    assert not (tmp / "rejected").exists()
-
-
-def test_pull_preserves_existing_dest_dir(published):
-    _server, client, _record, tmp = published
-    dest = tmp / "existing"
-    dest.mkdir()
-    (dest / "keep.txt").write_text("mine")
-    plan = FaultPlan(
-        [FaultPoint(site="hub.pull.copytree", action="error", once=False)]
-    )
-    with inject(plan):
-        with pytest.raises(OSError):
-            client.pull("pub", dest)
-    # The user's directory survives; only pull litter is removed.
-    assert (dest / "keep.txt").read_text() == "mine"
-    assert not list(dest.glob(".dlv.pull.*"))
-
-
-def test_pull_refuses_to_clobber(published):
-    _server, client, _record, tmp = published
-    client.pull("pub", tmp / "once")
-    with pytest.raises(FileExistsError):
-        client.pull("pub", tmp / "once")
-
-
-def test_old_revision_without_manifest_still_pulls(published):
-    server, client, record, tmp = published
-    # Simulate a pre-manifest publish by deleting the manifest file.
-    server._manifest_path("pub", record.revision).unlink()
-    assert server.manifest("pub", record.revision) is None
-    dest = client.pull("pub", tmp / "legacy")
-    repo = Repository.open(dest)
-    assert repo.list_versions()
-    repo.close()
