@@ -64,8 +64,14 @@ class BlobCodec:
         self._get_bytes = self.registry.counter("chunkstore.get_bytes")
 
     @staticmethod
-    def _address(data: bytes) -> str:
+    def address(data: bytes) -> str:
+        """Content address ``put(data)`` files the blob under."""
         return hashlib.sha256(data).hexdigest()
+
+    def stored_size_of(self, data: bytes) -> int:
+        """Stored bytes ``put(data)`` adds when the blob is new — the
+        paper's storage cost ``Cs``; equals ``stored_size`` afterwards."""
+        return len(self._encode(data))
 
     @staticmethod
     def _missing(sha: str) -> KeyError:
@@ -87,7 +93,7 @@ class BlobCodec:
             data = zlib.decompress(stored)
         except zlib.error as exc:
             raise ChunkIntegrityError(sha, f"undecodable: {exc}") from exc
-        if self._address(data) != sha:
+        if self.address(data) != sha:
             raise ChunkIntegrityError(sha, "hash mismatch")
         self._get_calls.inc()
         self._get_bytes.inc(len(data))
@@ -148,7 +154,7 @@ class ChunkStore(BlobCodec):
         directory is fsynced so the entry survives power loss.  A crash
         leaves at worst a stale tmp, swept on the next store open.
         """
-        sha = self._address(data)
+        sha = self.address(data)
         path = self.blob_path(sha)
         existed = path.exists()
         if not existed:
@@ -232,7 +238,7 @@ class MemoryChunkStore(BlobCodec):
         self._blobs: dict[str, bytes] = {}
 
     def put(self, data: bytes) -> str:
-        sha = self._address(data)
+        sha = self.address(data)
         existed = sha in self._blobs
         if not existed:
             self._blobs[sha] = self._encode(data)

@@ -195,31 +195,3 @@ def measure_schemes(
         ),
         "xor": _storage_cost(delta_xor(t, b), bytewise, level),
     }
-
-
-def snapshot_delta_cost(
-    target: dict[str, dict[str, np.ndarray]],
-    base: dict[str, dict[str, np.ndarray]],
-    kind: str = "sub",
-    level: int = 6,
-) -> int:
-    """Total compressed delta size between two weight dictionaries.
-
-    Matrices present in only one snapshot are charged at their materialized
-    cost.  Used when building matrix storage graphs from repositories.
-    """
-    total = 0
-    for layer, params in target.items():
-        for key, matrix in params.items():
-            base_matrix = base.get(layer, {}).get(key)
-            if base_matrix is None or base_matrix.shape != matrix.shape:
-                total += compressed_size(_payload_bytes(matrix.astype(np.float32)), level)
-            elif kind == "sub":
-                total += compressed_size(
-                    _payload_bytes(delta_sub(matrix, base_matrix)), level
-                )
-            else:
-                total += compressed_size(
-                    _payload_bytes(delta_xor(matrix, base_matrix)), level
-                )
-    return total

@@ -29,7 +29,12 @@ from repro.obs.cost import charge
 from repro.obs.metrics import counter, histogram
 from repro.obs.tracing import trace_span
 
-from repro.core.delta import apply_delta, delta_sub, delta_xor, embed_like
+from repro.core.delta import (
+    apply_delta,
+    delta_sub_mismatched,
+    delta_xor,
+    embed_like,
+)
 from repro.dedup.pages import decode_plane as _decode_paged_plane
 from repro.dedup.pages import manifest_shas as _manifest_shas
 from repro.core.segmentation import (
@@ -43,6 +48,23 @@ from repro.core.storage_graph import (
     RetrievalScheme,
     StoragePlan,
 )
+
+
+def payload_planes(
+    target: np.ndarray, base: Optional[np.ndarray] = None,
+    kind: str = "materialize",
+) -> list[bytes]:
+    """The payload encoder: the byte planes stored for one matrix — the
+    matrix itself (``materialize`` / ``pages``) or its ``sub`` / ``xor``
+    delta against ``base``, crop/pad-embedded when the shapes differ
+    (footnote 3).  An edge is priced (:meth:`PlanArchive.payload_cost`)
+    and written (:meth:`PlanArchive.write_payload`) from these planes."""
+    target = np.asarray(target, dtype=np.float32)
+    if kind == "sub":
+        target = delta_sub_mismatched(target, base)
+    elif kind == "xor":
+        target = delta_xor(target, embed_like(base, target.shape)).view("<f4")
+    return segment_planes(target)
 
 
 @dataclass
@@ -142,9 +164,8 @@ class PlanArchive:
         offload_from: First plane index routed to ``low_order_store``.
         replica_store: Optional redundancy tier holding second copies of
             the high-order planes (written for plane indexes below
-            ``replicate_planes``).  On a failed integrity check, reads
+            :attr:`replicate_planes`).  On a failed integrity check, reads
             fall back to it — the archive's "alternate path".
-        replicate_planes: How many leading planes are mirrored on write.
         degraded: Permit lossy recovery — when a plane with index >= 1
             cannot be read from either store, substitute zeros instead of
             raising, recording a :class:`RecoveryEvent`.  Plane 0
@@ -160,13 +181,17 @@ class PlanArchive:
             across every model being served.
     """
 
+    #: How many leading planes of every payload are mirrored on write.
+    #: Planes 0-1 (sign/exponent and high mantissa) carry most of the
+    #: information yet compress best, so the mirror is cheap.
+    replicate_planes = 2
+
     def __init__(
         self,
         store,
         low_order_store=None,
         offload_from: int = 2,
         replica_store=None,
-        replicate_planes: int = 2,
         degraded: bool = False,
         page_store=None,
         plane_cache=None,
@@ -175,7 +200,6 @@ class PlanArchive:
         self.low_order_store = low_order_store
         self.offload_from = offload_from
         self.replica_store = replica_store
-        self.replicate_planes = replicate_planes
         self.degraded = degraded
         self.page_store = page_store
         self.plane_cache = plane_cache
@@ -212,10 +236,10 @@ class PlanArchive:
             delta_kind: ``"sub"`` or ``"xor"``.
             **tiers: The constructor's tier arguments (see class docs) —
                 ``low_order_store`` / ``offload_from`` (remote tier for
-                the low-order planes), ``replica_store`` /
-                ``replicate_planes`` (redundancy tier for the high-order
-                planes), and ``page_store`` (required when the plan has
-                ``kind="pages"`` root edges, i.e. ``--dedup`` archival).
+                the low-order planes), ``replica_store`` (redundancy
+                tier for the high-order planes), and ``page_store``
+                (required when the plan has ``kind="pages"`` root edges,
+                i.e. ``--dedup`` archival).
         """
         plan.validate()
         archive = cls(store, **tiers)
@@ -233,12 +257,17 @@ class PlanArchive:
                 if parent not in placed:
                     remaining.append(matrix_id)
                     continue
-                archive._write_payload(
+                kind = plan.parent_edge[matrix_id].kind
+                if kind != "pages":
+                    kind = "materialize" if parent == ROOT else delta_kind
+                archive.write_payload(
                     matrix_id,
+                    np.shape(matrices[matrix_id]),
+                    payload_planes(
+                        matrices[matrix_id], matrices.get(parent), kind
+                    ),
                     parent,
-                    matrices,
-                    delta_kind,
-                    as_pages=plan.parent_edge[matrix_id].kind == "pages",
+                    kind,
                 )
                 placed.add(matrix_id)
                 progressed = True
@@ -247,49 +276,73 @@ class PlanArchive:
             pending = remaining
         return archive
 
-    def _write_payload(
+    def payload_cost(
+        self, target: np.ndarray, base: Optional[np.ndarray] = None,
+        kind: str = "materialize",
+    ) -> int:
+        """Stored bytes :meth:`write_payload` adds for this payload when
+        none of its planes is stored yet — the edge's storage cost."""
+        blobs = {  # equal planes (an all-zero bias) share one blob per store
+            (id(self.plane_store(index)), plane): self.plane_store(index)
+            for index, plane in enumerate(payload_planes(target, base, kind))
+        }
+        return sum(s.stored_size_of(plane) for (_, plane), s in blobs.items())
+
+    def write_payload(
         self,
         matrix_id: str,
-        parent: str,
-        matrices: dict[str, np.ndarray],
-        delta_kind: str,
-        as_pages: bool = False,
-    ) -> None:
-        target = np.asarray(matrices[matrix_id], dtype=np.float32)
-        if as_pages:
+        shape: tuple,
+        planes: list[bytes],
+        parent: str = ROOT,
+        kind: str = "materialize",
+    ) -> _StoredPayload:
+        """Land one payload — the only code that puts planes (one chunk
+        each, or ``kind="pages"``: pages of the shared tier) and the only
+        code that mirrors them into the replica tier."""
+        entry = _StoredPayload(matrix_id, parent, kind, tuple(shape))
+        if kind == "pages":
             if self.page_store is None:
                 raise ValueError(
                     "plan contains page-dedup edges but no page_store was given"
                 )
-            # Page-encoded matrices are root-anchored, in the shared tier.
-            payload = target
-            entry = _StoredPayload(matrix_id, ROOT, "pages", target.shape, pages={})
-        else:
-            if parent == ROOT:
-                payload = target
-                kind = "materialize"
-            else:
-                base = np.asarray(matrices[parent], dtype=np.float32)
-                if base.shape != target.shape:
-                    # Footnote-3 mismatched-dimension delta: crop/pad the base.
-                    base = embed_like(base, target.shape)
-                if delta_kind == "sub":
-                    payload = delta_sub(target, base)
-                else:
-                    payload = delta_xor(target, base).view("<f4")
-                kind = delta_kind
-            entry = _StoredPayload(matrix_id, parent, kind, target.shape)
-        for index, plane in enumerate(segment_planes(payload)):
-            if as_pages:
+            entry.pages = {}
+        for index, plane in enumerate(planes):
+            if kind == "pages":
                 entry.pages[index] = self.page_store.encode_plane(plane)
             else:
                 entry.chunk_ids.append(self.plane_store(index).put(plane))
-            # The replica tier mirrors the leading *assembled* planes under
-            # their own digest (a page manifest records it), so its
-            # exact-recovery guarantee survives page encoding.
-            if self.replica_store is not None and index < self.replicate_planes:
-                self.replica_store.put(plane)
+            self._mirror(index, plane)
         self._manifest[matrix_id] = entry
+        return entry
+
+    def _mirror(self, index: int, plane: bytes) -> None:
+        # The replica tier mirrors the leading *assembled* planes under
+        # their own digest (a page manifest records it), so its
+        # exact-recovery guarantee survives page encoding.
+        if self.replica_store is not None and index < self.replicate_planes:
+            self.replica_store.put(plane)
+
+    def plane_address(self, entry: _StoredPayload, index: int) -> str:
+        """Whole-plane content address: the chunk id, or the digest the
+        page manifest records (``""`` for a manifest without one)."""
+        if entry.kind == "pages":
+            return self._page_manifest(entry, index).get("sha", "")
+        return entry.chunk_ids[index]
+
+    def mirror_addresses(self, entry: _StoredPayload) -> list[str]:
+        """Replica addresses :meth:`write_payload` promised for ``entry``."""
+        return [
+            self.plane_address(entry, i) for i in range(self.replicate_planes)
+        ]
+
+    def restore_mirror(self, entry: _StoredPayload, index: int) -> bool:
+        """Re-mirror one plane from its main-tier chunk or reassembled
+        pages; ``False`` when what was read is not the promised plane."""
+        data, _nbytes = self._read_plane(entry, index)
+        if self.store.address(data) != self.plane_address(entry, index):
+            return False
+        self._mirror(index, data)
+        return True
 
     # -- manifest -------------------------------------------------------------
 
@@ -512,10 +565,7 @@ class PlanArchive:
         (degraded mode, planes >= 1 only) drops the whole plane of a
         chunk payload but only the unreadable pages of a paged one.
         """
-        if entry.kind == "pages":
-            sha = self._page_manifest(entry, index).get("sha", "")
-        else:
-            sha = entry.chunk_ids[index]
+        sha = self.plane_address(entry, index)
 
         def record(lost_sha: str, action: str) -> None:
             self.recovery.events.append(

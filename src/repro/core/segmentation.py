@@ -105,10 +105,3 @@ def prefix_estimate(planes: list[bytes], shape: tuple) -> np.ndarray:
     return ((lo.astype(np.float64) + hi.astype(np.float64)) / 2.0).astype(
         np.float32
     )
-
-
-def plane_compressed_sizes(matrix: np.ndarray, level: int = 6) -> list[int]:
-    """zlib-compressed size of each byte plane — shows the entropy gradient."""
-    import zlib
-
-    return [len(zlib.compress(p, level)) for p in segment_planes(matrix)]

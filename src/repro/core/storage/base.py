@@ -113,6 +113,12 @@ class BlobStore(Protocol):
     def verify_blob(self, sha: str) -> bool:
         """Re-hash one stored blob; ``False`` when corrupt."""
 
+    def address(self, data: bytes) -> str:
+        """The content address ``put(data)`` would return (no write)."""
+
+    def stored_size_of(self, data: bytes) -> int:
+        """The stored bytes ``put(data)`` would add (no write)."""
+
 
 class StorageBackend(abc.ABC):
     """One physical substrate holding a whole repository.

@@ -104,7 +104,7 @@ class SQLiteBlobStore(BlobCodec):
 
     def put(self, data: bytes) -> str:
         """Store a blob; commits immediately unless a catalog txn is open."""
-        sha = self._address(data)
+        sha = self.address(data)
         backend = self._backend
         with backend._write_lock:
             existed = backend._blob_exists(self.ns, sha)

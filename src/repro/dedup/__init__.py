@@ -12,6 +12,8 @@ content-hash-keyed :class:`~repro.serve.cache.PlaneCache` entries.
 from repro.dedup.index import DedupEstimator, SketchIndex
 from repro.dedup.pages import (
     DEFAULT_PAGE_SIZE,
+    DEFAULT_PATCH_MAX_RATIO,
+    DEFAULT_PROBE_LIMIT,
     SKETCH_BANDS,
     decode_plane,
     manifest_shas,
@@ -20,11 +22,7 @@ from repro.dedup.pages import (
     split_pages,
     xor_bytes,
 )
-from repro.dedup.store import (
-    DEFAULT_PATCH_MAX_RATIO,
-    DEFAULT_PROBE_LIMIT,
-    PageStore,
-)
+from repro.dedup.store import PageStore
 
 __all__ = [
     "DEFAULT_PAGE_SIZE",

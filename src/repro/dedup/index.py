@@ -8,34 +8,23 @@ transaction); this module holds the in-memory half:
   encodes many matrices before anything is committed, so pages stored
   earlier in the same run must be probe-able immediately, not only
   after the catalog flush.
-* :class:`DedupEstimator` — a dry-run of the page store used by
+* :class:`DedupEstimator` — a dry run of the page store used by
   :meth:`~repro.dlv.repository.Repository.build_storage_graph` to price
   the ``kind="pages"`` root edge for each matrix *without* mutating any
-  store.  It models both exact page hits and near-miss patches with the
-  same sketch probe and acceptance rule as the real encoder, fed
-  matrices in deterministic catalog order, so the priced edge tracks
-  what an actual dedup archive would store.
+  store.  It runs the store's own page planner over a write-buffering
+  view of the same blobs and the same persistent sketch index, so the
+  priced edge is what page-encoding the same matrices in the same order
+  would add to the page tier.
 """
 
 from __future__ import annotations
 
-import zlib
 from collections import Counter
 from typing import Iterable
 
 import numpy as np
 
 from repro.core.segmentation import segment_planes
-
-from repro.dedup.pages import (
-    DEFAULT_PAGE_SIZE,
-    DEFAULT_PATCH_MAX_RATIO,
-    DEFAULT_PROBE_LIMIT,
-    page_digest,
-    sketch_keys,
-    split_pages,
-    xor_bytes,
-)
 
 
 class SketchIndex:
@@ -58,71 +47,22 @@ class SketchIndex:
 
 
 class DedupEstimator:
-    """Estimate the incremental stored cost of page-encoding matrices.
+    """Price page-encoding matrices against a :class:`PageStore`.
 
-    Seeded with the page addresses already present in the repository's
-    page store, then fed matrices in the same deterministic order the
-    archive build will use; each call charges only for pages not seen
-    before (in the store or earlier in this estimate).
+    Fed matrices in the order the archive build will encode them, each
+    call returns the stored bytes that matrix would add: only pages
+    neither the store nor an earlier call already holds, patches priced
+    as patches.
     """
 
-    def __init__(
-        self,
-        known: Iterable[str] = (),
-        page_size: int = DEFAULT_PAGE_SIZE,
-        patch_max_ratio: float = DEFAULT_PATCH_MAX_RATIO,
-        probe_limit: int = DEFAULT_PROBE_LIMIT,
-        level: int = 6,
-    ) -> None:
-        self.page_size = page_size
-        self.patch_max_ratio = patch_max_ratio
-        self.probe_limit = probe_limit
-        self.level = level
-        self._known = set(known)
-        self._index = SketchIndex()
-        # Raw bytes of base pages first seen in this estimate — patch
-        # candidates.  (Pages seeded via ``known`` have no bytes here, so
-        # they only count for exact hits, matching what the encoder can
-        # cheaply exact-match against a pre-existing store.)
-        self._pages: dict[str, bytes] = {}
-
-    def plane_cost(self, data: bytes) -> int:
-        """Estimated new stored bytes to page-encode one plane."""
-        cost = 0
-        for page in split_pages(data, self.page_size):
-            sha = page_digest(page)
-            if sha in self._known:
-                continue
-            self._known.add(sha)
-            raw_c = len(zlib.compress(page, self.level))
-            keys = sketch_keys(page)
-            budget = int(self.patch_max_ratio * raw_c)
-            best = None
-            for cand, _ in self._index.votes(keys).most_common(self.probe_limit):
-                base = self._pages.get(cand)
-                if base is None:
-                    continue
-                patch_c = len(zlib.compress(xor_bytes(page, base), self.level))
-                if patch_c <= budget and (best is None or patch_c < best):
-                    best = patch_c
-            if best is not None:
-                cost += best
-                continue
-            cost += raw_c
-            self._index.add(sha, keys)
-            self._pages[sha] = page
-        return cost
+    def __init__(self, store) -> None:
+        self._dry = store.dry_run()
 
     def matrix_cost(self, matrix: np.ndarray) -> int:
-        """Estimated new stored bytes to page-encode a whole matrix."""
-        return sum(self.plane_cost(plane) for plane in segment_planes(matrix))
+        """Stored bytes page-encoding ``matrix`` next would add."""
+        return sum(
+            self._dry.plan_plane(plane)[1] for plane in segment_planes(matrix)
+        )
 
 
-__all__ = [
-    "DEFAULT_PAGE_SIZE",
-    "DedupEstimator",
-    "SketchIndex",
-    "page_digest",
-    "sketch_keys",
-    "split_pages",
-]
+__all__ = ["DedupEstimator", "SketchIndex"]

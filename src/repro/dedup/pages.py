@@ -23,11 +23,12 @@ for page-encoded payloads.
 
 from __future__ import annotations
 
-import hashlib
 import zlib
 from typing import Callable, Iterator, Optional
 
 import numpy as np
+
+from repro.core.chunkstore import BlobCodec
 
 #: Default page size in bytes.  Small enough that a sparse fine-tuning
 #: perturbation leaves most pages of a plane untouched, large enough
@@ -44,10 +45,8 @@ DEFAULT_PATCH_MAX_RATIO = 0.5
 #: How many sketch candidates (by band votes) to try patching against.
 DEFAULT_PROBE_LIMIT = 4
 
-
-def page_digest(page: bytes) -> str:
-    """Content address of one page (SHA-256 of the raw bytes)."""
-    return hashlib.sha256(page).hexdigest()
+#: Content address of one page or plane: the blob codec's own rule.
+page_digest = BlobCodec.address
 
 
 def split_pages(data: bytes, page_size: int = DEFAULT_PAGE_SIZE) -> list[bytes]:

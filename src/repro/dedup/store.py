@@ -21,7 +21,6 @@ Write protocol (crash-safe on all three backends):
 
 from __future__ import annotations
 
-import zlib
 from collections import Counter
 from typing import Iterable, Optional
 
@@ -32,13 +31,40 @@ from repro.dedup.pages import (
     DEFAULT_PAGE_SIZE,
     DEFAULT_PATCH_MAX_RATIO,
     DEFAULT_PROBE_LIMIT,
-    decode_plane,
     manifest_shas,
     page_digest,
     sketch_keys,
     split_pages,
     xor_bytes,
 )
+
+
+class _BufferedBlobs:
+    """Write-buffering view of a blob store, for dry runs.
+
+    ``put`` keeps the bytes in memory, so a later page of the same dry
+    run can share or patch against them exactly as it would once they
+    were stored; reads fall through to the wrapped store, whose address
+    set is listed once up front.
+    """
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.stored_size_of = inner.stored_size_of
+        self._stored = set(inner.addresses())
+        self._buffered: dict[str, bytes] = {}
+
+    def put(self, data: bytes) -> str:
+        sha = page_digest(data)
+        self._buffered[sha] = data
+        return sha
+
+    def get(self, sha: str) -> bytes:
+        data = self._buffered.get(sha)
+        return data if data is not None else self.inner.get(sha)
+
+    def __contains__(self, sha: str) -> bool:
+        return sha in self._buffered or sha in self._stored
 
 
 class PageStore:
@@ -48,31 +74,31 @@ class PageStore:
         blobs: The backend's ``pages`` blob store.
         catalog: The repository catalog (manifests, refcounts, sketches).
         page_size: Page granularity in bytes.
-        patch_max_ratio: Near-miss acceptance threshold (see module docs).
-        probe_limit: Sketch candidates tried per new page.
-        level: zlib level used for cost estimates (stores compress
-            internally at their own level).
     """
 
     def __init__(
-        self,
-        blobs,
-        catalog,
-        *,
-        page_size: int = DEFAULT_PAGE_SIZE,
-        patch_max_ratio: float = DEFAULT_PATCH_MAX_RATIO,
-        probe_limit: int = DEFAULT_PROBE_LIMIT,
-        level: int = 6,
+        self, blobs, catalog, *, page_size: int = DEFAULT_PAGE_SIZE
     ) -> None:
         self.blobs = blobs
         self.catalog = catalog
         self.page_size = page_size
-        self.patch_max_ratio = patch_max_ratio
-        self.probe_limit = probe_limit
-        self.level = level
         self._pending_refs: Counter = Counter()
         self._pending_sketches: list[tuple[str, str]] = []
+        self._pending_counts: Counter = Counter()
+        self._pending_shared: Counter = Counter()
         self._run_index = SketchIndex()
+        # Does the catalog hold sketch rows at all?  Asked on the first
+        # probe (rows only appear at flush): a first archive skips the
+        # per-page query, and read-only views never ask.
+        self._persistent_index: Optional[bool] = None
+
+    def dry_run(self) -> "PageStore":
+        """A twin over a write-buffering view of the same blobs and the
+        same persistent index: whatever it plans, this store would plan
+        too, and nothing it does outlives it (it is never flushed)."""
+        return PageStore(
+            _BufferedBlobs(self.blobs), self.catalog, page_size=self.page_size
+        )
 
     # -- encoding -----------------------------------------------------------
 
@@ -82,77 +108,96 @@ class PageStore:
         Blob writes happen immediately; catalog effects are buffered
         until :meth:`flush` (see module docs for the crash protocol).
         """
+        return self.plan_plane(data)[0]
+
+    def plan_plane(self, data: bytes) -> tuple[dict, int]:
+        """The page planner: ``(plane manifest, stored bytes added)``.
+
+        Per page: an exact hit shares the stored page; else the cheapest
+        patch within budget among the top-voted sketch candidates; else
+        the page becomes a new base with sketch rows.  Sizes are asked
+        of the blob codec, so the second value *is* the growth of
+        ``blobs.total_size()`` this call causes.
+        """
         pages_meta: list[list[Optional[str]]] = []
+        added = 0
+        count = self._pending_counts
         for page in split_pages(data, self.page_size):
             sha = page_digest(page)
-            counter("dedup.pages_referenced").inc()
+            count["pages_referenced"] += 1
             if sha in self.blobs:
-                counter("dedup.pages_shared").inc()
-                counter("dedup.bytes_saved").inc(self.blobs.stored_size(sha))
+                self._pending_shared[sha] += 1
                 self._pending_refs[sha] += 1
                 pages_meta.append([sha, None])
                 continue
-            raw_c = len(zlib.compress(page, self.level))
-            base_sha, patch = self._probe(page, raw_c)
+            raw_c = self.blobs.stored_size_of(page)
+            keys = sketch_keys(page)
+            base_sha, patch, patch_c = self._probe(page, keys, raw_c)
             if base_sha is not None:
+                if page_digest(patch) in self.blobs:
+                    patch_c = 0  # the same patch bytes are already stored
                 patch_sha = self.blobs.put(patch)
-                stored = self.blobs.stored_size(patch_sha)
-                counter("dedup.pages_patched").inc()
-                counter("dedup.bytes_stored").inc(stored)
-                counter("dedup.bytes_saved").inc(max(0, raw_c - stored))
+                count["pages_patched"] += 1
+                count["bytes_stored"] += patch_c
+                count["bytes_saved"] += raw_c - patch_c
+                added += patch_c
                 self._pending_refs[base_sha] += 1
                 self._pending_refs[patch_sha] += 1
                 pages_meta.append([base_sha, patch_sha])
             else:
                 self.blobs.put(page)
-                counter("dedup.pages_stored").inc()
-                counter("dedup.bytes_stored").inc(self.blobs.stored_size(sha))
-                keys = sketch_keys(page)
+                count["pages_stored"] += 1
+                count["bytes_stored"] += raw_c
+                added += raw_c
                 self._run_index.add(sha, keys)
                 self._pending_sketches.extend((key, sha) for key in keys)
                 self._pending_refs[sha] += 1
                 pages_meta.append([sha, None])
-        return {
+        manifest = {
             "psize": self.page_size,
             "nbytes": len(data),
             "sha": page_digest(data),
             "pages": pages_meta,
         }
+        return manifest, added
 
     def _probe(
-        self, page: bytes, raw_compressed: int
-    ) -> tuple[Optional[str], Optional[bytes]]:
-        """Find a base page this one patches well against, or ``(None, None)``.
+        self, page: bytes, keys: list[str], raw_compressed: int
+    ) -> tuple[Optional[str], Optional[bytes], int]:
+        """The base page this one patches best against, the patch and its
+        stored size — or ``(None, None, 0)``.
 
         Candidates come from the persistent sketch index (previous
         archive runs) merged with the in-run overlay, ranked by band
         votes; the best acceptable patch wins.
         """
-        keys = sketch_keys(page)
-        if not keys:
-            return None, None
-        counter("dedup.index_probes").inc()
+        self._pending_counts["index_probes"] += 1
         votes = self._run_index.votes(keys)
-        for cand_sha in self.catalog.sketch_candidates(keys, self.probe_limit):
-            votes[cand_sha] += 1
-        budget = max(0, int(self.patch_max_ratio * raw_compressed))
-        best: tuple[int, str, bytes] | None = None
-        for cand_sha, _ in votes.most_common(self.probe_limit):
+        if self._persistent_index is None:
+            self._persistent_index = self.catalog.has_page_sketches()
+        if self._persistent_index:
+            for cand_sha in self.catalog.sketch_candidates(
+                keys, DEFAULT_PROBE_LIMIT
+            ):
+                votes[cand_sha] += 1
+        budget = max(0, int(DEFAULT_PATCH_MAX_RATIO * raw_compressed))
+        best: tuple[Optional[str], Optional[bytes], int] = (None, None, 0)
+        for cand_sha, _ in votes.most_common(DEFAULT_PROBE_LIMIT):
             try:
                 base = self.blobs.get(cand_sha)
             except (KeyError, ValueError):
                 continue
             patch = xor_bytes(page, base)
-            patch_c = len(zlib.compress(patch, self.level))
-            if patch_c <= budget and (best is None or patch_c < best[0]):
-                best = (patch_c, cand_sha, patch)
-        if best is None:
-            return None, None
-        counter("dedup.index_hits").inc()
-        return best[1], best[2]
+            patch_c = self.blobs.stored_size_of(patch)
+            if patch_c <= budget and (best[0] is None or patch_c < best[2]):
+                best = (cand_sha, patch, patch_c)
+        if best[0] is not None:
+            self._pending_counts["index_hits"] += 1
+        return best
 
     def flush(self) -> None:
-        """Apply buffered refcounts and sketch rows to the catalog.
+        """Apply buffered refcounts and sketch rows to the catalog, and
+        the run's ``dedup.*`` counts to the metrics registry.
 
         The caller must hold ``catalog.transaction()`` so these rows
         commit atomically with the manifests that justify them.
@@ -161,25 +206,19 @@ class PageStore:
             self.catalog.bump_page_ref(sha, delta)
         for key, sha in self._pending_sketches:
             self.catalog.add_page_sketch(key, sha)
-        self._pending_refs.clear()
-        self._pending_sketches.clear()
-
-    def release_matrix(self, matrix_id: str) -> None:
-        """Drop a matrix's page manifests and their reference counts.
-
-        Runs inside the caller's catalog transaction; the blobs
-        themselves are swept later by ``gc`` once unreferenced.
-        """
-        for manifest in self.catalog.get_page_manifests(matrix_id).values():
-            for sha in manifest_shas(manifest):
-                self.catalog.bump_page_ref(sha, -1)
-        self.catalog.delete_page_manifests(matrix_id)
-
-    # -- decoding -----------------------------------------------------------
-
-    def decode_plane(self, manifest: dict, **kwargs) -> bytes:
-        """Reassemble one plane from its manifest (see :func:`decode_plane`)."""
-        return decode_plane(manifest, self.blobs.get, **kwargs)
+        self._pending_counts.update(
+            pages_shared=sum(self._pending_shared.values()),
+            bytes_saved=sum(
+                n * self.blobs.stored_size(sha)
+                for sha, n in self._pending_shared.items()
+            ),
+        )
+        for name, n in self._pending_counts.items():
+            counter(f"dedup.{name}").inc(n)
+        self._persistent_index = None
+        for pending in (self._pending_refs, self._pending_sketches,
+                        self._pending_counts, self._pending_shared):
+            pending.clear()
 
     # -- maintenance --------------------------------------------------------
 
@@ -191,23 +230,14 @@ class PageStore:
                 counts[sha] += 1
         return counts
 
-    def rebuild_refcounts(self) -> dict[str, int]:
-        """Overwrite the refcount table from the manifests (fsck repair)."""
-        counts = self.referenced_counts()
-        self.catalog.replace_page_refcounts(counts)
-        return dict(counts)
-
-    def sweep_orphans(self, referenced: Optional[Iterable[str]] = None) -> list[str]:
-        """Delete page blobs (and their index rows) nothing references."""
-        live = set(
-            referenced if referenced is not None else self.referenced_counts()
-        )
+    def sweep_orphans(self, live: Iterable[str]) -> list[str]:
+        """Delete page blobs (and their index rows) outside ``live``."""
+        live = set(live)
         swept = [sha for sha in list(self.blobs.addresses()) if sha not in live]
         for sha in swept:
             self.blobs.delete(sha)
         if swept:
-            self.catalog.drop_page_refs(swept)
-            self.catalog.delete_page_sketches(swept)
+            self.catalog.forget_pages(swept)
             counter("dedup.pages_swept").inc(len(swept))
         return swept
 
@@ -236,9 +266,4 @@ class PageStore:
         }
 
 
-__all__ = [
-    "DEFAULT_PAGE_SIZE",
-    "DEFAULT_PATCH_MAX_RATIO",
-    "DEFAULT_PROBE_LIMIT",
-    "PageStore",
-]
+__all__ = ["PageStore"]

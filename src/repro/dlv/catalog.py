@@ -26,6 +26,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro.core.storage.base import TxnState
+from repro.dedup.pages import manifest_shas
 from repro.dlv.objects import ModelVersion, Snapshot
 from repro.faults import fs as ffs
 
@@ -402,6 +403,24 @@ class Catalog:
         )
         self._maybe_commit()
 
+    def set_snapshot_scheme(
+        self, version_id: int, idx: int, float_scheme: str
+    ) -> None:
+        self._conn.execute(
+            "UPDATE snapshot SET float_scheme = ? "
+            "WHERE version_id = ? AND idx = ?",
+            (float_scheme, version_id, idx),
+        )
+        self._maybe_commit()
+
+    def delete_snapshot(self, version_id: int, idx: int) -> None:
+        """Drop one snapshot row (its matrices go via :meth:`delete_matrix`)."""
+        self._conn.execute(
+            "DELETE FROM snapshot WHERE version_id = ? AND idx = ?",
+            (version_id, idx),
+        )
+        self._maybe_commit()
+
     def get_snapshots(self, version_id: int) -> list[Snapshot]:
         rows = self._conn.execute(
             "SELECT * FROM snapshot WHERE version_id = ? ORDER BY idx",
@@ -478,12 +497,21 @@ class Catalog:
             (matrix_id, parent, kind, json.dumps(chunks)),
         )
 
-    def get_payload(self, matrix_id: str) -> Optional[dict]:
-        row = self._conn.execute(
-            "SELECT * FROM payload WHERE matrix_id = ?", (matrix_id,)
-        ).fetchone()
-        if row is None:
-            return None
+    def delete_matrix(self, matrix_id: str) -> None:
+        """Drop a matrix: its matrix and payload rows *and* its page
+        manifests with the reference counts they hold, so the pages and
+        replica mirrors only it kept alive become collectable."""
+        self.release_page_manifests(matrix_id)
+        self._conn.execute(
+            "DELETE FROM payload WHERE matrix_id = ?", (matrix_id,)
+        )
+        self._conn.execute(
+            "DELETE FROM matrix WHERE matrix_id = ?", (matrix_id,)
+        )
+        self._maybe_commit()
+
+    @staticmethod
+    def _payload(row: sqlite3.Row) -> dict:
         return {
             "matrix_id": row["matrix_id"],
             "parent": row["parent"],
@@ -491,17 +519,15 @@ class Catalog:
             "chunks": json.loads(row["chunks"]),
         }
 
+    def get_payload(self, matrix_id: str) -> Optional[dict]:
+        row = self._conn.execute(
+            "SELECT * FROM payload WHERE matrix_id = ?", (matrix_id,)
+        ).fetchone()
+        return self._payload(row) if row is not None else None
+
     def all_payloads(self) -> list[dict]:
         rows = self._conn.execute("SELECT * FROM payload").fetchall()
-        return [
-            {
-                "matrix_id": r["matrix_id"],
-                "parent": r["parent"],
-                "kind": r["kind"],
-                "chunks": json.loads(r["chunks"]),
-            }
-            for r in rows
-        ]
+        return [self._payload(row) for row in rows]
 
     # -- dedup page bookkeeping ---------------------------------------------------
 
@@ -530,35 +556,32 @@ class Catalog:
             (r["matrix_id"], r["plane"], json.loads(r["manifest"])) for r in rows
         ]
 
-    def delete_page_manifests(self, matrix_id: str) -> None:
+    def release_page_manifests(self, matrix_id: str) -> None:
+        """Drop a matrix's page manifests and the reference counts they
+        hold; the blobs themselves are swept by ``gc`` once unreferenced."""
+        for manifest in self.get_page_manifests(matrix_id).values():
+            for sha in manifest_shas(manifest):
+                self.bump_page_ref(sha, -1)
         self._conn.execute(
             "DELETE FROM page_payload WHERE matrix_id = ?", (matrix_id,)
         )
         self._maybe_commit()
 
-    def bump_page_ref(self, sha: str, delta: int) -> int:
-        """Adjust one page's reference count; returns the new count.
+    def bump_page_ref(self, sha: str, delta: int) -> None:
+        """Adjust one page's reference count.
 
         Rows at zero (or below — drift repaired by fsck F402) are
         dropped so the table mirrors the set of live pages.
         """
         self._conn.execute(
-            "INSERT INTO page_ref (sha, refcount) VALUES (?, 0) "
-            "ON CONFLICT(sha) DO NOTHING",
-            (sha,),
+            "INSERT INTO page_ref (sha, refcount) VALUES (?, ?) "
+            "ON CONFLICT(sha) DO UPDATE SET refcount = refcount + ?",
+            (sha, delta, delta),
         )
         self._conn.execute(
-            "UPDATE page_ref SET refcount = refcount + ? WHERE sha = ?",
-            (delta, sha),
+            "DELETE FROM page_ref WHERE sha = ? AND refcount <= 0", (sha,)
         )
-        row = self._conn.execute(
-            "SELECT refcount FROM page_ref WHERE sha = ?", (sha,)
-        ).fetchone()
-        count = row["refcount"] if row is not None else 0
-        if count <= 0:
-            self._conn.execute("DELETE FROM page_ref WHERE sha = ?", (sha,))
         self._maybe_commit()
-        return max(0, count)
 
     def page_refcounts(self) -> dict[str, int]:
         rows = self._conn.execute(
@@ -575,18 +598,17 @@ class Catalog:
         )
         self._maybe_commit()
 
-    def drop_page_refs(self, shas: Iterable[str]) -> None:
-        self._conn.executemany(
-            "DELETE FROM page_ref WHERE sha = ?", [(s,) for s in shas]
-        )
-        self._maybe_commit()
-
     def add_page_sketch(self, sketch: str, sha: str) -> None:
         self._conn.execute(
             "INSERT OR IGNORE INTO page_sketch (sketch, sha) VALUES (?, ?)",
             (sketch, sha),
         )
         self._maybe_commit()
+
+    def has_page_sketches(self) -> bool:
+        return self._conn.execute(
+            "SELECT 1 FROM page_sketch LIMIT 1"
+        ).fetchone() is not None
 
     def sketch_candidates(self, sketches: Iterable[str], limit: int = 4) -> list[str]:
         """Base-page shas matching the most probe bands, best first."""
@@ -602,10 +624,11 @@ class Catalog:
         ).fetchall()
         return [r["sha"] for r in rows]
 
-    def delete_page_sketches(self, shas: Iterable[str]) -> None:
-        self._conn.executemany(
-            "DELETE FROM page_sketch WHERE sha = ?", [(s,) for s in shas]
-        )
+    def forget_pages(self, shas: Iterable[str]) -> None:
+        """Drop the refcount and sketch rows of swept page blobs."""
+        rows = [(s,) for s in shas]
+        self._conn.executemany("DELETE FROM page_ref WHERE sha = ?", rows)
+        self._conn.executemany("DELETE FROM page_sketch WHERE sha = ?", rows)
         self._maybe_commit()
 
     def commit(self) -> None:

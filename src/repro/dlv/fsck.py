@@ -37,6 +37,7 @@ code       severity  meaning
 F101       error     corrupt chunk in the main store (re-hash failed)
 F102       warning   corrupt chunk in the replica store
 F103       error     payload references a chunk absent from the store
+F104       warning   replicated plane has no replica copy
 F201       error     snapshot row whose version does not exist
 F202       error     matrix row whose snapshot does not exist
 F203       error     payload row whose matrix does not exist
@@ -52,6 +53,12 @@ F401       error     page manifest references a missing/corrupt page
 F402       warning   page refcounts drift from the manifests
 F403       info      orphan page (referenced by no manifest)
 =========  ========  ====================================================
+
+Replica-tier audit (F104): every plane the payload writer mirrors
+(:meth:`~repro.core.retrieval.PlanArchive.mirror_addresses`) must have
+its replica copy; ``--repair`` re-mirrors from the intact main-store
+chunk or the reassembled pages.  What counts as an orphan (F303, F403) is
+:meth:`~repro.dlv.repository.Repository.live_addresses`, the one rule.
 
 Dedup-tier repairs (F4xx): corrupt page blobs are quarantined (kind
 ``pages``); payloads whose pages are lost re-materialize through
@@ -71,7 +78,6 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.storage_graph import ROOT
-from repro.core.segmentation import segment_planes
 from repro.obs.metrics import counter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -82,6 +88,7 @@ FSCK_CODES: dict[str, tuple[str, str]] = {
     "F101": ("error", "corrupt chunk in main store"),
     "F102": ("warning", "corrupt chunk in replica store"),
     "F103": ("error", "payload references missing chunk"),
+    "F104": ("warning", "replicated plane has no replica copy"),
     "F201": ("error", "snapshot without version"),
     "F202": ("error", "matrix without snapshot"),
     "F203": ("error", "payload without matrix"),
@@ -195,6 +202,7 @@ def run_fsck(repo: "Repository", repair: bool = False) -> FsckReport:
             # Corrupt blob no payload references: quarantining it IS the fix.
             _annotate(report, sha, "quarantined (unreferenced)", codes=("F101",))
     _check_pages(repo, report, repair)
+    _check_mirrors(repo, report, repair)
     _check_journal(repo, report)
     _check_litter(repo, report, repair)
 
@@ -209,18 +217,18 @@ def run_fsck(repo: "Repository", repair: bool = False) -> FsckReport:
 # -- blob scan --------------------------------------------------------------------
 
 
-def _scan_store(store, code: str, report: FsckReport) -> tuple[set[str], int]:
+def _scan_store(
+    store, code: Optional[str], report: FsckReport
+) -> tuple[set[str], int]:
     """Re-hash every blob in one store; returns (corrupt addresses, scanned)."""
-    corrupt: set[str] = set()
-    scanned = 0
-    for sha in list(store.addresses()):
-        scanned += 1
-        if not store.verify_blob(sha):
-            corrupt.add(sha)
-            report.findings.append(
-                Finding(code, f"chunk {sha[:12]} fails re-hash", sha=sha)
-            )
-    return corrupt, scanned
+    addresses = list(store.addresses())
+    corrupt = {sha for sha in addresses if not store.verify_blob(sha)}
+    if code:
+        report.findings.extend(
+            Finding(code, f"chunk {sha[:12]} fails re-hash", sha=sha)
+            for sha in sorted(corrupt)
+        )
+    return corrupt, len(addresses)
 
 
 # -- catalog referential integrity -------------------------------------------------
@@ -250,11 +258,7 @@ def _check_catalog(repo, report: FsckReport, repair: bool) -> None:
                 "F201", f"snapshot v{version_id}/s{idx} has no version"
             )
             if repair:
-                cat._conn.execute(
-                    "DELETE FROM snapshot WHERE version_id = ? AND idx = ?",
-                    (version_id, idx),
-                )
-                cat._maybe_commit()
+                cat.delete_snapshot(version_id, idx)
                 f.repaired, f.repair = True, "deleted dangling snapshot row"
             report.findings.append(f)
 
@@ -266,15 +270,7 @@ def _check_catalog(repo, report: FsckReport, repair: bool) -> None:
                 matrix_id=row["matrix_id"],
             )
             if repair:
-                cat._conn.execute(
-                    "DELETE FROM matrix WHERE matrix_id = ?",
-                    (row["matrix_id"],),
-                )
-                cat._conn.execute(
-                    "DELETE FROM payload WHERE matrix_id = ?",
-                    (row["matrix_id"],),
-                )
-                cat._maybe_commit()
+                cat.delete_matrix(row["matrix_id"])
                 f.repaired, f.repair = True, "deleted dangling matrix row"
             report.findings.append(f)
         elif row["matrix_id"] not in payload_ids:
@@ -294,11 +290,7 @@ def _check_catalog(repo, report: FsckReport, repair: bool) -> None:
                 matrix_id=payload["matrix_id"],
             )
             if repair:
-                cat._conn.execute(
-                    "DELETE FROM payload WHERE matrix_id = ?",
-                    (payload["matrix_id"],),
-                )
-                cat._maybe_commit()
+                cat.delete_matrix(payload["matrix_id"])
                 f.repaired, f.repair = True, "deleted dangling payload row"
             report.findings.append(f)
 
@@ -387,11 +379,9 @@ def _repair_payloads(
     """Re-land lost chunks: replica restore first, else re-materialize.
 
     Exact path: an intact replica copy of the lost chunk is copied back
-    into the main store.  Degraded path: the matrix is recreated through
-    degraded retrieval (replica planes + zero-filled low-order planes)
-    and rewritten as a materialized payload — approximate values, but
-    the snapshot is readable again and every descendant's delta chain
-    stays intact.
+    into the main store.  Degraded path (:func:`_rematerialize`):
+    approximate values, but the snapshot is readable again and every
+    descendant's delta chain stays intact.
     """
     still_lost: dict[str, list[str]] = {}
     for matrix_id, shas in affected.items():
@@ -408,28 +398,39 @@ def _repair_payloads(
         if remaining:
             still_lost[matrix_id] = remaining
 
-    if not still_lost:
-        return
+    if still_lost:
+        _rematerialize(repo, report, still_lost, ("F101", "F103"))
 
+
+def _rematerialize(
+    repo, report: FsckReport, affected: dict[str, list[str]],
+    codes: tuple[str, ...],
+) -> None:
+    """Rewrite payloads whose chunks or pages are lost as materialized.
+
+    The matrix is recreated through degraded retrieval — the replica
+    mirror makes the high-order planes exact (for page-encoded payloads
+    too: their whole-plane mirror), what nothing else can recover is
+    zero-filled — and rewritten by the repository's one payload writer.
+    """
     archive = repo._plan_archive()
     with repo.catalog.transaction():
-        for matrix_id in still_lost:
+        for matrix_id, shas in affected.items():
             try:
                 value = archive.recreate_matrix(matrix_id)
             except (KeyError, ValueError) as exc:
                 _annotate(
-                    report,
-                    still_lost[matrix_id][0],
-                    f"unrecoverable: {exc}",
-                    repaired=False,
+                    report, shas[0], f"unrecoverable: {exc}",
+                    repaired=False, codes=codes,
                 )
                 continue
-            chunks = repo._put_planes(segment_planes(value))
-            repo.catalog.set_payload(matrix_id, ROOT, "materialize", chunks)
+            repo.rematerialize(archive, matrix_id, value)
             counter("fsck.rematerialized").inc()
-            for sha in still_lost[matrix_id]:
+            for sha in shas:
                 _annotate(
-                    report, sha, f"re-materialized {matrix_id} (degraded path)"
+                    report, sha,
+                    f"re-materialized {matrix_id} (degraded path)",
+                    codes=codes,
                 )
     repo.gc()
 
@@ -452,14 +453,11 @@ def _annotate(
 
 
 def _check_pages(repo, report: FsckReport, repair: bool) -> None:
-    """F401-F403: audit the dedup page tier (see module docs)."""
+    """F401-F402: audit the dedup page tier (see module docs)."""
     from repro.dedup.pages import manifest_shas
 
-    corrupt: set[str] = set()
-    for sha in list(repo.pages.addresses()):
-        report.pages_checked += 1
-        if not repo.pages.verify_blob(sha):
-            corrupt.add(sha)
+    # A corrupt page is a finding only where a manifest references it.
+    corrupt, report.pages_checked = _scan_store(repo.pages, None, report)
 
     # F401: manifests whose pages are missing or fail re-hash.
     affected: dict[str, list[str]] = {}
@@ -481,7 +479,7 @@ def _check_pages(repo, report: FsckReport, repair: bool) -> None:
         for sha in corrupt:
             repo.backend.quarantine_blob("pages", sha)
         if affected:
-            _repair_paged_payloads(repo, report, affected)
+            _rematerialize(repo, report, affected, ("F401",))
 
     # F402: stored refcounts disagree with what the manifests reference.
     pstore = repo.page_store()
@@ -497,67 +495,35 @@ def _check_pages(repo, report: FsckReport, repair: bool) -> None:
             "F402", f"page refcounts drift from manifests ({drift} addresses)"
         )
         if repair:
-            pstore.rebuild_refcounts()
+            repo.catalog.replace_page_refcounts(true_counts)
             f.repaired, f.repair = True, "rebuilt refcounts from manifests"
         report.findings.append(f)
 
-    # F403: page blobs no manifest references.
-    live = set(true_counts)
-    orphans = sorted(
-        sha for sha in list(repo.pages.addresses()) if sha not in live
-    )
-    swept: set[str] = set()
-    if repair and orphans:
-        swept = set(pstore.sweep_orphans(referenced=live))
-    for sha in orphans:
-        report.findings.append(
-            Finding(
-                "F403",
-                f"orphan page {sha[:12]}",
-                sha=sha,
-                repaired=sha in swept,
-                repair="swept" if sha in swept else None,
-            )
-        )
+
+# -- replica tier ------------------------------------------------------------------------
 
 
-def _repair_paged_payloads(
-    repo, report: FsckReport, affected: dict[str, list[str]]
-) -> None:
-    """Re-materialize payloads whose dedup pages are lost.
-
-    Degraded retrieval falls back to the whole-plane replica mirror
-    (exact for the replicated high-order planes) and zero-fills what
-    nothing else can recover; the payload is rewritten as materialized
-    and its page manifests released.
-    """
+def _check_mirrors(repo, report: FsckReport, repair: bool) -> None:
+    """F104: every plane the payload writer mirrors has its replica copy."""
     archive = repo._plan_archive()
-    pstore = repo.page_store()
-    with repo.catalog.transaction():
-        for matrix_id in affected:
-            try:
-                value = archive.recreate_matrix(matrix_id)
-            except (KeyError, ValueError) as exc:
-                _annotate(
-                    report,
-                    affected[matrix_id][0],
-                    f"unrecoverable: {exc}",
-                    repaired=False,
-                    codes=("F401",),
-                )
+    for entry in archive.manifest.values():
+        for index, sha in enumerate(archive.mirror_addresses(entry)):
+            if not sha or sha in repo.replica:
                 continue
-            chunks = repo._put_planes(segment_planes(value))
-            pstore.release_matrix(matrix_id)
-            repo.catalog.set_payload(matrix_id, ROOT, "materialize", chunks)
-            counter("fsck.rematerialized").inc()
-            for sha in affected[matrix_id]:
-                _annotate(
-                    report,
-                    sha,
-                    f"re-materialized {matrix_id} (degraded path)",
-                    codes=("F401",),
-                )
-    repo.gc()
+            f = Finding(
+                "F104",
+                f"plane {index} of {entry.matrix_id} has no replica copy",
+                sha=sha,
+                matrix_id=entry.matrix_id,
+            )
+            if repair:
+                try:
+                    f.repaired = archive.restore_mirror(entry, index)
+                except (KeyError, ValueError):
+                    pass  # the main-tier copy is lost too: F103/F401's job
+                if f.repaired:
+                    f.repair = "re-mirrored from the main tier"
+            report.findings.append(f)
 
 
 # -- journal & filesystem litter -----------------------------------------------------
@@ -590,17 +556,24 @@ def _check_litter(repo, report: FsckReport, repair: bool) -> None:
             )
         )
 
-    referenced: set[str] = set()
-    for payload in repo.catalog.all_payloads():
-        referenced.update(payload["chunks"])
-    for sha in list(repo.store.addresses()):
-        if sha not in referenced:
-            f = Finding("F303", f"orphan chunk {sha[:12]}", sha=sha)
-            if repair:
-                repo.store.delete(sha)
-                repo.replica.delete(sha)
-                f.repaired, f.repair = True, "deleted"
-            report.findings.append(f)
+    # F303 / F403: stored addresses outside the repository's live sets.
+    chunks, _replica, pages = repo.live_addresses()
+    orphans = [
+        Finding(code, f"orphan {what} {sha[:12]}", sha=sha)
+        for code, what, store, live in (
+            ("F303", "chunk", repo.store, chunks),
+            ("F403", "page", repo.pages, pages),
+        )
+        for sha in sorted(store.addresses())
+        if sha not in live
+    ]
+    if repair and orphans:
+        # The one sweep: an orphan chunk's replica copy goes too — unless
+        # a page manifest's plane digest still claims it.
+        repo.gc()
+        for f in orphans:
+            f.repaired, f.repair = True, "swept"
+    report.findings.extend(orphans)
 
     referenced_files = repo.catalog.all_file_shas()
     for sha in sorted(repo.backend.stored_file_shas()):

@@ -49,10 +49,9 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.archival import alpha_constraints, solve
-from repro.core.delta import delta_sub_mismatched
 from repro.core.float_schemes import get_scheme
-from repro.core.retrieval import PlanArchive
-from repro.core.segmentation import segment_planes
+from repro.core.retrieval import PlanArchive, payload_planes
+from repro.core.segmentation import NUM_PLANES
 from repro.core.storage.base import ARCHIVES_PREFIX, STAGE_DOC, StorageBackend
 from repro.core.storage.registry import resolve_backend
 from repro.core.storage_graph import (
@@ -62,7 +61,7 @@ from repro.core.storage_graph import (
     RetrievalScheme,
     StorageEdge,
 )
-from repro.dedup import DEFAULT_PAGE_SIZE, DedupEstimator, PageStore
+from repro.dedup import DedupEstimator, PageStore
 from repro.dedup.pages import manifest_shas
 from repro.dlv.objects import ModelVersion, Snapshot
 from repro.dnn.network import Network
@@ -73,21 +72,9 @@ from repro.obs.tracing import trace_span
 
 VersionLike = Union[int, str, ModelVersion]
 
-#: How many high-order byte planes of every payload are mirrored into the
-#: replica store.  Planes 0-1 (sign/exponent and high mantissa) carry most
-#: of the information yet compress best, so the mirror is cheap — and it
-#: is the "alternate path" degraded retrieval and fsck repair fall back to.
-REPLICA_PLANES = 2
-
 
 def _now() -> str:
     return datetime.datetime.now(datetime.timezone.utc).isoformat()
-
-
-def _compressed_planes_size(matrix: np.ndarray, level: int = 6) -> int:
-    import zlib
-
-    return sum(len(zlib.compress(p, level)) for p in segment_planes(matrix))
 
 
 class Repository:
@@ -152,13 +139,16 @@ class Repository:
                     # Died between catalog durability and journal cleanup.
                     counter("journal.completed").inc()
                 else:
-                    chunks, files = self._sweep_listed(
-                        entry.data.get("chunks", []),
-                        entry.data.get("files", []),
-                    )
+                    referenced_files = self.catalog.all_file_shas()
                     report["rolled_back"] += 1
-                    report["swept_chunks"] += chunks
-                    report["swept_files"] += files
+                    report["swept_chunks"] += self._sweep(
+                        entry.data.get("chunks", [])
+                    )
+                    report["swept_files"] += sum(
+                        self.backend.delete_file(sha)
+                        for sha in entry.data.get("files", [])
+                        if sha not in referenced_files
+                    )
                     counter("journal.rollbacks").inc()
             else:
                 # archive / convert / prune: their catalog transaction is
@@ -170,27 +160,6 @@ class Repository:
             report["retired"] += 1
         counter("journal.replays").inc()
         return report
-
-    def _sweep_listed(
-        self, chunk_shas: Sequence[str], file_shas: Sequence[str]
-    ) -> tuple[int, int]:
-        """Remove listed chunks/files unless the catalog references them."""
-        referenced: set[str] = set()
-        for payload in self.catalog.all_payloads():
-            referenced.update(payload["chunks"])
-        swept_chunks = 0
-        for sha in chunk_shas:
-            if sha not in referenced:
-                if self.store.delete(sha):
-                    swept_chunks += 1
-                self.replica.delete(sha)
-        referenced_files = self.catalog.all_file_shas()
-        swept_files = 0
-        for sha in file_shas:
-            if sha not in referenced_files:
-                if self.backend.delete_file(sha):
-                    swept_files += 1
-        return swept_chunks, swept_files
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -254,10 +223,6 @@ class Repository:
     def staged_files(self) -> list[str]:
         raw = self.backend.read_doc(STAGE_DOC)
         return json.loads(raw) if raw else []
-
-    def _store_file_blob(self, sha: str, data: bytes) -> None:
-        """Land one associated file durably under its digest."""
-        self.backend.put_file(sha, data)
 
     def get_file(self, sha: str) -> bytes:
         """Read an associated file's content by digest."""
@@ -333,14 +298,10 @@ class Repository:
                     stored = (
                         matrix if scheme.lossless else scheme.roundtrip(matrix)
                     )
-                    planes = segment_planes(stored)
-                    plane_shas = [
-                        hashlib.sha256(p).hexdigest() for p in planes
-                    ]
-                    chunk_shas.update(plane_shas)
+                    planes = payload_planes(stored)
+                    chunk_shas.update(self.store.address(p) for p in planes)
                     entries.append(
-                        (layer, key, stored.shape, stored.nbytes,
-                         planes, plane_shas)
+                        (layer, key, stored.shape, stored.nbytes, planes)
                     )
             encoded.append((index, iteration, entries))
         file_blobs = []
@@ -358,11 +319,14 @@ class Repository:
             chunks=sorted(chunk_shas),
             files=sorted({sha for _, sha, _ in file_blobs}),
         )
-        for _index, _iteration, entries in encoded:
-            for _layer, _key, _shape, _nbytes, planes, _shas in entries:
-                self._put_planes(planes)
+        # The version id is not known before Phase 3: payloads are written
+        # under the ``s<idx>/<layer>.<param>`` tail of their matrix id.
+        writer = PlanArchive(self.store, replica_store=self.replica)
+        for index, _iteration, entries in encoded:
+            for layer, key, shape, _nbytes, planes in entries:
+                writer.write_payload(f"s{index}/{layer}.{key}", shape, planes)
         for _name, sha, data in file_blobs:
-            self._store_file_blob(sha, data)
+            self.backend.put_file(sha, data)
 
         # Phase 3 — all catalog rows in one transaction, closed by the
         # commit marker that tells journal replay this commit completed.
@@ -382,6 +346,7 @@ class Repository:
             self.catalog.set_metadata(version_id, meta)
             if base is not None:
                 self.catalog.add_lineage(base.id, version_id, message)
+            written = writer.manifest
             for index, iteration, entries in encoded:
                 self.catalog.add_snapshot(
                     Snapshot(
@@ -392,15 +357,14 @@ class Repository:
                         created_at=_now(),
                     )
                 )
-                for layer, key, shape, nbytes, _planes, plane_shas in entries:
-                    matrix_id = f"v{version_id}/s{index}/{layer}.{key}"
+                for layer, key, shape, nbytes, _planes in entries:
+                    entry = written[f"s{index}/{layer}.{key}"]
+                    entry.matrix_id = f"v{version_id}/{entry.matrix_id}"
                     self.catalog.add_matrix(
-                        matrix_id, version_id, index, layer, key,
+                        entry.matrix_id, version_id, index, layer, key,
                         shape, nbytes,
                     )
-                    self.catalog.set_payload(
-                        matrix_id, ROOT, "materialize", plane_shas
-                    )
+                    self._install(entry)
             if file_blobs:
                 self.catalog.add_files(
                     version_id, {n: sha for n, sha, _ in file_blobs}
@@ -414,15 +378,37 @@ class Repository:
         counter("dlv.commits").inc()
         return self.catalog.get_version(version_id)
 
-    def _put_planes(self, planes: Sequence[bytes]) -> list[str]:
-        """Store one payload's byte planes, mirroring high-order planes."""
-        shas = []
-        for index, plane in enumerate(planes):
-            sha = self.store.put(plane)
-            if index < REPLICA_PLANES:
-                self.replica.put(plane)
-            shas.append(sha)
-        return shas
+    def _install(self, entry):
+        """Point the catalog at one written payload (inside the caller's
+        transaction): release the matrix's previous page encoding,
+        whichever kind replaces it, then record payload and manifests."""
+        self.catalog.release_page_manifests(entry.matrix_id)
+        self.catalog.set_payload(
+            entry.matrix_id, entry.parent, entry.kind, entry.chunk_ids
+        )
+        for plane, manifest in (entry.pages or {}).items():
+            self.catalog.set_page_manifest(entry.matrix_id, plane, manifest)
+        return entry
+
+    def rematerialize(
+        self, archive: PlanArchive, matrix_id: str, value: np.ndarray
+    ):
+        """Rewrite one matrix as a root-anchored materialized payload —
+        what convert, prune and the fsck repairs do to a matrix whose
+        stored form must go."""
+        return self._install(
+            archive.write_payload(matrix_id, value.shape, payload_planes(value))
+        )
+
+    def _detach_dependents(self, archive: PlanArchive, ids: set[str]) -> None:
+        """Re-materialize (exactly) every matrix stored as a delta off one
+        of ``ids`` — about to be dropped or made lossy."""
+        for payload in self.catalog.all_payloads():
+            if payload["parent"] in ids and payload["matrix_id"] not in ids:
+                self.rematerialize(
+                    archive, payload["matrix_id"],
+                    archive.recreate_matrix(payload["matrix_id"]),
+                )
 
     # -- resolution & exploration ------------------------------------------------------
 
@@ -499,10 +485,13 @@ class Repository:
         }
         for payload in self.catalog.all_payloads():
             matrix_id = payload["matrix_id"]
-            for sha in payload["chunks"]:
-                if sha not in self.store:
-                    problems.append(f"{matrix_id}: missing chunk {sha[:12]}")
-            if any(sha not in self.store for sha in payload["chunks"]):
+            missing = [
+                sha for sha in payload["chunks"] if sha not in self.store
+            ]
+            problems.extend(
+                f"{matrix_id}: missing chunk {sha[:12]}" for sha in missing
+            )
+            if missing:
                 continue
             try:
                 value = archive.recreate_matrix(matrix_id)
@@ -578,7 +567,7 @@ class Repository:
             entry = {
                 "parent": p["parent"],
                 "kind": p["kind"],
-                "shape": list(shapes[p["matrix_id"]]),
+                "shape": list(shapes.get(p["matrix_id"], ())),
                 "chunks": p["chunks"],
             }
             if p["matrix_id"] in page_manifests:
@@ -589,7 +578,6 @@ class Repository:
             self.store,
             manifest,
             replica_store=self.replica,
-            replicate_planes=REPLICA_PLANES,
             degraded=True,
             page_store=self.page_store(),
             plane_cache=plane_cache,
@@ -708,37 +696,35 @@ class Repository:
         recreation cost = uncompressed bytes x ``recreation_unit`` per
         payload applied (a proxy for decompress+apply time).
 
+        Storage costs are asked of the code that will write the payload
+        (:meth:`PlanArchive.payload_cost`): priced bytes are stored bytes.
+
         With ``dedup`` on, every matrix also gets a parallel ``pages``
         root edge whose storage cost is a :class:`DedupEstimator` dry run
-        — only the pages no earlier matrix (or the existing page store)
-        already holds.  Unrelated models that share content thus archive
-        near-free, without needing a lineage edge between them.
+        of the page store — only the pages no earlier matrix (or the
+        existing page store) already holds.  Unrelated models that share
+        content thus archive near-free, without needing a lineage edge
+        between them.
 
         Returns the graph and the id -> array map needed to physically
         archive it.
         """
         graph = MatrixStorageGraph()
         matrices: dict[str, np.ndarray] = {}
-        arrays: dict[str, np.ndarray] = {}
         rows_by_snapshot: dict[tuple[int, int], list[dict]] = {}
         archive = self._plan_archive()
-        estimator = None
-        if dedup:
-            estimator = DedupEstimator(
-                known=self.catalog.page_refcounts(),
-                page_size=page_size or DEFAULT_PAGE_SIZE,
-            )
+        estimator = DedupEstimator(self.page_store(page_size)) if dedup else None
         for row in self.catalog.get_matrices():
             matrix_id = row["matrix_id"]
             value = archive.recreate_matrix(matrix_id)
-            arrays[matrix_id] = value
+            matrices[matrix_id] = value
             snapshot_key = f"v{row['version_id']}/s{row['snapshot_idx']}"
             graph.add_matrix(
                 MatrixRef(matrix_id, snapshot_key, value.nbytes)
             )
             graph.add_materialization(
                 matrix_id,
-                _compressed_planes_size(value),
+                archive.payload_cost(value),
                 value.nbytes * recreation_unit,
             )
             if estimator is not None:
@@ -751,7 +737,6 @@ class Repository:
                         kind="pages",
                     )
                 )
-            matrices[matrix_id] = value
             rows_by_snapshot.setdefault(
                 (row["version_id"], row["snapshot_idx"]), []
             ).append(row)
@@ -766,13 +751,13 @@ class Repository:
                     continue
                 if len(row_a["shape"]) != len(row_b["shape"]):
                     continue
-                a, b = arrays[row_a["matrix_id"]], arrays[row_b["matrix_id"]]
-                cost = _compressed_planes_size(delta_sub_mismatched(a, b))
+                a = matrices[row_a["matrix_id"]]
+                b = matrices[row_b["matrix_id"]]
                 graph.add_edge(
                     StorageEdge(
                         row_b["matrix_id"],
                         row_a["matrix_id"],
-                        cost,
+                        archive.payload_cost(a, b, "sub"),
                         a.nbytes * recreation_unit,
                         kind="delta",
                     )
@@ -845,16 +830,8 @@ class Repository:
             page_store=pstore,
         )
         with self.catalog.transaction():
-            for matrix_id, entry in archive.manifest.items():
-                # Drop any previous page encoding of this matrix before
-                # installing the new payload, whichever kind it is.
-                pstore.release_matrix(matrix_id)
-                self.catalog.set_payload(
-                    matrix_id, entry.parent, entry.kind, entry.chunk_ids
-                )
-                if entry.pages:
-                    for plane, man in entry.pages.items():
-                        self.catalog.set_page_manifest(matrix_id, plane, man)
+            for entry in archive.manifest.values():
+                self._install(entry)
             pstore.flush()
         self.gc()
         self.journal.retire(intent)
@@ -912,57 +889,33 @@ class Repository:
         scheme = get_scheme(float_scheme)
         archive = self._plan_archive()
         rows = self.catalog.get_matrices(version.id, snapshot.index)
-        converted_ids = {row["matrix_id"] for row in rows}
-        # Matrices stored as deltas off a converted matrix would recreate
-        # from lossy values — re-materialize them (exactly) first.
-        dependents = [
-            p["matrix_id"]
-            for p in self.catalog.all_payloads()
-            if p["parent"] in converted_ids
-            and p["matrix_id"] not in converted_ids
-        ]
         exact_values = {
-            matrix_id: archive.recreate_matrix(matrix_id)
-            for matrix_id in (*converted_ids, *dependents)
+            row["matrix_id"]: archive.recreate_matrix(row["matrix_id"])
+            for row in rows
         }
         intent = self.journal.record(
             "convert", ref=version.ref, snapshot=snapshot.index,
             float_scheme=float_scheme,
         )
-        before = 0
-        after = 0
-        pstore = self.page_store()
+
+        def stored_size(entries) -> int:
+            return sum(
+                archive.plane_stored_size(entry, index)
+                for entry in entries
+                for index in range(NUM_PLANES)
+            )
+
+        before = stored_size(archive.manifest[m] for m in exact_values)
         with self.catalog.transaction():
-            for matrix_id in dependents:
-                chunks = self._put_planes(
-                    segment_planes(exact_values[matrix_id])
-                )
-                pstore.release_matrix(matrix_id)
-                self.catalog.set_payload(
-                    matrix_id, ROOT, "materialize", chunks
-                )
-            for row in rows:
-                matrix_id = row["matrix_id"]
-                payload = self.catalog.get_payload(matrix_id)
-                for sha in payload["chunks"]:
-                    before += self.store.stored_size(sha)
-                for man in self.catalog.get_page_manifests(matrix_id).values():
-                    for sha in set(manifest_shas(man)):
-                        before += self.pages.stored_size(sha)
-                lossy = scheme.roundtrip(exact_values[matrix_id])
-                chunks = self._put_planes(segment_planes(lossy))
-                # Converted snapshots are re-materialized: a lossy matrix is
-                # no longer a valid delta base/target for its old neighbours.
-                pstore.release_matrix(matrix_id)
-                self.catalog.set_payload(
-                    matrix_id, ROOT, "materialize", chunks
-                )
-                for sha in chunks:
-                    after += self.store.stored_size(sha)
-            self.catalog._conn.execute(
-                "UPDATE snapshot SET float_scheme = ? "
-                "WHERE version_id = ? AND idx = ?",
-                (float_scheme, version.id, snapshot.index),
+            self._detach_dependents(archive, set(exact_values))
+            # Converted snapshots are re-materialized: a lossy matrix is
+            # no longer a valid delta base/target for its old neighbours.
+            after = stored_size([
+                self.rematerialize(archive, matrix_id, scheme.roundtrip(exact))
+                for matrix_id, exact in exact_values.items()
+            ])
+            self.catalog.set_snapshot_scheme(
+                version.id, snapshot.index, float_scheme
             )
         self.gc()
         self.journal.retire(intent)
@@ -1000,33 +953,12 @@ class Repository:
         }
         archive = self._plan_archive()
         intent = self.journal.record("prune", ref=version.ref, dropped=dropped)
-        pstore = self.page_store()
         with self.catalog.transaction():
-            # Rebase survivors that delta off dropped matrices.
-            for payload in self.catalog.all_payloads():
-                if (
-                    payload["parent"] in dropped_matrix_ids
-                    and payload["matrix_id"] not in dropped_matrix_ids
-                ):
-                    exact = archive.recreate_matrix(payload["matrix_id"])
-                    chunks = self._put_planes(segment_planes(exact))
-                    pstore.release_matrix(payload["matrix_id"])
-                    self.catalog.set_payload(
-                        payload["matrix_id"], ROOT, "materialize", chunks
-                    )
+            self._detach_dependents(archive, dropped_matrix_ids)
             for matrix_id in dropped_matrix_ids:
-                pstore.release_matrix(matrix_id)
-                self.catalog._conn.execute(
-                    "DELETE FROM payload WHERE matrix_id = ?", (matrix_id,)
-                )
-                self.catalog._conn.execute(
-                    "DELETE FROM matrix WHERE matrix_id = ?", (matrix_id,)
-                )
+                self.catalog.delete_matrix(matrix_id)
             for idx in dropped:
-                self.catalog._conn.execute(
-                    "DELETE FROM snapshot WHERE version_id = ? AND idx = ?",
-                    (version.id, idx),
-                )
+                self.catalog.delete_snapshot(version.id, idx)
         self.gc()
         self.journal.retire(intent)
         return {"kept": kept, "dropped": dropped}
@@ -1058,37 +990,44 @@ class Repository:
         result = TrainResult(log=log) if log else None
         return wrapper.save_model_dir(path, net, config, result)
 
-    def gc(self) -> int:
-        """Delete chunks not referenced by any payload; returns count removed.
-
-        Sweeps the replica tier too (replica blobs share the main store's
-        addresses — paged payloads mirror whole planes under the
-        manifest's plane digest) and the dedup page tier (pages no
-        manifest references); the return value counts main-store removals
-        only.
-        """
-        referenced: set[str] = set()
+    def live_addresses(self) -> tuple[set[str], set[str], set[str]]:
+        """The liveness rule: the ``(chunks, replica, pages)`` addresses
+        the catalog keeps alive.  A payload's chunk list keeps its chunks
+        and their mirrors; a page manifest keeps its pages and — in the
+        replica tier only — the mirror under its whole-plane digest (the
+        same digest in the main store is a stale materialize chunk)."""
+        chunks: set[str] = set()
         for payload in self.catalog.all_payloads():
-            referenced.update(payload["chunks"])
-        # Replica mirrors of paged planes are keyed by the manifest's
-        # whole-plane digest — protected in the replica tier only (the
-        # same digest in the main store is a stale materialize chunk).
-        replica_referenced = set(referenced)
-        page_referenced: set[str] = set()
+            chunks.update(payload["chunks"])
+        replica, pages = set(chunks), set()
         for _matrix_id, _plane, man in self.catalog.all_page_manifests():
-            page_referenced.update(manifest_shas(man))
+            pages.update(manifest_shas(man))
             if man.get("sha"):
-                replica_referenced.add(man["sha"])
-        removed = 0
-        for sha in list(self.store.addresses()):
-            if sha not in referenced:
-                self.store.delete(sha)
-                removed += 1
-        for sha in list(self.replica.addresses()):
-            if sha not in replica_referenced:
+                replica.add(man["sha"])
+        return chunks, replica, pages
+
+    def _sweep(self, listed: Optional[Sequence[str]] = None) -> int:
+        """Delete dead blobs: of every tier, or only the ``listed`` chunk
+        addresses (main store and replica).  The one place that applies
+        :meth:`live_addresses` and the one place a replica blob is
+        deleted; returns the number of main-store chunks removed."""
+        chunks, replica, pages = self.live_addresses()
+        in_store = self.store.addresses() if listed is None else listed
+        in_replica = self.replica.addresses() if listed is None else listed
+        removed = sum(
+            self.store.delete(sha) for sha in list(in_store) if sha not in chunks
+        )
+        for sha in list(in_replica):
+            if sha not in replica:
                 self.replica.delete(sha)
-        self.page_store().sweep_orphans(referenced=page_referenced)
+        if listed is None:
+            self.page_store().sweep_orphans(pages)
         return removed
+
+    def gc(self) -> int:
+        """Delete chunks not referenced by any payload (and dead replica
+        and page blobs); returns the count of main-store removals."""
+        return self._sweep()
 
     def dedup_stats(self) -> dict:
         """Page-dedup accounting for ``dlv dedup stats`` / ``dlv stats``.

@@ -35,6 +35,20 @@ registry / recorder):
                           ``hits`` / ``misses`` / ``evictions`` counters and
                           ``bytes`` / ``entries`` gauges (injectable registry)
 ``retrieval.*``           snapshot recreation latency + stored bytes read
+``dedup.*``               the page store, per *flushed* archive run:
+                          ``pages_referenced`` = ``pages_shared`` (exact
+                          hits) + ``pages_patched`` + ``pages_stored`` (new
+                          bases); ``bytes_stored`` / ``bytes_saved`` in
+                          stored (compressed) bytes; ``index_probes`` /
+                          ``index_hits`` of the sketch index; ``pages_swept``
+                          by ``gc`` / fsck
+``journal.*``             ``Repository.open`` replay outcomes: ``replays``,
+                          ``completed`` (marker present), ``rollbacks``,
+                          ``sweeps`` (archive/convert/prune intents),
+                          ``torn_discarded``
+``fsck.*``                ``runs``, ``findings`` (+ ``findings.<code>``),
+                          ``repairs``, ``replica_restores``,
+                          ``rematerialized``, ``quarantined``
 ``archival.*``            storage-plan search timing per algorithm
 ``progressive.*``         per-plane evaluation timing and resolution counts
 ``dql.*``                 parse/execute latency, query counts per verb

@@ -18,7 +18,6 @@ from repro.core.delta import (
     measure_schemes,
     normalization_offset,
     normalize,
-    snapshot_delta_cost,
 )
 from repro.core.float_schemes import FixedPointScheme
 
@@ -198,20 +197,6 @@ class TestMeasureSchemes:
 
 
 class TestSnapshotDeltaCost:
-    def test_identical_snapshots_cheap(self, trained_tiny):
-        net, _, _ = trained_tiny
-        weights = net.get_weights()
-        cost_self = snapshot_delta_cost(weights, weights)
-        cost_materialize = snapshot_delta_cost(weights, {})
-        assert cost_self < cost_materialize / 10
-
-    def test_missing_layers_charged_materialized(self, trained_tiny):
-        net, _, _ = trained_tiny
-        weights = net.get_weights()
-        partial = {"fc1": weights["fc1"]}
-        full_cost = snapshot_delta_cost(weights, partial)
-        assert full_cost > snapshot_delta_cost(weights, weights)
-
     def test_compressed_size_matches_zlib(self):
         data = b"hello" * 100
         import zlib

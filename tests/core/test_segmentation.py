@@ -12,11 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.delta import compressed_size
 from repro.core.segmentation import (
     NUM_PLANES,
     assemble_planes,
     bounds_from_prefix,
-    plane_compressed_sizes,
     prefix_estimate,
     segment_planes,
 )
@@ -126,5 +126,5 @@ class TestEntropyGradient:
         """The design premise: plane 0 has far lower entropy than plane 3."""
         rng = np.random.default_rng(4)
         m = (rng.standard_normal((256, 256)) * 0.05).astype(np.float32)
-        sizes = plane_compressed_sizes(m)
+        sizes = [compressed_size(plane) for plane in segment_planes(m)]
         assert sizes[0] < sizes[3] * 0.5

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-import zlib
 
 import numpy as np
 import pytest
@@ -141,36 +140,72 @@ class TestSketchIndex:
 
 
 class TestEstimator:
-    def test_duplicate_plane_costs_nothing(self):
-        rng = np.random.default_rng(2)
-        data = rng.integers(0, 256, size=4096, dtype=np.uint8).tobytes()
-        est = DedupEstimator()
-        first = est.plane_cost(data)
-        assert first > 0
-        assert est.plane_cost(data) == 0
+    """Absolute prices; that they equal what the encoder stores is the
+    estimator-vs-encoder oracle below."""
 
-    def test_near_duplicate_priced_as_patch(self):
-        rng = np.random.default_rng(3)
-        data = rng.integers(0, 256, size=4096, dtype=np.uint8).tobytes()
-        near = bytearray(data)
-        near[10] ^= 0x40
-        est = DedupEstimator()
-        full = est.plane_cost(data)
-        patched = est.plane_cost(bytes(near))
-        assert 0 < patched < full / 4
+    @pytest.fixture
+    def est(self, make_repo_target):
+        repo = Repository.init(make_repo_target("memory"))
+        yield DedupEstimator(repo.page_store())
+        repo.close()
 
-    def test_known_pages_are_free(self):
-        data = b"\x07" * 2048
-        shas = [page_digest(p) for p in split_pages(data, 1024)]
-        est = DedupEstimator(known=shas)
-        assert est.plane_cost(data) == 0
+    def test_duplicate_plane_costs_nothing(self, est):
+        value = np.random.default_rng(2).normal(size=(64, 64)).astype(np.float32)
+        assert est.matrix_cost(value) > 0
+        assert est.matrix_cost(value) == 0
 
-    def test_matrix_cost_bounded_by_full_compression(self):
-        value = np.random.default_rng(4).normal(size=(16, 16)).astype(np.float32)
-        est = DedupEstimator()
-        cost = est.matrix_cost(value)
-        full = sum(len(zlib.compress(p, 6)) for p in segment_planes(value))
-        assert 0 < cost <= full * 1.01
+    def test_near_duplicate_priced_as_patch(self, est):
+        value = np.random.default_rng(3).normal(size=(64, 64)).astype(np.float32)
+        near = value.copy()
+        near[5, 7] += 1e-3
+        full = est.matrix_cost(value)
+        assert 0 < est.matrix_cost(near) < full / 4
+
+
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+@pytest.mark.parametrize("prepopulated", [False, True])
+def test_estimator_prices_what_the_encoder_stores(
+    make_repo_target, backend, prepopulated
+):
+    """Oracle: fed the same matrices in the same order, the estimator's
+    price for each is the growth of the page tier when the encoder
+    stores it — on an empty store and on one an earlier ``archive
+    --dedup`` populated (persistent sketch index, stored base pages)."""
+    repo = Repository.init(make_repo_target(backend))
+    base = tiny_mlp(hidden=32).build(seed=0)
+    if prepopulated:
+        _commit_family(repo, n=3)
+        repo.archive(alpha=4.0, dedup=True)
+        assert repo.pages.total_size() > 0
+    unrelated = tiny_mlp(hidden=32).build(seed=9)
+    sequence = [
+        arr
+        for net in (_perturb(base, 0), _perturb(base, 7), unrelated,
+                    _perturb(base, 7))  # shared, near, new, exact repeat
+        for params in net.get_weights().values()
+        for arr in params.values()
+    ]
+    before = repo.pages.total_size()
+    estimator = DedupEstimator(repo.page_store())
+    priced = [estimator.matrix_cost(matrix) for matrix in sequence]
+    assert repo.pages.total_size() == before  # a dry run stores nothing
+
+    encoder = repo.page_store()
+    stored = []
+    for matrix in sequence:
+        for plane in segment_planes(matrix):
+            encoder.encode_plane(plane)
+        stored.append(repo.pages.total_size() - before)
+        before = repo.pages.total_size()
+    assert priced == stored
+    assert sum(priced[-4:]) == 0 < sum(priced)
+    if prepopulated:
+        # Siblings of the archived family patch against its stored pages.
+        empty = Repository.init(make_repo_target(backend, "empty"))
+        fresh = DedupEstimator(empty.page_store())
+        assert sum(priced) < sum(fresh.matrix_cost(m) for m in sequence)
+        empty.close()
+    repo.close()
 
 
 # ---------------------------------------------------------------------------

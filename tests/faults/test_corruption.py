@@ -13,7 +13,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.dlv.repository import REPLICA_PLANES
 from repro.dnn.zoo import tiny_mlp
 from repro.faults import FaultPlan, FaultPoint, inject
 from repro.obs.metrics import counter
@@ -87,7 +86,8 @@ def test_corrupt_high_plane_bounds_recover_from_replica(
 
 def test_corrupt_low_plane_degrades_gracefully(archived_repo, corrupt_blob):
     repo = archived_repo
-    low_plane = REPLICA_PLANES + 1  # not replicated: only zero-fill saves it
+    # Not replicated: only zero-fill saves it.
+    low_plane = repo.archive_view().replicate_planes + 1
     payload = next(
         p
         for p in repo.catalog.all_payloads()

@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.core.segmentation import NUM_PLANES
-from repro.dlv.repository import REPLICA_PLANES
 from repro.dnn.network import GraphError
 from repro.serve import (
     ModelServer,
@@ -191,11 +190,11 @@ class TestDegraded:
         """Deleting an unreplicated plane forces zero-fill recovery."""
         repo, net, version = served_repo
         # Drop the lowest-order plane of every payload in the snapshot:
-        # planes >= REPLICA_PLANES have no replica, so retrieval recovers
+        # planes >= replicate_planes have no replica, so retrieval recovers
         # them as zero-filled (inexact) bytes.
         for payload in repo.catalog.all_payloads():
             sha = payload["chunks"][NUM_PLANES - 1]
-            assert NUM_PLANES - 1 >= REPLICA_PLANES
+            assert NUM_PLANES - 1 >= repo.archive_view().replicate_planes
             repo.store.delete(sha)
         model_server = ModelServer(
             repo, ServeConfig(max_wait_ms=2.0), registry=registry
