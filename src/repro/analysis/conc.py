@@ -1,8 +1,8 @@
 """Static concurrency-safety analysis (``CONC4xx``) over Python sources.
 
 PRs 4-5 turned this reproduction into a threaded serving stack — batch
-workers, a shared single-flight plane cache, ``ThreadingHTTPServer``
-handlers, the hub HTTP tier — where the dominant correctness risks are
+workers, a shared single-flight plane cache, per-connection HTTP
+handler threads, the hub HTTP tier — where the dominant correctness risks are
 data races and deadlocks, not shapes or dtypes.  This pass analyses the
 ``ast`` of each file symbolically and reports:
 

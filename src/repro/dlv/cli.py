@@ -425,12 +425,15 @@ def _filter_spans(spans: list[dict], min_ms: float, name: str) -> list[dict]:
 
 
 def _fetch_json(url: str, path: str, timeout: float = 10.0) -> dict:
-    """GET ``url + path`` from a running dlv server; parse the JSON."""
-    import urllib.request
+    """GET ``url + path`` from a running dlv server and parse the JSON;
+    a non-2xx raises an :class:`OSError`, as an unreachable server does."""
+    from repro.wire import Session
 
-    request = urllib.request.Request(url.rstrip("/") + path)
-    with urllib.request.urlopen(request, timeout=timeout) as response:
-        return json.loads(response.read())
+    with Session(url, timeout) as session:
+        status, body, _ = session.exchange("GET", path)
+    if not 200 <= status < 300:
+        raise ConnectionError(f"HTTP {status} from {url.rstrip('/')}{path}")
+    return json.loads(body)
 
 
 def cmd_trace(args) -> int:
@@ -564,12 +567,10 @@ def cmd_top(args) -> int:
 
 
 def cmd_hub_serve(args) -> int:
-    import signal
-    import threading
-
     from repro.hub.httpd import HubHTTPServer
     from repro.hub.replication import Replicator
     from repro.hub.server import HubServer
+    from repro.wire import run_until_signalled
 
     store = HubServer(args.hub)
     replicator = None
@@ -595,8 +596,7 @@ def cmd_hub_serve(args) -> int:
     server.start()
     if replicator is not None:
         replicator.start()
-    # One flushed JSON line so wrappers can discover the bound port.
-    _print(
+    run_until_signalled(
         {
             "hub": str(server.server.root),
             "url": server.url,
@@ -604,13 +604,9 @@ def cmd_hub_serve(args) -> int:
             "peer": server.peer_name,
             "role": server.role,
             "peers": args.peers or "",
-        }
+        },
+        _print,
     )
-    sys.stdout.flush()
-    stop_event = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop_event.set())
-    stop_event.wait()
     if replicator is not None:
         replicator.stop()
     server.stop()
@@ -805,22 +801,15 @@ def cmd_check(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    import signal
-    import threading
-
     from repro.serve import ModelServer, ServeConfig
 
-    from repro.obs.propagation import parse_traceparent_env
-    from repro.obs.tracing import trace_span
+    from repro.obs.propagation import TRACEPARENT_ENV
+    from repro.wire import adopt_span, run_until_signalled
 
     # A driver that sets TRACEPARENT sees the whole boot — including any
     # hub pull — join its own trace (the de-facto CLI propagation rule).
-    env_ctx = parse_traceparent_env()
-    with trace_span(
-        "dlv.serve.boot",
-        trace_id=env_ctx.trace_id if env_ctx else None,
-        remote_parent=env_ctx.span_id if env_ctx else None,
-        hub=args.hub or "",
+    with adopt_span(
+        "dlv.serve.boot", os.environ.get(TRACEPARENT_ENV), hub=args.hub or ""
     ):
         repo_path = args.repo
         if args.hub is not None:
@@ -851,20 +840,15 @@ def cmd_serve(args) -> int:
             strict=args.strict,
         )
         server.start()
-    # One flushed JSON line so wrappers can discover the bound port.
-    _print(
+    run_until_signalled(
         {
             "serving": server.address,
             "port": server.port,
             "models": server.scheduler.models(),
             "rejected": server.rejected,
-        }
+        },
+        _print,
     )
-    sys.stdout.flush()
-    stop_event = threading.Event()
-    for signum in (signal.SIGINT, signal.SIGTERM):
-        signal.signal(signum, lambda *_: stop_event.set())
-    stop_event.wait()
     drained = server.stop(drain=True)
     _print({"stopped": True, "drained": drained})
     return 0 if drained else 1

@@ -29,7 +29,6 @@ peer without charging the breaker.
 
 from __future__ import annotations
 
-import http.client
 import shutil
 import threading
 import time
@@ -49,11 +48,9 @@ from repro.hub.transfer import (
 )
 from repro.obs.metrics import counter, get_registry
 from repro.obs.tracing import trace_span
+from repro.wire import NETWORK_FAILURES  # "this peer failed": fail over
 
 __all__ = ["CircuitBreaker", "FleetClient", "NoHealthyPeer"]
-
-#: Exception shapes that mean "this peer failed", triggering failover.
-NETWORK_FAILURES = (OSError, http.client.HTTPException)
 
 #: A directory, an open source, "url[,url...]", or a list of any of those.
 HubLocation = Union[str, Path, HubServer, RemoteHub, Sequence]

@@ -1,12 +1,14 @@
 """HTTP transport for the hub: :class:`HubHTTPServer` and :class:`RemoteHub`.
 
 The directory-backed :class:`~repro.hub.server.HubServer` is the storage
-and the source of truth; this module puts a stdlib
-``ThreadingHTTPServer`` in front of it so a
-:class:`~repro.hub.client.HubClient` on another machine (or just another
-process) can search and pull over the wire.  Every ``/v1`` route is one
-call of the store's read protocol — the handler never touches the
-published trees itself.  Endpoints:
+and the source of truth; this module puts an HTTP listener in front of
+it so a :class:`~repro.hub.client.HubClient` on another machine (or just
+another process) can search and pull over the wire.  Every ``/v1`` route
+is one call of the store's read protocol — the handler never touches the
+published trees itself.  This module owns the hub routes, the chaos
+seam, ``Range`` handling and :class:`RemoteHub`'s error contract; the
+transport under them (sockets, listener lifecycle, responder, status
+table, ops routes, keep-alive session) is :mod:`repro.wire`'s.  Endpoints:
 
 =============================================  ==============================
 ``GET /healthz``                               Liveness + fleet identity:
@@ -42,41 +44,27 @@ proven without real networks misbehaving on cue.
 
 :class:`RemoteHub` is the matching client: the same six read calls as
 :class:`HubServer` (``search``, ``revisions``, ``resolve_revision``,
-``manifest``, ``files``, range-resumable ``fetch_file``) over keep-alive
-``http.client`` with a per-request socket timeout.  It sends the calling
-context's ``traceparent`` on every request.  404 raises ``KeyError`` and
-403 ``PermissionError`` exactly as the directory does; 429/5xx raise
-:class:`RemoteHubUnavailable` — an :class:`OSError` carrying any server
-``Retry-After`` — so retriers and the pull engine's circuit breakers
-treat them as transient.
+``manifest``, ``files``, range-resumable ``fetch_file``) over the
+keep-alive :class:`repro.wire.Session` it extends, with a per-request
+socket timeout and the calling context's ``traceparent`` on every
+request.  404 raises ``KeyError`` and 403 ``PermissionError`` exactly as
+the directory does; 429/5xx raise :class:`RemoteHubUnavailable` — an
+:class:`OSError` carrying any server ``Retry-After`` — so retriers and
+the pull engine's circuit breakers treat them as transient.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
-import socket
-import threading
 import urllib.parse
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional
 
 from repro.faults.net import get_net_plan
 from repro.hub.server import HubRecord, HubServer
-from repro.obs.export import mark_orphans
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.propagation import (
-    TRACEPARENT_HEADER,
-    current_traceparent,
-    parse_traceparent,
-)
-from repro.obs.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_text,
-    wants_text,
-)
-from repro.obs.tracing import get_recorder, trace_span
+from repro.obs.propagation import TRACEPARENT_HEADER
+from repro.wire import Handler, HTTPError, Listener, Session, adopt_span
 
 __all__ = [
     "HubHTTPServer",
@@ -115,74 +103,23 @@ class RemoteHubUnavailable(RemoteHubError, OSError):
         self.retry_after = retry_after
 
 
-class _HTTPError(Exception):
-    """Internal: carry an HTTP status + JSON body up to the dispatcher."""
+class _Handler(Handler):
+    """Routes one HTTP exchange; state lives on ``server.app``."""
 
-    def __init__(self, status: int, payload: dict) -> None:
-        super().__init__(payload.get("error", ""))
-        self.status = status
-        self.payload = payload
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes one HTTP exchange; state lives on ``server.hub_http``."""
-
-    protocol_version = "HTTP/1.1"
     server_version = "dlv-hub"
+    _truncate: Optional[int] = None  # this request's ``truncate`` fault
 
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # requests are observable via /metrics, not stderr noise
+    def send(self, status, body, content_type="application/json",
+             headers=None, truncate=None) -> None:
+        """Every hub response, errors included, passes the tear point."""
+        super().send(status, body, content_type, headers, self._truncate)
 
-    # -- plumbing ------------------------------------------------------------
-
-    def _send_payload(
-        self,
-        status: int,
-        body: bytes,
-        content_type: str,
-        extra_headers: Optional[dict] = None,
-    ) -> None:
-        """One choke point for every response — where truncation bites.
-
-        A ``truncate`` net fault promises the full ``Content-Length``
-        but writes only the first N bytes and closes the connection, so
-        the client's read fails with ``IncompleteRead`` exactly like a
-        torn transfer.
-        """
-        truncate = getattr(self, "_truncate_body", None)
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        for key, value in (extra_headers or {}).items():
-            self.send_header(key, str(value))
-        if truncate is not None and truncate < len(body):
-            self.send_header("Connection", "close")
-            self.end_headers()
-            self.wfile.write(body[:truncate])
-            self.close_connection = True
-        else:
-            self.end_headers()
-            self.wfile.write(body)
-
-    def _send_json(
-        self, status: int, payload: dict,
-        extra_headers: Optional[dict] = None,
-    ) -> None:
-        body = json.dumps(payload, default=str).encode()
-        self._send_payload(status, body, "application/json", extra_headers)
-
-    def _send_bytes(self, status: int, body: bytes,
-                    content_type: str = "application/octet-stream",
-                    extra_headers: Optional[dict] = None) -> None:
-        self._send_payload(status, body, content_type, extra_headers)
-
-    def _apply_net_fault(self, path: str) -> bool:
-        """Consult the chaos plan; returns True when the request is done."""
+    def _net_fault(self, path: str) -> bool:
+        """Consult the chaos plan; True when the request gets no answer."""
+        self._truncate = None
+        site = f"{self.server.app.peer_name}:{path}"
         plan = get_net_plan()
-        if plan is None:
-            return False
-        hub = self.server.hub_http
-        point = plan.on_request(f"{hub.peer_name}:{path}")
+        point = None if plan is None else plan.on_request(site)
         if point is None:
             return False
         if point.action == "drop":
@@ -190,78 +127,41 @@ class _Handler(BaseHTTPRequestHandler):
             self.close_connection = True
             return True
         if point.action == "error":
-            self._send_json(point.status, {"error": point.message})
-            return True
+            raise HTTPError(point.status, {"error": point.message})
         if point.action == "unavailable":
             headers = {}
             if point.retry_after is not None:
                 headers["Retry-After"] = f"{point.retry_after:g}"
-            self._send_json(503, {"error": point.message}, headers)
-            return True
-        # truncate: let routing proceed; _send_payload tears the body.
-        self._truncate_body = point.offset
+            raise HTTPError(503, {"error": point.message}, headers)
+        # truncate: let routing proceed; send() tears the body.
+        self._truncate = point.offset
         return False
 
-    def _dispatch(self) -> None:
-        hub = self.server.hub_http
-        parsed = urllib.parse.urlsplit(self.path)
-        parts = [
-            urllib.parse.unquote(p)
-            for p in parsed.path.split("/")
-            if p != ""
-        ]
-        query = urllib.parse.parse_qs(parsed.query)
-        ctx = parse_traceparent(self.headers.get(TRACEPARENT_HEADER))
-        try:
-            if self._apply_net_fault(parsed.path):
-                return
-            with trace_span(
-                "hub.http",
-                trace_id=ctx.trace_id if ctx else None,
-                remote_parent=ctx.span_id if ctx else None,
-                path=parsed.path,
-            ):
-                self._route(hub, parts, query)
-        except _HTTPError as exc:
-            self._send_json(exc.status, exc.payload)
-        except KeyError as exc:
-            self._send_json(404, {"error": str(exc)})
-        except PermissionError as exc:
-            self._send_json(403, {"error": str(exc)})
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
-        except Exception as exc:  # noqa: BLE001 - surface, don't kill thread
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
+    def route(self, path: str, query: dict[str, list[str]]) -> None:
+        if self._net_fault(path):
+            return
+        hub = self.server.app
+        with adopt_span(
+            "hub.http", self.headers.get(TRACEPARENT_HEADER), path=path
+        ):
+            if not self.ops_route(path, hub.registry, hub.registry.as_dict):
+                self._route_read(hub, query, [
+                    urllib.parse.unquote(p) for p in path.split("/") if p
+                ])
 
-    def _route(self, hub: "HubHTTPServer", parts: list[str],
-               query: dict[str, list[str]]) -> None:
+    def _route_read(self, hub: "HubHTTPServer", query: dict[str, list[str]],
+                    parts: list[str]) -> None:
+        """``/healthz`` and the ``/v1`` read protocol."""
         if parts == ["healthz"]:
-            self._send_json(200, hub.health_payload())
-        elif parts == ["metrics"]:
-            if wants_text(self.headers.get("Accept")):
-                self._send_bytes(
-                    200,
-                    render_text(hub.registry).encode(),
-                    PROMETHEUS_CONTENT_TYPE,
-                )
-            else:
-                self._send_json(200, hub.registry.as_dict())
-        elif parts == ["v1", "trace"]:
-            recorder = get_recorder()
-            self._send_json(200, {
-                "total_recorded": recorder.total_recorded,
-                "spans": mark_orphans(
-                    [s.to_dict() for s in recorder.spans()]
-                ),
-            })
+            self.send(200, hub.health_payload())
         elif parts == ["v1", "index"]:
             pattern = query.get("pattern", ["*"])[0]
-            self._send_json(200, {
+            self.send(200, {
                 "records": [r.to_dict() for r in hub.server.search(pattern)]
             })
         elif len(parts) == 4 and parts[:2] == ["v1", "repos"] \
                 and parts[3] == "revisions":
-            self._send_json(200, {
+            self.send(200, {
                 "name": parts[2],
                 "revisions": hub.server.revisions(parts[2]),
             })
@@ -271,7 +171,7 @@ class _Handler(BaseHTTPRequestHandler):
             revision = hub.server.resolve_revision(
                 name, self._revision(parts[3])
             )
-            self._send_json(200, {
+            self.send(200, {
                 "name": name,
                 "revision": revision,
                 what: getattr(hub.server, what)(name, revision),
@@ -283,20 +183,19 @@ class _Handler(BaseHTTPRequestHandler):
             )
             start = self._range_start(len(data))
             if start is None:
-                self._send_bytes(200, data)
+                self.send(200, data, "application/octet-stream")
             else:
-                self._send_bytes(
+                self.send(
                     206,
                     data[start:],
-                    extra_headers={
+                    "application/octet-stream",
+                    headers={
                         "Content-Range":
                             f"bytes {start}-{len(data) - 1}/{len(data)}",
                     },
                 )
         else:
-            raise _HTTPError(
-                404, {"error": f"no route {self.command} {self.path}"}
-            )
+            raise self.no_route()
 
     def _range_start(self, size: int) -> Optional[int]:
         """Parse an open-ended ``Range: bytes=N-`` header (or ``None``).
@@ -324,17 +223,10 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             return int(raw)
         except ValueError:
-            raise _HTTPError(400, {"error": f"bad revision {raw!r}"}) from None
+            raise HTTPError(400, {"error": f"bad revision {raw!r}"}) from None
 
     def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch()
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    disable_nagle_algorithm = True
-    request_queue_size = 128
-    hub_http: "HubHTTPServer"
+        self.dispatch()
 
 
 class HubHTTPServer:
@@ -376,17 +268,12 @@ class HubHTTPServer:
         self.peer_name = peer_name
         self.role = role
         self.replicator = replicator
-        self._httpd: Optional[_Server] = None
-        self._thread: Optional[threading.Thread] = None
-        # Guards lifecycle writes (_httpd/_thread); reads stay lockless.
-        self._lifecycle = threading.Lock()
+        self._listener = Listener(_Handler, self, f"dlv-hub-http-{peer_name}")
 
     @property
     def port(self) -> int:
         """The bound port (meaningful after :meth:`start`)."""
-        if self._httpd is not None:
-            return self._httpd.server_address[1]
-        return self._port
+        return self._listener.port or self._port
 
     @property
     def url(self) -> str:
@@ -402,30 +289,11 @@ class HubHTTPServer:
         return payload
 
     def start(self) -> "HubHTTPServer":
-        with self._lifecycle:
-            if self._httpd is not None:
-                raise RuntimeError("hub server already started")
-            self._httpd = _Server((self.host, self._port), _Handler)
-            self._httpd.hub_http = self
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name=f"dlv-hub-http-{self.peer_name}",
-                daemon=True,
-            )
-            thread = self._thread
-        thread.start()
+        self._listener.start(self.host, self._port)
         return self
 
     def stop(self) -> None:
-        with self._lifecycle:
-            httpd, thread = self._httpd, self._thread
-            self._httpd = None
-            self._thread = None
-        if httpd is not None:
-            httpd.shutdown()
-            httpd.server_close()
-        if thread is not None:
-            thread.join(timeout=5.0)
+        self._listener.stop()
 
     def __enter__(self) -> "HubHTTPServer":
         return self.start()
@@ -434,7 +302,7 @@ class HubHTTPServer:
         self.stop()
 
 
-class RemoteHub:
+class RemoteHub(Session):
     """Keep-alive HTTP client for a :class:`HubHTTPServer`.
 
     The HTTP implementation of the read protocol :class:`HubServer`
@@ -452,68 +320,8 @@ class RemoteHub:
     def __init__(
         self, url: str, timeout: float = DEFAULT_HUB_TIMEOUT_S
     ) -> None:
-        parsed = urllib.parse.urlsplit(url)
-        if parsed.scheme not in ("http", "https"):
-            raise ValueError(f"not an http(s) hub url: {url!r}")
+        super().__init__(url, timeout, traced=True)
         self.url = url.rstrip("/")
-        self.host = parsed.hostname or "127.0.0.1"
-        self.port = parsed.port or (443 if parsed.scheme == "https" else 80)
-        self.scheme = parsed.scheme
-        self.timeout = timeout
-        self._conn: Optional[http.client.HTTPConnection] = None
-
-    def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    def __enter__(self) -> "RemoteHub":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _roundtrip(
-        self, path: str, extra_headers: Optional[dict] = None
-    ) -> tuple[int, bytes, dict]:
-        if self._conn is None:
-            conn_cls = (
-                http.client.HTTPSConnection
-                if self.scheme == "https"
-                else http.client.HTTPConnection
-            )
-            self._conn = conn_cls(self.host, self.port, timeout=self.timeout)
-            self._conn.connect()
-            if isinstance(self._conn.sock, socket.socket):
-                self._conn.sock.setsockopt(
-                    socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-                )
-        headers = dict(extra_headers or {})
-        traceparent = current_traceparent()
-        if traceparent:
-            headers[TRACEPARENT_HEADER] = traceparent
-        self._conn.request("GET", path, headers=headers)
-        response = self._conn.getresponse()
-        return response.status, response.read(), dict(response.getheaders())
-
-    def _get(
-        self, path: str, extra_headers: Optional[dict] = None
-    ) -> tuple[int, bytes, dict]:
-        try:
-            return self._roundtrip(path, extra_headers)
-        except (http.client.HTTPException, ConnectionError, BrokenPipeError):
-            # Stale keep-alive connection: reconnect once and retry.  A
-            # second failure propagates — that is a peer problem, and
-            # the caller's retrier/failover owns it from here.
-            self.close()
-            try:
-                return self._roundtrip(path, extra_headers)
-            except Exception:
-                self.close()
-                raise
-        except OSError:
-            self.close()
-            raise
 
     @staticmethod
     def _retry_after(headers: dict) -> Optional[float]:
@@ -547,7 +355,7 @@ class RemoteHub:
         raise RemoteHubError(status, data)
 
     def _get_json(self, path: str) -> dict:
-        status, raw, headers = self._get(path)
+        status, raw, headers = self.exchange("GET", path)
         self._raise_for_status(path, status, raw, headers)
         try:
             return json.loads(raw or b"{}")
@@ -555,13 +363,6 @@ class RemoteHub:
             raise RemoteHubError(
                 status, {"error": f"invalid JSON body: {exc}"}
             ) from None
-
-    def _get_bytes(
-        self, path: str, extra_headers: Optional[dict] = None
-    ) -> tuple[int, bytes]:
-        status, raw, headers = self._get(path, extra_headers)
-        self._raise_for_status(path, status, raw, headers)
-        return status, raw
 
     # -- hub surface ---------------------------------------------------------
 
@@ -620,8 +421,11 @@ class RemoteHub:
             urllib.parse.quote(seg, safe="") for seg in rel.split("/")
         )
         path = f"/v1/repos/{quoted}/{revision}/files/{quoted_rel}"
-        headers = {"Range": f"bytes={offset}-"} if offset > 0 else None
-        status, data = self._get_bytes(path, headers)
+        status, data, headers = self.exchange(
+            "GET", path,
+            headers={"Range": f"bytes={offset}-"} if offset > 0 else None,
+        )
+        self._raise_for_status(path, status, data, headers)
         if offset > 0 and status != 206:
             data = data[offset:]
         return data

@@ -1,29 +1,28 @@
 """Minimal stdlib client for a running :class:`~repro.serve.ModelServer`.
 
-``http.client`` only — the examples, benchmarks, and CI smoke test all
-talk to the server through this, so the whole serving round-trip is
-exercised without any third-party HTTP dependency.
+The examples, benchmarks, and CI smoke test all talk to the server
+through this, so the whole serving round-trip is exercised without any
+third-party HTTP dependency.  The connection — keep-alive, Nagle off,
+timeout, reconnect-once, ``traceparent`` injection — is the
+:class:`repro.wire.Session` a :class:`ServeClient` extends; this module
+owns the serving endpoints' JSON shapes and the :class:`ServeError`
+contract.
 
-Every ``predict`` opens a ``serve.client.predict`` span and sends its
-identity in a ``traceparent`` header, so the server-side spans join the
-client's trace — one trace id covers the whole distributed request.
+Every ``predict`` opens a ``serve.client.predict`` span whose identity
+the session sends in a ``traceparent`` header, so the server-side spans
+join the client's trace — one trace id covers the whole distributed
+request.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
-import socket
 from typing import Optional
 
 import numpy as np
 
-from repro.obs.propagation import (
-    TRACEPARENT_HEADER,
-    TraceContext,
-    format_traceparent,
-)
 from repro.obs.tracing import trace_span
+from repro.wire import Session
 
 __all__ = ["Prediction", "ServeClient", "ServeError", "ServerOverloaded"]
 
@@ -67,14 +66,14 @@ class Prediction:
         )
 
 
-class ServeClient:
+class ServeClient(Session):
     """Talks JSON-over-HTTP to one server over a keep-alive connection.
 
     The connection is reused across calls (the server speaks HTTP/1.1
     with explicit Content-Length) and transparently re-established if
     the server closed it; under concurrent load this keeps clients out
     of the listener's accept backlog.  One client instance per thread —
-    the underlying ``http.client`` connection is not thread-safe.
+    the underlying session is not thread-safe.
 
     Args:
         host / port: Where the server listens (``ModelServer.port``).
@@ -85,62 +84,21 @@ class ServeClient:
         self, host: str = "127.0.0.1", port: int = 8080,
         timeout: float = 60.0,
     ) -> None:
-        self.host = host
-        self.port = port
-        self.timeout = timeout
-        self._conn: Optional[http.client.HTTPConnection] = None
+        super().__init__(f"http://{host}:{port}", timeout, traced=True)
 
-    def close(self) -> None:
-        """Drop the persistent connection (reopened on next call)."""
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
-
-    def __enter__(self) -> "ServeClient":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def _roundtrip(
-        self,
-        method: str,
-        path: str,
-        payload: Optional[bytes],
-        extra_headers: Optional[dict] = None,
-    ) -> tuple[int, bytes]:
-        if self._conn is None:
-            self._conn = http.client.HTTPConnection(
-                self.host, self.port, timeout=self.timeout
-            )
-            self._conn.connect()
-            # Without TCP_NODELAY, Nagle holds the request body until
-            # the header segment is ACKed (~40 ms with delayed ACKs).
-            self._conn.sock.setsockopt(
-                socket.IPPROTO_TCP, socket.TCP_NODELAY, 1
-            )
+    def _roundtrip(self, method: str, path: str, payload: Optional[bytes],
+                   extra_headers: Optional[dict] = None) -> tuple[int, bytes]:
         headers = {"Content-Type": "application/json"} if payload else {}
         if extra_headers:
             headers.update(extra_headers)
-        self._conn.request(method, path, body=payload, headers=headers)
-        response = self._conn.getresponse()
-        return response.status, response.read()
+        status, raw, _ = self.exchange(method, path, payload, headers)
+        return status, raw
 
     def _request(
-        self,
-        method: str,
-        path: str,
-        body: Optional[dict] = None,
-        headers: Optional[dict] = None,
+        self, method: str, path: str, body: Optional[dict] = None
     ) -> dict:
         payload = json.dumps(body).encode() if body is not None else None
-        try:
-            status, raw = self._roundtrip(method, path, payload, headers)
-        except (http.client.HTTPException, ConnectionError, BrokenPipeError):
-            # Stale keep-alive connection (server closed it between
-            # calls): reconnect once and retry.
-            self.close()
-            status, raw = self._roundtrip(method, path, payload, headers)
+        status, raw = self._roundtrip(method, path, payload)
         try:
             data = json.loads(raw or b"{}")
         except json.JSONDecodeError:
@@ -194,13 +152,6 @@ class ServeClient:
         if exact:
             body["exact"] = True
         with trace_span("serve.client.predict", model=model) as span:
-            headers = {
-                TRACEPARENT_HEADER: format_traceparent(
-                    TraceContext(span.trace_id, span.hex_id)
-                )
-            }
-            prediction = Prediction(
-                self._request("POST", "/v1/predict", body, headers=headers)
-            )
+            prediction = Prediction(self._request("POST", "/v1/predict", body))
             span.set_attr("server_trace_id", prediction.trace_id)
         return prediction

@@ -396,6 +396,14 @@ class _ModelWorker(threading.Thread):
                             bucket, batches, planes, batch_cost
                         )
             self._batch_seconds.observe(span.elapsed)
+            # Released only now, with the batch span closed and every
+            # counter written: a client that has its reply must find the
+            # request in the next /metrics or /v1/trace it reads.
+            done = [r for r in bucket if r.pending.size == 0]
+            for request in done:
+                request.event.set()
+            with self._cond:
+                self._outstanding -= len(done)
         except Exception as exc:  # noqa: BLE001 - fail the bucket, keep serving
             self._errors.inc(len(bucket))
             for request in bucket:
@@ -416,7 +424,7 @@ class _ModelWorker(threading.Thread):
             request.resolved[request.pending] = NUM_PLANES
             request.pending = np.empty(0, dtype=np.int64)
             request.degraded |= degraded
-            # Merge BEFORE event.set() (inside _complete): the waiting
+            # Merge BEFORE event.set() (the release in _process): the waiting
             # handler thread must observe a fully-billed cost.
             request.cost.merge(batch_cost, shared=len(bucket))
             self._complete(request)
@@ -466,7 +474,6 @@ class _ModelWorker(threading.Thread):
 
     def _complete(self, request: _Request) -> None:
         request.finished_at = time.monotonic()
-        request.event.set()
         self._completed.inc()
         self._predictions.inc(len(request.x))
         if request.degraded:
@@ -474,8 +481,6 @@ class _ModelWorker(threading.Thread):
         self._request_seconds.observe(
             request.finished_at - request.enqueued_at
         )
-        with self._cond:
-            self._outstanding -= 1
 
 
 class BatchScheduler:

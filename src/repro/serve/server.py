@@ -1,8 +1,10 @@
 """The HTTP face of the serving tier: :class:`ModelServer`.
 
-A thin stdlib ``ThreadingHTTPServer`` wrapper: every request thread
-parses JSON, submits a ticket to the :class:`BatchScheduler`, and blocks
-until the batched data path answers.  Endpoints:
+Every request thread parses JSON, submits a ticket to the
+:class:`BatchScheduler`, and blocks until the batched data path answers.
+This module owns the serving routes, their payloads and the drain; the
+transport under them (sockets, listener lifecycle, responder, status
+table, ops routes) is :mod:`repro.wire`'s.  Endpoints:
 
 ========================  ====================================================
 ``GET /healthz``          Liveness; 503 once a drain has started.
@@ -35,8 +37,6 @@ static analysis can prove broken.
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Optional, Union
 
@@ -47,129 +47,57 @@ from repro.analysis.net_check import validate_network
 from repro.dlv.repository import Repository
 from repro.dnn.network import GraphError, Network
 from repro.obs.cost import get_slowlog
-from repro.obs.export import mark_orphans
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.propagation import TRACEPARENT_HEADER, parse_traceparent
-from repro.obs.prometheus import (
-    PROMETHEUS_CONTENT_TYPE,
-    render_text,
-    wants_text,
-)
-from repro.obs.tracing import get_recorder, trace_span
+from repro.obs.propagation import TRACEPARENT_HEADER
 from repro.serve.cache import PlaneCache
 from repro.serve.config import ServeConfig
 from repro.serve.scheduler import AdmissionError, BatchScheduler, ModelRuntime
+from repro.wire import Handler, HTTPError, Listener, adopt_span
 
 __all__ = ["ModelServer"]
 
 
-class _HTTPError(Exception):
-    """Internal: carry an HTTP status + JSON body up to the dispatcher."""
+class _Handler(Handler):
+    """Routes one HTTP exchange; state lives on ``server.app``."""
 
-    def __init__(self, status: int, payload: dict,
-                 headers: Optional[dict] = None) -> None:
-        super().__init__(payload.get("error", ""))
-        self.status = status
-        self.payload = payload
-        self.headers = headers or {}
-
-
-class _Handler(BaseHTTPRequestHandler):
-    """Routes one HTTP exchange; state lives on ``server.model_server``."""
-
-    protocol_version = "HTTP/1.1"
     server_version = "dlv-serve"
-
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass  # requests are observable via /metrics, not stderr noise
-
-    # -- plumbing ------------------------------------------------------------
 
     def _send_json(self, status: int, payload: dict,
                    headers: Optional[dict] = None) -> None:
-        body = json.dumps(payload, default=str).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
+        self.send(status, payload, headers=headers)
 
     def _read_json(self) -> dict:
-        length = int(self.headers.get("Content-Length") or 0)
-        raw = self.rfile.read(length) if length else b""
         try:
-            body = json.loads(raw or b"{}")
+            body = json.loads(self.body or b"{}")
         except json.JSONDecodeError as exc:
-            raise _HTTPError(400, {"error": f"invalid JSON body: {exc}"})
+            raise HTTPError(400, {"error": f"invalid JSON body: {exc}"})
         if not isinstance(body, dict):
-            raise _HTTPError(400, {"error": "request body must be an object"})
+            raise HTTPError(400, {"error": "request body must be an object"})
         return body
 
-    def _send_text(self, status: int, body: str, content_type: str) -> None:
-        data = body.encode()
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
+    def route(self, path: str, query: dict) -> None:
+        serve = self.server.app
+        if self.ops_route(path, serve.registry, serve.handle_metrics):
+            return
+        request = (self.command, path)
+        if request == ("GET", "/healthz"):
+            self._send_json(*serve.handle_health())
+        elif request == ("GET", "/v1/models"):
+            self._send_json(200, serve.handle_models())
+        elif request == ("GET", "/v1/slowlog"):
+            self._send_json(200, serve.handle_slowlog())
+        elif request == ("POST", "/v1/predict"):
+            self._send_json(
+                200,
+                serve.handle_predict(
+                    self._read_json(),
+                    traceparent=self.headers.get(TRACEPARENT_HEADER),
+                ),
+            )
+        else:
+            raise self.no_route()
 
-    def _dispatch(self, method: str) -> None:
-        serve = self.server.model_server
-        try:
-            if method == "GET" and self.path == "/healthz":
-                self._send_json(*serve.handle_health())
-            elif method == "GET" and self.path == "/v1/models":
-                self._send_json(200, serve.handle_models())
-            elif method == "GET" and self.path == "/metrics":
-                if wants_text(self.headers.get("Accept")):
-                    self._send_text(
-                        200,
-                        serve.handle_metrics_text(),
-                        PROMETHEUS_CONTENT_TYPE,
-                    )
-                else:
-                    self._send_json(200, serve.handle_metrics())
-            elif method == "GET" and self.path == "/v1/slowlog":
-                self._send_json(200, serve.handle_slowlog())
-            elif method == "GET" and self.path == "/v1/trace":
-                self._send_json(200, serve.handle_trace())
-            elif method == "POST" and self.path == "/v1/predict":
-                self._send_json(
-                    200,
-                    serve.handle_predict(
-                        self._read_json(),
-                        traceparent=self.headers.get(TRACEPARENT_HEADER),
-                    ),
-                )
-            else:
-                self._send_json(
-                    404, {"error": f"no route {method} {self.path}"}
-                )
-        except _HTTPError as exc:
-            self._send_json(exc.status, exc.payload, exc.headers)
-        except BrokenPipeError:  # pragma: no cover - client went away
-            pass
-        except Exception as exc:  # noqa: BLE001 - surface, don't kill thread
-            self._send_json(500, {"error": f"{type(exc).__name__}: {exc}"})
-
-    def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch("POST")
-
-
-class _Server(ThreadingHTTPServer):
-    daemon_threads = True
-    # Nagle + delayed-ACK stalls every keep-alive request whose headers
-    # and body land in separate segments (~40 ms each), and the default
-    # accept backlog of 5 drops SYNs under concurrent connect bursts
-    # (~1 s retransmit) — both fatal for a low-latency serving tier.
-    disable_nagle_algorithm = True
-    request_queue_size = 128
-    model_server: "ModelServer"
+    do_GET = do_POST = Handler.dispatch  # noqa: N815 - stdlib naming
 
 
 class ModelServer:
@@ -205,13 +133,7 @@ class ModelServer:
         self.cache = PlaneCache(self.config.cache_bytes, registry=self.registry)
         self.scheduler = BatchScheduler(self.config, registry=self.registry)
         self.rejected: dict[str, str] = {}
-        self._httpd: Optional[_Server] = None
-        self._thread: Optional[threading.Thread] = None
-        self._stopped = False
-        # Guards lifecycle writes (_httpd/_thread/_stopped) so concurrent
-        # start()/stop() callers cannot race; handler-thread reads stay
-        # lockless.
-        self._lifecycle = threading.Lock()
+        self._listener = Listener(_Handler, self, "serve-http")
         self._load_models(models, strict)
         if not self.scheduler.models():
             raise ValueError("repository has no servable model snapshots")
@@ -265,29 +187,18 @@ class ModelServer:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ModelServer":
-        """Bind, start the scheduler workers, and serve in a daemon thread."""
-        with self._lifecycle:
-            if self._httpd is not None:
-                raise RuntimeError("server already started")
-            self._httpd = _Server(
-                (self.config.host, self.config.port), _Handler
-            )
-            self._httpd.model_server = self
-            self._thread = threading.Thread(
-                target=self._httpd.serve_forever,
-                name="serve-http",
-                daemon=True,
-            )
+        """Bind, serve in a daemon thread, and start the scheduler workers."""
+        self._listener.start(self.config.host, self.config.port)
         self.scheduler.start()
-        self._thread.start()
         self.registry.counter("serve.starts").inc()
         return self
 
     @property
     def port(self) -> int:
-        if self._httpd is None:
+        port = self._listener.port
+        if port is None:
             raise RuntimeError("server not started")
-        return self._httpd.server_address[1]
+        return port
 
     @property
     def address(self) -> str:
@@ -297,21 +208,16 @@ class ModelServer:
         """Shut down; with ``drain`` waits for in-flight work first.
 
         Returns True when the drain completed within the configured
-        grace period (vacuously True for ``drain=False``).
+        grace period (vacuously True for ``drain=False``, and for every
+        call but the first, which is the one that shuts down).
         """
-        with self._lifecycle:
-            if self._stopped:
-                return True
-            self._stopped = True
+        if not self._listener.retire():
+            return True
         drained = True
         if drain:
             drained = self.scheduler.drain(self.config.drain_timeout_s)
         self.scheduler.stop()
-        if self._httpd is not None:
-            self._httpd.shutdown()
-            self._httpd.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
+        self._listener.stop()
         if self._owns_repo:
             self.repo.close()
         return drained
@@ -325,7 +231,7 @@ class ModelServer:
     # -- endpoint logic (handler-thread context) -----------------------------
 
     def handle_health(self) -> tuple[int, dict]:
-        if self.scheduler.draining or self._stopped:
+        if self.scheduler.draining or self._listener.retired:
             return 503, {"status": "draining"}
         return 200, {
             "status": "ok",
@@ -350,12 +256,6 @@ class ModelServer:
             "draining": self.scheduler.draining,
         }
 
-    def handle_metrics_text(self) -> str:
-        """Prometheus text exposition (``Accept: text/plain``)."""
-        # Queue depths are already registry gauges; only the liveness of
-        # the exposition itself needs adding.
-        return render_text(self.registry)
-
     def handle_slowlog(self) -> dict:
         slowlog = get_slowlog()
         return {
@@ -365,44 +265,31 @@ class ModelServer:
             "entries": slowlog.entries(),
         }
 
-    def handle_trace(self) -> dict:
-        """The span ring buffer as orphan-marked dicts (for exporters)."""
-        recorder = get_recorder()
-        return {
-            "total_recorded": recorder.total_recorded,
-            "spans": mark_orphans([s.to_dict() for s in recorder.spans()]),
-        }
-
     def handle_predict(
         self, body: dict, traceparent: Optional[str] = None
     ) -> dict:
-        ctx = parse_traceparent(traceparent)
-        with trace_span(
-            "serve.predict",
-            trace_id=ctx.trace_id if ctx else None,
-            remote_parent=ctx.span_id if ctx else None,
-        ) as span:
+        with adopt_span("serve.predict", traceparent) as span:
             model = body.get("model")
             if not isinstance(model, str):
-                raise _HTTPError(400, {"error": "'model' must be a string"})
+                raise HTTPError(400, {"error": "'model' must be a string"})
             span.set_attr("model", model)
             if "inputs" not in body:
-                raise _HTTPError(400, {"error": "'inputs' is required"})
+                raise HTTPError(400, {"error": "'inputs' is required"})
             try:
                 x = np.asarray(body["inputs"], dtype=np.float32)
             except (TypeError, ValueError) as exc:
-                raise _HTTPError(
+                raise HTTPError(
                     400, {"error": f"'inputs' is not a numeric array: {exc}"}
                 )
             start_planes = body.get("start_planes")
             if start_planes is not None and not isinstance(start_planes, int):
-                raise _HTTPError(
+                raise HTTPError(
                     400, {"error": "'start_planes' must be an int"}
                 )
             try:
                 runtime = self.scheduler.runtime(model)
             except KeyError:
-                raise _HTTPError(
+                raise HTTPError(
                     404,
                     {"error": f"unknown model {model!r}",
                      "models": self.scheduler.models(),
@@ -411,7 +298,7 @@ class ModelServer:
             if x.ndim == len(runtime.net.input_shape):  # single example
                 x = x[np.newaxis, ...]
             if tuple(x.shape[1:]) != runtime.net.input_shape:
-                raise _HTTPError(
+                raise HTTPError(
                     400,
                     {"error": (
                         f"input shape {list(x.shape[1:])} does not match "
@@ -419,8 +306,8 @@ class ModelServer:
                         f"{list(runtime.net.input_shape)}"
                     )},
                 )
-            if self.scheduler.draining or self._stopped:
-                raise _HTTPError(503, {"error": "server is draining"})
+            if self.scheduler.draining or self._listener.retired:
+                raise HTTPError(503, {"error": "server is draining"})
             span.set_attr("rows", len(x))
             try:
                 ticket = self.scheduler.submit(
@@ -430,7 +317,7 @@ class ModelServer:
                     trace=(span.trace_id, span.hex_id),
                 )
             except AdmissionError as exc:
-                raise _HTTPError(
+                raise HTTPError(
                     429,
                     {"error": str(exc), "queue_depth": exc.depth,
                      "queue_limit": exc.limit},
@@ -439,11 +326,11 @@ class ModelServer:
             try:
                 outcome = ticket.wait(self.config.request_timeout_s)
             except TimeoutError:
-                raise _HTTPError(
+                raise HTTPError(
                     504, {"error": "prediction timed out in the scheduler"}
                 )
             except Exception as exc:  # noqa: BLE001 - worker-side failure
-                raise _HTTPError(
+                raise HTTPError(
                     500, {"error": f"{type(exc).__name__}: {exc}"}
                 )
             span.set_attr("cost", outcome.cost)

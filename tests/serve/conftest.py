@@ -7,6 +7,8 @@ assertions are exact and independent of other tests.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.obs.metrics import MetricsRegistry
@@ -37,3 +39,30 @@ def server(served_repo, registry):
     )
     with model_server:
         yield model_server, net
+
+
+@pytest.fixture
+def hammer():
+    """``hammer(worker, count=8)``: run ``worker`` from ``count`` threads
+    released at once; returns the exceptions they raised."""
+
+    def run(worker, count=8):
+        barrier = threading.Barrier(count)
+        errors = []
+
+        def call():
+            barrier.wait(timeout=5)
+            try:
+                worker()
+            except Exception as exc:  # noqa: BLE001 - collected for assertion
+                errors.append(exc)
+
+        threads = [threading.Thread(target=call) for _ in range(count)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not any(thread.is_alive() for thread in threads)
+        return errors
+
+    return run

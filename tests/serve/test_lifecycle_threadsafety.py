@@ -1,12 +1,12 @@
 """Regression tests for the CONC401 findings the concurrency checker
-surfaced in the serving/hub lifecycle paths.
+surfaced in the scheduler's lifecycle paths.
 
-Before the fix, BatchScheduler._started/_draining/_workers,
-ModelServer._stopped/_httpd/_thread, and HubHTTPServer._httpd/_thread
-were written with no guard; concurrent start()/stop() callers could
-double-start worker threads (Thread.start raises RuntimeError the
-second time) or double-run shutdown.  These tests hammer the lifecycle
-from many threads and assert exactly-once semantics.
+Before the fix, BatchScheduler._started/_draining/_workers were written
+with no guard; concurrent start() callers could double-start worker
+threads (Thread.start raises RuntimeError the second time).  These tests
+hammer the lifecycle from many threads and assert exactly-once
+semantics.  The HTTP listeners' half of the same finding is checked for
+both tiers in ``test_wire.py::TestLifecycle``.
 """
 
 from __future__ import annotations
@@ -16,15 +16,7 @@ import threading
 import pytest
 
 from repro.dnn.network import Network
-from repro.hub.httpd import HubHTTPServer
-from repro.hub.server import HubServer
-from repro.serve import (
-    BatchScheduler,
-    ModelRuntime,
-    ModelServer,
-    PlaneCache,
-    ServeConfig,
-)
+from repro.serve import BatchScheduler, ModelRuntime, PlaneCache, ServeConfig
 
 
 @pytest.fixture
@@ -40,30 +32,9 @@ def runtime(served_repo, registry):
     )
 
 
-def hammer(worker, count=8):
-    """Run ``worker`` from ``count`` threads at once; return exceptions."""
-    barrier = threading.Barrier(count)
-    errors = []
-
-    def call():
-        barrier.wait(timeout=5)
-        try:
-            worker()
-        except Exception as exc:  # noqa: BLE001 - collected for assertion
-            errors.append(exc)
-
-    threads = [threading.Thread(target=call) for _ in range(count)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join(timeout=10)
-    assert not any(thread.is_alive() for thread in threads)
-    return errors
-
-
 class TestSchedulerLifecycle:
     def test_concurrent_start_starts_workers_exactly_once(
-        self, runtime, registry
+        self, runtime, registry, hammer
     ):
         # Unfixed, two racing start() calls both saw _started=False and
         # both called worker.start() -> RuntimeError("threads can only
@@ -78,7 +49,7 @@ class TestSchedulerLifecycle:
             scheduler.stop()
 
     def test_concurrent_register_rejects_duplicates_exactly_n_minus_1(
-        self, served_repo, registry
+        self, served_repo, registry, hammer
     ):
         repo, net, version = served_repo
         scheduler = BatchScheduler(ServeConfig(max_wait_ms=2.0), registry)
@@ -115,58 +86,3 @@ class TestSchedulerLifecycle:
             assert scheduler.draining
         finally:
             scheduler.stop()
-
-
-class TestServerLifecycle:
-    def test_concurrent_stop_runs_shutdown_once(self, served_repo, registry):
-        repo, _, _ = served_repo
-        server = ModelServer(
-            repo,
-            ServeConfig(max_wait_ms=2.0, drain_timeout_s=5.0),
-            registry=registry,
-        )
-        server.start()
-        results = []
-
-        def stop_once():
-            results.append(server.stop())
-
-        errors = hammer(stop_once, count=6)
-        assert errors == []
-        assert len(results) == 6  # every call returns, none crashes
-        # stop() after stop() stays idempotent
-        assert server.stop() is True
-
-    def test_double_start_raises_cleanly(self, served_repo, registry):
-        repo, _, _ = served_repo
-        server = ModelServer(
-            repo, ServeConfig(max_wait_ms=2.0), registry=registry
-        )
-        server.start()
-        try:
-            with pytest.raises(RuntimeError, match="already started"):
-                server.start()
-        finally:
-            server.stop()
-
-
-class TestHubLifecycle:
-    def test_concurrent_stop_is_idempotent(self, tmp_path):
-        hub = HubHTTPServer(HubServer(tmp_path / "hub"))
-        hub.start()
-        errors = hammer(hub.stop, count=6)
-        assert errors == []
-        assert hub._httpd is None and hub._thread is None
-        hub.stop()  # still safe after full shutdown
-
-    def test_start_after_stop_rebinds(self, tmp_path):
-        hub = HubHTTPServer(HubServer(tmp_path / "hub"))
-        hub.start()
-        first_port = hub.port
-        hub.stop()
-        hub.start()
-        try:
-            assert hub.port != 0
-            assert first_port != 0
-        finally:
-            hub.stop()

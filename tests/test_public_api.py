@@ -12,6 +12,7 @@ PACKAGES = [
     "repro.dql",
     "repro.hub",
     "repro.lifecycle",
+    "repro.wire",
 ]
 
 
