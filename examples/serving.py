@@ -13,8 +13,9 @@ the three serving regimes through the HTTP client:
 * a request starting from two planes (usually resolves immediately),
 * an exact full-precision request,
 
-then fires a concurrent mixed-budget burst to show request batching and
-the shared plane cache at work, and shuts down with a graceful drain.
+then fires a concurrent mixed-budget burst at the shared plane cache
+(requests that queue while a batch computes share the next batch), and
+shuts down with a graceful drain.
 """
 
 import tempfile
@@ -43,7 +44,7 @@ def main() -> None:
         repo = Repository.init(scratch)
         repo.commit(net, name="digits-mlp", message="serving example")
 
-        config = ServeConfig(max_batch=16, max_wait_ms=3.0)
+        config = ServeConfig(max_batch=16)
         with ModelServer(repo, config) as server:
             client = ServeClient(port=server.port)
             print(f"serving {client.models()[0]['name']} at {server.address}")
@@ -64,9 +65,10 @@ def main() -> None:
                     f"latency={result.latency_ms:.1f} ms"
                 )
 
-            # A concurrent burst at mixed budgets: requests sharing a
-            # plane budget coalesce into batched forward passes, and all
-            # of them hit the now-warm shared plane cache.
+            # A concurrent burst at mixed budgets: requests that queue at
+            # one plane budget while a batch computes coalesce into the
+            # next batched pass (no timer holds a batch open), and all of
+            # them hit the now-warm shared plane cache.
             errors: list[Exception] = []
 
             def fire(start_planes: int) -> None:

@@ -827,7 +827,6 @@ def cmd_serve(args) -> int:
             host=args.host,
             port=args.port,
             max_batch=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
             queue_limit=args.queue_limit,
             cache_bytes=args.cache_mb << 20 if args.cache_mb else None,
             start_planes=args.start_planes,
@@ -1172,7 +1171,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve only this version name (repeatable; default: all)",
     )
     p.add_argument("--max-batch", type=int, default=None)
-    p.add_argument("--max-wait-ms", type=float, default=None)
     p.add_argument("--queue-limit", type=int, default=None)
     p.add_argument("--cache-mb", type=int, default=None)
     p.add_argument("--start-planes", type=int, default=None)

@@ -9,10 +9,11 @@ own primitives:
   bounds and exact weight tensors reconstructed from PAS are cached
   process-wide under a byte budget, with single-flight loading, so N
   concurrent cold requests cost one chunk-store read.
-* **Request batching** (:class:`BatchScheduler`) — concurrent predict
-  requests against the same ``(model, plane budget)`` coalesce into one
-  batched forward pass under a max-batch / max-wait policy, behind a
-  bounded queue that sheds overload with HTTP 429.
+* **Request batching** (:class:`BatchScheduler`) — whenever a model's
+  worker is free it runs every request queued at the head's plane
+  budget, up to ``max_batch`` rows, as one batched forward pass (no
+  timer holds a batch open), behind a bounded queue that sheds overload
+  with HTTP 429.
 * **Progressive escalation** — requests are answered at the lowest plane
   budget whose interval bounds determine the label (Lemma 4); only the
   ambiguous rows escalate budget by budget, and any plane served through

@@ -26,9 +26,10 @@ class ServeConfig:
     Attributes:
         host / port: Bind address; port 0 lets the OS pick (the bound
             port is readable from ``ModelServer.port`` after ``start``).
-        max_batch: Most input rows one coalesced forward pass may carry.
-        max_wait_ms: How long the scheduler holds an under-full batch
-            open waiting for more requests at the same plane budget.
+        max_batch: Most input rows one coalesced forward pass may carry
+            (a single request larger than this runs alone).  A batch is
+            whatever is queued at the head request's plane budget when
+            the model's worker is free; no timer holds it open.
         queue_limit: Queued requests per model before admission control
             sheds new arrivals with HTTP 429.
         cache_bytes: Byte budget of the shared :class:`PlaneCache`.
@@ -47,7 +48,6 @@ class ServeConfig:
     host: str = "127.0.0.1"
     port: int = 0
     max_batch: int = 16
-    max_wait_ms: float = 5.0
     queue_limit: int = 64
     cache_bytes: int = 256 << 20
     start_planes: int = 1
@@ -58,8 +58,6 @@ class ServeConfig:
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.queue_limit < 1:
             raise ValueError(
                 f"queue_limit must be >= 1, got {self.queue_limit}"

@@ -2,10 +2,12 @@
 
 The serving data path.  Each served snapshot gets one worker thread and
 one bounded queue; HTTP handler threads submit :class:`PredictTicket`\\ s
-and block, while the worker coalesces everything queued at the same
-``(model, plane budget)`` into a single batched forward pass — a
-max-batch / max-wait policy, so a lone request is not held hostage and a
-burst is amortized into one DAG traversal.
+and block.  Whenever the worker is free it takes every request queued at
+the head request's plane budget, in queue order, up to ``max_batch``
+rows, and runs them now as one batched pass.  No timer holds a batch
+open: a lone request on an idle model runs at once, and under load the
+requests that arrive while one batch computes form the next, so a burst
+is still amortized into one DAG traversal.
 
 Progressive escalation happens *between* batches: a request enters at
 the lowest plane budget, the interval pass answers the rows Lemma 4
@@ -154,8 +156,8 @@ class PredictTicket:
 class ModelRuntime:
     """One served snapshot: built network, reusable evaluator, cache hooks.
 
-    Only the model's single worker thread calls :meth:`bounded` and
-    :meth:`exact_many`, so the degraded-plane bookkeeping needs no lock;
+    Only the model's single worker thread calls :meth:`bounded`, so the
+    degraded-plane bookkeeping needs no lock;
     the underlying evaluator and plane cache are thread-safe regardless.
 
     Args:
@@ -214,21 +216,22 @@ class ModelRuntime:
     def bounded(
         self, x: np.ndarray, planes: int
     ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """Interval pass at one budget: ``(determined, labels, degraded)``."""
+        """One pass at one budget: ``(determined, labels, degraded)``.
+
+        Below ``NUM_PLANES`` this is the interval pass, and ``determined``
+        marks the rows Lemma 4 settles; at ``NUM_PLANES`` the exact
+        forward pass answers every row.
+        """
         before = len(self.archive.recovery.events)
-        determined, labels = self.evaluator.evaluate_bounded(x, planes)
+        if planes >= NUM_PLANES:
+            planes = NUM_PLANES
+            (out,) = self.evaluator.forward_exact_many([x])
+            determined = np.ones(len(x), dtype=bool)
+            labels = np.argmax(out, axis=1)
+        else:
+            determined, labels = self.evaluator.evaluate_bounded(x, planes)
         self._note_recovery(planes, before)
         return determined, labels, self.degraded_at(planes)
-
-    def exact_many(
-        self, batches: list[np.ndarray]
-    ) -> tuple[list[np.ndarray], bool]:
-        """Full-precision labels per batch via one coalesced forward pass."""
-        before = len(self.archive.recovery.events)
-        outputs = self.evaluator.forward_exact_many(batches)
-        self._note_recovery(NUM_PLANES, before)
-        labels = [np.argmax(out, axis=1) for out in outputs]
-        return labels, self.degraded_at(NUM_PLANES)
 
     def info(self) -> dict:
         """``/v1/models`` row."""
@@ -326,45 +329,42 @@ class _ModelWorker(threading.Thread):
             self._process(bucket, planes)
 
     def _collect(self) -> Optional[tuple[list[_Request], int]]:
-        """Wait for work, then gather one (planes-homogeneous) batch.
+        """Wait for work, then take one batch from what is queued now.
 
-        The batch window is anchored to the *oldest* request's enqueue
-        time, so ``max_wait_ms`` bounds the latency batching may add to
-        any request rather than stalling every batch for the full
-        window.  Requests that already waited their share — notably
-        escalated remainders re-queued at the front — close the window
-        immediately.  Returns ``None`` when stopped and idle.
+        The batch is every queued request at the head request's plane
+        budget, in queue order, admitted while its rows still fit in
+        ``max_batch``.  The head is always admitted, so an oversized
+        request runs alone; a request that does not fit keeps its queue
+        position for the next batch.  Returns ``None`` when stopped and
+        idle.
         """
-        cfg = self.config
         with self._cond:
             while not self._queue:
                 if self._halt:
                     return None
                 self._cond.wait()
             target = self._queue[0].planes
-            deadline = self._queue[0].enqueued_at + cfg.max_wait_ms / 1000.0
             bucket: list[_Request] = []
+            kept: deque[_Request] = deque()
             rows = 0
-            while True:
-                kept: deque[_Request] = deque()
-                while self._queue:
-                    request = self._queue.popleft()
-                    if request.planes == target and rows < cfg.max_batch:
-                        bucket.append(request)
-                        rows += int(request.pending.size)
-                    else:
-                        kept.append(request)
-                self._queue = kept
-                self._depth.set(len(self._queue))
-                remaining = deadline - time.monotonic()
-                if rows >= cfg.max_batch or remaining <= 0 or self._halt:
-                    return bucket, target
-                self._cond.wait(timeout=remaining)
+            for request in self._queue:
+                size = int(request.pending.size)
+                if request.planes == target and (
+                    not bucket or rows + size <= self.config.max_batch
+                ):
+                    bucket.append(request)
+                    rows += size
+                else:
+                    kept.append(request)
+            self._queue = kept
+            self._depth.set(len(self._queue))
+            return bucket, target
 
     def _process(self, bucket: list[_Request], planes: int) -> None:
         runtime = self.runtime
         batches = [request.x[request.pending] for request in bucket]
-        rows = sum(len(batch) for batch in batches)
+        sizes = [len(batch) for batch in batches]
+        rows = sum(sizes)
         self._batch_rows.observe(rows)
         self._batch_requests.observe(len(bucket))
         now = time.monotonic()
@@ -389,12 +389,42 @@ class _ModelWorker(threading.Thread):
                 if len(coalesced) > 1:
                     span.set_attr("coalesced_traces", len(coalesced))
                 with cost_context() as batch_cost:
-                    if planes >= NUM_PLANES:
-                        self._process_exact(bucket, batches, batch_cost)
+                    determined, labels, degraded = runtime.bounded(
+                        np.concatenate(batches, axis=0), planes
+                    )
+                offsets = np.cumsum(sizes)[:-1]
+                escalated: list[_Request] = []
+                for request, det, lab in zip(
+                    bucket,
+                    np.split(determined, offsets),
+                    np.split(labels, offsets),
+                ):
+                    done = request.pending[det]
+                    request.predictions[done] = lab[det]
+                    request.resolved[done] = planes
+                    request.pending = request.pending[~det]
+                    request.degraded |= degraded
+                    # Every participant is billed this batch's work (merge
+                    # before the release below, so the waiting handler
+                    # sees a complete cost).
+                    request.cost.merge(batch_cost, shared=len(bucket))
+                    if request.pending.size == 0:
+                        self._complete(request)
                     else:
-                        self._process_bounded(
-                            bucket, batches, planes, batch_cost
-                        )
+                        request.planes = planes + 1
+                        request.escalations += 1
+                        self._escalations.inc()
+                        escalated.append(request)
+                if escalated:
+                    # Front of the queue: escalated remainders are the
+                    # oldest work, so they pre-empt fresh arrivals.
+                    with self._cond:
+                        now = time.monotonic()
+                        for request in reversed(escalated):
+                            request.queued_since = now
+                            self._queue.appendleft(request)
+                        self._depth.set(len(self._queue))
+                        self._cond.notify()
             self._batch_seconds.observe(span.elapsed)
             # Released only now, with the batch span closed and every
             # counter written: a client that has its reply must find the
@@ -411,66 +441,6 @@ class _ModelWorker(threading.Thread):
                 request.event.set()
             with self._cond:
                 self._outstanding -= len(bucket)
-
-    def _process_exact(
-        self,
-        bucket: list[_Request],
-        batches: list[np.ndarray],
-        batch_cost: RequestCost,
-    ) -> None:
-        labels, degraded = self.runtime.exact_many(batches)
-        for request, request_labels in zip(bucket, labels):
-            request.predictions[request.pending] = request_labels
-            request.resolved[request.pending] = NUM_PLANES
-            request.pending = np.empty(0, dtype=np.int64)
-            request.degraded |= degraded
-            # Merge BEFORE event.set() (the release in _process): the waiting
-            # handler thread must observe a fully-billed cost.
-            request.cost.merge(batch_cost, shared=len(bucket))
-            self._complete(request)
-
-    def _process_bounded(
-        self,
-        bucket: list[_Request],
-        batches: list[np.ndarray],
-        planes: int,
-        batch_cost: RequestCost,
-    ) -> None:
-        determined, labels, degraded = self.runtime.bounded(
-            np.concatenate(batches, axis=0), planes
-        )
-        offsets = np.cumsum([len(batch) for batch in batches])[:-1]
-        escalated: list[_Request] = []
-        for request, det, lab in zip(
-            bucket,
-            np.split(determined, offsets),
-            np.split(labels, offsets),
-        ):
-            done = request.pending[det]
-            request.predictions[done] = lab[det]
-            request.resolved[done] = planes
-            request.pending = request.pending[~det]
-            request.degraded |= degraded
-            # Every participant is billed this batch's work (merge before
-            # event.set() so the waiting handler sees a complete cost).
-            request.cost.merge(batch_cost, shared=len(bucket))
-            if request.pending.size == 0:
-                self._complete(request)
-            else:
-                request.planes = planes + 1
-                request.escalations += 1
-                self._escalations.inc()
-                escalated.append(request)
-        if escalated:
-            # Front of the queue: escalated remainders are the oldest
-            # work, so they pre-empt fresh arrivals.
-            with self._cond:
-                now = time.monotonic()
-                for request in reversed(escalated):
-                    request.queued_since = now
-                    self._queue.appendleft(request)
-                self._depth.set(len(self._queue))
-                self._cond.notify()
 
     def _complete(self, request: _Request) -> None:
         request.finished_at = time.monotonic()
@@ -544,11 +514,11 @@ class BatchScheduler:
         """
         with self._lock:
             self._draining = True
-        deadline = (
+        give_up_at = (
             time.monotonic() + timeout if timeout is not None else None
         )
         while self.outstanding() > 0:
-            if deadline is not None and time.monotonic() >= deadline:
+            if give_up_at is not None and time.monotonic() >= give_up_at:
                 return False
             time.sleep(0.005)
         return True

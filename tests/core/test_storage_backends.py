@@ -243,7 +243,7 @@ class TestSQLiteSingleFile:
                     )
             server = ModelServer(
                 pulled,
-                ServeConfig(max_wait_ms=1.0),
+                ServeConfig(),
                 registry=MetricsRegistry(),
             )
             assert server.scheduler.models() == ["tiny"]

@@ -217,7 +217,7 @@ class TestServeUnderChaos:
         try:
             server = ModelServer(
                 repo,
-                ServeConfig(max_wait_ms=2.0, drain_timeout_s=5.0),
+                ServeConfig(drain_timeout_s=5.0),
                 registry=MetricsRegistry(),
             )
             with server:

@@ -30,11 +30,11 @@ def registry():
 
 @pytest.fixture
 def server(served_repo, registry):
-    """A started server over the fixture repo (fast batching window)."""
+    """A started server over the fixture repo."""
     repo, net, _ = served_repo
     model_server = ModelServer(
         repo,
-        ServeConfig(max_wait_ms=2.0, drain_timeout_s=5.0),
+        ServeConfig(drain_timeout_s=5.0),
         registry=registry,
     )
     with model_server:

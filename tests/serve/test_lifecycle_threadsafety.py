@@ -39,7 +39,7 @@ class TestSchedulerLifecycle:
         # Unfixed, two racing start() calls both saw _started=False and
         # both called worker.start() -> RuntimeError("threads can only
         # be started once").
-        scheduler = BatchScheduler(ServeConfig(max_wait_ms=2.0), registry)
+        scheduler = BatchScheduler(ServeConfig(), registry)
         scheduler.register(runtime)
         try:
             errors = hammer(scheduler.start)
@@ -52,7 +52,7 @@ class TestSchedulerLifecycle:
         self, served_repo, registry, hammer
     ):
         repo, net, version = served_repo
-        scheduler = BatchScheduler(ServeConfig(max_wait_ms=2.0), registry)
+        scheduler = BatchScheduler(ServeConfig(), registry)
         archive = repo.archive_view()  # SQLite handles are thread-affine
         runtimes = [
             ModelRuntime(
@@ -78,7 +78,7 @@ class TestSchedulerLifecycle:
         assert scheduler.models() == ["dup"]
 
     def test_drain_flag_visible_to_submitters(self, runtime, registry):
-        scheduler = BatchScheduler(ServeConfig(max_wait_ms=2.0), registry)
+        scheduler = BatchScheduler(ServeConfig(), registry)
         scheduler.register(runtime)
         scheduler.start()
         try:

@@ -41,7 +41,7 @@ def obs_server(served_repo, recorder, slowlog):
     repo, net, _ = served_repo
     model_server = ModelServer(
         repo,
-        ServeConfig(max_wait_ms=2.0, drain_timeout_s=5.0, slowlog_ms=0.0),
+        ServeConfig(drain_timeout_s=5.0, slowlog_ms=0.0),
         registry=MetricsRegistry(),
     )
     with model_server:

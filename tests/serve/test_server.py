@@ -151,7 +151,7 @@ class TestOverload:
         repo, _, _ = served_repo
         model_server = ModelServer(
             repo,
-            ServeConfig(max_batch=1, max_wait_ms=0.0, queue_limit=1),
+            ServeConfig(max_batch=1, queue_limit=1),
             registry=registry,
         )
         runtime = model_server.scheduler.runtime("tiny")
@@ -196,9 +196,7 @@ class TestDegraded:
             sha = payload["chunks"][NUM_PLANES - 1]
             assert NUM_PLANES - 1 >= repo.archive_view().replicate_planes
             repo.store.delete(sha)
-        model_server = ModelServer(
-            repo, ServeConfig(max_wait_ms=2.0), registry=registry
-        )
+        model_server = ModelServer(repo, ServeConfig(), registry=registry)
         with model_server:
             result = client_for(model_server).predict(
                 "tiny", digits.x_test[:4], exact=True
@@ -252,7 +250,7 @@ class TestDrain:
     def test_stop_drains_inflight_request(self, served_repo, registry, digits):
         repo, net, _ = served_repo
         model_server = ModelServer(
-            repo, ServeConfig(max_wait_ms=2.0, drain_timeout_s=10.0),
+            repo, ServeConfig(drain_timeout_s=10.0),
             registry=registry,
         )
         runtime = model_server.scheduler.runtime("tiny")
@@ -286,7 +284,7 @@ class TestDrain:
     def test_health_reports_draining(self, served_repo, registry):
         repo, _, _ = served_repo
         model_server = ModelServer(
-            repo, ServeConfig(max_wait_ms=2.0), registry=registry
+            repo, ServeConfig(), registry=registry
         ).start()
         client = client_for(model_server)
         assert client.health()["status"] == "ok"

@@ -44,7 +44,7 @@ def tier(request, served_repo, registry, digits, tmp_path):
             name="serve",
             make=lambda: track(ModelServer(
                 repo,
-                ServeConfig(max_wait_ms=2.0, drain_timeout_s=5.0),
+                ServeConfig(drain_timeout_s=5.0),
                 registry=registry,
             )),
             url=lambda server: server.address,
