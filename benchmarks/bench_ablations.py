@@ -166,29 +166,35 @@ class TestRemoteOffloading:
 
 class TestRetrievalCache:
     def test_cache_accelerates_hot_snapshots(self, sd_repo, reporter):
-        """Sec. IV-A workload: the latest snapshots dominate access."""
-        import time
-
-        from repro.core.cache import RetrievalCache
+        """Sec. IV-A workload: the latest snapshots dominate access.  The
+        one weights cache (a PlaneCache behind an evaluator) against
+        uncached snapshot reads."""
+        from repro.dnn.network import Network
+        from repro.obs.metrics import MetricsRegistry
+        from repro.serve import PlaneCache
 
         archive = sd_repo.archive_view()
-        snapshots = sorted(archive._snapshots)
-        hot = snapshots[-1]
-        cache = RetrievalCache(archive, max_bytes=256 << 20)
+        hot = sorted(archive._snapshots)[-1]
+        version = sd_repo.resolve(int(hot.split("/")[0][1:]))
+        cache = PlaneCache(256 << 20, registry=MetricsRegistry())
+        evaluator = ProgressiveEvaluator(
+            Network.from_spec(version.network).build(0), archive, hot,
+            plane_cache=cache,
+        )
 
         start = time.perf_counter()
         for _ in range(20):
             archive.recreate_snapshot(hot)
         cold = time.perf_counter() - start
 
-        cache.recreate_snapshot(hot)  # warm up
+        evaluator.exact_weights()  # warm up
         start = time.perf_counter()
         for _ in range(20):
-            cache.recreate_snapshot(hot)
+            evaluator.exact_weights()
         warm = time.perf_counter() - start
 
         reporter.line("")
-        reporter.line("Ablation: retrieval cache on a hot snapshot (20 reads)")
+        reporter.line("Ablation: weights cache on a hot snapshot (20 reads)")
         reporter.line(f"  uncached: {cold * 1e3:8.2f} ms")
         reporter.line(f"  cached:   {warm * 1e3:8.2f} ms")
         reporter.line(f"  stats:    {cache.stats()}")

@@ -1,7 +1,8 @@
 """Observability walkthrough: metrics, spans, and the stats surface.
 
-Builds a tiny delta-encoded archive, retrieves through the LRU cache, and
-shows the three ways telemetry comes back out:
+Archives a tiny model, reads it through the one weights cache (the
+``PlaneCache`` behind a progressive evaluator), and shows the three ways
+telemetry comes back out:
 
 1. counters/gauges/histograms from the metrics registry;
 2. nested trace spans exported as JSON;
@@ -16,25 +17,25 @@ import numpy as np
 
 from repro import obs
 from repro.core.archival import minimum_spanning_tree
-from repro.core.cache import RetrievalCache
 from repro.core.chunkstore import MemoryChunkStore
+from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
 from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
+from repro.dnn.zoo import tiny_mlp
+from repro.serve import PlaneCache
 
 
-def build_archive(store):
-    """A 4-matrix snapshot archived under an MST storage plan."""
-    rng = np.random.default_rng(7)
-    base = (rng.standard_normal((64, 64)) * 0.1).astype(np.float32)
-    matrices = {"m0": base}
-    for i in range(1, 4):
-        noise = (rng.standard_normal(base.shape) * 0.002).astype(np.float32)
-        matrices[f"m{i}"] = matrices[f"m{i - 1}"] + noise
-
+def build_archive(store, net):
+    """A model's weights archived as snapshot ``"snap"`` under an MST
+    storage plan."""
     graph = MatrixStorageGraph()
-    for mid, matrix in matrices.items():
-        graph.add_matrix(MatrixRef(mid, "snap", matrix.nbytes))
-        graph.add_materialization(mid, matrix.nbytes, 1.0)
+    matrices = {}
+    for layer, params in net.get_weights().items():
+        for key, matrix in params.items():
+            mid = f"{layer}.{key}"
+            graph.add_matrix(MatrixRef(mid, "snap", matrix.nbytes))
+            graph.add_materialization(mid, matrix.nbytes, 1.0)
+            matrices[mid] = matrix
     return PlanArchive.build(store, matrices, minimum_spanning_tree(graph))
 
 
@@ -45,14 +46,20 @@ def main() -> None:
     recorder = obs.TraceRecorder(capacity=256)
     previous = obs.set_recorder(recorder)
 
-    store = MemoryChunkStore(registry=registry)
-    archive = build_archive(store)
-    cache = RetrievalCache(archive, registry=registry)
+    net = tiny_mlp(hidden=32).build(seed=0)
+    archive = build_archive(MemoryChunkStore(registry=registry), net)
+    cache = PlaneCache(registry=registry)
+    evaluator = ProgressiveEvaluator(net, archive, "snap", plane_cache=cache)
+    x = np.random.default_rng(7).standard_normal(
+        (16, *net.input_shape)
+    ).astype(np.float32)
 
-    # Cold pass (all misses, chunkstore reads), then a warm pass (all hits).
-    cache.recreate_snapshot("snap")
+    # Cold pass (misses, chunkstore reads), then a warm pass (all hits).
+    evaluator.exact_weights()
+    evaluator.evaluate(x)
     cache.reset()  # measure the warm phase's hit rate on its own
-    cache.recreate_snapshot("snap")
+    evaluator.exact_weights()
+    evaluator.evaluate(x)
 
     print("== cache stats (warm phase) ==")
     for key, value in cache.stats().items():
@@ -68,9 +75,9 @@ def main() -> None:
         spans = json.loads(recorder.to_json())
     print(f"\n== traces ==\n  recorded {len(spans)} spans; "
           f"last custom span took {span.elapsed * 1e6:.1f} us")
-    group = next(s for s in spans if s["name"] == "cache.snapshot")
+    group = next(s for s in spans if s["name"] == "pas.snapshot")
     nested = [s for s in spans if s["parent_id"] == group["span_id"]]
-    print(f"  group span 'cache.snapshot' elapsed={group['elapsed']:.6f}s "
+    print(f"  group span 'pas.snapshot' elapsed={group['elapsed']:.6f}s "
           f"with {len(nested)} nested matrix retrievals")
 
     # Structured logging honours REPRO_LOG_LEVEL (try REPRO_LOG_LEVEL=INFO).

@@ -58,7 +58,6 @@ def main() -> None:
         predictions = evaluator.evaluate_at_planes(x, planes)
         error = float((predictions != exact).mean())
         print(f"  {planes} byte plane(s): error rate {error:.3f}")
-    evaluator._load_exact()
 
     # Progressive evaluation: exact answers, partial reads.
     result = evaluator.evaluate(x, k=1)

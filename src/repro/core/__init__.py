@@ -28,7 +28,6 @@ possible without compromising query performance.  Its pieces:
   prediction (Sec. IV-D).
 """
 
-from repro.core.cache import RetrievalCache
 from repro.core.chunkstore import (
     ChunkStore,
     LatencyStore,
@@ -107,7 +106,6 @@ __all__ = [
     "ProgressiveResult",
     "QuantizationScheme",
     "RecreationResult",
-    "RetrievalCache",
     "RetrievalScheme",
     "StorageBackend",
     "StorageEdge",

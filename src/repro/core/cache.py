@@ -1,11 +1,11 @@
-"""The one byte-bounded LRU, and the retrieval cache built on it.
+"""The one byte-bounded LRU of the read path.
 
 PAS is *read-optimized*: the same snapshots — above all the latest
 snapshot of each version (Sec. IV-A's unbalanced access frequencies) —
 are retrieved over and over by testing, comparison, exploration and
-serving queries.  The expensive artifacts (recreated matrices, per-plane
-interval bounds, full-precision weight sets, dedup pages) depend only on
-what was archived, never on the request, so one copy can serve every
+serving queries.  The expensive artifacts (per-plane interval bounds,
+full-precision weight sets, dedup pages) depend only on what was
+archived, never on the request, so one copy can serve every
 query — the dedup-aware serving result of Zhou et al. ("Serving Deep
 Learning Models with Deduplication from Relational Databases").
 
@@ -13,8 +13,7 @@ Learning Models with Deduplication from Relational Databases").
 eviction.  Loads are *single-flight*: when many callers miss the same
 key at once, exactly one thread performs the PAS retrieval while the
 rest wait for its result — a thundering herd of cold requests costs one
-chunk-store read, not N.  :class:`RetrievalCache` is that cache keyed by
-``(matrix_id, planes)`` in front of a :class:`PlanArchive`.
+chunk-store read, not N.
 """
 
 from __future__ import annotations
@@ -24,14 +23,8 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Hashable, Optional
 
-import numpy as np
-
-from repro.core.retrieval import PlanArchive, RecreationResult
-from repro.core.segmentation import NUM_PLANES
-from repro.core.storage_graph import RetrievalScheme
 from repro.obs.cost import charge
 from repro.obs.metrics import MetricsRegistry, get_registry
-from repro.obs.tracing import trace_span
 
 
 @dataclass
@@ -55,16 +48,14 @@ class PlaneCache:
             larger than the whole budget is returned uncached.
         registry: Metrics registry for the counters; defaults to the
             process-global one so ``/metrics`` and ``dlv stats`` see the
-            hit rate.
-        prefix: Metric-name prefix; the cache emits
-            ``<prefix>.{hits,misses,evictions,bytes,entries}``.
+            hit rate.  The cache emits
+            ``serve.cache.{hits,misses,evictions,bytes,entries}``.
     """
 
     def __init__(
         self,
         max_bytes: int = 256 << 20,
         registry: Optional[MetricsRegistry] = None,
-        prefix: str = "serve.cache",
     ) -> None:
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
@@ -74,11 +65,11 @@ class PlaneCache:
         self._bytes = 0
         self._loading: set[Hashable] = set()
         self._cond = threading.Condition()
-        self._hits = self.registry.counter(f"{prefix}.hits")
-        self._misses = self.registry.counter(f"{prefix}.misses")
-        self._evictions = self.registry.counter(f"{prefix}.evictions")
-        self._bytes_gauge = self.registry.gauge(f"{prefix}.bytes")
-        self._entries_gauge = self.registry.gauge(f"{prefix}.entries")
+        self._hits = self.registry.counter("serve.cache.hits")
+        self._misses = self.registry.counter("serve.cache.misses")
+        self._evictions = self.registry.counter("serve.cache.evictions")
+        self._bytes_gauge = self.registry.gauge("serve.cache.bytes")
+        self._entries_gauge = self.registry.gauge("serve.cache.entries")
 
     # -- accounting ----------------------------------------------------------
 
@@ -217,83 +208,3 @@ class PlaneCache:
             self._entries.clear()
             self._bytes = 0
             self._sync_gauges()
-
-
-class RetrievalCache:
-    """Recreated matrices of a :class:`PlanArchive`, cached by
-    ``(matrix_id, planes)`` in a private :class:`PlaneCache`.
-
-    Cached arrays are returned read-only; callers that need to mutate
-    must copy (this catches aliasing bugs instead of silently corrupting
-    the cache).
-
-    Args:
-        archive: The archive to serve misses from.
-        max_bytes: Cache capacity in cached array bytes.
-        registry: Metrics registry for the ``cache.*`` counters; a private
-            registry is created when omitted, so instances don't pollute
-            each other's counts.
-    """
-
-    def __init__(
-        self,
-        archive: PlanArchive,
-        max_bytes: int = 64 << 20,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
-        self.archive = archive
-        if registry is None:
-            registry = MetricsRegistry()
-        self._lru = PlaneCache(max_bytes, registry, prefix="cache")
-
-    def __getattr__(self, name: str):
-        # hits / misses / evictions / cached_bytes / max_bytes / registry /
-        # stats / reset / clear: the LRU's own, not re-stated here.
-        return getattr(self._lru, name)
-
-    def __len__(self) -> int:
-        return len(self._lru)
-
-    def invalidate(self, matrix_id: str) -> int:
-        """Drop all cached variants of one matrix (e.g. after re-archival)."""
-        return sum(
-            self._lru.invalidate(key)
-            for key in self._lru.keys()
-            if key[0] == matrix_id
-        )
-
-    def recreate_matrix(
-        self, matrix_id: str, planes: int = NUM_PLANES
-    ) -> np.ndarray:
-        """Cached equivalent of :meth:`PlanArchive.recreate_matrix`."""
-
-        def load() -> tuple[np.ndarray, int]:
-            value = self.archive.recreate_matrix(matrix_id, planes)
-            value.setflags(write=False)
-            return value, value.nbytes
-
-        return self._lru.get_or_load((matrix_id, planes), load)
-
-    def recreate_snapshot(
-        self,
-        snapshot_id: str,
-        scheme: RetrievalScheme = RetrievalScheme.INDEPENDENT,
-        planes: int = NUM_PLANES,
-    ) -> RecreationResult:
-        """Cached group retrieval: misses fall through per matrix.
-
-        The scheme argument is accepted for interface parity; cached
-        retrieval is sequential (each miss resolves independently).
-        """
-        del scheme
-        members = self.archive._snapshots.get(snapshot_id)
-        if members is None:
-            raise KeyError(f"unknown snapshot {snapshot_id!r}")
-        with trace_span(
-            "cache.snapshot", snapshot=snapshot_id, planes=planes
-        ) as span:
-            matrices = {
-                matrix_id: self.recreate_matrix(matrix_id, planes)
-                for matrix_id in members
-            }
-        return RecreationResult(matrices, span.elapsed, 0, planes)

@@ -13,16 +13,15 @@ the stored bytes.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
 from repro.core.cache import PlaneCache
-from repro.core.retrieval import PlanArchive
+from repro.core.retrieval import PlanArchive, by_layer
 from repro.core.segmentation import NUM_PLANES
-from repro.dnn.interval import Interval, argmax_determined, tight_intervals
+from repro.dnn.interval import Interval, argmax_determined
 from repro.dnn.network import Network
 from repro.obs.cost import charge
 from repro.obs.metrics import MetricsRegistry, counter, histogram
@@ -65,25 +64,6 @@ class ProgressiveResult:
     bytes_fraction: float = 1.0
 
 
-def _weights_key(matrix_id: str) -> tuple[str, str]:
-    """Split a matrix id into its ``(layer, param)`` network address.
-
-    Snapshot archives name matrices ``"layer.param"``; repository
-    archives prefix the snapshot key (``"v3/s1/layer.param"``).  The
-    network only knows bare layer names, so any path prefix is dropped —
-    keying bounds by the prefixed id would silently miss every layer in
-    ``forward_interval`` (which falls back to the network's installed
-    weights, making the interval pass vacuous).
-    """
-    tail = matrix_id.rsplit("/", 1)[-1]
-    layer, _, param = tail.rpartition(".")
-    if not layer:
-        raise ValueError(
-            f"matrix id {matrix_id!r} is not of the form 'layer.param'"
-        )
-    return layer, param
-
-
 class ProgressiveEvaluator:
     """Answers ``dlv eval`` queries progressively from a segmented archive.
 
@@ -96,9 +76,6 @@ class ProgressiveEvaluator:
             snapshot must be ``"<layer>.<param>"``.
         logits_node: Node whose output feeds the prediction; defaults to
             the input of a trailing Softmax (or the sink itself).
-        tight: Use the tighter (costlier) interval products — pays off on
-            deep networks, where the default midpoint-radius bound
-            compounds layer by layer and rarely determines predictions.
         plane_cache: The :class:`~repro.core.cache.PlaneCache` holding
             per-plane bounds and the exact weights — the serving layer
             passes one shared by every evaluator of the same snapshot;
@@ -108,8 +85,14 @@ class ProgressiveEvaluator:
     exact weights are each read from the archive once (single-flight,
     even under concurrent queries) and kept in the plane cache, so
     repeated ``evaluate`` calls against the same snapshot do not re-read
-    any chunks.  The weight-installing exact fallback is serialized by a
+    any chunks.  The weight-installing exact pass is serialized by a
     lock, making concurrent queries against one evaluator safe.
+
+    Deep networks, where the default midpoint-radius bound compounds
+    layer by layer and rarely determines predictions, pay off with the
+    tighter (costlier) interval products, per calling thread:
+    ``with tight_intervals(): evaluator.evaluate(x)``
+    (:class:`~repro.dnn.interval.tight_intervals`).
     """
 
     def __init__(
@@ -118,7 +101,6 @@ class ProgressiveEvaluator:
         archive: PlanArchive,
         snapshot_id: str,
         logits_node: Optional[str] = None,
-        tight: bool = False,
         plane_cache=None,
     ) -> None:
         if not net.is_built:
@@ -126,7 +108,6 @@ class ProgressiveEvaluator:
         self.net = net
         self.archive = archive
         self.snapshot_id = snapshot_id
-        self.tight = tight
         if logits_node is None:
             sink = net.output_name
             logits_node = (
@@ -149,25 +130,26 @@ class ProgressiveEvaluator:
         self._plane_sizes_memo: Optional[list[int]] = None
         self._exact_installed = False
 
-    # -- bounds ------------------------------------------------------------
+    # -- reads ---------------------------------------------------------------
 
     def _param_bounds(self, planes: int) -> dict[str, dict[str, Interval]]:
         """Interval bounds for every archived parameter at ``planes`` depth.
 
         Uncached — this is the raw archive read; use :meth:`param_bounds`
-        for the cached entry point.
+        for the cached entry point.  At full depth the bounds are the
+        exact weights, degenerate.
         """
-        bounds: dict[str, dict[str, Interval]] = {}
-        for matrix_id in self._members:
-            layer, param = _weights_key(matrix_id)
-            if planes >= NUM_PLANES:
-                exact = self.archive.recreate_matrix(matrix_id)
-                interval = Interval.exact(exact)
-            else:
-                lo, hi = self.archive.matrix_bounds(matrix_id, planes)
-                interval = Interval.from_bounds(lo, hi)
-            bounds.setdefault(layer, {})[param] = interval
-        return bounds
+        if planes >= NUM_PLANES:
+            return {
+                layer: {p: Interval.exact(v) for p, v in params.items()}
+                for layer, params in self.exact_weights().items()
+            }
+        return by_layer({
+            matrix_id: Interval.from_bounds(
+                *self.archive.matrix_bounds(matrix_id, planes)
+            )
+            for matrix_id in self._members
+        })
 
     def param_bounds(self, planes: int) -> dict[str, dict[str, Interval]]:
         """Cached interval bounds at ``planes`` depth (thread-safe).
@@ -192,7 +174,7 @@ class ProgressiveEvaluator:
         def load() -> tuple[dict, int]:
             weights = self._read_weights()
             # Entries may be shared across models (content-keyed), so
-            # freeze them — matching the RetrievalCache convention.
+            # freeze them.
             for params in weights.values():
                 for value in params.values():
                     value.setflags(write=False)
@@ -203,55 +185,24 @@ class ProgressiveEvaluator:
     def _read_weights(
         self, planes: int = NUM_PLANES
     ) -> dict[str, dict[str, np.ndarray]]:
-        weights: dict[str, dict[str, np.ndarray]] = {}
-        for matrix_id in self._members:
-            layer, param = _weights_key(matrix_id)
-            weights.setdefault(layer, {})[param] = self.archive.recreate_matrix(
-                matrix_id, planes=planes
-            )
-        return weights
+        return self.archive.recreate_snapshot(
+            self.snapshot_id, planes=planes
+        ).by_layer()
 
     def _install_exact(self, weights: dict[str, dict[str, np.ndarray]]) -> None:
         """Install pre-fetched exact weights. Caller must hold ``_lock``.
 
         Idempotent between calls that truncate the weights: repeated
-        progressive queries skip the (re-)install unless something
-        installed other weights in between (``evaluate_at_planes`` resets
-        the flag).  The weights are fetched by the caller *outside* the
-        lock (:meth:`exact_weights`) so chunk retrieval never serializes
+        exact passes skip the (re-)install unless something installed
+        other weights in between (``evaluate_at_planes`` resets the
+        flag).  The weights are fetched by the caller *outside* the lock
+        (:meth:`exact_weights`) so chunk retrieval never serializes
         concurrent queries on I/O.
         """
         if self._exact_installed:
             return
         self.net.set_weights(weights)
         self._exact_installed = True
-
-    def _load_exact(self) -> None:
-        """Fetch and install the full-precision weights (convenience).
-
-        Fetches outside the lock, installs under it.  Do not call while
-        already holding ``_lock`` — use :meth:`exact_weights` +
-        :meth:`_install_exact` there instead.
-        """
-        weights = self.exact_weights()
-        with self._lock:
-            self._install_exact(weights)
-
-    def forward_exact_many(
-        self, batches: list[np.ndarray]
-    ) -> list[np.ndarray]:
-        """Forward several batches at full precision, atomically.
-
-        The serving tier's exact primitive: exact weights are fetched
-        first (shared-cache single-flight applies, no lock held), then
-        the install plus every forward pass run under ``_lock`` so a
-        concurrent :meth:`evaluate_at_planes` cannot swap truncated
-        weights in mid-run.
-        """
-        weights = self.exact_weights()
-        with self._lock:
-            self._install_exact(weights)
-            return self.net.forward_many(batches, upto=self.logits_node)
 
     def _stored_plane_sizes(self) -> list[int]:
         """Stored bytes per plane index across the snapshot's payload chains."""
@@ -261,30 +212,79 @@ class ProgressiveEvaluator:
         sizes = [0] * NUM_PLANES
         seen: set[str] = set()
         for matrix_id in self._members:
-            current = matrix_id
-            while current != "v0":
-                if current in seen:
-                    break
-                seen.add(current)
-                entry = self.archive.manifest[current]
+            for entry in self.archive.chain(matrix_id, stop=seen):
+                seen.add(entry.matrix_id)
                 for i in range(NUM_PLANES):
                     sizes[i] += self.archive.plane_stored_size(entry, i)
-                current = entry.parent
         with self._lock:
             self._plane_sizes_memo = sizes
         return sizes
 
-    # -- evaluation ------------------------------------------------------------
+    # -- passes ----------------------------------------------------------------
 
-    def _determined(
-        self, x: np.ndarray, bounds: dict, k: int
+    def evaluate_bounded(
+        self, x: np.ndarray, planes: int, k: int = 1
     ) -> tuple[np.ndarray, np.ndarray]:
-        """One interval pass + Lemma 4: ``(determined, labels)`` per row."""
-        with tight_intervals() if self.tight else nullcontext():
+        """One interval pass at a fixed plane budget — no escalation.
+
+        Returns:
+            ``(determined, labels)`` per row — labels are trustworthy
+            exactly where ``determined`` is True (Lemma 4).
+        """
+        with trace_span(
+            "progressive.bounded",
+            snapshot=self.snapshot_id,
+            planes=planes,
+            rows=len(x),
+        ) as span:
+            bounds = self.param_bounds(planes)
             logit_iv = self.net.forward_interval(
                 x, bounds, upto=self.logits_node
             )
-        return argmax_determined(logit_iv, k=k)
+            result = argmax_determined(logit_iv, k=k)
+        charge(compute_s=span.elapsed)
+        return result
+
+    def forward_exact_many(
+        self, batches: list[np.ndarray]
+    ) -> list[np.ndarray]:
+        """Forward several batches at full precision, atomically.
+
+        Exact weights are fetched first (shared-cache single-flight
+        applies, no lock held), then the install plus every forward pass
+        run under ``_lock`` so a concurrent :meth:`evaluate_at_planes`
+        cannot swap truncated weights in mid-run.  The pass is billed
+        ``compute_s`` like :meth:`evaluate_bounded`.
+        """
+        with trace_span(
+            "progressive.exact",
+            snapshot=self.snapshot_id,
+            rows=sum(len(batch) for batch in batches),
+        ) as span:
+            weights = self.exact_weights()
+            with self._lock:
+                self._install_exact(weights)
+                outputs = self.net.forward_many(batches, upto=self.logits_node)
+        charge(compute_s=span.elapsed)
+        return outputs
+
+    def step(
+        self, x: np.ndarray, planes: int, k: int = 1
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """One pass at one plane budget: ``(determined, labels)`` per row.
+
+        Below ``NUM_PLANES`` this is the interval pass
+        (:meth:`evaluate_bounded`) and ``determined`` marks the rows
+        Lemma 4 settles; at ``NUM_PLANES`` the exact forward pass
+        (:meth:`forward_exact_many`) answers every row.  Both
+        :meth:`evaluate` and the serving scheduler escalate through it.
+        """
+        if planes < NUM_PLANES:
+            return self.evaluate_bounded(x, planes, k)
+        (out,) = self.forward_exact_many([x])
+        return np.ones(len(x), dtype=bool), np.argmax(out, axis=1)
+
+    # -- queries ---------------------------------------------------------------
 
     def evaluate(
         self,
@@ -296,8 +296,8 @@ class ProgressiveEvaluator:
         """Progressively predict labels for ``x`` with exactness guarantee.
 
         Starts at ``start_planes`` high-order byte planes and escalates
-        only the undetermined points, plane by plane, finishing any
-        remainder at full precision.
+        only the undetermined points, plane by plane, up to full
+        precision.
 
         Args:
             x: Input batch `(N, ...)`.
@@ -310,9 +310,9 @@ class ProgressiveEvaluator:
         resolved_at = np.full(n, NUM_PLANES, dtype=np.int64)
         unresolved = np.arange(n)
         determined_fraction: dict[int, float] = {}
-        planes_used = start_planes
+        planes_used = start_planes = min(start_planes, NUM_PLANES)
 
-        for planes in range(start_planes, NUM_PLANES):
+        for planes in range(start_planes, NUM_PLANES + 1):
             if unresolved.size == 0:
                 determined_fraction[planes] = 1.0
                 continue
@@ -322,11 +322,10 @@ class ProgressiveEvaluator:
                 planes=planes,
                 unresolved=int(unresolved.size),
             ) as plane_span:
-                bounds = self.param_bounds(planes)
                 still_open = []
                 for start in range(0, unresolved.size, batch):
                     idx = unresolved[start : start + batch]
-                    determined, labels = self._determined(x[idx], bounds, k)
+                    determined, labels = self.step(x[idx], planes, k)
                     done = idx[determined]
                     predictions[done] = labels[determined]
                     resolved_at[done] = planes
@@ -334,33 +333,14 @@ class ProgressiveEvaluator:
                 resolved_here = unresolved.size - len(still_open)
                 plane_span.set_attr("resolved", resolved_here)
             counter("progressive.points_resolved").inc(resolved_here)
+            if planes == NUM_PLANES:
+                counter("progressive.exact_fallbacks").inc()
             histogram("progressive.plane_seconds").observe(plane_span.elapsed)
-            charge(compute_s=plane_span.elapsed)
             unresolved = np.asarray(still_open, dtype=np.int64)
             determined_fraction[planes] = 1.0 - unresolved.size / n
             planes_used = planes
             if unresolved.size == 0:
                 break
-
-        if unresolved.size > 0:
-            with trace_span(
-                "progressive.exact",
-                snapshot=self.snapshot_id,
-                unresolved=int(unresolved.size),
-            ) as exact_span:
-                exact = self.exact_weights()
-                with self._lock:
-                    self._install_exact(exact)
-                    planes_used = NUM_PLANES
-                    for start in range(0, unresolved.size, batch):
-                        idx = unresolved[start : start + batch]
-                        out = self.net.forward(x[idx], upto=self.logits_node)
-                        predictions[idx] = np.argmax(out, axis=1)
-                        resolved_at[idx] = NUM_PLANES
-            counter("progressive.points_resolved").inc(int(unresolved.size))
-            counter("progressive.exact_fallbacks").inc()
-            histogram("progressive.plane_seconds").observe(exact_span.elapsed)
-            charge(compute_s=exact_span.elapsed)
         determined_fraction[NUM_PLANES] = 1.0
         counter("progressive.queries").inc()
 
@@ -373,42 +353,6 @@ class ProgressiveEvaluator:
             determined_fraction=determined_fraction,
             bytes_fraction=read / total,
         )
-
-    def evaluate_bounded(
-        self, x: np.ndarray, planes: int, k: int = 1
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """One interval pass at a fixed plane budget — no escalation.
-
-        This is the serving layer's primitive: the
-        :class:`~repro.serve.BatchScheduler` batches concurrent requests
-        at a shared budget, keeps the rows Lemma 4 determines, and
-        re-submits only the ambiguous remainder at the next budget.
-
-        Returns:
-            ``(determined, labels)`` per row — labels are trustworthy
-            exactly where ``determined`` is True.
-        """
-        with trace_span(
-            "progressive.bounded",
-            snapshot=self.snapshot_id,
-            planes=planes,
-            rows=len(x),
-        ) as span:
-            result = self._determined(x, self.param_bounds(planes), k)
-        charge(compute_s=span.elapsed)
-        return result
-
-    def evaluate_exact(self, x: np.ndarray) -> np.ndarray:
-        """Full-precision predictions from the (cached) archive weights."""
-        with trace_span(
-            "progressive.exact", snapshot=self.snapshot_id, rows=len(x)
-        ) as span:
-            exact = self.exact_weights()
-            with self._lock:
-                self._install_exact(exact)
-                out = self.net.forward(x, upto=self.logits_node)
-        charge(compute_s=span.elapsed)
-        return np.argmax(out, axis=1)
 
     def evaluate_at_planes(
         self, x: np.ndarray, planes: int, batch: int = 256

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.obs.cost import charge
+from repro.obs.cost import RequestCost, charge, cost_context, current_cost
 from repro.obs.metrics import counter, histogram
 from repro.obs.tracing import trace_span
 
@@ -83,6 +83,31 @@ class RecreationResult:
     seconds: float
     bytes_read: int
     planes: int = NUM_PLANES
+
+    def by_layer(self) -> dict[str, dict[str, np.ndarray]]:
+        """The matrices as a network's ``{layer: {param: array}}``."""
+        return by_layer(self.matrices)
+
+
+def by_layer(values: dict[str, object]) -> dict[str, dict[str, object]]:
+    """Regroup ``matrix_id -> value`` by ``(layer, param)`` network address.
+
+    Snapshot archives name matrices ``"layer.param"``; repository
+    archives prefix the snapshot key (``"v3/s1/layer.param"``).  The
+    network only knows bare layer names, so any path prefix is dropped —
+    keying bounds by the prefixed id would silently miss every layer in
+    ``forward_interval`` (which falls back to the network's installed
+    weights, making the interval pass vacuous).
+    """
+    grouped: dict[str, dict[str, object]] = {}
+    for matrix_id, value in values.items():
+        layer, _, param = matrix_id.rsplit("/", 1)[-1].rpartition(".")
+        if not layer:
+            raise ValueError(
+                f"matrix id {matrix_id!r} is not of the form 'layer.param'"
+            )
+        grouped.setdefault(layer, {})[param] = value
+    return grouped
 
 
 @dataclass
@@ -445,15 +470,11 @@ class PlanArchive:
         memo: dict[str, str] = {}
 
         def chain_fp(matrix_id: str) -> Optional[str]:
-            chain = []
-            current = matrix_id
-            while current != ROOT and current not in memo:
-                entry = self._manifest.get(current)
-                if entry is None:
-                    return None
-                chain.append(entry)
-                current = entry.parent
-            below = memo.get(current, "root")
+            try:
+                chain = self.chain(matrix_id, stop=memo)
+            except KeyError:
+                return None
+            below = memo.get(chain[-1].parent if chain else matrix_id, "root")
             for entry in reversed(chain):
                 parts = [below, entry.kind, *entry.chunk_ids]
                 if entry.pages:
@@ -474,6 +495,25 @@ class PlanArchive:
         return digest.hexdigest()[:16]
 
     # -- reading ----------------------------------------------------------------
+
+    def chain(self, matrix_id: str, stop=()) -> list[_StoredPayload]:
+        """The payload entries on ``matrix_id``'s storage-plan path, from
+        ``matrix_id`` up to ``v0`` — the only walk along ``entry.parent``.
+
+        The walk ends early, before the first id in ``stop`` (e.g. a memo
+        of already-resolved matrices): the last entry's ``parent`` is then
+        that id, and an empty list means ``matrix_id`` itself is in it.
+
+        Raises:
+            KeyError: the path reaches a payload this archive lacks.
+        """
+        entries = []
+        current = matrix_id
+        while current != ROOT and current not in stop:
+            entry = self._manifest[current]
+            entries.append(entry)
+            current = entry.parent
+        return entries
 
     def _read_payload(
         self, matrix_id: str, planes: int
@@ -609,24 +649,18 @@ class PlanArchive:
         self,
         matrix_id: str,
         planes: int,
-        cache: Optional[dict[str, np.ndarray]] = None,
+        memo: Optional[dict[str, np.ndarray]] = None,
     ) -> tuple[np.ndarray, int]:
-        """Recreate one matrix by walking its path from the root."""
-        if cache is not None and matrix_id in cache:
-            return cache[matrix_id], 0
-        chain = []
-        current = matrix_id
-        while current != ROOT:
-            if cache is not None and current in cache:
-                break
-            chain.append(current)
-            current = self._manifest[current].parent
-        value = cache[current] if (cache is not None and current != ROOT) else None
+        """Recreate one matrix by applying its path from the root (or from
+        the nearest matrix already in ``memo``), recording each matrix it
+        recreates into ``memo``."""
+        chain = self.chain(matrix_id, stop=memo or ())
+        base = chain[-1].parent if chain else matrix_id
+        value = memo.get(base) if memo else None
         bytes_read = 0
-        for node in reversed(chain):
-            payload, nbytes = self._read_payload(node, planes)
+        for entry in reversed(chain):
+            payload, nbytes = self._read_payload(entry.matrix_id, planes)
             bytes_read += nbytes
-            entry = self._manifest[node]
             if entry.kind in ("materialize", "pages"):
                 value = payload
             else:
@@ -636,18 +670,26 @@ class PlanArchive:
                     value = apply_delta(value, payload, "sub")
                 else:
                     value = apply_delta(value, payload.view("<u4"), "xor")
-            if cache is not None:
-                cache[node] = value
+            if memo is not None:
+                memo[entry.matrix_id] = value
         return value, bytes_read
 
     def recreate_matrix(
-        self, matrix_id: str, planes: int = NUM_PLANES
+        self,
+        matrix_id: str,
+        planes: int = NUM_PLANES,
+        memo: Optional[dict[str, np.ndarray]] = None,
     ) -> np.ndarray:
-        """Recreate a single matrix (approximately when ``planes < 4``)."""
+        """Recreate a single matrix (approximately when ``planes < 4``).
+
+        ``memo`` (``matrix_id -> array``, filled as matrices are
+        recreated) lets callers share path prefixes across matrices —
+        the REUSABLE scheme of :meth:`recreate_snapshot`.
+        """
         if matrix_id not in self._manifest:
             raise KeyError(f"unknown matrix {matrix_id!r}")
         with trace_span("pas.matrix", matrix=matrix_id, planes=planes) as span:
-            value, nbytes = self._resolve(matrix_id, planes)
+            value, nbytes = self._resolve(matrix_id, planes, memo)
             span.set_attr("bytes_read", nbytes)
         counter("retrieval.matrices").inc()
         counter("retrieval.bytes_read").inc(nbytes)
@@ -660,21 +702,16 @@ class PlanArchive:
         planes: int = NUM_PLANES,
         max_workers: int = 4,
     ) -> RecreationResult:
-        """Recreate all matrices of a snapshot under a retrieval scheme."""
+        """Recreate all matrices of a snapshot under a retrieval scheme,
+        each through :meth:`recreate_matrix`.
+
+        ``bytes_read`` is the stored plane bytes the members billed
+        (:func:`~repro.obs.cost.charge`); their bills are then added to
+        the caller's active one.
+        """
         if snapshot_id not in self._snapshots:
             raise KeyError(f"unknown snapshot {snapshot_id!r}")
         members = self._snapshots[snapshot_id]
-
-        def resolve_traced(
-            matrix_id: str, cache: Optional[dict[str, np.ndarray]] = None
-        ) -> tuple[np.ndarray, int]:
-            with trace_span(
-                "pas.matrix", matrix=matrix_id, planes=planes
-            ) as matrix_span:
-                value, nbytes = self._resolve(matrix_id, planes, cache)
-                matrix_span.set_attr("bytes_read", nbytes)
-            return value, nbytes
-
         with trace_span(
             "pas.snapshot",
             snapshot=snapshot_id,
@@ -685,29 +722,48 @@ class PlanArchive:
                 with ThreadPoolExecutor(max_workers=max_workers) as pool:
                     # Pool threads inherit no contextvars: copy the caller's
                     # context per task so per-matrix spans stay children of
-                    # this snapshot span and cost charges reach the active
-                    # request bill instead of vanishing.
+                    # this snapshot span.
                     futures = [
                         pool.submit(
                             contextvars.copy_context().run,
-                            resolve_traced,
+                            self._recreate_billed,
                             matrix_id,
+                            planes,
                         )
                         for matrix_id in members
                     ]
                     resolved = [future.result() for future in futures]
             else:
-                # REUSABLE caches shared path prefixes across members.
-                cache = {} if scheme is RetrievalScheme.REUSABLE else None
-                resolved = [resolve_traced(m, cache) for m in members]
-            results = {m: value for m, (value, _) in zip(members, resolved)}
-            bytes_read = sum(nbytes for _, nbytes in resolved)
+                # REUSABLE shares path prefixes across members.
+                memo = {} if scheme is RetrievalScheme.REUSABLE else None
+                resolved = [
+                    self._recreate_billed(m, planes, memo) for m in members
+                ]
+            bytes_read = sum(sum(b.by_plane.values()) for _, b in resolved)
             span.set_attr("bytes_read", bytes_read)
+        caller = current_cost()
+        if caller is not None:
+            for _, bill in resolved:
+                caller.absorb(bill)
         counter("retrieval.snapshots").inc()
-        counter("retrieval.matrices").inc(len(members))
-        counter("retrieval.bytes_read").inc(bytes_read)
         histogram("retrieval.snapshot_seconds").observe(span.elapsed)
-        return RecreationResult(results, span.elapsed, bytes_read, planes)
+        return RecreationResult(
+            {m: value for m, (value, _) in zip(members, resolved)},
+            span.elapsed, bytes_read, planes,
+        )
+
+    def _recreate_billed(
+        self,
+        matrix_id: str,
+        planes: int,
+        memo: Optional[dict[str, np.ndarray]] = None,
+    ) -> tuple[np.ndarray, RequestCost]:
+        """:meth:`recreate_matrix` under a bill of its own, returned with
+        the value: an accumulator is charged from one thread, so a pool
+        task must not share its caller's."""
+        with cost_context() as bill:
+            value = self.recreate_matrix(matrix_id, planes, memo)
+        return value, bill
 
     # -- interval retrieval -------------------------------------------------------
 
@@ -720,27 +776,23 @@ class PlanArchive:
         is only supported for ``sub`` (and materialize) payloads; XOR
         deltas do not admit monotone bounds.
         """
-        entry = self._manifest[matrix_id]
-        chain = []
-        current = matrix_id
-        while current != ROOT:
-            entry = self._manifest[current]
+        chain = self.chain(matrix_id)
+        for entry in chain:
             if entry.kind == "xor":
                 raise ValueError(
                     "interval retrieval requires sub deltas; "
-                    f"{current!r} is stored as XOR"
+                    f"{entry.matrix_id!r} is stored as XOR"
                 )
-            chain.append(current)
-            current = entry.parent
         lo_total: Optional[np.ndarray] = None
         hi_total: Optional[np.ndarray] = None
-        for node in reversed(chain):
-            entry = self._manifest[node]
+        for entry in reversed(chain):
             prefix = []
             for i in range(planes):
                 data, _nbytes = self._fetch_plane(entry, i)
                 if data is None:  # degraded zero-fill has no bounds
-                    raise KeyError(f"plane {i} of {node!r} is unreadable")
+                    raise KeyError(
+                        f"plane {i} of {entry.matrix_id!r} is unreadable"
+                    )
                 prefix.append(data)
             lo, hi = bounds_from_prefix(prefix, entry.shape)
             if lo_total is None:

@@ -350,7 +350,7 @@ def _human_bytes(count: float) -> str:
 
 
 def _cache_line(label: str, stats: dict) -> str:
-    """One line for a ``PlaneCache.stats()`` dict (``dlv stats`` / ``top``)."""
+    """One line for a ``PlaneCache.stats()`` dict (``dlv top``)."""
     return (
         f"{label}: hits={stats['hits']} misses={stats['misses']} "
         f"evictions={stats['evictions']} "
@@ -379,8 +379,6 @@ def _render_stats_text(report: dict) -> None:
                 s=_human_bytes(dedup["bytes_saved"]),
             )
         )
-    if report.get("cache"):
-        print(_cache_line("cache", report["cache"]))
     metrics = report["metrics"]
     if metrics["counters"]:
         print("counters:")
@@ -531,7 +529,7 @@ def _render_top(payload: dict) -> list[str]:
     interesting = {
         name: value
         for name, value in sorted(counters.items())
-        if name.startswith(("serve.", "hub.", "store.", "cache."))
+        if name.startswith(("serve.", "hub.", "store."))
     }
     for name, value in interesting.items():
         suffix = f"  ({_human_bytes(value)})" if name.endswith("_bytes") else ""
@@ -658,7 +656,6 @@ def cmd_hub_status(args) -> int:
 
 def cmd_stats(args) -> int:
     from repro import obs
-    from repro.core.cache import RetrievalCache
 
     with _open_repo(args) as repo:
         versions = repo.list_versions()
@@ -669,24 +666,16 @@ def cmd_stats(args) -> int:
             "stored_bytes": repo.store.total_size(),
         }
         dedup_stats = repo.dedup_stats()
-        cache_stats = None
-        if not args.no_retrieval:
-            # Exercise one group retrieval (twice: a cold pass then a warm
-            # pass) through a cache wired to the global registry, so the
-            # report shows live cache and chunkstore counters.
-            with_snapshots = [v for v in versions if v.snapshots]
-            if with_snapshots:
-                archive = repo.archive_view()
-                cache = RetrievalCache(archive, registry=obs.get_registry())
-                latest = with_snapshots[-1]
-                key = latest.snapshots[-1].key
-                for _ in range(2):
-                    cache.recreate_snapshot(key)
-                cache_stats = cache.stats()
+        with_snapshots = [v for v in versions if v.snapshots]
+        if with_snapshots and not args.no_retrieval:
+            # Exercise one group retrieval, so the report shows live
+            # retrieval and chunkstore counters.
+            repo.archive_view().recreate_snapshot(
+                with_snapshots[-1].snapshots[-1].key
+            )
     report = {
         "repository": repo_info,
         "dedup": dedup_stats,
-        "cache": cache_stats,
         "metrics": obs.dump_metrics(),
     }
     if args.spans:

@@ -603,12 +603,9 @@ class Repository:
         if not version.snapshots:
             raise ValueError(f"version {version.ref} has no snapshots")
         snapshot = version.snapshots[snapshot_idx]
-        archive = self._plan_archive()
-        weights: dict[str, dict[str, np.ndarray]] = {}
-        for row in self.catalog.get_matrices(version.id, snapshot.index):
-            value = archive.recreate_matrix(row["matrix_id"], planes=planes)
-            weights.setdefault(row["layer"], {})[row["param"]] = value
-        return weights
+        return self._plan_archive().recreate_snapshot(
+            snapshot.key, planes=planes
+        ).by_layer()
 
     def load_network(
         self, ref: VersionLike, snapshot_idx: int = -1, seed: int = 0

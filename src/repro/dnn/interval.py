@@ -18,6 +18,7 @@ When one operand is exact (radius zero) the bound is exact as well.
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,20 +95,26 @@ class Interval:
 
 
 #: When True, linear layers use the tighter (2-3x costlier) interval
-#: product.  Toggle with :func:`set_tight_mode` / :class:`tight_intervals`.
-_TIGHT_MODE = False
+#: product.  A context variable, so each thread (and each copied context)
+#: has its own setting: one evaluator's tight pass never leaks into a
+#: concurrent one.  Toggle with :func:`set_tight_mode` /
+#: :class:`tight_intervals`.
+_tight_mode: contextvars.ContextVar[bool] = contextvars.ContextVar(
+    "repro_tight_intervals", default=False
+)
 
 
 def set_tight_mode(enabled: bool) -> bool:
-    """Enable/disable tight interval products globally; returns the old value."""
-    global _TIGHT_MODE
-    previous = _TIGHT_MODE
-    _TIGHT_MODE = bool(enabled)
+    """Enable/disable tight interval products in the current context (the
+    calling thread); returns the old value."""
+    previous = _tight_mode.get()
+    _tight_mode.set(bool(enabled))
     return previous
 
 
 class tight_intervals:
-    """Context manager enabling tight interval products.
+    """Context manager enabling tight interval products for the calling
+    thread, e.g. ``with tight_intervals(): evaluator.evaluate(x)``.
 
     Progressive evaluation of deep networks benefits greatly: the default
     midpoint-radius product over-approximates through every layer, while
@@ -116,11 +123,11 @@ class tight_intervals:
     """
 
     def __enter__(self) -> "tight_intervals":
-        self._previous = set_tight_mode(True)
+        self._token = _tight_mode.set(True)
         return self
 
     def __exit__(self, *exc) -> None:
-        set_tight_mode(self._previous)
+        _tight_mode.reset(self._token)
 
 
 def _rump_matmul(x: Interval, w: Interval) -> Interval:
@@ -178,7 +185,7 @@ def interval_matmul(x: Interval, w: Interval) -> Interval:
     intersection is sound and at least as tight as either.
     """
     rump = _rump_matmul(x, w)
-    if not _TIGHT_MODE:
+    if not _tight_mode.get():
         return rump
     split = _split_matmul(x, w)
     return Interval(

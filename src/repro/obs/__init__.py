@@ -31,9 +31,6 @@ registry / recorder):
 
 ========================  =====================================================
 ``chunkstore.*``          put/get calls, raw bytes in/out, dedup hits
-``cache.*``               per-:class:`~repro.core.cache.RetrievalCache`
-                          ``hits`` / ``misses`` / ``evictions`` counters and
-                          ``bytes`` / ``entries`` gauges (injectable registry)
 ``retrieval.*``           snapshot recreation latency + stored bytes read
 ``dedup.*``               the page store, per *flushed* archive run:
                           ``pages_referenced`` = ``pages_shared`` (exact
@@ -67,9 +64,9 @@ registry / recorder):
                           escalations, degraded responses, batch shape
                           histograms, per-model queue-depth gauges;
                           ``serve.predict`` rolling latency window
-``serve.cache.*``         the serving tier's shared
-                          :class:`~repro.core.cache.PlaneCache`: the same
-                          five names under its own prefix
+``serve.cache.*``         the one :class:`~repro.core.cache.PlaneCache`:
+                          ``hits`` / ``misses`` / ``evictions`` counters and
+                          ``bytes`` / ``entries`` gauges (injectable registry)
 ========================  =====================================================
 
 Spans use the same dotted names (``pas.matrix``, ``pas.snapshot``,

@@ -112,6 +112,15 @@ class RequestCost:
         self.queue_wait_s += queue_wait_s
         self.compute_s += compute_s
 
+    def absorb(self, other: "RequestCost") -> None:
+        """Add another accumulator's charges — one kept by a thread working
+        for this request (an accumulator is charged from one thread)."""
+        self.add(
+            other.bytes_read, other.chunks_fetched, other.planes_fetched,
+            other.by_plane, other.cache_hits, other.cache_misses,
+            other.queue_wait_s, other.compute_s,
+        )
+
     def merge(self, other: "RequestCost", shared: int = 1) -> None:
         """Fold a batch-level cost into this request's bill.
 
@@ -119,15 +128,7 @@ class RequestCost:
         is charged the full batch cost (what the batch *did* on its
         behalf), with the sharing recorded so amortization is visible.
         """
-        self.bytes_read += other.bytes_read
-        self.chunks_fetched += other.chunks_fetched
-        self.planes_fetched += other.planes_fetched
-        for plane, nbytes in other.by_plane.items():
-            self.by_plane[plane] = self.by_plane.get(plane, 0) + nbytes
-        self.cache_hits += other.cache_hits
-        self.cache_misses += other.cache_misses
-        self.queue_wait_s += other.queue_wait_s
-        self.compute_s += other.compute_s
+        self.absorb(other)
         self.batches += 1
         self.shared_requests += max(1, shared)
 

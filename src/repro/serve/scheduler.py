@@ -31,7 +31,6 @@ import numpy as np
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
 from repro.core.segmentation import NUM_PLANES
-from repro.core.storage_graph import ROOT
 from repro.dnn.network import Network
 from repro.obs.cost import RequestCost, cost_context
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -196,12 +195,8 @@ class ModelRuntime:
     def _payload_chain(archive: PlanArchive, snapshot_id: str) -> set[str]:
         """Every payload id a retrieval of this snapshot may touch."""
         ids: set[str] = set()
-        manifest = archive.manifest
         for matrix_id in archive._snapshots[snapshot_id]:
-            current = matrix_id
-            while current != ROOT and current not in ids:
-                ids.add(current)
-                current = manifest[current].parent
+            ids.update(e.matrix_id for e in archive.chain(matrix_id, stop=ids))
         return ids
 
     def _note_recovery(self, planes: int, events_before: int) -> None:
@@ -216,20 +211,12 @@ class ModelRuntime:
     def bounded(
         self, x: np.ndarray, planes: int
     ) -> tuple[np.ndarray, np.ndarray, bool]:
-        """One pass at one budget: ``(determined, labels, degraded)``.
-
-        Below ``NUM_PLANES`` this is the interval pass, and ``determined``
-        marks the rows Lemma 4 settles; at ``NUM_PLANES`` the exact
-        forward pass answers every row.
-        """
+        """One pass at one budget: ``(determined, labels, degraded)`` —
+        :meth:`~repro.core.progressive.ProgressiveEvaluator.step`, plus
+        the degraded-read bookkeeping."""
+        planes = min(planes, NUM_PLANES)
         before = len(self.archive.recovery.events)
-        if planes >= NUM_PLANES:
-            planes = NUM_PLANES
-            (out,) = self.evaluator.forward_exact_many([x])
-            determined = np.ones(len(x), dtype=bool)
-            labels = np.argmax(out, axis=1)
-        else:
-            determined, labels = self.evaluator.evaluate_bounded(x, planes)
+        determined, labels = self.evaluator.step(x, planes)
         self._note_recovery(planes, before)
         return determined, labels, self.degraded_at(planes)
 

@@ -1,92 +1,240 @@
-"""Retrieval cache tests: what the ``(matrix_id, planes)`` adapter adds.
+"""The read path: one chain walk, one snapshot reader, one weights cache.
 
-Eviction, budgets, accounting and single-flight are the LRU's and are
-tested once, in ``tests/serve/test_plane_cache.py``.
+The oracle: every reader of a snapshot — ``get_snapshot_weights``,
+``recreate_snapshot(...).by_layer()`` under each retrieval scheme, the
+evaluator's cached ``exact_weights()`` and ``load_network()`` — returns
+the same bytes per matrix, on every backend, for committed, archived and
+``archive --dedup`` layouts, and those bytes match what was committed.
+One progressive request answers the same through ``evaluate()`` (what
+``dlv eval --progressive`` runs) and through the serving scheduler.
+
+The weights cache is the one :class:`~repro.core.cache.PlaneCache`
+behind an evaluator; its LRU mechanics (eviction, budgets, single
+flight) are tested once, in ``tests/serve/test_plane_cache.py``.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.cache import RetrievalCache
 from repro.core.chunkstore import MemoryChunkStore
+from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
-from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
+from repro.core.storage_graph import (
+    MatrixRef,
+    MatrixStorageGraph,
+    RetrievalScheme,
+)
+from repro.dlv.repository import Repository
+from repro.dnn.network import Network
+from repro.dnn.zoo import tiny_mlp
+from repro.obs.metrics import MetricsRegistry
+from repro.serve import BatchScheduler, ModelRuntime, PlaneCache, ServeConfig
+from tests.conftest import STORE_BACKENDS
+
+#: The tolerance tier-1 uses for ``sub`` delta chains (float32 ``sub`` is
+#: not bit-exact yet).
+RTOL, ATOL = 1e-6, 1e-7
+
+
+def _perturb(net, seed):
+    """A sparse perturbation of ``net`` — a fine-tuned sibling."""
+    clone = net.clone()
+    rng = np.random.default_rng(seed)
+    weights = clone.get_weights()
+    for params in weights.values():
+        for arr in params.values():
+            flat = arr.reshape(-1)
+            idx = rng.choice(flat.size, size=max(1, flat.size // 20),
+                             replace=False)
+            flat[idx] += rng.normal(0, 0.01, size=idx.size).astype(flat.dtype)
+    clone.set_weights(weights)
+    return clone
+
+
+def _commit_family(repo):
+    """A base, a fine-tuned child (lineage: ``sub`` chains once archived)
+    and a sibling without lineage (``--dedup`` pages); returns the
+    committed weights per version id."""
+    base = tiny_mlp(hidden=32).build(seed=0)
+    child, sibling = _perturb(base, 1), _perturb(base, 2)
+    first = repo.commit(base, name="base", message="oracle")
+    versions = [
+        (first, base),
+        (repo.commit(child, name="child", message="oracle", parent=first),
+         child),
+        (repo.commit(sibling, name="sibling", message="oracle"), sibling),
+    ]
+    return {version.id: net.get_weights() for version, net in versions}
+
+
+def _assert_same_bytes(got, reference):
+    assert got.keys() == reference.keys()
+    for layer, params in reference.items():
+        assert got[layer].keys() == params.keys()
+        for param, value in params.items():
+            assert got[layer][param].tobytes() == value.tobytes(), (
+                f"{layer}.{param} differs between readers"
+            )
+
+
+def _assert_close(got, committed):
+    for layer, params in committed.items():
+        for param, value in params.items():
+            np.testing.assert_allclose(
+                got[layer][param], value, rtol=RTOL, atol=ATOL
+            )
+
+
+@pytest.mark.parametrize("scheme", list(RetrievalScheme))
+@pytest.mark.parametrize("layout", ["committed", "archived", "dedup"])
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_every_reader_returns_the_same_bytes(
+    make_repo_target, backend, layout, scheme
+):
+    repo = Repository.init(make_repo_target(backend))
+    committed = _commit_family(repo)
+    if layout != "committed":
+        repo.archive(alpha=4.0, dedup=layout == "dedup")
+    archive = repo.archive_view()
+    kinds = {entry.kind for entry in archive.manifest.values()}
+    assert {"archived": "sub", "dedup": "pages"}.get(layout, "materialize") in kinds
+    for version in repo.list_versions():
+        key = version.snapshots[-1].key
+        reference = repo.get_snapshot_weights(version)
+        _assert_close(reference, committed[version.id])
+        evaluator = ProgressiveEvaluator(
+            Network.from_spec(version.network).build(0), archive, key
+        )
+        for got in (
+            archive.recreate_snapshot(key, scheme).by_layer(),
+            evaluator.exact_weights(),
+            repo.load_network(version).get_weights(),
+        ):
+            _assert_same_bytes(got, reference)
+    repo.close()
+
+
+def test_cli_and_serve_answer_alike(repo, trained_tiny, digits):
+    """One request (<= 64 rows, from plane 1): ``evaluate()`` and the
+    scheduler settle every row at the same plane with the same label."""
+    net, _, _ = trained_tiny
+    version = repo.commit(net, name="tiny", message="cli vs serve")
+    key = version.snapshots[-1].key
+    x = digits.x_test[:48]
+
+    local = ProgressiveEvaluator(
+        Network.from_spec(version.network).build(0), repo.archive_view(), key
+    ).evaluate(x, start_planes=1)
+
+    registry = MetricsRegistry()
+    scheduler = BatchScheduler(ServeConfig(), registry=registry)
+    scheduler.register(ModelRuntime(
+        "tiny", Network.from_spec(version.network).build(0),
+        repo.archive_view(), key,
+        plane_cache=PlaneCache(64 << 20, registry=registry),
+    ))
+    scheduler.start()
+    try:
+        served = scheduler.submit("tiny", x, start_planes=1).wait(30.0)
+    finally:
+        scheduler.stop()
+
+    np.testing.assert_array_equal(served.predictions, local.predictions)
+    np.testing.assert_array_equal(
+        served.resolved_planes, local.resolved_at_plane
+    )
+    np.testing.assert_array_equal(local.predictions, net.predict(x))
+
+
+# -- the one weights cache ---------------------------------------------------
 
 
 @pytest.fixture
-def archive(seeded_rng):
-    matrices = {
-        f"m{i}": (seeded_rng.standard_normal((32, 32)) * 0.1).astype(
-            np.float32
-        )
-        for i in range(4)
-    }
+def snap():
+    """A tiny model's weights archived as snapshot ``"snap"``, with the
+    store's read counters in their own registry."""
+    net = tiny_mlp(hidden=16).build(seed=3)
     graph = MatrixStorageGraph()
-    for mid, matrix in matrices.items():
-        graph.add_matrix(MatrixRef(mid, "snap", matrix.nbytes))
-        graph.add_materialization(mid, matrix.nbytes, 1.0)
-    built = PlanArchive.build(
-        MemoryChunkStore(), matrices, minimum_spanning_tree(graph)
+    matrices = {}
+    for layer, params in net.get_weights().items():
+        for param, value in params.items():
+            mid = f"{layer}.{param}"
+            graph.add_matrix(MatrixRef(mid, "snap", value.nbytes))
+            graph.add_materialization(mid, value.nbytes, 1.0)
+            matrices[mid] = value
+    registry = MetricsRegistry()
+    archive = PlanArchive.build(
+        MemoryChunkStore(registry=registry), matrices,
+        minimum_spanning_tree(graph),
     )
-    return built, matrices
+    return net, archive, registry.counter("chunkstore.get_calls")
+
+
+def _evaluator(snap, cache=None):
+    net, archive, _ = snap
+    return ProgressiveEvaluator(net, archive, "snap", plane_cache=cache)
 
 
 class TestCorrectness:
-    def test_cached_values_match_archive(self, archive):
-        built, matrices = archive
-        cache = RetrievalCache(built)
-        for mid, expected in matrices.items():
-            np.testing.assert_array_equal(cache.recreate_matrix(mid), expected)
-            # Second read: from cache, still equal.
-            np.testing.assert_array_equal(cache.recreate_matrix(mid), expected)
+    def test_cached_values_match_archive(self, snap):
+        net, archive, reads = snap
+        evaluator = _evaluator(snap)
+        expected = archive.recreate_snapshot("snap").by_layer()
+        _assert_same_bytes(evaluator.exact_weights(), expected)
+        after_cold = reads.value
+        _assert_same_bytes(evaluator.exact_weights(), expected)
+        assert reads.value == after_cold  # the warm read is the cache's
+        _assert_same_bytes(expected, net.get_weights())
 
-    def test_planes_are_distinct_entries(self, archive):
-        built, matrices = archive
-        cache = RetrievalCache(built)
-        full = cache.recreate_matrix("m0", planes=4)
-        partial = cache.recreate_matrix("m0", planes=1)
-        assert not np.array_equal(full, partial)
-        assert len(cache) == 2
+    def test_planes_are_distinct_entries(self, snap):
+        evaluator = _evaluator(snap)
+        one, two = evaluator.param_bounds(1), evaluator.param_bounds(2)
+        evaluator.exact_weights()
+        assert one is not two
+        assert len(evaluator.plane_cache) == 3
 
-    def test_cached_arrays_are_read_only(self, archive):
-        built, _ = archive
-        cache = RetrievalCache(built)
-        value = cache.recreate_matrix("m0")
+    def test_cached_arrays_are_read_only(self, snap):
+        value = _evaluator(snap).exact_weights()["fc1"]["W"]
         with pytest.raises(ValueError):
             value[0, 0] = 99.0
 
-    def test_snapshot_retrieval(self, archive):
-        built, matrices = archive
-        cache = RetrievalCache(built)
-        result = cache.recreate_snapshot("snap")
-        assert set(result.matrices) == set(matrices)
+    def test_snapshot_retrieval(self, snap):
+        net, archive, _ = snap
+        result = archive.recreate_snapshot("snap")
+        assert set(result.matrices) == set(archive.manifest)
+        assert result.bytes_read > 0
+        _assert_same_bytes(result.by_layer(), net.get_weights())
         with pytest.raises(KeyError):
-            cache.recreate_snapshot("ghost")
+            archive.recreate_snapshot("ghost")
 
 
 class TestInvalidation:
-    def test_invalidate_one_matrix(self, archive):
-        built, _ = archive
-        cache = RetrievalCache(built)
-        cache.recreate_matrix("m0", planes=4)
-        cache.recreate_matrix("m0", planes=2)
-        cache.recreate_matrix("m1")
-        assert cache.invalidate("m0") == 2
-        assert len(cache) == 1
-        assert cache.cached_bytes == cache.recreate_matrix("m1").nbytes
+    def test_invalidate_reloads_weights(self, snap):
+        _, _, reads = snap
+        evaluator = _evaluator(snap)
+        first = evaluator.exact_weights()
+        after = reads.value
+        cache = evaluator.plane_cache
+        [key] = [k for k in cache.keys() if k[0] == "weights"]
+        assert cache.invalidate(key)
+        second = evaluator.exact_weights()
+        assert reads.value > after and second is not first
+        _assert_same_bytes(second, first)
 
-    def test_budget_and_accounting_are_the_lrus(self, archive):
-        built, matrices = archive
-        one_matrix = next(iter(matrices.values())).nbytes
-        cache = RetrievalCache(built, max_bytes=2 * one_matrix)
-        for mid in ("m0", "m1", "m2", "m2"):
-            cache.recreate_matrix(mid)
-        stats = cache.stats()
-        assert (stats["hits"], stats["misses"], stats["evictions"]) == (1, 3, 1)
-        assert cache.cached_bytes <= cache.max_bytes
-        cache.reset()  # per-phase hit rates: counters zeroed, entries kept
-        assert cache.recreate_matrix("m2") is not None
-        assert cache.stats()["hit_rate"] == 1.0 and len(cache) == 2
+    def test_budget_and_accounting_are_the_lrus(self, snap):
+        registry = MetricsRegistry()
+        cache = PlaneCache(registry=registry)
+        weights = _evaluator(snap, cache).exact_weights()
+        assert cache.cached_bytes == sum(
+            value.nbytes for params in weights.values()
+            for value in params.values()
+        )
+        # A budget smaller than the weights serves them uncached.
+        small = PlaneCache(cache.cached_bytes - 1, registry=MetricsRegistry())
+        evaluator = _evaluator(snap, small)
+        evaluator.exact_weights()
+        evaluator.exact_weights()
+        assert (small.misses, small.hits, len(small)) == (2, 0, 0)
         with pytest.raises(ValueError):
-            RetrievalCache(built, max_bytes=0)
+            PlaneCache(0)

@@ -117,7 +117,7 @@ class TestTruncatedBaseline:
         assert errors[3] == 0.0
         assert errors[1] <= errors[0] + 1e-9
         # Restore exact weights for other tests sharing the fixture.
-        evaluator._load_exact()
+        evaluator.forward_exact_many([x[:1]])
 
 
 class TestValidation:

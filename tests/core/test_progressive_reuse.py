@@ -75,9 +75,9 @@ class TestChunkReadRegression:
     def test_exact_weights_read_once(self, counted_evaluator, digits):
         evaluator, registry, _ = counted_evaluator
         get_calls = registry.counter("chunkstore.get_calls")
-        evaluator.evaluate_exact(digits.x_test[:4])
+        evaluator.forward_exact_many([digits.x_test[:4]])
         after = get_calls.value
-        evaluator.evaluate_exact(digits.x_test[4:8])
+        evaluator.forward_exact_many([digits.x_test[4:8]])
         assert get_calls.value == after
 
     def test_evaluate_matches_exact_predictions(
@@ -114,7 +114,7 @@ class TestForwardExactMany:
         after = get_calls.value
         assert after > 0
         evaluator.forward_exact_many([digits.x_test[4:8]])
-        evaluator.evaluate_exact(digits.x_test[8:12])
+        evaluator.forward_exact_many([digits.x_test[8:12]])
         assert get_calls.value == after
 
     def test_empty_batch_list(self, counted_evaluator):
@@ -157,15 +157,6 @@ class TestForwardExactMany:
         assert len(results) == 4
         for got in results:
             np.testing.assert_array_equal(got, expected)
-
-    def test_load_exact_still_installs(self, counted_evaluator, digits):
-        # examples/progressive_inference.py still calls _load_exact().
-        evaluator, _, trained = counted_evaluator
-        evaluator._load_exact()
-        x = digits.x_test[:6]
-        np.testing.assert_array_equal(
-            evaluator.net.predict(x), trained.predict(x)
-        )
 
 
 class TestRepositoryMatrixIds:

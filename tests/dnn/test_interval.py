@@ -5,6 +5,8 @@ inside the operand intervals, the operation's concrete result lies inside
 the returned interval.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,47 @@ class TestTightMode:
             Interval(np.zeros((1, 1)), np.ones((1, 1))),
         )
         assert loose.hi[0, 0] >= 1.0
+
+    def test_tight_mode_is_per_thread(self):
+        """Interleave two threads' contexts — A enters, B enters, A exits,
+        B exits: B stays tight until it exits, and afterwards the main
+        thread and a fresh thread both read loose (a process-global flag
+        ended stuck on)."""
+        x = Interval(np.array([[0.5, 1.0]]), np.array([[1.5, 2.0]]))
+        w = Interval(np.array([[1.0], [-2.0]]), np.array([[3.0], [-1.0]]))
+
+        def is_tight() -> bool:  # tight: -3.5 exactly; loose: -4.5
+            return bool(interval_matmul(x, w).lo[0, 0] == pytest.approx(-3.5))
+
+        a_in, b_in, a_out = (threading.Event() for _ in range(3))
+        seen = {}
+
+        def thread_a():
+            with tight_intervals():
+                a_in.set()
+                b_in.wait(5.0)
+            a_out.set()
+
+        def thread_b():
+            a_in.wait(5.0)
+            with tight_intervals():
+                b_in.set()
+                a_out.wait(5.0)
+                seen["after_a_exits"] = is_tight()
+            seen["after_b_exits"] = is_tight()
+
+        def run(*targets):
+            threads = [threading.Thread(target=t) for t in targets]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=10.0)
+
+        run(thread_a, thread_b)
+        assert seen == {"after_a_exits": True, "after_b_exits": False}
+        assert not is_tight()
+        run(lambda: seen.update(fresh=is_tight()))
+        assert seen["fresh"] is False
 
 
 class TestLayerIntervalSoundness:

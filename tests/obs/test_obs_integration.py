@@ -1,21 +1,33 @@
 """End-to-end: instrumented retrieval records spans and counters.
 
-A group retrieval through :class:`RetrievalCache` must (1) increment the
-cache's hit/miss counters in its registry, (2) count chunkstore byte
-traffic, and (3) leave a ``cache.snapshot`` span with nested
-``pas.matrix`` spans in the trace recorder.
+A group retrieval through :meth:`PlanArchive.recreate_snapshot` must (1)
+count chunkstore byte traffic and (2) leave a ``pas.snapshot`` span with
+one nested ``pas.matrix`` span per member in the trace recorder.  Reads
+through the one weights cache — a :class:`PlaneCache` behind an
+evaluator — must (3) move that cache's hit/miss counters and gauges and
+(4) leave the archive untouched once warm.  Every scheme bills the
+caller the same, including the PARALLEL pool's threads (5).
 """
+
+import sys
 
 import numpy as np
 import pytest
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.cache import RetrievalCache
 from repro.core.chunkstore import MemoryChunkStore
+from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
-from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
+from repro.core.storage_graph import (
+    MatrixRef,
+    MatrixStorageGraph,
+    RetrievalScheme,
+)
+from repro.dnn.zoo import tiny_mlp
+from repro.obs.cost import cost_context
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import TraceRecorder, set_recorder
+from repro.serve import PlaneCache
 
 
 @pytest.fixture
@@ -32,42 +44,50 @@ def store_registry():
 
 
 @pytest.fixture
-def archive(seeded_rng, store_registry):
-    matrices = {
-        f"m{i}": (seeded_rng.standard_normal((16, 16)) * 0.1).astype(
-            np.float32
-        )
-        for i in range(3)
-    }
+def net():
+    return tiny_mlp(hidden=8).build(seed=0)
+
+
+@pytest.fixture
+def archive(net, store_registry):
     graph = MatrixStorageGraph()
-    for mid, matrix in matrices.items():
-        graph.add_matrix(MatrixRef(mid, "snap", matrix.nbytes))
-        graph.add_materialization(mid, matrix.nbytes, 1.0)
-    built = PlanArchive.build(
+    matrices = {}
+    for layer, params in net.get_weights().items():
+        for param, matrix in params.items():
+            mid = f"{layer}.{param}"
+            graph.add_matrix(MatrixRef(mid, "snap", matrix.nbytes))
+            graph.add_materialization(mid, matrix.nbytes, 1.0)
+            matrices[mid] = matrix
+    return PlanArchive.build(
         MemoryChunkStore(registry=store_registry),
         matrices,
         minimum_spanning_tree(graph),
     )
-    return built
+
+
+def evaluator_over(net, archive, registry=None):
+    cache = PlaneCache(registry=registry or MetricsRegistry())
+    return ProgressiveEvaluator(net, archive, "snap", plane_cache=cache)
 
 
 class TestCacheCounters:
-    def test_group_retrieval_hits_and_misses(self, archive, recorder):
+    def test_group_retrieval_hits_and_misses(self, net, archive, recorder):
         registry = MetricsRegistry()
-        cache = RetrievalCache(archive, registry=registry)
-        cold = cache.recreate_snapshot("snap")
-        warm = cache.recreate_snapshot("snap")
-        assert registry.counter("cache.misses").value == 3
-        assert registry.counter("cache.hits").value == 3
-        assert set(cold.matrices) == set(warm.matrices)
-        assert cold.seconds >= 0.0 and warm.seconds >= 0.0
+        evaluator = evaluator_over(net, archive, registry)
+        cold = evaluator.exact_weights()
+        warm = evaluator.exact_weights()
+        assert registry.counter("serve.cache.misses").value == 1
+        assert registry.counter("serve.cache.hits").value == 1
+        assert warm is cold
 
-    def test_cached_bytes_gauge_tracks_entries(self, archive):
+    def test_cached_bytes_gauge_tracks_entries(self, net, archive):
         registry = MetricsRegistry()
-        cache = RetrievalCache(archive, registry=registry)
-        cache.recreate_snapshot("snap")
-        assert registry.gauge("cache.bytes").value == cache.cached_bytes
-        assert registry.gauge("cache.entries").value == len(cache)
+        evaluator = evaluator_over(net, archive, registry)
+        evaluator.exact_weights()
+        evaluator.param_bounds(2)
+        cache = evaluator.plane_cache
+        assert registry.gauge("serve.cache.bytes").value == cache.cached_bytes
+        assert registry.gauge("serve.cache.entries").value == len(cache) == 2
 
 
 class TestChunkstoreCounters:
@@ -75,37 +95,72 @@ class TestChunkstoreCounters:
         self, archive, store_registry, recorder
     ):
         before = store_registry.counter("chunkstore.get_bytes").value
-        RetrievalCache(archive, registry=MetricsRegistry()).recreate_snapshot(
-            "snap"
-        )
+        archive.recreate_snapshot("snap")
         assert store_registry.counter("chunkstore.get_calls").value > 0
         assert store_registry.counter("chunkstore.get_bytes").value > before
 
 
 class TestRetrievalSpans:
     def test_group_retrieval_records_nested_spans(self, archive, recorder):
-        cache = RetrievalCache(archive)
-        cache.recreate_snapshot("snap")
-        [group] = recorder.spans("cache.snapshot")
-        assert group.attrs["snapshot"] == "snap"
-        assert group.elapsed is not None
-        matrix_spans = recorder.spans("pas.matrix")
-        assert len(matrix_spans) == 3  # one per member matrix (all misses)
-        for span in matrix_spans:
-            assert span.parent_id == group.span_id
-            assert span.attrs["bytes_read"] > 0
+        members = len(archive.manifest)
+        for scheme in RetrievalScheme:
+            recorder.clear()
+            result = archive.recreate_snapshot("snap", scheme)
+            [group] = recorder.spans("pas.snapshot")
+            assert group.attrs["snapshot"] == "snap"
+            assert group.attrs["scheme"] == scheme.value
+            assert group.elapsed is not None
+            matrix_spans = recorder.spans("pas.matrix")
+            assert len(matrix_spans) == members  # one per member matrix
+            for span in matrix_spans:
+                assert span.parent_id == group.span_id
+                assert span.attrs["bytes_read"] > 0
+            total = sum(span.attrs["bytes_read"] for span in matrix_spans)
+            assert group.attrs["bytes_read"] == result.bytes_read == total
 
-    def test_warm_retrieval_records_no_matrix_spans(self, archive, recorder):
-        cache = RetrievalCache(archive)
-        cache.recreate_snapshot("snap")
+    def test_warm_retrieval_records_no_matrix_spans(
+        self, net, archive, recorder
+    ):
+        evaluator = evaluator_over(net, archive)
+        evaluator.exact_weights()
+        assert len(recorder.spans("pas.matrix")) == len(archive.manifest)
         recorder.clear()
-        cache.recreate_snapshot("snap")  # all hits: archive never touched
+        evaluator.exact_weights()  # a cache hit: archive never touched
         assert recorder.spans("pas.matrix") == []
-        assert len(recorder.spans("cache.snapshot")) == 1
+        assert recorder.spans("pas.snapshot") == []
 
     def test_uncached_archive_snapshot_span(self, archive, recorder):
         archive.recreate_snapshot("snap")
         [group] = recorder.spans("pas.snapshot")
         assert group.attrs["scheme"] == "independent"
         assert group.attrs["bytes_read"] > 0
-        assert len(recorder.spans("pas.matrix")) == 3
+        assert len(recorder.spans("pas.matrix")) == len(archive.manifest)
+
+
+class TestRetrievalBilling:
+    def test_parallel_pool_bills_like_one_thread(self):
+        """Eight pool threads over 64 members, switching every microsecond:
+        no charge is lost on the way to the caller's bill."""
+        rng = np.random.default_rng(5)
+        graph = MatrixStorageGraph()
+        matrices = {}
+        for i in range(64):
+            matrices[f"l{i}.W"] = rng.standard_normal((8, 8)).astype(np.float32)
+            graph.add_matrix(MatrixRef(f"l{i}.W", "snap", 256))
+            graph.add_materialization(f"l{i}.W", 256, 1.0)
+        archive = PlanArchive.build(
+            MemoryChunkStore(), matrices, minimum_spanning_tree(graph)
+        )
+        bills = {}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for scheme in (RetrievalScheme.INDEPENDENT, RetrievalScheme.PARALLEL):
+                with cost_context() as bill:
+                    result = archive.recreate_snapshot("snap", scheme, max_workers=8)
+                bills[scheme] = bill.to_dict()
+        finally:
+            sys.setswitchinterval(previous)
+        assert bills[RetrievalScheme.PARALLEL] == bills[RetrievalScheme.INDEPENDENT]
+        planes = bills[RetrievalScheme.PARALLEL]["bytes_by_plane"]
+        assert sum(planes.values()) == result.bytes_read > 0

@@ -103,21 +103,18 @@ class TestEviction:
         cache.get_or_load("big", lambda: (calls.append(1) or "huge", 1000))
         assert calls == [1]
 
-    @pytest.mark.parametrize(
-        "kwargs, prefix", [({}, "serve.cache"), ({"prefix": "cache"}, "cache")]
-    )
-    def test_metrics_track_contents_under_the_prefix(self, kwargs, prefix):
+    def test_metrics_track_contents(self):
         registry = MetricsRegistry()
-        cache = PlaneCache(100, registry=registry, **kwargs)
+        cache = PlaneCache(100, registry=registry)
         cache.get_or_load("a", lambda: (1, 60))
-        assert registry.gauge(f"{prefix}.bytes").value == 60
-        assert registry.gauge(f"{prefix}.entries").value == 1
+        assert registry.gauge("serve.cache.bytes").value == 60
+        assert registry.gauge("serve.cache.entries").value == 1
         cache.get_or_load("b", lambda: (2, 60))  # evicts a
-        assert registry.gauge(f"{prefix}.bytes").value == 60
-        assert registry.counter(f"{prefix}.evictions").value == 1
+        assert registry.gauge("serve.cache.bytes").value == 60
+        assert registry.counter("serve.cache.evictions").value == 1
         emitted = {n for kind in registry.as_dict().values() for n in kind}
         assert emitted == {
-            f"{prefix}.{name}"
+            f"serve.cache.{name}"
             for name in ("hits", "misses", "evictions", "bytes", "entries")
         }
 

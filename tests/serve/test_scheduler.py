@@ -189,6 +189,14 @@ class TestCorrectness:
         assert outcome.escalations == 0
         np.testing.assert_array_equal(outcome.predictions, trained.predict(x))
 
+    def test_exact_pass_is_billed(self, runtime_setup, registry, digits):
+        """The exact forward pass charges compute time like the interval
+        pass does (it used to reply ``compute_ms == 0``)."""
+        runtime, _ = runtime_setup
+        scheduler = make_scheduler(runtime, registry)
+        [outcome] = run_queued(scheduler, [(digits.x_test[:4], {"exact": True})])
+        assert outcome.cost["compute_ms"] > 0
+
     def test_mixed_plane_budgets_concurrently(
         self, runtime_setup, registry, digits
     ):
