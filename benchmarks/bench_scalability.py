@@ -70,9 +70,10 @@ def test_scalability_sweep(reporter):
                 f"{name:>12} | {elapsed:8.3f} | "
                 f"{plan.storage_cost() / mst_cost:8.2f} | {ok}"
             )
-    # The whole sweep (largest instance: >1300 matrices) stays tractable.
+    # The whole sweep (largest instance: >1300 matrices) stays tractable:
+    # the slowest solver reads ~0.36 s at 1344 matrices on a 2-core host.
     for name, series in timings.items():
-        assert max(series) < 120.0, f"{name} exceeded the runtime budget"
+        assert max(series) < 5.0, f"{name} exceeded the runtime budget"
 
 
 @pytest.mark.parametrize(

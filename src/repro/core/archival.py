@@ -28,7 +28,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import defaultdict
 from typing import Optional
+
+import numpy as np
 
 from repro.obs.metrics import counter, histogram
 from repro.obs.tracing import trace_span
@@ -125,9 +128,7 @@ def last_tree(graph: MatrixStorageGraph, eps: float = 0.5) -> StoragePlan:
     plan = mst.copy()
 
     # DFS over the MST from the root, tracking the current in-plan distance.
-    children: dict[str, list[str]] = {}
-    for matrix_id, edge in mst.parent_edge.items():
-        children.setdefault(edge.other(matrix_id), []).append(matrix_id)
+    children = mst.children_map()
 
     dist_in_plan: dict[str, float] = {ROOT: 0.0}
     stack = [(ROOT, iter(children.get(ROOT, [])))]
@@ -213,120 +214,188 @@ def frequency_constraints(
     return constraints
 
 
-def _unsatisfied(
-    plan: StoragePlan, constraints: dict[str, float], scheme: RetrievalScheme
-) -> dict[str, float]:
-    """Snapshots whose recreation cost exceeds their budget (with slack)."""
-    costs = plan.all_snapshot_costs(scheme)
-    return {
-        s: costs[s] - theta
-        for s, theta in constraints.items()
-        if costs[s] > theta + 1e-9
-    }
+class _PlanTree:
+    """A complete plan as arrays: the one tree every swap loop works on.
+
+    Vertex ``0`` is ``v0``, matrices follow in plan order.  ``order`` is a
+    preorder, ``pos`` its inverse: ``v`` is under ``u`` iff ``pos[u] <=
+    pos[v] < pos[u] + size[u]``.  Root-path costs (``path``, numpy copy
+    ``cost``) and over-budget flags (``broken``, plus an unused slot for
+    ``v0``) use :class:`StoragePlan`'s arithmetic, so they match
+    ``recreation_costs()`` and ``satisfies()`` to the bit.  The candidate
+    table ``child``/``new_parent``/``edge`` lists each matrix's incident
+    edges in graph order: the scan order ties break in.  An edge is
+    numbered by its first index, so equal numbers mean the same object.
+    """
+
+    def __init__(self, graph: MatrixStorageGraph, plan: StoragePlan,
+                 constraints: dict[str, float], scheme: RetrievalScheme):
+        self.plan, self.scheme, self.edges = plan, scheme, graph.edges
+        first = {id(e): i for i, e in reversed(list(enumerate(self.edges)))}
+        self.cs = np.array([e.storage_cost for e in self.edges], dtype=float)
+        self.cr = [e.recreation_cost for e in self.edges]
+        self.names = [ROOT, *plan.parent_edge]
+        index = {name: i for i, name in enumerate(self.names)}
+        self.parent = [0] * len(self.names)
+        self.pe = np.full(len(self.names), -1)
+        rows = []
+        for v, name in enumerate(self.names[1:], 1):
+            current = plan.parent_edge[name]
+            self.parent[v] = index[current.other(name)]
+            self.pe[v] = first[id(current)]
+            rows += [(v, index[e.other(name)], first[id(e)])
+                     for e in graph.incident_edges(name)]
+        table = np.array(rows, dtype=int).reshape(-1, 3).T
+        self.child, self.new_parent, self.edge = table
+        self.row_cs = self.cs[self.edge]
+        self.row_cr = np.array(self.cr, dtype=float)[self.edge]
+        groups = graph.snapshots
+        self.members = [np.array([index[m] for m in g], dtype=int)
+                        for g in groups.values()]
+        self.snap_of = np.full(len(self.names), len(groups))
+        for s, members in enumerate(self.members):
+            self.snap_of[members] = s
+        theta = [constraints.get(s, math.inf) for s in groups]
+        self.limit = np.array(theta, dtype=float) + 1e-9
+        self.broken = np.zeros(len(groups) + 1, dtype=bool)
+
+        kids: list[list[int]] = [[] for _ in self.names]
+        for v in range(1, len(self.names)):
+            kids[self.parent[v]].append(v)
+        order, stack = [], [0]
+        while stack:
+            order.append(stack.pop())
+            stack.extend(kids[order[-1]])
+        self.order = np.array(order)
+        self.slots = np.arange(len(order))
+        self.pos = np.empty_like(self.order)
+        self.pos[self.order] = self.slots
+        self.size = np.ones(len(order), dtype=int)
+        for v in reversed(order[1:]):
+            self.size[self.parent[v]] += self.size[v]
+        self.path: list[float] = [0.0] * len(order)
+        self.cost = np.zeros(len(order))
+        self._settle(self.order[1:])
+
+    def _settle(self, block: np.ndarray) -> None:
+        """Recompute root-path costs top-down over ``block`` (a run of the
+        preorder) and the status of every snapshot with a member in it."""
+        path, parent, cr = self.path, self.parent, self.cr
+        vertices = block.tolist()
+        for v, e in zip(vertices, self.pe[block].tolist()):
+            path[v] = path[parent[v]] + cr[e]
+        self.cost[block] = [path[v] for v in vertices]
+        for s in set(self.snap_of[block].tolist()):
+            self.broken[s] = self._snapshot_cost(s) > self.limit[s]
+
+    def _snapshot_cost(self, s: int) -> float:
+        """``Cr`` of snapshot ``s``, summed as ``StoragePlan`` sums it."""
+        members = self.members[s].tolist()
+        if self.scheme is RetrievalScheme.REUSABLE:
+            seen: set[int] = set()
+            total = 0.0
+            for v in members:
+                while v and v not in seen:
+                    seen.add(v)
+                    total += self.cr[self.pe[v]]
+                    v = self.parent[v]
+            return total
+        costs = [self.path[v] for v in members]
+        if self.scheme is RetrievalScheme.INDEPENDENT:
+            return sum(costs)
+        return max(costs)
+
+    def inside(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Is ``v`` in the subtree of ``u`` (elementwise)?"""
+        return (self.pos[u] <= self.pos[v]) & (
+            self.pos[v] < self.pos[u] + self.size[u]
+        )
+
+    def weights(self) -> np.ndarray:
+        """Per vertex, the broken snapshots its subtree touches: counted
+        per member for the independent scheme (Eq. 1), per distinct
+        snapshot otherwise (Eq. 2) -- prefix sums over the preorder."""
+        at = self.snap_of[self.order]
+        lo, hi = self.pos, self.pos + self.size
+        if self.scheme is RetrievalScheme.INDEPENDENT:
+            run = np.concatenate(([0], np.cumsum(self.broken[at])))
+            return run[hi] - run[lo]
+        ids = np.flatnonzero(self.broken)
+        run = np.zeros((len(ids), len(at) + 1), dtype=int)
+        np.cumsum(at == ids[:, None], axis=1, out=run[:, 1:])
+        return (run[:, hi] > run[:, lo]).sum(axis=0)
+
+    def move(self, c: int, p: int, e: int) -> None:
+        """Reparent ``c`` under ``p`` through edge ``e``: its preorder block
+        moves behind ``p`` and only that block is re-settled."""
+        n, start = int(self.size[c]), int(self.pos[c])
+        for v, delta in ((self.parent[c], -n), (p, n)):
+            while v:
+                self.size[v] += delta
+                v = self.parent[v]
+        block = self.order[start:start + n]
+        rest = np.concatenate((self.order[:start], self.order[start + n:]))
+        at = int(self.pos[p]) + 1 - (n if self.pos[p] > start else 0)
+        self.order = np.concatenate((rest[:at], block, rest[at:]))
+        self.pos[self.order] = self.slots
+        self.parent[c], self.pe[c] = p, e
+        self._settle(block)
+
+    def write(self) -> StoragePlan:
+        """Store the tree's parent edges back into the plan and check it."""
+        for name, e in zip(self.names[1:], self.pe[1:].tolist()):
+            self.plan.parent_edge[name] = self.edges[e]
+        self.plan.validate()
+        return self.plan
 
 
-def _swap_refinement(
+def _refine(
     graph: MatrixStorageGraph,
     plan: StoragePlan,
     constraints: dict[str, float],
     scheme: RetrievalScheme,
-    max_iterations: Optional[int] = None,
 ) -> StoragePlan:
     """Greedy maximum-marginal-gain edge swapping until constraints hold.
 
     Implements the paper's Eq. 1 (independent) / Eq. 2 (parallel) swap
-    selection.  Per iteration the tree is summarised once — an Euler tour
-    for O(1) subtree tests and a bottom-up pass aggregating, for every
-    vertex, how many (Eq. 1) or which (Eq. 2, as a bitmask) unsatisfied
-    snapshots its subtree touches — so each candidate edge is scored in
-    O(1).
+    selection: a swap lowers a matrix's root path by ``decrease`` for the
+    ``weight`` broken snapshots below it, at a storage increase; the
+    largest ratio wins, the first in table order on ties.  Each iteration
+    scores the whole candidate table in a few array operations and applies
+    one swap incrementally.
     """
-    snapshots = graph.snapshots
-    snapshot_of = {m: s for s, members in snapshots.items() for m in members}
-    limit = (
-        max_iterations if max_iterations is not None else 4 * len(graph.edges)
-    )
+    tree = _PlanTree(graph, plan, constraints, scheme)
+    child, parent, edge = tree.child, tree.new_parent, tree.edge
     # Minimum meaningful recreation decrease: parallel equal-cost edges and
     # float rounding otherwise produce infinite-gain no-op swaps that thrash.
     scale = max(constraints.values(), default=1.0)
     min_decrease = max(1e-9 * scale, 1e-15)
-
-    for _ in range(limit):
-        broken = _unsatisfied(plan, constraints, scheme)
-        if not broken:
+    for _ in range(4 * len(tree.edges)):
+        if not tree.broken.any():
             break
-        broken_bit = {s: 1 << i for i, s in enumerate(broken)}
-        matrix_costs = plan.recreation_costs()
-        intervals = plan.euler_intervals()
-        children = plan.children_map()
-
-        # Bottom-up aggregates over the tree (post-order via Euler exit).
-        order = sorted(intervals, key=lambda v: intervals[v][1])
-        broken_count: dict[str, int] = {}
-        broken_mask: dict[str, int] = {}
-        for vertex in order:
-            snapshot = snapshot_of.get(vertex)
-            count = 1 if snapshot in broken else 0
-            mask = broken_bit.get(snapshot, 0)
-            for child in children.get(vertex, []):
-                count += broken_count[child]
-                mask |= broken_mask[child]
-            broken_count[vertex] = count
-            broken_mask[vertex] = mask
-
-        def in_subtree(ancestor: str, vertex: str) -> bool:
-            tin_a, tout_a = intervals[ancestor]
-            tin_v = intervals[vertex][0]
-            return tin_a <= tin_v < tout_a
-
-        best: Optional[tuple[float, str, StorageEdge]] = None
-        for matrix_id in plan.parent_edge:
-            if scheme is RetrievalScheme.INDEPENDENT:
-                weight = broken_count[matrix_id]
-            else:
-                weight = bin(broken_mask[matrix_id]).count("1")
-            if weight == 0:
-                continue
-            current_edge = plan.parent_edge[matrix_id]
-            for edge in graph.incident_edges(matrix_id):
-                new_parent = edge.other(matrix_id)
-                if edge is current_edge:
-                    continue
-                if new_parent != ROOT and in_subtree(matrix_id, new_parent):
-                    continue
-                parent_cost = (
-                    0.0 if new_parent == ROOT else matrix_costs[new_parent]
-                )
-                decrease = (
-                    matrix_costs[matrix_id]
-                    - parent_cost
-                    - edge.recreation_cost
-                )
-                if decrease <= min_decrease:
-                    continue
-                gain_num = decrease * weight
-                storage_increase = (
-                    edge.storage_cost - current_edge.storage_cost
-                )
-                gain = (
-                    math.inf
-                    if storage_increase <= 0
-                    else gain_num / storage_increase
-                )
-                if best is None or gain > best[0]:
-                    best = (gain, matrix_id, edge)
-        if best is None:
+        weight = tree.weights()[child]
+        current = tree.pe[child]
+        decrease = tree.cost[child] - tree.cost[parent] - tree.row_cr
+        ok = (
+            (weight > 0)
+            & (edge != current)
+            & ~tree.inside(child, parent)
+            & (decrease > min_decrease)
+        )
+        if not ok.any():
             break
-        plan.swap(best[1], best[2])
-    plan.validate()
-    return plan
+        increase = tree.row_cs - tree.cs[current]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            gain = np.where(increase <= 0, np.inf, decrease * weight / increase)
+        row = int(np.argmax(np.where(ok, gain, -np.inf)))
+        tree.move(child[row], parent[row], edge[row])
+    return tree.write()
 
 
 def pas_mt(
     graph: MatrixStorageGraph,
     constraints: dict[str, float],
     scheme: RetrievalScheme = RetrievalScheme.INDEPENDENT,
-    max_iterations: Optional[int] = None,
 ) -> StoragePlan:
     """PAS-MT: MST-based iterative refinement (Sec. IV-C).
 
@@ -335,8 +404,7 @@ def pas_mt(
     (Eq. 1 for the independent scheme, Eq. 2 for parallel) and apply it,
     until all constraints hold or no swap helps.
     """
-    plan = minimum_spanning_tree(graph)
-    return _swap_refinement(graph, plan, constraints, scheme, max_iterations)
+    return _refine(graph, minimum_spanning_tree(graph), constraints, scheme)
 
 
 def pas_pt(
@@ -364,6 +432,7 @@ def pas_pt(
     plan = StoragePlan(graph)
     in_tree = {ROOT}
     cost_in_tree: dict[str, float] = {ROOT: 0.0}
+    children: dict[str, list[str]] = defaultdict(list)
 
     heap: list[tuple[float, int, StorageEdge, str]] = []
     counter = 0
@@ -413,98 +482,64 @@ def pas_pt(
         in_tree.add(vertex)
         cost_in_tree[vertex] = candidate_cost
         plan.parent_edge[vertex] = edge
+        children[anchor].append(vertex)
         push(vertex)
         # Let existing vertices adopt the newcomer as parent when it's a
         # strictly better storage deal without a recreation regression.
         for inner in graph.incident_edges(vertex):
             other = inner.other(vertex)
-            if other in (ROOT,) or other not in in_tree or other == vertex:
+            if other == ROOT or other not in in_tree:
                 continue
-            current = plan.parent_edge.get(other)
-            if current is None:
-                continue
-            if vertex in plan.subtree(other):
-                continue
-            better_storage = inner.storage_cost < current.storage_cost
+            current = plan.parent_edge[other]
             new_cost = cost_in_tree[vertex] + inner.recreation_cost
-            not_worse = new_cost <= cost_in_tree[other] + 1e-12
-            if better_storage and not_worse:
+            if (
+                inner.storage_cost < current.storage_cost
+                and new_cost <= cost_in_tree[other] + 1e-12
+                and not plan.in_subtree(vertex, other)
+            ):
+                children[current.other(other)].remove(other)
+                children[vertex].append(other)
                 plan.swap(other, inner)
                 cost_in_tree[other] = new_cost
-                _refresh_subtree_costs(plan, other, cost_in_tree)
+                # Root-path costs below the adopted vertex follow it.
+                frontier = [other]
+                while frontier:
+                    above = frontier.pop()
+                    for below in children[above]:
+                        cost_in_tree[below] = (
+                            cost_in_tree[above]
+                            + plan.parent_edge[below].recreation_cost
+                        )
+                        frontier.append(below)
 
-    # Fallback: attach leftovers via their shortest-path parents.
-    leftovers = set(graph.matrices) - in_tree
-    for vertex in sorted(leftovers, key=lambda v: spt_dist[v]):
-        edge = spt_parent[vertex]
-        anchor = edge.other(vertex)
-        if anchor not in in_tree:
-            # Materialize directly when the SPT parent is also missing.
-            direct = min(
-                (
-                    e
-                    for e in graph.incident_edges(vertex)
-                    if e.other(vertex) == ROOT
-                ),
-                key=lambda e: e.storage_cost,
-                default=None,
-            )
-            edge = direct if direct is not None else edge
-            anchor = edge.other(vertex)
-            if anchor not in in_tree:
-                continue
-        plan.parent_edge[vertex] = edge
-        in_tree.add(vertex)
-        cost_in_tree[vertex] = cost_in_tree[anchor] + edge.recreation_cost
-
-    # Any still-unplaced vertex (SPT parent chains outside the tree) —
-    # resolve iteratively until a full pass adds nothing.
+    # Fallback: attach leftovers via their shortest-path parents, or
+    # materialize them when that parent is missing too; repeat while a
+    # full pass places something.
     remaining = set(graph.matrices) - in_tree
     while remaining:
-        progressed = False
         for vertex in sorted(remaining, key=lambda v: spt_dist[v]):
             edge = spt_parent[vertex]
-            anchor = edge.other(vertex)
-            if anchor in in_tree:
-                plan.parent_edge[vertex] = edge
-                in_tree.add(vertex)
-                cost_in_tree[vertex] = (
-                    cost_in_tree[anchor] + edge.recreation_cost
+            if edge.other(vertex) not in in_tree:
+                edge = min(
+                    (
+                        e
+                        for e in graph.incident_edges(vertex)
+                        if e.other(vertex) == ROOT
+                    ),
+                    key=lambda e: e.storage_cost,
+                    default=edge,
                 )
-                progressed = True
-        remaining = set(graph.matrices) - in_tree
-        if not progressed:
+                if edge.other(vertex) not in in_tree:
+                    continue
+            plan.parent_edge[vertex] = edge
+            in_tree.add(vertex)
+        left = set(graph.matrices) - in_tree
+        if left == remaining:
             raise RuntimeError("PAS-PT could not complete a spanning tree")
+        remaining = left
 
     plan.validate()
-    if _unsatisfied(plan, constraints, scheme):
-        plan = _adjust_with_swaps(graph, plan, constraints, scheme)
-    return plan
-
-
-def _refresh_subtree_costs(
-    plan: StoragePlan, vertex: str, cost_in_tree: dict[str, float]
-) -> None:
-    """Recompute root-path costs of ``vertex``'s subtree after a swap."""
-    frontier = [vertex]
-    while frontier:
-        current = frontier.pop()
-        for child in plan.children(current):
-            cost_in_tree[child] = (
-                cost_in_tree[current]
-                + plan.parent_edge[child].recreation_cost
-            )
-            frontier.append(child)
-
-
-def _adjust_with_swaps(
-    graph: MatrixStorageGraph,
-    plan: StoragePlan,
-    constraints: dict[str, float],
-    scheme: RetrievalScheme,
-) -> StoragePlan:
-    """Post-construction adjustment: reuse the Eq. 1/2 swap loop on ``plan``."""
-    return _swap_refinement(graph, plan, constraints, scheme)
+    return _refine(graph, plan, constraints, scheme)
 
 
 def spt_tightening(
@@ -520,51 +555,34 @@ def spt_tightening(
     plan that is always feasible when one exists.  It trades solution
     quality for that guarantee; ``solve("best")`` uses it as the fallback
     when both PAS heuristics miss a budget.
+
+    A probe swaps on the shared tree and swaps back when a budget breaks;
+    a rejected (matrix, edge) pair is never probed again.
     """
-    plan = shortest_path_tree(graph)
-    rejected: set[tuple[str, int]] = set()
-    edge_index = {id(edge): i for i, edge in enumerate(graph.edges)}
-
+    tree = _PlanTree(graph, shortest_path_tree(graph), constraints, scheme)
+    child, parent, edge = tree.child, tree.new_parent, tree.edge
+    rejected = np.zeros(len(child), dtype=bool)
     while True:
-        intervals = plan.euler_intervals()
-        candidates: list[tuple[float, str, StorageEdge]] = []
-        for matrix_id in plan.parent_edge:
-            current = plan.parent_edge[matrix_id]
-            for edge in graph.incident_edges(matrix_id):
-                key = (matrix_id, edge_index[id(edge)])
-                if edge is current or key in rejected:
-                    continue
-                saving = current.storage_cost - edge.storage_cost
-                if saving <= 0:
-                    continue
-                new_parent = edge.other(matrix_id)
-                if new_parent != ROOT:
-                    tin_a, tout_a = intervals[matrix_id]
-                    if tin_a <= intervals[new_parent][0] < tout_a:
-                        continue
-                candidates.append((saving, matrix_id, edge))
-        if not candidates:
-            break
-        candidates.sort(key=lambda c: -c[0])
-        applied = False
-        for saving, matrix_id, edge in candidates:
-            previous = plan.parent_edge[matrix_id]
-            plan.swap(matrix_id, edge)
-            if plan.satisfies(constraints, scheme):
-                applied = True
+        current = tree.pe[child]
+        saving = tree.cs[current] - tree.row_cs
+        ok = (
+            (edge != current)
+            & ~rejected
+            & (saving > 0)
+            & ~tree.inside(child, parent)
+        )
+        rows = np.flatnonzero(ok)
+        for row in rows[np.argsort(-saving[rows], kind="stable")].tolist():
+            c = int(child[row])
+            back = (tree.parent[c], int(tree.pe[c]))
+            tree.move(c, int(parent[row]), int(edge[row]))
+            if not tree.broken.any():
                 break
-            plan.parent_edge[matrix_id] = previous
-            rejected.add((matrix_id, edge_index[id(edge)]))
-        if not applied:
+            tree.move(c, *back)
+            rejected |= (child == c) & (edge == edge[row])
+        else:
             break
-    plan.validate()
-    return plan
-
-
-SOLVERS = {
-    "mst": minimum_spanning_tree,
-    "spt": shortest_path_tree,
-}
+    return tree.write()
 
 
 def solve(

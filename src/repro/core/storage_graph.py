@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Optional
 
 ROOT = "v0"
 
@@ -190,39 +190,12 @@ class StoragePlan:
         """Parent vertex of a matrix in the tree."""
         return self.parent_edge[matrix_id].other(matrix_id)
 
-    def children(self, vertex: str) -> list[str]:
-        return [
-            m for m, e in self.parent_edge.items() if e.other(m) == vertex
-        ]
-
     def children_map(self) -> dict[str, list[str]]:
-        """All children lists in one pass (O(n) instead of O(n) per vertex)."""
+        """Vertex -> its children in the tree, built in one pass."""
         result: dict[str, list[str]] = {}
         for matrix_id, edge in self.parent_edge.items():
             result.setdefault(edge.other(matrix_id), []).append(matrix_id)
         return result
-
-    def euler_intervals(self) -> dict[str, tuple[int, int]]:
-        """DFS enter/exit times: ``v`` is in subtree(``u``) iff
-        ``tin[u] <= tin[v] < tout[u]`` — an O(1) ancestor test."""
-        children = self.children_map()
-        intervals: dict[str, tuple[int, int]] = {}
-        clock = 0
-        stack: list[tuple[str, bool]] = [
-            (root, False) for root in reversed(children.get(ROOT, []))
-        ]
-        tin: dict[str, int] = {}
-        while stack:
-            vertex, done = stack.pop()
-            if done:
-                intervals[vertex] = (tin[vertex], clock)
-                continue
-            tin[vertex] = clock
-            clock += 1
-            stack.append((vertex, True))
-            for child in reversed(children.get(vertex, [])):
-                stack.append((child, False))
-        return intervals
 
     def is_complete(self) -> bool:
         """True when every matrix in the graph has a parent edge."""
@@ -233,14 +206,16 @@ class StoragePlan:
         if not self.is_complete():
             missing = set(self.graph.matrices) - set(self.parent_edge)
             raise ValueError(f"plan misses matrices: {sorted(missing)[:5]}")
+        rooted = {ROOT}
         for matrix_id in self.parent_edge:
             seen = set()
             current = matrix_id
-            while current != ROOT:
+            while current not in rooted:
                 if current in seen:
                     raise ValueError(f"cycle through {matrix_id!r}")
                 seen.add(current)
                 current = self.parent(current)
+            rooted |= seen
 
     # -- cost model -------------------------------------------------------------
 
@@ -291,7 +266,7 @@ class StoragePlan:
         matrix_costs: Optional[dict[str, float]] = None,
     ) -> float:
         """``Cr`` of one snapshot under a retrieval scheme (Table III)."""
-        members = self.graph.snapshots.get(snapshot_id)
+        members = self.graph._snapshots.get(snapshot_id)
         if not members:
             raise KeyError(f"unknown snapshot {snapshot_id!r}")
         if scheme is RetrievalScheme.REUSABLE:
@@ -321,7 +296,7 @@ class StoragePlan:
             snapshot_id: self.snapshot_recreation_cost(
                 snapshot_id, scheme, matrix_costs
             )
-            for snapshot_id in self.graph.snapshots
+            for snapshot_id in self.graph._snapshots
         }
 
     def satisfies(
@@ -347,6 +322,18 @@ class StoragePlan:
                     frontier.append(child)
         return result
 
+    def in_subtree(self, vertex: str, ancestor: str) -> bool:
+        """Is ``vertex`` ``ancestor`` itself or below it?  An ancestor walk,
+        bounded so that a malformed (cyclic) plan cannot hang it."""
+        for _ in range(len(self.parent_edge) + 1):
+            if vertex == ancestor:
+                return True
+            edge = self.parent_edge.get(vertex)
+            if edge is None:
+                return False
+            vertex = edge.other(vertex)
+        return False
+
     def swap(self, matrix_id: str, new_edge: StorageEdge) -> None:
         """Reparent ``matrix_id`` through ``new_edge`` (the swap operation).
 
@@ -357,7 +344,7 @@ class StoragePlan:
         if not new_edge.touches(matrix_id):
             raise ValueError("edge does not touch the matrix being swapped")
         new_parent = new_edge.other(matrix_id)
-        if new_parent != ROOT and new_parent in self.subtree(matrix_id):
+        if self.in_subtree(new_parent, matrix_id):
             raise ValueError(
                 f"swap would create a cycle: {new_parent!r} is a descendant "
                 f"of {matrix_id!r}"
@@ -389,12 +376,3 @@ def plan_from_parent_map(
     plan.validate()
     return plan
 
-
-def iter_edge_options(
-    graph: MatrixStorageGraph, vertex: str, exclude: Iterable[str] = ()
-) -> Iterable[StorageEdge]:
-    """Edges incident to ``vertex`` whose other endpoint is not excluded."""
-    banned = set(exclude)
-    for edge in graph.incident_edges(vertex):
-        if edge.other(vertex) not in banned:
-            yield edge
