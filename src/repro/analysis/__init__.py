@@ -12,12 +12,11 @@ stable code, source span, fix hint) and one surface (``dlv check``):
   inputs, shape mismatches, float64 leaks that would break PAS
   segmentation.  ``Network.build(validate=True)`` runs it first.
 * :mod:`repro.analysis.lint` — ``ast``-based repo-invariant lint
-  (``LINT3xx``), runnable as ``python -m repro.analysis.lint src/repro``
-  and wired into CI.
+  (``LINT3xx``), run as ``dlv check --lint src/repro`` and wired into CI.
 * :mod:`repro.analysis.conc` — concurrency-safety checker (``CONC4xx``):
   guarded-by inference, lock-order inversion cycles, blocking calls
-  under locks, thread daemon/join discipline.  Runnable as
-  ``python -m repro.analysis.conc src/repro`` and wired into CI; its
+  under locks, thread daemon/join discipline.  Run as
+  ``dlv check --conc src/repro`` and wired into CI; its
   runtime companion is :mod:`repro.analysis.locksan`, an instrumented
   lock shim that turns real wait-for cycles into ``CONC407`` errors
   instead of hangs.

@@ -43,17 +43,15 @@ them.
 
 Findings use the shared :class:`~repro.analysis.diagnostics.Diagnostic`
 model and are suppressible with ``# lint: ignore[CODE]`` on the
-offending line.  Run as ``python -m repro.analysis.conc src/repro
-[--json] [--strict]``; exits 1 when any error remains (``--strict``:
-when any finding remains).  ``dlv check --conc`` is the same pass.
+offending line.  The front door is ``dlv check --conc [PATH...]`` (exit
+status 1 when any error remains); CI runs it over ``src/repro`` with
+``--json`` and requires zero findings of any severity.
 """
 
 from __future__ import annotations
 
 import ast
-import json
 import re
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Optional
@@ -61,13 +59,11 @@ from typing import Iterable, Optional
 from repro.analysis.diagnostics import (
     Diagnostic,
     Span,
-    format_diagnostic,
-    has_errors,
     pragma_ignored,
     record_diagnostics,
 )
 
-__all__ = ["check_file", "check_paths", "main"]
+__all__ = ["check_file", "check_paths"]
 
 #: ``threading`` factory names whose result is a lock-like guard.
 LOCK_FACTORIES = {
@@ -949,42 +945,3 @@ def check_paths(
     if _record:
         return record_diagnostics(findings, "conc")
     return findings
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.conc",
-        description="static concurrency-safety checker (CONC4xx)",
-    )
-    parser.add_argument("paths", nargs="+", help="files or directories")
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    parser.add_argument(
-        "--strict", action="store_true",
-        help="exit 1 on any finding, not just errors (CI runs this)",
-    )
-    args = parser.parse_args(argv)
-    missing = [p for p in args.paths if not Path(p).exists()]
-    if missing:
-        # A vacuous pass over a mistyped path must not look clean in CI.
-        print(f"error: no such path: {', '.join(missing)}", file=sys.stderr)
-        return 2
-    findings = check_paths(args.paths)
-    if args.json:
-        json.dump([d.to_dict() for d in findings], sys.stdout, indent=2)
-        sys.stdout.write("\n")
-    else:
-        for diag in findings:
-            print(format_diagnostic(diag))
-        errors = sum(1 for d in findings if d.severity == "error")
-        print(f"{len(findings)} finding(s), {errors} error(s)")
-    if args.strict:
-        return 1 if findings else 0
-    return 1 if has_errors(findings) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -20,28 +20,24 @@ on the offending line):
   ``repro.obs`` reference (``trace_span`` / ``counter`` / ``histogram``
   / ``gauge``); losing it silently blinds ``dlv stats``.
 
-Run as ``python -m repro.analysis.lint src/repro [--json]``; exits 1
-when any error-severity finding remains.  CI runs exactly that.
+The front door is ``dlv check --lint PATH...`` (exit status 1 when any
+error-severity finding remains); CI runs ``dlv check --lint src/repro``.
 """
 
 from __future__ import annotations
 
 import ast
-import json
-import sys
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.analysis.diagnostics import (
     Diagnostic,
     Span,
-    format_diagnostic,
-    has_errors,
     pragma_ignored,
     record_diagnostics,
 )
 
-__all__ = ["lint_file", "lint_paths", "main"]
+__all__ = ["lint_file", "lint_paths"]
 
 #: Modules whose float discipline PAS depends on.
 _HOT_PATH_DIR = "core"
@@ -231,33 +227,3 @@ def lint_paths(paths: Iterable[str | Path]) -> list[Diagnostic]:
         findings.extend(lint_file(file))
     findings.sort(key=lambda d: (d.file or "", d.span.line if d.span else 0))
     return record_diagnostics(findings, "lint")
-
-
-def main(argv: Optional[list[str]] = None) -> int:
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.analysis.lint",
-        description="repo-invariant linter for the repro codebase",
-    )
-    parser.add_argument("paths", nargs="+", help="files or directories")
-    parser.add_argument(
-        "--json", action="store_true", help="machine-readable output"
-    )
-    args = parser.parse_args(argv)
-    findings = lint_paths(args.paths)
-    if args.json:
-        json.dump(
-            [d.to_dict() for d in findings], sys.stdout, indent=2
-        )
-        sys.stdout.write("\n")
-    else:
-        for diag in findings:
-            print(format_diagnostic(diag))
-        errors = sum(1 for d in findings if d.severity == "error")
-        print(f"{len(findings)} finding(s), {errors} error(s)")
-    return 1 if has_errors(findings) else 0
-
-
-if __name__ == "__main__":
-    sys.exit(main())

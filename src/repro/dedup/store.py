@@ -242,7 +242,7 @@ class PageStore:
         return swept
 
     def stats(self) -> dict:
-        """Family-wide dedup accounting for ``dlv stats`` / ``dlv dedup``."""
+        """Family-wide dedup accounting for ``dlv stats``."""
         refcounts = self.catalog.page_refcounts()
         matrices: set[str] = set()
         logical = 0

@@ -6,7 +6,9 @@
   (content addresses make corruption self-evident);
 * **catalog** — referential integrity across
   versions ↔ snapshots ↔ matrices ↔ payloads, lineage endpoints, parent
-  chains of the payload storage graph (broken links, cycles);
+  chains of the payload storage graph (broken links, cycles), and what a
+  reader needs beyond intact rows: every matrix recreates to its recorded
+  shape, every version's network spec parses;
 * **filesystem** — pending journal intents, stale tmp files, orphan
   chunks and associated files.
 
@@ -45,6 +47,8 @@ F204       error     matrix row with no payload (unrecreatable)
 F205       error     payload parent chain broken (unknown parent)
 F206       error     payload parent chain contains a cycle
 F207       error     lineage edge referencing an unknown version
+F208       error     matrix does not recreate to its recorded shape
+F209       error     version whose network spec does not parse
 F301       warning   pending journal intent (unreplayed crash artifact)
 F302       warning   stale tmp file in a chunk store
 F303       info      orphan chunk (referenced by no payload)
@@ -96,6 +100,8 @@ FSCK_CODES: dict[str, tuple[str, str]] = {
     "F205": ("error", "payload parent chain broken"),
     "F206": ("error", "payload parent chain cycle"),
     "F207": ("error", "lineage edge to unknown version"),
+    "F208": ("error", "matrix does not recreate to its recorded shape"),
+    "F209": ("error", "network spec does not parse"),
     "F301": ("warning", "pending journal intent"),
     "F302": ("warning", "stale tmp file"),
     "F303": ("info", "orphan chunk"),
@@ -202,6 +208,7 @@ def run_fsck(repo: "Repository", repair: bool = False) -> FsckReport:
             # Corrupt blob no payload references: quarantining it IS the fix.
             _annotate(report, sha, "quarantined (unreferenced)", codes=("F101",))
     _check_pages(repo, report, repair)
+    _check_recreation(repo, report, skip=set(missing))
     _check_mirrors(repo, report, repair)
     _check_journal(repo, report)
     _check_litter(repo, report, repair)
@@ -338,6 +345,47 @@ def _check_catalog(repo, report: FsckReport, repair: bool) -> None:
                     cat._maybe_commit()
                     f.repaired, f.repair = True, "deleted dangling lineage edge"
                 report.findings.append(f)
+
+
+def _check_recreation(repo, report: FsckReport, skip: set[str]) -> None:
+    """F208-F209: every matrix recreates to its recorded shape, every
+    version's network spec parses.  A matrix whose storage path runs
+    through a payload already reported (or in ``skip``) is not re-reported.
+    """
+    from repro.dnn.network import Network
+
+    skip |= {
+        f.matrix_id for f in report.findings
+        if f.matrix_id and f.severity == "error"
+    }
+    archive, memo = repo._plan_archive(), {}
+    for row in repo.catalog.get_matrices():
+        matrix_id, shape = row["matrix_id"], tuple(row["shape"])
+        if matrix_id in skip:
+            continue
+        try:
+            if any(e.matrix_id in skip for e in archive.chain(matrix_id)):
+                continue
+            value = archive.recreate_matrix(matrix_id, memo=memo)
+            if value.shape == shape:
+                continue
+            problem = f"recreates to shape {value.shape}"
+        except Exception as exc:  # noqa: BLE001 - report, don't crash
+            problem = f"does not recreate ({exc})"
+        report.findings.append(
+            Finding(
+                "F208",
+                f"matrix {matrix_id} {problem}; recorded shape {shape}",
+                matrix_id=matrix_id,
+            )
+        )
+    for version in repo.list_versions():
+        try:
+            Network.from_spec(version.network)
+        except Exception as exc:  # noqa: BLE001
+            report.findings.append(
+                Finding("F209", f"{version.ref}: bad network spec ({exc})")
+            )
 
 
 # -- payload reachability & chunk presence ------------------------------------------

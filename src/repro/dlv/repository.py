@@ -468,56 +468,6 @@ class Repository:
                     frontier.append(child)
         return [self.catalog.get_version(v) for v in order]
 
-    def verify(self) -> dict:
-        """Integrity check of the whole repository.
-
-        Verifies that every payload's chunks exist and decompress, that
-        every matrix recreates to its recorded shape, and that every
-        version's network spec parses.  Returns a report with any problems
-        found (an empty ``problems`` list means the repository is sound).
-        """
-        problems: list[str] = []
-        matrices_checked = 0
-        archive = self._plan_archive()
-        shapes = {
-            row["matrix_id"]: row["shape"]
-            for row in self.catalog.get_matrices()
-        }
-        for payload in self.catalog.all_payloads():
-            matrix_id = payload["matrix_id"]
-            missing = [
-                sha for sha in payload["chunks"] if sha not in self.store
-            ]
-            problems.extend(
-                f"{matrix_id}: missing chunk {sha[:12]}" for sha in missing
-            )
-            if missing:
-                continue
-            try:
-                value = archive.recreate_matrix(matrix_id)
-            except Exception as exc:  # noqa: BLE001 - report, don't crash
-                problems.append(f"{matrix_id}: recreation failed ({exc})")
-                continue
-            if tuple(value.shape) != tuple(shapes.get(matrix_id, ())):
-                problems.append(
-                    f"{matrix_id}: shape {value.shape} != recorded "
-                    f"{shapes.get(matrix_id)}"
-                )
-            matrices_checked += 1
-        versions_checked = 0
-        for version in self.list_versions():
-            try:
-                Network.from_spec(version.network)
-                versions_checked += 1
-            except Exception as exc:  # noqa: BLE001
-                problems.append(f"{version.ref}: bad network spec ({exc})")
-        return {
-            "ok": not problems,
-            "matrices_checked": matrices_checked,
-            "versions_checked": versions_checked,
-            "problems": problems,
-        }
-
     def describe(self, ref: VersionLike) -> dict:
         """``dlv desc``: metadata, structure, and log summary of a version."""
         version = self.resolve(ref)
@@ -1027,7 +977,7 @@ class Repository:
         return self._sweep()
 
     def dedup_stats(self) -> dict:
-        """Page-dedup accounting for ``dlv dedup stats`` / ``dlv stats``.
+        """Page-dedup accounting: the ``dedup`` block of ``dlv stats``.
 
         ``bytes_saved`` is what the paged matrices would have cost stored
         independently minus what the shared page tier actually holds.

@@ -168,7 +168,7 @@ class TestCheckLint:
 class TestCheckConc:
     """`dlv check --conc`: golden JSON envelope and exit semantics.
 
-    Exit-code contract (also in the cmd_check docstring): 0 = no
+    Exit-code contract (also in the `dlv check` handler docstring): 0 = no
     error-severity diagnostics, 1 = at least one error, 2 = usage
     errors.  Warnings alone exit 0.
     """

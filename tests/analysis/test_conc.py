@@ -611,9 +611,11 @@ class TestPragmasAndPlumbing:
         assert checked("def broken(:\n") == []
 
     def test_module_entrypoint_exits_zero_on_clean_tree(self, capsys):
-        from repro.analysis.conc import main
+        from repro.dlv.cli import main
 
-        code = main([str(REPO_ROOT / "src" / "repro" / "obs"), "--strict"])
+        code = main(
+            ["check", "--conc", str(REPO_ROOT / "src" / "repro" / "obs")]
+        )
         out = capsys.readouterr().out
         assert code == 0
         assert "0 finding(s)" in out

@@ -1,9 +1,11 @@
-"""Repo-invariant linter: every LINT code, the pragma, and the CLI."""
+"""Repo-invariant linter: every LINT code, the pragma, and
+``dlv check --lint``."""
 
 import json
 from pathlib import Path
 
-from repro.analysis.lint import lint_file, lint_paths, main
+from repro.analysis.lint import lint_file, lint_paths
+from repro.dlv.cli import main
 
 REPO_SRC = str(Path(__file__).resolve().parents[2] / "src" / "repro")
 
@@ -192,13 +194,15 @@ class TestPaths:
 
 
 class TestMain:
+    """The front door: ``dlv check --lint``."""
+
     def test_repo_sources_are_clean(self):
         # The CI gate: the linter must pass on the shipped sources.
-        assert main([REPO_SRC]) == 0
+        assert main(["check", "--lint", REPO_SRC]) == 0
 
     def test_seeded_violation_fails(self, tmp_path, capsys):
         write(tmp_path, "bad.py", "try:\n    pass\nexcept:\n    pass\n")
-        assert main([str(tmp_path)]) == 1
+        assert main(["check", "--lint", str(tmp_path)]) == 1
         out = capsys.readouterr().out
         assert "LINT301" in out and "1 error(s)" in out
 
@@ -207,7 +211,16 @@ class TestMain:
             tmp_path, "core/seg.py",
             "import numpy as np\na = np.ones(2, dtype=np.float64)\n",
         )
-        assert main([str(tmp_path), "--json"]) == 1
-        payload = json.loads(capsys.readouterr().out)
+        assert main(["check", "--lint", str(tmp_path), "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)["diagnostics"]
         assert payload[0]["code"] == "LINT302"
         assert payload[0]["file"].endswith("seg.py")
+
+    def test_missing_path_is_a_usage_error_not_a_clean_pass(
+        self, tmp_path, capsys
+    ):
+        code = main(["check", "--lint", str(tmp_path / "no-such-path")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "no such path" in captured.err

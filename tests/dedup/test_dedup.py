@@ -20,6 +20,7 @@ from repro.dedup import (
     xor_bytes,
 )
 from repro.dlv.cli import main as dlv_main
+from repro.dlv.fsck import run_fsck
 from repro.dlv.repository import Repository
 from repro.dnn.zoo import tiny_mlp
 from repro.obs.cost import cost_context
@@ -225,7 +226,7 @@ class TestDedupArchive:
             for layer, params in net.get_weights().items():
                 for param, arr in params.items():
                     assert np.array_equal(got[layer][param], arr)
-        assert repo.verify()["ok"]
+        assert run_fsck(repo).clean
         repo.close()
 
     def test_dedup_beats_independent_storage(self, make_repo_target, backend):
@@ -254,7 +255,7 @@ class TestDedupArchive:
         assert repo.pages.total_size() == 0
         assert repo.catalog.all_page_manifests() == []
         assert repo.catalog.page_refcounts() == {}
-        assert repo.verify()["ok"]
+        assert run_fsck(repo).clean
         repo.close()
 
     def test_refcounts_match_manifests_after_archive(
@@ -293,7 +294,7 @@ def test_prune_and_convert_release_page_manifests(repo, trained_lenet):
     assert dict(repo.page_store().referenced_counts()) == (
         repo.catalog.page_refcounts()
     )
-    assert repo.verify()["ok"]
+    assert run_fsck(repo).clean
 
 
 # ---------------------------------------------------------------------------
@@ -373,16 +374,12 @@ def test_cli_dedup_stats_and_archive(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["dedup"] is True and report["page_bytes"] > 0
 
-    assert dlv_main(["--repo", target, "dedup", "stats", "--json"]) == 0
-    stats = json.loads(capsys.readouterr().out)
-    assert stats["page_matrices"] > 0
-    assert stats["bytes_saved"] >= 0
-
-    assert dlv_main(["--repo", target, "dedup", "stats"]) == 0
-    assert "paged matrices" in capsys.readouterr().out
-
     assert dlv_main(
         ["--repo", target, "stats", "--json", "--no-retrieval"]
     ) == 0
-    stats_report = json.loads(capsys.readouterr().out)
-    assert stats_report["dedup"]["page_matrices"] > 0
+    stats = json.loads(capsys.readouterr().out)["dedup"]
+    assert stats["page_matrices"] > 0
+    assert stats["bytes_saved"] >= 0
+
+    assert dlv_main(["--repo", target, "stats", "--no-retrieval"]) == 0
+    assert "paged matrices" in capsys.readouterr().out

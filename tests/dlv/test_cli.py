@@ -1,12 +1,20 @@
 """CLI tests: the full dlv command suite end-to-end via main()."""
 
 import json
+import os
+import signal
+import socket
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.dlv import wrapper
-from repro.dlv.cli import main
+from repro.dlv.cli import VERBS, main
+from repro.serve.client import ServeClient
 from repro.dnn.training import SGDConfig, Trainer
 from repro.dnn.zoo import tiny_mlp
 
@@ -32,6 +40,43 @@ def run(capsys, *argv):
     code = main([str(a) for a in argv])
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
+
+
+def boot(*argv, cwd):
+    """Start ``python -m repro.dlv.cli ...`` (``serve``/``hub-serve``) in
+    ``cwd``; returns the process and its start-up JSON."""
+    env = dict(os.environ)
+    env.pop("DLV_STORE", None)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro.dlv.cli", *map(str, argv)],
+        cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        text=True,
+    )
+    lines = []
+    while not lines or lines[-1].rstrip() != "}":
+        line = proc.stdout.readline()
+        if not line:
+            _, err = proc.communicate(timeout=30)
+            pytest.fail(f"dlv exited during boot: {err}")
+        lines.append(line)
+    return proc, json.loads("".join(lines))
+
+
+def stop(proc):
+    """SIGTERM a booted server; returns (exit status, its stop JSON)."""
+    proc.send_signal(signal.SIGTERM)
+    out, err = proc.communicate(timeout=30)
+    assert proc.returncode == 0, err
+    return json.loads(out[out.rfind("{"):])
+
+
+def closed_port_url() -> str:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}"
 
 
 class TestVersionManagement:
@@ -210,6 +255,118 @@ class TestErrors:
         repo_dir, _, _ = cli_env
         code = main(["--repo", str(repo_dir), "init"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("trace", "export", "--url", "{url}"),
+        ("slowlog", "--url", "{url}"),
+        ("top", "--url", "{url}", "--iterations", "1"),
+        ("search", "--hub", "{url}", "*"),
+        ("pull", "--hub", "{url}", "shared", "{tmp}/pulled"),
+        ("serve", "--hub", "{url}", "--name", "shared"),
+        ("publish", "--hub", "{url}", "--name", "shared"),
+    ], ids=lambda argv: " ".join(argv[:2]))
+    def test_unreachable_server_is_clean_error(self, cli_env, capsys, argv):
+        """A dead server or hub is one ``dlv: error:`` line, exit 1."""
+        repo_dir, _, tmp = cli_env
+        url = closed_port_url()
+        code = main(
+            ["--repo", str(repo_dir)]
+            + [a.format(url=url, tmp=tmp) for a in argv]
+        )
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("dlv: error:") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+
+class TestRepositoryTarget:
+    def test_serve_honours_store(self, cli_env, capsys, digits):
+        """``serve`` opens the same target as every other verb: --store
+        wins over the (default) --repo of the working directory."""
+        _, model_dir, tmp = cli_env
+        url = f"sqlite://{tmp / 'served.db'}"
+        assert main(["--store", url, "init"]) == 0
+        assert main([
+            "--store", url, "commit", "--model-dir", str(model_dir),
+            "--name", "tiny-cli",
+        ]) == 0
+        capsys.readouterr()
+        elsewhere = tmp / "elsewhere"
+        elsewhere.mkdir()
+        proc, started = boot(
+            "--store", url, "serve", "--port", "0", cwd=elsewhere
+        )
+        try:
+            assert started["models"] == ["tiny-cli"]
+            x = digits.x_test[:5]
+            with ServeClient(port=started["port"], timeout=30.0) as client:
+                answer = client.predict("tiny-cli", x)
+            expected = wrapper.load_network(model_dir).predict(x)
+            np.testing.assert_array_equal(answer.predictions, expected)
+        finally:
+            stopped = stop(proc)
+        assert stopped == {"stopped": True, "drained": True}
+
+
+class TestBenchmarkContract:
+    """The verbs and JSON keys ``benchmarks/perf`` drives and parses."""
+
+    def test_help_lists_one_verb_per_job(self):
+        top = {name.split()[0] for name in VERBS}
+        assert len(top) == 28
+        assert not {"verify", "dedup"} & top
+
+    def test_lifecycle_verb_outputs(self, cli_env, capsys):
+        _, model_dir, tmp = cli_env
+        repo_dir, hub = tmp / "bench-repo", tmp / "hub"
+
+        def keys(*argv):
+            code, out = run(capsys, *argv)
+            assert code == 0
+            return out
+
+        assert set(keys("--repo", repo_dir, "init")) == {
+            "initialized", "backend",
+        }
+        assert set(keys(
+            "--repo", repo_dir, "commit", "--model-dir", model_dir,
+            "--name", "tiny-cli", "-m", "bench",
+        )) == {"committed", "id"}
+        for extra in ((), ("--dedup",)):
+            report = keys("--repo", repo_dir, "archive", "--alpha", "1.6",
+                          *extra)
+            assert report["satisfied"] is True
+            assert report["dedup"] is bool(extra)
+            assert report["bytes_before"] > 0 and report["bytes_after"] > 0
+        assert set(keys(
+            "--repo", repo_dir, "publish", "--hub", hub, "--name", "fam",
+        )) == {"published", "revision"}
+        assert set(keys("pull", "--hub", hub, "fam", tmp / "pulled")) == {
+            "pulled", "path",
+        }
+        assert set(keys(
+            "--repo", repo_dir, "export", "tiny-cli", tmp / "exported",
+        )) == {"exported"}
+        assert set(keys("--repo", repo_dir, "gc")) == {"chunks_removed"}
+        assert set(keys("--repo", repo_dir, "list")) == {
+            "versions", "lineage",
+        }
+
+    def test_server_boot_and_stop_documents(self, cli_env, capsys):
+        repo_dir, model_dir, tmp = cli_env
+        run(capsys, "--repo", repo_dir, "commit", "--model-dir", model_dir,
+            "--name", "tiny-cli")
+        (tmp / "hub").mkdir()
+        proc, started = boot("hub-serve", "--hub", tmp / "hub", cwd=tmp)
+        assert set(started) == {"hub", "url", "port", "peer", "role", "peers"}
+        assert started["url"].endswith(f":{started['port']}")
+        assert stop(proc) == {"stopped": True}
+
+        proc, started = boot(
+            "--repo", repo_dir, "serve", "--port", "0", cwd=tmp
+        )
+        assert set(started) == {"serving", "port", "models", "rejected"}
+        assert stop(proc) == {"stopped": True, "drained": True}
 
 
 class TestObservabilityCommands:

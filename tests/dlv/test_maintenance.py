@@ -5,6 +5,7 @@ import pytest
 
 from repro.dlv import wrapper
 from repro.dlv.cli import main
+from repro.dlv.fsck import run_fsck
 
 
 @pytest.fixture
@@ -45,8 +46,8 @@ class TestPrune:
         repo.archive(alpha=4.0)  # introduce snapshot-chain deltas
         expected = repo.get_snapshot_weights(version, -1)
         repo.prune_snapshots(version, keep_every=4)
-        report = repo.verify()
-        assert report["ok"], report["problems"]
+        report = run_fsck(repo)
+        assert report.clean, report.to_dict()
         actual = repo.get_snapshot_weights(version, -1)
         for layer in expected:
             for key in expected[layer]:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro.core.storage_graph import RetrievalScheme
+from repro.dlv.fsck import run_fsck
 from repro.dlv.repository import Repository
 from repro.dnn.zoo import tiny_mlp
 from repro.dql.executor import DQLExecutor
@@ -57,9 +58,9 @@ class TestScale:
         assert report["bytes_after"] < report["bytes_before"] * 0.9
 
     def test_verify_after_archive(self, big_repo):
-        report = big_repo.verify()
-        assert report["ok"], report["problems"][:3]
-        assert report["matrices_checked"] == 30 * 4  # 2 layers x W,b
+        report = run_fsck(big_repo)
+        assert report.clean and report.findings == [], report.to_dict()
+        assert report.payloads_checked == 30 * 4  # 2 layers x W,b
 
     def test_all_versions_recreate_exactly(self, big_repo):
         x = np.random.default_rng(1).standard_normal((4, 1, 8, 8)).astype(
