@@ -21,9 +21,9 @@ have human-readable output, a text renderer.  :func:`main` is the one
 runner: it resolves the repository target once (``--store``, then the
 ``DLV_STORE`` environment variable, then ``--repo``), opens it for the
 verbs that act on one, prints the handler's result as JSON (or through
-the renderer, without ``--json``) and maps ``KeyError``, ``ValueError``
-and ``OSError`` to ``dlv: error: …`` with exit status 1.  ``serve``,
-``hub-serve`` and ``top`` stream their own output.
+the renderer, without ``--json``) and maps ``KeyError``, ``ValueError``,
+``OSError`` and ``NotImplementedError`` to ``dlv: error: …`` with exit
+status 1.  ``serve``, ``hub-serve`` and ``top`` stream their own output.
 
 The CLI is a thin layer over :class:`repro.dlv.repository.Repository`,
 :mod:`repro.dql`, :mod:`repro.analysis` and :mod:`repro.hub` (the paper

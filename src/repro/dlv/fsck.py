@@ -358,7 +358,7 @@ def _check_recreation(repo, report: FsckReport, skip: set[str]) -> None:
         f.matrix_id for f in report.findings
         if f.matrix_id and f.severity == "error"
     }
-    archive, memo = repo._plan_archive(), {}
+    archive = repo._plan_archive()
     for row in repo.catalog.get_matrices():
         matrix_id, shape = row["matrix_id"], tuple(row["shape"])
         if matrix_id in skip:
@@ -366,7 +366,7 @@ def _check_recreation(repo, report: FsckReport, skip: set[str]) -> None:
         try:
             if any(e.matrix_id in skip for e in archive.chain(matrix_id)):
                 continue
-            value = archive.recreate_matrix(matrix_id, memo=memo)
+            value = archive.recreate_matrix(matrix_id)
             if value.shape == shape:
                 continue
             problem = f"recreates to shape {value.shape}"
