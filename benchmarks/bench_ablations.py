@@ -167,8 +167,8 @@ class TestRemoteOffloading:
 class TestRetrievalCache:
     def test_cache_accelerates_hot_snapshots(self, sd_repo, reporter):
         """Sec. IV-A workload: the latest snapshots dominate access.  The
-        one weights cache (a PlaneCache behind an evaluator) against
-        uncached snapshot reads."""
+        one plane cache (a PlaneCache behind an archive and its
+        evaluator) against uncached snapshot reads."""
         from repro.dnn.network import Network
         from repro.obs.metrics import MetricsRegistry
         from repro.serve import PlaneCache
@@ -178,8 +178,8 @@ class TestRetrievalCache:
         version = sd_repo.resolve(int(hot.split("/")[0][1:]))
         cache = PlaneCache(256 << 20, registry=MetricsRegistry())
         evaluator = ProgressiveEvaluator(
-            Network.from_spec(version.network).build(0), archive, hot,
-            plane_cache=cache,
+            Network.from_spec(version.network).build(0),
+            sd_repo.archive_view(plane_cache=cache), hot,
         )
 
         start = time.perf_counter()
@@ -194,7 +194,7 @@ class TestRetrievalCache:
         warm = time.perf_counter() - start
 
         reporter.line("")
-        reporter.line("Ablation: weights cache on a hot snapshot (20 reads)")
+        reporter.line("Ablation: plane cache on a hot snapshot (20 reads)")
         reporter.line(f"  uncached: {cold * 1e3:8.2f} ms")
         reporter.line(f"  cached:   {warm * 1e3:8.2f} ms")
         reporter.line(f"  stats:    {cache.stats()}")

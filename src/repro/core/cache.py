@@ -3,17 +3,28 @@
 PAS is *read-optimized*: the same snapshots — above all the latest
 snapshot of each version (Sec. IV-A's unbalanced access frequencies) —
 are retrieved over and over by testing, comparison, exploration and
-serving queries.  The expensive artifacts (per-plane interval bounds,
-full-precision weight sets, dedup pages) depend only on what was
-archived, never on the request, so one copy can serve every
-query — the dedup-aware serving result of Zhou et al. ("Serving Deep
-Learning Models with Deduplication from Relational Databases").
+serving queries.  What they read depends only on what was archived,
+never on the request, so one copy can serve every query — the
+dedup-aware serving result of Zhou et al. ("Serving Deep Learning
+Models with Deduplication from Relational Databases"), whose buffer
+pool is sized in the units storage returns.
 
-:class:`PlaneCache` holds such artifacts under a byte budget with LRU
-eviction.  Loads are *single-flight*: when many callers miss the same
-key at once, exactly one thread performs the PAS retrieval while the
-rest wait for its result — a thundering herd of cold requests costs one
-chunk-store read, not N.
+:class:`PlaneCache` holds two kinds of entry under one byte budget:
+
+* **planes** — ``("plane", address)``: one assembled byte plane (the
+  unit of progressive retrieval, Sec. IV-B/IV-D) under its whole-plane
+  content address, charged 1 B per weight.  Planes shared by several
+  models are one entry.
+* **derived** entries — ``("bounds", ns, planes)``: interval bounds
+  computed from planes.  They are admitted only into free room or room
+  made by evicting other derived entries, so they never displace a
+  plane; one that cannot fit is served uncached.  A plane that needs
+  room evicts derived entries before any plane: they are recomputed
+  from planes, so under plane pressure the room goes to planes.
+
+Loads are *single-flight*: when many callers miss the same key at once,
+exactly one thread performs the read while the rest wait for its
+result — a thundering herd of cold requests costs one store read, not N.
 """
 
 from __future__ import annotations
@@ -33,19 +44,35 @@ class _Entry:
     nbytes: int
 
 
-class PlaneCache:
-    """Thread-safe, byte-bounded LRU with single-flight loading.
+class _Flight:
+    """One load in progress; its waiters take the value it shares."""
 
-    Keys are arbitrary hashables (the serving layer uses
-    ``("bounds", snapshot_id, planes)``, ``("weights", snapshot_id)`` and
-    ``("page", sha)``).  Loaders return ``(value, nbytes)``; the reported
-    byte size is what the budget charges, since cached values are opaque
-    to the cache.
+    __slots__ = ("done", "shared", "value")
+
+    def __init__(self) -> None:
+        self.done = self.shared = False
+        self.value = None
+
+
+class PlaneCache:
+    """Thread-safe, byte-bounded LRU of planes and derived entries, with
+    single-flight loading.
+
+    Keys are hashables — the read path uses ``("plane", address)`` and
+    ``("bounds", namespace, planes)``.  Loaders return
+    ``(value, nbytes)``; the reported byte size is what the budget
+    charges, since cached values are opaque to the cache.
+
+    Admission: each kind is its own LRU.  A plane evicts derived
+    entries first, then least-recently-used planes; a ``derived=True``
+    entry evicts only derived entries and is served uncached (a miss,
+    nothing evicted) when free room plus the derived bytes cannot hold
+    it.  A value larger than the whole budget, or one its loader reports
+    as ``nbytes=None`` (read through a recovery path), is served
+    uncached too.
 
     Args:
-        max_bytes: Cache capacity; least-recently-used entries are
-            evicted once the total charged bytes exceed it.  A value
-            larger than the whole budget is returned uncached.
+        max_bytes: Cache capacity in charged bytes.
         registry: Metrics registry for the counters; defaults to the
             process-global one so ``/metrics`` and ``dlv stats`` see the
             hit rate.  The cache emits
@@ -61,9 +88,10 @@ class PlaneCache:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = max_bytes
         self.registry = registry if registry is not None else get_registry()
-        self._entries: OrderedDict[Hashable, _Entry] = OrderedDict()
+        self._planes: OrderedDict[Hashable, _Entry] = OrderedDict()
+        self._derived: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._bytes = 0
-        self._loading: set[Hashable] = set()
+        self._loading: dict[Hashable, _Flight] = {}
         self._cond = threading.Condition()
         self._hits = self.registry.counter("serve.cache.hits")
         self._misses = self.registry.counter("serve.cache.misses")
@@ -90,16 +118,17 @@ class PlaneCache:
         return self._bytes
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._planes) + len(self._derived)
 
     def __contains__(self, key: Hashable) -> bool:
         with self._cond:
-            return key in self._entries
+            return key in self._planes or key in self._derived
 
     def keys(self) -> list:
-        """Snapshot of the cached keys, least recently used first."""
+        """Snapshot of the cached keys: planes, then derived entries,
+        each least recently used first."""
         with self._cond:
-            return list(self._entries)
+            return [*self._planes, *self._derived]
 
     def stats(self) -> dict:
         """Counter snapshot; every ratio is zero-guarded (no division by
@@ -107,7 +136,7 @@ class PlaneCache:
         hits, misses = self._hits.value, self._misses.value
         total = hits + misses
         with self._cond:
-            cached_bytes, entries = self._bytes, len(self._entries)
+            cached_bytes, entries = self._bytes, len(self)
         return {
             "hits": hits,
             "misses": misses,
@@ -131,80 +160,110 @@ class PlaneCache:
 
     def _sync_gauges(self) -> None:
         self._bytes_gauge.set(self._bytes)
-        self._entries_gauge.set(len(self._entries))
+        self._entries_gauge.set(len(self))
 
     # -- access --------------------------------------------------------------
 
     def get(self, key: Hashable):
         """Peek without loading; ``None`` on a miss (not counted)."""
         with self._cond:
-            entry = self._entries.get(key)
-            if entry is None:
-                return None
-            self._entries.move_to_end(key)
-            return entry.value
+            for tier in (self._planes, self._derived):
+                entry = tier.get(key)
+                if entry is not None:
+                    tier.move_to_end(key)
+                    return entry.value
+            return None
 
-    def get_or_load(self, key: Hashable, loader: Callable[[], tuple]):
+    def get_or_load(
+        self, key: Hashable, loader: Callable[[], tuple], derived: bool = False
+    ):
         """Return the cached value, loading it on a miss (single-flight).
 
-        ``loader()`` must return ``(value, nbytes)``.  Concurrent callers
-        missing the same key block until the one elected loader finishes;
-        a loader that raises releases the waiters, and the first of them
-        retries the load.
+        ``loader()`` must return ``(value, nbytes)``; ``derived`` marks a
+        value computed from planes (see the class docs for admission).
+        A miss is a call that ran the loader.  Concurrent callers
+        missing the same key block until the one elected loader finishes
+        and take its value as a hit — also when it was served uncached.
+        A loader that raises, or reports ``nbytes=None``, shares nothing:
+        the first waiter retries the load.
         """
+        tier = self._derived if derived else self._planes
         with self._cond:
             while True:
-                entry = self._entries.get(key)
+                entry = tier.get(key)
                 if entry is not None:
-                    self._entries.move_to_end(key)
-                    self._hits.inc()
-                    charge(cache_hits=1)
-                    return entry.value
-                if key not in self._loading:
-                    self._loading.add(key)
+                    tier.move_to_end(key)
+                    return self._hit(entry.value)
+                flight = self._loading.get(key)
+                if flight is None:
+                    flight = self._loading[key] = _Flight()
                     break
-                self._cond.wait()
+                while not flight.done:
+                    self._cond.wait()
+                if flight.shared:
+                    return self._hit(flight.value)
         try:
             value, nbytes = loader()
         except BaseException:
             with self._cond:
-                self._loading.discard(key)
-                self._cond.notify_all()
+                self._land(key, flight)
             raise
         with self._cond:
-            self._loading.discard(key)
             self._misses.inc()
             charge(cache_misses=1)
-            self._admit(key, value, int(nbytes))
-            self._cond.notify_all()
+            if nbytes is not None:
+                flight.value, flight.shared = value, True
+                self._admit(key, value, int(nbytes), derived)
+            self._land(key, flight)
         return value
 
-    def _admit(self, key: Hashable, value, nbytes: int) -> None:
-        if nbytes > self.max_bytes:
-            self._sync_gauges()
-            return  # larger than the whole cache: serve without caching
-        if key in self._entries:  # lost a (benign) race; replace
-            self._bytes -= self._entries.pop(key).nbytes
-        self._entries[key] = _Entry(value, nbytes)
-        self._bytes += nbytes
-        while self._bytes > self.max_bytes:
-            _, evicted = self._entries.popitem(last=False)
-            self._bytes -= evicted.nbytes
-            self._evictions.inc()
+    def _hit(self, value):
+        self._hits.inc()
+        charge(cache_hits=1)
+        return value
+
+    def _land(self, key: Hashable, flight: _Flight) -> None:
+        del self._loading[key]
+        flight.done = True
         self._sync_gauges()
+        self._cond.notify_all()
+
+    def _admit(self, key: Hashable, value, nbytes: int, derived: bool) -> None:
+        """Cache ``value`` if the admission rule finds it room."""
+        room = self.max_bytes - self._bytes
+        if derived:
+            tiers = (self._derived,)
+            derived_bytes = sum(e.nbytes for e in self._derived.values())
+            fits = nbytes <= room + derived_bytes
+        else:
+            tiers = (self._derived, self._planes)
+            fits = nbytes <= self.max_bytes
+        if not fits:
+            return
+        for tier in tiers:
+            while room < nbytes and tier:
+                _, evicted = tier.popitem(last=False)
+                self._bytes -= evicted.nbytes
+                room += evicted.nbytes
+                self._evictions.inc()
+        tier = self._derived if derived else self._planes
+        tier[key] = _Entry(value, nbytes)
+        self._bytes += nbytes
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns whether it was cached."""
         with self._cond:
-            entry = self._entries.pop(key, None)
-            if entry is None:
-                return False
-            self._bytes -= entry.nbytes
-            self._sync_gauges()
-            return True
+            for tier in (self._planes, self._derived):
+                entry = tier.pop(key, None)
+                if entry is not None:
+                    self._bytes -= entry.nbytes
+                    self._sync_gauges()
+                    return True
+            return False
 
     def clear(self) -> None:
         with self._cond:
-            self._entries.clear()
+            self._planes.clear()
+            self._derived.clear()
             self._bytes = 0
             self._sync_gauges()

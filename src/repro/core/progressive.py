@@ -28,19 +28,15 @@ from repro.obs.metrics import MetricsRegistry, counter, histogram
 from repro.obs.tracing import trace_span
 
 
-def _bounds_nbytes(bounds: dict[str, dict[str, Interval]]) -> int:
-    """Memory footprint of a bounds mapping (both bound arrays)."""
-    return sum(
-        interval.lo.nbytes + interval.hi.nbytes
-        for params in bounds.values()
-        for interval in params.values()
-    )
-
-
-def _weights_nbytes(weights: dict[str, dict[str, np.ndarray]]) -> int:
-    return sum(
-        array.nbytes for params in weights.values() for array in params.values()
-    )
+def _frozen_nbytes(bounds: dict[str, dict[str, Interval]]) -> int:
+    """Freeze a bounds mapping for sharing; its footprint (both arrays)."""
+    nbytes = 0
+    for params in bounds.values():
+        for interval in params.values():
+            for array in (interval.lo, interval.hi):
+                array.setflags(write=False)
+                nbytes += array.nbytes
+    return nbytes
 
 
 @dataclass
@@ -76,17 +72,23 @@ class ProgressiveEvaluator:
             snapshot must be ``"<layer>.<param>"``.
         logits_node: Node whose output feeds the prediction; defaults to
             the input of a trailing Softmax (or the sink itself).
-        plane_cache: The :class:`~repro.core.cache.PlaneCache` holding
-            per-plane bounds and the exact weights — the serving layer
-            passes one shared by every evaluator of the same snapshot;
-            when omitted the evaluator gets a private one.
+        plane_cache: The :class:`~repro.core.cache.PlaneCache` of the
+            read path.  One cache serves it: this must be the archive's
+            ``plane_cache`` — the serving layer passes the one shared by
+            every model — and when the archive has none it gets this one
+            (or, when omitted too, a private one).
 
-    The evaluator is *reusable*: interval bounds per plane count and the
-    exact weights are each read from the archive once (single-flight,
-    even under concurrent queries) and kept in the plane cache, so
-    repeated ``evaluate`` calls against the same snapshot do not re-read
-    any chunks.  The weight-installing exact pass is serialized by a
-    lock, making concurrent queries against one evaluator safe.
+    The evaluator is *reusable*.  The archive reads each byte plane once
+    into the plane cache under ``("plane", address)``; the interval
+    bounds per plane count are derived from those planes and kept under
+    ``("bounds", fingerprint, planes)`` when there is room that no plane
+    needs (derived entries never evict a plane; planes evict them
+    first).  Loads are
+    single-flight, even under concurrent queries.  The exact weights are
+    fetched once and installed into the net, which holds them from then
+    on; the install, and every exact forward pass, run under a lock,
+    making concurrent queries against one evaluator safe.  A value read
+    through the archive's recovery path is served but never kept.
 
     Deep networks, where the default midpoint-radius bound compounds
     layer by layer and rarely determines predictions, pay off with the
@@ -118,14 +120,23 @@ class ProgressiveEvaluator:
         if snapshot_id not in snapshots:
             raise KeyError(f"archive has no snapshot {snapshot_id!r}")
         self._members = snapshots[snapshot_id]
-        # Shared-cache entries are keyed by *content* fingerprint when the
+        # Bounds entries are keyed by *content* fingerprint when the
         # archive can compute one: two models whose chains resolve to the
         # same weights (common in dedup'd fine-tuned families) then share
-        # bounds/weights entries and single-flight loads across evaluators.
+        # bounds entries and single-flight loads across evaluators.
         self._cache_ns = archive.snapshot_fingerprint(snapshot_id) or snapshot_id
-        if plane_cache is None:
-            plane_cache = PlaneCache(registry=MetricsRegistry())
-        self.plane_cache = plane_cache
+        shared = archive.plane_cache
+        if shared is None:
+            shared = archive.plane_cache = (
+                plane_cache if plane_cache is not None
+                else PlaneCache(registry=MetricsRegistry())
+            )
+        elif plane_cache is not None and plane_cache is not shared:
+            raise ValueError(
+                "plane_cache is not the archive's: one cache serves a read "
+                "path"
+            )
+        self.plane_cache = shared
         self._lock = threading.RLock()
         self._plane_sizes_memo: Optional[list[int]] = None
         self._exact_installed = False
@@ -152,35 +163,38 @@ class ProgressiveEvaluator:
         })
 
     def param_bounds(self, planes: int) -> dict[str, dict[str, Interval]]:
-        """Cached interval bounds at ``planes`` depth (thread-safe).
+        """Interval bounds at ``planes`` depth, cached when there is room
+        (thread-safe).
 
-        The bounds live in the plane cache under
-        ``("bounds", snapshot, planes)``; the archive is read at most
-        once per plane count while they stay cached.
+        The bounds are a derived entry of the plane cache,
+        ``("bounds", fingerprint, planes)``, frozen because models with
+        equal content share it.  They are admitted only into room no
+        plane needs, so under a tight budget they are re-derived — from
+        cached planes — instead of evicting them.  Bounds derived from a
+        plane the recovery path served are never cached.
         """
         planes = min(planes, NUM_PLANES)
 
-        def load() -> tuple[dict, int]:
+        def load() -> tuple[dict, Optional[int]]:
+            mark = self._recoveries()
             bounds = self._param_bounds(planes)
-            return bounds, _bounds_nbytes(bounds)
+            nbytes = _frozen_nbytes(bounds)
+            return bounds, nbytes if self._recoveries() == mark else None
 
         return self.plane_cache.get_or_load(
-            ("bounds", self._cache_ns, planes), load
+            ("bounds", self._cache_ns, planes), load, derived=True
         )
 
     def exact_weights(self) -> dict[str, dict[str, np.ndarray]]:
-        """The snapshot's full-precision weights, read from PAS once."""
+        """The snapshot's full-precision weights, freshly assembled from
+        PAS; their planes come through the plane cache, so a warm call
+        reads no store.  The exact pass calls this only until the net
+        holds the weights."""
+        return self._read_weights()
 
-        def load() -> tuple[dict, int]:
-            weights = self._read_weights()
-            # Entries may be shared across models (content-keyed), so
-            # freeze them.
-            for params in weights.values():
-                for value in params.values():
-                    value.setflags(write=False)
-            return weights, _weights_nbytes(weights)
-
-        return self.plane_cache.get_or_load(("weights", self._cache_ns), load)
+    def _recoveries(self) -> int:
+        """Recovery events so far: a read that adds one is never kept."""
+        return len(self.archive.recovery.events)
 
     def _read_weights(
         self, planes: int = NUM_PLANES
@@ -189,20 +203,20 @@ class ProgressiveEvaluator:
             self.snapshot_id, planes=planes
         ).by_layer()
 
-    def _install_exact(self, weights: dict[str, dict[str, np.ndarray]]) -> None:
+    def _install_exact(self, weights, clean: bool) -> None:
         """Install pre-fetched exact weights. Caller must hold ``_lock``.
 
         Idempotent between calls that truncate the weights: repeated
         exact passes skip the (re-)install unless something installed
         other weights in between (``evaluate_at_planes`` resets the
-        flag).  The weights are fetched by the caller *outside* the lock
-        (:meth:`exact_weights`) so chunk retrieval never serializes
-        concurrent queries on I/O.
+        flag).  Weights read through the recovery path (not ``clean``)
+        serve one pass; the next fetches again.  The caller fetches
+        *outside* the lock (:meth:`exact_weights`) so chunk retrieval
+        never serializes concurrent queries on I/O.
         """
-        if self._exact_installed:
-            return
-        self.net.set_weights(weights)
-        self._exact_installed = True
+        if not self._exact_installed:
+            self.net.set_weights(weights)
+            self._exact_installed = clean
 
     def _stored_plane_sizes(self) -> list[int]:
         """Stored bytes per plane index across the snapshot's payload chains."""
@@ -250,21 +264,31 @@ class ProgressiveEvaluator:
     ) -> list[np.ndarray]:
         """Forward several batches at full precision, atomically.
 
-        Exact weights are fetched first (shared-cache single-flight
-        applies, no lock held), then the install plus every forward pass
-        run under ``_lock`` so a concurrent :meth:`evaluate_at_planes`
-        cannot swap truncated weights in mid-run.  The pass is billed
-        ``compute_s`` like :meth:`evaluate_bounded`.
+        The net holds the exact weights once installed.  Until then they
+        are fetched first (plane-cache single-flight applies, no lock
+        held), then the install plus every forward pass run under
+        ``_lock`` so a concurrent :meth:`evaluate_at_planes` cannot swap
+        truncated weights in mid-run.  The pass is billed ``compute_s``
+        like :meth:`evaluate_bounded`.
         """
         with trace_span(
             "progressive.exact",
             snapshot=self.snapshot_id,
             rows=sum(len(batch) for batch in batches),
         ) as span:
-            weights = self.exact_weights()
-            with self._lock:
-                self._install_exact(weights)
-                outputs = self.net.forward_many(batches, upto=self.logits_node)
+            fetched = None
+            while True:
+                with self._lock:
+                    if fetched is not None:
+                        self._install_exact(*fetched)
+                    if self._exact_installed or fetched is not None:
+                        outputs = self.net.forward_many(
+                            batches, upto=self.logits_node
+                        )
+                        break
+                mark = self._recoveries()
+                weights = self.exact_weights()
+                fetched = weights, self._recoveries() == mark
         charge(compute_s=span.elapsed)
         return outputs
 
@@ -364,10 +388,12 @@ class ProgressiveEvaluator:
         Used by the Fig. 6(d) benchmark to measure the raw error rate of
         partial-precision evaluation.
         """
+        mark = self._recoveries()
         weights = self._read_weights(planes)
+        clean = self._recoveries() == mark
         with self._lock:
             self.net.set_weights(weights)
-            self._exact_installed = planes >= NUM_PLANES
+            self._exact_installed = planes >= NUM_PLANES and clean
             preds = []
             for start in range(0, len(x), batch):
                 out = self.net.forward(

@@ -199,11 +199,17 @@ class PlanArchive:
         page_store: A :class:`~repro.dedup.store.PageStore` for
             ``kind="pages"`` payloads — required to build or read
             page-encoded (cross-model deduplicated) matrices.
-        plane_cache: Optional :class:`~repro.serve.cache.PlaneCache`;
-            when set, page blobs are read through it under
-            ``("page", sha)`` keys, so pages shared across models occupy
-            cache bytes once and cold loads coalesce (single-flight)
-            across every model being served.
+        plane_cache: Optional :class:`~repro.core.cache.PlaneCache`;
+            when set, every plane read (:meth:`_fetch_plane`) goes
+            through it under ``("plane", plane_address(entry, i))`` —
+            one entry per assembled plane, charged 1 B per weight and
+            carrying the plane's stored size for billing — so a plane
+            shared by several models is cached once and cold loads
+            coalesce (single-flight) across every model being served.
+            The :class:`~repro.core.progressive.ProgressiveEvaluator`
+            over this archive keeps its derived bounds in the same cache;
+            they never displace a plane.  A plane read through the
+            recovery path, or one without an address, is never cached.
     """
 
     #: How many leading planes of every payload are mirrored on write.
@@ -538,23 +544,41 @@ class PlanArchive:
     def _fetch_plane(
         self, entry: _StoredPayload, index: int
     ) -> tuple[Optional[bytes], int]:
-        """Read one plane, taking the recovery path on failure.
+        """Read one plane — through the plane cache when there is one —
+        taking the recovery path on failure.
 
         The active request is billed ``charge(planes_fetched=1,
         plane_bytes=...)`` in stored (compressed, deduplicated) bytes —
         the paper's progressive-query byte-savings unit — whether the
-        plane is one chunk or reassembled from pages.
+        plane is one chunk, reassembled from pages, or a cache hit.
 
         Returns ``(bytes, stored_size)``; ``(None, 0)`` means the plane
         was lost and the caller should zero-fill it (degraded mode).
         """
         try:
-            data, nbytes = self._read_plane(entry, index)
+            cache = self.plane_cache
+            address = (
+                "" if cache is None else self.plane_address(entry, index)
+            )
+            if address:
+                data, nbytes = cache.get_or_load(
+                    ("plane", address),
+                    lambda: self._plane_entry(entry, index),
+                )
+            else:
+                data, nbytes = self._read_plane(entry, index)
         except (KeyError, ValueError) as exc:
             data, nbytes = self._recover_plane(entry, index, exc)
         if data is not None:
             charge(planes_fetched=1, plane_bytes={index: nbytes})
         return data, nbytes
+
+    def _plane_entry(
+        self, entry: _StoredPayload, index: int
+    ) -> tuple[tuple[bytes, int], int]:
+        """A plane-cache loader: ``((bytes, stored_size), len(bytes))``."""
+        data, nbytes = self._read_plane(entry, index)
+        return (data, nbytes), len(data)
 
     def _read_plane(
         self, entry: _StoredPayload, index: int, **page_options
@@ -563,7 +587,7 @@ class PlanArchive:
         chunk, or (``kind="pages"``) pages of the shared dedup tier."""
         if entry.kind == "pages":
             data = _decode_paged_plane(
-                self._page_manifest(entry, index), self._fetch_page,
+                self._page_manifest(entry, index), self.page_store.blobs.get,
                 **page_options,
             )
             return data, self.plane_stored_size(entry, index)
@@ -582,18 +606,6 @@ class PlanArchive:
                 f"{entry.matrix_id!r} has no page manifest for plane {index}"
             )
         return manifest
-
-    def _fetch_page(self, sha: str) -> bytes:
-        """Read one page blob, through the shared cache when present."""
-        blobs = self.page_store.blobs
-        if self.plane_cache is None:
-            return blobs.get(sha)
-
-        def load() -> tuple[bytes, int]:
-            data = blobs.get(sha)
-            return data, len(data)
-
-        return self.plane_cache.get_or_load(("page", sha), load)
 
     def _recover_plane(
         self, entry: _StoredPayload, index: int, exc: Exception

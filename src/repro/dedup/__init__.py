@@ -6,7 +6,8 @@ them by exact hash plus a band sketch so near-duplicate pages across
 deltas for near-misses), and plugs into archival as a ``kind="pages"``
 storage-graph edge, into all three storage backends as a refcounted
 ``pages`` blob namespace, and into the serve tier through
-content-hash-keyed :class:`~repro.serve.cache.PlaneCache` entries.
+:class:`~repro.serve.cache.PlaneCache` plane entries keyed by each
+assembled plane's content hash.
 """
 
 from repro.dedup.index import DedupEstimator, SketchIndex

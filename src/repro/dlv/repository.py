@@ -536,9 +536,13 @@ class Repository:
     def archive_view(self, plane_cache=None) -> PlanArchive:
         """Public accessor for the current PAS layout.
 
-        ``plane_cache`` (a :class:`~repro.serve.cache.PlaneCache`) keys
-        dedup page reads by content hash, so serving tiers that pass a
-        shared cache hold each page's bytes once across all models.
+        ``plane_cache`` (a :class:`~repro.serve.cache.PlaneCache`) is
+        the one cache of the view's read path: every plane is read
+        through it under ``("plane", address)`` — a content address, so
+        a serving tier that passes a shared cache holds a plane once
+        across all models — and evaluators over the view keep their
+        derived ``("bounds", …)`` entries in it, only in room no plane
+        needs.
         """
         return self._plan_archive(plane_cache=plane_cache)
 

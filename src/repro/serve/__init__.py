@@ -5,10 +5,10 @@ spend their time: *serving*.  This subsystem turns a DLV repository into
 a prediction service whose data path is built from the storage layer's
 own primitives:
 
-* **Shared plane cache** (:class:`PlaneCache`) — per-plane interval
-  bounds and exact weight tensors reconstructed from PAS are cached
-  process-wide under a byte budget, with single-flight loading, so N
-  concurrent cold requests cost one chunk-store read.
+* **Shared plane cache** (:class:`PlaneCache`) — the byte planes read
+  from PAS, and in room no plane needs the interval bounds derived from
+  them, are cached process-wide under a byte budget, with single-flight
+  loading, so N concurrent cold requests cost one chunk-store read.
 * **Request batching** (:class:`BatchScheduler`) — whenever a model's
   worker is free it runs every request queued at the head's plane
   budget, up to ``max_batch`` rows, as one batched forward pass (no

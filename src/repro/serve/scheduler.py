@@ -155,9 +155,8 @@ class PredictTicket:
 class ModelRuntime:
     """One served snapshot: built network, reusable evaluator, cache hooks.
 
-    Only the model's single worker thread calls :meth:`bounded`, so the
-    degraded-plane bookkeeping needs no lock;
-    the underlying evaluator and plane cache are thread-safe regardless.
+    Only the model's single worker thread calls :meth:`bounded`; the
+    underlying evaluator and plane cache are thread-safe regardless.
 
     Args:
         name: Serving name (what ``/v1/predict`` requests address).
@@ -165,9 +164,11 @@ class ModelRuntime:
         archive: The PAS layout holding the snapshot (opened with
             ``degraded=True`` when lossy recovery should be permitted).
         snapshot_id: Snapshot key inside the archive.
-        plane_cache: Shared :class:`~repro.serve.PlaneCache`; bounds and
-            weights land there so concurrent models/requests share one
-            retrieval.
+        plane_cache: The shared :class:`~repro.serve.PlaneCache` — the
+            archive's own (see
+            :class:`~repro.core.progressive.ProgressiveEvaluator`):
+            planes and derived bounds land there so concurrent
+            models/requests share one retrieval.
         meta: Free-form description reported by ``/v1/models``.
     """
 
@@ -188,7 +189,6 @@ class ModelRuntime:
         self.evaluator = ProgressiveEvaluator(
             net, archive, snapshot_id, plane_cache=plane_cache
         )
-        self._degraded_planes: set[int] = set()
         self._chain_ids = self._payload_chain(archive, snapshot_id)
 
     @staticmethod
@@ -199,26 +199,23 @@ class ModelRuntime:
             ids.update(e.matrix_id for e in archive.chain(matrix_id, stop=ids))
         return ids
 
-    def _note_recovery(self, planes: int, events_before: int) -> None:
-        """Record lossy recoveries that touched this snapshot's chains."""
-        for event in self.archive.recovery.events[events_before:]:
-            if not event.exact and event.matrix_id in self._chain_ids:
-                self._degraded_planes.add(planes)
-
-    def degraded_at(self, planes: int) -> bool:
-        return planes in self._degraded_planes
-
     def bounded(
         self, x: np.ndarray, planes: int
     ) -> tuple[np.ndarray, np.ndarray, bool]:
         """One pass at one budget: ``(determined, labels, degraded)`` —
         :meth:`~repro.core.progressive.ProgressiveEvaluator.step`, plus
-        the degraded-read bookkeeping."""
+        whether this pass read a plane of this snapshot's chains through
+        lossy recovery.  Recovered planes are never cached, so a pass
+        after the plane is restored reads it exactly again."""
         planes = min(planes, NUM_PLANES)
-        before = len(self.archive.recovery.events)
+        events = self.archive.recovery.events
+        before = len(events)
         determined, labels = self.evaluator.step(x, planes)
-        self._note_recovery(planes, before)
-        return determined, labels, self.degraded_at(planes)
+        degraded = any(
+            not event.exact and event.matrix_id in self._chain_ids
+            for event in events[before:]
+        )
+        return determined, labels, degraded
 
     def info(self) -> dict:
         """``/v1/models`` row."""

@@ -142,9 +142,10 @@ class ModelServer:
 
     def _load_models(self, names: Optional[list[str]], strict: bool) -> None:
         """Build a runtime per served snapshot; refuse invalid networks."""
-        # Passing the serve cache into the archive keys dedup page reads
-        # by content hash, so pages shared across served models occupy
-        # cache bytes once and concurrent loads single-flight.
+        # One cache serves the read path: the archive reads planes
+        # through it by content address (a plane shared across served
+        # models occupies cache bytes once, concurrent loads
+        # single-flight) and every model keeps its bounds in it.
         archive = self.repo.archive_view(plane_cache=self.cache)
         versions = [v for v in self.repo.list_versions() if v.snapshots]
         if names is not None:

@@ -1,16 +1,18 @@
-"""The read path: one chain walk, one snapshot reader, one weights cache.
+"""The read path: one chain walk, one snapshot reader, one plane cache.
 
 The oracle: every reader of a snapshot — ``get_snapshot_weights``,
 ``recreate_snapshot(...).by_layer()`` under each retrieval scheme, the
-evaluator's cached ``exact_weights()`` and ``load_network()`` — returns
-the same bytes per matrix, on every backend, for committed, archived and
-``archive --dedup`` layouts, and those bytes match what was committed.
-One progressive request answers the same through ``evaluate()`` (what
-``dlv eval --progressive`` runs) and through the serving scheduler.
+evaluator's ``exact_weights()`` (planes through the cache) and
+``load_network()`` — returns the same bytes per matrix, on every
+backend, for committed, archived and ``archive --dedup`` layouts, and
+those bytes match what was committed.  One progressive request answers
+the same through ``evaluate()`` (what ``dlv eval --progressive`` runs)
+and through the serving scheduler.
 
-The weights cache is the one :class:`~repro.core.cache.PlaneCache`
-behind an evaluator; its LRU mechanics (eviction, budgets, single
-flight) are tested once, in ``tests/serve/test_plane_cache.py``.
+The plane cache is the one :class:`~repro.core.cache.PlaneCache` behind
+an archive and its evaluators; its LRU mechanics (eviction, budgets,
+admission, single flight) are tested once, in
+``tests/serve/test_plane_cache.py``.
 """
 
 import numpy as np
@@ -20,6 +22,7 @@ from repro.core.archival import minimum_spanning_tree
 from repro.core.chunkstore import MemoryChunkStore
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
+from repro.core.segmentation import NUM_PLANES
 from repro.core.storage_graph import (
     MatrixRef,
     MatrixStorageGraph,
@@ -176,28 +179,56 @@ def _evaluator(snap, cache=None):
     return ProgressiveEvaluator(net, archive, "snap", plane_cache=cache)
 
 
+def _plane_sizes(archive) -> dict:
+    """``address -> charged bytes`` (1 B per weight) of every plane."""
+    return {
+        archive.plane_address(entry, i): int(np.prod(entry.shape))
+        for entry in archive.manifest.values()
+        for i in range(NUM_PLANES)
+    }
+
+
 class TestCorrectness:
     def test_cached_values_match_archive(self, snap):
         net, archive, reads = snap
+        expected = archive.recreate_snapshot("snap").by_layer()  # uncached
         evaluator = _evaluator(snap)
-        expected = archive.recreate_snapshot("snap").by_layer()
         _assert_same_bytes(evaluator.exact_weights(), expected)
         after_cold = reads.value
         _assert_same_bytes(evaluator.exact_weights(), expected)
         assert reads.value == after_cold  # the warm read is the cache's
         _assert_same_bytes(expected, net.get_weights())
+        # Each cached plane is the stored chunk under its own address.
+        for entry in archive.manifest.values():
+            for i, sha in enumerate(entry.chunk_ids):
+                data, _ = evaluator.plane_cache.get(("plane", sha))
+                assert data == archive.plane_store(i).get(sha)
 
     def test_planes_are_distinct_entries(self, snap):
+        _, archive, _ = snap
         evaluator = _evaluator(snap)
         one, two = evaluator.param_bounds(1), evaluator.param_bounds(2)
         evaluator.exact_weights()
         assert one is not two
-        assert len(evaluator.plane_cache) == 3
+        keys = evaluator.plane_cache.keys()
+        # One entry per distinct plane (equal planes, e.g. of two zero
+        # biases, share one), plus the two derived bounds entries.
+        assert {key[1] for key in keys if key[0] == "plane"} == set(
+            _plane_sizes(archive)
+        )
+        assert sorted(key[2] for key in keys if key[0] == "bounds") == [1, 2]
+        assert len(keys) == len(_plane_sizes(archive)) + 2
 
     def test_cached_arrays_are_read_only(self, snap):
-        value = _evaluator(snap).exact_weights()["fc1"]["W"]
-        with pytest.raises(ValueError):
-            value[0, 0] = 99.0
+        evaluator = _evaluator(snap)
+        bounds = evaluator.param_bounds(2)["fc1"]["W"]
+        for array in (bounds.lo, bounds.hi):
+            with pytest.raises(ValueError):
+                array[0, 0] = 99.0
+        # Planes are cached as immutable bytes: a reader's weights are
+        # its own copy.
+        evaluator.exact_weights()["fc1"]["W"][0, 0] = 99.0
+        assert evaluator.exact_weights()["fc1"]["W"][0, 0] != 99.0
 
     def test_snapshot_retrieval(self, snap):
         net, archive, _ = snap
@@ -216,25 +247,36 @@ class TestInvalidation:
         first = evaluator.exact_weights()
         after = reads.value
         cache = evaluator.plane_cache
-        [key] = [k for k in cache.keys() if k[0] == "weights"]
+        key = next(k for k in cache.keys() if k[0] == "plane")
         assert cache.invalidate(key)
         second = evaluator.exact_weights()
-        assert reads.value > after and second is not first
+        assert reads.value == after + 1  # that plane alone, once
+        assert key in cache
         _assert_same_bytes(second, first)
 
     def test_budget_and_accounting_are_the_lrus(self, snap):
-        registry = MetricsRegistry()
-        cache = PlaneCache(registry=registry)
-        weights = _evaluator(snap, cache).exact_weights()
-        assert cache.cached_bytes == sum(
-            value.nbytes for params in weights.values()
-            for value in params.values()
+        net, archive, _ = snap
+        cache = PlaneCache(registry=MetricsRegistry())
+        _evaluator(snap, cache).exact_weights()
+        sizes = _plane_sizes(archive)
+        assert cache.cached_bytes == sum(sizes.values())
+        # A budget smaller than every plane serves them all uncached.
+        small = PlaneCache(min(sizes.values()) - 1, registry=MetricsRegistry())
+        reopened = PlanArchive.from_manifest_dict(
+            archive.store, archive.to_manifest_dict(), plane_cache=small
         )
-        # A budget smaller than the weights serves them uncached.
-        small = PlaneCache(cache.cached_bytes - 1, registry=MetricsRegistry())
-        evaluator = _evaluator(snap, small)
+        evaluator = ProgressiveEvaluator(net, reopened, "snap")
         evaluator.exact_weights()
         evaluator.exact_weights()
-        assert (small.misses, small.hits, len(small)) == (2, 0, 0)
+        lookups = 2 * NUM_PLANES * len(archive.manifest)
+        assert (small.misses, small.hits, len(small)) == (lookups, 0, 0)
         with pytest.raises(ValueError):
             PlaneCache(0)
+
+    def test_one_cache_serves_a_read_path(self, snap):
+        net, archive, _ = snap
+        evaluator = _evaluator(snap)
+        assert archive.plane_cache is evaluator.plane_cache
+        assert _evaluator(snap).plane_cache is evaluator.plane_cache
+        with pytest.raises(ValueError, match="one cache"):
+            _evaluator(snap, PlaneCache(registry=MetricsRegistry()))

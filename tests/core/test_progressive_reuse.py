@@ -190,9 +190,9 @@ class TestConcurrentReuse:
     def test_concurrent_queries_single_archive_read(
         self, trained_tiny, digits, shared
     ):
-        """N concurrent callers cost one archive read per artifact —
-        through the serving tier's shared cache and through the private
-        one an evaluator built without ``plane_cache`` gets (whose
+        """N concurrent callers cost one archive read per plane — through
+        the serving tier's shared cache and through the private one an
+        evaluator built without ``plane_cache`` gives its archive (whose
         predecessor memo documented "racing computes are possible")."""
         net, _, _ = trained_tiny
         registry = MetricsRegistry()
@@ -226,15 +226,24 @@ class TestConcurrentReuse:
         for det, lab, weights in results[1:]:
             np.testing.assert_array_equal(det, base_det)
             np.testing.assert_array_equal(lab, base_lab)
-            assert weights is base_weights
-        # Cached weight sets may be shared across models: always frozen.
-        assert not base_weights["fc1"]["W"].flags.writeable
-        # Single-flight: the plane-2 bounds and the exact weights were each
-        # loaded exactly once — 2 + 4 plane reads per matrix.
+            for layer, params in base_weights.items():
+                for param, value in params.items():
+                    np.testing.assert_array_equal(weights[layer][param], value)
+        # Cached bounds may be shared across models: always frozen.
+        assert not evaluator.param_bounds(2)["fc1"]["W"].lo.flags.writeable
+        # Single-flight: the plane-2 bounds and every distinct plane were
+        # each loaded exactly once, whatever the interleaving; the lookups
+        # are 8 bounds + 2 (bounds) + 8 * 4 (exact) planes per matrix + 1.
         lru = evaluator.plane_cache
-        assert (lru.misses, lru.hits) == (2, 14)
+        matrices = len(archive.manifest)
+        planes = len({
+            archive.plane_address(entry, i)
+            for entry in archive.manifest.values() for i in range(4)
+        })
+        assert lru.misses == 1 + planes
+        assert lru.misses + lru.hits == 8 + 34 * matrices + 1
         reads = registry.counter("chunkstore.get_calls").value
-        assert reads == 6 * len(archive.manifest)
+        assert reads == planes
 
     def test_shared_cache_across_evaluators(self, trained_tiny, digits):
         """Two evaluators over one snapshot share the plane cache."""

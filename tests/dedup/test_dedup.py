@@ -328,15 +328,28 @@ def test_page_cache_shares_entries_across_models(make_repo_target):
         {f"v{r['version_id']}/s{r['snapshot_idx']}"
          for r in repo.catalog.get_matrices()}
     )
-    # The first family member archives as the page-base donor (often
-    # materialized); its siblings page-encode and share bases, so pages
-    # cached serving one sibling hit when serving the next.
+    # Page-encoded planes are cached whole, under the digest their page
+    # manifest records: a plane equal across siblings (the unperturbed
+    # bytes of a family) is one entry, hit when serving the next member.
+    members = [m for snap in snaps for m in archive._snapshots[snap]]
+    entries = [archive.manifest[m] for m in members]
+    assert {e.kind for e in entries} & {"pages"}
+    sizes = {  # address -> charged bytes, 1 B per weight
+        archive.plane_address(e, i): int(np.prod(e.shape))
+        for e in entries for i in range(4)
+    }
+    for snap in snaps:
+        archive.recreate_snapshot(snap)
+    cold = cache.stats()
+    assert cold["misses"] == len(sizes) == cold["entries"]
+    assert cold["hits"] == 4 * len(entries) - len(sizes) > 0
+    assert cold["cached_bytes"] == sum(sizes.values())
+    # A warm pass over the family reads nothing: every plane is a hit.
     for snap in snaps:
         archive.recreate_snapshot(snap)
     warm = cache.stats()
-    assert warm["misses"] > 0  # paged reads went through the cache
-    assert warm["hits"] > 0  # ...and siblings shared cached pages
-    assert warm["hit_rate"] > 0
+    assert warm["misses"] == cold["misses"]
+    assert warm["hits"] == cold["hits"] + 4 * len(entries)
     repo.close()
 
 

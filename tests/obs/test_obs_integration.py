@@ -3,9 +3,10 @@
 A group retrieval through :meth:`PlanArchive.recreate_snapshot` must (1)
 count chunkstore byte traffic and (2) leave a ``pas.snapshot`` span with
 one nested ``pas.matrix`` span per member in the trace recorder.  Reads
-through the one weights cache — a :class:`PlaneCache` behind an
-evaluator — must (3) move that cache's hit/miss counters and gauges and
-(4) leave the archive untouched once warm.  Every scheme bills the
+through the one plane cache — a :class:`PlaneCache` behind an archive
+and its evaluator — must (3) move that cache's hit/miss counters and
+gauges, one per plane, and (4) leave the archive untouched once the
+exact weights are installed.  Every scheme bills the
 caller the same, including the PARALLEL pool's threads (5).
 """
 
@@ -18,6 +19,7 @@ from repro.core.archival import minimum_spanning_tree
 from repro.core.chunkstore import MemoryChunkStore
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
+from repro.core.segmentation import NUM_PLANES
 from repro.core.storage_graph import (
     MatrixRef,
     MatrixStorageGraph,
@@ -70,15 +72,29 @@ def evaluator_over(net, archive, registry=None):
     return ProgressiveEvaluator(net, archive, "snap", plane_cache=cache)
 
 
+def distinct_planes(archive) -> int:
+    return len({
+        archive.plane_address(entry, i)
+        for entry in archive.manifest.values()
+        for i in range(NUM_PLANES)
+    })
+
+
 class TestCacheCounters:
     def test_group_retrieval_hits_and_misses(self, net, archive, recorder):
         registry = MetricsRegistry()
         evaluator = evaluator_over(net, archive, registry)
         cold = evaluator.exact_weights()
         warm = evaluator.exact_weights()
-        assert registry.counter("serve.cache.misses").value == 1
-        assert registry.counter("serve.cache.hits").value == 1
-        assert warm is cold
+        lookups = NUM_PLANES * len(archive.manifest)
+        misses = distinct_planes(archive)  # equal planes share an entry
+        assert registry.counter("serve.cache.misses").value == misses
+        assert registry.counter("serve.cache.hits").value == (
+            2 * lookups - misses
+        )
+        for layer, params in cold.items():
+            for param, value in params.items():
+                assert warm[layer][param].tobytes() == value.tobytes()
 
     def test_cached_bytes_gauge_tracks_entries(self, net, archive):
         registry = MetricsRegistry()
@@ -87,7 +103,8 @@ class TestCacheCounters:
         evaluator.param_bounds(2)
         cache = evaluator.plane_cache
         assert registry.gauge("serve.cache.bytes").value == cache.cached_bytes
-        assert registry.gauge("serve.cache.entries").value == len(cache) == 2
+        assert registry.gauge("serve.cache.entries").value == len(cache)
+        assert len(cache) == distinct_planes(archive) + 1
 
 
 class TestChunkstoreCounters:
@@ -122,10 +139,12 @@ class TestRetrievalSpans:
         self, net, archive, recorder
     ):
         evaluator = evaluator_over(net, archive)
-        evaluator.exact_weights()
+        x = np.zeros((2,) + net.input_shape, dtype=np.float32)
+        evaluator.forward_exact_many([x])
         assert len(recorder.spans("pas.matrix")) == len(archive.manifest)
         recorder.clear()
-        evaluator.exact_weights()  # a cache hit: archive never touched
+        # The net holds the exact weights: the archive is never touched.
+        evaluator.forward_exact_many([x])
         assert recorder.spans("pas.matrix") == []
         assert recorder.spans("pas.snapshot") == []
 

@@ -1,13 +1,23 @@
-"""PlaneCache unit tests: LRU accounting, byte budget, single-flight."""
+"""PlaneCache tests: LRU accounting, byte budget, single-flight, the
+admission rule for derived entries, and recovery that never poisons the
+cache."""
 
 from __future__ import annotations
 
+import sys
 import threading
+import time
 
+import numpy as np
 import pytest
 
+from repro.core.segmentation import NUM_PLANES
+from repro.core.progressive import ProgressiveEvaluator
+from repro.dlv.repository import Repository
+from repro.dnn.network import Network
+from repro.dnn.zoo import tiny_mlp
 from repro.obs.metrics import MetricsRegistry
-from repro.serve import PlaneCache
+from repro.serve import ModelRuntime, PlaneCache
 
 
 def make_cache(max_bytes=1000):
@@ -179,3 +189,258 @@ class TestSingleFlight:
         for t in threads:
             t.join(timeout=10.0)
         assert results == {i: i * 2 for i in range(4)}
+
+
+class TestAdmission:
+    """Planes evict anything (LRU); derived entries evict only derived."""
+
+    def test_derived_entry_never_evicts_a_plane(self):
+        cache = make_cache(max_bytes=100)
+        cache.get_or_load(("plane", "a"), lambda: ("A", 40))
+        cache.get_or_load(("bounds", "x", 1), lambda: ("X", 30), derived=True)
+        cache.get_or_load(("plane", "b"), lambda: ("B", 20))
+        # 10 bytes free + 30 derived: room for 40 only by evicting X.
+        cache.get_or_load(("bounds", "y", 1), lambda: ("Y", 40), derived=True)
+        assert cache.keys() == [("plane", "a"), ("plane", "b"),
+                                ("bounds", "y", 1)]
+        assert (cache.evictions, cache.cached_bytes) == (1, 100)
+
+    def test_derived_entry_that_cannot_fit_is_an_uncached_miss(self):
+        cache = make_cache(max_bytes=100)
+        cache.get_or_load(("plane", "a"), lambda: ("A", 60))
+        cache.get_or_load(("bounds", "x", 1), lambda: ("X", 20), derived=True)
+        calls = []
+
+        def load():
+            calls.append(1)
+            return "Y", 50
+
+        for _ in range(2):
+            value = cache.get_or_load(("bounds", "y", 1), load, derived=True)
+            assert value == "Y"
+        assert len(calls) == 2  # served, never kept: each call re-derives
+        assert (cache.misses, cache.hits, cache.evictions) == (4, 0, 0)
+        assert cache.keys() == [("plane", "a"), ("bounds", "x", 1)]
+
+    def test_plane_evicts_derived_entries_first(self):
+        """Derived entries are recomputed from planes: a plane that needs
+        room takes theirs before any older plane's."""
+        cache = make_cache(max_bytes=100)
+        cache.get_or_load(("plane", "a"), lambda: ("A", 40))
+        cache.get_or_load(("bounds", "x", 1), lambda: ("X", 50), derived=True)
+        cache.get_or_load(("plane", "b"), lambda: ("B", 40))  # evicts X
+        assert cache.keys() == [("plane", "a"), ("plane", "b")]
+        # With no derived entry left, the least recently used plane goes.
+        cache.get_or_load(("plane", "c"), lambda: ("C", 40))
+        assert cache.keys() == [("plane", "b"), ("plane", "c")]
+        assert cache.evictions == 2
+
+    @pytest.mark.parametrize("derived", [False, True])
+    def test_budget_holds_for_both_kinds(self, derived):
+        cache = make_cache(max_bytes=100)
+        for i in range(10):
+            cache.get_or_load((i,), lambda: ("x", 30), derived=derived)
+            assert cache.cached_bytes <= 100
+        assert len(cache) == 3
+        assert cache.evictions == 7
+
+    @pytest.mark.parametrize("derived", [False, True])
+    def test_single_flight_for_both_kinds(self, derived):
+        # 200 bytes never fit: waiters still share the one load.
+        cache = make_cache(max_bytes=100)
+        calls = []
+        release = threading.Event()
+        results = []
+
+        def loader():
+            calls.append(1)
+            release.wait(5.0)
+            return "loaded", 200
+
+        def worker():
+            results.append(cache.get_or_load("k", loader, derived=derived))
+
+        threads = [threading.Thread(target=worker) for _ in range(6)]
+        for t in threads:
+            t.start()
+        release.set()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert results == ["loaded"] * 6
+        assert len(calls) == 1
+        assert (cache.misses, cache.hits, len(cache)) == (1, 5, 0)
+
+    def test_stress_mixed_kinds_keep_the_budget(self):
+        """Many threads, both kinds, a budget a fifth of the key space:
+        every caller gets its key's value and the byte accounting holds."""
+        cache = make_cache(max_bytes=200)
+        errors = []
+
+        def worker(seed):
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(300):
+                    i = int(rng.integers(40))
+                    derived = i % 4 == 0
+                    key = ("bounds" if derived else "plane", i)
+                    value = cache.get_or_load(
+                        key, lambda i=i: (i, 10 + i % 3 * 10), derived=derived
+                    )
+                    assert value == i
+            except AssertionError as exc:  # pragma: no cover - reported
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(seed,))
+                for seed in range(8)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(t.is_alive() for t in threads)
+        cached = sum(10 + i % 3 * 10 for _, i in cache.keys())
+        assert cache.cached_bytes == cached <= 200
+        assert cache.hits + cache.misses == 8 * 300
+
+    def test_unkept_value_is_not_shared_with_waiters(self):
+        """``nbytes=None`` (a recovery read): every caller loads itself."""
+        cache = make_cache()
+        calls = []
+        release = threading.Event()
+
+        def loader():
+            calls.append(1)
+            release.wait(5.0)
+            return len(calls), None
+
+        results = []
+        threads = [
+            threading.Thread(
+                target=lambda: results.append(cache.get_or_load("k", loader))
+            )
+            for _ in range(2)
+        ]
+        for t in threads:
+            t.start()
+        time.sleep(0.2)  # the second caller waits on the first one's load
+        release.set()
+        for t in threads:
+            t.join(timeout=10.0)
+        assert sorted(results) == [1, 2]
+        assert "k" not in cache
+        assert (cache.misses, cache.hits) == (2, 0)
+
+
+# -- recovery never poisons the cache ----------------------------------------
+
+
+@pytest.fixture
+def dedup_family(make_repo_target):
+    """Three sibling MLPs archived ``--dedup``: one served through a
+    ModelRuntime, with page-encoded payloads whose pages we can lose."""
+    repo = Repository.init(make_repo_target("memory"))
+    base = tiny_mlp(hidden=32).build(seed=0)
+    nets = []
+    for i in range(3):
+        net = base.clone()
+        weights = net.get_weights()
+        rng = np.random.default_rng(i)
+        for params in weights.values():
+            for arr in params.values():
+                flat = arr.reshape(-1)
+                idx = rng.choice(flat.size, max(1, flat.size // 20), False)
+                flat[idx] += rng.normal(0, 0.01, idx.size).astype(flat.dtype)
+        net.set_weights(weights)
+        repo.commit(net, name=f"fam-{i}", message="variant")
+        nets.append(net)
+    repo.archive(alpha=4.0, dedup=True)
+    cache = PlaneCache(64 << 20, registry=MetricsRegistry())
+    archive = repo.archive_view(plane_cache=cache)
+    for version, net in zip(repo.list_versions(), nets):
+        key = version.snapshots[-1].key
+        paged = [
+            archive.manifest[m] for m in archive._snapshots[key]
+            if archive.manifest[m].kind == "pages"
+        ]
+        if paged:
+            break
+    else:  # pragma: no cover - the family always page-encodes a sibling
+        pytest.fail("no page-encoded snapshot")
+    runtime = ModelRuntime(
+        "fam", Network.from_spec(version.network).build(0), archive, key,
+        plane_cache=cache,
+    )
+    yield repo, archive, runtime, net, paged
+    repo.close()
+
+
+class TestRecoveryNeverPoisons:
+    @pytest.mark.parametrize("plane", [1, NUM_PLANES - 1])
+    def test_restored_page_reads_exact_again(self, dedup_family, plane):
+        """Lose a page (and, for a mirrored plane, its replica), read the
+        plane degraded, restore it: the next read is exact."""
+        repo, archive, runtime, net, paged = dedup_family
+        cache = runtime.evaluator.plane_cache
+        x = np.random.default_rng(0).standard_normal(
+            (4,) + net.input_shape
+        ).astype(np.float32)
+        budget = plane + 1  # the first pass that reads the plane
+        manifest = paged[0].pages[plane]
+        lost, address = manifest["pages"][0][0], manifest["sha"]
+        page = repo.pages.get(lost)
+        assert repo.pages.delete(lost)
+        mirrored = plane < archive.replicate_planes
+        if mirrored:
+            mirror = repo.replica.get(address)
+            assert repo.replica.delete(address)
+
+        _, _, degraded = runtime.bounded(x, budget)
+        assert degraded  # the page was zero-filled
+        assert ("plane", address) not in cache
+
+        assert repo.pages.put(page) == lost
+        if mirrored:
+            assert repo.replica.put(mirror) == address
+        _, labels, degraded = runtime.bounded(x, budget)
+        assert not degraded
+        assert ("plane", address) in cache
+        if budget == NUM_PLANES:
+            np.testing.assert_array_equal(labels, net.predict(x))
+            for layer, params in net.get_weights().items():
+                for param, value in params.items():
+                    installed = runtime.net.get_weights()[layer][param]
+                    assert installed.tobytes() == value.tobytes()
+        else:  # the bounds served now are those of an intact read
+            intact = ProgressiveEvaluator(
+                runtime.net, repo.archive_view(), runtime.snapshot_id
+            ).param_bounds(budget)
+            served = runtime.evaluator.param_bounds(budget)
+            for layer, params in intact.items():
+                for param, interval in params.items():
+                    np.testing.assert_array_equal(
+                        served[layer][param].lo, interval.lo
+                    )
+                    np.testing.assert_array_equal(
+                        served[layer][param].hi, interval.hi
+                    )
+
+    def test_plane_without_address_reads_uncached(self, dedup_family):
+        _, archive, runtime, _, paged = dedup_family
+        cache = runtime.evaluator.plane_cache
+        entry = paged[0]
+        sha = entry.pages[0].pop("sha")
+        value = archive.recreate_matrix(entry.matrix_id)
+        keys = cache.keys()
+        assert ("plane", sha) not in keys
+        assert len(keys) == NUM_PLANES - 1
+        misses = cache.misses
+        np.testing.assert_array_equal(
+            archive.recreate_matrix(entry.matrix_id), value
+        )
+        assert (cache.misses, len(cache)) == (misses, NUM_PLANES - 1)
