@@ -83,12 +83,12 @@ class ProgressiveEvaluator:
     bounds per plane count are derived from those planes and kept under
     ``("bounds", fingerprint, planes)`` when there is room that no plane
     needs (derived entries never evict a plane; planes evict them
-    first).  Loads are
-    single-flight, even under concurrent queries.  The exact weights are
-    fetched once and installed into the net, which holds them from then
-    on; the install, and every exact forward pass, run under a lock,
-    making concurrent queries against one evaluator safe.  A value read
-    through the archive's recovery path is served but never kept.
+    first).  Loads are single-flight, even under concurrent queries.
+    The exact weights are fetched once and installed into the net, which
+    holds them from then on; the install, and every exact forward pass,
+    run under a lock, making concurrent queries against one evaluator
+    safe.  A value read through the archive's recovery path is served
+    but never kept.
 
     Deep networks, where the default midpoint-radius bound compounds
     layer by layer and rarely determines predictions, pay off with the
@@ -203,7 +203,9 @@ class ProgressiveEvaluator:
             self.snapshot_id, planes=planes
         ).by_layer()
 
-    def _install_exact(self, weights, clean: bool) -> None:
+    def _install_exact(
+        self, weights: dict[str, dict[str, np.ndarray]], clean: bool
+    ) -> None:
         """Install pre-fetched exact weights. Caller must hold ``_lock``.
 
         Idempotent between calls that truncate the weights: repeated
