@@ -9,17 +9,28 @@ Every store counts its traffic — calls, uncompressed bytes in/out, and
 dedup hits — into a :class:`~repro.obs.MetricsRegistry` (the process
 global one unless an instance is injected), so ``dlv stats`` and the
 benchmark sidecars can report where bytes actually go.
+
+A write verb runs inside one :func:`write_batch`: while it is open, the
+stored form computed for an address — to price an edge or a page, or
+to write it to any tier — is kept, so each distinct content is
+compressed at most once per verb and the priced bytes are the written
+bytes.  Blobs the verb defers (:meth:`WriteBatch.defer`) land with one
+``put_many`` per store when it calls :meth:`WriteBatch.land`.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import hashlib
 import itertools
 import os
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.faults import fs as ffs
 from repro.obs.cost import charge
@@ -37,6 +48,73 @@ class ChunkIntegrityError(ValueError):
 
 #: Process-wide sequence making concurrent writers' tmp names distinct.
 _tmp_counter = itertools.count()
+
+#: Most threads one ``ChunkStore.put_many`` fsyncs its tmp files on.
+SYNC_THREADS = 8
+
+
+def _fsync_file(path: str) -> None:
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
+class WriteBatch:
+    """The blob writes of one verb.
+
+    ``stored`` maps ``(zlib level, address)`` to the stored form already
+    computed for that content, whichever tier asked first; it lives as
+    long as the batch.  Blobs handed to :meth:`defer` wait, per store,
+    until :meth:`land` puts each store's share with one ``put_many``.
+    """
+
+    def __init__(self) -> None:
+        self.stored: dict[tuple[int, str], bytes] = {}
+        self._pending: dict[int, tuple[object, dict[str, bytes]]] = {}
+
+    def defer(self, store, data: bytes) -> str:
+        """Queue one blob for ``store``; returns its content address."""
+        sha = store.address(data)
+        self._pending.setdefault(id(store), (store, {}))[1][sha] = data
+        return sha
+
+    def land(self) -> None:
+        """Put every deferred blob: one ``put_many`` per store."""
+        pending, self._pending = self._pending, {}
+        for store, blobs in pending.values():
+            store.put_many(blobs.values())
+
+
+_BATCH: contextvars.ContextVar[Optional[WriteBatch]] = contextvars.ContextVar(
+    "repro_write_batch", default=None
+)
+
+
+def current_batch() -> Optional[WriteBatch]:
+    """The open :func:`write_batch`, if any."""
+    return _BATCH.get()
+
+
+@contextmanager
+def write_batch() -> Iterator[WriteBatch]:
+    """Open one write batch for a verb (an inner call joins the outer).
+
+    Blobs still deferred at a normal exit land then; an exception
+    drops them, since nothing can reference them yet.
+    """
+    outer = _BATCH.get()
+    if outer is not None:
+        yield outer
+        return
+    batch = WriteBatch()
+    token = _BATCH.set(batch)
+    try:
+        yield batch
+        batch.land()
+    finally:
+        _BATCH.reset(token)
 
 
 class BlobCodec:
@@ -71,7 +149,7 @@ class BlobCodec:
     def stored_size_of(self, data: bytes) -> int:
         """Stored bytes ``put(data)`` adds when the blob is new — the
         paper's storage cost ``Cs``; equals ``stored_size`` afterwards."""
-        return len(self._encode(data))
+        return len(self._stored_form(data))
 
     @staticmethod
     def _missing(sha: str) -> KeyError:
@@ -79,6 +157,18 @@ class BlobCodec:
 
     def _encode(self, data: bytes) -> bytes:
         return zlib.compress(data, self.level)
+
+    def _stored_form(self, data: bytes, sha: Optional[str] = None) -> bytes:
+        """What a put of ``data`` writes: compressed once per open
+        :func:`write_batch`, whichever tier or pricing asks first."""
+        batch = _BATCH.get()
+        if batch is None:
+            return self._encode(data)
+        key = (self.level, sha or self.address(data))
+        stored = batch.stored.get(key)
+        if stored is None:
+            stored = batch.stored[key] = self._encode(data)
+        return stored
 
     def _count_put(self, nbytes: int, deduplicated: bool) -> None:
         self._put_calls.inc()
@@ -115,7 +205,9 @@ class ChunkStore(BlobCodec):
     """Filesystem-backed content-addressed store.
 
     Blobs live at ``<root>/<sha[:2]>/<sha>`` in the :class:`BlobCodec`
-    format.
+    format.  Paths are handled as strings and directories listed with
+    :func:`os.scandir`: every repository open sweeps, and ``gc`` and
+    fsck list, all of them.
     """
 
     def __init__(
@@ -127,18 +219,36 @@ class ChunkStore(BlobCodec):
     ) -> None:
         super().__init__(level, registry)
         self.root = Path(root)
+        self._root = str(self.root)
         self.durable = durable
         self.root.mkdir(parents=True, exist_ok=True)
         self.sweep_stale_tmps()
 
     def blob_path(self, sha: str) -> Path:
         """On-disk location of one blob (it may not exist)."""
-        return self.root / sha[:2] / sha
+        return Path(self._path(sha))
+
+    def _path(self, sha: str) -> str:
+        return os.path.join(self._root, sha[:2], sha)
+
+    def _bucket_entries(self) -> Iterator[os.DirEntry]:
+        """Every entry of every bucket directory, in no set order."""
+        with os.scandir(self._root) as top:
+            buckets = [e.path for e in top if e.is_dir()]
+        for bucket in buckets:
+            with os.scandir(bucket) as inner:
+                yield from inner
+
+    def stale_tmps(self) -> list[str]:
+        """Paths of ``*.tmp`` litter left by crashed writers (sorted)."""
+        return sorted(
+            e.path for e in self._bucket_entries() if e.name.endswith(".tmp")
+        )
 
     def sweep_stale_tmps(self) -> int:
         """Remove ``*.tmp`` litter left by crashed writers; returns count."""
         removed = 0
-        for tmp in self.root.glob("*/*.tmp"):
+        for tmp in self.stale_tmps():
             ffs.unlink(tmp, site="chunkstore.sweep", missing_ok=True)
             removed += 1
         if removed:
@@ -146,38 +256,66 @@ class ChunkStore(BlobCodec):
         return removed
 
     def put(self, data: bytes) -> str:
-        """Store a blob; returns its content address (idempotent).
+        """Store one blob: :meth:`put_many` of one."""
+        return self.put_many((data,))[0]
 
-        The write is crash-safe: the compressed blob goes to a tmp file
+    def put_many(self, blobs: Iterable[bytes]) -> list[str]:
+        """Store blobs; returns their content addresses (idempotent).
+
+        Each write is crash-safe: the compressed blob goes to a tmp file
         unique to this call (concurrent writers of the same sha never
-        collide), is fsynced, renamed into place, and the bucket
-        directory is fsynced so the entry survives power loss.  A crash
-        leaves at worst a stale tmp, swept on the next store open.
+        collide), is fsynced and renamed into place; then every bucket
+        directory the batch touched is fsynced once, so the entries
+        survive power loss.  The batch's tmp files are fsynced together,
+        on up to :data:`SYNC_THREADS` threads, so the filesystem can
+        commit them as a group; no rename happens before all of them
+        are durable.  A crash leaves at worst stale tmps, swept on the
+        next store open, or unreferenced blobs, swept by ``gc``.
         """
-        sha = self.address(data)
-        path = self.blob_path(sha)
-        existed = path.exists()
-        if not existed:
-            path.parent.mkdir(exist_ok=True)
-            tmp = path.parent / f"{sha}.{os.getpid()}-{next(_tmp_counter)}.tmp"
-            try:
-                ffs.write_bytes(
-                    tmp,
-                    self._encode(data),
-                    site="chunkstore.put.write",
-                    fsync=self.durable,
-                )
+        shas: list[str] = []
+        touched: set[str] = set()
+        landing: dict[str, str] = {}  # final path -> its tmp, in order
+        renamed = 0
+        try:
+            for data in blobs:
+                sha = self.address(data)
+                path = self._path(sha)
+                existed = path in landing or os.path.exists(path)
+                if not existed:
+                    bucket = os.path.dirname(path)
+                    if bucket not in touched:
+                        if not os.path.isdir(bucket):
+                            os.makedirs(bucket, exist_ok=True)
+                        touched.add(bucket)
+                    tmp = f"{path}.{os.getpid()}-{next(_tmp_counter)}.tmp"
+                    landing[path] = tmp
+                    ffs.write_bytes(
+                        tmp,
+                        self._stored_form(data, sha),
+                        site="chunkstore.put.write",
+                        fsync=False,
+                    )
+                self._count_put(len(data), deduplicated=existed)
+                shas.append(sha)
+            if self.durable and landing:
+                workers = min(SYNC_THREADS, len(landing))
+                with ThreadPoolExecutor(workers) as pool:
+                    list(pool.map(_fsync_file, landing.values()))
+            for path, tmp in landing.items():
                 ffs.replace(tmp, path, site="chunkstore.put.replace")
-            except Exception:
-                # Graceful failure: clean our tmp.  A CrashSimulated
-                # (BaseException) deliberately skips this — a dead
-                # process leaves litter, which the sweep handles.
-                tmp.unlink(missing_ok=True)
-                raise
-            if self.durable:
-                ffs.fsync_dir(path.parent, site="chunkstore.put.dirsync")
-        self._count_put(len(data), deduplicated=existed)
-        return sha
+                renamed += 1
+        except Exception:
+            # Graceful failure: clean our tmps.  A CrashSimulated
+            # (BaseException) deliberately skips this — a dead process
+            # leaves litter, which the sweep handles.
+            for tmp in list(landing.values())[renamed:]:
+                with contextlib.suppress(FileNotFoundError):
+                    os.unlink(tmp)
+            raise
+        if self.durable:
+            for bucket in sorted(touched):
+                ffs.fsync_dir(bucket, site="chunkstore.put.dirsync")
+        return shas
 
     def get(self, sha: str) -> bytes:
         """Retrieve and verify a blob.
@@ -191,18 +329,19 @@ class ChunkStore(BlobCodec):
         # and the read would escape as FileNotFoundError, which no
         # recovery ladder catches.
         try:
-            stored = self.blob_path(sha).read_bytes()
+            with open(self._path(sha), "rb") as handle:
+                stored = handle.read()
         except FileNotFoundError:
             raise self._missing(sha) from None
         return self._decode(sha, stored)
 
     def __contains__(self, sha: str) -> bool:
-        return self.blob_path(sha).exists()
+        return os.path.exists(self._path(sha))
 
     def delete(self, sha: str) -> bool:
         """Remove a blob; returns whether it existed."""
         try:
-            self.blob_path(sha).unlink()
+            os.unlink(self._path(sha))
         except FileNotFoundError:
             return False
         return True
@@ -210,22 +349,22 @@ class ChunkStore(BlobCodec):
     def stored_size(self, sha: str) -> int:
         """On-disk (compressed) size of one blob."""
         try:
-            return self.blob_path(sha).stat().st_size
+            return os.stat(self._path(sha)).st_size
         except FileNotFoundError:
             raise self._missing(sha) from None
 
-    def _blob_files(self) -> Iterator[Path]:
-        for path in sorted(self.root.glob("*/*")):
-            if path.is_file() and path.suffix != ".tmp":
-                yield path
+    def _blob_entries(self) -> Iterator[os.DirEntry]:
+        for entry in self._bucket_entries():
+            if not entry.name.endswith(".tmp") and entry.is_file():
+                yield entry
 
     def total_size(self) -> int:
         """Total on-disk bytes across all blobs."""
-        return sum(path.stat().st_size for path in self._blob_files())
+        return sum(entry.stat().st_size for entry in self._blob_entries())
 
     def addresses(self) -> Iterator[str]:
-        """Iterate over every stored content address."""
-        return (path.name for path in self._blob_files())
+        """Iterate over every stored content address (sorted)."""
+        return iter(sorted(entry.name for entry in self._blob_entries()))
 
 
 class MemoryChunkStore(BlobCodec):
@@ -238,12 +377,18 @@ class MemoryChunkStore(BlobCodec):
         self._blobs: dict[str, bytes] = {}
 
     def put(self, data: bytes) -> str:
-        sha = self.address(data)
-        existed = sha in self._blobs
-        if not existed:
-            self._blobs[sha] = self._encode(data)
-        self._count_put(len(data), deduplicated=existed)
-        return sha
+        return self.put_many((data,))[0]
+
+    def put_many(self, blobs: Iterable[bytes]) -> list[str]:
+        shas = []
+        for data in blobs:
+            sha = self.address(data)
+            existed = sha in self._blobs
+            if not existed:
+                self._blobs[sha] = self._stored_form(data, sha)
+            self._count_put(len(data), deduplicated=existed)
+            shas.append(sha)
+        return shas
 
     def get(self, sha: str) -> bytes:
         try:
@@ -277,8 +422,8 @@ class LatencyStore:
     Stands in for the paper's *remote storage* tier: PAS can offload the
     low-order byte planes to slower, cheaper storage (Sec. IV-B), and the
     archival optimizer can model such edges with higher recreation cost.
-    The latency is charged once per ``get``/``put`` — a fixed round trip;
-    every other operation is the inner store's own.
+    The latency is charged once per ``get`` and per blob put — a fixed
+    round trip; every other operation is the inner store's own.
     """
 
     def __init__(self, inner, get_latency: float = 0.0, put_latency: float = 0.0) -> None:
@@ -289,10 +434,14 @@ class LatencyStore:
         self.put_count = 0
 
     def put(self, data: bytes) -> str:
-        self.put_count += 1
-        if self.put_latency > 0:
-            time.sleep(self.put_latency)
-        return self.inner.put(data)
+        return self.put_many((data,))[0]
+
+    def put_many(self, blobs: Iterable[bytes]) -> list[str]:
+        blobs = list(blobs)
+        self.put_count += len(blobs)
+        if self.put_latency > 0 and blobs:
+            time.sleep(self.put_latency * len(blobs))
+        return self.inner.put_many(blobs)
 
     def get(self, sha: str) -> bytes:
         self.get_count += 1

@@ -194,7 +194,7 @@ class ProgressiveEvaluator:
 
     def _recoveries(self) -> int:
         """Recovery events so far: a read that adds one is never kept."""
-        return len(self.archive.recovery.events)
+        return self.archive.recovery.seq
 
     def _read_weights(
         self, planes: int = NUM_PLANES

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import contextvars
 import hashlib
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
@@ -29,6 +30,7 @@ from repro.obs.cost import RequestCost, charge, cost_context, current_cost
 from repro.obs.metrics import counter, histogram
 from repro.obs.tracing import trace_span
 
+from repro.core.chunkstore import current_batch
 from repro.core.delta import (
     apply_delta,
     delta_sub_mismatched,
@@ -48,6 +50,12 @@ from repro.core.storage_graph import (
     RetrievalScheme,
     StoragePlan,
 )
+
+
+def _put(store, data: bytes) -> str:
+    """Put one blob, or defer it to the open write batch."""
+    batch = current_batch()
+    return batch.defer(store, data) if batch is not None else store.put(data)
 
 
 def payload_planes(
@@ -138,19 +146,40 @@ class RecoveryEvent:
         }
 
 
-@dataclass
 class RecoveryReport:
-    """Structured account of every degraded/recovered read on an archive."""
+    """Structured account of the degraded/recovered reads on an archive.
 
-    events: list[RecoveryEvent] = field(default_factory=list)
+    ``seq`` counts every event ever recorded; ``events`` keeps only the
+    latest :attr:`window` of them, so an archive serving a plane that
+    is lost for good — one event per pass, forever — stays bounded.
+    Readers mark ``seq`` before a read and ask :meth:`since` after it.
+    """
+
+    #: How many recent events ``events`` keeps.
+    window = 1024
+
+    def __init__(self) -> None:
+        self.events: deque[RecoveryEvent] = deque(maxlen=self.window)
+        self.seq = 0
+        self.inexact = 0
+
+    def record(self, event: RecoveryEvent) -> None:
+        self.events.append(event)
+        self.seq += 1
+        self.inexact += not event.exact
+
+    def since(self, seq: int) -> list[RecoveryEvent]:
+        """Events recorded after ``seq`` (those still in the window)."""
+        fresh = min(self.seq - seq, len(self.events))
+        return list(self.events)[len(self.events) - fresh:] if fresh else []
 
     def __bool__(self) -> bool:
-        return bool(self.events)
+        return self.seq > 0
 
     @property
     def degraded(self) -> bool:
         """True when at least one recovery was inexact (zero-filled)."""
-        return any(not e.exact for e in self.events)
+        return self.inexact > 0
 
     def to_dict(self) -> dict:
         return {
@@ -329,7 +358,12 @@ class PlanArchive:
     ) -> _StoredPayload:
         """Land one payload — the only code that puts planes (one chunk
         each, or ``kind="pages"``: pages of the shared tier) and the only
-        code that mirrors them into the replica tier."""
+        code that mirrors them into the replica tier.
+
+        Inside a :func:`~repro.core.chunkstore.write_batch` the chunks
+        and mirrors are deferred to the batch (they land with its
+        ``land()``) and page blobs wait in the page store until its
+        ``flush()``; outside one, chunks and mirrors are put at once."""
         entry = _StoredPayload(matrix_id, parent, kind, tuple(shape))
         if kind == "pages":
             if self.page_store is None:
@@ -341,7 +375,7 @@ class PlanArchive:
             if kind == "pages":
                 entry.pages[index] = self.page_store.encode_plane(plane)
             else:
-                entry.chunk_ids.append(self.plane_store(index).put(plane))
+                entry.chunk_ids.append(_put(self.plane_store(index), plane))
             self._mirror(index, plane)
         self._manifest[matrix_id] = entry
         return entry
@@ -351,7 +385,7 @@ class PlanArchive:
         # their own digest (a page manifest records it), so its
         # exact-recovery guarantee survives page encoding.
         if self.replica_store is not None and index < self.replicate_planes:
-            self.replica_store.put(plane)
+            _put(self.replica_store, plane)
 
     def plane_address(self, entry: _StoredPayload, index: int) -> str:
         """Whole-plane content address: the chunk id, or the digest the
@@ -620,7 +654,7 @@ class PlanArchive:
         sha = self.plane_address(entry, index)
 
         def record(lost_sha: str, action: str) -> None:
-            self.recovery.events.append(
+            self.recovery.record(
                 RecoveryEvent(
                     entry.matrix_id, lost_sha, index, action,
                     action == "replica", str(exc),

@@ -17,13 +17,14 @@ one SQLite database in WAL mode (``sqlite``), or an in-process database
 to this interface, which is the seam sharded and deduplicating stores
 plug into.
 
-Blob stores conform to :class:`BlobStore` — ``put`` / ``get`` /
-``__contains__`` / ``delete`` / ``stored_size`` / ``total_size`` /
-``addresses`` / ``verify_blob`` with SHA-256-of-uncompressed-content
-addressing.  Transactionality is shared through one :class:`TxnState`:
-while the catalog holds an open transaction (``txn.active``), a backend
-whose blobs live in the same database joins that transaction instead of
-committing per write, so a rollback takes speculative blobs with it.
+Blob stores conform to :class:`BlobStore` — ``put_many`` / ``put`` /
+``get`` / ``__contains__`` / ``delete`` / ``stored_size`` /
+``total_size`` / ``addresses`` / ``verify_blob`` with
+SHA-256-of-uncompressed-content addressing.  Transactionality is shared
+through one :class:`TxnState`: while the catalog holds an open
+transaction (``txn.active``), a backend whose blobs live in the same
+database joins that transaction instead of committing per write, so a
+rollback takes speculative blobs with it.
 
 Per-backend fsck contract: :meth:`StorageBackend.litter` reports (and
 under repair deletes) substrate-specific debris — stale tmp files for
@@ -39,7 +40,7 @@ import datetime
 import json
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional, Protocol, runtime_checkable
+from typing import Iterable, Iterator, Optional, Protocol, runtime_checkable
 
 #: Document name of the repository configuration.
 CONFIG_DOC = "config.json"
@@ -89,8 +90,17 @@ class BlobStore(Protocol):
     any of them.
     """
 
+    def put_many(self, blobs: Iterable[bytes]) -> list[str]:
+        """Store blobs as one batch; returns their addresses in order.
+
+        Idempotent per blob.  ``local-fs`` lands each blob by tmp file,
+        fsync and rename, then fsyncs every bucket directory it touched
+        once; the database backends insert the batch with one statement
+        (inside the open catalog transaction, if any).
+        """
+
     def put(self, data: bytes) -> str:
-        """Store a blob; returns its content address (idempotent)."""
+        """Store one blob: ``put_many`` of one; returns its address."""
 
     def get(self, sha: str) -> bytes:
         """Retrieve and integrity-verify a blob (KeyError when absent)."""

@@ -167,15 +167,15 @@ class LocalFSBackend(StorageBackend):
             (self.replica, "replica"),
             (self.pages, "pages"),
         ):
-            for tmp in sorted(store.root.glob("*/*.tmp")):
+            for tmp in store.stale_tmps():
                 finding = {
                     "code": "F302",
-                    "message": f"stale tmp {label}/{tmp.name}",
+                    "message": f"stale tmp {label}/{os.path.basename(tmp)}",
                     "repaired": False,
                     "repair": None,
                 }
                 if repair:
-                    tmp.unlink(missing_ok=True)
+                    Path(tmp).unlink(missing_ok=True)
                     finding["repaired"] = True
                     finding["repair"] = "deleted"
                 findings.append(finding)

@@ -43,7 +43,7 @@ import threading
 import uuid
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from repro.core.chunkstore import BlobCodec
 from repro.core.storage.base import StorageBackend, TxnState
@@ -103,27 +103,47 @@ class SQLiteBlobStore(BlobCodec):
         return row[0]
 
     def put(self, data: bytes) -> str:
-        """Store a blob; commits immediately unless a catalog txn is open."""
-        sha = self.address(data)
+        """Store one blob: :meth:`put_many` of one."""
+        return self.put_many((data,))[0]
+
+    def put_many(self, blobs: Iterable[bytes]) -> list[str]:
+        """Store blobs with one ``INSERT`` statement; it commits at once
+        unless a catalog transaction is open, which it then joins."""
         backend = self._backend
+        shas: list[str] = []
+        rows: list[tuple[str, str, bytes]] = []
+        new: set[str] = set()
+        crash_after = False
         with backend._write_lock:
-            existed = backend._blob_exists(self.ns, sha)
-            if not existed:
-                payload, crash_after = ffs.prepare_write(
-                    "chunkstore.put.write", self._encode(data)
-                )
-                backend._writer.execute(
-                    "INSERT OR REPLACE INTO store_blob (ns, sha, data) "
-                    "VALUES (?, ?, ?)",
-                    (self.ns, sha, payload),
-                )
-                backend._commit_if_root()
-                if crash_after:
-                    raise CrashSimulated(
-                        "simulated crash after torn write (chunkstore.put.write)"
+            try:
+                for data in blobs:
+                    sha = self.address(data)
+                    existed = sha in new or backend._blob_exists(self.ns, sha)
+                    if not existed:
+                        payload, crash_after = ffs.prepare_write(
+                            "chunkstore.put.write", self._stored_form(data, sha)
+                        )
+                        rows.append((self.ns, sha, payload))
+                        new.add(sha)
+                    self._count_put(len(data), deduplicated=existed)
+                    shas.append(sha)
+                    if crash_after:
+                        break
+            finally:
+                # Blobs prepared before a fault still land, as they did
+                # when each blob was its own put.
+                if rows:
+                    backend._writer.executemany(
+                        "INSERT OR REPLACE INTO store_blob (ns, sha, data) "
+                        "VALUES (?, ?, ?)",
+                        rows,
                     )
-        self._count_put(len(data), deduplicated=existed)
-        return sha
+                    backend._commit_if_root()
+            if crash_after:
+                raise CrashSimulated(
+                    "simulated crash after torn write (chunkstore.put.write)"
+                )
+        return shas
 
     def get(self, sha: str) -> bytes:
         """Retrieve and verify a blob.

@@ -11,10 +11,12 @@ transaction); this module holds the in-memory half:
 * :class:`DedupEstimator` — a dry run of the page store used by
   :meth:`~repro.dlv.repository.Repository.build_storage_graph` to price
   the ``kind="pages"`` root edge for each matrix *without* mutating any
-  store.  It runs the store's own page planner over a write-buffering
-  view of the same blobs and the same persistent sketch index, so the
-  priced edge is what page-encoding the same matrices in the same order
-  would add to the page tier.
+  store.  It runs the store's own page planner (a never-flushed
+  :meth:`~repro.dedup.store.PageStore.dry_run`) over the same blobs and
+  the same persistent sketch index, so the priced edge is what
+  page-encoding the same matrices in the same order would add to the
+  page tier — and the store it was made from reuses the dry run's page
+  digests, sketch keys and patch sizes when it encodes them for real.
 """
 
 from __future__ import annotations

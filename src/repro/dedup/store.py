@@ -8,15 +8,27 @@ archive run.
 
 Write protocol (crash-safe on all three backends):
 
-1. ``encode_plane`` puts page/patch blobs immediately — they are
-   content-addressed and idempotent, so a crash strands at worst
-   unreferenced blobs (swept by ``gc`` / fsck ``F403``) — and *buffers*
-   every catalog mutation (refcount bumps, sketch rows).
+1. ``encode_plane`` plans and writes nothing: new page and patch blobs
+   wait in the store's write buffer, and every catalog mutation
+   (refcount bumps, sketch rows) is buffered beside them.
 2. The caller opens ``catalog.transaction()``, writes the payload and
-   page manifests, and calls :meth:`flush` so refcounts and sketches
-   commit in the same transaction.  On the SQLite/memory backends the
-   blob writes join that transaction too; on local-fs the journal's
-   archive intent covers the window.
+   page manifests, and calls :meth:`PageStore.flush`, which lands the
+   buffered blobs with one ``put_many`` and the refcounts and sketch
+   rows with one ``executemany`` each, all before the transaction
+   commits.  On the SQLite/memory backends the blob rows join that
+   transaction; on local-fs every blob file is fsynced (the batch's
+   files together) and renamed, and every bucket directory it touched
+   fsynced once, before the catalog commits.  A crash before the commit strands at worst
+   unreferenced blobs, which ``gc`` (run by the journal replay of the
+   archive intent) and fsck ``F403`` sweep.
+
+A dry run (:meth:`PageStore.dry_run`, what
+:class:`~repro.dedup.index.DedupEstimator` prices with) is the same
+planner with a buffer of its own that is never flushed.  It shares with
+the store it was made from the facts that depend on content alone —
+the addresses the tier held when planning began, page digests, sketch
+keys, persistent-index candidates and each (page, base) patch's
+address and stored size — so the real run re-derives none of them.
 """
 
 from __future__ import annotations
@@ -39,32 +51,23 @@ from repro.dedup.pages import (
 )
 
 
-class _BufferedBlobs:
-    """Write-buffering view of a blob store, for dry runs.
+class _PlanFacts:
+    """What a store and its dry runs learn about content while planning.
 
-    ``put`` keeps the bytes in memory, so a later page of the same dry
-    run can share or patch against them exactly as it would once they
-    were stored; reads fall through to the wrapped store, whose address
-    set is listed once up front.
+    Valid until the store flushes: nothing lands in the page tier or
+    the sketch index before then, so every entry stays true.
     """
 
-    def __init__(self, inner) -> None:
-        self.inner = inner
-        self.stored_size_of = inner.stored_size_of
-        self._stored = set(inner.addresses())
-        self._buffered: dict[str, bytes] = {}
-
-    def put(self, data: bytes) -> str:
-        sha = page_digest(data)
-        self._buffered[sha] = data
-        return sha
-
-    def get(self, sha: str) -> bytes:
-        data = self._buffered.get(sha)
-        return data if data is not None else self.inner.get(sha)
-
-    def __contains__(self, sha: str) -> bool:
-        return sha in self._buffered or sha in self._stored
+    def __init__(self) -> None:
+        #: Page-tier addresses when planning began (listed once).
+        self.stored: Optional[set[str]] = None
+        #: Whether the catalog holds any sketch rows (asked once).
+        self.persistent: Optional[bool] = None
+        self.page_shas: dict[str, list[str]] = {}  # plane sha -> pages
+        self.keys: dict[str, list[str]] = {}  # page sha -> sketch keys
+        self.candidates: dict[str, list[str]] = {}  # page sha -> index hits
+        #: (page sha, base sha) -> (patch sha, patch stored size).
+        self.patches: dict[tuple[str, str], tuple[str, int]] = {}
 
 
 class PageStore:
@@ -82,31 +85,29 @@ class PageStore:
         self.blobs = blobs
         self.catalog = catalog
         self.page_size = page_size
+        self._buffer: dict[str, bytes] = {}
         self._pending_refs: Counter = Counter()
         self._pending_sketches: list[tuple[str, str]] = []
         self._pending_counts: Counter = Counter()
         self._pending_shared: Counter = Counter()
         self._run_index = SketchIndex()
-        # Does the catalog hold sketch rows at all?  Asked on the first
-        # probe (rows only appear at flush): a first archive skips the
-        # per-page query, and read-only views never ask.
-        self._persistent_index: Optional[bool] = None
+        self._facts = _PlanFacts()
 
     def dry_run(self) -> "PageStore":
-        """A twin over a write-buffering view of the same blobs and the
-        same persistent index: whatever it plans, this store would plan
-        too, and nothing it does outlives it (it is never flushed)."""
-        return PageStore(
-            _BufferedBlobs(self.blobs), self.catalog, page_size=self.page_size
-        )
+        """A twin over the same blobs, index and plan facts: whatever it
+        plans, this store would plan too, and nothing it does outlives
+        it (it is never flushed)."""
+        twin = PageStore(self.blobs, self.catalog, page_size=self.page_size)
+        twin._facts = self._facts
+        return twin
 
     # -- encoding -----------------------------------------------------------
 
     def encode_plane(self, data: bytes) -> dict:
         """Page-encode one plane's bytes; returns the plane manifest.
 
-        Blob writes happen immediately; catalog effects are buffered
-        until :meth:`flush` (see module docs for the crash protocol).
+        Blob writes and catalog effects are buffered until
+        :meth:`flush` (see module docs for the crash protocol).
         """
         return self.plan_plane(data)[0]
 
@@ -117,26 +118,36 @@ class PageStore:
         patch within budget among the top-voted sketch candidates; else
         the page becomes a new base with sketch rows.  Sizes are asked
         of the blob codec, so the second value *is* the growth of
-        ``blobs.total_size()`` this call causes.
+        ``blobs.total_size()`` flushing this plan causes.
         """
+        facts = self._facts
+        plane_sha = page_digest(data)
+        pages = split_pages(data, self.page_size)
+        shas = facts.page_shas.get(plane_sha)
+        if shas is None:
+            shas = facts.page_shas[plane_sha] = [page_digest(p) for p in pages]
         pages_meta: list[list[Optional[str]]] = []
         added = 0
         count = self._pending_counts
-        for page in split_pages(data, self.page_size):
-            sha = page_digest(page)
+        for page, sha in zip(pages, shas):
             count["pages_referenced"] += 1
-            if sha in self.blobs:
+            if self._holds(sha):
                 self._pending_shared[sha] += 1
                 self._pending_refs[sha] += 1
                 pages_meta.append([sha, None])
                 continue
             raw_c = self.blobs.stored_size_of(page)
-            keys = sketch_keys(page)
-            base_sha, patch, patch_c = self._probe(page, keys, raw_c)
+            keys = facts.keys.get(sha)
+            if keys is None:
+                keys = facts.keys[sha] = sketch_keys(page)
+            base_sha, patch_sha, patch_c = self._probe(page, sha, keys, raw_c)
             if base_sha is not None:
-                if page_digest(patch) in self.blobs:
+                if self._holds(patch_sha):
                     patch_c = 0  # the same patch bytes are already stored
-                patch_sha = self.blobs.put(patch)
+                else:
+                    self._buffer[patch_sha] = xor_bytes(
+                        page, self._read(base_sha)
+                    )
                 count["pages_patched"] += 1
                 count["bytes_stored"] += patch_c
                 count["bytes_saved"] += raw_c - patch_c
@@ -145,7 +156,7 @@ class PageStore:
                 self._pending_refs[patch_sha] += 1
                 pages_meta.append([base_sha, patch_sha])
             else:
-                self.blobs.put(page)
+                self._buffer[sha] = page
                 count["pages_stored"] += 1
                 count["bytes_stored"] += raw_c
                 added += raw_c
@@ -156,56 +167,77 @@ class PageStore:
         manifest = {
             "psize": self.page_size,
             "nbytes": len(data),
-            "sha": page_digest(data),
+            "sha": plane_sha,
             "pages": pages_meta,
         }
         return manifest, added
 
+    def _holds(self, sha: str) -> bool:
+        """Whether ``sha`` is stored, or buffered by this run."""
+        if sha in self._buffer:
+            return True
+        if self._facts.stored is None:
+            self._facts.stored = set(self.blobs.addresses())
+        return sha in self._facts.stored
+
+    def _read(self, sha: str) -> bytes:
+        data = self._buffer.get(sha)
+        return data if data is not None else self.blobs.get(sha)
+
     def _probe(
-        self, page: bytes, keys: list[str], raw_compressed: int
-    ) -> tuple[Optional[str], Optional[bytes], int]:
-        """The base page this one patches best against, the patch and its
-        stored size — or ``(None, None, 0)``.
+        self, page: bytes, sha: str, keys: list[str], raw_compressed: int
+    ) -> tuple[Optional[str], Optional[str], int]:
+        """The base page this one patches best against, the patch's
+        address and its stored size — or ``(None, None, 0)``.
 
         Candidates come from the persistent sketch index (previous
         archive runs) merged with the in-run overlay, ranked by band
         votes; the best acceptable patch wins.
         """
+        facts = self._facts
         self._pending_counts["index_probes"] += 1
         votes = self._run_index.votes(keys)
-        if self._persistent_index is None:
-            self._persistent_index = self.catalog.has_page_sketches()
-        if self._persistent_index:
-            for cand_sha in self.catalog.sketch_candidates(
-                keys, DEFAULT_PROBE_LIMIT
-            ):
+        if facts.persistent is None:
+            facts.persistent = self.catalog.has_page_sketches()
+        if facts.persistent:
+            candidates = facts.candidates.get(sha)
+            if candidates is None:
+                candidates = facts.candidates[sha] = (
+                    self.catalog.sketch_candidates(keys, DEFAULT_PROBE_LIMIT)
+                )
+            for cand_sha in candidates:
                 votes[cand_sha] += 1
         budget = max(0, int(DEFAULT_PATCH_MAX_RATIO * raw_compressed))
-        best: tuple[Optional[str], Optional[bytes], int] = (None, None, 0)
+        best: tuple[Optional[str], Optional[str], int] = (None, None, 0)
         for cand_sha, _ in votes.most_common(DEFAULT_PROBE_LIMIT):
-            try:
-                base = self.blobs.get(cand_sha)
-            except (KeyError, ValueError):
-                continue
-            patch = xor_bytes(page, base)
-            patch_c = self.blobs.stored_size_of(patch)
+            patch = facts.patches.get((sha, cand_sha))
+            if patch is None:
+                try:
+                    base = self._read(cand_sha)
+                except (KeyError, ValueError):
+                    continue
+                data = xor_bytes(page, base)
+                patch = facts.patches[(sha, cand_sha)] = (
+                    page_digest(data), self.blobs.stored_size_of(data)
+                )
+            patch_sha, patch_c = patch
             if patch_c <= budget and (best[0] is None or patch_c < best[2]):
-                best = (cand_sha, patch, patch_c)
+                best = (cand_sha, patch_sha, patch_c)
         if best[0] is not None:
             self._pending_counts["index_hits"] += 1
         return best
 
     def flush(self) -> None:
-        """Apply buffered refcounts and sketch rows to the catalog, and
-        the run's ``dedup.*`` counts to the metrics registry.
+        """Land the buffered blobs, apply buffered refcounts and sketch
+        rows to the catalog, and the run's ``dedup.*`` counts to the
+        metrics registry.
 
         The caller must hold ``catalog.transaction()`` so these rows
         commit atomically with the manifests that justify them.
         """
-        for sha, delta in self._pending_refs.items():
-            self.catalog.bump_page_ref(sha, delta)
-        for key, sha in self._pending_sketches:
-            self.catalog.add_page_sketch(key, sha)
+        self.blobs.put_many(self._buffer.values())
+        self.catalog.bump_page_refs(self._pending_refs.items())
+        self.catalog.add_page_sketches(self._pending_sketches)
         self._pending_counts.update(
             pages_shared=sum(self._pending_shared.values()),
             bytes_saved=sum(
@@ -215,9 +247,10 @@ class PageStore:
         )
         for name, n in self._pending_counts.items():
             counter(f"dedup.{name}").inc(n)
-        self._persistent_index = None
-        for pending in (self._pending_refs, self._pending_sketches,
-                        self._pending_counts, self._pending_shared):
+        self._facts = _PlanFacts()
+        for pending in (self._buffer, self._pending_refs,
+                        self._pending_sketches, self._pending_counts,
+                        self._pending_shared):
             pending.clear()
 
     # -- maintenance --------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import sqlite3
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
@@ -559,27 +560,36 @@ class Catalog:
     def release_page_manifests(self, matrix_id: str) -> None:
         """Drop a matrix's page manifests and the reference counts they
         hold; the blobs themselves are swept by ``gc`` once unreferenced."""
+        released: Counter = Counter()
         for manifest in self.get_page_manifests(matrix_id).values():
-            for sha in manifest_shas(manifest):
-                self.bump_page_ref(sha, -1)
+            released.update(manifest_shas(manifest))
+        self.bump_page_refs((sha, -n) for sha, n in released.items())
         self._conn.execute(
             "DELETE FROM page_payload WHERE matrix_id = ?", (matrix_id,)
         )
         self._maybe_commit()
 
     def bump_page_ref(self, sha: str, delta: int) -> None:
-        """Adjust one page's reference count.
+        """Adjust one page's reference count (see :meth:`bump_page_refs`)."""
+        self.bump_page_refs([(sha, delta)])
+
+    def bump_page_refs(self, deltas: Iterable[tuple[str, int]]) -> None:
+        """Adjust page reference counts, one ``(sha, delta)`` per page.
 
         Rows at zero (or below — drift repaired by fsck F402) are
         dropped so the table mirrors the set of live pages.
         """
-        self._conn.execute(
+        rows = [(sha, delta, delta) for sha, delta in deltas]
+        if not rows:
+            return
+        self._conn.executemany(
             "INSERT INTO page_ref (sha, refcount) VALUES (?, ?) "
             "ON CONFLICT(sha) DO UPDATE SET refcount = refcount + ?",
-            (sha, delta, delta),
+            rows,
         )
-        self._conn.execute(
-            "DELETE FROM page_ref WHERE sha = ? AND refcount <= 0", (sha,)
+        self._conn.executemany(
+            "DELETE FROM page_ref WHERE sha = ? AND refcount <= 0",
+            [(sha,) for sha, _, _ in rows],
         )
         self._maybe_commit()
 
@@ -598,10 +608,11 @@ class Catalog:
         )
         self._maybe_commit()
 
-    def add_page_sketch(self, sketch: str, sha: str) -> None:
-        self._conn.execute(
+    def add_page_sketches(self, rows: Iterable[tuple[str, str]]) -> None:
+        """Index base pages: one ``(sketch key, sha)`` row per band."""
+        self._conn.executemany(
             "INSERT OR IGNORE INTO page_sketch (sketch, sha) VALUES (?, ?)",
-            (sketch, sha),
+            rows,
         )
         self._maybe_commit()
 

@@ -1149,7 +1149,37 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
 )}
 
 
-def _parser() -> argparse.ArgumentParser:
+#: The top-level options that take a value (and the verb name after it).
+_GLOBAL_VALUED = ("--repo", "--store")
+
+
+def _invoked(argv: list[str]) -> Optional[str]:
+    """The :data:`VERBS` key ``argv`` invokes, found as argparse will
+    route it (skipping the top-level options), or ``None``."""
+    words: list[str] = []
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--":
+            words.extend(tokens)
+        elif token.startswith("-") and len(token) > 1:
+            if "=" not in token and len(token) > 2 and any(
+                flag.startswith(token) for flag in _GLOBAL_VALUED
+            ) and not words:
+                next(tokens, None)
+            continue
+        else:
+            words.append(token)
+        if len(words) == 2 or (words and words[0] not in _GROUPS):
+            break
+    name = " ".join(words[:2] if words and words[0] in _GROUPS else words[:1])
+    return name if name in VERBS else None
+
+
+def _parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
+    """The ``dlv`` parser: every verb registered, so ``dlv -h`` lists
+    them all.  Given ``argv``, only the verb it invokes gets its
+    arguments — building all of them costs more than most verbs run."""
+    only = None if argv is None else _invoked(argv)
     parser = argparse.ArgumentParser(
         prog="dlv", description="DLV model version control (ModelHub)"
     )
@@ -1169,17 +1199,20 @@ def _parser() -> argparse.ArgumentParser:
             groups[group] = verbs.add_parser(
                 group, help=_GROUPS[group]
             ).add_subparsers(dest="subcommand", required=True)
+        invoked = argv is None or verb.name == only
         sub = (groups[group] if leaf else verbs).add_parser(
-            leaf or group, help=verb.help
+            leaf or group, help=verb.help, add_help=invoked
         )
-        for flags, options in verb.args:
-            sub.add_argument(*flags, **options)
+        if invoked:
+            for flags, options in verb.args:
+                sub.add_argument(*flags, **options)
     return parser
 
 
 def main(argv=None) -> int:
     """Run one ``dlv`` verb; returns its exit status."""
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parser(argv).parse_args(argv)
     verb = VERBS[" ".join(
         filter(None, (args.command, getattr(args, "subcommand", None)))
     )]

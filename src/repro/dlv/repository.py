@@ -49,6 +49,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from repro.core.archival import alpha_constraints, solve
+from repro.core.chunkstore import write_batch
 from repro.core.float_schemes import get_scheme
 from repro.core.retrieval import PlanArchive, payload_planes
 from repro.core.segmentation import NUM_PLANES
@@ -321,10 +322,16 @@ class Repository:
         )
         # The version id is not known before Phase 3: payloads are written
         # under the ``s<idx>/<layer>.<param>`` tail of their matrix id.
+        # They land as one batch: each plane compressed once for both
+        # tiers, each touched directory synced once.
         writer = PlanArchive(self.store, replica_store=self.replica)
-        for index, _iteration, entries in encoded:
-            for layer, key, shape, _nbytes, planes in entries:
-                writer.write_payload(f"s{index}/{layer}.{key}", shape, planes)
+        with write_batch() as batch:
+            for index, _iteration, entries in encoded:
+                for layer, key, shape, _nbytes, planes in entries:
+                    writer.write_payload(
+                        f"s{index}/{layer}.{key}", shape, planes
+                    )
+            batch.land()
         for _name, sha, data in file_blobs:
             self.backend.put_file(sha, data)
 
@@ -395,10 +402,14 @@ class Repository:
     ):
         """Rewrite one matrix as a root-anchored materialized payload —
         what convert, prune and the fsck repairs do to a matrix whose
-        stored form must go."""
-        return self._install(
-            archive.write_payload(matrix_id, value.shape, payload_planes(value))
-        )
+        stored form must go.  Its blobs land before it returns: a later
+        read in the same verb may walk a chain through it."""
+        with write_batch() as batch:
+            entry = archive.write_payload(
+                matrix_id, value.shape, payload_planes(value)
+            )
+            batch.land()
+        return self._install(entry)
 
     def _detach_dependents(self, archive: PlanArchive, ids: set[str]) -> None:
         """Re-materialize (exactly) every matrix stored as a delta off one
@@ -637,6 +648,7 @@ class Repository:
         recreation_unit: float = 1e-6,
         dedup: bool = False,
         page_size: Optional[int] = None,
+        page_store: Optional[PageStore] = None,
     ) -> tuple[MatrixStorageGraph, dict[str, np.ndarray]]:
         """Construct the matrix storage graph of the whole repository.
 
@@ -655,7 +667,9 @@ class Repository:
         of the page store — only the pages no earlier matrix (or the
         existing page store) already holds.  Unrelated models that share
         content thus archive near-free, without needing a lineage edge
-        between them.
+        between them.  The dry run is made from ``page_store`` when
+        given (``archive`` passes the store that then encodes the plan,
+        so it reuses what the dry run learned), else from a fresh one.
 
         Returns the graph and the id -> array map needed to physically
         archive it.
@@ -664,7 +678,9 @@ class Repository:
         matrices: dict[str, np.ndarray] = {}
         rows_by_snapshot: dict[tuple[int, int], list[dict]] = {}
         archive = self._plan_archive()
-        estimator = DedupEstimator(self.page_store(page_size)) if dedup else None
+        estimator = None
+        if dedup:
+            estimator = DedupEstimator(page_store or self.page_store(page_size))
         for row in self.catalog.get_matrices():
             matrix_id = row["matrix_id"]
             value = archive.recreate_matrix(matrix_id)
@@ -757,33 +773,39 @@ class Repository:
         updates the payload table.
 
         With ``dedup`` on, the solver may also store matrices as
-        similarity-deduplicated page manifests (see :mod:`repro.dedup`):
-        page blobs land first under the journaled intent (content
-        addressed, so a crash leaves only orphans for :meth:`gc`), and
-        refcounts/sketches apply atomically with the payload rewrite.
+        similarity-deduplicated page manifests (see :mod:`repro.dedup`).
+
+        The whole run is one write batch: every stored form priced while
+        building the graph is the one written, and chunks, mirrors and
+        pages land inside the catalog transaction that installs the new
+        payloads, with refcounts and sketches beside them.  A crash
+        before it commits leaves only orphans, which the journaled
+        intent's replay sweeps with :meth:`gc`.
 
         Returns:
             A report with storage cost before/after and plan statistics.
         """
-        before = self.store.total_size() + self.pages.total_size()
-        graph, matrices = self.build_storage_graph(
-            dedup=dedup, page_size=page_size
-        )
-        constraints = alpha_constraints(graph, alpha, scheme)
-        plan = solve(graph, constraints, scheme, algorithm)
-        intent = self.journal.record(
-            "archive", alpha=alpha, algorithm=algorithm, dedup=dedup
-        )
-        pstore = self.page_store(page_size)
-        archive = PlanArchive.build(
-            self.store, matrices, plan,
-            replica_store=self.replica,
-            page_store=pstore,
-        )
-        with self.catalog.transaction():
-            for entry in archive.manifest.values():
-                self._install(entry)
-            pstore.flush()
+        with write_batch() as batch:
+            before = self.store.total_size() + self.pages.total_size()
+            pstore = self.page_store(page_size)
+            graph, matrices = self.build_storage_graph(
+                dedup=dedup, page_size=page_size, page_store=pstore
+            )
+            constraints = alpha_constraints(graph, alpha, scheme)
+            plan = solve(graph, constraints, scheme, algorithm)
+            intent = self.journal.record(
+                "archive", alpha=alpha, algorithm=algorithm, dedup=dedup
+            )
+            archive = PlanArchive.build(
+                self.store, matrices, plan,
+                replica_store=self.replica,
+                page_store=pstore,
+            )
+            with self.catalog.transaction():
+                for entry in archive.manifest.values():
+                    self._install(entry)
+                batch.land()
+                pstore.flush()
         self.gc()
         self.journal.retire(intent)
         after = self.store.total_size() + self.pages.total_size()
@@ -857,7 +879,7 @@ class Repository:
             )
 
         before = stored_size(archive.manifest[m] for m in exact_values)
-        with self.catalog.transaction():
+        with write_batch(), self.catalog.transaction():
             self._detach_dependents(archive, set(exact_values))
             # Converted snapshots are re-materialized: a lossy matrix is
             # no longer a valid delta base/target for its old neighbours.
@@ -904,7 +926,7 @@ class Repository:
         }
         archive = self._plan_archive()
         intent = self.journal.record("prune", ref=version.ref, dropped=dropped)
-        with self.catalog.transaction():
+        with write_batch(), self.catalog.transaction():
             self._detach_dependents(archive, dropped_matrix_ids)
             for matrix_id in dropped_matrix_ids:
                 self.catalog.delete_matrix(matrix_id)

@@ -29,6 +29,7 @@ __all__ = [
     "prepare_write",
     "replace",
     "unlink",
+    "write_at",
     "write_bytes",
 ]
 
@@ -71,9 +72,30 @@ def write_bytes(
     crash_after = False
     if plan is not None:
         data, crash_after = plan.on_write(site, data)
-    path = Path(path)
     with open(path, "wb") as handle:
         handle.write(data)
+        handle.flush()
+        if fsync:
+            os.fsync(handle.fileno())
+    if crash_after:
+        raise CrashSimulated(f"simulated crash after torn write ({site})")
+
+
+def write_at(
+    path: str | Path, offset: int, data: bytes, *, site: str,
+    fsync: bool = True,
+) -> None:
+    """Overwrite ``path`` from ``offset`` on with ``data`` (the file ends
+    where ``data`` does), fsyncing before returning — an append that may
+    first take back a fixed-size tail.  Faults as :func:`write_bytes`."""
+    plan = get_plan()
+    crash_after = False
+    if plan is not None:
+        data, crash_after = plan.on_write(site, data)
+    with open(path, "r+b") as handle:
+        handle.seek(offset)
+        handle.write(data)
+        handle.truncate()
         handle.flush()
         if fsync:
             os.fsync(handle.fileno())

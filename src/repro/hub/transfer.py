@@ -8,10 +8,12 @@ protocol:
 
 * :class:`PartialState` — the ``.dlv.pull.partial.json`` file written
   beside the in-flight temp tree.  It records the pull's identity
-  (``name``/``revision``) plus a map of relative path → verified sha256
-  for every file that has fully landed.  A later pull with the same
-  identity adopts the state and skips those files; a pull for a
-  different name/revision discards it.
+  (``name``/``revision``) plus one ``[relative path, verified sha256]``
+  line for every file that has fully landed: each mark is one fsynced
+  write of one line, so a pull's progress costs O(files), not
+  O(files²).  A later pull with the same identity adopts the state
+  and skips those files; a pull for a different name/revision
+  discards it.
 * :class:`ResumableTransfer` — the fetch loop.  Each file is downloaded
   (resuming mid-file via an HTTP Range offset when partial bytes are
   already on disk), hashed, checked against the manifest entry, and only
@@ -46,8 +48,25 @@ TMP_DIR_NAME = ".dlv.pull.tmp"
 PARTIAL_STATE_NAME = ".dlv.pull.partial.json"
 
 
+#: The state file's last line; every mark writes over it and puts it back.
+_CLOSER = b"]}\n"
+
+
 class PartialState:
     """The ``.partial`` file: which files of which pull are verified.
+
+    The file is one JSON document laid out a line per entry::
+
+        {"name": "demo", "revision": 1, "completed": [
+        ["a.bin", "<sha256>"]
+        ,["b.bin", "<sha256>"]
+        ]}
+
+    :meth:`mark` writes one entry line over the closing ``]}`` line and
+    puts that back after it, so the file parses as a whole after every
+    complete mark.  :meth:`load` replays the lines after a torn one:
+    the entry torn mid-write (and anything after it) is dropped, and
+    that file is fetched again.
 
     Args:
         path: Where the state file lives (beside the temp tree).
@@ -59,6 +78,10 @@ class PartialState:
         self.name = name
         self.revision = int(revision)
         self.completed: dict[str, str] = {}
+        # Where the closer starts and how many entry lines precede it;
+        # ``None`` until the file is known to end in a clean closer.
+        self._end: Optional[int] = None
+        self._lines = 0
 
     @classmethod
     def load(cls, path: str | Path) -> Optional["PartialState"]:
@@ -67,11 +90,20 @@ class PartialState:
         if not path.exists():
             return None
         try:
-            data = json.loads(path.read_text())
+            raw = path.read_bytes()
+            head, _, body = raw.partition(b"\n")
+            data = json.loads(head + _CLOSER)
             state = cls(path, data["name"], data["revision"])
-            state.completed = {
-                str(k): str(v) for k, v in data["completed"].items()
-            }
+            lines = body.split(b"\n")
+            for line in lines:
+                try:
+                    rel, digest = json.loads(line.lstrip(b","))
+                except (ValueError, TypeError):
+                    break  # the closer, or a torn last entry
+                state.completed[str(rel)] = str(digest)
+                state._lines += 1
+            if raw.endswith(b"\n" + _CLOSER) and len(lines) == state._lines + 2:
+                state._end = len(raw) - len(_CLOSER)
             return state
         except (OSError, ValueError, KeyError, TypeError):
             return None
@@ -80,23 +112,30 @@ class PartialState:
         return self.name == name and self.revision == int(revision)
 
     def mark(self, rel: str, digest: str) -> None:
-        """Record one verified file and persist the state durably."""
+        """Record one verified file durably: one fsynced line."""
         self.completed[rel] = digest
-        self.save()
-
-    def save(self) -> None:
-        ffs.write_bytes(
-            self.path,
-            json.dumps(
-                {
-                    "name": self.name,
-                    "revision": self.revision,
-                    "completed": self.completed,
-                },
-                indent=2,
-            ).encode(),
+        if self._end is None:
+            self.save()  # a torn tail is rewritten, not appended to
+            return
+        line = b"," * (self._lines > 0) + json.dumps([rel, digest]).encode()
+        ffs.write_at(
+            self.path, self._end, line + b"\n" + _CLOSER,
             site="hub.pull.partial",
         )
+        self._end += len(line) + 1
+        self._lines += 1
+
+    def save(self) -> None:
+        """Write the whole state file afresh."""
+        head = json.dumps({"name": self.name, "revision": self.revision})
+        lines = [head[:-1].encode() + b', "completed": [']
+        lines += [
+            b"," * (i > 0) + json.dumps(list(entry)).encode()
+            for i, entry in enumerate(self.completed.items())
+        ]
+        body = b"\n".join(lines) + b"\n"
+        ffs.write_bytes(self.path, body + _CLOSER, site="hub.pull.partial")
+        self._end, self._lines = len(body), len(self.completed)
 
     def discard(self) -> None:
         self.path.unlink(missing_ok=True)

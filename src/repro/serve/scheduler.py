@@ -208,12 +208,12 @@ class ModelRuntime:
         lossy recovery.  Recovered planes are never cached, so a pass
         after the plane is restored reads it exactly again."""
         planes = min(planes, NUM_PLANES)
-        events = self.archive.recovery.events
-        before = len(events)
+        recovery = self.archive.recovery
+        before = recovery.seq
         determined, labels = self.evaluator.step(x, planes)
         degraded = any(
             not event.exact and event.matrix_id in self._chain_ids
-            for event in events[before:]
+            for event in recovery.since(before)
         )
         return determined, labels, degraded
 

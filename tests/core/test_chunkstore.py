@@ -17,6 +17,7 @@ from repro.core.chunkstore import (
     MemoryChunkStore,
 )
 from repro.core.storage import BlobStore, resolve_backend
+from repro.faults import FaultError, FaultPlan, FaultPoint, inject
 from repro.obs.cost import cost_context
 
 CONFORMERS = ("disk", "memory", "sqlite", "mem", "latency")
@@ -101,6 +102,16 @@ class TestStore:
         with pytest.raises(ChunkIntegrityError, match="corrupt"):
             store.get(sha)
 
+    def test_put_many_is_put_in_order(self, store):
+        blobs = [b"first" * 40, b"second" * 40, b"first" * 40]
+        before = store.registry.counter("chunkstore.dedup_hits").value
+        shas = store.put_many(blobs)
+        assert shas == [store.address(b) for b in blobs]
+        assert [store.get(sha) for sha in shas] == blobs
+        assert set(store.addresses()) == set(shas)
+        # The repeat inside the batch is a dedup hit, as a second put is.
+        assert store.registry.counter("chunkstore.dedup_hits").value == before + 1
+
     def test_counters_and_request_bill(self, store):
         names = (
             "put_calls", "put_bytes", "dedup_hits", "dedup_bytes",
@@ -126,6 +137,18 @@ class TestStore:
 
 
 class TestDiskSpecific:
+    def test_failed_batch_lands_nothing_and_leaves_no_tmp(self, tmp_path):
+        """Renames wait for every tmp of the batch: a write that fails
+        midway leaves neither a blob nor a tmp behind."""
+        store = ChunkStore(tmp_path / "chunks")
+        plan = FaultPlan([FaultPoint(
+            site="chunkstore.put.write", op=1, action="error",
+        )])
+        with inject(plan), pytest.raises(FaultError):
+            store.put_many([b"a" * 100, b"b" * 100, b"c" * 100])
+        assert list(store.addresses()) == [] and store.stale_tmps() == []
+        assert store.put_many([b"a" * 100]) == [store.address(b"a" * 100)]
+
     def test_valid_zlib_of_other_content_is_a_hash_mismatch(self, tmp_path):
         store = ChunkStore(tmp_path / "chunks")
         sha = store.put(b"important bytes")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -171,7 +172,12 @@ def test_estimator_prices_what_the_encoder_stores(
     """Oracle: fed the same matrices in the same order, the estimator's
     price for each is the growth of the page tier when the encoder
     stores it — on an empty store and on one an earlier ``archive
-    --dedup`` populated (persistent sketch index, stored base pages)."""
+    --dedup`` populated (persistent sketch index, stored base pages).
+
+    The encoder buffers until ``flush()``, so each matrix's growth is
+    read after the flush: the stored bytes of the blobs its manifests
+    reference that neither the store before nor an earlier matrix
+    held; together they are the whole growth of the tier."""
     repo = Repository.init(make_repo_target(backend))
     base = tiny_mlp(hidden=32).build(seed=0)
     if prepopulated:
@@ -192,13 +198,21 @@ def test_estimator_prices_what_the_encoder_stores(
     assert repo.pages.total_size() == before  # a dry run stores nothing
 
     encoder = repo.page_store()
+    referenced = [
+        {sha for plane in segment_planes(matrix)
+         for sha in manifest_shas(encoder.encode_plane(plane))}
+        for matrix in sequence
+    ]
+    assert repo.pages.total_size() == before  # nothing lands before flush
+    held = set(repo.pages.addresses())
+    with repo.catalog.transaction():
+        encoder.flush()
     stored = []
-    for matrix in sequence:
-        for plane in segment_planes(matrix):
-            encoder.encode_plane(plane)
-        stored.append(repo.pages.total_size() - before)
-        before = repo.pages.total_size()
+    for shas in referenced:
+        stored.append(sum(repo.pages.stored_size(s) for s in shas - held))
+        held |= shas
     assert priced == stored
+    assert sum(stored) == repo.pages.total_size() - before
     assert sum(priced[-4:]) == 0 < sum(priced)
     if prepopulated:
         # Siblings of the archived family patch against its stored pages.
@@ -206,6 +220,49 @@ def test_estimator_prices_what_the_encoder_stores(
         fresh = DedupEstimator(empty.page_store())
         assert sum(priced) < sum(fresh.matrix_cost(m) for m in sequence)
         empty.close()
+    repo.close()
+
+
+#: ``(bytes_after, layout digest)`` of two ``archive --dedup`` runs over
+#: the seeded family below — the first on a fresh repository, the second
+#: after one more sibling, against the persistent sketch index — as the
+#: planner wrote them before its write batch existed.
+PINNED_DEDUP_RUNS = (
+    (21540, "8926db8a922f057dfc89d113c9ed27ceb6df99cd3b882f7113bc526ed1a97bbe"),
+    (22403, "d9a42be973564da44a2ddea79dfe2b8604e61d7b536e0dfac77cdaa8aa08af51"),
+)
+
+
+def _layout_digest(repo) -> str:
+    """Digest of every page manifest and payload row: plans and pages."""
+    payloads = sorted(
+        [p["matrix_id"], p["parent"], p["kind"], p["chunks"]]
+        for p in repo.catalog.all_payloads()
+    )
+    blob = json.dumps(
+        [repo.catalog.all_page_manifests(), payloads], sort_keys=True
+    )
+    return hashlib.sha256(blob.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_dedup_archive_output_is_pinned(make_repo_target, backend):
+    """Batching the writes changed no plan, page or stored byte."""
+    repo = Repository.init(make_repo_target(backend))
+    base = tiny_mlp(hidden=32).build(seed=0)
+    for i in range(4):
+        net = _perturb(base, i)
+        net.name = f"fam-{i}"
+        repo.commit(net, name=f"fam-{i}", message="variant")
+    runs = [repo.archive(alpha=4.0, dedup=True)["bytes_after"]]
+    digests = [_layout_digest(repo)]
+    assert "pages" in {p["kind"] for p in repo.catalog.all_payloads()}
+    late = _perturb(base, 11)
+    late.name = "late"
+    repo.commit(late, name="late", message="variant")
+    runs.append(repo.archive(alpha=4.0, dedup=True)["bytes_after"])
+    digests.append(_layout_digest(repo))
+    assert tuple(zip(runs, digests)) == PINNED_DEDUP_RUNS
     repo.close()
 
 

@@ -13,7 +13,7 @@ import pytest
 
 import repro
 from repro.dlv import wrapper
-from repro.dlv.cli import VERBS, main
+from repro.dlv.cli import VERBS, _parser, main
 from repro.serve.client import ServeClient
 from repro.dnn.training import SGDConfig, Trainer
 from repro.dnn.zoo import tiny_mlp
@@ -277,6 +277,37 @@ class TestErrors:
         assert code == 1
         assert err.startswith("dlv: error:") and err.count("\n") == 1, err
         assert "Traceback" not in err
+
+
+def _parsed_output(capsys, parse, argv):
+    """``(exit code, stdout, stderr)`` of one argparse run."""
+    with pytest.raises(SystemExit) as exit_info:
+        parse(argv)
+    out, err = capsys.readouterr()
+    return exit_info.value.code, out, err
+
+
+class TestSingleVerbParser:
+    """``main`` builds only the invoked verb's arguments; what argparse
+    prints must not be able to tell."""
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"],
+        *[name.split() + ["-h"] for name in VERBS],
+        ["trace", "-h"],
+        ["--repo", "list", "commit", "-h"],  # a verb name as option value
+        ["--rep=x", "--st", "u", "archive", "-h"],  # abbreviated options
+        ["commit", "--name", "x"],  # usage error: --model-dir missing
+        ["archive", "--alpha", "two"],  # usage error: bad type
+        ["no-such-verb"],
+        ["hub", "nope"],
+        [],
+    ], ids=lambda argv: " ".join(argv) or "(none)")
+    def test_output_matches_the_full_parser(self, capsys, argv):
+        full = _parsed_output(capsys, _parser().parse_args, argv)
+        lazy = _parsed_output(capsys, main, argv)
+        assert lazy == full
+        assert full[1] or full[2]
 
 
 class TestRepositoryTarget:

@@ -5,6 +5,9 @@ payload will occupy (Sec. IV-B/C).  The graph builder prices every edge
 through the code that writes it, so the check is an identity: write each
 priced payload into an empty repository of the same backend and compare
 the growth of the tier it lands in with the edge's ``storage_cost``.
+
+Pricing and writing share one write batch per verb, so the identity
+costs one compression per content: no verb compresses an address twice.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from repro.core.chunkstore import BlobCodec
 from repro.core.retrieval import PlanArchive, payload_planes
 from repro.core.storage_graph import ROOT
 from repro.dlv.repository import Repository
@@ -63,6 +67,8 @@ def test_priced_bytes_are_stored_bytes(make_repo_target, backend):
             edge.v, target.shape,
             payload_planes(target, matrices.get(edge.u), kind), edge.u, kind,
         )
+        with scratch.catalog.transaction():  # page blobs land at flush
+            writer.page_store.flush()
         return tier.total_size() - before
 
     checked: Counter = Counter()
@@ -83,4 +89,36 @@ def test_priced_bytes_are_stored_bytes(make_repo_target, backend):
     assert checked == {"materialize": 12, "pages": 12, "delta": 8}
     assert resized == 2  # fc2.W and fc2.b
     scratch.close()
+    repo.close()
+
+
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_each_verb_compresses_each_address_once(
+    make_repo_target, backend, monkeypatch
+):
+    """Oracle: within one ``commit`` or one ``archive --dedup`` — pricing,
+    the dedup dry run, chunks, mirrors and pages together — no content
+    address is compressed twice."""
+    compressed: list[str] = []
+    encode = BlobCodec._encode
+
+    def recording(codec, data):
+        compressed.append(BlobCodec.address(data))
+        return encode(codec, data)
+
+    monkeypatch.setattr(BlobCodec, "_encode", recording)
+    repo = Repository.init(make_repo_target(backend))
+    v1 = tiny_mlp(hidden=16, num_classes=4).build(0)
+    repo.commit(v1, name="v1")
+    repo.commit(_nudged(v1, 1, "v2"), name="v2", parent="v1")
+    verbs = {
+        "commit": lambda: repo.commit(_nudged(v1, 2, "v3"), name="v3"),
+        "archive --dedup": lambda: repo.archive(alpha=4.0, dedup=True),
+    }
+    for verb, run in verbs.items():
+        compressed.clear()
+        run()
+        twice = sorted(sha for sha, n in Counter(compressed).items() if n > 1)
+        assert compressed and not twice, (verb, twice)
+    assert "pages" in {p["kind"] for p in repo.catalog.all_payloads()}
     repo.close()

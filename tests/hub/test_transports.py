@@ -254,6 +254,41 @@ class TestPull:
         assert pulled_files(dest) == FILES
         assert [p.name for p in dest.iterdir()] == [".dlv"]
 
+    def test_torn_progress_line_is_dropped_and_refetched(self, hub, tmp_path):
+        # Progress is one appended line per verified file: a write torn
+        # mid-line leaves the first file recorded and half a second line,
+        # which the next pull drops (refetching that file) before it
+        # appends the rest after the last whole line.
+        dest = tmp_path / "pulled"
+        plan = FaultPlan([FaultPoint(
+            site="hub.pull.partial", op=2, action="torn", offset=7,
+        )])
+        with inject(plan), pytest.raises(CrashSimulated):
+            hub.client().pull("demo", dest)
+        raw = (dest / PARTIAL_STATE_NAME).read_bytes()
+        with pytest.raises(ValueError):
+            json.loads(raw)
+        adopted = PartialState.load(dest / PARTIAL_STATE_NAME)
+        assert list(adopted.completed) == ["a.bin"]
+        before = counters("files_resumed", "files_fetched")
+        hub.client().pull("demo", dest)
+        after = counters("files_resumed", "files_fetched")
+        assert [b - a for a, b in zip(before, after)] == [1, len(FILES) - 1]
+        assert pulled_files(dest) == FILES
+
+    def test_progress_is_one_line_per_file(self, tmp_path):
+        path = tmp_path / PARTIAL_STATE_NAME
+        state = PartialState(path, "demo", 1)
+        state.save()
+        sizes = [path.stat().st_size]
+        for rel, digest in (("a.bin", "1" * 64), ("b.bin", "2" * 64)):
+            state.mark(rel, digest)
+            sizes.append(path.stat().st_size)
+            assert json.loads(path.read_text())["completed"][-1] == [rel, digest]
+        # Each mark adds its own line and nothing else.
+        assert sizes[2] - sizes[1] == sizes[1] - sizes[0] + 1
+        assert PartialState.load(path).completed == state.completed
+
     def test_mid_file_prefix_resumes_from_offset(self, hub, tmp_path):
         # What a peer dying mid-*file* leaves: matching state, a correct
         # 100-byte prefix of a.bin in the temp tree, no state entry.

@@ -381,6 +381,23 @@ def dedup_family(make_repo_target):
 
 
 class TestRecoveryNeverPoisons:
+    def test_plane_lost_for_good_keeps_the_report_bounded(self, dedup_family):
+        """A plane lost for good adds a recovery event every pass,
+        forever: the report keeps a bounded window of them, and every
+        pass is still flagged degraded."""
+        repo, archive, runtime, net, paged = dedup_family
+        x = np.random.default_rng(0).standard_normal(
+            (1,) + net.input_shape
+        ).astype(np.float32)
+        plane = archive.replicate_planes  # the first unmirrored plane
+        assert repo.pages.delete(paged[0].pages[plane]["pages"][0][0])
+        passes = 10_000
+        flagged = sum(runtime.bounded(x, plane + 1)[2] for _ in range(passes))
+        assert flagged == passes
+        recovery = archive.recovery
+        assert recovery.seq >= passes and recovery.degraded
+        assert len(recovery.events) == recovery.window < passes
+
     @pytest.mark.parametrize("plane", [1, NUM_PLANES - 1])
     def test_restored_page_reads_exact_again(self, dedup_family, plane):
         """Lose a page (and, for a mirrored plane, its replica), read the
