@@ -6,7 +6,8 @@ third-party HTTP dependency.  The connection — keep-alive, Nagle off,
 timeout, reconnect-once, ``traceparent`` injection — is the
 :class:`repro.wire.Session` a :class:`ServeClient` extends; this module
 owns the serving endpoints' JSON shapes and the :class:`ServeError`
-contract.
+contract.  Predict inputs travel in the compact tensor form of
+:mod:`repro.serve.tensor`, encoded inside the body's ``json.dumps``.
 
 Every ``predict`` opens a ``serve.client.predict`` span whose identity
 the session sends in a ``traceparent`` header, so the server-side spans
@@ -22,6 +23,7 @@ from typing import Optional
 import numpy as np
 
 from repro.obs.tracing import trace_span
+from repro.serve import tensor
 from repro.wire import Session
 
 __all__ = ["Prediction", "ServeClient", "ServeError", "ServerOverloaded"]
@@ -97,7 +99,10 @@ class ServeClient(Session):
     def _request(
         self, method: str, path: str, body: Optional[dict] = None
     ) -> dict:
-        payload = json.dumps(body).encode() if body is not None else None
+        payload = (
+            json.dumps(body, default=tensor.encode).encode()
+            if body is not None else None
+        )
         status, raw = self._roundtrip(method, path, payload)
         try:
             data = json.loads(raw or b"{}")
@@ -138,14 +143,14 @@ class ServeClient(Session):
 
         Args:
             model: Served model name (see :meth:`models`).
-            inputs: One example or a batch; converted via ``tolist``.
+            inputs: One example or a batch; sent as a float32 tensor.
             start_planes: Plane budget to start the progressive
                 evaluation at (server default when omitted).
             exact: Skip progressive serving; answer at full precision.
         """
         body: dict = {
             "model": model,
-            "inputs": np.asarray(inputs, dtype=np.float32).tolist(),
+            "inputs": np.asarray(inputs, dtype=np.float32),
         }
         if start_planes is not None:
             body["start_planes"] = int(start_planes)

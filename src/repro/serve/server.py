@@ -14,7 +14,12 @@ table, ops routes) is :mod:`repro.wire`'s.  Endpoints:
                           ``Accept: text/plain``.
 ``GET /v1/slowlog``       Requests that crossed the slow threshold.
 ``GET /v1/trace``         The span ring buffer (orphan-marked dicts).
-``POST /v1/predict``      ``{"model", "inputs", "start_planes"?, "exact"?}``
+``POST /v1/predict``      ``{"model", "inputs", "start_planes"?, "exact"?}``;
+                          ``inputs`` is a nested list of numbers or the
+                          tensor form ``{"shape", "f32"}``
+                          (:mod:`repro.serve.tensor`); ``start_planes`` an
+                          int, ``exact`` a bool.  Anything else is a 400;
+                          a body over ``wire.MAX_BODY_BYTES`` is a 413.
 ========================  ====================================================
 
 Predict responses carry the progressive-serving contract: per-row
@@ -49,12 +54,26 @@ from repro.dnn.network import GraphError, Network
 from repro.obs.cost import get_slowlog
 from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.propagation import TRACEPARENT_HEADER
+from repro.serve import tensor
 from repro.serve.cache import PlaneCache
 from repro.serve.config import ServeConfig
 from repro.serve.scheduler import AdmissionError, BatchScheduler, ModelRuntime
 from repro.wire import Handler, HTTPError, Listener, adopt_span
 
 __all__ = ["ModelServer"]
+
+
+def _inputs(value) -> np.ndarray:
+    """A predict body's ``inputs`` as float32: the tensor form when it is
+    an object, a nested list of numbers otherwise."""
+    try:
+        if isinstance(value, dict):
+            return tensor.decode(value)
+        return np.asarray(value, dtype=np.float32)
+    except (TypeError, ValueError) as exc:
+        raise HTTPError(
+            400, {"error": f"'inputs' is not a numeric array: {exc}"}
+        )
 
 
 class _Handler(Handler):
@@ -276,17 +295,18 @@ class ModelServer:
             span.set_attr("model", model)
             if "inputs" not in body:
                 raise HTTPError(400, {"error": "'inputs' is required"})
-            try:
-                x = np.asarray(body["inputs"], dtype=np.float32)
-            except (TypeError, ValueError) as exc:
-                raise HTTPError(
-                    400, {"error": f"'inputs' is not a numeric array: {exc}"}
-                )
+            x = _inputs(body["inputs"])
             start_planes = body.get("start_planes")
-            if start_planes is not None and not isinstance(start_planes, int):
+            if start_planes is not None and (
+                isinstance(start_planes, bool)
+                or not isinstance(start_planes, int)
+            ):
                 raise HTTPError(
                     400, {"error": "'start_planes' must be an int"}
                 )
+            exact = body.get("exact", False)
+            if not isinstance(exact, bool):
+                raise HTTPError(400, {"error": "'exact' must be a bool"})
             try:
                 runtime = self.scheduler.runtime(model)
             except KeyError:
@@ -314,7 +334,7 @@ class ModelServer:
                 ticket = self.scheduler.submit(
                     model, x,
                     start_planes=start_planes,
-                    exact=bool(body.get("exact", False)),
+                    exact=exact,
                     trace=(span.trace_id, span.hex_id),
                 )
             except AdmissionError as exc:

@@ -29,13 +29,21 @@ from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracing import get_recorder, trace_span
 
 __all__ = [
-    "HTTPError", "Handler", "Listener", "NETWORK_FAILURES", "Session",
-    "adopt_span", "run_until_signalled",
+    "HTTPError", "Handler", "Listener", "MAX_BODY_BYTES", "NETWORK_FAILURES",
+    "POLL_INTERVAL_S", "Session", "adopt_span", "run_until_signalled",
 ]
 
 #: What a failed exchange raises on the client side: socket-level errors
 #: and protocol-level ones (torn body, bad status line).
 NETWORK_FAILURES = (OSError, http.client.HTTPException)
+
+#: The largest request body a server reads (64 MiB; an 8-row predict is
+#: ~6 KB).  A longer ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = 64 << 20
+
+#: How often a listener's accept loop looks for a stop request, seconds:
+#: the longest :meth:`Listener.stop` waits for the loop to notice.
+POLL_INTERVAL_S = 0.05
 
 
 class HTTPError(Exception):
@@ -114,6 +122,14 @@ class Handler(BaseHTTPRequestHandler):
         if not length.isdigit():
             self.close_connection = True  # the next request's start is lost
             raise HTTPError(400, {"error": f"bad Content-Length {length!r}"})
+        if int(length) > MAX_BODY_BYTES:
+            self.close_connection = True  # the body stays unread
+            raise HTTPError(
+                413,
+                {"error": f"body of {length} bytes exceeds the "
+                          f"{MAX_BODY_BYTES}-byte limit"},
+                headers={"Connection": "close"},
+            )
         return self.rfile.read(int(length))
 
     def dispatch(self) -> None:
@@ -190,7 +206,8 @@ class Listener:
             self._httpd = _Server((host, port), self.handler)
             self._httpd.app = self.app
             self._thread = threading.Thread(
-                target=self._httpd.serve_forever, name=self.name, daemon=True
+                target=self._httpd.serve_forever, args=(POLL_INTERVAL_S,),
+                name=self.name, daemon=True,
             )
             # Under the lock: a racing stop() must never be handed a
             # thread it cannot join yet.

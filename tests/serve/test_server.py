@@ -116,10 +116,18 @@ class TestPredict:
     def test_missing_fields_400(self, server):
         model_server, _ = server
         client = client_for(model_server)
-        for body in ({"inputs": [1]}, {"model": "tiny"}):
+        x = np.zeros((1, 1, 12, 12)).tolist()  # a well-formed input
+        for body, field in (
+            ({"inputs": [1]}, "model"),
+            ({"model": "tiny"}, "inputs"),
+            ({"model": "tiny", "inputs": x, "exact": "false"}, "exact"),
+            ({"model": "tiny", "inputs": x, "start_planes": True},
+             "start_planes"),
+        ):
             with pytest.raises(ServeError) as excinfo:
                 client._request("POST", "/v1/predict", body)
             assert excinfo.value.status == 400
+            assert f"'{field}'" in excinfo.value.payload["error"]
 
     def test_concurrent_mixed_plane_requests(self, server, digits):
         model_server, net = server

@@ -25,7 +25,13 @@ from repro.hub.server import HubServer
 from repro.obs.prometheus import parse_text
 from repro.obs.tracing import TraceRecorder, set_recorder, trace_span
 from repro.serve import ModelServer, ServeClient, ServeConfig, ServeError
-from repro.wire import NETWORK_FAILURES, Session
+from repro.wire import (
+    MAX_BODY_BYTES,
+    NETWORK_FAILURES,
+    Handler,
+    Listener,
+    Session,
+)
 
 
 @pytest.fixture(params=["serve", "hub"])
@@ -182,6 +188,27 @@ class TestRequestBodies:
         assert response.status == 400
         assert "Content-Length" in payload["error"]
 
+    def test_oversized_body_is_413_unread(self, tier, live):
+        # The header names far more than the server will hold; the few
+        # bytes that follow are never read — the connection closes.
+        sock = socket.create_connection(("127.0.0.1", live.port), timeout=10)
+        try:
+            sock.sendall(
+                b"GET /healthz HTTP/1.1\r\nHost: x\r\n"
+                + f"Content-Length: {MAX_BODY_BYTES + 1}\r\n\r\n".encode()
+                + b'{"model": "tiny"'
+            )
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+        finally:
+            sock.close()
+        assert response.status == 413
+        assert response.getheader("Connection") == "close"
+        assert "exceeds" in payload["error"]
+        with tier.client(live) as client:
+            assert client.health()["status"] == "ok"
+
 
 class TestTransport:
     def test_accepted_sockets_have_nagle_disabled(
@@ -278,6 +305,18 @@ class TestLifecycle:
         live.stop()  # still safe after full shutdown
         with pytest.raises(OSError):
             Session(url, timeout=2.0).exchange("GET", "/healthz")
+
+    def test_stop_does_not_wait_out_a_poll_interval(self):
+        # The accept loop polls for a stop request every POLL_INTERVAL_S;
+        # at the stdlib's 0.5 s a stop took ~0.45 s.
+        laps = []
+        for _ in range(3):
+            listener = Listener(Handler, None, "stop-timing")
+            listener.start("127.0.0.1", 0)
+            began = time.perf_counter()
+            listener.stop()
+            laps.append(time.perf_counter() - began)
+        assert max(laps) < 0.25, laps
 
     def test_after_stop(self, tier, live):
         first_port = live.port
