@@ -192,6 +192,21 @@ class BlobCodec:
         charge(bytes_read=len(data), chunks_fetched=1)
         return data
 
+    def get_many(self, addresses: Iterable[str]) -> dict[str, tuple[bytes, int]]:
+        """Read and verify each distinct blob once, as one read:
+        ``address -> (bytes, stored size)``.  A missing address raises
+        ``KeyError`` before any blob is decoded; each blob is then
+        verified, counted and billed exactly as a ``get`` of it is."""
+        stored = self._read_many(list(dict.fromkeys(addresses)))
+        return {
+            sha: (self._decode(sha, raw), len(raw)) for sha, raw in stored.items()
+        }
+
+    def _read_many(self, shas: list[str]) -> dict[str, bytes]:
+        """Stored forms of distinct addresses, one backend read each
+        (its length is the stored size: no ``stat``)."""
+        return {sha: self._read(sha) for sha in shas}
+
     def verify_blob(self, sha: str) -> bool:
         """Re-hash one stored blob; ``False`` when corrupt or undecodable."""
         try:
@@ -325,15 +340,17 @@ class ChunkStore(BlobCodec):
             ChunkIntegrityError: when the stored content fails integrity
                 checking (a :class:`ValueError` subclass).
         """
+        return self._decode(sha, self._read(sha))
+
+    def _read(self, sha: str) -> bytes:
         # No exists() pre-check: a concurrent gc/delete between the check
         # and the read would escape as FileNotFoundError, which no
         # recovery ladder catches.
         try:
             with open(self._path(sha), "rb") as handle:
-                stored = handle.read()
+                return handle.read()
         except FileNotFoundError:
             raise self._missing(sha) from None
-        return self._decode(sha, stored)
 
     def __contains__(self, sha: str) -> bool:
         return os.path.exists(self._path(sha))
@@ -391,11 +408,13 @@ class MemoryChunkStore(BlobCodec):
         return shas
 
     def get(self, sha: str) -> bytes:
+        return self._decode(sha, self._read(sha))
+
+    def _read(self, sha: str) -> bytes:
         try:
-            stored = self._blobs[sha]
+            return self._blobs[sha]
         except KeyError:
             raise self._missing(sha) from None
-        return self._decode(sha, stored)
 
     def __contains__(self, sha: str) -> bool:
         return sha in self._blobs
@@ -422,8 +441,9 @@ class LatencyStore:
     Stands in for the paper's *remote storage* tier: PAS can offload the
     low-order byte planes to slower, cheaper storage (Sec. IV-B), and the
     archival optimizer can model such edges with higher recreation cost.
-    The latency is charged once per ``get`` and per blob put — a fixed
-    round trip; every other operation is the inner store's own.
+    The latency is charged once per ``get``, once per ``get_many`` call
+    (one batched round trip, however many blobs) and per blob put — a
+    fixed round trip; every other operation is the inner store's own.
     """
 
     def __init__(self, inner, get_latency: float = 0.0, put_latency: float = 0.0) -> None:
@@ -448,6 +468,12 @@ class LatencyStore:
         if self.get_latency > 0:
             time.sleep(self.get_latency)
         return self.inner.get(sha)
+
+    def get_many(self, addresses: Iterable[str]) -> dict[str, tuple[bytes, int]]:
+        self.get_count += 1
+        if self.get_latency > 0:
+            time.sleep(self.get_latency)
+        return self.inner.get_many(addresses)
 
     def __contains__(self, sha: str) -> bool:
         return sha in self.inner

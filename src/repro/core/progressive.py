@@ -29,11 +29,12 @@ from repro.obs.tracing import trace_span
 
 
 def _frozen_nbytes(bounds: dict[str, dict[str, Interval]]) -> int:
-    """Freeze a bounds mapping for sharing; its footprint (both arrays)."""
+    """Freeze a bounds mapping for sharing; its footprint (the bounds
+    with their midpoint and radius, which each interval keeps)."""
     nbytes = 0
     for params in bounds.values():
         for interval in params.values():
-            for array in (interval.lo, interval.hi):
+            for array in (interval.lo, interval.hi, interval.mid, interval.rad):
                 array.setflags(write=False)
                 nbytes += array.nbytes
     return nbytes
@@ -156,9 +157,7 @@ class ProgressiveEvaluator:
                 for layer, params in self.exact_weights().items()
             }
         return by_layer({
-            matrix_id: Interval.from_bounds(
-                *self.archive.matrix_bounds(matrix_id, planes)
-            )
+            matrix_id: self.archive.matrix_bounds(matrix_id, planes)
             for matrix_id in self._members
         })
 

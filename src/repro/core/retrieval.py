@@ -18,6 +18,7 @@ Sec. IV-B).  Retrieval then supports:
 from __future__ import annotations
 
 import contextvars
+import functools
 import hashlib
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -26,6 +27,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.dnn.interval import Interval
 from repro.obs.cost import RequestCost, charge, cost_context, current_cost
 from repro.obs.metrics import counter, histogram
 from repro.obs.tracing import trace_span
@@ -43,6 +45,8 @@ from repro.core.segmentation import (
     NUM_PLANES,
     assemble_planes,
     bounds_from_prefix,
+    prefix_codes,
+    prefix_table,
     segment_planes,
 )
 from repro.core.storage_graph import (
@@ -50,6 +54,25 @@ from repro.core.storage_graph import (
     RetrievalScheme,
     StoragePlan,
 )
+
+
+@functools.cache
+def _prefix_intervals(planes: int) -> np.ndarray:
+    """:meth:`Interval.tabulate` of every 1- or 2-byte prefix's bounds."""
+    # Widening the saturated-exponent prefixes' NaN patterns is the same
+    # cast a per-call widening would make, minus the warning.
+    with np.errstate(invalid="ignore"):
+        return Interval.tabulate(*prefix_table(planes).astype(np.float64))
+
+
+def _prefix_interval(planes: list[bytes], shape: tuple) -> Interval:
+    """What a payload's leading planes bound each weight to; at one or
+    two planes one table lookup per weight."""
+    if len(planes) in (1, 2):
+        return Interval.gather(
+            _prefix_intervals(len(planes)), prefix_codes(planes, shape), shape
+        )
+    return Interval.from_bounds(*bounds_from_prefix(planes, shape))
 
 
 def _put(store, data: bytes) -> str:
@@ -615,18 +638,18 @@ class PlanArchive:
         return (data, nbytes), len(data)
 
     def _read_plane(
-        self, entry: _StoredPayload, index: int, **page_options
+        self, entry: _StoredPayload, index: int
     ) -> tuple[bytes, int]:
-        """One plane's bytes and stored size, straight from its tier: a
-        chunk, or (``kind="pages"``) pages of the shared dedup tier."""
+        """One plane's bytes and stored size, straight from its tier with
+        one ``get_many``: a chunk, or (``kind="pages"``) every page of
+        its manifest from the shared dedup tier."""
         if entry.kind == "pages":
-            data = _decode_paged_plane(
-                self._page_manifest(entry, index), self.page_store.blobs.get,
-                **page_options,
-            )
-            return data, self.plane_stored_size(entry, index)
-        store, sha = self.plane_store(index), entry.chunk_ids[index]
-        return store.get(sha), store.stored_size(sha)
+            manifest = self._page_manifest(entry, index)
+            found = self.page_store.blobs.get_many(_manifest_shas(manifest))
+            data = _decode_paged_plane(manifest, lambda sha: found[sha][0])
+            return data, sum(size for _data, size in found.values())
+        sha = entry.chunk_ids[index]
+        return self.plane_store(index).get_many((sha,))[sha]
 
     def _page_manifest(self, entry: _StoredPayload, index: int) -> dict:
         if self.page_store is None:
@@ -663,24 +686,23 @@ class PlanArchive:
 
         if self.replica_store is not None and sha:
             try:
-                data = self.replica_store.get(sha)
+                data, nbytes = self.replica_store.get_many((sha,))[sha]
             except (KeyError, ValueError):
                 pass
             else:
                 record(sha, "replica")
                 counter("recovery.replica_reads").inc()
-                try:
-                    nbytes = self.replica_store.stored_size(sha)
-                except KeyError:  # pragma: no cover - store raced away
-                    nbytes = len(data)
                 return data, nbytes
         if self.degraded and index >= 1:
             if entry.kind == "pages":
+                # Page by page, so only the pages that fail zero-fill.
                 lost: list[str] = []
-                data, nbytes = self._read_plane(
-                    entry, index, missing_ok=True,
+                data = _decode_paged_plane(
+                    self._page_manifest(entry, index),
+                    self.page_store.blobs.get, missing_ok=True,
                     on_missing=lambda page_sha, _err: lost.append(page_sha),
                 )
+                nbytes = self.plane_stored_size(entry, index)
                 counter("recovery.degraded_pages").inc(max(1, len(lost)))
             else:
                 lost, data, nbytes = [sha], None, 0
@@ -813,14 +835,15 @@ class PlanArchive:
 
     # -- interval retrieval -------------------------------------------------------
 
-    def matrix_bounds(
-        self, matrix_id: str, planes: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Per-weight value bounds from the first ``planes`` byte planes.
+    def matrix_bounds(self, matrix_id: str, planes: int) -> Interval:
+        """Per-weight value bounds from the first ``planes`` byte planes,
+        as an :class:`~repro.dnn.interval.Interval` (it unpacks as
+        ``lo, hi``).
 
         Bounds compose along the delta chain by interval addition, so this
         is only supported for ``sub`` (and materialize) payloads; XOR
-        deltas do not admit monotone bounds.
+        deltas do not admit monotone bounds.  A chain of one payload at
+        one or two planes is one table lookup per weight.
         """
         chain = self.chain(matrix_id)
         for entry in chain:
@@ -840,9 +863,12 @@ class PlanArchive:
                         f"plane {i} of {entry.matrix_id!r} is unreadable"
                     )
                 prefix.append(data)
-            lo, hi = bounds_from_prefix(prefix, entry.shape)
+            bounds = _prefix_interval(prefix, entry.shape)
+            if len(chain) == 1:
+                return bounds
+            lo, hi = bounds
             if lo_total is None:
-                lo_total, hi_total = lo.astype(np.float64), hi.astype(np.float64)
+                lo_total, hi_total = lo, hi
             else:
                 if lo_total.shape != lo.shape:
                     # Mismatched-dimension delta: embed bounds (zero-padded
@@ -851,4 +877,4 @@ class PlanArchive:
                     hi_total = embed_like(hi_total, hi.shape).astype(np.float64)
                 lo_total = lo_total + lo
                 hi_total = hi_total + hi
-        return lo_total, hi_total
+        return Interval.from_bounds(lo_total, hi_total)

@@ -18,6 +18,8 @@ reconstruction from a high-order prefix.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 #: float32 has four byte planes.
@@ -65,6 +67,53 @@ def _patterns_from_prefix(
     return raw.reshape(-1).view(">f4").astype(np.float32)
 
 
+def _general_bounds(
+    planes: list[bytes], shape: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 bounds from any 1..3-plane prefix, element by element."""
+    zeros_fill = _patterns_from_prefix(planes, shape, 0x00)
+    ones_fill = _patterns_from_prefix(planes, shape, 0xFF)
+    ones_fill = np.nan_to_num(
+        ones_fill, nan=_FLOAT32_MAX, posinf=_FLOAT32_MAX, neginf=-_FLOAT32_MAX
+    )
+    lo = np.minimum(zeros_fill, ones_fill).reshape(shape)
+    hi = np.maximum(zeros_fill, ones_fill).reshape(shape)
+    return lo, hi
+
+
+@functools.cache
+def prefix_table(planes: int) -> np.ndarray:
+    """Bounds of every possible ``planes``-byte prefix (1 or 2): a
+    read-only float32 array, row 0 the lower and row 1 the upper bounds,
+    indexed by :func:`prefix_codes`.  Derived once by the general rule
+    itself, so a lookup is bit-identical to deriving the bounds."""
+    if planes not in (1, 2):
+        raise ValueError(f"prefix tables cover 1 or 2 planes, not {planes}")
+    codes = np.arange(256 ** planes, dtype=">u2").view(np.uint8)
+    codes = codes.reshape(-1, 2)[:, 2 - planes:]
+    prefix = [codes[:, i].tobytes() for i in range(planes)]
+    table = np.stack(_general_bounds(prefix, (len(codes),)))
+    table.flags.writeable = False
+    return table
+
+
+def prefix_codes(planes: list[bytes], shape: tuple) -> np.ndarray:
+    """Each element's 1- or 2-byte prefix read as an unsigned big-endian
+    integer: its row in :func:`prefix_table` (flat)."""
+    count = int(np.prod(shape)) if shape else 1
+    bufs = [np.frombuffer(plane, dtype=np.uint8) for plane in planes]
+    for i, buf in enumerate(bufs):
+        if buf.size != count:
+            raise ValueError(
+                f"plane {i} holds {buf.size} bytes, expected {count}"
+            )
+    codes = bufs[0].astype(np.intp)
+    if len(bufs) == 2:
+        codes <<= 8
+        codes |= bufs[1]
+    return codes
+
+
 def bounds_from_prefix(
     planes: list[bytes], shape: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -77,6 +126,9 @@ def bounds_from_prefix(
     flips.  Non-finite extremes (possible only when the known exponent bits
     are saturated) are clamped to the float32 range.
 
+    With one or two planes every element's bounds are one lookup in
+    :func:`prefix_table`, built once by the same rule.
+
     Returns:
         `(lo, hi)` float32 arrays of ``shape``.
     """
@@ -85,14 +137,11 @@ def bounds_from_prefix(
     if len(planes) == NUM_PLANES:
         exact = assemble_planes(planes, shape)
         return exact, exact.copy()
-    zeros_fill = _patterns_from_prefix(planes, shape, 0x00)
-    ones_fill = _patterns_from_prefix(planes, shape, 0xFF)
-    ones_fill = np.nan_to_num(
-        ones_fill, nan=_FLOAT32_MAX, posinf=_FLOAT32_MAX, neginf=-_FLOAT32_MAX
-    )
-    lo = np.minimum(zeros_fill, ones_fill).reshape(shape)
-    hi = np.maximum(zeros_fill, ones_fill).reshape(shape)
-    return lo, hi
+    if len(planes) == 3:
+        return _general_bounds(planes, shape)
+    table = prefix_table(len(planes))
+    lo, hi = table.take(prefix_codes(planes, shape), axis=1)
+    return lo.reshape(shape), hi.reshape(shape)
 
 
 def prefix_estimate(planes: list[bytes], shape: tuple) -> np.ndarray:

@@ -18,9 +18,12 @@ to this interface, which is the seam sharded and deduplicating stores
 plug into.
 
 Blob stores conform to :class:`BlobStore` — ``put_many`` / ``put`` /
-``get`` / ``__contains__`` / ``delete`` / ``stored_size`` /
-``total_size`` / ``addresses`` / ``verify_blob`` with
-SHA-256-of-uncompressed-content addressing.  Transactionality is shared
+``get_many`` / ``get`` / ``__contains__`` / ``delete`` /
+``stored_size`` / ``total_size`` / ``addresses`` / ``verify_blob`` with
+SHA-256-of-uncompressed-content addressing.  ``get_many`` is the
+batched read: each blob's verified bytes with its stored size, one
+``SELECT`` on the database backends, so a page-encoded plane costs one
+read statement.  Transactionality is shared
 through one :class:`TxnState`: while the catalog holds an open
 transaction (``txn.active``), a backend whose blobs live in the same
 database joins that transaction instead of committing per write, so a
@@ -101,6 +104,19 @@ class BlobStore(Protocol):
 
     def put(self, data: bytes) -> str:
         """Store one blob: ``put_many`` of one; returns its address."""
+
+    def get_many(self, addresses: Iterable[str]) -> dict[str, tuple[bytes, int]]:
+        """Retrieve and integrity-verify many blobs as one read.
+
+        Returns ``address -> (bytes, stored_size)`` for each distinct
+        address (input order and repeats do not matter; empty input
+        gives ``{}``).  Every blob goes through the codec's verification,
+        counters and request bill exactly as a ``get`` of it would.  A
+        missing address raises ``KeyError`` naming it before any blob is
+        decoded; a corrupt blob raises ``ChunkIntegrityError`` naming
+        its sha.  The database backends issue one ``SELECT … IN (…)``
+        per batch of addresses; ``local-fs`` reads each file once.
+        """
 
     def get(self, sha: str) -> bytes:
         """Retrieve and integrity-verify a blob (KeyError when absent)."""

@@ -79,6 +79,10 @@ CREATE TABLE IF NOT EXISTS store_quarantine (
 #: File name of the database inside a published tree / pulled ``.dlv``.
 DB_NAME = "repo.db"
 
+#: Most addresses one ``get_many`` statement binds: with the namespace
+#: this stays under SQLite's historical 999-variable limit.
+GET_BATCH = 900
+
 
 class SQLiteBlobStore(BlobCodec):
     """One content-addressed tier (``chunks`` / ``replica``) as blob rows.
@@ -154,6 +158,23 @@ class SQLiteBlobStore(BlobCodec):
                 checking.
         """
         return self._decode(sha, self._row("data", sha))
+
+    def _read_many(self, shas: list[str]) -> dict[str, bytes]:
+        """One ``SELECT`` per :data:`GET_BATCH` addresses."""
+        conn = self._backend._read_conn()
+        found: dict[str, bytes] = {}
+        for start in range(0, len(shas), GET_BATCH):
+            part = shas[start:start + GET_BATCH]
+            rows = conn.execute(
+                "SELECT sha, data FROM store_blob WHERE ns = ? AND sha IN "
+                f"({','.join('?' * len(part))})",
+                (self.ns, *part),
+            ).fetchall()
+            found.update((sha, data) for sha, data in rows)
+        missing = next((sha for sha in shas if sha not in found), None)
+        if missing is not None:
+            raise self._missing(missing)
+        return {sha: found[sha] for sha in shas}
 
     def __contains__(self, sha: str) -> bool:
         return self._backend._blob_exists(self.ns, sha, read=True)

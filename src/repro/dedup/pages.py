@@ -60,9 +60,9 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     """XOR ``b`` into ``a``; the result has ``len(a)`` (``b`` is
     zero-padded or truncated to fit).
 
-    The same function both *makes* a patch (``xor_bytes(page, base)``)
-    and *applies* one (``xor_bytes(patch, base)``) because XOR is its
-    own inverse and a patch records the page's true length.
+    The write path *makes* a patch with it (``xor_bytes(page, base)``);
+    :func:`decode_plane` applies one in place with the same rule, since
+    XOR is its own inverse and a patch records the page's true length.
     """
     out = np.frombuffer(a, dtype=np.uint8).copy()
     n = min(len(a), len(b))
@@ -107,6 +107,9 @@ def decode_plane(
 ) -> bytes:
     """Reassemble plane bytes from a page manifest.
 
+    Every page lands in one preallocated buffer and a patch XORs into it
+    in place, so assembly copies each page once.
+
     Args:
         manifest: A plane manifest (see module docs).
         fetch: ``sha -> bytes`` page reader (raising ``KeyError`` /
@@ -115,23 +118,34 @@ def decode_plane(
             of raising — the degraded-retrieval analogue of a lost
             low-order plane.
         on_missing: Callback invoked per unreadable page with the sha
-            that failed and the original exception.
+            that failed (the base or the patch) and the original
+            exception.
     """
     psize = int(manifest["psize"])
     nbytes = int(manifest["nbytes"])
-    out = bytearray(nbytes)
-    pos = 0
-    for base_sha, patch_sha in manifest["pages"]:
-        want = min(psize, nbytes - pos)
+    out = bytearray(nbytes)  # a lost page stays zero-filled
+    view = np.frombuffer(out, dtype=np.uint8)
+    for pos, (base_sha, patch_sha) in zip(
+        range(0, nbytes, psize), manifest["pages"]
+    ):
         try:
+            failed = base_sha
             base = fetch(base_sha)
-            page = xor_bytes(fetch(patch_sha), base) if patch_sha else base
+            failed = patch_sha
+            patch = fetch(patch_sha) if patch_sha else None
         except (KeyError, ValueError) as exc:
             if not missing_ok:
                 raise
             if on_missing is not None:
-                on_missing(patch_sha or base_sha, exc)
-            page = b"\x00" * want
-        out[pos:pos + want] = page[:want]
-        pos += psize
+                on_missing(failed, exc)
+            continue
+        want = min(psize, nbytes - pos)
+        if patch is not None:
+            # The patch carries the page's true length; the base is
+            # zero-padded or truncated to it (see xor_bytes).
+            want = min(want, len(patch))
+        n = min(want, len(base))
+        out[pos:pos + n] = base[:n]
+        if patch is not None:
+            view[pos:pos + want] ^= np.frombuffer(patch, np.uint8, want)
     return bytes(out)

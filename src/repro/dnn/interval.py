@@ -19,6 +19,7 @@ When one operand is exact (radius zero) the bound is exact as well.
 from __future__ import annotations
 
 import contextvars
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,16 +53,44 @@ class Interval:
             raise ValueError("interval lower bound exceeds upper bound")
         return cls(lo, np.maximum(lo, hi))
 
+    @classmethod
+    def tabulate(cls, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+        """A read-only table of intervals for :meth:`gather`: rows
+        ``lo, hi, mid, rad`` of ``from_bounds(lo, hi)`` over 1-d bounds,
+        so the ordering is checked once, here."""
+        table = cls.from_bounds(lo, hi)
+        rows = np.stack([table.lo, table.hi, table.mid, table.rad])
+        rows.flags.writeable = False
+        return rows
+
+    @classmethod
+    def gather(
+        cls, rows: np.ndarray, index: np.ndarray, shape: tuple
+    ) -> "Interval":
+        """The intervals at ``index`` of a :meth:`tabulate` table, shaped
+        ``shape``: one gather yields the bounds with their midpoint and
+        radius, bit for bit what deriving them would give."""
+        lo, hi, mid, rad = (
+            row.reshape(shape) for row in rows.take(index, axis=1)
+        )
+        out = cls(lo, hi)
+        out.__dict__.update(mid=mid, rad=rad)  # the cached properties
+        return out
+
+    def __iter__(self):
+        """Unpack as ``lo, hi``."""
+        return iter((self.lo, self.hi))
+
     @property
     def shape(self) -> tuple:
         return self.lo.shape
 
-    @property
+    @functools.cached_property
     def mid(self) -> np.ndarray:
-        """Interval midpoint."""
+        """Interval midpoint (derived once per interval)."""
         return (self.lo + self.hi) / 2.0
 
-    @property
+    @functools.cached_property
     def rad(self) -> np.ndarray:
         """Interval radius (half-width); always non-negative."""
         return (self.hi - self.lo) / 2.0
@@ -131,11 +160,19 @@ class tight_intervals:
 
 
 def _rump_matmul(x: Interval, w: Interval) -> Interval:
-    """Midpoint-radius bound: cheap (4 products), sound, often loose."""
+    """Midpoint-radius bound: cheap (4 products), sound, often loose.
+
+    An exact ``x`` (zero radius, as at the first layer) skips the two
+    ``xr`` products: for finite weights they are exactly zero, so the
+    bound is bit-identical without them.
+    """
     xc, xr = x.mid, x.rad
     wc, wr = w.mid, w.rad
     center = xc @ wc
-    radius = np.abs(xc) @ wr + xr @ np.abs(wc) + xr @ wr
+    radius = np.abs(xc) @ wr
+    if xr.any():
+        radius += xr @ np.abs(wc)
+        radius += xr @ wr
     return Interval(center - radius, center + radius)
 
 

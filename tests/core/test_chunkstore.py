@@ -17,6 +17,7 @@ from repro.core.chunkstore import (
     MemoryChunkStore,
 )
 from repro.core.storage import BlobStore, resolve_backend
+from repro.core.storage.sqlite import GET_BATCH
 from repro.faults import FaultError, FaultPlan, FaultPoint, inject
 from repro.obs.cost import cost_context
 
@@ -134,6 +135,80 @@ class TestStore:
             2, 2 * size, 1, size, 1, size,
         ]
         assert (cost.bytes_read, cost.chunks_fetched) == (size, 1)
+
+
+class TestGetMany:
+    """``get_many`` is N ``get`` calls read as one: same bytes, same
+    verification, same counters and bill, plus each blob's stored size."""
+
+    def test_keyed_by_address_whatever_the_order_or_repeats(self, store):
+        blobs = [b"alpha" * 30, b"beta" * 30, b"gamma" * 30]
+        shas = store.put_many(blobs)
+        want = {
+            sha: (data, store.stored_size(sha)) for sha, data in zip(shas, blobs)
+        }
+        assert store.get_many(shas) == want
+        assert store.get_many(reversed(shas)) == want
+        assert store.get_many(shas + shas[:2]) == want
+        assert store.get_many(iter(shas[1:])) == {s: want[s] for s in shas[1:]}
+
+    def test_empty_input(self, store):
+        assert store.get_many([]) == {}
+
+    def test_missing_address_raises_before_any_read_is_billed(self, store):
+        sha = store.put(b"present" * 20)
+        gone = "f" * 64
+        before = store.registry.counter("chunkstore.get_calls").value
+        with cost_context() as cost, pytest.raises(KeyError, match=gone):
+            store.get_many([sha, gone])
+        assert store.registry.counter("chunkstore.get_calls").value == before
+        assert (cost.bytes_read, cost.chunks_fetched) == (0, 0)
+
+    def test_corrupt_blob_raises_naming_its_sha(self, store, corrupt_store):
+        good = store.put(b"intact bytes " * 8)
+        bad = store.put(b"bytes that will rot " * 8)
+        corrupt_store(store, bad)
+        with pytest.raises(ChunkIntegrityError, match=bad) as info:
+            store.get_many([good, bad])
+        assert info.value.sha == bad
+
+    def test_counters_and_bill_equal_n_gets(self, store):
+        names = ("get_calls", "get_bytes")
+        shas = store.put_many([bytes([i]) * (50 + i) for i in range(6)])
+
+        def read():
+            return [
+                store.registry.counter(f"chunkstore.{n}").value for n in names
+            ]
+
+        def bill(fetch) -> tuple:
+            before = read()
+            with cost_context() as cost:
+                fetch()
+            delta = [a - b for a, b in zip(read(), before)]
+            return delta, cost.bytes_read, cost.chunks_fetched
+
+        single = bill(lambda: [store.get(sha) for sha in shas])
+        assert bill(lambda: store.get_many(shas)) == single
+
+    def test_more_addresses_than_one_statement_binds(self, store):
+        blobs = [i.to_bytes(2, "big") for i in range(GET_BATCH + 7)]
+        shas = store.put_many(blobs)
+        got = store.get_many(shas)
+        assert [got[sha][0] for sha in shas] == blobs
+
+
+def test_latency_store_charges_one_round_trip_per_get_many(monkeypatch):
+    import repro.core.chunkstore as chunkstore
+
+    sleeps: list[float] = []
+    monkeypatch.setattr(chunkstore.time, "sleep", sleeps.append)
+    store = LatencyStore(MemoryChunkStore(), get_latency=0.25)
+    shas = store.put_many([b"one" * 9, b"two" * 9, b"three" * 9])
+    assert len(store.get_many(shas)) == 3
+    assert (store.get_count, sleeps) == (1, [0.25])
+    store.get(shas[0])
+    assert (store.get_count, sleeps) == (2, [0.25, 0.25])
 
 
 class TestDiskSpecific:

@@ -13,13 +13,16 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.delta import compressed_size
+from repro.core.retrieval import _prefix_interval
 from repro.core.segmentation import (
     NUM_PLANES,
+    _general_bounds,
     assemble_planes,
     bounds_from_prefix,
     prefix_estimate,
     segment_planes,
 )
+from repro.dnn.interval import Interval
 
 float_matrices = hnp.arrays(
     np.float32,
@@ -103,6 +106,81 @@ class TestBounds:
         lo, hi = bounds_from_prefix(planes[:1], m.shape)
         assert np.all(lo <= m) and np.all(m <= hi)
         assert np.all(hi <= 0.0)  # sign bit is in plane 0
+
+
+def _every_two_byte_prefix() -> np.ndarray:
+    """A (256, 256) float32 matrix holding every 2-byte prefix once, in
+    shuffled order, with random low-order bytes."""
+    rng = np.random.default_rng(11)
+    raw = np.empty((65536, NUM_PLANES), dtype=np.uint8)
+    prefixes = rng.permutation(65536).astype(">u2").view(np.uint8)
+    raw[:, :2] = prefixes.reshape(-1, 2)
+    raw[:, 2:] = rng.integers(0, 256, (65536, 2), dtype=np.uint8)
+    return raw.reshape(-1).view(">f4").astype(np.float32).reshape(256, 256)
+
+
+class TestPrefixTables:
+    """One and two planes look bounds up in a table built by the general
+    rule; the values must be the general rule's, bit for bit."""
+
+    #: Named corners of the float32 bit space, as (plane 0, plane 1):
+    #: +0 / -0, subnormals, the largest finite exponent, and saturated
+    #: exponents whose fills are infinities or NaN patterns.
+    CORNERS = (
+        (0x00, 0x00), (0x80, 0x00), (0x00, 0x01), (0x80, 0x7F),
+        (0x7F, 0x7F), (0xFF, 0x7F), (0x7F, 0x80), (0xFF, 0x80),
+        (0x7F, 0xC0), (0xFF, 0xFF),
+    )
+
+    @staticmethod
+    def _assert_general(m: np.ndarray, k: int) -> None:
+        """``bounds_from_prefix`` and the interval an archive reads are
+        the general rule's, and its midpoint and radius are what
+        :class:`Interval` derives from them."""
+        planes = segment_planes(m)[:k]
+        with np.errstate(invalid="ignore"):
+            want_lo, want_hi = _general_bounds(planes, m.shape)
+            want = Interval.from_bounds(
+                want_lo.astype(np.float64), want_hi.astype(np.float64)
+            )
+            lo, hi = bounds_from_prefix(planes, m.shape)
+            got = _prefix_interval(planes, m.shape)
+        assert lo.dtype == hi.dtype == np.float32 and lo.shape == m.shape
+        assert np.array_equal(lo.view(np.uint32), want_lo.view(np.uint32))
+        assert np.array_equal(hi.view(np.uint32), want_hi.view(np.uint32))
+        assert got.shape == m.shape
+        for name in ("lo", "hi", "mid", "rad"):
+            g, w = getattr(got, name), getattr(want, name)
+            assert g.dtype == np.float64
+            assert np.array_equal(g.view(np.uint64), w.view(np.uint64)), name
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_table_equals_general_rule_for_every_prefix(self, k):
+        self._assert_general(_every_two_byte_prefix(), k)
+
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_corner_prefixes(self, k):
+        raw = np.array(
+            [[a, b, 0x5A, 0xA5] for a, b in self.CORNERS], dtype=np.uint8
+        )
+        self._assert_general(raw.reshape(-1).view(">f4").astype(np.float32), k)
+
+    @pytest.mark.parametrize("scale", [1e-40, 1e-3, 1.0, 1e30])
+    def test_bounds_contain_random_matrices(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale) + 50))
+        m = (rng.standard_normal((37, 53)) * scale).astype(np.float32)
+        planes = segment_planes(m)
+        for k in (1, 2, 3):
+            for lo, hi in (
+                bounds_from_prefix(planes[:k], m.shape),
+                _prefix_interval(planes[:k], m.shape),
+            ):
+                assert lo.shape == hi.shape == m.shape
+                assert np.all(lo <= m) and np.all(m <= hi)
+
+    def test_wrong_plane_size_rejected(self):
+        with pytest.raises(ValueError, match="plane 1 holds 3 bytes"):
+            bounds_from_prefix([b"\x00" * 4, b"\x00" * 3], (4,))
 
 
 class TestPrefixEstimate:

@@ -20,11 +20,13 @@ from repro.dedup import (
     split_pages,
     xor_bytes,
 )
+from repro.core.progressive import ProgressiveEvaluator
 from repro.dlv.cli import main as dlv_main
 from repro.dlv.fsck import run_fsck
 from repro.dlv.repository import Repository
 from repro.dnn.zoo import tiny_mlp
 from repro.obs.cost import cost_context
+from repro.obs.metrics import MetricsRegistry
 from repro.serve.cache import PlaneCache
 from tests.conftest import STORE_BACKENDS
 
@@ -125,6 +127,27 @@ class TestPages:
         assert lost == ["gone", "gone2"]
         with pytest.raises(KeyError):
             decode_plane(manifest, {}.__getitem__)
+
+    @pytest.mark.parametrize("lost", ["base", "patch"])
+    def test_decode_plane_reports_the_page_that_failed(self, lost):
+        """A lost base is reported as the base, not as its (readable)
+        patch; only that page zero-fills."""
+        base, other = bytes(range(4)), bytes(range(4, 8))
+        patch = xor_bytes(b"\x09\x08\x07\x06", base)
+        blobs = {"B": base, "P": patch, "O": other}
+        gone = {"base": "B", "patch": "P"}[lost]
+        del blobs[gone]
+        manifest = {
+            "psize": 4, "nbytes": 8, "sha": "x",
+            "pages": [["B", "P"], ["O", None]],
+        }
+        reported = []
+        out = decode_plane(
+            manifest, blobs.__getitem__, missing_ok=True,
+            on_missing=lambda sha, exc: reported.append((sha, exc.args[0])),
+        )
+        assert out == b"\x00" * 4 + other
+        assert reported == [(gone, gone)]
 
 
 class TestSketchIndex:
@@ -371,6 +394,101 @@ def test_paged_reads_bill_like_direct_reads(make_repo_target):
     assert paged.planes_fetched == direct.planes_fetched
     assert paged.bytes_read > 0
     assert sum(paged.by_plane.values()) > 0
+    repo.close()
+
+
+def _archived_family(make_repo_target, backend: str = "sqlite"):
+    repo = Repository.init(make_repo_target(backend))
+    _commit_family(repo, n=4)
+    repo.archive(alpha=4.0, dedup=True)
+    return repo
+
+
+def _private_cache() -> PlaneCache:
+    """A cache whose counters no other test shares."""
+    return PlaneCache(8 << 20, registry=MetricsRegistry())
+
+
+def test_cold_bounded_request_bills_golden_numbers(make_repo_target):
+    """One ``get_many`` per missed plane bills what a ``get`` per page
+    did: numbers taken before reads were batched."""
+    repo = _archived_family(make_repo_target)
+    version = repo.resolve("fam-2")
+    net = repo.load_network(version, 0)
+    evaluator = ProgressiveEvaluator(
+        net, repo.archive_view(plane_cache=_private_cache()),
+        version.snapshots[0].key,
+    )
+    x = np.random.default_rng(0).standard_normal(
+        (8,) + net.input_shape
+    ).astype(np.float32)
+    bills = []
+    for planes in (1, 2):
+        with cost_context() as bill:
+            evaluator.evaluate_bounded(x, planes)
+        bills.append((
+            bill.bytes_read, bill.chunks_fetched, bill.planes_fetched,
+            bill.by_plane,
+        ))
+    assert bills == [
+        (4388, 8, 4, {0: 1101}),
+        (4388, 8, 8, {0: 1101, 1: 2797}),
+    ]
+    repo.close()
+
+
+def test_one_read_statement_per_missed_paged_plane(make_repo_target):
+    repo = _archived_family(make_repo_target)
+    archive = repo.archive_view(plane_cache=_private_cache())
+    paged = [e for e in archive.manifest.values() if e.kind == "pages"]
+    assert paged
+    misses = {
+        archive.plane_address(entry, i) for entry in paged for i in range(4)
+    }
+    statements: list[str] = []
+    # The owning thread reads through the writer connection.
+    conn = repo.backend._writer
+    conn.set_trace_callback(statements.append)
+    try:
+        for entry in paged:
+            archive.recreate_matrix(entry.matrix_id)
+    finally:
+        conn.set_trace_callback(None)
+    reads = [sql for sql in statements if "FROM store_blob" in sql]
+    assert len(reads) == len(misses)
+    assert all(" IN (" in sql for sql in reads)
+    repo.close()
+
+
+@pytest.mark.parametrize("backend", ["local-fs", "sqlite"])
+@pytest.mark.parametrize("lost", ["base", "patch"])
+def test_lost_page_is_reported_under_its_own_address(
+    make_repo_target, backend, lost
+):
+    """A lost page of a patched pair takes the recovery path: the event
+    names the blob that is gone, and only its page zero-fills."""
+    repo = _archived_family(make_repo_target, backend)
+    archive = repo.archive_view()
+    entry, index, pages = next(
+        (entry, index, manifest["pages"])
+        for entry in archive.manifest.values() if entry.kind == "pages"
+        for index, manifest in sorted(entry.pages.items())
+        if index >= archive.replicate_planes
+        and any(patch for _base, patch in manifest["pages"])
+    )
+    intact, _nbytes = archive._read_plane(entry, index)
+    base, patch = next(pair for pair in pages if pair[1])
+    gone = base if lost == "base" else patch
+    assert repo.pages.delete(gone)
+
+    data, _nbytes = archive._fetch_plane(entry, index)
+    events = archive.recovery.events
+    assert {(e.sha, e.action) for e in events} == {(gone, "zero-fill")}
+    psize = entry.pages[index]["psize"]
+    for i, pair in enumerate(pages):
+        page = slice(i * psize, (i + 1) * psize)
+        want = bytes(len(intact[page])) if gone in pair else intact[page]
+        assert data[page] == want
     repo.close()
 
 

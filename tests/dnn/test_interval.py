@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.segmentation import bounds_from_prefix, segment_planes
+from repro.dnn import interval as interval_module
 from repro.dnn.interval import (
     Interval,
     argmax_determined,
@@ -24,6 +26,7 @@ from repro.dnn.interval import (
     tight_intervals,
 )
 from repro.dnn.layers import Conv2D, Dense, MaxPool2D, Softmax
+from repro.dnn.zoo import MODEL_FACTORIES, build_model
 
 finite = st.floats(-10, 10, allow_nan=False, width=32)
 
@@ -296,3 +299,42 @@ class TestArgmaxDetermined:
             sample = lo + (hi - lo) * rng.random(lo.shape)
             concrete = np.argmax(sample, axis=1)
             assert np.all(concrete[determined] == labels[determined])
+
+
+def _full_rump_matmul(x: Interval, w: Interval) -> Interval:
+    """The midpoint-radius product with all three radius terms, always."""
+    xc, xr = x.mid, x.rad
+    wc, wr = w.mid, w.rad
+    center = xc @ wc
+    radius = np.abs(xc) @ wr + xr @ np.abs(wc) + xr @ wr
+    return Interval(center - radius, center + radius)
+
+
+@pytest.mark.parametrize("name", sorted(MODEL_FACTORIES))
+@pytest.mark.parametrize("planes", [1, 2])
+def test_zero_radius_skip_keeps_zoo_logits_bit_identical(
+    name, planes, monkeypatch
+):
+    """An exact input skips the ``xr`` products; every zoo model's logit
+    interval is bit for bit what the three-term product gives."""
+    net = build_model(name, seed=0)
+    sink = net.output_name
+    logits = net.predecessor(sink) if net[sink].kind == "SOFTMAX" else sink
+    bounds = {
+        layer: {
+            key: Interval.from_bounds(
+                *bounds_from_prefix(segment_planes(value)[:planes], value.shape)
+            )
+            for key, value in params.items()
+        }
+        for layer, params in net.get_weights().items()
+    }
+    x = np.random.default_rng(3).standard_normal(
+        (4,) + net.input_shape
+    ).astype(np.float32)
+    with np.errstate(all="ignore"):
+        fast = net.forward_interval(x, bounds, upto=logits)
+        monkeypatch.setattr(interval_module, "_rump_matmul", _full_rump_matmul)
+        full = net.forward_interval(x, bounds, upto=logits)
+    for got, want in ((fast.lo, full.lo), (fast.hi, full.hi)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
