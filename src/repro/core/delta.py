@@ -5,9 +5,14 @@ parameters, so storing a *difference* from an already-stored matrix often
 compresses far better than storing the matrix outright (Sec. IV-B).  Two
 delta operators are supported:
 
-* ``sub`` — arithmetic subtraction (float32), the consistently better
-  operator in the paper's Fig. 6(b);
-* ``xor`` — bitwise XOR of the IEEE 754 bit patterns.
+* ``xor`` — bitwise XOR of the IEEE 754 bit patterns.  It is the only
+  delta the repository writes: it is bit-exact, and it works byte by byte,
+  so the leading byte planes of a delta chain's target are the XOR of the
+  chain's leading planes;
+* ``sub`` — arithmetic subtraction (float32), the better operator in the
+  paper's Fig. 6(b).  It stays as the Sec. V measurement operator, and so
+  that ``sub`` payloads already stored read back; ``base + (target -
+  base)`` can land 1 ulp off ``target``, so nothing writes it any more.
 
 The module also implements the *normalization* transform evaluated in
 Table IV (adding a large constant so that radixes and signs align before
@@ -66,19 +71,20 @@ def apply_delta(base: np.ndarray, delta: np.ndarray, kind: str) -> np.ndarray:
 
 
 def embed_like(base: np.ndarray, shape: tuple) -> np.ndarray:
-    """Crop or zero-pad ``base`` per axis to match ``shape``.
+    """Crop or zero-pad ``base`` per axis to match ``shape``, keeping its
+    dtype (a float matrix, or one byte plane of it).
 
     This is the paper's footnote-3 device for delta functions between
     matrices with different dimensions (e.g. a classifier layer re-sized
     for a new label space during fine-tuning): the overlapping region
     differences against the base, the remainder against zero.
     """
-    base = np.asarray(base, dtype=np.float32)
+    base = np.asarray(base)
     if base.ndim != len(shape):
         raise ValueError(
             f"rank mismatch: base is {base.ndim}-d, target shape {shape}"
         )
-    out = np.zeros(shape, dtype=np.float32)
+    out = np.zeros(shape, dtype=base.dtype)
     overlap = tuple(
         slice(0, min(b, t)) for b, t in zip(base.shape, shape)
     )
@@ -92,13 +98,6 @@ def delta_sub_mismatched(target: np.ndarray, base: np.ndarray) -> np.ndarray:
         np.asarray(target, dtype=np.float32),
         embed_like(base, np.asarray(target).shape),
     )
-
-
-def apply_delta_mismatched(
-    base: np.ndarray, delta: np.ndarray, kind: str = "sub"
-) -> np.ndarray:
-    """Recreate a matrix whose base has a different shape."""
-    return apply_delta(embed_like(base, np.asarray(delta).shape), delta, kind)
 
 
 def normalization_offset(matrix: np.ndarray) -> float:

@@ -33,12 +33,7 @@ from repro.obs.metrics import counter, histogram
 from repro.obs.tracing import trace_span
 
 from repro.core.chunkstore import current_batch
-from repro.core.delta import (
-    apply_delta,
-    delta_sub_mismatched,
-    delta_xor,
-    embed_like,
-)
+from repro.core.delta import apply_delta, delta_xor, embed_like
 from repro.dedup.pages import decode_plane as _decode_paged_plane
 from repro.dedup.pages import manifest_shas as _manifest_shas
 from repro.core.segmentation import (
@@ -86,14 +81,12 @@ def payload_planes(
     kind: str = "materialize",
 ) -> list[bytes]:
     """The payload encoder: the byte planes stored for one matrix — the
-    matrix itself (``materialize`` / ``pages``) or its ``sub`` / ``xor``
-    delta against ``base``, crop/pad-embedded when the shapes differ
+    matrix itself (``materialize`` / ``pages``) or its ``xor`` delta
+    against ``base``, crop/pad-embedded when the shapes differ
     (footnote 3).  An edge is priced (:meth:`PlanArchive.payload_cost`)
     and written (:meth:`PlanArchive.write_payload`) from these planes."""
     target = np.asarray(target, dtype=np.float32)
-    if kind == "sub":
-        target = delta_sub_mismatched(target, base)
-    elif kind == "xor":
+    if kind == "xor":
         target = delta_xor(target, embed_like(base, target.shape)).view("<f4")
     return segment_planes(target)
 
@@ -223,7 +216,7 @@ class _StoredPayload:
 
     matrix_id: str
     parent: str
-    kind: str  # "materialize" | "sub" | "xor" | "pages"
+    kind: str  # "materialize" | "xor" | "pages"; "sub" is read-only
     shape: tuple
     chunk_ids: list[str] = field(default_factory=list)
     pages: Optional[dict[int, dict]] = None
@@ -304,7 +297,6 @@ class PlanArchive:
         store,
         matrices: dict[str, np.ndarray],
         plan: StoragePlan,
-        delta_kind: str = "sub",
         **tiers,
     ) -> "PlanArchive":
         """Archive ``matrices`` according to ``plan``.
@@ -314,9 +306,9 @@ class PlanArchive:
                 in-memory variant).
             matrices: ``matrix_id -> float32 array`` for every matrix the
                 plan covers.
-            plan: The storage plan to follow; every non-root edge becomes a
-                delta of kind ``delta_kind``.
-            delta_kind: ``"sub"`` or ``"xor"``.
+            plan: The storage plan to follow; every root edge is
+                materialized (or page-encoded), every other edge becomes an
+                ``xor`` delta.
             **tiers: The constructor's tier arguments (see class docs) —
                 ``low_order_store`` / ``offload_from`` (remote tier for
                 the low-order planes), ``replica_store`` (redundancy
@@ -342,7 +334,7 @@ class PlanArchive:
                     continue
                 kind = plan.parent_edge[matrix_id].kind
                 if kind != "pages":
-                    kind = "materialize" if parent == ROOT else delta_kind
+                    kind = "materialize" if parent == ROOT else "xor"
                 archive.write_payload(
                     matrix_id,
                     np.shape(matrices[matrix_id]),
@@ -840,41 +832,40 @@ class PlanArchive:
         as an :class:`~repro.dnn.interval.Interval` (it unpacks as
         ``lo, hi``).
 
-        Bounds compose along the delta chain by interval addition, so this
-        is only supported for ``sub`` (and materialize) payloads; XOR
-        deltas do not admit monotone bounds.  A chain of one payload at
-        one or two planes is one table lookup per weight.
+        XOR works byte by byte: the chain's planes XORed root-first
+        (crop/pad-embedded as shapes change) are the target's own
+        leading planes, which one :func:`bounds_from_prefix` bounds.  A
+        one-payload chain at one or two planes is one table lookup per
+        weight.  A chain holding a ``sub`` payload (older repositories)
+        is read in full, to the zero-width interval of its recreation.
         """
         chain = self.chain(matrix_id)
-        for entry in chain:
-            if entry.kind == "xor":
-                raise ValueError(
-                    "interval retrieval requires sub deltas; "
-                    f"{entry.matrix_id!r} is stored as XOR"
-                )
-        lo_total: Optional[np.ndarray] = None
-        hi_total: Optional[np.ndarray] = None
+        if any(entry.kind == "sub" for entry in chain):
+            planes = NUM_PLANES
+        prefix = None
         for entry in reversed(chain):
-            prefix = []
+            fetched = []
             for i in range(planes):
                 data, _nbytes = self._fetch_plane(entry, i)
                 if data is None:  # degraded zero-fill has no bounds
                     raise KeyError(
                         f"plane {i} of {entry.matrix_id!r} is unreadable"
                     )
-                prefix.append(data)
-            bounds = _prefix_interval(prefix, entry.shape)
-            if len(chain) == 1:
-                return bounds
-            lo, hi = bounds
-            if lo_total is None:
-                lo_total, hi_total = lo, hi
+                fetched.append(data)
+            if prefix is None:
+                prefix = fetched
+            elif entry.kind == "sub":
+                prefix = segment_planes(apply_delta(
+                    embed_like(assemble_planes(prefix, shape), entry.shape),
+                    assemble_planes(fetched, entry.shape), "sub",
+                ))
             else:
-                if lo_total.shape != lo.shape:
-                    # Mismatched-dimension delta: embed bounds (zero-padded
-                    # positions are exact zeros, so embedding is exact).
-                    lo_total = embed_like(lo_total, lo.shape).astype(np.float64)
-                    hi_total = embed_like(hi_total, hi.shape).astype(np.float64)
-                lo_total = lo_total + lo
-                hi_total = hi_total + hi
-        return Interval.from_bounds(lo_total, hi_total)
+                prefix = [
+                    embed_like(
+                        np.frombuffer(known, np.uint8).reshape(shape),
+                        entry.shape,
+                    ) ^ np.frombuffer(delta, np.uint8).reshape(entry.shape)
+                    for known, delta in zip(prefix, fetched)
+                ]
+            shape = entry.shape
+        return _prefix_interval(prefix, shape)

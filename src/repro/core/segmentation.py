@@ -73,8 +73,12 @@ def _general_bounds(
     """Float32 bounds from any 1..3-plane prefix, element by element."""
     zeros_fill = _patterns_from_prefix(planes, shape, 0x00)
     ones_fill = _patterns_from_prefix(planes, shape, 0xFF)
-    ones_fill = np.nan_to_num(
-        ones_fill, nan=_FLOAT32_MAX, posinf=_FLOAT32_MAX, neginf=-_FLOAT32_MAX
+    # A saturated exponent fills to NaN: the finite completions end at
+    # the float32 limit on the prefix's own side of zero.
+    ones_fill = np.where(
+        np.isnan(ones_fill),
+        np.where(np.signbit(ones_fill), -_FLOAT32_MAX, _FLOAT32_MAX),
+        ones_fill,
     )
     lo = np.minimum(zeros_fill, ones_fill).reshape(shape)
     hi = np.maximum(zeros_fill, ones_fill).reshape(shape)
@@ -123,8 +127,8 @@ def bounds_from_prefix(
     ``0x00..0xFF``.  The two extreme bit patterns (all-zero fill and
     all-ones fill) bound the value: for non-negative floats a larger
     unsigned pattern is a larger value; for negative floats the ordering
-    flips.  Non-finite extremes (possible only when the known exponent bits
-    are saturated) are clamped to the float32 range.
+    flips.  A non-finite extreme (possible only when the known exponent
+    bits are saturated) is clamped to the float32 limit of its sign.
 
     With one or two planes every element's bounds are one lookup in
     :func:`prefix_table`, built once by the same rule.

@@ -724,7 +724,7 @@ class Repository:
                     StorageEdge(
                         row_b["matrix_id"],
                         row_a["matrix_id"],
-                        archive.payload_cost(a, b, "sub"),
+                        archive.payload_cost(a, b, "xor"),
                         a.nbytes * recreation_unit,
                         kind="delta",
                     )

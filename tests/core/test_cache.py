@@ -35,10 +35,6 @@ from repro.obs.metrics import MetricsRegistry
 from repro.serve import BatchScheduler, ModelRuntime, PlaneCache, ServeConfig
 from tests.conftest import STORE_BACKENDS
 
-#: The tolerance tier-1 uses for ``sub`` delta chains (float32 ``sub`` is
-#: not bit-exact yet).
-RTOL, ATOL = 1e-6, 1e-7
-
 
 def _perturb(net, seed):
     """A sparse perturbation of ``net`` — a fine-tuned sibling."""
@@ -56,7 +52,7 @@ def _perturb(net, seed):
 
 
 def _commit_family(repo):
-    """A base, a fine-tuned child (lineage: ``sub`` chains once archived)
+    """A base, a fine-tuned child (lineage: ``xor`` chains once archived)
     and a sibling without lineage (``--dedup`` pages); returns the
     committed weights per version id."""
     base = tiny_mlp(hidden=32).build(seed=0)
@@ -81,12 +77,10 @@ def _assert_same_bytes(got, reference):
             )
 
 
-def _assert_close(got, committed):
+def _assert_committed(got, committed):
     for layer, params in committed.items():
         for param, value in params.items():
-            np.testing.assert_allclose(
-                got[layer][param], value, rtol=RTOL, atol=ATOL
-            )
+            np.testing.assert_array_equal(got[layer][param], value)
 
 
 @pytest.mark.parametrize("scheme", list(RetrievalScheme))
@@ -101,11 +95,11 @@ def test_every_reader_returns_the_same_bytes(
         repo.archive(alpha=4.0, dedup=layout == "dedup")
     archive = repo.archive_view()
     kinds = {entry.kind for entry in archive.manifest.values()}
-    assert {"archived": "sub", "dedup": "pages"}.get(layout, "materialize") in kinds
+    assert {"archived": "xor", "dedup": "pages"}.get(layout, "materialize") in kinds
     for version in repo.list_versions():
         key = version.snapshots[-1].key
         reference = repo.get_snapshot_weights(version)
-        _assert_close(reference, committed[version.id])
+        _assert_committed(reference, committed[version.id])
         evaluator = ProgressiveEvaluator(
             Network.from_spec(version.network).build(0), archive, key
         )

@@ -8,7 +8,6 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.delta import (
     apply_delta,
-    apply_delta_mismatched,
     compressed_size,
     delta_sub,
     delta_sub_mismatched,
@@ -128,6 +127,12 @@ class TestMismatchedShapes:
         assert out.shape == (4, 3)
         assert out.sum() == 6.0  # 2x3 overlap
 
+    def test_embed_keeps_the_dtype(self):
+        plane = np.full((2, 2), 0xAB, dtype=np.uint8)
+        out = embed_like(plane, (3, 1))
+        assert out.dtype == np.uint8
+        np.testing.assert_array_equal(out, [[0xAB], [0xAB], [0]])
+
     def test_rank_mismatch_rejected(self):
         with pytest.raises(ValueError, match="rank"):
             embed_like(np.zeros((2, 2), np.float32), (2, 2, 2))
@@ -137,10 +142,10 @@ class TestMismatchedShapes:
         rng = np.random.default_rng(0)
         base = rng.standard_normal((4, 4)).astype(np.float32)
         target = rng.standard_normal(target_shape).astype(np.float32)
-        delta = delta_sub_mismatched(target, base)
+        embedded = embed_like(base, target_shape)
+        delta = delta_xor(target, embedded)
         assert delta.shape == target_shape
-        back = apply_delta_mismatched(base, delta, "sub")
-        np.testing.assert_allclose(back, target, rtol=1e-6, atol=1e-6)
+        np.testing.assert_array_equal(apply_delta(embedded, delta, "xor"), target)
 
     def test_grown_classifier_delta_compresses(self):
         """A classifier grown for extra labels deltas well against its base."""

@@ -1,9 +1,9 @@
 """End-to-end PAS pipeline properties over random matrices and plans.
 
 For arbitrary float matrices arranged in arbitrary delta chains: archival
-followed by recreation must be exact (float32), partial reads must stay
-within segment error bounds, and interval retrieval must contain the true
-values — the full storage pipeline, not just its pieces.
+followed by recreation must be bit-exact, and interval retrieval must be
+the target's own prefix bounds, containing the true values with no slack
+— the full storage pipeline, not just its pieces.
 """
 
 import numpy as np
@@ -13,8 +13,11 @@ from hypothesis.extra import numpy as hnp
 
 from repro.core.archival import minimum_spanning_tree
 from repro.core.chunkstore import MemoryChunkStore
+from repro.core.delta import delta_sub_mismatched
 from repro.core.retrieval import PlanArchive
+from repro.core.segmentation import bounds_from_prefix, segment_planes
 from repro.core.storage_graph import (
+    ROOT,
     MatrixRef,
     MatrixStorageGraph,
     StorageEdge,
@@ -29,7 +32,7 @@ matrix_strategy = hnp.arrays(
 chain_strategy = st.lists(matrix_strategy, min_size=2, max_size=5)
 
 
-def build_chain_archive(chain, delta_kind="sub"):
+def build_chain_archive(chain):
     """Archive a list of same-or-different-shape matrices as a delta chain."""
     graph = MatrixStorageGraph()
     matrices = {}
@@ -45,28 +48,42 @@ def build_chain_archive(chain, delta_kind="sub"):
             graph.add_edge(StorageEdge(previous, matrix_id, 1.0, 1.0))
         previous = matrix_id
     plan = minimum_spanning_tree(graph)
-    archive = PlanArchive.build(
-        MemoryChunkStore(), matrices, plan, delta_kind=delta_kind
-    )
+    archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
     return archive, matrices
 
 
 class TestPipelineExactness:
     @settings(max_examples=40, deadline=None)
-    @given(chain_strategy)
-    def test_sub_chain_recreates_within_float32(self, chain):
-        archive, matrices = build_chain_archive(chain, "sub")
-        for matrix_id, expected in matrices.items():
-            recreated = archive.recreate_matrix(matrix_id)
+    @given(chain_strategy, st.integers(1, 3))
+    def test_sub_chain_recreates_within_float32(self, chain, planes):
+        """Legacy ``sub`` payloads, hand-written as older repositories
+        stored them, recreate within float32 rounding, and their bounds
+        contain the recreation."""
+        archive = PlanArchive(MemoryChunkStore())
+        parent = ROOT
+        for index, matrix in enumerate(chain):
+            payload = matrix if parent == ROOT else delta_sub_mismatched(
+                matrix, chain[index - 1]
+            )
+            archive.write_payload(
+                f"m{index}", matrix.shape, segment_planes(payload), parent,
+                "materialize" if parent == ROOT else "sub",
+            )
+            parent = f"m{index}"
+        for index, expected in enumerate(chain):
             # float32 addition error accumulates along the chain.
             np.testing.assert_allclose(
-                recreated, expected, rtol=1e-4, atol=1e-3
+                archive.recreate_matrix(f"m{index}"), expected,
+                rtol=1e-4, atol=1e-3,
             )
+        value = archive.recreate_matrix(parent)
+        lo, hi = archive.matrix_bounds(parent, planes)
+        assert np.all(lo <= value) and np.all(value <= hi)
 
     @settings(max_examples=40, deadline=None)
     @given(chain_strategy)
     def test_xor_chain_recreates_bit_exact(self, chain):
-        archive, matrices = build_chain_archive(chain, "xor")
+        archive, matrices = build_chain_archive(chain)
         for matrix_id, expected in matrices.items():
             np.testing.assert_array_equal(
                 archive.recreate_matrix(matrix_id), expected
@@ -75,14 +92,20 @@ class TestPipelineExactness:
     @settings(max_examples=30, deadline=None)
     @given(chain_strategy, st.integers(1, 3))
     def test_bounds_contain_truth_along_chain(self, chain, planes):
-        archive, matrices = build_chain_archive(chain, "sub")
+        """A chain's leading planes are its target's own: the bounds are
+        ``bounds_from_prefix`` of the target's planes bit for bit, and
+        contain the committed matrix with no slack."""
+        archive, matrices = build_chain_archive(chain)
         last = f"m{len(chain) - 1}"
-        lo, hi = archive.matrix_bounds(last, planes)
-        # Bounds compose by interval addition; allow chain-length rounding.
-        slack = 1e-3 * len(chain)
-        value = archive.recreate_matrix(last)
-        assert np.all(lo <= value + slack)
-        assert np.all(value <= hi + slack)
+        target = matrices[last]
+        got = archive.matrix_bounds(last, planes)
+        want = bounds_from_prefix(segment_planes(target)[:planes], target.shape)
+        for g, w in zip(got, want):
+            assert g.shape == target.shape
+            assert np.array_equal(
+                g.view(np.uint64), w.astype(np.float64).view(np.uint64)
+            )
+        assert np.all(got.lo <= target) and np.all(target <= got.hi)
 
     @settings(max_examples=30, deadline=None)
     @given(chain_strategy)

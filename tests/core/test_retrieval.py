@@ -5,8 +5,9 @@ import pytest
 
 from repro.core.archival import minimum_spanning_tree
 from repro.core.chunkstore import MemoryChunkStore
-from repro.core.delta import delta_sub
+from repro.core.delta import delta_xor, embed_like
 from repro.core.retrieval import PlanArchive
+from repro.core.segmentation import bounds_from_prefix, segment_planes
 from repro.core.storage_graph import (
     MatrixRef,
     MatrixStorageGraph,
@@ -49,9 +50,7 @@ class TestBuildAndRecreate:
         matrices, _, plan = snapshot_chain
         archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
         for mid, expected in matrices.items():
-            np.testing.assert_allclose(
-                archive.recreate_matrix(mid), expected, rtol=1e-6, atol=1e-7
-            )
+            np.testing.assert_array_equal(archive.recreate_matrix(mid), expected)
 
     def test_snapshot_recreation_all_schemes_agree(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
@@ -69,9 +68,9 @@ class TestBuildAndRecreate:
 
     def test_xor_deltas_exact(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(
-            MemoryChunkStore(), matrices, plan, delta_kind="xor"
-        )
+        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        kinds = {entry.kind for entry in archive.manifest.values()}
+        assert kinds == {"materialize", "xor"}
         for mid, expected in matrices.items():
             np.testing.assert_array_equal(
                 archive.recreate_matrix(mid), expected
@@ -144,18 +143,18 @@ class TestIntervalRetrieval:
         lo2, hi2 = archive.matrix_bounds("s2/a", 2)
         assert (hi2 - lo2).max() <= (hi1 - lo1).max() + 1e-12
 
-    def test_xor_archive_rejects_bounds(self, snapshot_chain):
+    @pytest.mark.parametrize("planes", [1, 2, 3, 4])
+    def test_xor_chain_bounds_are_the_targets_prefix_bounds(
+        self, snapshot_chain, planes
+    ):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(
-            MemoryChunkStore(), matrices, plan, delta_kind="xor"
-        )
-        # Root-materialized matrices still work; delta chains do not.
-        delta_stored = [
-            mid for mid, e in archive.manifest.items() if e.kind == "xor"
-        ]
-        assert delta_stored, "fixture should store some XOR deltas"
-        with pytest.raises(ValueError, match="XOR"):
-            archive.matrix_bounds(delta_stored[0], 2)
+        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        assert len(archive.chain("s2/a")) == 3
+        value = matrices["s2/a"]
+        got = archive.matrix_bounds("s2/a", planes)
+        want = bounds_from_prefix(segment_planes(value)[:planes], value.shape)
+        for g, w in zip(got, want):
+            np.testing.assert_array_equal(g, w)
 
 
 class TestStorageAccounting:
@@ -181,7 +180,7 @@ class TestStorageAccounting:
 class TestMismatchedShapeChains:
     """Archival across a dimension change (fine-tune with a new label space)."""
 
-    def _build(self, delta_kind="sub"):
+    def _build(self):
         rng = np.random.default_rng(3)
         base = (rng.standard_normal((32, 10)) * 0.1).astype(np.float32)
         grown = np.zeros((32, 12), dtype=np.float32)
@@ -195,42 +194,38 @@ class TestMismatchedShapeChains:
         graph.add_materialization("s1/fc", grown.nbytes * 10, 1.0)
         graph.add_edge(StorageEdge("s0/fc", "s1/fc", 8, 1.0))
         plan = minimum_spanning_tree(graph)
-        archive = PlanArchive.build(
-            MemoryChunkStore(), matrices, plan, delta_kind=delta_kind
-        )
+        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
         return matrices, plan, archive
 
     def test_plan_uses_mismatched_delta(self):
         _, plan, archive = self._build()
-        assert archive.manifest["s1/fc"].kind == "sub"
+        assert archive.manifest["s1/fc"].kind == "xor"
         assert archive.manifest["s1/fc"].parent == "s0/fc"
 
-    @pytest.mark.parametrize("delta_kind", ["sub", "xor"])
-    def test_recreation_exact_across_shapes(self, delta_kind):
-        matrices, _, archive = self._build(delta_kind)
+    def test_recreation_exact_across_shapes(self):
+        matrices, _, archive = self._build()
         for mid, expected in matrices.items():
-            np.testing.assert_allclose(
-                archive.recreate_matrix(mid), expected, rtol=1e-6, atol=1e-7
-            )
+            np.testing.assert_array_equal(archive.recreate_matrix(mid), expected)
 
     def test_bounds_across_shapes(self):
         matrices, _, archive = self._build()
         lo, hi = archive.matrix_bounds("s1/fc", 2)
         value = matrices["s1/fc"]
         assert lo.shape == value.shape
-        assert np.all(lo <= value + 1e-6) and np.all(value <= hi + 1e-6)
+        assert np.all(lo <= value) and np.all(value <= hi)
 
 
 class TestDeltaConsistency:
     def test_stored_delta_matches_manual(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
         archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
-        for mid, entry in archive.manifest.items():
-            if entry.kind != "sub":
-                continue
-            parent_value = matrices[entry.parent]
-            expected_delta = delta_sub(matrices[mid], parent_value)
-            payload, _ = archive._read_payload(mid, planes=4)
-            np.testing.assert_allclose(
-                payload, expected_delta, rtol=1e-6, atol=1e-7
+        deltas = {
+            mid: e for mid, e in archive.manifest.items() if e.kind == "xor"
+        }
+        assert deltas, "fixture should store some XOR deltas"
+        for mid, entry in deltas.items():
+            expected_delta = delta_xor(
+                matrices[mid], embed_like(matrices[entry.parent], entry.shape)
             )
+            payload, _ = archive._read_payload(mid, planes=4)
+            np.testing.assert_array_equal(payload.view("<u4"), expected_delta)

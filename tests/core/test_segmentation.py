@@ -100,6 +100,33 @@ class TestBounds:
         with pytest.raises(ValueError):
             bounds_from_prefix([], m.shape)
 
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_every_prefix_bounds_its_finite_completions(self, k):
+        """All 256 one-plane and 65,536 two-plane prefixes: every finite
+        completion — low bytes all ``0x00``, all ``0xFF`` or random —
+        lies in the prefix's bounds, negative saturated exponents too."""
+        count = 256 ** k
+        codes = np.arange(count, dtype=">u2").view(np.uint8).reshape(-1, 2)
+        codes = codes[:, 2 - k:]
+        prefix = [codes[:, i].tobytes() for i in range(k)]
+        bounds = (
+            bounds_from_prefix(prefix, (count,)),
+            _prefix_interval(prefix, (count,)),
+        )
+        rng = np.random.default_rng(7)
+        fills = [np.full((count, NUM_PLANES - k), b, np.uint8) for b in (0, 255)]
+        fills += [
+            rng.integers(0, 256, (count, NUM_PLANES - k), dtype=np.uint8)
+            for _ in range(4)
+        ]
+        for fill in fills:
+            value = np.concatenate([codes, fill], axis=1).reshape(-1)
+            value = value.view(">f4").astype(np.float32)
+            finite = np.isfinite(value)
+            for lo, hi in bounds:
+                assert np.all(lo[finite] <= value[finite])
+                assert np.all(value[finite] <= hi[finite])
+
     def test_negative_values_ordered_correctly(self):
         m = np.array([-1.5, -0.001, -123.0], dtype=np.float32)
         planes = segment_planes(m)

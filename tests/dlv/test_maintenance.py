@@ -51,9 +51,8 @@ class TestPrune:
         actual = repo.get_snapshot_weights(version, -1)
         for layer in expected:
             for key in expected[layer]:
-                np.testing.assert_allclose(
-                    actual[layer][key], expected[layer][key],
-                    rtol=1e-5, atol=1e-6,
+                np.testing.assert_array_equal(
+                    actual[layer][key], expected[layer][key]
                 )
 
     def test_prune_frees_storage(self, snapshotted):

@@ -174,9 +174,8 @@ class TestArchive:
             actual = repo.get_snapshot_weights(version_id)
             for layer in expected:
                 for key in expected[layer]:
-                    np.testing.assert_allclose(
-                        actual[layer][key], expected[layer][key],
-                        rtol=1e-5, atol=1e-6,
+                    np.testing.assert_array_equal(
+                        actual[layer][key], expected[layer][key]
                     )
 
     def test_archive_report_fields(self, repo, trained_tiny, digits):
@@ -217,10 +216,8 @@ class TestArchive:
             actual = repo.get_snapshot_weights(version)
             for layer in expected[version.id]:
                 for key in expected[version.id][layer]:
-                    np.testing.assert_allclose(
-                        actual[layer][key],
-                        expected[version.id][layer][key],
-                        rtol=1e-5, atol=1e-6,
+                    np.testing.assert_array_equal(
+                        actual[layer][key], expected[version.id][layer][key]
                     )
 
     def test_gc_removes_orphans(self, committed):

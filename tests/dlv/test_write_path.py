@@ -76,7 +76,7 @@ def test_priced_bytes_are_stored_bytes(make_repo_target, backend):
     for edge in graph.edges:
         if edge.kind == "pages":
             continue
-        kind = "materialize" if edge.u == ROOT else "sub"
+        kind = "materialize" if edge.u == ROOT else "xor"
         assert stored_by(edge, kind, scratch.store) == edge.storage_cost, edge
         scratch.gc()  # nothing references it: the store is empty again
         checked[edge.kind] += 1
