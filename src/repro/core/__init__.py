@@ -17,7 +17,7 @@ possible without compromising query performance.  Its pieces:
 * :mod:`repro.core.archival` — solvers for the Optimal Parameter Archival
   Storage problem: MST / SPT baselines, LAST, PAS-MT, PAS-PT (Sec. IV-C).
 * :mod:`repro.core.chunkstore` — content-addressed compressed blob store.
-* :mod:`repro.core.storage` — pluggable storage backends (loose files,
+* :mod:`repro.core.storage` — pluggable storage backends (pack files,
   single-file SQLite-WAL databases, in-memory) behind one
   :class:`~repro.core.storage.StorageBackend` interface, addressed by
   ``file://`` / ``sqlite://`` / ``mem://`` URLs.

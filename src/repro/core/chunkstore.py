@@ -15,7 +15,8 @@ stored form computed for an address — to price an edge or a page, or
 to write it to any tier — is kept, so each distinct content is
 compressed at most once per verb and the priced bytes are the written
 bytes.  Blobs the verb defers (:meth:`WriteBatch.defer`) land with one
-``put_many`` per store when it calls :meth:`WriteBatch.land`.
+``put_many`` per store when it calls :meth:`WriteBatch.land` — on the
+local-fs backend, one fsynced pack per tier.
 """
 
 from __future__ import annotations
@@ -25,14 +26,16 @@ import contextvars
 import hashlib
 import itertools
 import os
+import struct
+import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro.faults import fs as ffs
+from repro.faults.plan import CrashSimulated
 from repro.obs.cost import charge
 from repro.obs.metrics import MetricsRegistry, get_registry
 
@@ -49,16 +52,77 @@ class ChunkIntegrityError(ValueError):
 #: Process-wide sequence making concurrent writers' tmp names distinct.
 _tmp_counter = itertools.count()
 
-#: Most threads one ``ChunkStore.put_many`` fsyncs its tmp files on.
-SYNC_THREADS = 8
+#: The last bytes of every pack; a file without them is not a pack.
+PACK_MAGIC = b"DLVPACK1"
+
+_PACK_SUFFIX = ".pack"
+
+#: One trailer entry: a blob's raw SHA-256, its offset and its length.
+_ENTRY = struct.Struct(">32sQQ")
+
+#: The end of a pack: entry count, CRC-32 of entries and count, magic.
+_FOOTER = struct.Struct(">QI8s")
 
 
-def _fsync_file(path: str) -> None:
-    fd = os.open(path, os.O_RDONLY)
-    try:
-        os.fsync(fd)
-    finally:
-        os.close(fd)
+def _encode_pack(
+    blobs: dict[str, bytes],
+) -> tuple[bytes, list[tuple[str, int, int]]]:
+    """One pack of stored forms; returns it with its trailer entries."""
+    entries, offset = [], 0
+    for sha, stored in blobs.items():
+        entries.append((sha, offset, len(stored)))
+        offset += len(stored)
+    table = b"".join(
+        _ENTRY.pack(bytes.fromhex(sha), off, n) for sha, off, n in entries
+    )
+    count = len(entries)
+    footer = _FOOTER.pack(
+        count, zlib.crc32(table + count.to_bytes(8, "big")), PACK_MAGIC
+    )
+    return b"".join((*blobs.values(), table, footer)), entries
+
+
+def _read_trailer(path: str) -> list[tuple[str, int, int]]:
+    """The ``(sha, offset, length)`` entries of one pack.
+
+    Raises ``ValueError`` when the file does not end in a sound trailer.
+    """
+    with open(path, "rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        if size < _FOOTER.size:
+            raise ValueError(f"{path}: too short for a pack")
+        count, crc, magic = _FOOTER.unpack(
+            os.pread(handle.fileno(), _FOOTER.size, size - _FOOTER.size)
+        )
+        body = size - _FOOTER.size - count * _ENTRY.size
+        if magic != PACK_MAGIC or body < 0:
+            raise ValueError(f"{path}: no pack trailer")
+        table = os.pread(handle.fileno(), count * _ENTRY.size, body)
+    if zlib.crc32(table + count.to_bytes(8, "big")) != crc:
+        raise ValueError(f"{path}: pack trailer checksum mismatch")
+    entries = [
+        (raw.hex(), off, n) for raw, off, n in _ENTRY.iter_unpack(table)
+    ]
+    if any(off + n > body for _, off, n in entries):
+        raise ValueError(f"{path}: pack entry past the blob section")
+    return entries
+
+
+def _read_extents(where: dict[str, tuple[str, int, int]]) -> dict[str, bytes]:
+    """``sha -> bytes`` of ``sha -> (file, offset, length)``, opening each
+    file once; ``FileNotFoundError`` names a file that is gone."""
+    by_file: dict[str, list[tuple[str, int, int]]] = {}
+    for sha, (path, off, n) in where.items():
+        by_file.setdefault(path, []).append((sha, off, n))
+    out: dict[str, bytes] = {}
+    for path, extents in by_file.items():
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            for sha, off, n in extents:
+                out[sha] = os.pread(fd, n, off)
+        finally:
+            os.close(fd)
+    return {sha: out[sha] for sha in where}
 
 
 class WriteBatch:
@@ -207,6 +271,14 @@ class BlobCodec:
         (its length is the stored size: no ``stat``)."""
         return {sha: self._read(sha) for sha in shas}
 
+    def read_stored(self, sha: str) -> bytes:
+        """One blob's stored form, unverified (what quarantine keeps)."""
+        return self._read_many([sha])[sha]
+
+    def delete(self, sha: str) -> bool:
+        """Remove a blob: :meth:`delete_many` of one."""
+        return self.delete_many((sha,)) == 1
+
     def verify_blob(self, sha: str) -> bool:
         """Re-hash one stored blob; ``False`` when corrupt or undecodable."""
         try:
@@ -215,14 +287,42 @@ class BlobCodec:
             return False
         return True
 
+    def verify_all(self) -> tuple[set[str], int]:
+        """Re-hash every stored blob: ``(corrupt addresses, count)``.
+
+        One ``get_many`` per read group — a pack on ``local-fs``, one
+        blob elsewhere; a group that fails is re-checked blob by blob.
+        """
+        corrupt: set[str] = set()
+        scanned = 0
+        for group in self._verify_groups():
+            scanned += len(group)
+            try:
+                self.get_many(group)
+            except ChunkIntegrityError:
+                corrupt.update(sha for sha in group if not self.verify_blob(sha))
+        return corrupt, scanned
+
+    def _verify_groups(self) -> Iterator[list[str]]:
+        return ([sha] for sha in self.addresses())
+
 
 class ChunkStore(BlobCodec):
-    """Filesystem-backed content-addressed store.
+    """Filesystem-backed content-addressed store: a directory of packs.
 
-    Blobs live at ``<root>/<sha[:2]>/<sha>`` in the :class:`BlobCodec`
-    format.  Paths are handled as strings and directories listed with
-    :func:`os.scandir`: every repository open sweeps, and ``gc`` and
-    fsck list, all of them.
+    A *pack* (``pack-<sha256 of the file>.pack``) holds the
+    :class:`BlobCodec` stored forms of many blobs back to back, then a
+    trailer: one ``(sha, offset, length)`` entry per blob, the entry
+    count, a CRC-32 of both and :data:`PACK_MAGIC`.  Packs are written
+    once — tmp file, fsync, rename, directory fsync — and never changed;
+    a delete writes the survivors of the packs it touches into a new
+    pack before unlinking the old ones.  Loose ``<sha[:2]>/<sha>`` blobs
+    of the older layout stay readable until :meth:`repack` folds them.
+
+    The address -> ``(file, offset, length)`` index is built from the
+    trailers on first use, under one lock.  A lookup that misses, or a
+    read whose pack is gone, rescans the directory once, so a handle
+    sees packs another handle wrote or folded after it was built.
     """
 
     def __init__(
@@ -230,35 +330,111 @@ class ChunkStore(BlobCodec):
         root: str | Path,
         level: int = 6,
         registry: Optional[MetricsRegistry] = None,
-        durable: bool = True,
     ) -> None:
         super().__init__(level, registry)
         self.root = Path(root)
         self._root = str(self.root)
-        self.durable = durable
         self.root.mkdir(parents=True, exist_ok=True)
+        self._lock = threading.Lock()
+        self._packs: Optional[dict[str, list[tuple[str, int, int]]]] = None
+        self._loose: dict[str, tuple[str, int, int]] = {}
+        self._buckets: list[str] = []
+        self._unreadable: set[str] = set()
+        self._index: dict[str, tuple[str, int, int]] = {}
         self.sweep_stale_tmps()
 
-    def blob_path(self, sha: str) -> Path:
-        """On-disk location of one blob (it may not exist)."""
-        return Path(self._path(sha))
+    # -- the index -----------------------------------------------------------
 
-    def _path(self, sha: str) -> str:
-        return os.path.join(self._root, sha[:2], sha)
-
-    def _bucket_entries(self) -> Iterator[os.DirEntry]:
-        """Every entry of every bucket directory, in no set order."""
+    def _listing(self) -> tuple[list[str], list[str], list[str]]:
+        """``(packs, loose bucket directories, tmp files)`` of the tier."""
+        packs, buckets, tmps = [], [], []
         with os.scandir(self._root) as top:
-            buckets = [e.path for e in top if e.is_dir()]
+            for entry in top:
+                if entry.name.endswith(".tmp"):
+                    tmps.append(entry.path)
+                elif entry.name.endswith(_PACK_SUFFIX):
+                    packs.append(entry.path)
+                elif entry.is_dir():
+                    buckets.append(entry.path)
+        return sorted(packs), sorted(buckets), tmps
+
+    def _refresh(self) -> None:
+        """Re-list the tier and rebuild the index (caller holds the lock).
+
+        Trailers are read only for packs not seen before: a pack never
+        changes once it has its name.
+        """
+        packs, buckets, _ = self._listing()
+        known = self._packs or {}
+        if self._packs is not None and not buckets and not self._loose and (
+            known.keys() | self._unreadable == set(packs)
+        ):
+            return
+        fresh: dict[str, list[tuple[str, int, int]]] = {}
+        for path in packs:
+            entries = known.get(path)
+            if entries is None and path not in self._unreadable:
+                try:
+                    entries = _read_trailer(path)
+                except FileNotFoundError:
+                    continue  # folded away since the listing
+                except ValueError:
+                    # Kept on disk for forensics; its blobs read as
+                    # missing, which fsck reports and repairs.
+                    self._unreadable.add(path)
+                    self.registry.counter("chunkstore.unreadable_packs").inc()
+            if entries is not None:
+                fresh[path] = entries
+        loose = {}
         for bucket in buckets:
             with os.scandir(bucket) as inner:
-                yield from inner
+                for entry in inner:
+                    if not entry.name.endswith(".tmp") and entry.is_file():
+                        loose[entry.name] = (
+                            entry.path, 0, entry.stat().st_size
+                        )
+        self._packs, self._loose, self._buckets = fresh, loose, buckets
+        self._reindex()
+
+    def _reindex(self) -> None:
+        index = dict(self._loose)
+        for path, entries in self._packs.items():
+            index.update((sha, (path, off, n)) for sha, off, n in entries)
+        self._index = index
+
+    def _lookup(self, shas: Iterable[str]) -> dict[str, Optional[tuple]]:
+        """Where each address is stored (``None`` when absent), with one
+        rescan of the directory when any of them misses."""
+        with self._lock:
+            fresh = self._packs is None
+            if fresh:
+                self._refresh()
+            found = {sha: self._index.get(sha) for sha in shas}
+            if not fresh and None in found.values():
+                self._refresh()
+                found = {sha: self._index.get(sha) for sha in found}
+        return found
+
+    def _held(self) -> dict[str, tuple[str, int, int]]:
+        with self._lock:
+            if self._packs is None:
+                self._refresh()
+            return self._index
+
+    def extent(self, sha: str) -> tuple[str, int, int]:
+        """``(file, offset, length)`` of one blob's stored form."""
+        return self._located([sha])[sha]
+
+    # -- litter --------------------------------------------------------------
 
     def stale_tmps(self) -> list[str]:
-        """Paths of ``*.tmp`` litter left by crashed writers (sorted)."""
-        return sorted(
-            e.path for e in self._bucket_entries() if e.name.endswith(".tmp")
-        )
+        """Paths of ``*.tmp`` litter left by crashed writers (sorted),
+        in the tier directory and in any loose bucket of the old layout."""
+        _, buckets, tmps = self._listing()
+        for bucket in buckets:
+            with os.scandir(bucket) as inner:
+                tmps.extend(e.path for e in inner if e.name.endswith(".tmp"))
+        return sorted(tmps)
 
     def sweep_stale_tmps(self) -> int:
         """Remove ``*.tmp`` litter left by crashed writers; returns count."""
@@ -270,6 +446,8 @@ class ChunkStore(BlobCodec):
             self.registry.counter("chunkstore.tmps_swept").inc(removed)
         return removed
 
+    # -- writes --------------------------------------------------------------
+
     def put(self, data: bytes) -> str:
         """Store one blob: :meth:`put_many` of one."""
         return self.put_many((data,))[0]
@@ -277,60 +455,139 @@ class ChunkStore(BlobCodec):
     def put_many(self, blobs: Iterable[bytes]) -> list[str]:
         """Store blobs; returns their content addresses (idempotent).
 
-        Each write is crash-safe: the compressed blob goes to a tmp file
-        unique to this call (concurrent writers of the same sha never
-        collide), is fsynced and renamed into place; then every bucket
-        directory the batch touched is fsynced once, so the entries
-        survive power loss.  The batch's tmp files are fsynced together,
-        on up to :data:`SYNC_THREADS` threads, so the filesystem can
-        commit them as a group; no rename happens before all of them
-        are durable.  A crash leaves at worst stale tmps, swept on the
-        next store open, or unreferenced blobs, swept by ``gc``.
+        The new blobs land as one pack: one file fsync, one rename and
+        one fsync of the tier directory, however many there are.  Each
+        blob's stored form passes the ``chunkstore.put.write`` fault
+        site on its own, so a fault plan still tears or flips one blob;
+        a failure before the rename leaves nothing but, after a crash, a
+        stale tmp that the next open sweeps.
         """
+        held = self._held()
         shas: list[str] = []
-        touched: set[str] = set()
-        landing: dict[str, str] = {}  # final path -> its tmp, in order
-        renamed = 0
+        new: dict[str, bytes] = {}
+        crash_after = False
+        for data in blobs:
+            sha = self.address(data)
+            existed = sha in new or sha in held
+            if not existed:
+                new[sha], crash_after = ffs.prepare_write(
+                    "chunkstore.put.write", self._stored_form(data, sha)
+                )
+            self._count_put(len(data), deduplicated=existed)
+            shas.append(sha)
+            if crash_after:
+                # The process dies with its partial pack as a tmp.
+                ffs.write_bytes(self._tmp(), b"".join(new.values()), site=None)
+                raise CrashSimulated(
+                    "simulated crash after torn write (chunkstore.put.write)"
+                )
+        if new:
+            path, entries = self._land_pack(new, write_site=None, prefix="put")
+            with self._lock:
+                if self._packs is not None:
+                    # Copy on write: readers iterate the index unlocked.
+                    self._packs[path] = entries
+                    self._index = {
+                        **self._index,
+                        **{sha: (path, off, n) for sha, off, n in entries},
+                    }
+        return shas
+
+    def _tmp(self) -> str:
+        return os.path.join(
+            self._root, f"pack-{os.getpid()}-{next(_tmp_counter)}.tmp"
+        )
+
+    def _land_pack(
+        self, blobs: dict[str, bytes], write_site: Optional[str], prefix: str
+    ) -> tuple[str, list[tuple[str, int, int]]]:
+        """Write one pack durably; returns its path and trailer entries."""
+        pack, entries = _encode_pack(blobs)
+        path = os.path.join(
+            self._root, f"pack-{hashlib.sha256(pack).hexdigest()}{_PACK_SUFFIX}"
+        )
+        tmp = self._tmp()
         try:
-            for data in blobs:
-                sha = self.address(data)
-                path = self._path(sha)
-                existed = path in landing or os.path.exists(path)
-                if not existed:
-                    bucket = os.path.dirname(path)
-                    if bucket not in touched:
-                        if not os.path.isdir(bucket):
-                            os.makedirs(bucket, exist_ok=True)
-                        touched.add(bucket)
-                    tmp = f"{path}.{os.getpid()}-{next(_tmp_counter)}.tmp"
-                    landing[path] = tmp
-                    ffs.write_bytes(
-                        tmp,
-                        self._stored_form(data, sha),
-                        site="chunkstore.put.write",
-                        fsync=False,
-                    )
-                self._count_put(len(data), deduplicated=existed)
-                shas.append(sha)
-            if self.durable and landing:
-                workers = min(SYNC_THREADS, len(landing))
-                with ThreadPoolExecutor(workers) as pool:
-                    list(pool.map(_fsync_file, landing.values()))
-            for path, tmp in landing.items():
-                ffs.replace(tmp, path, site="chunkstore.put.replace")
-                renamed += 1
+            ffs.write_bytes(tmp, pack, site=write_site)
+            ffs.replace(tmp, path, site=f"chunkstore.{prefix}.replace")
         except Exception:
-            # Graceful failure: clean our tmps.  A CrashSimulated
+            # Graceful failure: clean our tmp.  A CrashSimulated
             # (BaseException) deliberately skips this — a dead process
             # leaves litter, which the sweep handles.
-            for tmp in list(landing.values())[renamed:]:
-                with contextlib.suppress(FileNotFoundError):
-                    os.unlink(tmp)
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
             raise
-        if self.durable:
-            for bucket in sorted(touched):
-                ffs.fsync_dir(bucket, site="chunkstore.put.dirsync")
-        return shas
+        ffs.fsync_dir(self._root, site=f"chunkstore.{prefix}.dirsync")
+        return path, entries
+
+    def delete_many(self, addresses: Iterable[str]) -> int:
+        """Remove blobs; returns how many were stored.
+
+        Every pack holding one of them is folded: its survivors go into
+        one new pack (their stored bytes copied, not recompressed),
+        which is durable before the old packs are unlinked.
+        """
+        with self._lock:
+            if self._packs is None:
+                self._refresh()
+            doomed = {sha for sha in addresses if sha in self._index}
+            if doomed:
+                # Rewrites hold the lock on purpose: the packs they fold
+                # and the index they swap must not move under them.
+                self._rewrite(  # lint: ignore[CONC405]
+                    [p for p, entries in self._packs.items()
+                     if any(sha in doomed for sha, _, _ in entries)],
+                    doomed,
+                )
+        return len(doomed)
+
+    def repack(self) -> bool:
+        """Fold the whole tier into one pack when it holds more than one
+        pack or any loose blob (what ``gc`` leaves); returns whether it
+        rewrote anything."""
+        with self._lock:
+            self._refresh()
+            if len(self._packs) <= 1 and not self._loose:
+                return False
+            self._rewrite(list(self._packs), set())  # lint: ignore[CONC405]
+        return True
+
+    def _rewrite(self, folded: list[str], drop: set[str]) -> None:
+        """Replace ``folded`` packs and the loose blobs with one pack of
+        their blobs outside ``drop`` (caller holds the lock)."""
+        elsewhere = {
+            sha for path, entries in self._packs.items() if path not in folded
+            for sha, _, _ in entries
+        }
+        sources = dict(self._loose)
+        for path in folded:
+            sources.update(
+                (sha, (path, off, n)) for sha, off, n in self._packs[path]
+            )
+        keep = {
+            sha: where for sha, where in sources.items()
+            if sha not in drop and sha not in elsewhere
+        }
+        stale = set(folded) | {path for path, _, _ in self._loose.values()}
+        if keep:
+            path, entries = self._land_pack(  # lint: ignore[CONC405]
+                _read_extents(keep), write_site="chunkstore.repack.write",
+                prefix="repack",
+            )
+            stale.discard(path)
+            self._packs[path] = entries
+        for path in sorted(stale):
+            ffs.unlink(path, site="chunkstore.repack.unlink", missing_ok=True)
+            self._packs.pop(path, None)
+        for bucket in self._buckets:
+            with contextlib.suppress(OSError):  # litter keeps it
+                os.rmdir(bucket)
+        self._loose, self._buckets = {}, []
+        if stale:
+            ffs.fsync_dir(self._root, site="chunkstore.repack.dirsync")
+        self._reindex()
+
+    # -- reads ---------------------------------------------------------------
 
     def get(self, sha: str) -> bytes:
         """Retrieve and verify a blob.
@@ -340,48 +597,51 @@ class ChunkStore(BlobCodec):
             ChunkIntegrityError: when the stored content fails integrity
                 checking (a :class:`ValueError` subclass).
         """
-        return self._decode(sha, self._read(sha))
+        return self._decode(sha, self._read_many([sha])[sha])
 
-    def _read(self, sha: str) -> bytes:
-        # No exists() pre-check: a concurrent gc/delete between the check
-        # and the read would escape as FileNotFoundError, which no
-        # recovery ladder catches.
+    def _located(self, shas: list[str]) -> dict[str, tuple[str, int, int]]:
+        found = self._lookup(shas)
+        missing = next((sha for sha, w in found.items() if w is None), None)
+        if missing is not None:
+            raise self._missing(missing)
+        return found
+
+    def _read_many(self, shas: list[str]) -> dict[str, bytes]:
+        """Stored forms, opening each pack once.  A pack that vanished
+        (folded by another handle) sends the read to a fresh listing."""
         try:
-            with open(self._path(sha), "rb") as handle:
-                return handle.read()
+            return _read_extents(self._located(shas))
         except FileNotFoundError:
-            raise self._missing(sha) from None
+            with self._lock:
+                self._refresh()
+        found = self._located(shas)
+        try:
+            return _read_extents(found)
+        except FileNotFoundError as exc:
+            raise self._missing(next(
+                sha for sha, w in found.items() if w[0] == exc.filename
+            )) from None
+
+    def _verify_groups(self) -> Iterator[list[str]]:
+        by_file: dict[str, list[str]] = {}
+        for sha, (path, _, _) in sorted(self._held().items()):
+            by_file.setdefault(path, []).append(sha)
+        return iter(by_file.values())
 
     def __contains__(self, sha: str) -> bool:
-        return os.path.exists(self._path(sha))
-
-    def delete(self, sha: str) -> bool:
-        """Remove a blob; returns whether it existed."""
-        try:
-            os.unlink(self._path(sha))
-        except FileNotFoundError:
-            return False
-        return True
+        return self._lookup((sha,))[sha] is not None
 
     def stored_size(self, sha: str) -> int:
         """On-disk (compressed) size of one blob."""
-        try:
-            return os.stat(self._path(sha)).st_size
-        except FileNotFoundError:
-            raise self._missing(sha) from None
-
-    def _blob_entries(self) -> Iterator[os.DirEntry]:
-        for entry in self._bucket_entries():
-            if not entry.name.endswith(".tmp") and entry.is_file():
-                yield entry
+        return self.extent(sha)[2]
 
     def total_size(self) -> int:
-        """Total on-disk bytes across all blobs."""
-        return sum(entry.stat().st_size for entry in self._blob_entries())
+        """Stored bytes of every live blob (each address counted once)."""
+        return sum(n for _, _, n in self._held().values())
 
     def addresses(self) -> Iterator[str]:
         """Iterate over every stored content address (sorted)."""
-        return iter(sorted(entry.name for entry in self._blob_entries()))
+        return iter(sorted(self._held()))
 
 
 class MemoryChunkStore(BlobCodec):
@@ -419,8 +679,10 @@ class MemoryChunkStore(BlobCodec):
     def __contains__(self, sha: str) -> bool:
         return sha in self._blobs
 
-    def delete(self, sha: str) -> bool:
-        return self._blobs.pop(sha, None) is not None
+    def delete_many(self, addresses: Iterable[str]) -> int:
+        return sum(
+            self._blobs.pop(sha, None) is not None for sha in set(addresses)
+        )
 
     def stored_size(self, sha: str) -> int:
         try:

@@ -11,23 +11,23 @@ over four kinds of state:
 * **journal** — write-ahead intent records for in-flight mutations,
 
 plus the relational catalog.  A :class:`StorageBackend` owns all of it
-for one physical substrate: loose files under ``.dlv/`` (``local-fs``),
-one SQLite database in WAL mode (``sqlite``), or an in-process database
-(``memory``).  The repository, fsck, and the hub publish path talk only
-to this interface, which is the seam sharded and deduplicating stores
-plug into.
+for one physical substrate: files and blob packs under ``.dlv/``
+(``local-fs``), one SQLite database in WAL mode (``sqlite``), or an
+in-process database (``memory``).  The repository, fsck, and the hub
+publish path talk only to this interface, which is the seam sharded and
+deduplicating stores plug into.
 
 Blob stores conform to :class:`BlobStore` — ``put_many`` / ``put`` /
-``get_many`` / ``get`` / ``__contains__`` / ``delete`` /
-``stored_size`` / ``total_size`` / ``addresses`` / ``verify_blob`` with
-SHA-256-of-uncompressed-content addressing.  ``get_many`` is the
-batched read: each blob's verified bytes with its stored size, one
-``SELECT`` on the database backends, so a page-encoded plane costs one
-read statement.  Transactionality is shared
-through one :class:`TxnState`: while the catalog holds an open
-transaction (``txn.active``), a backend whose blobs live in the same
-database joins that transaction instead of committing per write, so a
-rollback takes speculative blobs with it.
+``get_many`` / ``get`` / ``__contains__`` / ``delete_many`` /
+``delete`` / ``stored_size`` / ``total_size`` / ``addresses`` /
+``verify_blob`` with SHA-256-of-uncompressed-content addressing.
+``get_many`` is the batched read: each blob's verified bytes with its
+stored size, one ``SELECT`` on the database backends, so a page-encoded
+plane costs one read statement.  Transactionality is shared through one
+:class:`TxnState`: while the catalog holds an open transaction
+(``txn.active``), a backend whose blobs live in the same database joins
+that transaction instead of committing per write, so a rollback takes
+speculative blobs with it.
 
 Per-backend fsck contract: :meth:`StorageBackend.litter` reports (and
 under repair deletes) substrate-specific debris — stale tmp files for
@@ -53,6 +53,11 @@ STAGE_DOC = "stage.json"
 
 #: Document-name prefix under which archive-run reports are recorded.
 ARCHIVES_PREFIX = "archives/"
+
+#: On-disk format this code writes, recorded as ``format`` in the config
+#: document; a config without the field is format 1 (local-fs blobs as
+#: loose files), format 2 packs them.
+FORMAT = 2
 
 
 def utcnow() -> str:
@@ -85,7 +90,7 @@ class TxnState:
 class BlobStore(Protocol):
     """Structural interface of a content-addressed chunk store.
 
-    Conformers: ``ChunkStore`` (loose files), ``MemoryChunkStore``
+    Conformers: ``ChunkStore`` (pack files), ``MemoryChunkStore``
     (dict) and ``SQLiteBlobStore`` (rows) — raw keyed-bytes I/O under
     the one :class:`~repro.core.chunkstore.BlobCodec` format, in which
     the address of a blob is the SHA-256 hex digest of its
@@ -96,10 +101,10 @@ class BlobStore(Protocol):
     def put_many(self, blobs: Iterable[bytes]) -> list[str]:
         """Store blobs as one batch; returns their addresses in order.
 
-        Idempotent per blob.  ``local-fs`` lands each blob by tmp file,
-        fsync and rename, then fsyncs every bucket directory it touched
-        once; the database backends insert the batch with one statement
-        (inside the open catalog transaction, if any).
+        Idempotent per blob.  ``local-fs`` writes the new blobs as one
+        pack — tmp file, one fsync, rename, one fsync of the tier
+        directory; the database backends insert the batch with one
+        statement (inside the open catalog transaction, if any).
         """
 
     def put(self, data: bytes) -> str:
@@ -115,7 +120,7 @@ class BlobStore(Protocol):
         missing address raises ``KeyError`` naming it before any blob is
         decoded; a corrupt blob raises ``ChunkIntegrityError`` naming
         its sha.  The database backends issue one ``SELECT … IN (…)``
-        per batch of addresses; ``local-fs`` reads each file once.
+        per batch of addresses; ``local-fs`` opens each pack once.
         """
 
     def get(self, sha: str) -> bytes:
@@ -124,8 +129,16 @@ class BlobStore(Protocol):
     def __contains__(self, sha: str) -> bool:
         """Whether the address is stored."""
 
+    def delete_many(self, addresses: Iterable[str]) -> int:
+        """Remove blobs; returns how many of them were stored.
+
+        ``local-fs`` rewrites the survivors of every pack it touches
+        into one new pack before unlinking the old ones; the database
+        backends issue one ``DELETE … IN (…)`` per batch of addresses.
+        """
+
     def delete(self, sha: str) -> bool:
-        """Remove a blob; returns whether it existed."""
+        """Remove one blob (``delete_many`` of one); whether it existed."""
 
     def stored_size(self, sha: str) -> int:
         """Stored (compressed) size of one blob."""
@@ -185,7 +198,12 @@ class StorageBackend(abc.ABC):
 
     def write_config(self, extra: Optional[dict] = None) -> None:
         """Create the repository config document (init-time)."""
-        config = {"version": 1, "created_at": utcnow(), "backend": self.scheme}
+        config = {
+            "version": 1,
+            "format": FORMAT,
+            "created_at": utcnow(),
+            "backend": self.scheme,
+        }
         if extra:
             config.update(extra)
         self.write_doc(CONFIG_DOC, json.dumps(config, indent=2).encode())
@@ -194,6 +212,24 @@ class StorageBackend(abc.ABC):
         """The repository config document (empty dict when absent)."""
         raw = self.read_doc(CONFIG_DOC)
         return json.loads(raw) if raw else {}
+
+    def open_format(self) -> int:
+        """The repository's format, checked on open.
+
+        Raises ``ValueError`` for a format newer than :data:`FORMAT`:
+        this code cannot know that layout.
+        """
+        found = self.read_config().get("format", 1)
+        if found > FORMAT:
+            raise ValueError(
+                f"{self.url} has repository format {found}; this dlv "
+                f"reads formats up to {FORMAT} (upgrade dlv)"
+            )
+        return found
+
+    def compact(self) -> None:
+        """Fold each blob tier into the fewest containers its layout
+        allows (``gc``'s last step); the database backends have none."""
 
     # -- associated files (content addressed) -------------------------------
 
@@ -255,10 +291,6 @@ class StorageBackend(abc.ABC):
         """
         del repair
         return []
-
-    def sweep_stale_tmps(self) -> int:
-        """Remove crashed-writer debris; returns count (fs-only concept)."""
-        return 0
 
     # -- hub publishing -------------------------------------------------------
 

@@ -1,32 +1,49 @@
-"""The loose-file storage backend (the original ``.dlv/`` layout).
+"""The local-fs storage backend (the original ``.dlv/`` layout).
 
-Everything lives under ``<root>/.dlv/``: the sqlite3 catalog, the two
-:class:`~repro.core.chunkstore.ChunkStore` tiers, content-addressed
-associated files, the intent-file journal, and small documents (config,
-stage, archive reports) as plain JSON files.  All mutations route
-through :mod:`repro.faults.fs`, so fault plans tear/crash/corrupt this
-backend exactly as before the storage seam existed.
+Everything lives under ``<root>/.dlv/``: the sqlite3 catalog, the three
+:class:`~repro.core.chunkstore.ChunkStore` blob tiers (``chunks``,
+``replica``, ``pages``) — each a directory of immutable packs, one per
+write batch, folded into one by ``gc`` — content-addressed associated
+files, the intent-file journal, and small documents (config, stage,
+archive reports) as JSON files landed by tmp file, fsync and rename.
+All mutations route through :mod:`repro.faults.fs`, so fault plans
+tear/crash/corrupt this backend exactly as before the storage seam
+existed.
 
 Filesystem-only concepts — unique tmp names, the sweep of stale tmp
-litter after a crash, quarantine as a directory move — are implemented
-here and *only* here; the database backends have no such debris.
+litter after a crash, quarantine as a copy into a directory, the
+in-place upgrade of a format-1 repository (loose blobs, read until the
+next ``gc`` packs them) — are implemented here and *only* here; the
+database backends have no such debris.
 """
 
 from __future__ import annotations
 
+import itertools
+import json
 import os
-import shutil
 from pathlib import Path
 from typing import Optional
 
 from repro.core.chunkstore import ChunkStore
-from repro.core.storage.base import StorageBackend, TxnState, yield_path
+from repro.core.storage.base import (
+    ARCHIVES_PREFIX,
+    CONFIG_DOC,
+    FORMAT,
+    StorageBackend,
+    TxnState,
+    yield_path,
+)
 from repro.faults import fs as ffs
 from repro.obs.metrics import counter
 
 
+#: Process-wide sequence making concurrent document writers' tmps distinct.
+_doc_tmp_counter = itertools.count()
+
+
 class LocalFSBackend(StorageBackend):
-    """Repository storage as loose files under ``<root>/.dlv/``."""
+    """Repository storage as files under ``<root>/.dlv/``."""
 
     scheme = "local-fs"
     DLV_DIR = ".dlv"
@@ -47,7 +64,7 @@ class LocalFSBackend(StorageBackend):
 
         self.txn = TxnState()
         self.catalog = Catalog(self.dlv_dir / "catalog.db", txn=self.txn)
-        # Opening the stores sweeps any stale tmp litter from a crash.
+        # Opening the stores sweeps any stale pack tmps from a crash.
         self.chunks = ChunkStore(self.dlv_dir / "chunks")
         self.replica = ChunkStore(self.dlv_dir / "replica")
         # Dedup page tier; mkdir-on-open upgrades pre-dedup repositories.
@@ -109,9 +126,23 @@ class LocalFSBackend(StorageBackend):
         return path.read_bytes() if path.exists() else None
 
     def write_doc(self, name: str, data: bytes) -> None:
+        """Land a document whole or not at all: tmp file, fsync,
+        rename, directory fsync."""
         path = self._doc_path(name)
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(data)
+        tmp = path.with_name(
+            f"{path.name}.{os.getpid()}-{next(_doc_tmp_counter)}.tmp"
+        )
+        ffs.write_bytes(tmp, data, site="repo.docs.write")
+        ffs.replace(tmp, path, site="repo.docs.replace")
+        ffs.fsync_dir(path.parent)
+
+    def _doc_tmps(self) -> list[Path]:
+        return sorted(
+            path
+            for pattern in ("*.tmp", f"{ARCHIVES_PREFIX}*.tmp")
+            for path in self.dlv_dir.glob(pattern)
+        )
 
     def delete_doc(self, name: str) -> bool:
         path = self._doc_path(name)
@@ -125,7 +156,7 @@ class LocalFSBackend(StorageBackend):
         names = []
         pattern = f"{prefix}*" if prefix else "*"
         for path in base.glob(pattern):
-            if path.is_file():
+            if path.is_file() and path.suffix != ".tmp":
                 names.append(str(path.relative_to(base)))
         return sorted(names)
 
@@ -141,15 +172,20 @@ class LocalFSBackend(StorageBackend):
         raise ValueError(f"unknown blob tier {kind!r}")
 
     def quarantine_blob(self, kind: str, sha: str) -> bool:
-        """Move a corrupt blob into ``.dlv/quarantine/`` (forensics)."""
+        """Copy a corrupt blob's stored bytes into ``.dlv/quarantine/``
+        (forensics), then delete it from its tier."""
         store = self._store_for(kind)
         suffix = {"chunks": "", "replica": ".replica", "pages": ".page"}[kind]
+        try:
+            stored = store.read_stored(sha)
+        except KeyError:
+            return False
         quarantine = self.dlv_dir / "quarantine"
         quarantine.mkdir(exist_ok=True)
-        blob = store.blob_path(sha)
-        if not blob.exists():
-            return False
-        shutil.move(str(blob), str(quarantine / f"{sha}{suffix}"))
+        ffs.write_bytes(
+            quarantine / f"{sha}{suffix}", stored, site="repo.quarantine.write"
+        )
+        store.delete_many((sha,))
         counter("fsck.quarantined").inc()
         return True
 
@@ -160,33 +196,49 @@ class LocalFSBackend(StorageBackend):
         return sorted(p.name for p in quarantine.iterdir() if p.is_file())
 
     def litter(self, repair: bool) -> list[dict]:
-        """Stale ``*.tmp`` files in either chunk store (F302)."""
+        """Stale ``*.tmp`` files in a blob tier or among the documents
+        (F302)."""
+        tmps = [
+            (f"{label}/{os.path.basename(tmp)}", tmp)
+            for store, label in (
+                (self.chunks, "chunks"),
+                (self.replica, "replica"),
+                (self.pages, "pages"),
+            )
+            for tmp in store.stale_tmps()
+        ]
+        tmps += [
+            (str(tmp.relative_to(self.dlv_dir)), tmp) for tmp in self._doc_tmps()
+        ]
         findings = []
-        for store, label in (
-            (self.chunks, "chunks"),
-            (self.replica, "replica"),
-            (self.pages, "pages"),
-        ):
-            for tmp in store.stale_tmps():
-                finding = {
-                    "code": "F302",
-                    "message": f"stale tmp {label}/{os.path.basename(tmp)}",
-                    "repaired": False,
-                    "repair": None,
-                }
-                if repair:
-                    Path(tmp).unlink(missing_ok=True)
-                    finding["repaired"] = True
-                    finding["repair"] = "deleted"
-                findings.append(finding)
+        for name, tmp in tmps:
+            finding = {
+                "code": "F302",
+                "message": f"stale tmp {name}",
+                "repaired": False,
+                "repair": None,
+            }
+            if repair:
+                Path(tmp).unlink(missing_ok=True)
+                finding["repaired"] = True
+                finding["repair"] = "deleted"
+            findings.append(finding)
         return findings
 
-    def sweep_stale_tmps(self) -> int:
-        return (
-            self.chunks.sweep_stale_tmps()
-            + self.replica.sweep_stale_tmps()
-            + self.pages.sweep_stale_tmps()
-        )
+    def compact(self) -> None:
+        """Fold each tier into one pack (loose blobs of format 1 too)."""
+        for store in (self.chunks, self.replica, self.pages):
+            store.repack()
+
+    def open_format(self) -> int:
+        """Check the format; a format-1 repository is upgraded in place
+        by rewriting its config — its loose blobs stay readable and the
+        next ``gc`` packs them."""
+        if super().open_format() < FORMAT:
+            config = self.read_config()
+            config["format"] = FORMAT
+            self.write_doc(CONFIG_DOC, json.dumps(config, indent=2).encode())
+        return FORMAT
 
     # -- hub publishing ---------------------------------------------------------
 

@@ -1,6 +1,6 @@
 """URL-scheme registry and backend resolution.
 
-Repositories are addressed by URL: ``file://<dir>`` (loose files under
+Repositories are addressed by URL: ``file://<dir>`` (files under
 ``<dir>/.dlv/``), ``sqlite://<db-file>`` (the whole repo as one WAL-mode
 database file), or ``mem://<name>`` (in-process, for tests and ephemeral
 serving).  Bare paths remain valid everywhere a URL is accepted and are
@@ -9,7 +9,7 @@ auto-detected:
 * an existing *file* is opened as a sqlite repo database,
 * a directory with ``.dlv/repo.db`` is a sqlite repo that was pulled or
   initialised into a directory,
-* a directory with ``.dlv/catalog.db`` (or any ``.dlv/``) is loose-file,
+* a directory with ``.dlv/catalog.db`` (or any ``.dlv/``) is local-fs,
 * otherwise the ``backend`` field of ``.dlv/config.json`` decides.
 
 This keeps ``Repository.open(path)`` working unchanged on every repo

@@ -16,14 +16,14 @@ Concurrency model (the reason this backend exists):
   transaction (:class:`~repro.core.storage.base.TxnState`) join that
   transaction and commit (or roll back) with it — which makes
   ``archive`` / ``convert`` / ``prune`` / fsck-repair chunk rewrites
-  atomic with their payload-table updates, something the loose-file
+  atomic with their payload-table updates, something the local-fs
   backend can only approximate with orphan sweeps.
 * Reads from other threads use **per-thread read connections** (WAL
   snapshots); reads on the owning thread use the writer connection so
   they observe its in-flight transaction (e.g. ``stored_size`` of a
   chunk written moments ago inside ``convert``).
 
-Crash semantics mirror the journaled-commit protocol of the loose-file
+Crash semantics mirror the journaled-commit protocol of the local-fs
 backend: journal intents are inserted and committed *before* any chunk
 lands (and refuse to run inside a catalog transaction), chunk writes at
 transaction depth zero commit immediately, and the catalog transaction
@@ -79,8 +79,9 @@ CREATE TABLE IF NOT EXISTS store_quarantine (
 #: File name of the database inside a published tree / pulled ``.dlv``.
 DB_NAME = "repo.db"
 
-#: Most addresses one ``get_many`` statement binds: with the namespace
-#: this stays under SQLite's historical 999-variable limit.
+#: Most addresses one ``get_many`` or ``delete_many`` statement binds:
+#: with the namespace this stays under SQLite's historical 999-variable
+#: limit.
 GET_BATCH = 900
 
 
@@ -179,15 +180,24 @@ class SQLiteBlobStore(BlobCodec):
     def __contains__(self, sha: str) -> bool:
         return self._backend._blob_exists(self.ns, sha, read=True)
 
-    def delete(self, sha: str) -> bool:
+    def delete_many(self, addresses: Iterable[str]) -> int:
+        """One ``DELETE`` per :data:`GET_BATCH` addresses; returns how
+        many rows went."""
+        shas = list(dict.fromkeys(addresses))
+        if not shas:
+            return 0
         backend = self._backend
+        removed = 0
         with backend._write_lock:
-            cur = backend._writer.execute(
-                "DELETE FROM store_blob WHERE ns = ? AND sha = ?",
-                (self.ns, sha),
-            )
+            for start in range(0, len(shas), GET_BATCH):
+                part = shas[start:start + GET_BATCH]
+                removed += backend._writer.execute(
+                    "DELETE FROM store_blob WHERE ns = ? AND sha IN "
+                    f"({','.join('?' * len(part))})",
+                    (self.ns, *part),
+                ).rowcount
             backend._commit_if_root()
-        return cur.rowcount > 0
+        return removed
 
     def stored_size(self, sha: str) -> int:
         """Stored (compressed) size of one blob."""

@@ -266,9 +266,8 @@ class PageStore:
     def sweep_orphans(self, live: Iterable[str]) -> list[str]:
         """Delete page blobs (and their index rows) outside ``live``."""
         live = set(live)
-        swept = [sha for sha in list(self.blobs.addresses()) if sha not in live]
-        for sha in swept:
-            self.blobs.delete(sha)
+        swept = [sha for sha in self.blobs.addresses() if sha not in live]
+        self.blobs.delete_many(swept)
         if swept:
             self.catalog.forget_pages(swept)
             counter("dedup.pages_swept").inc(len(swept))

@@ -21,7 +21,7 @@ With ``repair=True`` it additionally:
 
 * quarantines corrupt blobs (named ``<sha>`` for main-store blobs,
   ``<sha>.replica`` for replica blobs — a ``.dlv/quarantine/`` directory
-  on the loose-file backend, a table in the database backends),
+  on the local-fs backend, a table in the database backends),
 * restores quarantined chunks from the replica tier when an intact copy
   exists (exact recovery),
 * re-materializes payloads that reference lost chunks through degraded
@@ -153,6 +153,7 @@ class FsckReport:
     payloads_checked: int = 0
     pages_checked: int = 0
     repair: bool = False
+    format: int = 1
 
     @property
     def clean(self) -> bool:
@@ -165,6 +166,7 @@ class FsckReport:
         return {
             "clean": self.clean,
             "repair": self.repair,
+            "format": self.format,
             "chunks_checked": self.chunks_checked,
             "replica_checked": self.replica_checked,
             "payloads_checked": self.payloads_checked,
@@ -181,7 +183,7 @@ class FsckReport:
 
 def run_fsck(repo: "Repository", repair: bool = False) -> FsckReport:
     """Audit (and optionally repair) one repository; see module docs."""
-    report = FsckReport(repair=repair)
+    report = FsckReport(repair=repair, format=repo.format)
     counter("fsck.runs").inc()
 
     corrupt_main, report.chunks_checked = _scan_store(
@@ -228,14 +230,13 @@ def _scan_store(
     store, code: Optional[str], report: FsckReport
 ) -> tuple[set[str], int]:
     """Re-hash every blob in one store; returns (corrupt addresses, scanned)."""
-    addresses = list(store.addresses())
-    corrupt = {sha for sha in addresses if not store.verify_blob(sha)}
+    corrupt, scanned = store.verify_all()
     if code:
         report.findings.extend(
             Finding(code, f"chunk {sha[:12]} fails re-hash", sha=sha)
             for sha in sorted(corrupt)
         )
-    return corrupt, len(addresses)
+    return corrupt, scanned
 
 
 # -- catalog referential integrity -------------------------------------------------
@@ -592,7 +593,7 @@ def _check_journal(repo, report: FsckReport) -> None:
 
 
 def _check_litter(repo, report: FsckReport, repair: bool) -> None:
-    # Substrate-specific debris is the backend's to know about: loose-file
+    # Substrate-specific debris is the backend's to know about: local-fs
     # repos report stale tmp files (F302), database repos have none.
     for raw in repo.backend.litter(repair):
         report.findings.append(

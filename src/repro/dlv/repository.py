@@ -1,17 +1,19 @@
 """The DLV repository: commit, explore, recreate, and archive models.
 
 A repository lives on a pluggable :class:`~repro.core.storage.base.
-StorageBackend` addressed by URL — ``file://<dir>`` (the original loose
-``.dlv/`` layout), ``sqlite://<db>`` (the whole repo as one WAL-mode
-database file), or ``mem://<name>`` (in-process).  The loose-file
+StorageBackend` addressed by URL — ``file://<dir>`` (the original
+``.dlv/`` directory), ``sqlite://<db>`` (the whole repo as one WAL-mode
+database file), or ``mem://<name>`` (in-process).  The local-fs
 layout, for reference:
 
 .. code-block:: text
 
     <repo>/.dlv/
+        config.json     backend and on-disk format
         catalog.db      relational catalog (repro.dlv.catalog)
-        chunks/         PAS byte-plane chunk store
+        chunks/         PAS byte-plane chunk store (packs of blobs)
         replica/        redundant copies of high-order planes (recovery tier)
+        pages/          dedup page tier
         journal/        write-ahead intent files for in-flight mutations
         quarantine/     corrupt blobs set aside by `dlv fsck --repair`
         files/          associated files, content addressed
@@ -85,7 +87,7 @@ class Repository:
     already-open :class:`~repro.core.storage.base.StorageBackend`.  The
     familiar attributes — ``store``, ``replica``, ``pages``,
     ``catalog``, ``journal`` — are views onto the backend; ``dlv_dir`` /
-    ``files_dir`` exist only on the loose-file backend (``None``
+    ``files_dir`` exist only on the local-fs backend (``None``
     elsewhere).
     """
 
@@ -106,6 +108,11 @@ class Repository:
         self.replica = self.backend.replica
         self.pages = self.backend.pages
         self.journal = self.backend.journal
+        try:
+            self.format = self.backend.open_format()
+        except ValueError:
+            self.backend.close()
+            raise
         self.last_replay = self._replay_journal()
 
     @property
@@ -987,20 +994,23 @@ class Repository:
         chunks, replica, pages = self.live_addresses()
         in_store = self.store.addresses() if listed is None else listed
         in_replica = self.replica.addresses() if listed is None else listed
-        removed = sum(
-            self.store.delete(sha) for sha in list(in_store) if sha not in chunks
+        removed = self.store.delete_many(
+            [sha for sha in in_store if sha not in chunks]
         )
-        for sha in list(in_replica):
-            if sha not in replica:
-                self.replica.delete(sha)
+        self.replica.delete_many(
+            [sha for sha in in_replica if sha not in replica]
+        )
         if listed is None:
             self.page_store().sweep_orphans(pages)
         return removed
 
     def gc(self) -> int:
         """Delete chunks not referenced by any payload (and dead replica
-        and page blobs); returns the count of main-store removals."""
-        return self._sweep()
+        and page blobs), then compact each tier (one pack on local-fs);
+        returns the count of main-store removals."""
+        removed = self._sweep()
+        self.backend.compact()
+        return removed
 
     def dedup_stats(self) -> dict:
         """Page-dedup accounting: the ``dedup`` block of ``dlv stats``.

@@ -59,18 +59,19 @@ def prepare_write(site: str, data: bytes) -> tuple[bytes, bool]:
 
 
 def write_bytes(
-    path: str | Path, data: bytes, *, site: str, fsync: bool = True
+    path: str | Path, data: bytes, *, site: Optional[str], fsync: bool = True
 ) -> None:
     """Write ``data`` to ``path``, fsyncing the file before returning.
 
     Under an active fault plan the payload may be torn (partial bytes are
     persisted, then :class:`CrashSimulated` is raised) or bit-flipped
     (corrupt bytes persist silently), modelling the two classic
-    half-write outcomes.
+    half-write outcomes.  ``site=None`` writes bytes whose parts already
+    passed :func:`prepare_write` (a chunk-store pack).
     """
     plan = get_plan()
     crash_after = False
-    if plan is not None:
+    if plan is not None and site is not None:
         data, crash_after = plan.on_write(site, data)
     with open(path, "wb") as handle:
         handle.write(data)

@@ -78,7 +78,7 @@ class HubClient:
             )
         model_names = sorted({v.name for v in repo.list_versions()})
         # The backend decides what tree a publish ships: the live .dlv
-        # directory for loose-file repos, a temp tree holding one
+        # directory for local-fs repos, a temp tree holding one
         # consistent single-file repo.db snapshot for database repos.
         with repo.backend.publish_tree() as tree:
             return self.retrier.call(

@@ -62,9 +62,13 @@ def _flip_stored_byte(store, sha: str, xor: int = 0x20) -> None:
         data[len(data) // 2] ^= xor
         return bytes(data)
 
-    if hasattr(store, "blob_path"):  # loose files
-        path = store.blob_path(sha)
-        path.write_bytes(flipped(path.read_bytes()))
+    if hasattr(store, "extent"):  # packs: flip inside the blob's extent
+        path, offset, length = store.extent(sha)
+        with open(path, "r+b") as handle:
+            handle.seek(offset)
+            stored = handle.read(length)
+            handle.seek(offset)
+            handle.write(flipped(stored))
     elif hasattr(store, "_blobs"):  # dict
         store._blobs[sha] = flipped(store._blobs[sha])
     else:  # sqlite rows

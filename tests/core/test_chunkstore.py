@@ -5,11 +5,15 @@ Every conformer — loose files, dict, sqlite rows (file-backed and
 addresses, same stored form, same integrity errors, same counters.
 """
 
+import hashlib
+import os
+import stat
 import zlib
 from pathlib import Path
 
 import pytest
 
+import repro.core.chunkstore as chunkstore
 from repro.core.chunkstore import (
     ChunkIntegrityError,
     ChunkStore,
@@ -227,27 +231,124 @@ class TestDiskSpecific:
     def test_valid_zlib_of_other_content_is_a_hash_mismatch(self, tmp_path):
         store = ChunkStore(tmp_path / "chunks")
         sha = store.put(b"important bytes")
-        store.blob_path(sha).write_bytes(zlib.compress(b"tampered"))
+        os.unlink(store.extent(sha)[0])
+        forged, _ = chunkstore._encode_pack({sha: zlib.compress(b"tampered")})
+        (tmp_path / "chunks" / "pack-forged.pack").write_bytes(forged)
         with pytest.raises(ChunkIntegrityError, match="hash mismatch"):
             store.get(sha)
 
-    def test_fanout_layout_survives_reopen(self, tmp_path):
-        sha = ChunkStore(tmp_path / "chunks").put(b"persisted")
-        assert (tmp_path / "chunks" / sha[:2] / sha).exists()
-        assert ChunkStore(tmp_path / "chunks").get(sha) == b"persisted"
+    def test_pack_layout_survives_reopen(self, tmp_path):
+        root = tmp_path / "chunks"
+        sha = ChunkStore(root).put(b"persisted")
+        (pack,) = root.iterdir()
+        digest = hashlib.sha256(pack.read_bytes()).hexdigest()
+        assert pack.name == f"pack-{digest}.pack"
+        assert ChunkStore(root).get(sha) == b"persisted"
 
-    def test_blob_vanishing_mid_read_is_a_key_error(
-        self, tmp_path, monkeypatch
-    ):
-        """A concurrent gc/delete between an ``exists()`` check and the
-        read must surface as ``KeyError`` (which the recovery ladder
-        catches), never as a stray ``FileNotFoundError``."""
+    def test_blob_vanishing_mid_read_is_a_key_error(self, tmp_path):
+        """A second handle's delete folds the pack a first handle's index
+        still names: the read rescans, finds the survivor in its new
+        pack, and surfaces the deleted blob as ``KeyError`` (which the
+        recovery ladder catches), never as a stray ``FileNotFoundError``."""
         store = ChunkStore(tmp_path / "chunks")
-        sha = store.put(b"about to be collected")
-        store.delete(sha)
-        monkeypatch.setattr(Path, "exists", lambda self: True)
+        sha, kept = store.put_many([b"about to be collected", b"kept"])
+        assert ChunkStore(tmp_path / "chunks").delete(sha)
         with pytest.raises(KeyError):
             store.get(sha)
         with pytest.raises(KeyError):
             store.stored_size(sha)
         assert not store.delete(sha)
+        assert store.get(kept) == b"kept"
+
+
+class TestPacks:
+    """The local-fs layout: one pack per ``put_many``, rewrites on delete."""
+
+    @staticmethod
+    def _packs(root: Path) -> list[str]:
+        return sorted(p.name for p in root.iterdir())
+
+    def test_put_many_writes_one_pack_with_two_fsyncs(
+        self, tmp_path, monkeypatch
+    ):
+        store = ChunkStore(tmp_path / "chunks")
+        synced: list[bool] = []
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.append(stat.S_ISDIR(os.fstat(fd).st_mode))
+            real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        shas = store.put_many([bytes([i]) * (100 + i) for i in range(40)])
+        assert len(self._packs(tmp_path / "chunks")) == 1
+        assert sorted(synced) == [False, True]  # one file, one directory
+        assert store.put_many([bytes([0]) * 100]) == shas[:1]
+        assert len(synced) == 2  # nothing new: nothing written
+
+    def test_delete_many_rewrites_only_the_affected_packs(self, tmp_path):
+        root = tmp_path / "chunks"
+        store = ChunkStore(root)
+        batches = [
+            store.put_many([f"{n}-{i}".encode() * 20 for i in range(3)])
+            for n in range(3)
+        ]
+        untouched = store.extent(batches[2][0])[0]
+        inode = os.stat(untouched).st_ino
+        doomed = [batches[0][0], batches[1][1]]
+        assert store.delete_many(doomed + ["f" * 64]) == 2
+        packs = self._packs(root)
+        assert len(packs) == 2 and os.path.basename(untouched) in packs
+        assert os.stat(untouched).st_ino == inode
+        survivors = [s for batch in batches for s in batch if s not in doomed]
+        assert set(store.addresses()) == set(survivors)
+        reopened = ChunkStore(root)
+        assert all(sha not in reopened for sha in doomed)
+        assert set(reopened.get_many(survivors)) == set(survivors)
+        assert store.delete_many([]) == 0
+
+    def test_total_size_counts_each_address_once(self, tmp_path):
+        root = tmp_path / "chunks"
+        first, second = ChunkStore(root), ChunkStore(root)
+        first.addresses()  # both indexes built before either writes
+        second.addresses()
+        shared = b"written by two handles" * 10
+        first.put_many([shared, b"one" * 30])
+        second.put_many([shared, b"two" * 30])
+        reopened = ChunkStore(root)
+        assert len(self._packs(root)) == 2
+        assert reopened.total_size() == sum(
+            reopened.stored_size(sha) for sha in reopened.addresses()
+        )
+        assert reopened.total_size() == sum(
+            reopened.stored_size_of(data)
+            for data in (shared, b"one" * 30, b"two" * 30)
+        )
+
+    def test_repack_folds_every_pack_into_one(self, tmp_path):
+        root = tmp_path / "chunks"
+        store = ChunkStore(root)
+        blobs = [bytes([i]) * 64 for i in range(5)]
+        for blob in blobs:
+            store.put(blob)
+        assert len(self._packs(root)) == 5
+        assert store.repack()
+        assert len(self._packs(root)) == 1
+        assert not store.repack()
+        assert [ChunkStore(root).get(store.address(b)) for b in blobs] == blobs
+
+    def test_stale_pack_tmp_is_swept_on_open(self, tmp_path):
+        root = tmp_path / "chunks"
+        sha = ChunkStore(root).put(b"payload")
+        (root / "pack-9999-0.tmp").write_bytes(b"partial pack")
+        reopened = ChunkStore(root)
+        assert not list(root.glob("*.tmp"))
+        assert reopened.get(sha) == b"payload"
+
+    def test_torn_pack_trailer_is_not_a_pack(self, tmp_path):
+        root = tmp_path / "chunks"
+        sha = ChunkStore(root).put(b"payload" * 10)
+        (pack,) = root.iterdir()
+        pack.write_bytes(pack.read_bytes()[:-1])
+        with pytest.raises(KeyError):
+            ChunkStore(root).get(sha)

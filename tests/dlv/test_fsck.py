@@ -131,13 +131,12 @@ def test_stale_tmp_reported_and_removed(committed_repo):
     repo = committed_repo
     if repo.backend.scheme != "local-fs":
         pytest.skip("tmp-file litter is a loose-file-layout concern")
-    bucket = next(p for p in repo.store.root.iterdir() if p.is_dir())
-    (bucket / "deadbeef.123.tmp").write_bytes(b"litter")
+    (repo.store.root / "pack-123-0.tmp").write_bytes(b"litter")
     report = run_fsck(repo)
     assert any(f.code == "F302" for f in report.findings)
     assert report.clean  # warning severity
     run_fsck(repo, repair=True)
-    assert not list(repo.store.root.glob("*/*.tmp"))
+    assert not list(repo.store.root.glob("*.tmp"))
 
 
 def test_cli_fsck_exit_codes(tmp_path, capsys, corrupt_blob):

@@ -114,13 +114,12 @@ def test_commit_names_missing_staged_file(repo_target, tmp_path):
 def test_chunkstore_sweeps_stale_tmps_on_open(tmp_path):
     store = ChunkStore(tmp_path / "chunks")
     sha = store.put(b"payload")
-    bucket = store.blob_path(sha).parent
-    (bucket / f"{sha}.9999-0.tmp").write_bytes(b"partial")
+    (store.root / "pack-9999-0.tmp").write_bytes(b"partial")
     assert store.sweep_stale_tmps() == 1
     # ... and a fresh open sweeps automatically.
-    (bucket / f"{sha}.9999-1.tmp").write_bytes(b"partial")
+    (store.root / "pack-9999-1.tmp").write_bytes(b"partial")
     reopened = ChunkStore(tmp_path / "chunks")
-    assert not list(reopened.root.glob("*/*.tmp"))
+    assert not list(reopened.root.glob("*.tmp"))
     assert sha in reopened
 
 

@@ -23,11 +23,18 @@ def committed(repo, trained_tiny):
 
 
 class TestInitOpen:
-    def test_init_creates_layout(self, tmp_path):
-        repo = Repository.init(tmp_path / "r")
-        assert (tmp_path / "r" / ".dlv" / "catalog.db").exists()
-        assert (tmp_path / "r" / ".dlv" / "chunks").is_dir()
+    def test_init_creates_layout(self, tmp_path, trained_tiny):
+        repo = Repository.init(str(tmp_path / "r"))
+        dlv = tmp_path / "r" / ".dlv"
+        assert (dlv / "catalog.db").exists()
+        assert (dlv / "chunks").is_dir()
+        assert repo.format == 2 and repo.backend.read_config()["format"] == 2
+        repo.commit(trained_tiny[0].clone(), name="m")
         repo.close()
+        # One commit: one pack per tier it wrote, no bucket directories.
+        for tier in ("chunks", "replica"):
+            (pack,) = (dlv / tier).iterdir()
+            assert pack.name.startswith("pack-") and pack.suffix == ".pack"
 
     def test_double_init_rejected(self, tmp_path):
         Repository.init(tmp_path / "r").close()
