@@ -321,8 +321,9 @@ class ChunkStore(BlobCodec):
 
     The address -> ``(file, offset, length)`` index is built from the
     trailers on first use, under one lock.  A lookup that misses, or a
-    read whose pack is gone, rescans the directory once, so a handle
-    sees packs another handle wrote or folded after it was built.
+    read whose pack is gone, rescans the directory once, and every
+    write and delete re-lists it first, so a handle sees packs another
+    handle wrote or folded after it was built.
     """
 
     def __init__(
@@ -362,11 +363,14 @@ class ChunkStore(BlobCodec):
         """Re-list the tier and rebuild the index (caller holds the lock).
 
         Trailers are read only for packs not seen before: a pack never
-        changes once it has its name.
+        changes once it has its name.  Loose buckets are walked only
+        when their set changed: nothing writes a loose blob any more,
+        and a fold removes them all with their buckets.
         """
         packs, buckets, _ = self._listing()
         known = self._packs or {}
-        if self._packs is not None and not buckets and not self._loose and (
+        rescan_loose = self._packs is None or buckets != self._buckets
+        if not rescan_loose and (
             known.keys() | self._unreadable == set(packs)
         ):
             return
@@ -385,15 +389,16 @@ class ChunkStore(BlobCodec):
                     self.registry.counter("chunkstore.unreadable_packs").inc()
             if entries is not None:
                 fresh[path] = entries
-        loose = {}
-        for bucket in buckets:
-            with os.scandir(bucket) as inner:
-                for entry in inner:
-                    if not entry.name.endswith(".tmp") and entry.is_file():
-                        loose[entry.name] = (
-                            entry.path, 0, entry.stat().st_size
-                        )
-        self._packs, self._loose, self._buckets = fresh, loose, buckets
+        if rescan_loose:
+            self._loose = {}
+            for bucket in buckets:
+                with os.scandir(bucket) as inner:
+                    for entry in inner:
+                        if not entry.name.endswith(".tmp") and entry.is_file():
+                            self._loose[entry.name] = (
+                                entry.path, 0, entry.stat().st_size
+                            )
+        self._packs, self._buckets = fresh, buckets
         self._reindex()
 
     def _reindex(self) -> None:
@@ -415,9 +420,10 @@ class ChunkStore(BlobCodec):
                 found = {sha: self._index.get(sha) for sha in found}
         return found
 
-    def _held(self) -> dict[str, tuple[str, int, int]]:
+    def _held(self, rescan: bool = False) -> dict[str, tuple[str, int, int]]:
+        """The index, built on first use (or re-listed: ``rescan``)."""
         with self._lock:
-            if self._packs is None:
+            if rescan or self._packs is None:
                 self._refresh()
             return self._index
 
@@ -460,9 +466,10 @@ class ChunkStore(BlobCodec):
         blob's stored form passes the ``chunkstore.put.write`` fault
         site on its own, so a fault plan still tears or flips one blob;
         a failure before the rename leaves nothing but, after a crash, a
-        stale tmp that the next open sweeps.
+        stale tmp that the next open sweeps.  The tier is re-listed
+        first, so a blob another handle deleted since is written again.
         """
-        held = self._held()
+        held = self._held(rescan=True)
         shas: list[str] = []
         new: dict[str, bytes] = {}
         crash_after = False
@@ -525,11 +532,11 @@ class ChunkStore(BlobCodec):
 
         Every pack holding one of them is folded: its survivors go into
         one new pack (their stored bytes copied, not recompressed),
-        which is durable before the old packs are unlinked.
+        which is durable before the old packs are unlinked.  The tier is
+        re-listed first, so packs another handle folded are not read.
         """
         with self._lock:
-            if self._packs is None:
-                self._refresh()
+            self._refresh()
             doomed = {sha for sha in addresses if sha in self._index}
             if doomed:
                 # Rewrites hold the lock on purpose: the packs they fold

@@ -32,8 +32,8 @@ speculative blobs with it.
 Per-backend fsck contract: :meth:`StorageBackend.litter` reports (and
 under repair deletes) substrate-specific debris — stale tmp files for
 ``local-fs``, nothing for the database backends — and
-:meth:`StorageBackend.quarantine_blob` sets a corrupt blob aside where
-no read path will ever touch it again.
+:meth:`StorageBackend.quarantine_blobs` sets corrupt blobs aside where
+no read path will ever touch them again.
 """
 
 from __future__ import annotations
@@ -270,10 +270,11 @@ class StorageBackend(abc.ABC):
     # -- per-backend fsck contract -------------------------------------------
 
     @abc.abstractmethod
-    def quarantine_blob(self, kind: str, sha: str) -> bool:
-        """Set a corrupt blob aside (``kind``: "chunks"/"replica"/"pages").
+    def quarantine_blobs(self, kind: str, shas: Iterable[str]) -> int:
+        """Set corrupt blobs of one tier aside (``kind``:
+        "chunks"/"replica"/"pages"), as one batch.
 
-        Returns whether a blob was actually moved.  Quarantined blobs
+        Returns how many blobs were actually moved.  Quarantined blobs
         are unreachable from every read path but retained for forensics.
         """
 

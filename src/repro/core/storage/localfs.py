@@ -23,7 +23,7 @@ import itertools
 import json
 import os
 from pathlib import Path
-from typing import Optional
+from typing import Iterable, Optional
 
 from repro.core.chunkstore import ChunkStore
 from repro.core.storage.base import (
@@ -171,23 +171,28 @@ class LocalFSBackend(StorageBackend):
             return self.pages
         raise ValueError(f"unknown blob tier {kind!r}")
 
-    def quarantine_blob(self, kind: str, sha: str) -> bool:
-        """Copy a corrupt blob's stored bytes into ``.dlv/quarantine/``
-        (forensics), then delete it from its tier."""
+    def quarantine_blobs(self, kind: str, shas: Iterable[str]) -> int:
+        """Copy corrupt blobs' stored bytes into ``.dlv/quarantine/``
+        (forensics), then delete them from their tier with one
+        ``delete_many``, so the tier's packs are rewritten once."""
         store = self._store_for(kind)
         suffix = {"chunks": "", "replica": ".replica", "pages": ".page"}[kind]
-        try:
-            stored = store.read_stored(sha)
-        except KeyError:
-            return False
         quarantine = self.dlv_dir / "quarantine"
-        quarantine.mkdir(exist_ok=True)
-        ffs.write_bytes(
-            quarantine / f"{sha}{suffix}", stored, site="repo.quarantine.write"
-        )
-        store.delete_many((sha,))
-        counter("fsck.quarantined").inc()
-        return True
+        copied = []
+        for sha in sorted(set(shas)):
+            try:
+                stored = store.read_stored(sha)
+            except KeyError:
+                continue
+            quarantine.mkdir(exist_ok=True)
+            ffs.write_bytes(
+                quarantine / f"{sha}{suffix}", stored,
+                site="repo.quarantine.write",
+            )
+            copied.append(sha)
+        moved = store.delete_many(copied)
+        counter("fsck.quarantined").inc(moved)
+        return moved
 
     def quarantined(self) -> list[str]:
         quarantine = self.dlv_dir / "quarantine"

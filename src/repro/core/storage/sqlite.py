@@ -472,31 +472,33 @@ class SQLiteBackend(StorageBackend):
 
     # -- fsck contract --------------------------------------------------------------
 
-    def quarantine_blob(self, kind: str, sha: str) -> bool:
-        """Move a corrupt blob row into the quarantine table."""
+    def quarantine_blobs(self, kind: str, shas: Iterable[str]) -> int:
+        """Move corrupt blob rows into the quarantine table, one
+        statement of each kind per :data:`GET_BATCH` addresses."""
         if kind not in ("chunks", "replica", "pages"):
             raise ValueError(f"unknown blob tier {kind!r}")
         suffix = {"chunks": "", "replica": ".replica", "pages": ".page"}[kind]
+        shas = sorted(set(shas))
+        moved = 0
         with self._write_lock:
-            row = self._writer.execute(
-                "SELECT data FROM store_blob WHERE ns = ? AND sha = ?",
-                (kind, sha),
-            ).fetchone()
-            if row is None:
-                return False
-            self._writer.execute(
-                "INSERT OR REPLACE INTO store_quarantine (name, data) "
-                "VALUES (?, ?)",
-                (f"{sha}{suffix}", row[0]),
-            )
-            self._writer.execute(
-                "DELETE FROM store_blob WHERE ns = ? AND sha = ?", (kind, sha)
-            )
+            for start in range(0, len(shas), GET_BATCH):
+                part = shas[start:start + GET_BATCH]
+                marks = ",".join("?" * len(part))
+                self._writer.execute(
+                    "INSERT OR REPLACE INTO store_quarantine (name, data) "
+                    "SELECT sha || ?, data FROM store_blob "
+                    f"WHERE ns = ? AND sha IN ({marks})",
+                    (suffix, kind, *part),
+                )
+                moved += self._writer.execute(
+                    f"DELETE FROM store_blob WHERE ns = ? AND sha IN ({marks})",
+                    (kind, *part),
+                ).rowcount
             self._commit_if_root()
         from repro.obs.metrics import counter
 
-        counter("fsck.quarantined").inc()
-        return True
+        counter("fsck.quarantined").inc(moved)
+        return moved
 
     def quarantined(self) -> list[str]:
         rows = self._read_conn().execute(

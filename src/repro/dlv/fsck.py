@@ -194,10 +194,9 @@ def run_fsck(repo: "Repository", repair: bool = False) -> FsckReport:
     )
 
     if repair:
-        for sha in corrupt_main:
-            repo.backend.quarantine_blob("chunks", sha)
+        repo.backend.quarantine_blobs("chunks", corrupt_main)
+        repo.backend.quarantine_blobs("replica", corrupt_replica)
         for sha in corrupt_replica:
-            repo.backend.quarantine_blob("replica", sha)
             _annotate(report, sha, "quarantined", codes=("F102",))
 
     _check_catalog(repo, report, repair)
@@ -525,8 +524,7 @@ def _check_pages(repo, report: FsckReport, repair: bool) -> None:
                 )
 
     if repair:
-        for sha in corrupt:
-            repo.backend.quarantine_blob("pages", sha)
+        repo.backend.quarantine_blobs("pages", corrupt)
         if affected:
             _rematerialize(repo, report, affected, ("F401",))
 

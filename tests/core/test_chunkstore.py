@@ -1,12 +1,13 @@
 """The one ``BlobStore`` conformance suite.
 
-Every conformer — loose files, dict, sqlite rows (file-backed and
+Every conformer — packs, dict, sqlite rows (file-backed and
 ``mem://``), and the latency wrapper — must behave identically: same
 addresses, same stored form, same integrity errors, same counters.
 """
 
 import hashlib
 import os
+import shutil
 import stat
 import zlib
 from pathlib import Path
@@ -308,13 +309,14 @@ class TestPacks:
         assert store.delete_many([]) == 0
 
     def test_total_size_counts_each_address_once(self, tmp_path):
-        root = tmp_path / "chunks"
-        first, second = ChunkStore(root), ChunkStore(root)
-        first.addresses()  # both indexes built before either writes
-        second.addresses()
+        # Two writers racing on one tier can both pack the same blob;
+        # here the second pack comes from another tier's directory.
+        root, other = tmp_path / "chunks", tmp_path / "other"
         shared = b"written by two handles" * 10
-        first.put_many([shared, b"one" * 30])
-        second.put_many([shared, b"two" * 30])
+        ChunkStore(root).put_many([shared, b"one" * 30])
+        ChunkStore(other).put_many([shared, b"two" * 30])
+        (pack,) = other.iterdir()
+        shutil.copy(pack, root / pack.name)
         reopened = ChunkStore(root)
         assert len(self._packs(root)) == 2
         assert reopened.total_size() == sum(
@@ -324,6 +326,68 @@ class TestPacks:
             reopened.stored_size_of(data)
             for data in (shared, b"one" * 30, b"two" * 30)
         )
+
+    def test_second_handle_rewrites_a_blob_deleted_under_it(self, tmp_path):
+        root = tmp_path / "chunks"
+        first, second = ChunkStore(root), ChunkStore(root)
+        blob, other = b"deleted, then put again" * 8, b"survivor" * 8
+        sha, kept = first.put_many([blob, other])
+        assert sha in second  # the second index is built
+        assert first.delete_many([sha]) == 1
+        assert first.repack() is False  # one pack already
+        assert second.put(blob) == sha
+        assert second.get(sha) == blob
+        assert ChunkStore(root).get_many([sha, kept])[sha][0] == blob
+
+    def test_second_handle_deletes_and_repacks_after_a_fold_under_it(
+        self, tmp_path
+    ):
+        root = tmp_path / "chunks"
+        first, second = ChunkStore(root), ChunkStore(root)
+        shas = [first.put(bytes([i]) * 50) for i in range(4)]
+        assert sorted(second.addresses()) == sorted(shas)  # index built
+        assert first.delete_many(shas[:1]) == 1
+        first.put(b"new" * 20)
+        assert first.repack()
+        assert second.delete_many(shas[1:2]) == 1
+        assert second.repack() is False  # the delete left one pack
+        assert len(self._packs(root)) == 1
+        reopened = ChunkStore(root)
+        assert set(reopened.addresses()) == {
+            *shas[2:], reopened.address(b"new" * 20)
+        }
+        assert reopened.get(shas[3]) == bytes([3]) * 50
+
+    def test_loose_blobs_read_and_a_miss_lists_only_the_tier(
+        self, tmp_path, monkeypatch
+    ):
+        root = tmp_path / "chunks"
+        blobs = [bytes([i]) * 64 for i in range(6)]
+        codec = ChunkStore(tmp_path / "codec")
+        for blob in blobs:  # the format-1 layout: <sha[:2]>/<sha>
+            sha = codec.address(blob)
+            (root / sha[:2]).mkdir(parents=True, exist_ok=True)
+            (root / sha[:2] / sha).write_bytes(zlib.compress(blob))
+        store = ChunkStore(root)
+        assert [store.get(store.address(b)) for b in blobs] == blobs
+        scans: list[str] = []
+        real_scandir = os.scandir
+
+        def scandir(path):
+            scans.append(str(path))
+            return real_scandir(path)
+
+        monkeypatch.setattr(os, "scandir", scandir)
+        assert "f" * 64 not in store
+        assert scans == [str(root)]
+        monkeypatch.undo()
+        other = ChunkStore(root)
+        assert other.get(store.address(blobs[0])) == blobs[0]
+        assert store.repack()
+        assert [p.suffix for p in root.iterdir()] == [".pack"]
+        assert [store.get(store.address(b)) for b in blobs] == blobs
+        shas = [other.address(b) for b in blobs]  # its loose index is stale
+        assert [other.get_many(shas)[sha][0] for sha in shas] == blobs
 
     def test_repack_folds_every_pack_into_one(self, tmp_path):
         root = tmp_path / "chunks"

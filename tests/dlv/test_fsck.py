@@ -42,6 +42,23 @@ def test_clean_repo(committed_repo):
     assert data["clean"] and data["summary"]["error"] == 0
 
 
+def test_corrupt_blobs_of_a_tier_quarantined_together(
+    committed_repo, corrupt_blob
+):
+    repo = committed_repo
+    victims = sorted({p["chunks"][3] for p in repo.catalog.all_payloads()})
+    assert len(victims) > 1
+    for sha in victims:
+        corrupt_blob(repo, sha)
+    report = run_fsck(repo, repair=True)
+    assert report.clean
+    assert repo.backend.quarantined() == victims
+    assert all(sha not in repo.store or repo.store.verify_blob(sha)
+               for sha in victims)
+    assert run_fsck(repo).clean
+    assert repo.get_snapshot_weights(1)
+
+
 def test_corrupt_blob_detected_and_repaired(committed_repo, corrupt_blob):
     repo = committed_repo
     payload = repo.catalog.all_payloads()[0]

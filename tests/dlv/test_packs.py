@@ -1,9 +1,9 @@
 """The packed local-fs layout seen through a repository.
 
-A second handle reads through another handle's commit and gc; the
-``format`` integer refuses newer repositories and upgrades format-1
-ones, whose loose blobs stay readable until ``gc`` packs them; and
-documents land whole or not at all.
+A second handle reads, writes and collects through another handle's
+commit and gc; the ``format`` integer refuses newer repositories and
+upgrades format-1 ones, whose loose blobs stay readable until ``gc``
+packs them; and documents land whole or not at all.
 """
 
 from __future__ import annotations
@@ -96,6 +96,64 @@ def test_second_handle_reads_through_commit_and_gc(tmp_path):
     )
     first.close()
     second.close()
+
+
+def test_second_handle_commits_and_gcs_after_a_gc_under_it(tmp_path):
+    root = str(tmp_path / "r")
+    first = Repository.init(root)
+    committed = _chain(first, 3)
+    second = Repository.open(root)
+    held = set(second.store.addresses())  # index built before the gc
+    first.archive(alpha=2.0)  # its gc drops the materialized chunks
+    gone = held - set(ChunkStore(tmp_path / "r" / ".dlv" / "chunks").addresses())
+    assert gone
+
+    net = tiny_mlp(
+        input_shape=(1, 4, 4), num_classes=3, hidden=8, name="m"
+    ).build(0)
+    net.set_weights(committed["m0-2"])
+    committed["again"] = net.get_weights()
+    second.commit(net, name="again", message="again")
+    assert gone & {
+        sha for payload in second.catalog.all_payloads()
+        for sha in payload["chunks"]
+    }  # the new commit re-puts blobs the other handle deleted
+    second.gc()
+    first.close()
+    second.close()
+
+    reopened = Repository.open(root)
+    for version in reopened.list_versions():
+        assert _weights_bytes(reopened.get_snapshot_weights(version.id)) == (
+            _weights_bytes(committed[version.name])
+        )
+    assert run_fsck(reopened).clean
+    reopened.close()
+
+
+def test_fsck_quarantines_a_tiers_corrupt_blobs_in_one_rewrite(
+    tmp_path, corrupt_blob, monkeypatch
+):
+    repo = Repository.init(str(tmp_path / "r"))
+    _chain(repo, 1)
+    repo.gc()  # one pack per tier
+    victims = sorted({p["chunks"][3] for p in repo.catalog.all_payloads()})
+    assert len(victims) > 1
+    for sha in victims:
+        corrupt_blob(repo, sha)
+    rewrites = []
+    real = ChunkStore._rewrite
+
+    def spy(store, folded, drop):
+        rewrites.append((store.root.name, len(folded), sorted(drop)))
+        return real(store, folded, drop)
+
+    monkeypatch.setattr(ChunkStore, "_rewrite", spy)
+    assert run_fsck(repo, repair=True).clean
+    assert [r for r in rewrites if r[2]] == [("chunks", 1, victims)]
+    assert repo.backend.quarantined() == victims
+    assert run_fsck(repo).clean
+    repo.close()
 
 
 def _to_format_1(dlv) -> int:
