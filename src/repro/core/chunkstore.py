@@ -316,8 +316,10 @@ class ChunkStore(BlobCodec):
     count, a CRC-32 of both and :data:`PACK_MAGIC`.  Packs are written
     once — tmp file, fsync, rename, directory fsync — and never changed;
     a delete writes the survivors of the packs it touches into a new
-    pack before unlinking the old ones.  Loose ``<sha[:2]>/<sha>`` blobs
-    of the older layout stay readable until :meth:`repack` folds them.
+    pack before unlinking the old ones.  Packs are all it reads: the
+    loose blobs of the older layout are folded into one when a
+    repository of that format is opened (see
+    :meth:`~repro.core.storage.localfs.LocalFSBackend.open_format`).
 
     The address -> ``(file, offset, length)`` index is built from the
     trailers on first use, under one lock.  A lookup that misses, or a
@@ -338,39 +340,32 @@ class ChunkStore(BlobCodec):
         self.root.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
         self._packs: Optional[dict[str, list[tuple[str, int, int]]]] = None
-        self._loose: dict[str, tuple[str, int, int]] = {}
-        self._buckets: list[str] = []
         self._unreadable: set[str] = set()
         self._index: dict[str, tuple[str, int, int]] = {}
         self.sweep_stale_tmps()
 
     # -- the index -----------------------------------------------------------
 
-    def _listing(self) -> tuple[list[str], list[str], list[str]]:
-        """``(packs, loose bucket directories, tmp files)`` of the tier."""
-        packs, buckets, tmps = [], [], []
+    def _listing(self) -> tuple[list[str], list[str]]:
+        """``(packs, tmp files)`` of the tier, each sorted."""
+        packs, tmps = [], []
         with os.scandir(self._root) as top:
             for entry in top:
                 if entry.name.endswith(".tmp"):
                     tmps.append(entry.path)
                 elif entry.name.endswith(_PACK_SUFFIX):
                     packs.append(entry.path)
-                elif entry.is_dir():
-                    buckets.append(entry.path)
-        return sorted(packs), sorted(buckets), tmps
+        return sorted(packs), sorted(tmps)
 
     def _refresh(self) -> None:
         """Re-list the tier and rebuild the index (caller holds the lock).
 
         Trailers are read only for packs not seen before: a pack never
-        changes once it has its name.  Loose buckets are walked only
-        when their set changed: nothing writes a loose blob any more,
-        and a fold removes them all with their buckets.
+        changes once it has its name.
         """
-        packs, buckets, _ = self._listing()
+        packs, _ = self._listing()
         known = self._packs or {}
-        rescan_loose = self._packs is None or buckets != self._buckets
-        if not rescan_loose and (
+        if self._packs is not None and (
             known.keys() | self._unreadable == set(packs)
         ):
             return
@@ -389,20 +384,11 @@ class ChunkStore(BlobCodec):
                     self.registry.counter("chunkstore.unreadable_packs").inc()
             if entries is not None:
                 fresh[path] = entries
-        if rescan_loose:
-            self._loose = {}
-            for bucket in buckets:
-                with os.scandir(bucket) as inner:
-                    for entry in inner:
-                        if not entry.name.endswith(".tmp") and entry.is_file():
-                            self._loose[entry.name] = (
-                                entry.path, 0, entry.stat().st_size
-                            )
-        self._packs, self._buckets = fresh, buckets
+        self._packs = fresh
         self._reindex()
 
     def _reindex(self) -> None:
-        index = dict(self._loose)
+        index: dict[str, tuple[str, int, int]] = {}
         for path, entries in self._packs.items():
             index.update((sha, (path, off, n)) for sha, off, n in entries)
         self._index = index
@@ -434,13 +420,8 @@ class ChunkStore(BlobCodec):
     # -- litter --------------------------------------------------------------
 
     def stale_tmps(self) -> list[str]:
-        """Paths of ``*.tmp`` litter left by crashed writers (sorted),
-        in the tier directory and in any loose bucket of the old layout."""
-        _, buckets, tmps = self._listing()
-        for bucket in buckets:
-            with os.scandir(bucket) as inner:
-                tmps.extend(e.path for e in inner if e.name.endswith(".tmp"))
-        return sorted(tmps)
+        """Paths of ``*.tmp`` litter left by crashed writers (sorted)."""
+        return self._listing()[1]
 
     def sweep_stale_tmps(self) -> int:
         """Remove ``*.tmp`` litter left by crashed writers; returns count."""
@@ -489,16 +470,35 @@ class ChunkStore(BlobCodec):
                     "simulated crash after torn write (chunkstore.put.write)"
                 )
         if new:
-            path, entries = self._land_pack(new, write_site=None, prefix="put")
-            with self._lock:
-                if self._packs is not None:
-                    # Copy on write: readers iterate the index unlocked.
-                    self._packs[path] = entries
-                    self._index = {
-                        **self._index,
-                        **{sha: (path, off, n) for sha, off, n in entries},
-                    }
+            self._add_pack(
+                *self._land_pack(new, write_site=None, prefix="put")
+            )
         return shas
+
+    def put_stored(self, stored: dict[str, bytes]) -> int:
+        """Land ``address -> stored form`` pairs as they are, unverified
+        (fsck finds a corrupt one), as one pack of those the tier does
+        not hold yet; returns how many it wrote.  The format-1 upgrade
+        folds loose blobs with it, so running it twice writes nothing
+        the second time."""
+        held = self._held(rescan=True)
+        new = {sha: data for sha, data in stored.items() if sha not in held}
+        if new:
+            self._add_pack(*self._land_pack(
+                new, write_site="chunkstore.fold.write", prefix="fold"
+            ))
+        return len(new)
+
+    def _add_pack(self, path: str, entries: list[tuple[str, int, int]]) -> None:
+        """Index a pack this handle just landed."""
+        with self._lock:
+            if self._packs is not None:
+                # Copy on write: readers iterate the index unlocked.
+                self._packs[path] = entries
+                self._index = {
+                    **self._index,
+                    **{sha: (path, off, n) for sha, off, n in entries},
+                }
 
     def _tmp(self) -> str:
         return os.path.join(
@@ -550,23 +550,22 @@ class ChunkStore(BlobCodec):
 
     def repack(self) -> bool:
         """Fold the whole tier into one pack when it holds more than one
-        pack or any loose blob (what ``gc`` leaves); returns whether it
-        rewrote anything."""
+        (what ``gc`` leaves); returns whether it rewrote anything."""
         with self._lock:
             self._refresh()
-            if len(self._packs) <= 1 and not self._loose:
+            if len(self._packs) <= 1:
                 return False
             self._rewrite(list(self._packs), set())  # lint: ignore[CONC405]
         return True
 
     def _rewrite(self, folded: list[str], drop: set[str]) -> None:
-        """Replace ``folded`` packs and the loose blobs with one pack of
-        their blobs outside ``drop`` (caller holds the lock)."""
+        """Replace ``folded`` packs with one pack of their blobs outside
+        ``drop`` (caller holds the lock)."""
         elsewhere = {
             sha for path, entries in self._packs.items() if path not in folded
             for sha, _, _ in entries
         }
-        sources = dict(self._loose)
+        sources: dict[str, tuple[str, int, int]] = {}
         for path in folded:
             sources.update(
                 (sha, (path, off, n)) for sha, off, n in self._packs[path]
@@ -575,7 +574,7 @@ class ChunkStore(BlobCodec):
             sha: where for sha, where in sources.items()
             if sha not in drop and sha not in elsewhere
         }
-        stale = set(folded) | {path for path, _, _ in self._loose.values()}
+        stale = set(folded)
         if keep:
             path, entries = self._land_pack(  # lint: ignore[CONC405]
                 _read_extents(keep), write_site="chunkstore.repack.write",
@@ -586,10 +585,6 @@ class ChunkStore(BlobCodec):
         for path in sorted(stale):
             ffs.unlink(path, site="chunkstore.repack.unlink", missing_ok=True)
             self._packs.pop(path, None)
-        for bucket in self._buckets:
-            with contextlib.suppress(OSError):  # litter keeps it
-                os.rmdir(bucket)
-        self._loose, self._buckets = {}, []
         if stale:
             ffs.fsync_dir(self._root, site="chunkstore.repack.dirsync")
         self._reindex()

@@ -211,7 +211,7 @@ class _StoredPayload:
     ``kind="pages"`` payloads are root-anchored like ``materialize`` but
     store no plane chunks; instead ``pages`` maps each plane index to a
     page manifest (see :mod:`repro.dedup.pages`) resolving into the
-    shared, refcounted page tier.
+    shared page tier.
     """
 
     matrix_id: str

@@ -4,7 +4,7 @@ A :class:`~repro.dlv.repository.Repository` is versioning logic layered
 over four kinds of state:
 
 * **blobs** — content-addressed byte-plane chunks (main + replica tier)
-  and dedup pages (the refcounted ``pages`` tier),
+  and dedup pages (the shared ``pages`` tier),
 * **files** — content-addressed associated files (``dlv add``),
 * **docs** — small named documents (repo config, the commit stage,
   archive-run reports),

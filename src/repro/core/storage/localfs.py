@@ -12,13 +12,14 @@ existed.
 
 Filesystem-only concepts — unique tmp names, the sweep of stale tmp
 litter after a crash, quarantine as a copy into a directory, the
-in-place upgrade of a format-1 repository (loose blobs, read until the
-next ``gc`` packs them) — are implemented here and *only* here; the
+in-place upgrade of a format-1 repository (its loose blobs folded into
+one pack per tier on open) — are implemented here and *only* here; the
 database backends have no such debris.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import os
@@ -231,15 +232,19 @@ class LocalFSBackend(StorageBackend):
         return findings
 
     def compact(self) -> None:
-        """Fold each tier into one pack (loose blobs of format 1 too)."""
+        """Fold each tier into one pack."""
         for store in (self.chunks, self.replica, self.pages):
             store.repack()
 
     def open_format(self) -> int:
-        """Check the format; a format-1 repository is upgraded in place
-        by rewriting its config — its loose blobs stay readable and the
-        next ``gc`` packs them."""
+        """Check the format; a format-1 repository is upgraded in place:
+        each tier's loose blobs are folded into one pack, and only then
+        does the config record the new format.  A crash part way leaves
+        format 1, so the next open folds again; that writes no blob a
+        pack already holds."""
         if super().open_format() < FORMAT:
+            for store in (self.chunks, self.replica, self.pages):
+                _fold_loose(store)
             config = self.read_config()
             config["format"] = FORMAT
             self.write_doc(CONFIG_DOC, json.dumps(config, indent=2).encode())
@@ -255,3 +260,25 @@ class LocalFSBackend(StorageBackend):
 
     def close(self) -> None:
         self.catalog.close()
+
+
+def _fold_loose(store: ChunkStore) -> None:
+    """Move one tier's loose ``<sha[:2]>/<sha>`` blobs (format 1) into a
+    pack, then remove them, any tmp litter beside them and their bucket
+    directories.  Stored forms are copied unverified: a corrupt blob
+    never blocks the open, and fsck still finds and quarantines it."""
+    buckets = sorted(p for p in store.root.iterdir() if p.is_dir())
+    if not buckets:
+        return
+    files = [path for bucket in buckets for path in sorted(bucket.iterdir())]
+    store.put_stored({
+        path.name: path.read_bytes()
+        for path in files
+        if not path.name.endswith(".tmp")
+    })
+    for path in files:
+        ffs.unlink(path, site="chunkstore.fold.unlink", missing_ok=True)
+    for bucket in buckets:
+        with contextlib.suppress(OSError):  # litter keeps it
+            bucket.rmdir()
+    ffs.fsync_dir(store.root, site="chunkstore.fold.dirsync")

@@ -4,10 +4,10 @@ Splits byte planes into fixed-size content-addressed pages, indexes
 them by exact hash plus a band sketch so near-duplicate pages across
 *unrelated* models resolve to one stored copy (with tiny XOR patch
 deltas for near-misses), and plugs into archival as a ``kind="pages"``
-storage-graph edge, into all three storage backends as a refcounted
-``pages`` blob namespace, and into the serve tier through
-:class:`~repro.serve.cache.PlaneCache` plane entries keyed by each
-assembled plane's content hash.
+storage-graph edge, into all three storage backends as a ``pages`` blob
+namespace whose liveness the page manifests decide, and into the serve
+tier through :class:`~repro.serve.cache.PlaneCache` plane entries keyed
+by each assembled plane's content hash.
 """
 
 from repro.dedup.index import DedupEstimator, SketchIndex

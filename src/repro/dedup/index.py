@@ -1,8 +1,8 @@
 """Similarity index helpers and the archival-planning cost estimator.
 
 The *persistent* sketch index lives in the catalog (``page_sketch``
-rows, written atomically with refcounts inside the archive
-transaction); this module holds the in-memory half:
+rows, written atomically with the page manifests inside the
+archive transaction); this module holds the in-memory half:
 
 * :class:`SketchIndex` — the per-archive-run overlay.  An archive run
   encodes many matrices before anything is committed, so pages stored

@@ -1,26 +1,27 @@
-"""Refcounted, similarity-indexed page store over a blob namespace.
+"""Similarity-indexed page store over a blob namespace.
 
 :class:`PageStore` binds the dedup encoding of :mod:`repro.dedup.pages`
 to a repository: page blobs land in the backend's ``pages`` blob
-namespace, while manifests, refcounts, and sketch rows live in the
-catalog so they commit atomically with the payload rewrite of an
-archive run.
+namespace, while manifests and sketch rows live in the catalog so they
+commit atomically with the payload rewrite of an archive run.  The
+manifests are the one record of the pages: which are live
+(:meth:`~repro.dlv.repository.Repository.live_addresses`) and how often
+each is referenced (:meth:`PageStore.stats`).
 
 Write protocol (crash-safe on all three backends):
 
 1. ``encode_plane`` plans and writes nothing: new page and patch blobs
-   wait in the store's write buffer, and every catalog mutation
-   (refcount bumps, sketch rows) is buffered beside them.
+   wait in the store's write buffer, and the sketch rows of new base
+   pages are buffered beside them.
 2. The caller opens ``catalog.transaction()``, writes the payload and
    page manifests, and calls :meth:`PageStore.flush`, which lands the
-   buffered blobs with one ``put_many`` and the refcounts and sketch
-   rows with one ``executemany`` each, all before the transaction
-   commits.  On the SQLite/memory backends the blob rows join that
-   transaction; on local-fs every blob file is fsynced (the batch's
-   files together) and renamed, and every bucket directory it touched
-   fsynced once, before the catalog commits.  A crash before the commit strands at worst
-   unreferenced blobs, which ``gc`` (run by the journal replay of the
-   archive intent) and fsck ``F403`` sweep.
+   buffered blobs with one ``put_many`` and the sketch rows with one
+   ``executemany``, both before the transaction commits.  On the
+   SQLite/memory backends the blob rows join that transaction; on
+   local-fs the batch lands as one pack, fsynced and renamed with its
+   directory fsynced, before the catalog commits.  A crash before the
+   commit strands at worst unreferenced blobs, which ``gc`` (run by the
+   journal replay of the archive intent) and fsck ``F403`` sweep.
 
 A dry run (:meth:`PageStore.dry_run`, what
 :class:`~repro.dedup.index.DedupEstimator` prices with) is the same
@@ -75,7 +76,7 @@ class PageStore:
 
     Args:
         blobs: The backend's ``pages`` blob store.
-        catalog: The repository catalog (manifests, refcounts, sketches).
+        catalog: The repository catalog (manifests, sketches).
         page_size: Page granularity in bytes.
     """
 
@@ -86,7 +87,6 @@ class PageStore:
         self.catalog = catalog
         self.page_size = page_size
         self._buffer: dict[str, bytes] = {}
-        self._pending_refs: Counter = Counter()
         self._pending_sketches: list[tuple[str, str]] = []
         self._pending_counts: Counter = Counter()
         self._pending_shared: Counter = Counter()
@@ -133,7 +133,6 @@ class PageStore:
             count["pages_referenced"] += 1
             if self._holds(sha):
                 self._pending_shared[sha] += 1
-                self._pending_refs[sha] += 1
                 pages_meta.append([sha, None])
                 continue
             raw_c = self.blobs.stored_size_of(page)
@@ -152,8 +151,6 @@ class PageStore:
                 count["bytes_stored"] += patch_c
                 count["bytes_saved"] += raw_c - patch_c
                 added += patch_c
-                self._pending_refs[base_sha] += 1
-                self._pending_refs[patch_sha] += 1
                 pages_meta.append([base_sha, patch_sha])
             else:
                 self._buffer[sha] = page
@@ -162,7 +159,6 @@ class PageStore:
                 added += raw_c
                 self._run_index.add(sha, keys)
                 self._pending_sketches.extend((key, sha) for key in keys)
-                self._pending_refs[sha] += 1
                 pages_meta.append([sha, None])
         manifest = {
             "psize": self.page_size,
@@ -228,15 +224,14 @@ class PageStore:
         return best
 
     def flush(self) -> None:
-        """Land the buffered blobs, apply buffered refcounts and sketch
-        rows to the catalog, and the run's ``dedup.*`` counts to the
-        metrics registry.
+        """Land the buffered blobs, the buffered sketch rows in the
+        catalog, and the run's ``dedup.*`` counts in the metrics
+        registry.
 
         The caller must hold ``catalog.transaction()`` so these rows
         commit atomically with the manifests that justify them.
         """
         self.blobs.put_many(self._buffer.values())
-        self.catalog.bump_page_refs(self._pending_refs.items())
         self.catalog.add_page_sketches(self._pending_sketches)
         self._pending_counts.update(
             pages_shared=sum(self._pending_shared.values()),
@@ -248,20 +243,11 @@ class PageStore:
         for name, n in self._pending_counts.items():
             counter(f"dedup.{name}").inc(n)
         self._facts = _PlanFacts()
-        for pending in (self._buffer, self._pending_refs,
-                        self._pending_sketches, self._pending_counts,
-                        self._pending_shared):
+        for pending in (self._buffer, self._pending_sketches,
+                        self._pending_counts, self._pending_shared):
             pending.clear()
 
     # -- maintenance --------------------------------------------------------
-
-    def referenced_counts(self) -> Counter:
-        """True per-sha reference counts recomputed from all manifests."""
-        counts: Counter = Counter()
-        for _matrix_id, _plane, manifest in self.catalog.all_page_manifests():
-            for sha in manifest_shas(manifest):
-                counts[sha] += 1
-        return counts
 
     def sweep_orphans(self, live: Iterable[str]) -> list[str]:
         """Delete page blobs (and their index rows) outside ``live``."""
@@ -274,24 +260,26 @@ class PageStore:
         return swept
 
     def stats(self) -> dict:
-        """Family-wide dedup accounting for ``dlv stats``."""
-        refcounts = self.catalog.page_refcounts()
+        """Family-wide dedup accounting for ``dlv stats``, counted from
+        the manifests."""
+        references: Counter = Counter()
         matrices: set[str] = set()
         logical = 0
         for matrix_id, _plane, manifest in self.catalog.all_page_manifests():
             matrices.add(matrix_id)
             logical += int(manifest["nbytes"])
+            references.update(manifest_shas(manifest))
         stored = self.blobs.total_size()
         referenced_stored = 0
-        for sha, count in refcounts.items():
+        for sha, count in references.items():
             try:
                 referenced_stored += count * self.blobs.stored_size(sha)
             except KeyError:
                 continue
         return {
             "page_matrices": len(matrices),
-            "unique_pages": len(refcounts),
-            "page_references": sum(refcounts.values()),
+            "unique_pages": len(references),
+            "page_references": sum(references.values()),
             "logical_bytes": logical,
             "stored_bytes": stored,
             "bytes_saved": max(0, referenced_stored - stored),

@@ -14,20 +14,21 @@ owns the relational half.  The schema follows the paper's data model:
 * ``snapshot`` / ``matrix`` / ``payload`` — the PAS-side bookkeeping:
   which matrices belong to which snapshot (co-usage groups) and how each
   matrix is currently stored (materialized or as a delta, with its byte
-  plane chunk addresses).
+  plane chunk addresses);
+* ``page_payload`` / ``page_sketch`` — the dedup tier: each page-encoded
+  plane's manifest (the one record of which pages are live and how often
+  each is referenced) and the similarity index over base pages.
 """
 
 from __future__ import annotations
 
 import json
 import sqlite3
-from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro.core.storage.base import TxnState
-from repro.dedup.pages import manifest_shas
 from repro.dlv.objects import ModelVersion, Snapshot
 from repro.faults import fs as ffs
 
@@ -106,10 +107,6 @@ CREATE TABLE IF NOT EXISTS commit_marker (
     version_id  INTEGER NOT NULL,
     created_at  TEXT NOT NULL DEFAULT ''
 );
-CREATE TABLE IF NOT EXISTS page_ref (
-    sha         TEXT PRIMARY KEY,
-    refcount    INTEGER NOT NULL DEFAULT 0
-);
 CREATE TABLE IF NOT EXISTS page_payload (
     matrix_id   TEXT NOT NULL,
     plane       INTEGER NOT NULL,
@@ -125,6 +122,8 @@ CREATE INDEX IF NOT EXISTS idx_matrix_snapshot
     ON matrix(version_id, snapshot_idx);
 CREATE INDEX IF NOT EXISTS idx_page_sketch_sha
     ON page_sketch(sha);
+-- Older dlv kept per-page refcounts here; the manifests are the record.
+DROP TABLE IF EXISTS page_ref;
 """
 
 
@@ -500,8 +499,8 @@ class Catalog:
 
     def delete_matrix(self, matrix_id: str) -> None:
         """Drop a matrix: its matrix and payload rows *and* its page
-        manifests with the reference counts they hold, so the pages and
-        replica mirrors only it kept alive become collectable."""
+        manifests, so the pages and replica mirrors only it kept alive
+        become collectable."""
         self.release_page_manifests(matrix_id)
         self._conn.execute(
             "DELETE FROM payload WHERE matrix_id = ?", (matrix_id,)
@@ -558,53 +557,10 @@ class Catalog:
         ]
 
     def release_page_manifests(self, matrix_id: str) -> None:
-        """Drop a matrix's page manifests and the reference counts they
-        hold; the blobs themselves are swept by ``gc`` once unreferenced."""
-        released: Counter = Counter()
-        for manifest in self.get_page_manifests(matrix_id).values():
-            released.update(manifest_shas(manifest))
-        self.bump_page_refs((sha, -n) for sha, n in released.items())
+        """Drop a matrix's page manifests; the pages only they referenced
+        are swept by ``gc`` (see ``Repository.live_addresses``)."""
         self._conn.execute(
             "DELETE FROM page_payload WHERE matrix_id = ?", (matrix_id,)
-        )
-        self._maybe_commit()
-
-    def bump_page_ref(self, sha: str, delta: int) -> None:
-        """Adjust one page's reference count (see :meth:`bump_page_refs`)."""
-        self.bump_page_refs([(sha, delta)])
-
-    def bump_page_refs(self, deltas: Iterable[tuple[str, int]]) -> None:
-        """Adjust page reference counts, one ``(sha, delta)`` per page.
-
-        Rows at zero (or below — drift repaired by fsck F402) are
-        dropped so the table mirrors the set of live pages.
-        """
-        rows = [(sha, delta, delta) for sha, delta in deltas]
-        if not rows:
-            return
-        self._conn.executemany(
-            "INSERT INTO page_ref (sha, refcount) VALUES (?, ?) "
-            "ON CONFLICT(sha) DO UPDATE SET refcount = refcount + ?",
-            rows,
-        )
-        self._conn.executemany(
-            "DELETE FROM page_ref WHERE sha = ? AND refcount <= 0",
-            [(sha,) for sha, _, _ in rows],
-        )
-        self._maybe_commit()
-
-    def page_refcounts(self) -> dict[str, int]:
-        rows = self._conn.execute(
-            "SELECT sha, refcount FROM page_ref"
-        ).fetchall()
-        return {r["sha"]: r["refcount"] for r in rows}
-
-    def replace_page_refcounts(self, counts: dict[str, int]) -> None:
-        """Overwrite the whole refcount table (fsck ``--repair``)."""
-        self._conn.execute("DELETE FROM page_ref")
-        self._conn.executemany(
-            "INSERT INTO page_ref (sha, refcount) VALUES (?, ?)",
-            [(sha, n) for sha, n in counts.items() if n > 0],
         )
         self._maybe_commit()
 
@@ -636,10 +592,10 @@ class Catalog:
         return [r["sha"] for r in rows]
 
     def forget_pages(self, shas: Iterable[str]) -> None:
-        """Drop the refcount and sketch rows of swept page blobs."""
-        rows = [(s,) for s in shas]
-        self._conn.executemany("DELETE FROM page_ref WHERE sha = ?", rows)
-        self._conn.executemany("DELETE FROM page_sketch WHERE sha = ?", rows)
+        """Drop the sketch rows of swept page blobs."""
+        self._conn.executemany(
+            "DELETE FROM page_sketch WHERE sha = ?", [(s,) for s in shas]
+        )
         self._maybe_commit()
 
     def commit(self) -> None:

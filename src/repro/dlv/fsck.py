@@ -54,7 +54,6 @@ F302       warning   stale tmp file in a chunk store
 F303       info      orphan chunk (referenced by no payload)
 F304       info      orphan associated file
 F401       error     page manifest references a missing/corrupt page
-F402       warning   page refcounts drift from the manifests
 F403       info      orphan page (referenced by no manifest)
 =========  ========  ====================================================
 
@@ -67,9 +66,8 @@ chunk or the reassembled pages.  What counts as an orphan (F303, F403) is
 Dedup-tier repairs (F4xx): corrupt page blobs are quarantined (kind
 ``pages``); payloads whose pages are lost re-materialize through
 degraded retrieval exactly like F103 — the manifest's whole-plane
-replica mirror makes the high-order planes exact; refcount drift is
-rebuilt from the manifests; orphan pages are swept with their index
-rows.
+replica mirror makes the high-order planes exact; orphan pages are
+swept with their index rows.
 
 Exit codes of the CLI command: ``0`` — clean, or every error-severity
 finding was repaired; ``1`` — error findings remain (run with
@@ -107,7 +105,6 @@ FSCK_CODES: dict[str, tuple[str, str]] = {
     "F303": ("info", "orphan chunk"),
     "F304": ("info", "orphan associated file"),
     "F401": ("error", "page manifest references missing page"),
-    "F402": ("warning", "page refcount drift"),
     "F403": ("info", "orphan page"),
 }
 
@@ -501,7 +498,7 @@ def _annotate(
 
 
 def _check_pages(repo, report: FsckReport, repair: bool) -> None:
-    """F401-F402: audit the dedup page tier (see module docs)."""
+    """F401: audit the dedup page tier (see module docs)."""
     from repro.dedup.pages import manifest_shas
 
     # A corrupt page is a finding only where a manifest references it.
@@ -527,24 +524,6 @@ def _check_pages(repo, report: FsckReport, repair: bool) -> None:
         repo.backend.quarantine_blobs("pages", corrupt)
         if affected:
             _rematerialize(repo, report, affected, ("F401",))
-
-    # F402: stored refcounts disagree with what the manifests reference.
-    pstore = repo.page_store()
-    true_counts = pstore.referenced_counts()
-    stored_counts = repo.catalog.page_refcounts()
-    drift = sum(
-        1
-        for sha in set(true_counts) | set(stored_counts)
-        if true_counts.get(sha, 0) != stored_counts.get(sha, 0)
-    )
-    if drift:
-        f = Finding(
-            "F402", f"page refcounts drift from manifests ({drift} addresses)"
-        )
-        if repair:
-            repo.catalog.replace_page_refcounts(true_counts)
-            f.repaired, f.repair = True, "rebuilt refcounts from manifests"
-        report.findings.append(f)
 
 
 # -- replica tier ------------------------------------------------------------------------

@@ -785,7 +785,7 @@ class Repository:
         The whole run is one write batch: every stored form priced while
         building the graph is the one written, and chunks, mirrors and
         pages land inside the catalog transaction that installs the new
-        payloads, with refcounts and sketches beside them.  A crash
+        payloads and page manifests, with sketches beside them.  A crash
         before it commits leaves only orphans, which the journaled
         intent's replay sweeps with :meth:`gc`.
 

@@ -358,18 +358,11 @@ class TestPacks:
         }
         assert reopened.get(shas[3]) == bytes([3]) * 50
 
-    def test_loose_blobs_read_and_a_miss_lists_only_the_tier(
-        self, tmp_path, monkeypatch
-    ):
+    def test_a_miss_lists_the_tier_once(self, tmp_path, monkeypatch):
         root = tmp_path / "chunks"
-        blobs = [bytes([i]) * 64 for i in range(6)]
-        codec = ChunkStore(tmp_path / "codec")
-        for blob in blobs:  # the format-1 layout: <sha[:2]>/<sha>
-            sha = codec.address(blob)
-            (root / sha[:2]).mkdir(parents=True, exist_ok=True)
-            (root / sha[:2] / sha).write_bytes(zlib.compress(blob))
         store = ChunkStore(root)
-        assert [store.get(store.address(b)) for b in blobs] == blobs
+        shas = store.put_many([bytes([i]) * 64 for i in range(6)])
+        assert shas[0] in store  # the index is built
         scans: list[str] = []
         real_scandir = os.scandir
 
@@ -380,14 +373,20 @@ class TestPacks:
         monkeypatch.setattr(os, "scandir", scandir)
         assert "f" * 64 not in store
         assert scans == [str(root)]
-        monkeypatch.undo()
-        other = ChunkStore(root)
-        assert other.get(store.address(blobs[0])) == blobs[0]
-        assert store.repack()
-        assert [p.suffix for p in root.iterdir()] == [".pack"]
-        assert [store.get(store.address(b)) for b in blobs] == blobs
-        shas = [other.address(b) for b in blobs]  # its loose index is stale
-        assert [other.get_many(shas)[sha][0] for sha in shas] == blobs
+
+    def test_put_stored_packs_what_the_tier_lacks_unverified(self, tmp_path):
+        root = tmp_path / "chunks"
+        store = ChunkStore(root)
+        blobs = [bytes([i]) * 64 for i in range(4)]
+        store.put(blobs[0])
+        stored = {store.address(b): zlib.compress(b) for b in blobs}
+        stored["e" * 64] = b"not a stored form"
+        assert store.put_stored(stored) == 4
+        assert store.put_stored(stored) == 0  # a second fold writes nothing
+        assert len(self._packs(root)) == 2
+        reopened = ChunkStore(root)
+        assert [reopened.get(reopened.address(b)) for b in blobs] == blobs
+        assert reopened.verify_all() == ({"e" * 64}, 5)
 
     def test_repack_folds_every_pack_into_one(self, tmp_path):
         root = tmp_path / "chunks"

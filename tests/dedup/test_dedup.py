@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sqlite3
 
 import numpy as np
 import pytest
@@ -334,7 +335,7 @@ class TestDedupArchive:
         repo.archive(alpha=4.0)
         assert repo.pages.total_size() == 0
         assert repo.catalog.all_page_manifests() == []
-        assert repo.catalog.page_refcounts() == {}
+        assert repo.dedup_stats()["page_references"] == 0
         assert run_fsck(repo).clean
         repo.close()
 
@@ -344,12 +345,17 @@ class TestDedupArchive:
         repo = Repository.init(make_repo_target(backend))
         _commit_family(repo, n=3)
         repo.archive(alpha=4.0, dedup=True)
-        pstore = repo.page_store()
-        assert dict(pstore.referenced_counts()) == repo.catalog.page_refcounts()
-        # Every referenced page blob exists.
-        for _m, _p, man in repo.catalog.all_page_manifests():
-            for sha in manifest_shas(man):
-                assert sha in repo.pages
+        # The stats count references from the manifests, and every
+        # referenced page blob exists.
+        references = [
+            sha
+            for _m, _p, man in repo.catalog.all_page_manifests()
+            for sha in manifest_shas(man)
+        ]
+        assert all(sha in repo.pages for sha in references)
+        stats = repo.dedup_stats()
+        assert stats["page_references"] == len(references)
+        assert stats["unique_pages"] == len(set(references))
         repo.close()
 
 
@@ -366,15 +372,65 @@ def test_prune_and_convert_release_page_manifests(repo, trained_lenet):
 
     report = repo.prune_snapshots(version, keep_every=4)
     assert report["dropped"]
-    assert dict(repo.page_store().referenced_counts()) == (
-        repo.catalog.page_refcounts()
-    )
+    _assert_manifest_pages_stored(repo)
 
     repo.convert_snapshot_scheme(version, -1, "fixed8")
-    assert dict(repo.page_store().referenced_counts()) == (
-        repo.catalog.page_refcounts()
-    )
+    _assert_manifest_pages_stored(repo)
     assert run_fsck(repo).clean
+
+
+@pytest.mark.parametrize("backend", ["local-fs", "sqlite"])
+def test_stale_page_ref_table_of_an_older_catalog_is_dropped(
+    make_repo_target, backend
+):
+    """An older dlv kept per-page refcounts in a ``page_ref`` table;
+    opening its catalog drops the table and changes nothing else."""
+    target = make_repo_target(backend)
+    repo = Repository.init(target)
+    _commit_family(repo, n=3)
+    repo.archive(alpha=4.0, dedup=True)
+    stats = repo.dedup_stats()
+    shas = sorted({
+        sha for _m, _p, man in repo.catalog.all_page_manifests()
+        for sha in manifest_shas(man)
+    })
+    repo.close()
+
+    db = (
+        target[len("sqlite://"):] if backend == "sqlite"
+        else f"{target}/.dlv/catalog.db"
+    )
+    conn = sqlite3.connect(db)
+    conn.execute(
+        "CREATE TABLE page_ref (sha TEXT PRIMARY KEY, "
+        "refcount INTEGER NOT NULL DEFAULT 0)"
+    )
+    conn.executemany(  # drifted counts and a page long gone
+        "INSERT INTO page_ref (sha, refcount) VALUES (?, ?)",
+        [(sha, 7) for sha in shas[:3]] + [("0" * 64, 2)],
+    )
+    conn.commit()
+    conn.close()
+
+    repo = Repository.open(target)
+    tables = {
+        row[0] for row in repo.catalog._conn.execute(
+            "SELECT name FROM sqlite_master WHERE type = 'table'"
+        )
+    }
+    assert "page_ref" not in tables and "page_payload" in tables
+    assert repo.dedup_stats() == stats
+    assert run_fsck(repo).findings == []
+    repo.close()
+
+
+def _assert_manifest_pages_stored(repo):
+    """Only live matrices keep manifests, and their pages are stored."""
+    live = {row["matrix_id"] for row in repo.catalog.get_matrices()}
+    for matrix_id, plane, man in repo.catalog.all_page_manifests():
+        assert matrix_id in live, matrix_id
+        for sha in manifest_shas(man):
+            assert sha in repo.pages, (matrix_id, plane, sha)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A second handle reads, writes and collects through another handle's
 commit and gc; the ``format`` integer refuses newer repositories and
-upgrades format-1 ones, whose loose blobs stay readable until ``gc``
-packs them; and documents land whole or not at all.
+upgrades format-1 ones, whose loose blobs are folded into one pack per
+tier on open, crash or no crash; and documents land whole or not at all.
 """
 
 from __future__ import annotations
@@ -175,7 +175,9 @@ def _to_format_1(dlv) -> int:
     return moved
 
 
-def test_format_1_repository_upgrades_on_open_and_packs_on_gc(tmp_path):
+def _format_1_repo(tmp_path):
+    """A dedup-archived repository rewritten as format 1; its root and
+    the exports of its versions."""
     root = tmp_path / "r"
     repo = Repository.init(str(root))
     _chain(repo, 3)
@@ -183,20 +185,69 @@ def test_format_1_repository_upgrades_on_open_and_packs_on_gc(tmp_path):
     before = _exports(repo, tmp_path / "before")
     repo.close()
     assert _to_format_1(root / ".dlv") > 0
+    return root, before
+
+
+def _assert_one_pack_per_tier(root) -> None:
+    for tier in TIERS:
+        entries = list((root / ".dlv" / tier).iterdir())
+        assert [p.suffix for p in entries] == [".pack"], tier
+
+
+def test_format_1_repository_upgrades_on_open_and_packs_on_gc(tmp_path):
+    root, before = _format_1_repo(tmp_path)
 
     repo = Repository.open(str(root))
     assert repo.format == FORMAT == 2
     assert json.loads((root / ".dlv" / CONFIG_DOC).read_text())["format"] == 2
-    assert any(p.is_dir() for p in (root / ".dlv" / "chunks").iterdir())
-    assert _exports(repo, tmp_path / "loose") == before
+    _assert_one_pack_per_tier(root)
+    assert _exports(repo, tmp_path / "folded") == before
     assert run_fsck(repo).clean
 
     repo.gc()
-    for tier in TIERS:
-        entries = list((root / ".dlv" / tier).iterdir())
-        assert not any(p.is_dir() for p in entries), tier
-        assert [p.suffix for p in entries] == [".pack"], tier
+    _assert_one_pack_per_tier(root)
     assert _exports(repo, tmp_path / "packed") == before
+    repo.close()
+
+
+@pytest.mark.parametrize(
+    "site, op",
+    [
+        ("chunkstore.fold.dirsync", 0),  # the first pack renamed, unsynced
+        ("chunkstore.fold.unlink", 0),  # a pack landed, no loose blob gone
+        ("chunkstore.fold.unlink", 5),  # some of a tier's loose blobs gone
+        ("chunkstore.fold.dirsync", 3),  # two tiers folded, one loose
+        ("repo.docs.write", 0),  # every tier folded, the format still 1
+    ],
+)
+def test_format_1_fold_crash_then_reopen_leaves_packs_only(
+    tmp_path, site, op
+):
+    root, before = _format_1_repo(tmp_path)
+    plan = FaultPlan([FaultPoint(site=site, op=op, action="crash")])
+    with inject(plan), pytest.raises(CrashSimulated):
+        Repository.open(str(root))
+    assert [f.site for f in plan.fired] == [site]
+
+    repo = Repository.open(str(root))
+    assert repo.format == FORMAT
+    _assert_one_pack_per_tier(root)
+    assert _exports(repo, tmp_path / "after") == before
+    assert run_fsck(repo).clean
+    repo.close()
+
+
+def test_format_1_corrupt_loose_blob_opens_and_is_quarantined(tmp_path):
+    root, _ = _format_1_repo(tmp_path)
+    victim = next((root / ".dlv" / "chunks").glob("*/*"))
+    victim.write_bytes(b"not a stored form")
+
+    repo = Repository.open(str(root))
+    _assert_one_pack_per_tier(root)
+    assert any(f.sha == victim.name for f in run_fsck(repo).findings)
+    assert run_fsck(repo, repair=True).clean
+    assert repo.backend.quarantined() == [victim.name]
+    assert run_fsck(repo).clean
     repo.close()
 
 

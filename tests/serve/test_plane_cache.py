@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.segmentation import NUM_PLANES
 from repro.core.progressive import ProgressiveEvaluator
+from repro.core.retrieval import RecoveryReport
 from repro.dlv.repository import Repository
 from repro.dnn.network import Network
 from repro.dnn.zoo import tiny_mlp
@@ -391,7 +392,7 @@ class TestRecoveryNeverPoisons:
         ).astype(np.float32)
         plane = archive.replicate_planes  # the first unmirrored plane
         assert repo.pages.delete(paged[0].pages[plane]["pages"][0][0])
-        passes = 10_000
+        passes = 2 * RecoveryReport.window + 1  # the window overflows
         flagged = sum(runtime.bounded(x, plane + 1)[2] for _ in range(passes))
         assert flagged == passes
         recovery = archive.recovery
