@@ -478,8 +478,8 @@ class ChunkStore(BlobCodec):
     def put_stored(self, stored: dict[str, bytes]) -> int:
         """Land ``address -> stored form`` pairs as they are, unverified
         (fsck finds a corrupt one), as one pack of those the tier does
-        not hold yet; returns how many it wrote.  The format-1 upgrade
-        folds loose blobs with it, so running it twice writes nothing
+        not hold yet; returns how many it wrote.  A local-fs open folds
+        loose format-1 blobs with it, so running it twice writes nothing
         the second time."""
         held = self._held(rescan=True)
         new = {sha: data for sha, data in stored.items() if sha not in held}

@@ -11,9 +11,9 @@ tear/crash/corrupt this backend exactly as before the storage seam
 existed.
 
 Filesystem-only concepts — unique tmp names, the sweep of stale tmp
-litter after a crash, quarantine as a copy into a directory, the
-in-place upgrade of a format-1 repository (its loose blobs folded into
-one pack per tier on open) — are implemented here and *only* here; the
+litter after a crash, quarantine as a copy into a directory, the fold
+of format-1 loose blobs into one pack per tier on every open and the
+config upgrade after it — are implemented here and *only* here; the
 database backends have no such debris.
 """
 
@@ -237,14 +237,19 @@ class LocalFSBackend(StorageBackend):
             store.repack()
 
     def open_format(self) -> int:
-        """Check the format; a format-1 repository is upgraded in place:
-        each tier's loose blobs are folded into one pack, and only then
-        does the config record the new format.  A crash part way leaves
-        format 1, so the next open folds again; that writes no blob a
-        pack already holds."""
-        if super().open_format() < FORMAT:
-            for store in (self.chunks, self.replica, self.pages):
-                _fold_loose(store)
+        """Check the format and fold any loose blobs into packs.
+
+        Every open folds each tier's loose ``<sha[:2]>/<sha>`` blobs into
+        one pack, whatever the config says: a format-1 repository holds
+        them, and so does one an earlier format-2 dlv upgraded by the
+        config alone.  A tier without buckets costs one directory scan.
+        Only after the fold does a format-1 config record the new
+        format.  A crash part way leaves loose blobs behind, so the next
+        open folds again; that writes no blob a pack already holds."""
+        found = super().open_format()
+        for store in (self.chunks, self.replica, self.pages):
+            _fold_loose(store)
+        if found < FORMAT:
             config = self.read_config()
             config["format"] = FORMAT
             self.write_doc(CONFIG_DOC, json.dumps(config, indent=2).encode())
@@ -266,16 +271,23 @@ def _fold_loose(store: ChunkStore) -> None:
     """Move one tier's loose ``<sha[:2]>/<sha>`` blobs (format 1) into a
     pack, then remove them, any tmp litter beside them and their bucket
     directories.  Stored forms are copied unverified: a corrupt blob
-    never blocks the open, and fsck still finds and quarantines it."""
-    buckets = sorted(p for p in store.root.iterdir() if p.is_dir())
+    never blocks the open, and fsck still finds and quarantines it.  A
+    file or bucket that vanishes part way was folded by a concurrent
+    opener, which unlinks only after its pack has landed."""
+    with os.scandir(store.root) as top:
+        buckets = sorted(Path(e.path) for e in top if e.is_dir())
     if not buckets:
         return
-    files = [path for bucket in buckets for path in sorted(bucket.iterdir())]
-    store.put_stored({
-        path.name: path.read_bytes()
-        for path in files
-        if not path.name.endswith(".tmp")
-    })
+    files = []
+    for bucket in buckets:
+        with contextlib.suppress(FileNotFoundError):
+            files += sorted(bucket.iterdir())
+    stored = {}
+    for path in files:
+        if not path.name.endswith(".tmp"):
+            with contextlib.suppress(FileNotFoundError):
+                stored[path.name] = path.read_bytes()
+    store.put_stored(stored)
     for path in files:
         ffs.unlink(path, site="chunkstore.fold.unlink", missing_ok=True)
     for bucket in buckets:

@@ -110,7 +110,7 @@ class Repository:
         self.journal = self.backend.journal
         try:
             self.format = self.backend.open_format()
-        except ValueError:
+        except Exception:
             self.backend.close()
             raise
         self.last_replay = self._replay_journal()

@@ -2,19 +2,21 @@
 
 A second handle reads, writes and collects through another handle's
 commit and gc; the ``format`` integer refuses newer repositories and
-upgrades format-1 ones, whose loose blobs are folded into one pack per
-tier on open, crash or no crash; and documents land whole or not at all.
+upgrades format-1 ones; loose blobs are folded into one pack per tier
+on every open, crash, race or no; and documents land whole or not at all.
 """
 
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from repro.core.chunkstore import ChunkStore
 from repro.core.storage.base import CONFIG_DOC, FORMAT
+from repro.core.storage.localfs import LocalFSBackend
 from repro.dlv.cli import main as dlv_main
 from repro.dlv.fsck import run_fsck
 from repro.dlv.repository import Repository
@@ -235,6 +237,61 @@ def test_format_1_fold_crash_then_reopen_leaves_packs_only(
     assert _exports(repo, tmp_path / "after") == before
     assert run_fsck(repo).clean
     repo.close()
+
+
+def test_format_2_repository_with_loose_blobs_folds_on_open(tmp_path):
+    """An older dlv upgraded format 1 by the config alone and left the
+    loose blobs for gc; the next open folds them all the same."""
+    root, before = _format_1_repo(tmp_path)
+    config_path = root / ".dlv" / CONFIG_DOC
+    config = json.loads(config_path.read_text())
+    config_path.write_text(json.dumps({**config, "format": FORMAT}))
+
+    repo = Repository.open(str(root))
+    assert repo.format == FORMAT
+    _assert_one_pack_per_tier(root)
+    assert _exports(repo, tmp_path / "folded") == before
+    assert run_fsck(repo).clean
+    repo.close()
+
+
+def test_format_1_fold_skips_blobs_a_concurrent_opener_folded(
+    tmp_path, monkeypatch
+):
+    root, before = _format_1_repo(tmp_path)
+    real = Path.read_bytes
+    racing = []
+
+    def read_bytes(path):
+        if not racing and path.parent.parent.name in TIERS:
+            racing.append(path)  # another opener folds every tier first
+            Repository.open(str(root)).close()
+        return real(path)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+    repo = Repository.open(str(root))
+    monkeypatch.undo()
+    assert not racing[0].exists()
+    _assert_one_pack_per_tier(root)
+    assert _exports(repo, tmp_path / "after") == before
+    assert run_fsck(repo).clean
+    repo.close()
+
+
+def test_failed_open_closes_the_backend(tmp_path, monkeypatch):
+    root = str(tmp_path / "r")
+    Repository.init(root).close()
+    closed = []
+    monkeypatch.setattr(
+        LocalFSBackend, "open_format",
+        lambda self: (_ for _ in ()).throw(OSError("disk full")),
+    )
+    monkeypatch.setattr(
+        LocalFSBackend, "close", lambda self: closed.append(self)
+    )
+    with pytest.raises(OSError, match="disk full"):
+        Repository.open(root)
+    assert len(closed) == 1
 
 
 def test_format_1_corrupt_loose_blob_opens_and_is_quarantined(tmp_path):
