@@ -93,8 +93,8 @@ class SQLiteBlobStore(BlobCodec):
     like the files of :class:`~repro.core.chunkstore.ChunkStore`.
     """
 
-    def __init__(self, backend: "SQLiteBackend", ns: str, level: int = 6) -> None:
-        super().__init__(level)
+    def __init__(self, backend: "SQLiteBackend", ns: str) -> None:
+        super().__init__()
         self._backend = backend
         self.ns = ns
 

@@ -10,9 +10,14 @@ the on-disk exchange format is a *model directory*:
 
     <model-dir>/
         network.json    network spec (repro.dnn.network.Network.spec)
-        weights.npz     latest weights, keys "layer/param"
+        weights.npz     latest weights, keys "layer/param" (uncompressed)
         solver.json     optimization hyperparameters (optional)
         log.json        training log entries (optional)
+
+A model directory is a working copy: ``weights.npz`` is written raw
+(``np.savez``), since the repository is where bytes are compressed, as
+git checks files out raw.  :func:`load_network` reads both that and the
+``np.savez_compressed`` form older versions wrote.
 
 The ``dlv commit --model-dir`` CLI path goes through these functions.
 """
@@ -45,7 +50,7 @@ def save_model_dir(
             for layer, params in network.get_weights().items()
             for param, value in params.items()
         }
-        np.savez_compressed(path / "weights.npz", **flat)
+        np.savez(path / "weights.npz", **flat)
     if config is not None:
         (path / "solver.json").write_text(json.dumps(config.to_dict(), indent=2))
     if result is not None:

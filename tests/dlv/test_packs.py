@@ -106,14 +106,24 @@ def test_second_handle_commits_and_gcs_after_a_gc_under_it(tmp_path):
     committed = _chain(first, 3)
     second = Repository.open(root)
     held = set(second.store.addresses())  # index built before the gc
+    chunks_of = {
+        version.name: {
+            sha
+            for matrix in second.catalog.get_matrices(version.id)
+            for sha in second.catalog.get_payload(matrix["matrix_id"])["chunks"]
+        }
+        for version in second.list_versions()
+    }
     first.archive(alpha=2.0)  # its gc drops the materialized chunks
     gone = held - set(ChunkStore(tmp_path / "r" / ".dlv" / "chunks").addresses())
     assert gone
+    # Re-commit a version whose chunks the archive swept.
+    swept = next(name for name in sorted(committed) if chunks_of[name] & gone)
 
     net = tiny_mlp(
         input_shape=(1, 4, 4), num_classes=3, hidden=8, name="m"
     ).build(0)
-    net.set_weights(committed["m0-2"])
+    net.set_weights(committed[swept])
     committed["again"] = net.get_weights()
     second.commit(net, name="again", message="again")
     assert gone & {
