@@ -22,6 +22,8 @@ from repro.dlv.fsck import run_fsck
 from repro.dlv.repository import Repository
 from repro.dlv.wrapper import load_network, save_model_dir
 from repro.dnn.zoo import tiny_mlp
+from tests.dlv.test_packs import _exports
+from tests.dlv.test_write_path import _nudged
 
 TIERS = ("store", "replica", "pages")
 
@@ -29,38 +31,6 @@ TIERS = ("store", "replica", "pages")
 def _default_strategy(_codec, data: bytes) -> bytes:
     """The stored form older versions wrote."""
     return zlib.compress(data, 6)
-
-
-def _nudged(net, seed: int, name: str):
-    rng = np.random.default_rng(seed)
-    out = tiny_mlp(hidden=16, num_classes=4, name=name).build(0)
-    out.set_weights({
-        layer: {
-            key: value + rng.normal(0, 0.01, value.shape).astype(value.dtype)
-            for key, value in params.items()
-        }
-        for layer, params in net.get_weights().items()
-    })
-    return out
-
-
-def _exports(repo, dest) -> dict:
-    """``version -> file -> content`` of every version exported, the
-    arrays of ``weights.npz`` by their bytes (zip timestamps differ)."""
-    out = {}
-    for version in repo.list_versions():
-        path = repo.export_model_dir(version, dest / version.name)
-        files = {}
-        for item in sorted(path.iterdir()):
-            if item.suffix == ".npz":
-                with np.load(item) as npz:
-                    files[item.name] = {
-                        k: (npz[k].dtype.str, npz[k].tobytes()) for k in npz
-                    }
-            else:
-                files[item.name] = item.read_bytes()
-        out[version.name] = files
-    return out
 
 
 def _stored(repo) -> dict[str, dict[str, bytes]]:
