@@ -217,10 +217,11 @@ class BlobCodec:
         """Content address ``put(data)`` files the blob under."""
         return hashlib.sha256(data).hexdigest()
 
-    def stored_size_of(self, data: bytes) -> int:
+    def stored_size_of(self, data: bytes, sha: Optional[str] = None) -> int:
         """Stored bytes ``put(data)`` adds when the blob is new — the
-        paper's storage cost ``Cs``; equals ``stored_size`` afterwards."""
-        return len(self._stored_form(data))
+        paper's storage cost ``Cs``; equals ``stored_size`` afterwards.
+        ``sha``, when the caller already knows it, is ``data``'s address."""
+        return len(self._stored_form(data, sha))
 
     @staticmethod
     def _missing(sha: str) -> KeyError:

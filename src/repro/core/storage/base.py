@@ -155,8 +155,9 @@ class BlobStore(Protocol):
     def address(self, data: bytes) -> str:
         """The content address ``put(data)`` would return (no write)."""
 
-    def stored_size_of(self, data: bytes) -> int:
-        """The stored bytes ``put(data)`` would add (no write)."""
+    def stored_size_of(self, data: bytes, sha: Optional[str] = None) -> int:
+        """The stored bytes ``put(data)`` would add (no write); ``sha``
+        is ``data``'s address when the caller already knows it."""
 
 
 class StorageBackend(abc.ABC):

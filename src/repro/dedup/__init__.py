@@ -1,7 +1,8 @@
 """Cross-model page-level deduplication (the NeurStore-style tier).
 
 Splits byte planes into fixed-size content-addressed pages, indexes
-them by exact hash plus a band sketch so near-duplicate pages across
+them by exact hash plus a band sketch (rebuilt in memory on each
+archive run, never stored) so near-duplicate pages across
 *unrelated* models resolve to one stored copy (with tiny XOR patch
 deltas for near-misses), and plugs into archival as a ``kind="pages"``
 storage-graph edge, into all three storage backends as a ``pages`` blob
@@ -21,6 +22,7 @@ from repro.dedup.pages import (
     page_digest,
     sketch_keys,
     split_pages,
+    stored_size_floor,
     xor_bytes,
 )
 from repro.dedup.store import PageStore
@@ -38,5 +40,6 @@ __all__ = [
     "page_digest",
     "sketch_keys",
     "split_pages",
+    "stored_size_floor",
     "xor_bytes",
 ]

@@ -1,27 +1,30 @@
 """Similarity index helpers and the archival-planning cost estimator.
 
-The *persistent* sketch index lives in the catalog (``page_sketch``
-rows, written atomically with the page manifests inside the
-archive transaction); this module holds the in-memory half:
+The sketch index is never stored: each archive run rebuilds it in
+memory, and nothing outside the process sees its keys.
 
-* :class:`SketchIndex` — the per-archive-run overlay.  An archive run
-  encodes many matrices before anything is committed, so pages stored
-  earlier in the same run must be probe-able immediately, not only
-  after the catalog flush.
+* :class:`SketchIndex` — band-key voting over base pages.  A run keeps
+  two: one over the base pages the catalog's page manifests name, read
+  once when the run first probes (shared by the store and its dry runs,
+  since it depends on stored content only), and one per store over the
+  bases that store adds, so pages planned earlier in the same run are
+  probe-able before anything lands.
 * :class:`DedupEstimator` — a dry run of the page store used by
   :meth:`~repro.dlv.repository.Repository.build_storage_graph` to price
   the ``kind="pages"`` root edge for each matrix *without* mutating any
   store.  It runs the store's own page planner (a never-flushed
   :meth:`~repro.dedup.store.PageStore.dry_run`) over the same blobs and
-  the same persistent sketch index, so the priced edge is what
+  the same index of stored bases, so the priced edge is what
   page-encoding the same matrices in the same order would add to the
   page tier — and the store it was made from reuses the dry run's page
-  digests, sketch keys and patch sizes when it encodes them for real.
+  digests, sketch keys and patches when it encodes them for real.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
+from itertools import chain, repeat
 from typing import Iterable
 
 import numpy as np
@@ -33,19 +36,25 @@ class SketchIndex:
     """In-memory band-sketch index over base pages."""
 
     def __init__(self) -> None:
-        self._buckets: dict[str, list[str]] = {}
+        self._buckets: dict[int, list[str]] = {}
 
-    def add(self, sha: str, keys: Iterable[str]) -> None:
+    def add(self, sha: str, keys: Iterable[int]) -> None:
         for key in keys:
             self._buckets.setdefault(key, []).append(sha)
 
-    def votes(self, keys: Iterable[str]) -> Counter:
-        """Candidate base shas by number of matching bands."""
-        votes: Counter = Counter()
-        for key in keys:
-            for sha in self._buckets.get(key, ()):
-                votes[sha] += 1
-        return votes
+    def votes(self, keys: Iterable[int]) -> Counter:
+        """Candidate base shas by number of matching bands, in the order
+        their first matching band was met."""
+        return Counter(chain.from_iterable(
+            map(self._buckets.get, keys, repeat(()))
+        ))
+
+    def top(self, keys: Iterable[int], limit: int) -> list[str]:
+        """The ``limit`` most-voted base shas, ties by address."""
+        best = heapq.nsmallest(
+            limit, self.votes(keys).items(), key=lambda kv: (-kv[1], kv[0])
+        )
+        return [sha for sha, _ in best]
 
 
 class DedupEstimator:

@@ -45,6 +45,11 @@ DEFAULT_PATCH_MAX_RATIO = 0.5
 #: How many sketch candidates (by band votes) to try patching against.
 DEFAULT_PROBE_LIMIT = 4
 
+#: Pages shorter than this deflate as one block (at memLevel 8 the
+#: codec's symbol buffer holds 16,383 symbols), which is what
+#: :func:`stored_size_floor` needs.
+ONE_BLOCK_BYTES = 16384
+
 #: Content address of one page or plane: the blob codec's own rule.
 page_digest = BlobCodec.address
 
@@ -71,23 +76,53 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     return out.tobytes()
 
 
-def sketch_keys(page: bytes, bands: int = SKETCH_BANDS) -> list[str]:
+def sketch_keys(page: bytes, bands: int = SKETCH_BANDS) -> list[int]:
     """Locality-sensitive sketch of a page: one key per contiguous band.
 
     The page is cut into ``bands`` equal slices and each slice hashed
-    (CRC-32).  Two pages differing in a sparse subset of bytes still
-    agree on most band keys, so probing the sketch index with a new
-    page's keys surfaces near-duplicate base pages by vote count —
-    exact-match banding, the degenerate (but cheap and deterministic)
-    end of the LSH family.
+    (CRC-32); band ``i``'s key is ``i << 32 | crc``.  Two pages differing
+    in a sparse subset of bytes still agree on most band keys, so
+    probing the sketch index with a new page's keys surfaces
+    near-duplicate base pages by vote count — exact-match banding, the
+    degenerate (but cheap and deterministic) end of the LSH family.
     """
     if not page:
         return []
     width = max(1, -(-len(page) // bands))
     return [
-        f"{i}:{zlib.crc32(page[off:off + width]):08x}"
+        i << 32 | zlib.crc32(page[off:off + width])
         for i, off in enumerate(range(0, len(page), width))
     ]
+
+
+#: ``n * log2(n)`` for every run count a one-block page can have.
+_RUNS = np.arange(1, ONE_BLOCK_BYTES)
+_NLOGN = np.concatenate(([0.0], _RUNS * np.log2(_RUNS)))
+
+
+def stored_size_floor(page: bytes) -> int:
+    """A lower bound on ``BlobCodec.stored_size_of(page)``, without
+    compressing; ``0`` (no bound) from :data:`ONE_BLOCK_BYTES` up.
+
+    The codec deflates with ``Z_RLE``, which matches at distance 1
+    only, so the first byte of every run is a literal.  Below
+    ``ONE_BLOCK_BYTES`` the page deflates as one block, and any prefix
+    code for that block (fixed, dynamic or stored) spends at least the
+    order-0 entropy of those literals (Kraft and Gibbs).  Add the
+    2-byte zlib header and the 4-byte Adler-32: with ``C`` runs of which
+    ``c_b`` start with byte ``b``, the stored size is at least
+    ``6 + (C log2 C - sum c_b log2 c_b) / 8``.
+    """
+    if not 0 < len(page) < ONE_BLOCK_BYTES:
+        return 0
+    data = np.frombuffer(page, dtype=np.uint8)
+    heads = np.empty(len(data), dtype=bool)
+    heads[0] = True
+    np.not_equal(data[1:], data[:-1], out=heads[1:])
+    counts = np.bincount(data.compress(heads), minlength=256)
+    bits = _NLOGN[np.count_nonzero(heads)] - _NLOGN.take(counts).sum()
+    # Less a hair of float rounding, so the bound is never overstated.
+    return 6 + max(0, int((bits - 1e-6) // 8))
 
 
 def manifest_shas(manifest: dict) -> Iterator[str]:

@@ -15,9 +15,10 @@ owns the relational half.  The schema follows the paper's data model:
   which matrices belong to which snapshot (co-usage groups) and how each
   matrix is currently stored (materialized or as a delta, with its byte
   plane chunk addresses);
-* ``page_payload`` / ``page_sketch`` — the dedup tier: each page-encoded
-  plane's manifest (the one record of which pages are live and how often
-  each is referenced) and the similarity index over base pages.
+* ``page_payload`` — the dedup tier: each page-encoded plane's manifest
+  (the one record of which pages are live and how often each is
+  referenced).  The similarity index over base pages is not stored:
+  each archive run rebuilds it from these manifests.
 """
 
 from __future__ import annotations
@@ -113,17 +114,12 @@ CREATE TABLE IF NOT EXISTS page_payload (
     manifest    TEXT NOT NULL,
     PRIMARY KEY (matrix_id, plane)
 );
-CREATE TABLE IF NOT EXISTS page_sketch (
-    sketch      TEXT NOT NULL,
-    sha         TEXT NOT NULL,
-    PRIMARY KEY (sketch, sha)
-);
 CREATE INDEX IF NOT EXISTS idx_matrix_snapshot
     ON matrix(version_id, snapshot_idx);
-CREATE INDEX IF NOT EXISTS idx_page_sketch_sha
-    ON page_sketch(sha);
--- Older dlv kept per-page refcounts here; the manifests are the record.
+-- Older dlv kept per-page refcounts and the sketch index of base pages
+-- here; the manifests are the record, and each archive run re-indexes.
 DROP TABLE IF EXISTS page_ref;
+DROP TABLE IF EXISTS page_sketch;
 """
 
 
@@ -561,40 +557,6 @@ class Catalog:
         are swept by ``gc`` (see ``Repository.live_addresses``)."""
         self._conn.execute(
             "DELETE FROM page_payload WHERE matrix_id = ?", (matrix_id,)
-        )
-        self._maybe_commit()
-
-    def add_page_sketches(self, rows: Iterable[tuple[str, str]]) -> None:
-        """Index base pages: one ``(sketch key, sha)`` row per band."""
-        self._conn.executemany(
-            "INSERT OR IGNORE INTO page_sketch (sketch, sha) VALUES (?, ?)",
-            rows,
-        )
-        self._maybe_commit()
-
-    def has_page_sketches(self) -> bool:
-        return self._conn.execute(
-            "SELECT 1 FROM page_sketch LIMIT 1"
-        ).fetchone() is not None
-
-    def sketch_candidates(self, sketches: Iterable[str], limit: int = 4) -> list[str]:
-        """Base-page shas matching the most probe bands, best first."""
-        keys = list(sketches)
-        if not keys:
-            return []
-        placeholders = ",".join("?" for _ in keys)
-        rows = self._conn.execute(
-            f"SELECT sha, COUNT(*) AS votes FROM page_sketch "
-            f"WHERE sketch IN ({placeholders}) "
-            f"GROUP BY sha ORDER BY votes DESC, sha LIMIT ?",
-            (*keys, limit),
-        ).fetchall()
-        return [r["sha"] for r in rows]
-
-    def forget_pages(self, shas: Iterable[str]) -> None:
-        """Drop the sketch rows of swept page blobs."""
-        self._conn.executemany(
-            "DELETE FROM page_sketch WHERE sha = ?", [(s,) for s in shas]
         )
         self._maybe_commit()
 

@@ -1149,6 +1149,9 @@ VERBS: dict[str, Verb] = {verb.name: verb for verb in (
 )}
 
 
+#: The top-level verb names as argparse lists them: ``{init,add,...}``.
+_VERB_CHOICES = "{%s}" % ",".join(dict.fromkeys(n.split()[0] for n in VERBS))
+
 #: The top-level options that take a value (and the verb name after it).
 _GLOBAL_VALUED = ("--repo", "--store")
 
@@ -1176,9 +1179,12 @@ def _invoked(argv: list[str]) -> Optional[str]:
 
 
 def _parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
-    """The ``dlv`` parser: every verb registered, so ``dlv -h`` lists
-    them all.  Given ``argv``, only the verb it invokes gets its
-    arguments — building all of them costs more than most verbs run."""
+    """The ``dlv`` parser.  Given an ``argv`` that invokes a verb, only
+    that verb is registered, with its arguments: building every
+    subparser costs more than most verbs run.  Otherwise every verb is
+    registered (with its arguments only when ``argv`` is ``None``), so
+    ``dlv``, ``dlv -h``, ``dlv <group> -h`` and an unknown verb list
+    them all."""
     only = None if argv is None else _invoked(argv)
     parser = argparse.ArgumentParser(
         prog="dlv", description="DLV model version control (ModelHub)"
@@ -1191,9 +1197,15 @@ def _parser(argv: Optional[list[str]] = None) -> argparse.ArgumentParser:
         help="repository storage URL (file://dir, sqlite://repo.db, "
              "mem://name); overrides --repo and the DLV_STORE env var",
     )
-    verbs = parser.add_subparsers(dest="command", required=True)
+    # With one verb registered, the usage line still names them all.
+    verbs = parser.add_subparsers(
+        dest="command", required=True,
+        metavar=None if only is None else _VERB_CHOICES,
+    )
     groups: dict[str, argparse._SubParsersAction] = {}
     for verb in VERBS.values():
+        if only is not None and verb.name != only:
+            continue
         group, _, leaf = verb.name.partition(" ")
         if leaf and group not in groups:
             groups[group] = verbs.add_parser(

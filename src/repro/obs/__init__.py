@@ -36,7 +36,10 @@ registry / recorder):
                           ``pages_referenced`` = ``pages_shared`` (exact
                           hits) + ``pages_patched`` + ``pages_stored`` (new
                           bases); ``bytes_stored`` / ``bytes_saved`` in
-                          stored (compressed) bytes; ``index_probes`` /
+                          stored (compressed) bytes (a patched page that
+                          was never compressed saves at least its
+                          ``stored_size_floor`` less the patch, and that
+                          lower bound is what counts); ``index_probes`` /
                           ``index_hits`` of the sketch index; ``pages_swept``
                           by ``gc`` / fsck
 ``journal.*``             ``Repository.open`` replay outcomes: ``replays``,

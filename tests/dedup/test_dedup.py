@@ -196,7 +196,7 @@ def test_estimator_prices_what_the_encoder_stores(
     """Oracle: fed the same matrices in the same order, the estimator's
     price for each is the growth of the page tier when the encoder
     stores it — on an empty store and on one an earlier ``archive
-    --dedup`` populated (persistent sketch index, stored base pages).
+    --dedup`` populated (stored base pages, indexed again by the run).
 
     The encoder buffers until ``flush()``, so each matrix's growth is
     read after the flush: the stored bytes of the blobs its manifests

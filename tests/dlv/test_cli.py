@@ -1,5 +1,6 @@
 """CLI tests: the full dlv command suite end-to-end via main()."""
 
+import argparse
 import json
 import os
 import signal
@@ -308,6 +309,60 @@ class TestSingleVerbParser:
         lazy = _parsed_output(capsys, main, argv)
         assert lazy == full
         assert full[1] or full[2]
+
+
+def _sample_argv(verb) -> list[str]:
+    """``verb``'s name and a value for every one of its arguments."""
+    argv = verb.name.split()
+    for flags, options in verb.args:
+        action = options.get("action")
+        if "choices" in options:
+            value = str(options["choices"][0])
+        elif options.get("type") in (int, float):
+            value = "3"
+        else:
+            value = "v"
+        if not flags[0].startswith("-"):
+            argv.append(value)
+        elif action == "store_true":
+            argv.append(flags[-1])
+        else:
+            argv += [flags[-1], value]
+    return argv
+
+
+class TestVerbListing:
+    """Where no verb is invoked, the parser still lists every verb."""
+
+    TOP = sorted({name.split()[0] for name in VERBS})
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["no-such-verb"]],
+                             ids=["bare", "help", "unknown"])
+    def test_top_level_lists_every_verb(self, capsys, argv):
+        _code, out, err = _parsed_output(capsys, main, argv)
+        listing = out + err
+        assert all(name in listing for name in self.TOP)
+        assert "{" + ",".join(
+            dict.fromkeys(name.split()[0] for name in VERBS)
+        ) + "}" in listing
+
+    @pytest.mark.parametrize("group", sorted(
+        {name.split()[0] for name in VERBS if " " in name}
+    ))
+    def test_group_help_lists_its_verbs(self, capsys, group):
+        code, out, _err = _parsed_output(capsys, main, [group, "-h"])
+        assert code == 0
+        leaves = [n.split()[1] for n in VERBS if n.split()[0] == group]
+        assert leaves and all(leaf in out for leaf in leaves)
+
+    @pytest.mark.parametrize("name", list(VERBS))
+    def test_each_verb_parses_as_with_every_verb_built(self, name):
+        argv = ["--repo", "r"] + _sample_argv(VERBS[name])
+        lazy = _parser(argv)
+        verbs = [a for a in lazy._actions
+                 if isinstance(a, argparse._SubParsersAction)][0]
+        assert list(verbs.choices) == [name.split()[0]]
+        assert vars(lazy.parse_args(argv)) == vars(_parser().parse_args(argv))
 
 
 class TestRepositoryTarget:

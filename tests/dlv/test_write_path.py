@@ -63,11 +63,14 @@ def test_priced_bytes_are_stored_bytes(make_repo_target, backend):
     def stored_by(edge, kind, tier) -> int:
         before = tier.total_size()
         target = matrices[edge.v]
-        writer.write_payload(
+        entry = writer.write_payload(
             edge.v, target.shape,
             payload_planes(target, matrices.get(edge.u), kind), edge.u, kind,
         )
         with scratch.catalog.transaction():  # page blobs land at flush
+            # As archive does: the next run indexes the bases they name.
+            for plane, manifest in (entry.pages or {}).items():
+                scratch.catalog.set_page_manifest(edge.v, plane, manifest)
             writer.page_store.flush()
         return tier.total_size() - before
 
