@@ -1,21 +1,23 @@
 """The storage-backend contract every repository substrate implements.
 
 A :class:`~repro.dlv.repository.Repository` is versioning logic layered
-over four kinds of state:
+over its blob tiers and one relational catalog:
 
-* **blobs** — content-addressed byte-plane chunks (main + replica tier)
-  and dedup pages (the shared ``pages`` tier),
-* **files** — content-addressed associated files (``dlv add``),
-* **docs** — small named documents (repo config, the commit stage,
-  archive-run reports),
-* **journal** — write-ahead intent records for in-flight mutations,
+* **blobs** — content-addressed byte-plane chunks (``chunks`` and its
+  ``replica`` recovery tier), dedup pages (``pages``) and associated
+  files (``files``, what ``dlv add`` staged), all in one
+  :class:`~repro.core.chunkstore.BlobCodec` format;
+* **catalog** — the relational half, whose ``store_journal`` table also
+  holds the write-ahead intents of in-flight mutations
+  (:class:`~repro.dlv.journal.Journal`);
 
-plus the relational catalog.  A :class:`StorageBackend` owns all of it
-for one physical substrate: files and blob packs under ``.dlv/``
-(``local-fs``), one SQLite database in WAL mode (``sqlite``), or an
-in-process database (``memory``).  The repository, fsck, and the hub
-publish path talk only to this interface, which is the seam sharded and
-deduplicating stores plug into.
+plus small named **docs** (the repo config, the commit stage,
+archive-run reports).  A :class:`StorageBackend` owns all of it for one
+physical substrate: blob packs, documents and ``catalog.db`` under
+``.dlv/`` (``local-fs``), one SQLite database in WAL mode (``sqlite``),
+or an in-process database (``memory``).  The repository, fsck, and the
+hub publish path talk only to this interface, which is the seam sharded
+and deduplicating stores plug into.
 
 Blob stores conform to :class:`BlobStore` — ``put_many`` / ``put`` /
 ``get_many`` / ``get`` / ``__contains__`` / ``delete_many`` /
@@ -56,8 +58,13 @@ ARCHIVES_PREFIX = "archives/"
 
 #: On-disk format this code writes, recorded as ``format`` in the config
 #: document; a config without the field is format 1 (local-fs blobs as
-#: loose files), format 2 packs them.
-FORMAT = 2
+#: loose files), format 2 packs them, and format 3 stores associated
+#: files as a blob tier and intents as catalog rows.
+FORMAT = 3
+
+#: The blob tiers of every backend, and the suffix a quarantined blob of
+#: each is named with (``<sha><suffix>``).
+TIERS = {"chunks": "", "replica": ".replica", "pages": ".page", "files": ".file"}
 
 
 def utcnow() -> str:
@@ -165,14 +172,12 @@ class StorageBackend(abc.ABC):
 
     Concrete backends expose, as attributes set during construction:
 
-    ``chunks`` / ``replica`` / ``pages``
-        :class:`BlobStore` instances for the main, replica, and dedup
-        page tiers.
+    ``chunks`` / ``replica`` / ``pages`` / ``files``
+        :class:`BlobStore` instances for the main, replica, dedup page
+        and associated-file tiers (:data:`TIERS`).
     ``catalog``
-        The :class:`~repro.dlv.catalog.Catalog` (relational half).
-    ``journal``
-        The write-ahead intent journal (``record`` / ``retire`` /
-        ``pending`` / ``write_raw``).
+        The :class:`~repro.dlv.catalog.Catalog` (relational half, with
+        the write-ahead journal as its ``journal``).
     ``txn``
         The shared :class:`TxnState`.
     ``root``
@@ -228,27 +233,21 @@ class StorageBackend(abc.ABC):
             )
         return found
 
+    def record_format(self) -> None:
+        """Write :data:`FORMAT` into the config (after an open's folds)."""
+        config = self.read_config()
+        config["format"] = FORMAT
+        self.write_doc(CONFIG_DOC, json.dumps(config, indent=2).encode())
+
     def compact(self) -> None:
         """Fold each blob tier into the fewest containers its layout
         allows (``gc``'s last step); the database backends have none."""
 
-    # -- associated files (content addressed) -------------------------------
-
-    @abc.abstractmethod
-    def put_file(self, sha: str, data: bytes) -> None:
-        """Land one associated file durably under its digest."""
-
-    @abc.abstractmethod
-    def get_file(self, sha: str) -> bytes:
-        """Read an associated file's content (KeyError when absent)."""
-
-    @abc.abstractmethod
-    def delete_file(self, sha: str) -> bool:
-        """Remove an associated file; returns whether it existed."""
-
-    @abc.abstractmethod
-    def stored_file_shas(self) -> set[str]:
-        """Digests of every stored associated file."""
+    def tier(self, kind: str):
+        """The blob store of one of :data:`TIERS`."""
+        if kind not in TIERS:
+            raise ValueError(f"unknown blob tier {kind!r}")
+        return getattr(self, kind)
 
     # -- small named documents ----------------------------------------------
 
@@ -272,8 +271,7 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def quarantine_blobs(self, kind: str, shas: Iterable[str]) -> int:
-        """Set corrupt blobs of one tier aside (``kind``:
-        "chunks"/"replica"/"pages"), as one batch.
+        """Set corrupt blobs of one of :data:`TIERS` aside, as one batch.
 
         Returns how many blobs were actually moved.  Quarantined blobs
         are unreachable from every read path but retained for forensics.
@@ -281,7 +279,7 @@ class StorageBackend(abc.ABC):
 
     @abc.abstractmethod
     def quarantined(self) -> list[str]:
-        """Names of quarantined blobs (``<sha>`` / ``<sha>.replica``)."""
+        """Names of quarantined blobs (``<sha><suffix>``, :data:`TIERS`)."""
 
     def litter(self, repair: bool) -> list[dict]:
         """Substrate-specific debris findings for ``dlv fsck``.

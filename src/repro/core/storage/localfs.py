@@ -1,27 +1,27 @@
 """The local-fs storage backend (the original ``.dlv/`` layout).
 
-Everything lives under ``<root>/.dlv/``: the sqlite3 catalog, the three
+Everything lives under ``<root>/.dlv/``: the sqlite3 catalog (with the
+journal's intent rows), the four
 :class:`~repro.core.chunkstore.ChunkStore` blob tiers (``chunks``,
-``replica``, ``pages``) — each a directory of immutable packs, one per
-write batch, folded into one by ``gc`` — content-addressed associated
-files, the intent-file journal, and small documents (config, stage,
-archive reports) as JSON files landed by tmp file, fsync and rename.
-All mutations route through :mod:`repro.faults.fs`, so fault plans
-tear/crash/corrupt this backend exactly as before the storage seam
-existed.
+``replica``, ``pages``, ``files``) — each a directory of immutable
+packs, one per write batch, folded into one by ``gc`` — and small
+documents (config, stage, archive reports) as JSON files landed by tmp
+file, fsync and rename.  All mutations route through
+:mod:`repro.faults.fs`, so fault plans tear/crash/corrupt this backend
+exactly as before the storage seam existed.
 
 Filesystem-only concepts — unique tmp names, the sweep of stale tmp
-litter after a crash, quarantine as a copy into a directory, the fold
-of format-1 loose blobs into one pack per tier on every open and the
-config upgrade after it — are implemented here and *only* here; the
-database backends have no such debris.
+litter after a crash, quarantine as a copy into a directory, the folds
+of older layouts on every open (format-1 loose blobs, format-2 raw
+associated files and intent files) and the config upgrade after them —
+are implemented here and *only* here; the database backends have no
+such debris.
 """
 
 from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import os
 from pathlib import Path
 from typing import Iterable, Optional
@@ -29,8 +29,8 @@ from typing import Iterable, Optional
 from repro.core.chunkstore import ChunkStore
 from repro.core.storage.base import (
     ARCHIVES_PREFIX,
-    CONFIG_DOC,
     FORMAT,
+    TIERS,
     StorageBackend,
     TxnState,
     yield_path,
@@ -61,18 +61,15 @@ class LocalFSBackend(StorageBackend):
                 f"{self.root} is not a dlv repository (run Repository.init)"
             )
         from repro.dlv.catalog import Catalog
-        from repro.dlv.journal import Journal
 
         self.txn = TxnState()
         self.catalog = Catalog(self.dlv_dir / "catalog.db", txn=self.txn)
-        # Opening the stores sweeps any stale pack tmps from a crash.
+        # Opening a tier creates its directory (upgrading a repository
+        # older than the tier) and sweeps any stale pack tmps from a crash.
         self.chunks = ChunkStore(self.dlv_dir / "chunks")
         self.replica = ChunkStore(self.dlv_dir / "replica")
-        # Dedup page tier; mkdir-on-open upgrades pre-dedup repositories.
         self.pages = ChunkStore(self.dlv_dir / "pages")
-        self.files_dir = self.dlv_dir / "files"
-        self.files_dir.mkdir(exist_ok=True)
-        self.journal = Journal(self.dlv_dir / "journal")
+        self.files = ChunkStore(self.dlv_dir / "files")
         if create:
             self.write_config()
 
@@ -84,38 +81,6 @@ class LocalFSBackend(StorageBackend):
         out = super().describe()
         out["location"] = str(self.root)
         return out
-
-    # -- associated files ----------------------------------------------------
-
-    def put_file(self, sha: str, data: bytes) -> None:
-        """Land one associated file durably (write-tmp, fsync, rename)."""
-        dest = self.files_dir / sha
-        if dest.exists():
-            return
-        tmp = dest.with_name(f"{sha}.{os.getpid()}.tmp")
-        ffs.write_bytes(tmp, data, site="repo.files.write")
-        ffs.replace(tmp, dest, site="repo.files.replace")
-        ffs.fsync_dir(self.files_dir)
-
-    def get_file(self, sha: str) -> bytes:
-        path = self.files_dir / sha
-        if not path.exists():
-            raise KeyError(f"no stored file {sha}")
-        return path.read_bytes()
-
-    def delete_file(self, sha: str) -> bool:
-        path = self.files_dir / sha
-        if path.exists():
-            path.unlink()
-            return True
-        return False
-
-    def stored_file_shas(self) -> set[str]:
-        return {
-            p.name
-            for p in self.files_dir.iterdir()
-            if p.is_file() and p.suffix != ".tmp"
-        }
 
     # -- documents ------------------------------------------------------------
 
@@ -163,21 +128,11 @@ class LocalFSBackend(StorageBackend):
 
     # -- fsck contract ---------------------------------------------------------
 
-    def _store_for(self, kind: str) -> ChunkStore:
-        if kind == "chunks":
-            return self.chunks
-        if kind == "replica":
-            return self.replica
-        if kind == "pages":
-            return self.pages
-        raise ValueError(f"unknown blob tier {kind!r}")
-
     def quarantine_blobs(self, kind: str, shas: Iterable[str]) -> int:
         """Copy corrupt blobs' stored bytes into ``.dlv/quarantine/``
         (forensics), then delete them from their tier with one
         ``delete_many``, so the tier's packs are rewritten once."""
-        store = self._store_for(kind)
-        suffix = {"chunks": "", "replica": ".replica", "pages": ".page"}[kind]
+        store, suffix = self.tier(kind), TIERS[kind]
         quarantine = self.dlv_dir / "quarantine"
         copied = []
         for sha in sorted(set(shas)):
@@ -205,13 +160,9 @@ class LocalFSBackend(StorageBackend):
         """Stale ``*.tmp`` files in a blob tier or among the documents
         (F302)."""
         tmps = [
-            (f"{label}/{os.path.basename(tmp)}", tmp)
-            for store, label in (
-                (self.chunks, "chunks"),
-                (self.replica, "replica"),
-                (self.pages, "pages"),
-            )
-            for tmp in store.stale_tmps()
+            (f"{kind}/{os.path.basename(tmp)}", tmp)
+            for kind in TIERS
+            for tmp in self.tier(kind).stale_tmps()
         ]
         tmps += [
             (str(tmp.relative_to(self.dlv_dir)), tmp) for tmp in self._doc_tmps()
@@ -233,26 +184,28 @@ class LocalFSBackend(StorageBackend):
 
     def compact(self) -> None:
         """Fold each tier into one pack."""
-        for store in (self.chunks, self.replica, self.pages):
-            store.repack()
+        for kind in TIERS:
+            self.tier(kind).repack()
 
     def open_format(self) -> int:
-        """Check the format and fold any loose blobs into packs.
+        """Check the format and fold what older layouts left behind.
 
-        Every open folds each tier's loose ``<sha[:2]>/<sha>`` blobs into
-        one pack, whatever the config says: a format-1 repository holds
-        them, and so does one an earlier format-2 dlv upgraded by the
-        config alone.  A tier without buckets costs one directory scan.
-        Only after the fold does a format-1 config record the new
-        format.  A crash part way leaves loose blobs behind, so the next
-        open folds again; that writes no blob a pack already holds."""
+        Every open folds, whatever the config says: each tier's loose
+        blobs into one pack (format 1's ``<sha[:2]>/<sha>``, which a
+        format-2 config an earlier dlv upgraded alone may still hold,
+        and format 2's raw ``files/<sha>``), and format 2's
+        ``journal/<txid>.json`` intent files into catalog rows.  A
+        repository with nothing to fold costs a few directory scans.
+        Each source is removed only after what it became has landed, so
+        a crash part way leaves it behind and the next open folds again,
+        writing nothing twice.  Only after the folds does an older
+        config record the new format."""
         found = super().open_format()
-        for store in (self.chunks, self.replica, self.pages):
-            _fold_loose(store)
+        for kind in TIERS:
+            _fold_loose(self.tier(kind))
+        _fold_intent_files(self.dlv_dir / "journal", self.catalog.journal)
         if found < FORMAT:
-            config = self.read_config()
-            config["format"] = FORMAT
-            self.write_doc(CONFIG_DOC, json.dumps(config, indent=2).encode())
+            self.record_format()
         return FORMAT
 
     # -- hub publishing ---------------------------------------------------------
@@ -268,29 +221,55 @@ class LocalFSBackend(StorageBackend):
 
 
 def _fold_loose(store: ChunkStore) -> None:
-    """Move one tier's loose ``<sha[:2]>/<sha>`` blobs (format 1) into a
-    pack, then remove them, any tmp litter beside them and their bucket
-    directories.  Stored forms are copied unverified: a corrupt blob
-    never blocks the open, and fsck still finds and quarantines it.  A
-    file or bucket that vanishes part way was folded by a concurrent
-    opener, which unlinks only after its pack has landed."""
+    """Move what an older layout left loose in one tier into a pack,
+    then remove it: format 1's ``<sha[:2]>/<sha>`` stored forms (copied
+    unverified: a corrupt one never blocks the open, and fsck still
+    finds and quarantines it) with any tmp litter beside them and their
+    bucket directories, and format 2's raw ``files/<sha>`` associated
+    files (filed under what they hold: one whose bytes rotted no longer
+    has the address its version names, which fsck reports).  A file or
+    bucket that vanishes part way was folded by a concurrent opener,
+    which unlinks only after its pack has landed."""
     with os.scandir(store.root) as top:
-        buckets = sorted(Path(e.path) for e in top if e.is_dir())
-    if not buckets:
+        loose = sorted(
+            Path(e.path) for e in top
+            if e.is_dir() or not e.name.endswith((".pack", ".tmp"))
+        )
+    if not loose:
         return
     files = []
-    for bucket in buckets:
+    for path in loose:
         with contextlib.suppress(FileNotFoundError):
-            files += sorted(bucket.iterdir())
-    stored = {}
+            files += sorted(path.iterdir()) if path.is_dir() else [path]
+    stored, raw = {}, []
     for path in files:
         if not path.name.endswith(".tmp"):
             with contextlib.suppress(FileNotFoundError):
-                stored[path.name] = path.read_bytes()
+                if path.parent == store.root:
+                    raw.append(path.read_bytes())
+                else:
+                    stored[path.name] = path.read_bytes()
     store.put_stored(stored)
+    store.put_many(raw)
     for path in files:
         ffs.unlink(path, site="chunkstore.fold.unlink", missing_ok=True)
-    for bucket in buckets:
+    for bucket in (path for path in loose if path.is_dir()):
         with contextlib.suppress(OSError):  # litter keeps it
             bucket.rmdir()
     ffs.fsync_dir(store.root, site="chunkstore.fold.dirsync")
+
+
+def _fold_intent_files(root: Path, journal) -> None:
+    """Move format 2's ``journal/<txid>.json`` intent files into catalog
+    rows, torn ones too (replay discards them), then remove the files
+    and the directory."""
+    if not root.is_dir():
+        return
+    paths = sorted(root.glob("*.json"))
+    for path in paths:
+        with contextlib.suppress(FileNotFoundError):
+            journal.write_raw(path.stem, path.read_bytes())
+    for path in paths:
+        ffs.unlink(path, site="journal.fold.unlink", missing_ok=True)
+    with contextlib.suppress(OSError):  # litter keeps it
+        root.rmdir()

@@ -1,9 +1,10 @@
 """Single-file SQLite repository storage in WAL mode.
 
-The whole repository — both chunk-store tiers, associated files, the
-stage and config documents, the write-ahead journal, the quarantine,
-*and* the relational catalog — lives in one database file, so a repo
-ships as a single artifact and replicates with one copy.
+The whole repository — the four blob tiers (``chunks``, ``replica``,
+``pages``, ``files``), the stage and config documents, the quarantine,
+*and* the relational catalog with its write-ahead journal — lives in
+one database file, so a repo ships as a single artifact and replicates
+with one copy.
 
 Concurrency model (the reason this backend exists):
 
@@ -23,30 +24,27 @@ Concurrency model (the reason this backend exists):
   they observe its in-flight transaction (e.g. ``stored_size`` of a
   chunk written moments ago inside ``convert``).
 
-Crash semantics mirror the journaled-commit protocol of the local-fs
-backend: journal intents are inserted and committed *before* any chunk
-lands (and refuse to run inside a catalog transaction), chunk writes at
-transaction depth zero commit immediately, and the catalog transaction
-that ends with the commit marker is the atomic commit point.  Fault
-injection uses the same site names (``chunkstore.put.write``,
-``journal.write``, ``journal.retire``, ``repo.files.write``,
+Crash semantics are the journaled-commit protocol of every backend:
+the catalog's journal intents commit *before* any blob lands, blob
+writes at transaction depth zero commit immediately, and the catalog
+transaction that installs a commit's rows and retires its intent is the
+atomic commit point.  Fault injection uses the same site names
+(``chunkstore.put.write``, ``journal.write``, ``journal.retire``,
 ``catalog.commit``) via :func:`repro.faults.fs.prepare_write`, so the
 crash matrix runs unchanged over this backend.
 """
 
 from __future__ import annotations
 
-import json
 import sqlite3
 import tempfile
 import threading
-import uuid
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro.core.chunkstore import BlobCodec
-from repro.core.storage.base import StorageBackend, TxnState
+from repro.core.storage.base import FORMAT, TIERS, StorageBackend, TxnState
 from repro.faults import fs as ffs
 from repro.faults.plan import CrashSimulated
 
@@ -57,17 +55,8 @@ CREATE TABLE IF NOT EXISTS store_blob (
     data  BLOB NOT NULL,
     PRIMARY KEY (ns, sha)
 );
-CREATE TABLE IF NOT EXISTS store_file (
-    sha   TEXT NOT NULL PRIMARY KEY,
-    data  BLOB NOT NULL
-);
 CREATE TABLE IF NOT EXISTS store_doc (
     name  TEXT NOT NULL PRIMARY KEY,
-    data  BLOB NOT NULL
-);
-CREATE TABLE IF NOT EXISTS store_journal (
-    txid  TEXT NOT NULL PRIMARY KEY,
-    seq   INTEGER NOT NULL,
     data  BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS store_quarantine (
@@ -86,7 +75,7 @@ GET_BATCH = 900
 
 
 class SQLiteBlobStore(BlobCodec):
-    """One content-addressed tier (``chunks`` / ``replica``) as blob rows.
+    """One content-addressed tier (one of ``TIERS``) as blob rows.
 
     Conforms to :class:`~repro.core.storage.base.BlobStore`; rows hold
     the :class:`~repro.core.chunkstore.BlobCodec` stored form, exactly
@@ -220,89 +209,6 @@ class SQLiteBlobStore(BlobCodec):
         return iter([r[0] for r in rows])
 
 
-class SQLiteJournal:
-    """Write-ahead intent journal as rows of the same database.
-
-    Journal writes always commit immediately on the writer connection —
-    an intent must be durable before the data it describes, so recording
-    or retiring one inside an open catalog transaction is a protocol
-    violation and raises.
-    """
-
-    def __init__(self, backend: "SQLiteBackend") -> None:
-        self._backend = backend
-
-    def _guard_txn(self, action: str) -> None:
-        if self._backend.txn.active:
-            raise RuntimeError(
-                f"journal {action} inside an open catalog transaction "
-                "(intents must commit independently)"
-            )
-
-    def record(self, op: str, **payload):
-        """Durably insert an intent row; returns the entry to retire later."""
-        from repro.dlv.journal import JournalEntry
-
-        self._guard_txn("record")
-        txid = uuid.uuid4().hex
-        data = {"txid": txid, "op": op, **payload}
-        raw, crash_after = ffs.prepare_write(
-            "journal.write", json.dumps(data, indent=2, default=str).encode()
-        )
-        backend = self._backend
-        with backend._write_lock:
-            backend._writer.execute(
-                "INSERT INTO store_journal (txid, seq, data) VALUES (?, "
-                "(SELECT COALESCE(MAX(seq), 0) + 1 FROM store_journal), ?)",
-                (txid, raw),
-            )
-            backend._writer.commit()
-        if crash_after:
-            raise CrashSimulated(
-                "simulated crash after torn write (journal.write)"
-            )
-        return JournalEntry(path=None, txid=txid, data=data)
-
-    def retire(self, entry) -> None:
-        """Remove a fulfilled (or rolled-back) intent."""
-        self._guard_txn("retire")
-        ffs.checkpoint("journal.retire")
-        backend = self._backend
-        with backend._write_lock:
-            backend._writer.execute(
-                "DELETE FROM store_journal WHERE txid = ?", (entry.txid,)
-            )
-            backend._writer.commit()
-
-    def pending(self) -> list:
-        """All intent rows, oldest first; torn ones have ``data=None``."""
-        from repro.dlv.journal import JournalEntry
-
-        rows = self._backend._read_conn().execute(
-            "SELECT txid, data FROM store_journal ORDER BY seq"
-        ).fetchall()
-        entries = []
-        for txid, raw in rows:
-            try:
-                data = json.loads(bytes(raw).decode())
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                data = None
-            entries.append(JournalEntry(path=None, txid=txid, data=data))
-        return entries
-
-    def write_raw(self, txid: str, text: str) -> None:
-        """Test helper: store an intent payload verbatim (possibly torn)."""
-        backend = self._backend
-        with backend._write_lock:
-            backend._writer.execute(
-                "INSERT OR REPLACE INTO store_journal (txid, seq, data) "
-                "VALUES (?, (SELECT COALESCE(MAX(seq), 0) + 1 FROM "
-                "store_journal), ?)",
-                (txid, text.encode()),
-            )
-            backend._writer.commit()
-
-
 class SQLiteBackend(StorageBackend):
     """Whole-repository storage in one WAL-mode SQLite database file."""
 
@@ -324,7 +230,7 @@ class SQLiteBackend(StorageBackend):
         self._attach(self._connect(), create)
 
     def _attach(self, writer: sqlite3.Connection, create: bool) -> None:
-        """Wire the blob tiers, journal and catalog onto one writer."""
+        """Wire the blob tiers and the catalog onto one writer."""
         self.txn = TxnState()
         self._write_lock = threading.RLock()
         self._owner_thread = threading.get_ident()
@@ -341,7 +247,7 @@ class SQLiteBackend(StorageBackend):
         self.chunks = SQLiteBlobStore(self, "chunks")
         self.replica = SQLiteBlobStore(self, "replica")
         self.pages = SQLiteBlobStore(self, "pages")
-        self.journal = SQLiteJournal(self)
+        self.files = SQLiteBlobStore(self, "files")
         if create:
             self.write_config()
 
@@ -397,47 +303,25 @@ class SQLiteBackend(StorageBackend):
         out["wal"] = True
         return out
 
-    # -- associated files --------------------------------------------------------
+    # -- format ------------------------------------------------------------------
 
-    def put_file(self, sha: str, data: bytes) -> None:
-        with self._write_lock:
-            row = self._writer.execute(
-                "SELECT 1 FROM store_file WHERE sha = ?", (sha,)
-            ).fetchone()
-            if row is not None:
-                return
-            payload, crash_after = ffs.prepare_write("repo.files.write", data)
-            self._writer.execute(
-                "INSERT OR REPLACE INTO store_file (sha, data) VALUES (?, ?)",
-                (sha, payload),
-            )
-            self._commit_if_root()
-            if crash_after:
-                raise CrashSimulated(
-                    "simulated crash after torn write (repo.files.write)"
-                )
-
-    def get_file(self, sha: str) -> bytes:
-        row = self._read_conn().execute(
-            "SELECT data FROM store_file WHERE sha = ?", (sha,)
-        ).fetchone()
-        if row is None:
-            raise KeyError(f"no stored file {sha}")
-        return bytes(row[0])
-
-    def delete_file(self, sha: str) -> bool:
-        with self._write_lock:
-            cur = self._writer.execute(
-                "DELETE FROM store_file WHERE sha = ?", (sha,)
-            )
-            self._commit_if_root()
-        return cur.rowcount > 0
-
-    def stored_file_shas(self) -> set[str]:
-        rows = self._read_conn().execute(
-            "SELECT sha FROM store_file"
-        ).fetchall()
-        return {r[0] for r in rows}
+    def open_format(self) -> int:
+        """Check the format; move format 2's associated-file rows into
+        the ``files`` tier, drop their table and record the new format,
+        all in one transaction."""
+        found = super().open_format()
+        if found < FORMAT:
+            with self.catalog.transaction():
+                if self._writer.execute(
+                    "SELECT 1 FROM sqlite_master WHERE name = 'store_file'"
+                ).fetchone():
+                    rows = self._writer.execute(
+                        "SELECT data FROM store_file"
+                    ).fetchall()
+                    self.files.put_many(bytes(row[0]) for row in rows)
+                    self._writer.execute("DROP TABLE store_file")
+                self.record_format()
+        return FORMAT
 
     # -- documents ----------------------------------------------------------------
 
@@ -475,9 +359,8 @@ class SQLiteBackend(StorageBackend):
     def quarantine_blobs(self, kind: str, shas: Iterable[str]) -> int:
         """Move corrupt blob rows into the quarantine table, one
         statement of each kind per :data:`GET_BATCH` addresses."""
-        if kind not in ("chunks", "replica", "pages"):
-            raise ValueError(f"unknown blob tier {kind!r}")
-        suffix = {"chunks": "", "replica": ".replica", "pages": ".page"}[kind]
+        self.tier(kind)  # an unknown tier raises
+        suffix = TIERS[kind]
         shas = sorted(set(shas))
         moved = 0
         with self._write_lock:

@@ -69,6 +69,9 @@ class _PlanFacts:
         #: index (both read and built on the first probe).
         self.bases: dict[str, bytes] = {}
         self.index: Optional[SketchIndex] = None
+        #: Bases the manifests name that could not be read (lost or
+        #: corrupt): not held, so a page that is one is stored again.
+        self.unreadable: set[str] = set()
         self.page_shas: dict[str, list[str]] = {}  # plane sha -> pages
         self.keys: dict[str, list[int]] = {}  # page sha -> sketch keys
         self.floors: dict[str, int] = {}  # page sha -> stored_size_floor
@@ -188,12 +191,18 @@ class PageStore:
         return manifest, added
 
     def _holds(self, sha: str) -> bool:
-        """Whether ``sha`` is stored, or buffered by this run."""
+        """Whether ``sha`` is buffered by this run, or stored and not a
+        base the index build could not read."""
         if sha in self._buffer:
             return True
-        if self._facts.stored is None:
-            self._facts.stored = set(self.blobs.addresses())
-        return sha in self._facts.stored
+        facts = self._facts
+        if facts.stored is None:
+            facts.stored = set(self.blobs.addresses())
+        if sha not in facts.stored:
+            return False
+        if facts.index is None:
+            self._index_stored_bases()
+        return sha not in facts.unreadable
 
     def _stored_top(self, sha: str, keys: list[int]) -> list[str]:
         """The stored bases page ``sha`` shares the most bands with,
@@ -232,6 +241,7 @@ class PageStore:
                 except (KeyError, ValueError):
                     continue
         facts.bases = bases
+        facts.unreadable = set(wanted) - bases.keys()
         facts.index = SketchIndex()
         for sha, data in bases.items():
             facts.index.add(sha, sketch_keys(data))
@@ -273,8 +283,13 @@ class PageStore:
         the metrics registry.
 
         The caller must hold ``catalog.transaction()`` so the blobs
-        commit atomically with the manifests that reference them.
+        commit atomically with the manifests that reference them.  An
+        unreadable base this run stores again first loses its bad
+        stored form (a put keeps what an address already holds).
         """
+        bad = self._facts.unreadable & self._buffer.keys()
+        if bad:
+            self.blobs.delete_many(bad)
         self.blobs.put_many(self._buffer.values())
         self._pending_counts.update(
             pages_shared=sum(self._pending_shared.values()),

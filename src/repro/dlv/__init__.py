@@ -8,7 +8,7 @@ versions — and stores each in the right backend:
 * structured data (networks, logs, metadata, lineage) in a sqlite3
   relational catalog (:mod:`repro.dlv.catalog`);
 * learned float matrices in PAS (:mod:`repro.core`);
-* associated files content-addressed under ``.dlv/files``.
+* associated files as the ``files`` blob tier, content addressed.
 
 The :class:`~repro.dlv.repository.Repository` class is the Python API; the
 ``dlv`` command line tool (:mod:`repro.dlv.cli`) exposes the command suite

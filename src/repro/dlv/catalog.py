@@ -18,7 +18,9 @@ owns the relational half.  The schema follows the paper's data model:
 * ``page_payload`` — the dedup tier: each page-encoded plane's manifest
   (the one record of which pages are live and how often each is
   referenced).  The similarity index over base pages is not stored:
-  each archive run rebuilds it from these manifests.
+  each archive run rebuilds it from these manifests;
+* ``store_journal`` — the write-ahead intents of in-flight mutations
+  (:class:`~repro.dlv.journal.Journal`, :attr:`Catalog.journal`).
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Optional
 
 from repro.core.storage.base import TxnState
+from repro.dlv.journal import Journal
 from repro.dlv.objects import ModelVersion, Snapshot
 from repro.faults import fs as ffs
 
@@ -103,10 +106,10 @@ CREATE TABLE IF NOT EXISTS payload (
     kind         TEXT NOT NULL,
     chunks       TEXT NOT NULL
 );
-CREATE TABLE IF NOT EXISTS commit_marker (
-    txid        TEXT PRIMARY KEY,
-    version_id  INTEGER NOT NULL,
-    created_at  TEXT NOT NULL DEFAULT ''
+CREATE TABLE IF NOT EXISTS store_journal (
+    txid  TEXT NOT NULL PRIMARY KEY,
+    seq   INTEGER NOT NULL,
+    data  BLOB NOT NULL
 );
 CREATE TABLE IF NOT EXISTS page_payload (
     matrix_id   TEXT NOT NULL,
@@ -118,8 +121,11 @@ CREATE INDEX IF NOT EXISTS idx_matrix_snapshot
     ON matrix(version_id, snapshot_idx);
 -- Older dlv kept per-page refcounts and the sketch index of base pages
 -- here; the manifests are the record, and each archive run re-indexes.
+-- A commit marker told a finished commit's pending intent apart; a
+-- commit now retires its intent in the transaction that installs it.
 DROP TABLE IF EXISTS page_ref;
 DROP TABLE IF EXISTS page_sketch;
+DROP TABLE IF EXISTS commit_marker;
 """
 
 
@@ -156,6 +162,7 @@ class Catalog:
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
         self._txn = txn if txn is not None else TxnState()
+        self.journal = Journal(self)
 
     def close(self) -> None:
         if self._owns_conn:
@@ -196,25 +203,6 @@ class Catalog:
                 self._conn.rollback()
                 raise
             self._conn.commit()
-
-    # -- commit markers (journal protocol) ------------------------------------
-
-    def add_commit_marker(
-        self, txid: str, version_id: int, created_at: str = ""
-    ) -> None:
-        """Record that the transaction ``txid`` reached durability."""
-        self._conn.execute(
-            "INSERT OR REPLACE INTO commit_marker (txid, version_id, "
-            "created_at) VALUES (?, ?, ?)",
-            (txid, version_id, created_at),
-        )
-        self._maybe_commit()
-
-    def has_commit_marker(self, txid: str) -> bool:
-        row = self._conn.execute(
-            "SELECT txid FROM commit_marker WHERE txid = ?", (txid,)
-        ).fetchone()
-        return row is not None
 
     def __enter__(self) -> "Catalog":
         return self

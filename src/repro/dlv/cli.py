@@ -166,11 +166,12 @@ def _render_fsck(report: dict) -> None:
         )
     print(
         "fsck: {chunks} chunks + {replica} replica blobs + {pages} "
-        "pages re-hashed, {payloads} payloads checked; {errors} "
-        "error(s), {warnings} warning(s) -> {verdict}".format(
+        "pages + {files} files re-hashed, {payloads} payloads checked; "
+        "{errors} error(s), {warnings} warning(s) -> {verdict}".format(
             chunks=report["chunks_checked"],
             replica=report["replica_checked"],
             pages=report["pages_checked"],
+            files=report["files_checked"],
             payloads=report["payloads_checked"],
             errors=report["summary"]["error"],
             warnings=report["summary"]["warning"],

@@ -2,15 +2,15 @@
 
 :func:`run_fsck` audits the three layers a repository can rot in:
 
-* **blobs** — every chunk in the main and replica stores is re-hashed
-  (content addresses make corruption self-evident);
+* **blobs** — every blob in the main, replica, page and associated-file
+  tiers is re-hashed (content addresses make corruption self-evident);
 * **catalog** — referential integrity across
   versions ↔ snapshots ↔ matrices ↔ payloads, lineage endpoints, parent
   chains of the payload storage graph (broken links, cycles), and what a
   reader needs beyond intact rows: every matrix recreates to its recorded
   shape, every version's network spec parses;
 * **filesystem** — pending journal intents, stale tmp files, orphan
-  chunks and associated files.
+  chunks, pages and associated files.
 
 The audit is backend-neutral: blob scanning, catalog checks, and orphan
 detection go through the storage interface, while substrate-specific
@@ -20,8 +20,9 @@ the repository's :class:`~repro.core.storage.base.StorageBackend`.
 With ``repair=True`` it additionally:
 
 * quarantines corrupt blobs (named ``<sha>`` for main-store blobs,
-  ``<sha>.replica`` for replica blobs — a ``.dlv/quarantine/`` directory
-  on the local-fs backend, a table in the database backends),
+  ``<sha>.replica``, ``<sha>.page`` and ``<sha>.file`` for the other
+  tiers — a ``.dlv/quarantine/`` directory on the local-fs backend, a
+  table in the database backends),
 * restores quarantined chunks from the replica tier when an intact copy
   exists (exact recovery),
 * re-materializes payloads that reference lost chunks through degraded
@@ -40,6 +41,7 @@ F101       error     corrupt chunk in the main store (re-hash failed)
 F102       warning   corrupt chunk in the replica store
 F103       error     payload references a chunk absent from the store
 F104       warning   replicated plane has no replica copy
+F105       error     version references a missing or corrupt associated file
 F201       error     snapshot row whose version does not exist
 F202       error     matrix row whose snapshot does not exist
 F203       error     payload row whose matrix does not exist
@@ -60,8 +62,13 @@ F403       info      orphan page (referenced by no manifest)
 Replica-tier audit (F104): every plane the payload writer mirrors
 (:meth:`~repro.core.retrieval.PlanArchive.mirror_addresses`) must have
 its replica copy; ``--repair`` re-mirrors from the intact main-store
-chunk or the reassembled pages.  What counts as an orphan (F303, F403) is
-:meth:`~repro.dlv.repository.Repository.live_addresses`, the one rule.
+chunk or the reassembled pages.  What counts as an orphan (F303, F304,
+F403) is :meth:`~repro.dlv.repository.Repository.live_addresses`, the
+one rule.
+
+Associated-file tier (F105): a named file that is missing or corrupt
+has no second copy, so the finding stays unrepaired; ``--repair``
+quarantines a corrupt one (kind ``files``).
 
 Dedup-tier repairs (F4xx): corrupt page blobs are quarantined (kind
 ``pages``); payloads whose pages are lost re-materialize through
@@ -91,6 +98,7 @@ FSCK_CODES: dict[str, tuple[str, str]] = {
     "F102": ("warning", "corrupt chunk in replica store"),
     "F103": ("error", "payload references missing chunk"),
     "F104": ("warning", "replicated plane has no replica copy"),
+    "F105": ("error", "associated file missing or corrupt"),
     "F201": ("error", "snapshot without version"),
     "F202": ("error", "matrix without snapshot"),
     "F203": ("error", "payload without matrix"),
@@ -149,6 +157,7 @@ class FsckReport:
     replica_checked: int = 0
     payloads_checked: int = 0
     pages_checked: int = 0
+    files_checked: int = 0
     repair: bool = False
     format: int = 1
 
@@ -168,6 +177,7 @@ class FsckReport:
             "replica_checked": self.replica_checked,
             "payloads_checked": self.payloads_checked,
             "pages_checked": self.pages_checked,
+            "files_checked": self.files_checked,
             "findings": [f.to_dict() for f in self.findings],
             "summary": {
                 severity: sum(
@@ -206,6 +216,7 @@ def run_fsck(repo: "Repository", repair: bool = False) -> FsckReport:
             # Corrupt blob no payload references: quarantining it IS the fix.
             _annotate(report, sha, "quarantined (unreferenced)", codes=("F101",))
     _check_pages(repo, report, repair)
+    _check_files(repo, report, repair)
     _check_recreation(repo, report, skip=set(missing))
     _check_mirrors(repo, report, repair)
     _check_journal(repo, report)
@@ -526,6 +537,23 @@ def _check_pages(repo, report: FsckReport, repair: bool) -> None:
             _rematerialize(repo, report, affected, ("F401",))
 
 
+# -- associated-file tier ------------------------------------------------------------
+
+
+def _check_files(repo, report: FsckReport, repair: bool) -> None:
+    """F105: every associated file a version names is stored intact."""
+    corrupt, report.files_checked = _scan_store(repo.files, None, report)
+    for sha in sorted(repo.catalog.all_file_shas()):
+        if sha in corrupt or sha not in repo.files:
+            state = "corrupt" if sha in corrupt else "missing"
+            f = Finding("F105", f"associated file {sha[:12]} is {state}", sha=sha)
+            if repair and sha in corrupt:
+                f.repair = "quarantined; no copy to restore"
+            report.findings.append(f)
+    if repair:
+        repo.backend.quarantine_blobs("files", corrupt)
+
+
 # -- replica tier ------------------------------------------------------------------------
 
 
@@ -582,12 +610,13 @@ def _check_litter(repo, report: FsckReport, repair: bool) -> None:
             )
         )
 
-    # F303 / F403: stored addresses outside the repository's live sets.
-    chunks, _replica, pages = repo.live_addresses()
+    # F303 / F304 / F403: stored addresses outside the live sets.
+    chunks, _replica, pages, files = repo.live_addresses()
     orphans = [
         Finding(code, f"orphan {what} {sha[:12]}", sha=sha)
         for code, what, store, live in (
             ("F303", "chunk", repo.store, chunks),
+            ("F304", "associated file", repo.files, files),
             ("F403", "page", repo.pages, pages),
         )
         for sha in sorted(store.addresses())
@@ -600,12 +629,3 @@ def _check_litter(repo, report: FsckReport, repair: bool) -> None:
         for f in orphans:
             f.repaired, f.repair = True, "swept"
     report.findings.extend(orphans)
-
-    referenced_files = repo.catalog.all_file_shas()
-    for sha in sorted(repo.backend.stored_file_shas()):
-        if sha not in referenced_files:
-            f = Finding("F304", f"orphan associated file {sha[:12]}")
-            if repair:
-                repo.backend.delete_file(sha)
-                f.repaired, f.repair = True, "deleted"
-            report.findings.append(f)

@@ -1,42 +1,27 @@
 """Write-ahead intent journal for repository mutations.
 
-Crash-safe commits follow a write-ahead protocol: before any chunk
-lands, an *intent file* is written (and fsynced) into
-``.dlv/journal/`` recording what is about to happen — the operation,
-the content addresses that will be written, and a transaction id.  The
-catalog then applies all of its rows in one sqlite transaction whose
-last act records the same txid in the ``commit_marker`` table, and only
-after that does the intent file retire.
+Before any blob of a mutation lands, an *intent row* is inserted into
+the catalog's ``store_journal`` table and committed: the operation, the
+content addresses it will write, and a transaction id.  Intents live in
+the catalog database on every backend, so there is one implementation.
 
-On every :meth:`~repro.dlv.repository.Repository.open`, pending intent
-files are replayed:
+A ``commit`` retires its own intent inside the catalog transaction that
+installs its rows, so a commit intent still pending at
+:meth:`~repro.dlv.repository.Repository.open` always means that
+transaction never committed: replay rolls it back, sweeping the listed
+chunks and associated files nothing references.  ``archive`` /
+``convert`` / ``prune`` retire theirs after their ``gc``; a pending one
+triggers a garbage sweep, since their catalog transaction is atomic on
+its own and the sweep removes whichever blob generation lost.
 
-* ``commit`` intents whose txid reached the catalog are simply retired
-  (the crash happened between durability and cleanup);
-* ``commit`` intents whose txid is absent mean the catalog transaction
-  never committed — the listed chunks/files are swept if nothing else
-  references them, restoring the pre-commit state exactly;
-* ``archive`` / ``convert`` / ``prune`` intents trigger a garbage
-  sweep: their catalog transaction is atomic on its own, so either the
-  old or the new payload table is in effect and the sweep removes
-  whichever chunk generation lost.
+Intent payload (JSON)::
 
-Journal entry format (JSON, one file per in-flight operation)::
+    {"txid": "<32 hex>", "op": "commit" | "archive" | "convert" | "prune",
+     "chunks": [...], "files": [...],   # commit only: planned writes
+     ...}                               # op-specific context (name, ref)
 
-    .dlv/journal/<txid>.json
-    {
-      "txid": "<32 hex chars>",
-      "op": "commit" | "archive" | "convert" | "prune",
-      "created_at": "<iso8601>",
-      "chunks": ["<sha256>", ...],   # commit only: planned chunk writes
-      "files":  ["<sha256>", ...],   # commit only: planned file copies
-      ...                            # op-specific context (name, ref)
-    }
-
-A torn journal write (unparseable JSON) is safe by construction: the
-intent is written *before* any data it describes, so an unreadable
-intent means the operation never touched the store and the file is
-discarded.
+A torn intent (unparseable JSON) is discarded on replay: the intent
+commits before any data it describes, so the operation touched nothing.
 """
 
 from __future__ import annotations
@@ -44,21 +29,19 @@ from __future__ import annotations
 import json
 import uuid
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.faults import fs as ffs
+from repro.faults.plan import CrashSimulated
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.dlv.catalog import Catalog
 
 
 @dataclass
 class JournalEntry:
-    """One intent record: its txid and parsed payload (None = torn).
+    """One intent record: its txid and parsed payload (None = torn)."""
 
-    ``path`` is the intent file for the loose-file journal and ``None``
-    for journals stored as database rows.
-    """
-
-    path: Optional[Path]
     txid: str
     data: Optional[dict]
 
@@ -68,42 +51,63 @@ class JournalEntry:
 
 
 class Journal:
-    """Owns the ``.dlv/journal/`` directory of intent files."""
+    """The intent rows of one catalog (its ``store_journal`` table)."""
 
-    def __init__(self, root: str | Path) -> None:
-        self.root = Path(root)
-        self.root.mkdir(parents=True, exist_ok=True)
+    def __init__(self, catalog: "Catalog") -> None:
+        self._catalog = catalog
 
     def record(self, op: str, **payload) -> JournalEntry:
-        """Durably write an intent file; returns the entry to retire later."""
+        """Durably insert an intent row; returns the entry to retire later.
+
+        An intent must commit before the data it describes, so recording
+        one inside an open catalog transaction raises.
+        """
+        if self._catalog._txn.active:
+            raise RuntimeError(
+                "journal record inside an open catalog transaction "
+                "(intents must commit independently)"
+            )
         txid = uuid.uuid4().hex
         data = {"txid": txid, "op": op, **payload}
-        path = self.root / f"{txid}.json"
-        ffs.write_bytes(
-            path,
-            json.dumps(data, indent=2, default=str).encode(),
-            site="journal.write",
+        raw, crash_after = ffs.prepare_write(
+            "journal.write", json.dumps(data, indent=2, default=str).encode()
         )
-        ffs.fsync_dir(self.root, site="journal.dirsync")
-        return JournalEntry(path=path, txid=txid, data=data)
+        self.write_raw(txid, raw)
+        if crash_after:
+            raise CrashSimulated("simulated crash after torn write (journal.write)")
+        return JournalEntry(txid=txid, data=data)
+
+    def write_raw(self, txid: str, raw: bytes) -> None:
+        """Store an intent payload verbatim (possibly torn) and commit:
+        what :meth:`record` lands, and how intent files an older layout
+        left behind are folded in."""
+        self._catalog._conn.execute(
+            "INSERT OR REPLACE INTO store_journal (txid, seq, data) VALUES "
+            "(?, (SELECT COALESCE(MAX(seq), 0) + 1 FROM store_journal), ?)",
+            (txid, raw),
+        )
+        self._catalog._maybe_commit()
 
     def retire(self, entry: JournalEntry) -> None:
-        """Remove a fulfilled (or rolled-back) intent."""
-        ffs.unlink(entry.path, site="journal.retire", missing_ok=True)
-        ffs.fsync_dir(self.root)
-
-    def write_raw(self, txid: str, text: str) -> None:
-        """Test helper: store an intent payload verbatim (possibly torn)."""
-        (self.root / f"{txid}.json").write_text(text)
+        """Delete a fulfilled (or rolled-back) intent: at once, or —
+        inside a catalog transaction — together with it, which is how a
+        commit retires its own intent.  Retiring twice is harmless."""
+        ffs.checkpoint("journal.retire")
+        self._catalog._conn.execute(
+            "DELETE FROM store_journal WHERE txid = ?", (entry.txid,)
+        )
+        self._catalog._maybe_commit()
 
     def pending(self) -> list[JournalEntry]:
-        """All intent files on disk, oldest first; torn ones have data=None."""
+        """All intent rows, oldest first; torn ones have ``data=None``."""
+        rows = self._catalog._conn.execute(
+            "SELECT txid, data FROM store_journal ORDER BY seq"
+        ).fetchall()
         entries = []
-        for path in sorted(self.root.glob("*.json")):
+        for txid, raw in rows:
             try:
-                data = json.loads(path.read_text())
-            except (OSError, json.JSONDecodeError):
+                data = json.loads(bytes(raw).decode())
+            except (UnicodeDecodeError, json.JSONDecodeError):
                 data = None
-            txid = data.get("txid", path.stem) if data else path.stem
-            entries.append(JournalEntry(path=path, txid=txid, data=data))
+            entries.append(JournalEntry(txid=txid, data=data))
         return entries

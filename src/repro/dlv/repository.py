@@ -10,19 +10,20 @@ layout, for reference:
 
     <repo>/.dlv/
         config.json     backend and on-disk format
-        catalog.db      relational catalog (repro.dlv.catalog)
+        catalog.db      relational catalog (repro.dlv.catalog), with the
+                        write-ahead intents of in-flight mutations
         chunks/         PAS byte-plane chunk store (packs of blobs)
         replica/        redundant copies of high-order planes (recovery tier)
         pages/          dedup page tier
-        journal/        write-ahead intent files for in-flight mutations
+        files/          associated files (packs of blobs)
         quarantine/     corrupt blobs set aside by `dlv fsck --repair`
-        files/          associated files, content addressed
         stage.json      files staged by `dlv add` for the next commit
+        archives/       one report per `dlv archive` run
 
-The sqlite backend holds the same five kinds of state as tables of one
-database; which backend a repo uses is auto-detected on open (and
-recorded in its config), so ``Repository.open(path)`` keeps working on
-every pre-existing repository.
+The sqlite backend holds the same state as tables of one database;
+which backend a repo uses is auto-detected on open (and recorded in its
+config), so ``Repository.open(path)`` keeps working on every
+pre-existing repository.
 
 Weights are written at commit time as materialized byte-plane payloads;
 ``archive`` later re-optimizes the whole repository into a delta-encoded
@@ -30,11 +31,12 @@ storage plan (Problem 1) and rewrites the payload table accordingly —
 queries are unaffected because retrieval always goes through the payload
 manifest.
 
-Mutations are crash-safe (see :mod:`repro.dlv.journal`): chunks land
+Mutations are crash-safe (see :mod:`repro.dlv.journal`): blobs land
 first under a journaled intent, catalog rows apply in one sqlite
-transaction, and :meth:`Repository.open` replays any pending intent —
-rolling back commits that never reached the catalog and sweeping the
-orphaned chunks they left behind.  The high-order byte planes of every
+transaction (a commit's also retires its intent), and
+:meth:`Repository.open` replays any pending intent — rolling back
+commits that never reached the catalog and sweeping the orphaned chunks
+and files they left behind.  The high-order byte planes of every
 payload are mirrored into a small replica store, which is what lets
 retrieval and ``dlv fsck --repair`` survive a corrupt blob.
 """
@@ -42,7 +44,6 @@ retrieval and ``dlv fsck --repair`` survive a corrupt blob.
 from __future__ import annotations
 
 import datetime
-import hashlib
 import json
 import warnings
 from pathlib import Path
@@ -86,8 +87,8 @@ class Repository:
     Construct with a storage URL, a path (backend auto-detected), or an
     already-open :class:`~repro.core.storage.base.StorageBackend`.  The
     familiar attributes — ``store``, ``replica``, ``pages``,
-    ``catalog``, ``journal`` — are views onto the backend; ``dlv_dir`` /
-    ``files_dir`` exist only on the local-fs backend (``None``
+    ``files``, ``catalog``, ``journal`` — are views onto the backend;
+    ``dlv_dir`` exists only on the local-fs backend (``None``
     elsewhere).
     """
 
@@ -102,12 +103,12 @@ class Repository:
         # (sqlite), or mem:// URL (memory).
         self.root = self.backend.root
         self.dlv_dir = getattr(self.backend, "dlv_dir", None)
-        self.files_dir = getattr(self.backend, "files_dir", None)
         self.catalog = self.backend.catalog
         self.store = self.backend.chunks
         self.replica = self.backend.replica
         self.pages = self.backend.pages
-        self.journal = self.backend.journal
+        self.files = self.backend.files
+        self.journal = self.catalog.journal
         try:
             self.format = self.backend.open_format()
         except Exception:
@@ -143,21 +144,16 @@ class Repository:
                 # describes, so nothing else can exist — discard it.
                 counter("journal.torn_discarded").inc()
             elif entry.op == "commit":
-                if self.catalog.has_commit_marker(entry.txid):
-                    # Died between catalog durability and journal cleanup.
-                    counter("journal.completed").inc()
-                else:
-                    referenced_files = self.catalog.all_file_shas()
-                    report["rolled_back"] += 1
-                    report["swept_chunks"] += self._sweep(
-                        entry.data.get("chunks", [])
-                    )
-                    report["swept_files"] += sum(
-                        self.backend.delete_file(sha)
-                        for sha in entry.data.get("files", [])
-                        if sha not in referenced_files
-                    )
-                    counter("journal.rollbacks").inc()
+                # A commit retires its intent in the transaction that
+                # installs it: a pending one never reached the catalog.
+                swept = self._sweep({
+                    "chunks": entry.data.get("chunks", []),
+                    "files": entry.data.get("files", []),
+                })
+                report["rolled_back"] += 1
+                report["swept_chunks"] += swept["chunks"]
+                report["swept_files"] += swept["files"]
+                counter("journal.rollbacks").inc()
             else:
                 # archive / convert / prune: their catalog transaction is
                 # atomic on its own, so either generation of payloads won;
@@ -233,8 +229,9 @@ class Repository:
         return json.loads(raw) if raw else []
 
     def get_file(self, sha: str) -> bytes:
-        """Read an associated file's content by digest."""
-        return self.backend.get_file(sha)
+        """Read and verify an associated file's content by digest
+        (``KeyError`` when absent, ``ChunkIntegrityError`` when corrupt)."""
+        return self.files.get(sha)
 
     # -- committing ----------------------------------------------------------------
 
@@ -315,7 +312,7 @@ class Repository:
         file_blobs = []
         for p in staged_paths:
             data = p.read_bytes()
-            file_blobs.append((p.name, hashlib.sha256(data).hexdigest(), data))
+            file_blobs.append((p.name, self.files.address(data), data))
 
         # Phase 2 — journal the intent, then land every content-addressed
         # artifact.  A crash from here on leaves only orphans the journal
@@ -329,8 +326,8 @@ class Repository:
         )
         # The version id is not known before Phase 3: payloads are written
         # under the ``s<idx>/<layer>.<param>`` tail of their matrix id.
-        # They land as one batch: each plane compressed once for both
-        # tiers, each touched directory synced once.
+        # They land as one batch with the associated files: each plane
+        # compressed once for both tiers, one put per tier.
         writer = PlanArchive(self.store, replica_store=self.replica)
         with write_batch() as batch:
             for index, _iteration, entries in encoded:
@@ -338,12 +335,12 @@ class Repository:
                     writer.write_payload(
                         f"s{index}/{layer}.{key}", shape, planes
                     )
+            for _name, _sha, data in file_blobs:
+                batch.defer(self.files, data)
             batch.land()
-        for _name, sha, data in file_blobs:
-            self.backend.put_file(sha, data)
 
-        # Phase 3 — all catalog rows in one transaction, closed by the
-        # commit marker that tells journal replay this commit completed.
+        # Phase 3 — all catalog rows in one transaction, which also
+        # retires the intent: the commit and its intent's end are atomic.
         with self.catalog.transaction():
             version_id = self.catalog.insert_version(
                 name, message, _now(), network.spec()
@@ -383,10 +380,9 @@ class Repository:
                 self.catalog.add_files(
                     version_id, {n: sha for n, sha, _ in file_blobs}
                 )
-            self.catalog.add_commit_marker(intent.txid, version_id, _now())
+            self.journal.retire(intent)
 
-        # Phase 4 — the commit is durable; clean up intent and stage.
-        self.journal.retire(intent)
+        # Phase 4 — the commit is durable; clear the stage.
         if include_staged:
             self.backend.delete_doc(STAGE_DOC)
         counter("dlv.commits").inc()
@@ -970,12 +966,15 @@ class Repository:
         result = TrainResult(log=log) if log else None
         return wrapper.save_model_dir(path, net, config, result)
 
-    def live_addresses(self) -> tuple[set[str], set[str], set[str]]:
-        """The liveness rule: the ``(chunks, replica, pages)`` addresses
-        the catalog keeps alive.  A payload's chunk list keeps its chunks
-        and their mirrors; a page manifest keeps its pages and — in the
-        replica tier only — the mirror under its whole-plane digest (the
-        same digest in the main store is a stale materialize chunk)."""
+    def live_addresses(
+        self,
+    ) -> tuple[set[str], set[str], set[str], set[str]]:
+        """The liveness rule: the ``(chunks, replica, pages, files)``
+        addresses the catalog keeps alive.  A payload's chunk list keeps
+        its chunks and their mirrors; a page manifest keeps its pages and
+        — in the replica tier only — the mirror under its whole-plane
+        digest (the same digest in the main store is a stale materialize
+        chunk); a version's file rows keep its associated files."""
         chunks: set[str] = set()
         for payload in self.catalog.all_payloads():
             chunks.update(payload["chunks"])
@@ -984,31 +983,36 @@ class Repository:
             pages.update(manifest_shas(man))
             if man.get("sha"):
                 replica.add(man["sha"])
-        return chunks, replica, pages
+        return chunks, replica, pages, self.catalog.all_file_shas()
 
-    def _sweep(self, listed: Optional[Sequence[str]] = None) -> int:
-        """Delete dead blobs: of every tier, or only the ``listed`` chunk
-        addresses (main store and replica).  The one place that applies
-        :meth:`live_addresses` and the one place a replica blob is
-        deleted; returns the number of main-store chunks removed."""
-        chunks, replica, pages = self.live_addresses()
-        in_store = self.store.addresses() if listed is None else listed
-        in_replica = self.replica.addresses() if listed is None else listed
-        removed = self.store.delete_many(
-            [sha for sha in in_store if sha not in chunks]
-        )
-        self.replica.delete_many(
-            [sha for sha in in_replica if sha not in replica]
-        )
+    def _sweep(self, listed: Optional[dict] = None) -> dict[str, int]:
+        """Delete dead blobs: of every tier, or only the ``listed``
+        addresses of a rolled-back commit (``{"chunks": [...], "files":
+        [...]}``; a listed chunk's replica copy goes too).  The one place
+        that applies :meth:`live_addresses` and the one place a replica
+        blob is deleted; returns the blobs removed per swept tier."""
+        chunks, replica, pages, files = self.live_addresses()
+        if listed is not None:
+            listed = {**listed, "replica": listed["chunks"]}
+        removed = {}
+        for kind, store, live in (
+            ("chunks", self.store, chunks),
+            ("replica", self.replica, replica),
+            ("files", self.files, files),
+        ):
+            held = store.addresses() if listed is None else listed[kind]
+            removed[kind] = store.delete_many(
+                [sha for sha in held if sha not in live]
+            )
         if listed is None:
             self.page_store().sweep_orphans(pages)
         return removed
 
     def gc(self) -> int:
-        """Delete chunks not referenced by any payload (and dead replica
-        and page blobs), then compact each tier (one pack on local-fs);
-        returns the count of main-store removals."""
-        removed = self._sweep()
+        """Delete blobs no catalog row keeps alive, in every tier, then
+        compact each tier (one pack on local-fs); returns the count of
+        main-store removals."""
+        removed = self._sweep()["chunks"]
         self.backend.compact()
         return removed
 

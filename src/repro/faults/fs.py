@@ -1,7 +1,8 @@
 """Fault-instrumented filesystem primitives with explicit durability.
 
-Every mutation the storage layer performs — chunk blobs, journal intent
-files, hub trees — goes through these wrappers so that
+Every mutation the storage layer performs — blob packs, documents, hub
+trees, and (through :func:`prepare_write` / :func:`checkpoint`) journal
+intents and catalog commits — goes through these wrappers so that
 
 1. an injected :class:`~repro.faults.plan.FaultPlan` can fail, tear,
    corrupt, or crash any individual operation, and

@@ -43,7 +43,7 @@ registry / recorder):
                           ``index_hits`` of the sketch index; ``pages_swept``
                           by ``gc`` / fsck
 ``journal.*``             ``Repository.open`` replay outcomes: ``replays``,
-                          ``completed`` (marker present), ``rollbacks``,
+                          ``rollbacks`` (every pending commit intent),
                           ``sweeps`` (archive/convert/prune intents),
                           ``torn_discarded``
 ``fsck.*``                ``runs``, ``findings`` (+ ``findings.<code>``),

@@ -98,6 +98,7 @@ def corrupt_blob():
             "chunks": repo.store,
             "replica": repo.replica,
             "pages": repo.pages,
+            "files": repo.files,
         }[ns]
         _flip_stored_byte(store, sha, xor)
 

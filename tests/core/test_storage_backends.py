@@ -1,7 +1,8 @@
 """Storage-backend API tests: conformance, registry, WAL concurrency.
 
-Every backend must satisfy the same contract — blobs, docs, associated
-files, config, quarantine — so the conformance tests run over all three.
+Every backend must satisfy the same contract — blob tiers (associated
+files among them), docs, config, quarantine — so the conformance tests
+run over all three.
 The SQLite-specific tests assert the tentpole properties: the whole repo
 lives in one database file, a publish ships exactly that file, and WAL
 mode lets readers proceed (on a consistent snapshot) while a writer's
@@ -18,6 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.core.chunkstore import ChunkIntegrityError
 from repro.core.storage import memory as memstore
 from repro.core.storage import parse_storage_url
 from repro.dlv.cli import main as dlv_main
@@ -70,18 +72,23 @@ class TestDocsAndFiles:
         assert backend.read_doc("notes/a.json") is None
         assert backend.list_docs("notes/") == ["notes/b.json"]
 
-    def test_file_blob_roundtrip(self, any_repo):
-        backend = any_repo.backend
+    def test_file_blob_roundtrip(self, any_repo, corrupt_store):
+        files = any_repo.backend.files
         import hashlib
 
         payload = b"associated file payload"
         sha = hashlib.sha256(payload).hexdigest()
-        backend.put_file(sha, payload)
-        backend.put_file(sha, payload)  # re-put is harmless
-        assert backend.get_file(sha) == payload
-        assert sha in backend.stored_file_shas()
-        backend.delete_file(sha)
-        assert sha not in backend.stored_file_shas()
+        assert files.put(payload) == sha
+        assert files.put(payload) == sha  # re-put is harmless
+        assert any_repo.get_file(sha) == payload
+        assert list(files.addresses()) == [sha]
+        assert sha not in any_repo.store  # a tier of its own
+        corrupt_store(files, sha)
+        with pytest.raises(ChunkIntegrityError):
+            any_repo.get_file(sha)  # every read is verified
+        files.delete(sha)
+        with pytest.raises(KeyError):
+            any_repo.get_file(sha)
 
     def test_config_records_backend(self, any_repo):
         config = any_repo.backend.read_config()

@@ -338,3 +338,57 @@ def test_lost_and_corrupt_bases_are_left_out_of_the_index(
     for _m, _p, man in repo.catalog.all_page_manifests():
         assert all(sha in repo.pages for sha in manifest_shas(man))
     repo.close()
+
+
+def _paged_family(repo):
+    """Three perturbed siblings archived with ``--dedup``; the base
+    pages the manifests name that no manifest uses as a patch."""
+    base = tiny_mlp(hidden=32).build(seed=0)
+    for i in range(3):
+        repo.commit(_perturb(base, i), name=f"fam-{i}", message="variant")
+    repo.archive(alpha=4.0, dedup=True)
+    manifests = repo.catalog.all_page_manifests()
+    patches = {sha for _m, _p, man in manifests for _b, sha in man["pages"]}
+    return base, list(dict.fromkeys(
+        base_sha for _m, _p, man in manifests for base_sha, _ in man["pages"]
+        if base_sha not in patches
+    ))
+
+
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_a_corrupt_stored_base_is_stored_again(
+    make_repo_target, backend, corrupt_blob
+):
+    """A page whose stored base the index could not read is no exact
+    hit: the planner stores it again, and the flush replaces the bad
+    stored form (a put alone keeps what an address holds)."""
+    repo = Repository.init(make_repo_target(backend))
+    _base, bases = _paged_family(repo)
+    victim = bases[0]
+    page = repo.pages.get(victim)
+    corrupt_blob(repo, victim, ns="pages")
+    store = repo.page_store()
+    with chunkstore.write_batch(), repo.catalog.transaction():
+        manifest = store.encode_plane(page)
+        store.flush()
+    assert manifest["pages"] == [[victim, None]]
+    assert repo.pages.verify_blob(victim)
+    repo.close()
+
+
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_archive_over_a_corrupt_base_leaves_fsck_clean(
+    make_repo_target, backend, corrupt_blob
+):
+    """End to end: no manifest is left naming a corrupt page after the
+    next ``archive --dedup``."""
+    repo = Repository.init(make_repo_target(backend))
+    base, bases = _paged_family(repo)
+    victim = bases[0]
+    corrupt_blob(repo, victim, ns="pages")
+
+    repo.commit(_perturb(base, 1, frac=0.01), name="sibling", message="variant")
+    repo.archive(alpha=4.0, dedup=True)
+    assert victim not in repo.pages or repo.pages.verify_blob(victim)
+    assert run_fsck(repo).findings == []
+    repo.close()

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from repro.core.chunkstore import ChunkIntegrityError
 from repro.dlv.cli import main as dlv_main
 from repro.dlv.fsck import FSCK_CODES, run_fsck
 from repro.dlv.repository import Repository
@@ -119,6 +120,56 @@ def test_orphan_chunk_is_info_and_swept(committed_repo):
     assert not any(
         f.code == "F303" and not f.repaired for f in report.findings
     )
+    assert run_fsck(repo).findings == []
+
+
+# -- associated-file tier ------------------------------------------------------
+
+
+@pytest.fixture
+def filed_repo(repo, tmp_path):
+    """A commit with one associated file: the repo and the file's sha."""
+    script = tmp_path / "train.sh"
+    script.write_bytes(b"#!/bin/sh\necho train\n")
+    repo.add_files([script])
+    return repo, _commit_tiny(repo).files["train.sh"]
+
+
+def test_corrupt_associated_file_reported_and_quarantined(
+    filed_repo, corrupt_blob
+):
+    repo, sha = filed_repo
+    assert run_fsck(repo).files_checked == 1
+    corrupt_blob(repo, sha, ns="files")
+    with pytest.raises(ChunkIntegrityError):
+        repo.get_file(sha)
+    report = run_fsck(repo)
+    assert [(f.code, f.sha) for f in report.findings] == [("F105", sha)]
+    assert "corrupt" in report.findings[0].message and not report.clean
+    report = run_fsck(repo, repair=True)
+    assert not report.clean  # the tier keeps no second copy
+    assert repo.backend.quarantined() == [f"{sha}.file"]
+    assert sha not in repo.files
+    [finding] = run_fsck(repo).findings
+    assert finding.code == "F105" and "missing" in finding.message
+
+
+def test_missing_associated_file_reported(filed_repo):
+    repo, sha = filed_repo
+    repo.files.delete(sha)
+    report = run_fsck(repo)
+    assert [(f.code, f.sha) for f in report.findings] == [("F105", sha)]
+    assert not report.clean
+
+
+def test_orphan_associated_file_is_info_and_swept(committed_repo):
+    repo = committed_repo
+    sha = repo.files.put(b"named by no version")
+    report = run_fsck(repo)
+    assert [(f.code, f.sha) for f in report.findings] == [("F304", sha)]
+    assert report.clean
+    assert run_fsck(repo, repair=True).findings[0].repaired
+    assert sha not in repo.files
     assert run_fsck(repo).findings == []
 
 

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 
 import pytest
 
 from repro.core.chunkstore import ChunkStore
-from repro.dlv.journal import Journal
 from repro.dlv.repository import Repository
 from repro.dnn.zoo import tiny_mlp
+from repro.faults import CrashSimulated, FaultPlan, FaultPoint, inject
+
+BACKENDS = ("local-fs", "sqlite", "memory")
 
 
 def _net(seed=0):
@@ -24,24 +27,38 @@ def repo_target(request, make_repo_target):
     return make_repo_target(request.param)
 
 
-def test_journal_record_retire_roundtrip(tmp_path):
-    journal = Journal(tmp_path / "journal")
-    entry = journal.record("commit", chunks=["aa", "bb"], files=[])
-    assert entry.path.exists()
-    [pending] = journal.pending()
-    assert pending.txid == entry.txid
-    assert pending.op == "commit"
-    assert pending.data["chunks"] == ["aa", "bb"]
-    journal.retire(entry)
-    assert journal.pending() == []
-    journal.retire(entry)  # retiring twice is harmless
+def test_journal_record_retire_roundtrip(make_repo_target):
+    for backend in BACKENDS:
+        repo = Repository.init(make_repo_target(backend))
+        journal = repo.journal
+        entry = journal.record("commit", chunks=["aa", "bb"], files=[])
+        [pending] = journal.pending()
+        assert pending.txid == entry.txid, backend
+        assert pending.op == "commit"
+        assert pending.data["chunks"] == ["aa", "bb"]
+        journal.retire(entry)
+        assert journal.pending() == []
+        journal.retire(entry)  # retiring twice is harmless
+        # An intent commits on its own: never inside a catalog transaction.
+        with pytest.raises(RuntimeError, match="independently"):
+            with repo.catalog.transaction():
+                journal.record("archive")
+        assert journal.pending() == []
+        repo.close()
 
 
-def test_torn_journal_entry_has_no_data(tmp_path):
-    journal = Journal(tmp_path / "journal")
-    (journal.root / "deadbeef.json").write_text('{"txid": "deadbe')
-    [entry] = journal.pending()
-    assert entry.data is None and entry.op is None
+def test_torn_journal_entry_has_no_data(make_repo_target):
+    for backend in BACKENDS:
+        repo = Repository.init(make_repo_target(backend))
+        repo.journal.write_raw("deadbeef", b'{"txid": "deadbe')
+        plan = FaultPlan([FaultPoint(site="journal.write", action="torn", offset=7)])
+        with inject(plan), pytest.raises(CrashSimulated):
+            repo.journal.record("commit", chunks=["aa"], files=[])
+        entries = repo.journal.pending()
+        assert len(entries) == 2, backend
+        assert entries[0].txid == "deadbeef"
+        assert all(e.data is None and e.op is None for e in entries)
+        repo.close()
 
 
 def test_replay_rolls_back_unmarked_commit(repo_target):
@@ -78,7 +95,7 @@ def test_replay_keeps_chunks_the_catalog_references(repo_target):
 def test_replay_discards_torn_intent(repo_target):
     repo = Repository.init(repo_target)
     repo.commit(_net(0), name="m", message="v1")
-    repo.journal.write_raw("ffff", '{"broken')
+    repo.journal.write_raw("ffff", b'{"broken')
     repo.close()
     repo = Repository.open(repo_target)
     assert repo.journal.pending() == []
@@ -88,12 +105,48 @@ def test_replay_discards_torn_intent(repo_target):
 
 def test_successful_commit_leaves_no_journal(repo_target):
     repo = Repository.init(repo_target)
+    seen = []
+    real = repo.catalog.transaction
+
+    @contextlib.contextmanager
+    def transaction():
+        with real():
+            seen.append(len(repo.journal.pending()))
+            yield
+            seen.append(len(repo.journal.pending()))
+
+    repo.catalog.transaction = transaction
     repo.commit(_net(0), name="m", message="v1")
+    # The intent was pending when the commit's one transaction began,
+    # and that transaction retired it: nothing is left to replay.
+    assert seen == [1, 0]
     assert repo.journal.pending() == []
-    markers = repo.catalog._conn.execute(
-        "SELECT txid, version_id FROM commit_marker"
-    ).fetchall()
-    assert len(markers) == 1 and markers[0]["version_id"] == 1
+    assert not repo.catalog._conn.execute(
+        "SELECT 1 FROM sqlite_master WHERE name = 'commit_marker'"
+    ).fetchone()
+    repo.close()
+
+
+def test_replay_sweeps_a_rolled_back_commits_files(repo_target, tmp_path):
+    kept, doomed = tmp_path / "kept.txt", tmp_path / "doomed.txt"
+    kept.write_text("kept by v1")
+    doomed.write_text("only the crashed commit names me")
+    repo = Repository.init(repo_target)
+    repo.add_files([kept])
+    v1 = repo.commit(_net(0), name="m", message="v1")
+    repo.add_files([kept, doomed])
+    plan = FaultPlan([FaultPoint(site="catalog.commit", action="crash")])
+    with inject(plan), pytest.raises(CrashSimulated):
+        repo.commit(_net(1), name="m", message="v2")
+    shas = {repo.files.address(p.read_bytes()): p for p in (kept, doomed)}
+    assert set(shas) <= set(repo.files.addresses())  # landed, uncommitted
+    repo.close()
+
+    repo = Repository.open(repo_target)
+    assert repo.last_replay["rolled_back"] == 1
+    assert repo.last_replay["swept_files"] == 1
+    assert list(repo.files.addresses()) == [v1.files["kept.txt"]]
+    assert repo.get_file(v1.files["kept.txt"]) == kept.read_bytes()
     repo.close()
 
 

@@ -168,10 +168,9 @@ def test_commit_crash_matrix(base_repo, tmp_path):
     total_ops, outcomes = _run_matrix(
         base_repo, tmp_path, _commit_scenario, "commit"
     )
-    # Early crashes roll the commit back (1 version); a crash after the
-    # catalog marker but before journal cleanup keeps it (2 versions).
-    assert outcomes <= {1, 2}, outcomes
-    assert 1 in outcomes, "no crash point ever rolled the commit back"
+    # The commit point (the catalog transaction that installs v2 and
+    # retires its intent) is the last op, so every crash rolls v2 back.
+    assert outcomes == {1}, outcomes
     assert total_ops > 10
 
 
@@ -183,28 +182,35 @@ def test_archive_crash_matrix(base_repo, tmp_path):
     assert outcomes == {1}
 
 
-def test_crash_after_marker_keeps_commit(base_repo, tmp_path):
-    """The marker is the commit point: a post-marker crash keeps v2."""
+def test_crash_at_commit_point_rolls_back(base_repo, tmp_path):
+    """A commit retires its intent inside its own catalog transaction:
+    its last two ops are that retire and the transaction's commit point,
+    and a crash at either rolls v2 back — no crash leaves a finished
+    commit with its intent pending."""
     base_root, baseline = base_repo
     total_ops = _measure_ops(base_root, tmp_path, _commit_scenario)
-    root = _clone(base_root, tmp_path / "post-marker")
-    repo = Repository.open(root)
-    plan = FaultPlan.crash_at_op(total_ops - 1)  # journal retire
-    try:
-        with inject(plan):
-            _commit_scenario(repo)
-    except CrashSimulated:
-        pass
-    finally:
-        repo.close()
-    repo = Repository.open(root)
-    try:
-        assert repo.last_replay["retired"] >= 1
-        names = [v.message for v in repo.list_versions()]
-        assert names == ["v1", "v2"]
-        assert repo.get_snapshot_weights(2)
-    finally:
-        repo.close()
+    for n, site in ((total_ops - 2, "journal.retire"),
+                    (total_ops - 1, "catalog.commit")):
+        root = _clone(base_root, tmp_path / f"commit-point-{n}")
+        repo = Repository.open(root)
+        plan = FaultPlan.crash_at_op(n)
+        try:
+            with inject(plan):
+                _commit_scenario(repo)
+        except CrashSimulated:
+            pass
+        finally:
+            repo.close()
+        assert [f.site for f in plan.fired] == [site]
+        repo = Repository.open(root)
+        try:
+            assert repo.last_replay["rolled_back"] == 1
+            assert [v.message for v in repo.list_versions()] == ["v1"]
+            assert repo.journal.pending() == []
+        finally:
+            repo.close()
+        assert _assert_consistent(root, baseline) == 1
+        _discard(root)
 
 
 # -- dedup archive ------------------------------------------------------------------
@@ -305,7 +311,8 @@ def test_sharing_commit_crash_matrix(paged_base_repo, tmp_path):
     _, outcomes = _run_matrix(
         paged_base_repo, tmp_path, _sharing_commit_scenario, "sharing"
     )
-    assert outcomes == {2, 3}, outcomes
+    # Every crash precedes the commit point, so each rolls v3 back.
+    assert outcomes == {2}, outcomes
 
 
 def _fsck_rematerialize_scenario(repo):
