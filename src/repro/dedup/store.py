@@ -69,9 +69,13 @@ class _PlanFacts:
         #: index (both read and built on the first probe).
         self.bases: dict[str, bytes] = {}
         self.index: Optional[SketchIndex] = None
-        #: Bases the manifests name that could not be read (lost or
-        #: corrupt): not held, so a page that is one is stored again.
+        #: Bases the manifests name, and other stored forms a manifest
+        #: was about to reuse, that could not be read (lost or corrupt):
+        #: not held, so a page or patch that is one is stored again.
         self.unreadable: set[str] = set()
+        #: Stored forms read back this run: the bases the index build
+        #: read, and any other a manifest was about to reuse.
+        self.verified: set[str] = set()
         self.page_shas: dict[str, list[str]] = {}  # plane sha -> pages
         self.keys: dict[str, list[int]] = {}  # page sha -> sketch keys
         self.floors: dict[str, int] = {}  # page sha -> stored_size_floor
@@ -191,8 +195,11 @@ class PageStore:
         return manifest, added
 
     def _holds(self, sha: str) -> bool:
-        """Whether ``sha`` is buffered by this run, or stored and not a
-        base the index build could not read."""
+        """Whether ``sha`` is buffered by this run, or stored and readable.
+
+        The index build reads every base; any other stored form (a
+        patch) is read once per run, the first time a manifest would
+        reuse it."""
         if sha in self._buffer:
             return True
         facts = self._facts
@@ -202,6 +209,12 @@ class PageStore:
             return False
         if facts.index is None:
             self._index_stored_bases()
+        if sha not in facts.verified:
+            facts.verified.add(sha)
+            try:
+                self.blobs.get(sha)
+            except (KeyError, ValueError):
+                facts.unreadable.add(sha)
         return sha not in facts.unreadable
 
     def _stored_top(self, sha: str, keys: list[int]) -> list[str]:
@@ -241,7 +254,8 @@ class PageStore:
                 except (KeyError, ValueError):
                     continue
         facts.bases = bases
-        facts.unreadable = set(wanted) - bases.keys()
+        facts.verified = set(wanted)
+        facts.unreadable = facts.verified - bases.keys()
         facts.index = SketchIndex()
         for sha, data in bases.items():
             facts.index.add(sha, sketch_keys(data))

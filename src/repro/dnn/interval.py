@@ -295,6 +295,17 @@ def argmax_determined(output: Interval, k: int = 1) -> tuple[bool, np.ndarray]:
     if not 1 <= k <= c:
         raise ValueError(f"k={k} out of range for {c} classes")
     mid = output.mid
+    if k == 1:
+        # One label: the midpoint argmax and a masked max, no sort.  A row
+        # is determined only when its top midpoint is strictly the largest,
+        # so on determined rows this is the label the sort would pick.
+        label = mid.argmax(axis=1)
+        if c == 1:
+            return np.ones(n, dtype=bool), label
+        rows = np.arange(n)
+        rest = hi.copy()
+        rest[rows, label] = -np.inf
+        return lo[rows, label] > rest.max(axis=1), label
     order = np.argsort(-mid, axis=1)
     rows = np.arange(n)[:, None]
     top = order[:, :k]

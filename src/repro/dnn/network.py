@@ -39,15 +39,32 @@ class GraphError(ValueError):
 
 
 class NetworkNode:
-    """A named node in the model DAG: a layer plus its upstream edges."""
+    """A named node in the model DAG: a layer plus its upstream edges.
 
-    def __init__(self, layer: Layer, input_names: tuple[str, ...]) -> None:
+    Rewiring a node (``input_names`` or ``input_name``) drops its owning
+    network's stored topological order.
+    """
+
+    def __init__(self, layer: Layer, input_names: tuple[str, ...],
+                 network: Optional["Network"] = None) -> None:
         self.layer = layer
+        self._network = network
         self.input_names = tuple(input_names)
 
     @property
     def name(self) -> str:
         return self.layer.name
+
+    @property
+    def input_names(self) -> tuple[str, ...]:
+        """Every upstream node, the primary one first."""
+        return self._input_names
+
+    @input_names.setter
+    def input_names(self, value: tuple[str, ...]) -> None:
+        self._input_names = tuple(value)
+        if self._network is not None:
+            self._network._order = None
 
     @property
     def input_name(self) -> str:
@@ -76,6 +93,9 @@ class Network:
         self.input_shape = tuple(input_shape)
         self._nodes: dict[str, NetworkNode] = {}
         self._built = False
+        # The topological order of the current wiring; every mutator
+        # drops it, the next topological_order() computes it again.
+        self._order: Optional[list[str]] = None
 
     # -- construction ------------------------------------------------------
 
@@ -108,9 +128,10 @@ class Network:
             raise ValueError(
                 f"{layer.name!r} is single-input; got {len(inputs)} inputs"
             )
-        self._nodes[layer.name] = NetworkNode(layer, inputs)
+        self._nodes[layer.name] = NetworkNode(layer, inputs, self)
         self._last_added = layer.name
         self._built = False
+        self._order = None
         return self
 
     def build(self, seed: int = 0, validate: bool = False) -> "Network":
@@ -213,13 +234,16 @@ class Network:
         ]
 
     def topological_order(self) -> list[str]:
-        """Kahn topological order of the node names.
+        """Kahn topological order of the node names — computed once per
+        wiring of the network, not once per pass.
 
         Raises:
             GraphError: When the graph is not a well-formed DAG — a node
                 consumes an input that does not exist, or the nodes form a
                 cycle.  The message names the offending nodes.
         """
+        if self._order is not None:
+            return list(self._order)
         dangling = self.dangling_inputs()
         if dangling:
             detail = ", ".join(
@@ -250,7 +274,8 @@ class Network:
             raise GraphError(
                 f"network contains a cycle through nodes: {stuck}"
             )
-        return order
+        self._order = order
+        return list(order)
 
     def param_count(self) -> int:
         """Total learnable parameters across all layers."""
@@ -438,9 +463,10 @@ class Network:
             raise ValueError("cannot insert a multi-input layer on one edge")
         for consumer in self.consumers(anchor):
             self._replace_input(consumer, anchor, layer.name)
-        self._nodes[layer.name] = NetworkNode(layer, (anchor,))
+        self._nodes[layer.name] = NetworkNode(layer, (anchor,), self)
         self._last_added = layer.name
         self._built = False
+        self._order = None
         return self
 
     def delete_node(self, name: str) -> "Network":
@@ -456,6 +482,7 @@ class Network:
             self._replace_input(consumer, name, upstream)
         del self._nodes[name]
         self._built = False
+        self._order = None
         return self
 
     def slice_between(self, start: str, end: str, name: Optional[str] = None) -> "Network":

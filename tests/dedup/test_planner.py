@@ -392,3 +392,35 @@ def test_archive_over_a_corrupt_base_leaves_fsck_clean(
     assert victim not in repo.pages or repo.pages.verify_blob(victim)
     assert run_fsck(repo).findings == []
     repo.close()
+
+
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+def test_archive_over_a_corrupt_patch_leaves_fsck_clean(
+    make_repo_target, backend, corrupt_blob
+):
+    """A stored patch is read back before a manifest reuses it: one that
+    fails is stored again, so the next ``archive --dedup`` leaves no
+    manifest naming a corrupt patch and every version exports exactly."""
+    repo = Repository.init(make_repo_target(backend))
+    base = tiny_mlp(hidden=32).build(seed=0)
+    nets = {f"fam-{i}": _perturb(base, i) for i in range(3)}
+    for name, net in nets.items():
+        repo.commit(net, name=name, message="variant")
+    repo.archive(alpha=4.0, dedup=True)
+    victim = next(
+        patch for _m, _p, man in repo.catalog.all_page_manifests()
+        for _base, patch in man["pages"] if patch
+    )
+    corrupt_blob(repo, victim, ns="pages")
+
+    nets["sibling"] = _perturb(base, 1, frac=0.01)
+    repo.commit(nets["sibling"], name="sibling", message="variant")
+    repo.archive(alpha=4.0, dedup=True)
+    assert repo.pages.verify_blob(victim)
+    assert run_fsck(repo).findings == []
+    for name, net in nets.items():
+        exported = repo.get_snapshot_weights(name)
+        for layer, params in net.get_weights().items():
+            for key, value in params.items():
+                assert exported[layer][key].tobytes() == value.tobytes()
+    repo.close()

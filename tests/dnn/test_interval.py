@@ -338,3 +338,42 @@ def test_zero_radius_skip_keeps_zoo_logits_bit_identical(
         full = net.forward_interval(x, bounds, upto=logits)
     for got, want in ((fast.lo, full.lo), (fast.hi, full.hi)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def _argsort_determined(lo, hi):
+    """The sort-based top-1 test: the highest-midpoint label's lower bound
+    above every other label's upper bound."""
+    order = np.argsort(-(lo + hi) / 2.0, axis=1)
+    rows = np.arange(len(lo))[:, None]
+    determined = lo[rows, order[:, :1]].min(axis=1) > (
+        hi[rows, order[:, 1:]].max(axis=1))
+    return determined, order[:, 0]
+
+
+@pytest.mark.parametrize("classes", [10, 40])
+@pytest.mark.parametrize("seed", range(5))
+def test_top1_matches_the_sorted_formulation_with_ties(classes, seed):
+    """``k=1`` takes an argmax and a masked max: the same ``determined``
+    flags as sorting, and the same label wherever a row is determined
+    (a row whose top midpoint ties is never determined)."""
+    rng = np.random.default_rng(seed)
+    # Coarse grids make equal bounds and equal midpoints common.
+    lo = rng.integers(0, 6, (400, classes)).astype(np.float64)
+    hi = lo + rng.integers(0, 3, (400, classes))
+    lo[::7, 1] = lo[::7, 0] = lo[::7].max(axis=1) + 4  # tied clear winners
+    hi[::7, :2] = lo[::7, :2]
+    lo[::5] = lo[::5, :1] * 2 + np.arange(classes)  # separated rows
+    hi[::5] = lo[::5] + 0.25
+    determined, labels = argmax_determined(Interval(lo, hi))
+    expected, sorted_labels = _argsort_determined(lo, hi)
+    assert 0 < determined.sum() < len(lo)
+    np.testing.assert_array_equal(determined, expected)
+    np.testing.assert_array_equal(labels[determined], sorted_labels[determined])
+    mid = (lo + hi) / 2.0
+    np.testing.assert_array_equal(mid[np.arange(len(lo)), labels], mid.max(axis=1))
+
+
+def test_top1_of_one_class_is_determined():
+    determined, labels = argmax_determined(
+        Interval(np.full((3, 1), -np.inf), np.zeros((3, 1))))
+    assert determined.all() and (labels == 0).all()

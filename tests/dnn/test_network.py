@@ -3,8 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.dnn.layers import Conv2D, Dense, Dropout, Flatten, MaxPool2D, ReLU, Softmax
-from repro.dnn.network import INPUT, Network, chain
+from repro.dnn.layers import (
+    Add,
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool2D,
+    ReLU,
+    Softmax,
+)
+from repro.dnn.network import INPUT, GraphError, Network, chain
 
 
 def small_net(name="net"):
@@ -212,3 +221,83 @@ class TestDAGShape:
         for src, dst in net.edges():
             if src != INPUT:
                 assert order.index(src) < order.index(dst)
+
+
+def _respects_wiring(net, order):
+    assert sorted(order) == sorted(net.node_names())
+    for src, dst in net.edges():
+        if src != INPUT:
+            assert order.index(src) < order.index(dst), (src, dst, order)
+
+
+def _fork():
+    """Two dense nodes on the input, joined by an ``Add``."""
+    net = Network((4,), name="fork")
+    net.add(Dense("a", units=4), INPUT)
+    net.add(Dense("b", units=4), INPUT)
+    net.add(Add("join"), "a", extra_inputs=["b"])
+    return net
+
+
+def _rewire(how):
+    """Make the first node of the stored order consume the second: an
+    edge the stale order breaks."""
+
+    def mutate(net):
+        first, second = net.topological_order()[:2]
+        if how == "_replace_input":
+            net._replace_input(first, INPUT, second)
+        elif how == "input_name":
+            net._nodes[first].input_name = second
+        else:
+            net._nodes[first].input_names = (second,)
+
+    return mutate
+
+
+class TestTopologicalOrderIsStored:
+    """The order is computed once per wiring; every mutator drops it."""
+
+    @pytest.mark.parametrize("mutate", [
+        lambda net: net.add(ReLU("extra"), "a"),
+        lambda net: net.insert_after("a", ReLU("extra")),
+        lambda net: net.delete_node("b"),
+        _rewire("_replace_input"),
+        _rewire("input_name"),
+        _rewire("input_names"),
+    ], ids=["add", "insert_after", "delete_node", "_replace_input",
+            "input_name", "input_names"])
+    def test_each_mutator_gives_a_fresh_order(self, mutate):
+        net = _fork().build(0)
+        _respects_wiring(net, net.topological_order())
+        mutate(net)
+        _respects_wiring(net, net.topological_order())
+        x = np.ones((2, 4), dtype=np.float32)
+        assert net.build(0).forward(x, upto="join").shape == (2, 4)
+
+    def test_a_caller_cannot_change_the_stored_order(self):
+        net = _fork()
+        net.topological_order().reverse()
+        _respects_wiring(net, net.topological_order())
+
+    def test_cycle_after_a_stored_order_is_refused(self):
+        net = _fork().build(0)
+        net.topological_order()
+        net._nodes["a"].input_names = ("join",)
+        with pytest.raises(GraphError, match="cycle"):
+            net.topological_order()
+
+    def test_dangling_input_after_a_stored_order_is_refused(self):
+        net = _fork().build(0)
+        net.topological_order()
+        net._nodes["b"].input_name = "ghost"
+        with pytest.raises(GraphError, match="'b' consumes missing node 'ghost'"):
+            net.topological_order()
+
+    def test_a_clone_keeps_its_own_order(self):
+        net = _fork().build(0)
+        net.topological_order()
+        clone = net.clone()
+        clone.delete_node("b")
+        assert "b" in net.topological_order()
+        _respects_wiring(clone, clone.topological_order())
