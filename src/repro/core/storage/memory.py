@@ -43,10 +43,10 @@ class MemoryBackend(SQLiteBackend):
         conn.row_factory = sqlite3.Row
         self._attach(conn, create)
 
-    def _read_conn(self) -> sqlite3.Connection:
+    def _fetch(self, sql: str, params: tuple = ()) -> list:
         # A :memory: database exists only on its creating connection, so
         # every thread reads (and writes) through the one shared handle.
-        return self._writer
+        return self._writer.execute(sql, params).fetchall()
 
     @property
     def url(self) -> str:

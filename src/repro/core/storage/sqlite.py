@@ -19,10 +19,10 @@ Concurrency model (the reason this backend exists):
   ``archive`` / ``convert`` / ``prune`` / fsck-repair chunk rewrites
   atomic with their payload-table updates, something the local-fs
   backend can only approximate with orphan sweeps.
-* Reads from other threads use **per-thread read connections** (WAL
-  snapshots); reads on the owning thread use the writer connection so
-  they observe its in-flight transaction (e.g. ``stored_size`` of a
-  chunk written moments ago inside ``convert``).
+* Reads from other threads borrow a **pooled read connection** (a WAL
+  snapshot) per statement; reads on the owning thread use the writer
+  connection so they observe its in-flight transaction (e.g.
+  ``stored_size`` of a chunk written moments ago inside ``convert``).
 
 Crash semantics are the journaled-commit protocol of every backend:
 the catalog's journal intents commit *before* any blob lands, blob
@@ -88,13 +88,13 @@ class SQLiteBlobStore(BlobCodec):
         self.ns = ns
 
     def _row(self, select: str, sha: str):
-        row = self._backend._read_conn().execute(
+        rows = self._backend._fetch(
             f"SELECT {select} FROM store_blob WHERE ns = ? AND sha = ?",
             (self.ns, sha),
-        ).fetchone()
-        if row is None:
+        )
+        if not rows:
             raise self._missing(sha)
-        return row[0]
+        return rows[0][0]
 
     def put(self, data: bytes) -> str:
         """Store one blob: :meth:`put_many` of one."""
@@ -151,15 +151,14 @@ class SQLiteBlobStore(BlobCodec):
 
     def _read_many(self, shas: list[str]) -> dict[str, bytes]:
         """One ``SELECT`` per :data:`GET_BATCH` addresses."""
-        conn = self._backend._read_conn()
         found: dict[str, bytes] = {}
         for start in range(0, len(shas), GET_BATCH):
             part = shas[start:start + GET_BATCH]
-            rows = conn.execute(
+            rows = self._backend._fetch(
                 "SELECT sha, data FROM store_blob WHERE ns = ? AND sha IN "
                 f"({','.join('?' * len(part))})",
                 (self.ns, *part),
-            ).fetchall()
+            )
             found.update((sha, data) for sha, data in rows)
         missing = next((sha for sha in shas if sha not in found), None)
         if missing is not None:
@@ -194,18 +193,18 @@ class SQLiteBlobStore(BlobCodec):
 
     def total_size(self) -> int:
         """Total stored bytes across this tier."""
-        row = self._backend._read_conn().execute(
+        [row] = self._backend._fetch(
             "SELECT COALESCE(SUM(length(data)), 0) FROM store_blob "
             "WHERE ns = ?",
             (self.ns,),
-        ).fetchone()
+        )
         return row[0]
 
     def addresses(self) -> Iterator[str]:
         """Iterate over every stored content address (sorted)."""
-        rows = self._backend._read_conn().execute(
+        rows = self._backend._fetch(
             "SELECT sha FROM store_blob WHERE ns = ? ORDER BY sha", (self.ns,)
-        ).fetchall()
+        )
         return iter([r[0] for r in rows])
 
 
@@ -234,7 +233,7 @@ class SQLiteBackend(StorageBackend):
         self.txn = TxnState()
         self._write_lock = threading.RLock()
         self._owner_thread = threading.get_ident()
-        self._reader_local = threading.local()
+        # Idle read connections; one is checked out per read statement.
         self._readers: list[sqlite3.Connection] = []
         self._readers_lock = threading.Lock()
         self._closed = False
@@ -261,23 +260,29 @@ class SQLiteBackend(StorageBackend):
         conn.execute("PRAGMA busy_timeout=5000")
         return conn
 
-    def _read_conn(self) -> sqlite3.Connection:
-        """The connection reads should use on the current thread.
+    def _fetch(self, sql: str, params: tuple = ()) -> list:
+        """Every row of one read statement.
 
         The owning thread reads through the writer connection (so it
-        sees its own in-flight transaction); every other thread gets a
-        lazily created private connection, which in WAL mode reads the
-        last committed snapshot without blocking the writer.
+        sees its own in-flight transaction).  Any other thread borrows an
+        idle pooled connection (opening one when none is idle) for the
+        statement, so the pool holds no more connections than reads ever
+        ran at once; in WAL mode each reads the last committed snapshot.
         """
         if threading.get_ident() == self._owner_thread:
-            return self._writer
-        conn = getattr(self._reader_local, "conn", None)
+            return self._writer.execute(sql, params).fetchall()
+        with self._readers_lock:
+            conn = self._readers.pop() if self._readers else None
         if conn is None:
             conn = self._connect()
-            self._reader_local.conn = conn
+        try:
+            return conn.execute(sql, params).fetchall()
+        finally:
             with self._readers_lock:
-                self._readers.append(conn)
-        return conn
+                if self._closed:
+                    conn.close()
+                else:
+                    self._readers.append(conn)
 
     def _commit_if_root(self) -> None:
         """Commit the writer now unless a catalog transaction is open."""
@@ -285,11 +290,10 @@ class SQLiteBackend(StorageBackend):
             self._writer.commit()
 
     def _blob_exists(self, ns: str, sha: str, read: bool = False) -> bool:
-        conn = self._read_conn() if read else self._writer
-        row = conn.execute(
-            "SELECT 1 FROM store_blob WHERE ns = ? AND sha = ?", (ns, sha)
-        ).fetchone()
-        return row is not None
+        sql = "SELECT 1 FROM store_blob WHERE ns = ? AND sha = ?"
+        if read:
+            return bool(self._fetch(sql, (ns, sha)))
+        return self._writer.execute(sql, (ns, sha)).fetchone() is not None
 
     # -- identity ---------------------------------------------------------------
 
@@ -326,10 +330,10 @@ class SQLiteBackend(StorageBackend):
     # -- documents ----------------------------------------------------------------
 
     def read_doc(self, name: str) -> Optional[bytes]:
-        row = self._read_conn().execute(
+        rows = self._fetch(
             "SELECT data FROM store_doc WHERE name = ?", (name,)
-        ).fetchone()
-        return bytes(row[0]) if row is not None else None
+        )
+        return bytes(rows[0][0]) if rows else None
 
     def write_doc(self, name: str, data: bytes) -> None:
         with self._write_lock:
@@ -348,10 +352,10 @@ class SQLiteBackend(StorageBackend):
         return cur.rowcount > 0
 
     def list_docs(self, prefix: str = "") -> list[str]:
-        rows = self._read_conn().execute(
+        rows = self._fetch(
             "SELECT name FROM store_doc WHERE name LIKE ? ORDER BY name",
             (f"{prefix}%",),
-        ).fetchall()
+        )
         return [r[0] for r in rows]
 
     # -- fsck contract --------------------------------------------------------------
@@ -384,9 +388,7 @@ class SQLiteBackend(StorageBackend):
         return moved
 
     def quarantined(self) -> list[str]:
-        rows = self._read_conn().execute(
-            "SELECT name FROM store_quarantine ORDER BY name"
-        ).fetchall()
+        rows = self._fetch("SELECT name FROM store_quarantine ORDER BY name")
         return [r[0] for r in rows]
 
     # litter(): inherited no-op — a database has no tmp-file debris.
@@ -418,12 +420,12 @@ class SQLiteBackend(StorageBackend):
     # -- lifecycle ----------------------------------------------------------------------
 
     def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        self.catalog.close()
         with self._readers_lock:
+            if self._closed:
+                return
+            self._closed = True
             readers, self._readers = self._readers, []
+        self.catalog.close()
         for conn in readers:
             conn.close()
         self._writer.close()

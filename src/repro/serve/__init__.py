@@ -9,11 +9,12 @@ own primitives:
   from PAS, and in room no plane needs the interval bounds derived from
   them, are cached process-wide under a byte budget, with single-flight
   loading, so N concurrent cold requests cost one chunk-store read.
-* **Request batching** (:class:`BatchScheduler`) — whenever a model's
-  worker is free it runs every request queued at the head's plane
-  budget, up to ``max_batch`` rows, as one batched forward pass (no
-  timer holds a batch open), behind a bounded queue that sheds overload
-  with HTTP 429.
+* **Request batching** (:class:`BatchScheduler`) — a thread waiting on
+  a model's request leads its queue when nobody else does: it runs every
+  request queued at the head's plane budget, up to ``max_batch`` rows,
+  as one batched forward pass (no timer holds a batch open, and no
+  thread of its own serves a model), behind a bounded queue that sheds
+  overload with HTTP 429.
 * **Progressive escalation** — requests are answered at the lowest plane
   budget whose interval bounds determine the label (Lemma 4); only the
   ambiguous rows escalate budget by budget, and any plane served through

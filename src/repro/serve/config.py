@@ -28,8 +28,8 @@ class ServeConfig:
             port is readable from ``ModelServer.port`` after ``start``).
         max_batch: Most input rows one coalesced forward pass may carry
             (a single request larger than this runs alone).  A batch is
-            whatever is queued at the head request's plane budget when
-            the model's worker is free; no timer holds it open.
+            whatever is queued at the head request's plane budget when a
+            waiting thread takes the model's lead; no timer holds it open.
         queue_limit: Queued requests per model before admission control
             sheds new arrivals with HTTP 429.
         cache_bytes: Byte budget of the shared :class:`PlaneCache`.

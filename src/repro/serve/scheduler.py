@@ -1,13 +1,13 @@
 """Request batching, admission control, and progressive escalation.
 
-The serving data path.  Each served snapshot gets one worker thread and
-one bounded queue; HTTP handler threads submit :class:`PredictTicket`\\ s
-and block.  Whenever the worker is free it takes every request queued at
-the head request's plane budget, in queue order, up to ``max_batch``
-rows, and runs them now as one batched pass.  No timer holds a batch
-open: a lone request on an idle model runs at once, and under load the
-requests that arrive while one batch computes form the next, so a burst
-is still amortized into one DAG traversal.
+The serving data path.  Each served snapshot gets one bounded queue;
+HTTP handler threads submit :class:`PredictTicket`\\ s and wait.  The
+first waiter to find nobody leading the model leads it on its own
+thread, taking every request queued at the head request's plane budget,
+in queue order, up to ``max_batch`` rows, as one batched pass, until its
+own request is answered.  No timer holds a batch open: a lone request on
+an idle model runs at once, and the requests that arrive while one batch
+computes form the next, so a burst is amortized into one DAG traversal.
 
 Progressive escalation happens *between* batches: a request enters at
 the lowest plane budget, the interval pass answers the rows Lemma 4
@@ -91,16 +91,11 @@ class _Request:
 
     __slots__ = (
         "x", "predictions", "resolved", "pending", "planes", "degraded",
-        "escalations", "event", "error", "enqueued_at", "finished_at",
-        "trace_id", "parent_hex", "cost", "queued_since",
+        "escalations", "done", "error", "enqueued_at", "finished_at",
+        "cost", "queued_since",
     )
 
-    def __init__(
-        self,
-        x: np.ndarray,
-        planes: int,
-        trace: Optional[tuple[str, str]] = None,
-    ) -> None:
+    def __init__(self, x: np.ndarray, planes: int) -> None:
         n = len(x)
         self.x = x
         self.predictions = np.full(n, -1, dtype=np.int64)
@@ -109,14 +104,10 @@ class _Request:
         self.planes = planes
         self.degraded = False
         self.escalations = 0
-        self.event = threading.Event()
+        self.done = n == 0  # answered or failed; set under the condition
         self.error: Optional[BaseException] = None
         self.enqueued_at = time.monotonic()
-        self.finished_at = 0.0
-        # Trace identity of the submitting side (the worker thread has no
-        # inherited context, so the hop is carried explicitly).
-        self.trace_id = trace[0] if trace else ""
-        self.parent_hex = trace[1] if trace else None
+        self.finished_at = self.enqueued_at
         self.cost = RequestCost()
         # Reset on every (re-)queue so queue-wait sums across escalations.
         self.queued_since = self.enqueued_at
@@ -125,20 +116,30 @@ class _Request:
 class PredictTicket:
     """Caller-side handle on a submitted request."""
 
-    def __init__(self, request: _Request) -> None:
+    def __init__(
+        self, request: _Request, queue: Optional["_ModelWorker"]
+    ) -> None:
         self._request = request
+        self._queue = queue
 
     def done(self) -> bool:
-        return self._request.event.is_set()
+        return self._request.done
 
     def wait(self, timeout: Optional[float] = None) -> PredictOutcome:
-        """Block until the request completes; re-raises worker errors.
+        """Block until the request completes, leading its model's batches
+        while no other waiter does; re-raises batch errors.
 
         Raises:
-            TimeoutError: the request did not finish within ``timeout``.
+            TimeoutError: the request was not answered within ``timeout``
+                (a leader raises it once the batch it runs has ended).
         """
         request = self._request
-        if not request.event.wait(timeout):
+        deadline = None if timeout is None else time.monotonic() + timeout
+        if self._queue is not None:
+            self._queue.serve(request, deadline)
+        if not request.done or (
+            deadline is not None and request.finished_at > deadline
+        ):
             raise TimeoutError("predict request timed out in the scheduler")
         if request.error is not None:
             raise request.error
@@ -155,8 +156,8 @@ class PredictTicket:
 class ModelRuntime:
     """One served snapshot: built network, reusable evaluator, cache hooks.
 
-    Only the model's single worker thread calls :meth:`bounded`; the
-    underlying evaluator and plane cache are thread-safe regardless.
+    Only the thread leading the model's queue calls :meth:`bounded`, one
+    at a time; the evaluator and plane cache are thread-safe regardless.
 
     Args:
         name: Serving name (what ``/v1/predict`` requests address).
@@ -228,8 +229,9 @@ class ModelRuntime:
         }
 
 
-class _ModelWorker(threading.Thread):
-    """Single consumer of one model's request queue."""
+class _ModelWorker:
+    """One model's request queue, led by at most one waiting thread at a
+    time (``_leading``); the others wait on ``_cond``."""
 
     def __init__(
         self,
@@ -237,12 +239,12 @@ class _ModelWorker(threading.Thread):
         config,
         registry: MetricsRegistry,
     ) -> None:
-        super().__init__(name=f"serve-{runtime.name}", daemon=True)
         self.runtime = runtime
         self.config = config
         self._queue: deque[_Request] = deque()
         self._cond = threading.Condition()
         self._halt = False
+        self._leading = False
         self._outstanding = 0
         self._shed = registry.counter("serve.shed")
         self._completed = registry.counter("serve.completed")
@@ -265,9 +267,7 @@ class _ModelWorker(threading.Thread):
     def submit(self, request: _Request) -> None:
         with self._cond:
             if self._halt:
-                raise RuntimeError(
-                    f"model {self.runtime.name!r} worker is stopped"
-                )
+                raise RuntimeError(f"model {self.runtime.name!r} is stopped")
             if len(self._queue) >= self.config.queue_limit:
                 self._shed.inc()
                 raise AdmissionError(
@@ -277,7 +277,6 @@ class _ModelWorker(threading.Thread):
             self._queue.append(request)
             self._outstanding += 1
             self._depth.set(len(self._queue))
-            self._cond.notify()
 
     def queue_depth(self) -> int:
         with self._cond:
@@ -288,45 +287,65 @@ class _ModelWorker(threading.Thread):
             return self._outstanding
 
     def stop(self) -> None:
-        """Stop consuming; fail whatever is still queued."""
+        """Refuse new work; fail whatever is still queued."""
         with self._cond:
             self._halt = True
             dropped = list(self._queue)
             self._queue.clear()
-            self._outstanding -= len(dropped)
             self._depth.set(0)
-            self._cond.notify_all()
-        for request in dropped:
-            request.error = RuntimeError("server stopped before execution")
-            request.event.set()
         if dropped:
-            self._errors.inc(len(dropped))
+            self._settle(dropped, RuntimeError("server stopped before execution"))
 
-    # -- consumer side -------------------------------------------------------
+    # -- leader side ---------------------------------------------------------
 
-    def run(self) -> None:  # pragma: no cover - exercised via the public API
-        while True:
-            collected = self._collect()
-            if collected is None:
+    def serve(
+        self, request: Optional[_Request], deadline: Optional[float]
+    ) -> None:
+        """Return once ``request`` is answered (with ``None``: once
+        nothing is outstanding) or ``deadline`` has passed.
+
+        While another thread leads, wait for it to answer or give up the
+        lead.  Otherwise lead: run one batch after another on this
+        thread, checking the deadline between batches, then give up the
+        lead so that a waiter whose request is still queued takes it.
+        """
+
+        def settled() -> bool:
+            return self._outstanding == 0 if request is None else request.done
+
+        with self._cond:
+            timeout = None if deadline is None else deadline - time.monotonic()
+            if not self._cond.wait_for(
+                lambda: settled() or not self._leading, timeout
+            ) or settled():
                 return
-            bucket, planes = collected
-            self._process(bucket, planes)
+            self._leading = True
+        try:
+            while not settled() and (
+                deadline is None or time.monotonic() < deadline
+            ):
+                collected = self._collect()
+                if collected is None:
+                    break
+                self._process(*collected)
+        finally:
+            with self._cond:
+                self._leading = False
+                self._cond.notify_all()
 
     def _collect(self) -> Optional[tuple[list[_Request], int]]:
-        """Wait for work, then take one batch from what is queued now.
+        """Take one batch from what is queued now.
 
         The batch is every queued request at the head request's plane
         budget, in queue order, admitted while its rows still fit in
         ``max_batch``.  The head is always admitted, so an oversized
         request runs alone; a request that does not fit keeps its queue
-        position for the next batch.  Returns ``None`` when stopped and
-        idle.
+        position for the next batch.  Returns ``None`` when the queue is
+        empty.
         """
         with self._cond:
-            while not self._queue:
-                if self._halt:
-                    return None
-                self._cond.wait()
+            if not self._queue:
+                return None
             target = self._queue[0].planes
             bucket: list[_Request] = []
             kept: deque[_Request] = deque()
@@ -354,24 +373,16 @@ class _ModelWorker(threading.Thread):
         now = time.monotonic()
         for request in bucket:
             request.cost.add(queue_wait_s=now - request.queued_since)
-        # The worker thread inherits no context from the HTTP handlers:
-        # adopt the first request's trace identity explicitly so the
-        # batch span joins its distributed trace (coalesced requests from
-        # other traces are noted as an attribute).
-        lead = next((r for r in bucket if r.trace_id), None)
         try:
+            # On the leader's thread: the span nests under whatever span
+            # that thread has open (its own serve.predict).
             with trace_span(
                 "serve.batch",
-                trace_id=lead.trace_id if lead else None,
-                remote_parent=lead.parent_hex if lead else None,
                 model=runtime.name,
                 planes=planes,
                 requests=len(bucket),
                 rows=rows,
             ) as span:
-                coalesced = {r.trace_id for r in bucket if r.trace_id}
-                if len(coalesced) > 1:
-                    span.set_attr("coalesced_traces", len(coalesced))
                 with cost_context() as batch_cost:
                     determined, labels, degraded = runtime.bounded(
                         np.concatenate(batches, axis=0), planes
@@ -408,23 +419,13 @@ class _ModelWorker(threading.Thread):
                             request.queued_since = now
                             self._queue.appendleft(request)
                         self._depth.set(len(self._queue))
-                        self._cond.notify()
             self._batch_seconds.observe(span.elapsed)
             # Released only now, with the batch span closed and every
             # counter written: a client that has its reply must find the
             # request in the next /metrics or /v1/trace it reads.
-            done = [r for r in bucket if r.pending.size == 0]
-            for request in done:
-                request.event.set()
-            with self._cond:
-                self._outstanding -= len(done)
+            self._settle([r for r in bucket if r.pending.size == 0])
         except Exception as exc:  # noqa: BLE001 - fail the bucket, keep serving
-            self._errors.inc(len(bucket))
-            for request in bucket:
-                request.error = exc
-                request.event.set()
-            with self._cond:
-                self._outstanding -= len(bucket)
+            self._settle(bucket, exc)
 
     def _complete(self, request: _Request) -> None:
         request.finished_at = time.monotonic()
@@ -436,9 +437,26 @@ class _ModelWorker(threading.Thread):
             request.finished_at - request.enqueued_at
         )
 
+    def _settle(
+        self, requests: list[_Request], error: Optional[Exception] = None
+    ) -> None:
+        """Mark ``requests`` answered (or failed with ``error``) and wake
+        the threads waiting."""
+        if error is not None:
+            self._errors.inc(len(requests))
+        now = time.monotonic()
+        with self._cond:
+            for request in requests:
+                if error is not None:
+                    request.error, request.finished_at = error, now
+                request.done = True
+            self._outstanding -= len(requests)
+            self._cond.notify_all()
+
 
 class BatchScheduler:
-    """Owns one worker + queue per registered model runtime.
+    """Owns one request queue per registered model runtime; the threads
+    that wait on their tickets run the batches.
 
     Args:
         config: The :class:`~repro.serve.ServeConfig` batching policy.
@@ -451,10 +469,9 @@ class BatchScheduler:
         self.registry = registry if registry is not None else get_registry()
         self._workers: dict[str, _ModelWorker] = {}
         self._requests = self.registry.counter("serve.requests")
-        self._started = False
         self._draining = False
-        # Guards lifecycle writes (_workers/_started/_draining); reads on
-        # the hot submit path stay lockless, matching repro.obs's
+        # Guards lifecycle writes (_workers/_draining); reads on the hot
+        # submit path stay lockless, matching repro.obs's
         # locked-writes/lockless-reads contract.
         self._lock = threading.Lock()
 
@@ -468,9 +485,6 @@ class BatchScheduler:
                     f"model {runtime.name!r} already registered"
                 )
             self._workers[runtime.name] = worker
-            started = self._started
-        if started:
-            worker.start()
 
     def models(self) -> list[str]:
         return sorted(self._workers)
@@ -478,46 +492,36 @@ class BatchScheduler:
     def runtime(self, model: str) -> ModelRuntime:
         return self._workers[model].runtime
 
-    def start(self) -> None:
-        with self._lock:
-            if self._started:
-                return
-            self._started = True
-            workers = list(self._workers.values())
-        for worker in workers:
-            worker.start()
-
     @property
     def draining(self) -> bool:
         return self._draining
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Refuse new work and wait for in-flight requests to finish.
+        """Refuse new work and answer what is in flight, leading from
+        this thread the queued requests nobody waits on.
 
-        Returns True when every queue emptied within ``timeout``.
+        Returns True when nothing was outstanding within ``timeout``.
         """
         with self._lock:
             self._draining = True
-        give_up_at = (
-            time.monotonic() + timeout if timeout is not None else None
-        )
-        while self.outstanding() > 0:
-            if give_up_at is not None and time.monotonic() >= give_up_at:
+            workers = list(self._workers.values())
+        deadline = None if timeout is None else time.monotonic() + timeout
+        while True:
+            # A submit that passed the draining check before it was set
+            # may land behind this pass; the next pass answers it.
+            for worker in workers:
+                worker.serve(None, deadline)
+            if self.outstanding() == 0:
+                return True
+            if deadline is not None and time.monotonic() >= deadline:
                 return False
-            time.sleep(0.005)
-        return True
 
     def stop(self) -> None:
-        """Stop all workers; queued-but-unstarted requests fail."""
+        """Refuse new work; queued requests fail."""
         with self._lock:
             workers = list(self._workers.values())
         for worker in workers:
             worker.stop()
-        for worker in workers:
-            if worker.is_alive():
-                worker.join(timeout=5.0)
-        with self._lock:
-            self._started = False
 
     # -- submission ----------------------------------------------------------
 
@@ -527,14 +531,8 @@ class BatchScheduler:
         x: np.ndarray,
         start_planes: Optional[int] = None,
         exact: bool = False,
-        trace: Optional[tuple[str, str]] = None,
     ) -> PredictTicket:
         """Queue a predict request; returns a waitable ticket.
-
-        Args:
-            trace: Optional ``(trace_id, parent_span_hex)`` pair carrying
-                the submitting side's trace identity across the thread
-                hop into the worker (the batch span adopts it).
 
         Raises:
             KeyError: unknown model.
@@ -552,14 +550,12 @@ class BatchScheduler:
                 self.config.start_planes
             )
             planes = max(1, min(int(planes), NUM_PLANES))
-        request = _Request(x, planes, trace=trace)
+        request = _Request(x, planes)
         self._requests.inc()
-        if len(x) == 0:
-            request.finished_at = request.enqueued_at
-            request.event.set()
-            return PredictTicket(request)
+        if request.done:  # no rows: nothing to batch
+            return PredictTicket(request, None)
         worker.submit(request)
-        return PredictTicket(request)
+        return PredictTicket(request, worker)
 
     # -- introspection -------------------------------------------------------
 

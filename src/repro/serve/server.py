@@ -1,7 +1,8 @@
 """The HTTP face of the serving tier: :class:`ModelServer`.
 
 Every request thread parses JSON, submits a ticket to the
-:class:`BatchScheduler`, and blocks until the batched data path answers.
+:class:`BatchScheduler`, and waits on it: while no other thread leads
+its model's queue, it runs the batches itself.
 This module owns the serving routes, their payloads and the drain; the
 transport under them (sockets, listener lifecycle, responder, status
 table, ops routes) is :mod:`repro.wire`'s.  Endpoints:
@@ -30,9 +31,10 @@ request's ``cost`` bill and its ``trace_id``.
 
 Requests arriving with a ``traceparent`` header join the sender's trace:
 the handler's ``serve.predict`` span adopts the carried trace id and
-records the remote span as its parent, and the identity is forwarded
-across the thread hop into the batch worker, so one distributed trace
-covers client, handler, and batch spans.
+records the remote span as its parent.  A batch runs on the thread that
+leads it, so its ``serve.batch`` span nests under that thread's
+``serve.predict``, and one distributed trace covers client, handler,
+and batch spans.
 
 Snapshots whose stored network spec fails :func:`validate_network` are
 refused at startup — a serving tier should not boot on a model that
@@ -207,9 +209,8 @@ class ModelServer:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ModelServer":
-        """Bind, serve in a daemon thread, and start the scheduler workers."""
+        """Bind and serve in a daemon thread."""
         self._listener.start(self.config.host, self.config.port)
-        self.scheduler.start()
         self.registry.counter("serve.starts").inc()
         return self
 
@@ -332,10 +333,7 @@ class ModelServer:
             span.set_attr("rows", len(x))
             try:
                 ticket = self.scheduler.submit(
-                    model, x,
-                    start_planes=start_planes,
-                    exact=exact,
-                    trace=(span.trace_id, span.hex_id),
+                    model, x, start_planes=start_planes, exact=exact
                 )
             except AdmissionError as exc:
                 raise HTTPError(
@@ -350,7 +348,7 @@ class ModelServer:
                 raise HTTPError(
                     504, {"error": "prediction timed out in the scheduler"}
                 )
-            except Exception as exc:  # noqa: BLE001 - worker-side failure
+            except Exception as exc:  # noqa: BLE001 - batch failure
                 raise HTTPError(
                     500, {"error": f"{type(exc).__name__}: {exc}"}
                 )

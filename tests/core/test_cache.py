@@ -131,7 +131,6 @@ def test_cli_and_serve_answer_alike(repo, trained_tiny, digits):
         repo.archive_view(), key,
         plane_cache=PlaneCache(64 << 20, registry=registry),
     ))
-    scheduler.start()
     try:
         served = scheduler.submit("tiny", x, start_planes=1).wait(30.0)
     finally:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.core.chunkstore import ChunkIntegrityError
+from repro.core.retrieval import RetrievalScheme
 from repro.core.storage import memory as memstore
 from repro.core.storage import parse_storage_url
 from repro.dlv.cli import main as dlv_main
@@ -325,6 +326,22 @@ class TestWALConcurrency:
         probe("after", sha)
         assert seen == {"during": False, "after": True}
         repo.close()
+
+    def test_reader_connections_are_pooled(self, make_repo_target):
+        """Each PARALLEL recreation reads on fresh pool threads; their
+        connections go back to one pool, so twenty recreations leave no
+        more readers than one recreation's workers."""
+        repo = Repository.init(make_repo_target("sqlite"))
+        version = repo.commit(_net(0), name="m", message="v1")
+        archive = repo.archive_view()
+        for _ in range(20):
+            archive.recreate_snapshot(
+                version.snapshots[-1].key, RetrievalScheme.PARALLEL,
+                max_workers=4,
+            )
+        assert 1 <= len(repo.backend._readers) <= 4
+        repo.close()
+        assert repo.backend._readers == []
 
 
 # -- CLI: --store, DLV_STORE, init --backend ---------------------------------

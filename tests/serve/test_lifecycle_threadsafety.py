@@ -1,12 +1,10 @@
 """Regression tests for the CONC401 findings the concurrency checker
 surfaced in the scheduler's lifecycle paths.
 
-Before the fix, BatchScheduler._started/_draining/_workers were written
-with no guard; concurrent start() callers could double-start worker
-threads (Thread.start raises RuntimeError the second time).  These tests
-hammer the lifecycle from many threads and assert exactly-once
-semantics.  The HTTP listeners' half of the same finding is checked for
-both tiers in ``test_wire.py::TestLifecycle``.
+Before the fix, BatchScheduler._draining/_workers were written with no
+guard.  These tests hammer the lifecycle from many threads and assert
+exactly-once semantics.  The HTTP listeners' half of the same finding is
+checked for both tiers in ``test_wire.py::TestLifecycle``.
 """
 
 from __future__ import annotations
@@ -33,21 +31,6 @@ def runtime(served_repo, registry):
 
 
 class TestSchedulerLifecycle:
-    def test_concurrent_start_starts_workers_exactly_once(
-        self, runtime, registry, hammer
-    ):
-        # Unfixed, two racing start() calls both saw _started=False and
-        # both called worker.start() -> RuntimeError("threads can only
-        # be started once").
-        scheduler = BatchScheduler(ServeConfig(), registry)
-        scheduler.register(runtime)
-        try:
-            errors = hammer(scheduler.start)
-            assert errors == []
-            assert scheduler._workers["tiny"].is_alive()
-        finally:
-            scheduler.stop()
-
     def test_concurrent_register_rejects_duplicates_exactly_n_minus_1(
         self, served_repo, registry, hammer
     ):
@@ -80,7 +63,6 @@ class TestSchedulerLifecycle:
     def test_drain_flag_visible_to_submitters(self, runtime, registry):
         scheduler = BatchScheduler(ServeConfig(), registry)
         scheduler.register(runtime)
-        scheduler.start()
         try:
             assert scheduler.drain(timeout=5.0)
             assert scheduler.draining

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -44,10 +45,9 @@ def make_scheduler(runtime, registry, **overrides) -> BatchScheduler:
 
 
 def run_queued(scheduler, submissions):
-    """Submit every ``(x, kwargs)`` before the worker starts, so the batch
+    """Submit every ``(x, kwargs)`` before anyone waits, so the batch
     split is decided by the dispatch rule alone; returns the outcomes."""
     tickets = [scheduler.submit("tiny", x, **kw) for x, kw in submissions]
-    scheduler.start()
     try:
         return [ticket.wait(timeout=30.0) for ticket in tickets]
     finally:
@@ -117,15 +117,15 @@ class TestBatching:
 
     @pytest.mark.skipif(
         locksan.enabled(),
-        reason="the sanitizer's bookkeeping on each lock the hand-off "
-               "takes (milliseconds in all) is itself queue wait",
+        reason="the sanitizer's bookkeeping on each lock taken between "
+               "submit and the batch (milliseconds in all) is itself "
+               "queue wait",
     )
     def test_idle_worker_dispatches_without_waiting(
         self, runtime_setup, registry, digits
     ):
         runtime, _ = runtime_setup
         scheduler = make_scheduler(runtime, registry)
-        scheduler.start()
         try:
             waits = [
                 scheduler.submit("tiny", digits.x_test[i:i + 1])
@@ -139,7 +139,7 @@ class TestBatching:
     def test_empty_input_completes_immediately(self, runtime_setup, registry):
         runtime, _ = runtime_setup
         scheduler = make_scheduler(runtime, registry)
-        # Never started: an empty request must not need a worker.
+        # Nobody leads: an empty request must not need a batch.
         outcome = scheduler.submit(
             "tiny", np.empty((0, *runtime.net.input_shape), dtype=np.float32)
         ).wait(timeout=1.0)
@@ -150,7 +150,6 @@ class TestCorrectness:
     def test_progressive_matches_exact(self, runtime_setup, registry, digits):
         runtime, trained = runtime_setup
         scheduler = make_scheduler(runtime, registry)
-        scheduler.start()
         try:
             x = digits.x_test[:24]
             outcome = scheduler.submit("tiny", x, start_planes=1).wait(30.0)
@@ -165,7 +164,6 @@ class TestCorrectness:
         """Plane 1 alone rarely determines anything: requests escalate."""
         runtime, trained = runtime_setup
         scheduler = make_scheduler(runtime, registry)
-        scheduler.start()
         try:
             x = digits.x_test[:24]
             outcome = scheduler.submit("tiny", x, start_planes=1).wait(30.0)
@@ -179,7 +177,6 @@ class TestCorrectness:
     def test_exact_bypasses_progressive(self, runtime_setup, registry, digits):
         runtime, trained = runtime_setup
         scheduler = make_scheduler(runtime, registry)
-        scheduler.start()
         try:
             x = digits.x_test[:8]
             outcome = scheduler.submit("tiny", x, exact=True).wait(30.0)
@@ -202,7 +199,6 @@ class TestCorrectness:
     ):
         runtime, trained = runtime_setup
         scheduler = make_scheduler(runtime, registry)
-        scheduler.start()
         errors = []
 
         def hit(start_planes, exact):
@@ -236,7 +232,7 @@ class TestCorrectness:
 class TestAdmissionControl:
     def test_sheds_when_queue_full(self, runtime_setup, registry, digits):
         runtime, _ = runtime_setup
-        # Not started: submissions stay queued, making the limit exact.
+        # Nobody waits: submissions stay queued, making the limit exact.
         scheduler = make_scheduler(runtime, registry, queue_limit=2)
         x = digits.x_test[:1]
         scheduler.submit("tiny", x)
@@ -253,7 +249,6 @@ class TestAdmissionControl:
     ):
         runtime, _ = runtime_setup
         scheduler = make_scheduler(runtime, registry)
-        scheduler.start()
         try:
             assert scheduler.drain(timeout=5.0)
             with pytest.raises(AdmissionError):
@@ -275,7 +270,6 @@ class TestLifecycle:
     ):
         runtime, _ = runtime_setup
         scheduler = make_scheduler(runtime, registry)
-        scheduler.start()
         tickets = [
             scheduler.submit("tiny", digits.x_test[:4], start_planes=1)
             for _ in range(4)
@@ -289,7 +283,7 @@ class TestLifecycle:
     def test_stop_fails_queued_requests(self, runtime_setup, registry, digits):
         runtime, _ = runtime_setup
         scheduler = make_scheduler(runtime, registry)
-        # Never started, so submissions are guaranteed still queued.
+        # Nobody waits, so submissions are guaranteed still queued.
         tickets = [scheduler.submit("tiny", digits.x_test[:2]) for _ in range(3)]
         scheduler.stop()
         for ticket in tickets:
@@ -314,13 +308,12 @@ class TestLifecycle:
 
         runtime.bounded = boom
         scheduler = make_scheduler(runtime, registry)
-        scheduler.start()
         try:
             ticket = scheduler.submit("tiny", digits.x_test[:2])
             with pytest.raises(OSError, match="archive unreadable"):
                 ticket.wait(timeout=10.0)
             assert registry.counter("serve.errors").value == 1
-            # The worker survives the failed bucket and keeps the queue
+            # The queue survives the failed bucket and stays
             # live for later (failing) work.
             ticket2 = scheduler.submit("tiny", digits.x_test[:2])
             with pytest.raises(OSError):
@@ -337,10 +330,160 @@ class TestLifecycle:
 
         runtime.bounded = slow
         scheduler = make_scheduler(runtime, registry)
-        scheduler.start()
         try:
             ticket = scheduler.submit("tiny", digits.x_test[:1])
             with pytest.raises(TimeoutError):
                 ticket.wait(timeout=0.05)
         finally:
             scheduler.stop()
+
+
+class TestLeaderFollower:
+    """No scheduler thread: the threads that wait on tickets run the
+    batches, one leader per model at a time."""
+
+    def test_waiting_threads_coalesce(self, runtime_setup, registry, digits):
+        """16 threads x 25 single-row requests, each submitting and
+        waiting on its own thread: the requests that queue while one
+        leader computes form the next leader's batch."""
+        runtime, trained = runtime_setup
+        scheduler = make_scheduler(runtime, registry, queue_limit=1024)
+        expected = trained.predict(digits.x_test)
+        errors = []
+
+        def client(first):
+            try:
+                for i in range(first, first + 25):
+                    row = i % len(digits.x_test)
+                    outcome = scheduler.submit(
+                        "tiny", digits.x_test[row:row + 1]
+                    ).wait(30.0)
+                    assert outcome.predictions.tolist() == [expected[row]]
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=(25 * n,))
+            for n in range(16)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120.0)
+        scheduler.stop()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert registry.counter("serve.completed").value == 16 * 25
+        assert registry.histogram("serve.batch_requests").mean >= 2
+
+    def test_one_leader_per_model(self, served_repo, registry, digits):
+        repo, trained, version = served_repo
+        archive = repo.archive_view()
+        scheduler = BatchScheduler(ServeConfig(), registry=registry)
+        peaks = {}
+        for name in ("a", "b"):
+            runtime = ModelRuntime(
+                name, Network.from_spec(version.network).build(0), archive,
+                version.snapshots[-1].key,
+            )
+            scheduler.register(runtime)
+            peaks[name] = self._count_entries(runtime)
+        expected = trained.predict(digits.x_test[:4])
+        errors = []
+
+        def client(model):
+            try:
+                for _ in range(10):
+                    outcome = scheduler.submit(
+                        model, digits.x_test[:4]
+                    ).wait(30.0)
+                    np.testing.assert_array_equal(
+                        outcome.predictions, expected
+                    )
+            except Exception as exc:  # noqa: BLE001
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=client, args=("ab"[i % 2],))
+            for i in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # hand the interpreter over often
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60.0)
+        finally:
+            sys.setswitchinterval(interval)
+        scheduler.stop()
+        assert not any(t.is_alive() for t in threads)
+        assert not errors, errors
+        assert scheduler.outstanding() == 0
+        assert registry.counter("serve.completed").value == 80
+        assert {name: peak[1] for name, peak in peaks.items()} == {
+            "a": 1, "b": 1
+        }
+
+    @staticmethod
+    def _count_entries(runtime) -> list:
+        """Wrap ``runtime.bounded``; returns ``[inside, most at once]``."""
+        real = runtime.bounded
+        counts = [0, 0]
+        lock = threading.Lock()
+
+        def bounded(x, planes):
+            with lock:
+                counts[0] += 1
+                counts[1] = max(counts)
+            try:
+                time.sleep(0.002)  # widen the window a second leader needs
+                return real(x, planes)
+            finally:
+                with lock:
+                    counts[0] -= 1
+
+        runtime.bounded = bounded
+        return counts
+
+    @pytest.mark.parametrize("answered_by", ["next-leader", "drain"])
+    def test_abandoned_request_is_answered(
+        self, runtime_setup, registry, digits, answered_by
+    ):
+        """A waiter times out while another thread leads; its request
+        stays queued and the next leader, or drain, answers it."""
+        runtime, trained = runtime_setup
+        real = runtime.bounded
+        entered, release = threading.Event(), threading.Event()
+
+        def held(x, planes):
+            entered.set()
+            assert release.wait(10.0)
+            return real(x, planes)
+
+        runtime.bounded = held
+        scheduler = make_scheduler(runtime, registry)
+        x = digits.x_test[:3]
+        leader = threading.Thread(
+            target=scheduler.submit("tiny", x, exact=True).wait, args=(30.0,)
+        )
+        leader.start()
+        assert entered.wait(10.0)
+        abandoned = scheduler.submit("tiny", x, exact=True)
+        with pytest.raises(TimeoutError):
+            abandoned.wait(timeout=0.05)
+        release.set()
+        leader.join(timeout=30.0)
+        assert not leader.is_alive()
+        assert not abandoned.done()
+        assert scheduler.outstanding() == 1
+        if answered_by == "drain":
+            assert scheduler.drain(timeout=30.0)
+        else:
+            scheduler.submit("tiny", x, exact=True).wait(30.0)
+        assert abandoned.done()
+        assert scheduler.outstanding() == 0
+        np.testing.assert_array_equal(
+            abandoned.wait(timeout=1.0).predictions, trained.predict(x)
+        )
+        scheduler.stop()

@@ -281,13 +281,26 @@ class TestDrain:
 
         thread = threading.Thread(target=hit)
         thread.start()
-        time.sleep(0.1)  # let the request reach the worker
+        time.sleep(0.1)  # let the request reach its batch
         assert model_server.stop(drain=True)
         thread.join(timeout=30.0)
         assert len(results) == 1
         np.testing.assert_array_equal(
             results[0].predictions, net.predict(digits.x_test[:4])
         )
+
+    def test_serving_starts_no_model_thread(
+        self, served_repo, registry, digits
+    ):
+        repo, net, _ = served_repo
+        repo.commit(net, name="tiny-b", message="a second served model")
+        with ModelServer(repo, ServeConfig(), registry=registry) as served:
+            client = client_for(served)
+            for model in ("tiny", "tiny-b"):
+                client.predict(model, digits.x_test[:4])
+            names = {thread.name for thread in threading.enumerate()}
+        assert served.scheduler.models() == ["tiny", "tiny-b"]
+        assert not names & {"serve-tiny", "serve-tiny-b"}, names
 
     def test_health_reports_draining(self, served_repo, registry):
         repo, _, _ = served_repo
