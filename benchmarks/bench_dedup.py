@@ -9,9 +9,10 @@ benchmark archives the same family with dedup off and on and reports:
 * stored bytes per model (the ISSUE's headline: >= 3x reduction at
   family scale), and
 * the shared :class:`~repro.serve.cache.PlaneCache` when serving
-  several family members through one cache — each assembled plane is
-  one entry, charged one byte per weight, read once and hit on every
-  later request.
+  several family members through one cache — each plane is one entry,
+  read once and hit on every later request; a paged plane is held as
+  its sparse patch over base pages the family shares, each charged
+  once.
 
 ``REPRO_BENCH_DEDUP_FAMILY`` (default 50) sets the family size; CI's
 smoke run uses a small family, the full run reproduces the headline.
@@ -101,6 +102,32 @@ def test_dedup_bytes_per_model(reporter):
     deduped.close()
 
 
+def _cache_charge(archive, planes) -> int:
+    """What caching these ``(entry, index)`` planes charges, recounted
+    from the stored blobs: a chunk plane 1 B per weight; a paged plane 5
+    B per nonzero patch byte (offset and value) while that is less than
+    1 B per weight, else 1 B per weight; and each distinct base page of
+    the paged planes kept so, once."""
+    blobs = archive.page_store.blobs
+    total, bases = 0, {}
+    for entry, index in planes:
+        weights = int(np.prod(entry.shape))
+        if entry.kind != "pages":
+            total += weights
+            continue
+        pairs = entry.pages[index]["pages"]
+        nonzero = sum(
+            np.count_nonzero(np.frombuffer(blobs.get(patch), np.uint8))
+            for _base, patch in pairs if patch
+        )
+        if 5 * nonzero < weights:
+            total += 5 * nonzero
+            bases.update((base, len(blobs.get(base))) for base, _ in pairs)
+        else:
+            total += weights
+    return total + sum(bases.values())
+
+
 def test_dedup_serve_cache_hit_rate(reporter):
     serve_n = min(FAMILY, 8)
     nets = _family(max(serve_n, 3))
@@ -116,11 +143,11 @@ def test_dedup_serve_cache_hit_rate(reporter):
         }
     )[:serve_n]
     members = [m for snap in snapshots for m in archive._snapshots[snap]]
-    sizes = {  # plane address -> charged bytes, 1 B per weight
-        archive.plane_address(archive.manifest[m], i):
-            int(np.prod(archive.manifest[m].shape))
-        for m in members for i in range(4)
-    }
+    planes = {}  # plane address -> the first (entry, index) read under it
+    for m in members:
+        for i in range(4):
+            entry = archive.manifest[m]
+            planes.setdefault(archive.plane_address(entry, i), (entry, i))
     reporter.line(f"serving {len(snapshots)} family members twice "
                   "through one PlaneCache")
     reporter.line()
@@ -138,14 +165,16 @@ def test_dedup_serve_cache_hit_rate(reporter):
         rounds.append(cache.stats())
     cold, final = rounds
     reporter.line()
+    assembled = sum(int(np.prod(e.shape)) for e, _ in planes.values())
     reporter.line(f"final hit rate: {final['hit_rate']:.1%} "
                   f"({final['cached_bytes']} cached bytes, "
-                  f"{len(sizes)} planes)")
+                  f"{final['shared_bytes']} of them shared base pages; "
+                  f"{assembled} assembled; {len(planes)} planes)")
 
-    # Each distinct plane is read once and cached once at 1 B per weight;
-    # the warm round re-reads nothing.
-    assert cold["misses"] == cold["entries"] == len(sizes)
-    assert cold["cached_bytes"] == sum(sizes.values())
+    # Each distinct plane is read once and cached once, at its exact
+    # charge; the warm round re-reads nothing.
+    assert cold["misses"] == cold["entries"] == len(planes)
+    assert cold["cached_bytes"] == _cache_charge(archive, planes.values())
     assert final["misses"] == cold["misses"]
     assert final["hits"] == cold["hits"] + 4 * len(members)
     assert final["hit_rate"] >= 0.5

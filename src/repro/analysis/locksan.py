@@ -37,6 +37,8 @@ through ``wait()``.
 
 from __future__ import annotations
 
+import linecache
+import sys
 import threading
 import time
 import traceback
@@ -79,7 +81,7 @@ _reentry = threading.local()
 class _Hold:
     __slots__ = ("lock", "stack", "since")
 
-    def __init__(self, lock: "_SanLock", stack: str, since: float) -> None:
+    def __init__(self, lock: "_SanLock", stack: list, since: float) -> None:
         self.lock = lock
         self.stack = stack
         self.since = since
@@ -116,20 +118,42 @@ class DeadlockError(RuntimeError):
 _THIS_FILE = __file__
 
 
+def _outer_frames(limit: int):
+    """The innermost ``limit`` frames outside this module, innermost
+    first, as ``(filename, lineno, name)``: no source line is read."""
+    frames = []
+    frame = sys._getframe(1)
+    while frame is not None and len(frames) < limit:
+        code = frame.f_code
+        if code.co_filename != _THIS_FILE:
+            frames.append((code.co_filename, frame.f_lineno, code.co_name))
+        frame = frame.f_back
+    return frames
+
+
 def _caller_site() -> str:
     """``file:line`` of the first frame outside this module."""
-    for frame in reversed(traceback.extract_stack()):
-        if frame.filename != _THIS_FILE:
-            return f"{frame.filename}:{frame.lineno}"
+    for filename, lineno, _name in _outer_frames(1):
+        return f"{filename}:{lineno}"
     return "<unknown>"
 
 
-def _acquire_stack() -> str:
-    frames = [
-        frame for frame in traceback.extract_stack()
-        if frame.filename != _THIS_FILE
-    ]
-    return "".join(traceback.format_list(frames[-8:]))
+def _acquire_stack() -> list:
+    """Where a lock is being acquired: the innermost 8 frames outside
+    this module, formatted only if a report needs them
+    (:func:`_format_stack`)."""
+    return _outer_frames(8)
+
+
+def _format_stack(frames: list) -> str:
+    """``traceback.format_list`` of captured frames, outermost first,
+    with their source lines."""
+    for filename in {filename for filename, _, _ in frames}:
+        linecache.checkcache(filename)
+    return "".join(traceback.format_list([
+        traceback.FrameSummary(filename, lineno, name)
+        for filename, lineno, name in reversed(frames)
+    ]))
 
 
 def _thread_name(ident: int) -> str:
@@ -206,7 +230,7 @@ def _cycle_error(me: int, lock: "_SanLock", path: list) -> DeadlockError:
         for hold in _held.get(thread_id, []):
             key = f"{name} holds {hold.lock!r}"
             lines.append(f"  {key}")
-            stacks[key] = hold.stack
+            stacks[key] = _format_stack(hold.stack)
 
     describe(me)
     lines.append(f"  {my_name} wants {lock!r}")
@@ -239,7 +263,7 @@ class _SanLock:
 
     # -- bookkeeping ------------------------------------------------------
 
-    def _note_acquired(self, me: int, stack: str) -> None:
+    def _note_acquired(self, me: int, stack: list) -> None:
         name = _thread_name(me)
         with _state_mu:
             _thread_names[me] = name

@@ -11,10 +11,14 @@ pool is sized in the units storage returns.
 
 :class:`PlaneCache` holds two kinds of entry under one byte budget:
 
-* **planes** — ``("plane", address)``: one assembled byte plane (the
-  unit of progressive retrieval, Sec. IV-B/IV-D) under its whole-plane
-  content address, charged 1 B per weight.  Planes shared by several
-  models are one entry.
+* **planes** — ``("plane", address)``: one byte plane (the unit of
+  progressive retrieval, Sec. IV-B/IV-D) under its whole-plane content
+  address; planes shared by several models are one entry.  A plane is
+  held *assembled*, charged 1 B per weight, or — a page-encoded plane
+  whose patch is sparse — in *page form*: its sparse XOR patch, charged
+  to the entry, over base pages that are **shared parts**.  A part is
+  charged once for as long as any entry holds it and freed with its
+  last holder, so a fine-tuned family's common pages are held once.
 * **derived** entries — ``("bounds", ns, planes)``: interval bounds
   computed from planes.  They are admitted only into free room or room
   made by evicting other derived entries, so they never displace a
@@ -32,7 +36,7 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Hashable, Optional
+from typing import Callable, Hashable, Iterable, Optional
 
 from repro.obs.cost import charge
 from repro.obs.metrics import MetricsRegistry, get_registry
@@ -42,6 +46,18 @@ from repro.obs.metrics import MetricsRegistry, get_registry
 class _Entry:
     value: object
     nbytes: int
+    parts: tuple = ()  # keys of the shared parts this entry holds
+
+
+class _Part:
+    """A shared part (a base page): charged once while any entry holds it."""
+
+    __slots__ = ("value", "nbytes", "holders")
+
+    def __init__(self, value: object, nbytes: int) -> None:
+        self.value = value
+        self.nbytes = nbytes
+        self.holders = 1  # made for its first holder
 
 
 class _Flight:
@@ -60,16 +76,19 @@ class PlaneCache:
 
     Keys are hashables — the read path uses ``("plane", address)`` and
     ``("bounds", namespace, planes)``.  Loaders return
-    ``(value, nbytes)``; the reported byte size is what the budget
-    charges, since cached values are opaque to the cache.
+    ``(value, nbytes)``, or for a plane ``(value, nbytes, parts)``; the
+    reported byte sizes are what the budget charges, since cached
+    values are opaque to the cache.  :meth:`held` tells a loader which
+    parts are held already, so it reads only the others.
 
     Admission: each kind is its own LRU.  A plane evicts derived
-    entries first, then least-recently-used planes; a ``derived=True``
-    entry evicts only derived entries and is served uncached (a miss,
-    nothing evicted) when free room plus the derived bytes cannot hold
-    it.  A value larger than the whole budget, or one its loader reports
-    as ``nbytes=None`` (read through a recovery path), is served
-    uncached too.
+    entries first, then least-recently-used planes, never the parts it
+    shares itself; a ``derived=True`` entry evicts only derived entries
+    and is served uncached (a miss, nothing evicted) when free room plus
+    the derived bytes cannot hold it.  A value larger than the whole
+    budget (its parts included), or one its loader reports as
+    ``nbytes=None`` (read through a recovery path), is served uncached
+    too.  ``cached_bytes <= max_bytes`` after every call.
 
     Args:
         max_bytes: Cache capacity in charged bytes.
@@ -90,6 +109,7 @@ class PlaneCache:
         self.registry = registry if registry is not None else get_registry()
         self._planes: OrderedDict[Hashable, _Entry] = OrderedDict()
         self._derived: OrderedDict[Hashable, _Entry] = OrderedDict()
+        self._parts: dict[Hashable, _Part] = {}
         self._bytes = 0
         self._loading: dict[Hashable, _Flight] = {}
         self._cond = threading.Condition()
@@ -137,6 +157,7 @@ class PlaneCache:
         total = hits + misses
         with self._cond:
             cached_bytes, entries = self._bytes, len(self)
+            shared_bytes = sum(p.nbytes for p in self._parts.values())
         return {
             "hits": hits,
             "misses": misses,
@@ -144,6 +165,7 @@ class PlaneCache:
             "hit_rate": hits / total if total else 0.0,
             "miss_rate": misses / total if total else 0.0,
             "cached_bytes": cached_bytes,
+            "shared_bytes": shared_bytes,
             "entries": entries,
             "fill_fraction": cached_bytes / self.max_bytes,
         }
@@ -174,13 +196,24 @@ class PlaneCache:
                     return entry.value
             return None
 
+    def held(self, keys: Iterable[Hashable]) -> dict:
+        """``key -> value`` of the shared parts among ``keys`` that a
+        cached entry holds now: a loader reads only what is not held."""
+        with self._cond:
+            parts = self._parts
+            return {key: parts[key].value for key in keys if key in parts}
+
     def get_or_load(
         self, key: Hashable, loader: Callable[[], tuple], derived: bool = False
     ):
         """Return the cached value, loading it on a miss (single-flight).
 
-        ``loader()`` must return ``(value, nbytes)``; ``derived`` marks a
-        value computed from planes (see the class docs for admission).
+        ``loader()`` must return ``(value, nbytes)``, or for a plane
+        ``(value, nbytes, parts)`` with ``parts`` mapping each shared
+        part's key to ``(part, part_nbytes)``: ``nbytes`` is then what
+        the entry holds of its own, and each part is charged once for as
+        long as any entry holds it.  ``derived`` marks a value computed
+        from planes (see the class docs for admission).
         A miss is a call that ran the loader.  Concurrent callers
         missing the same key block until the one elected loader finishes
         and take its value as a hit — also when it was served uncached.
@@ -203,18 +236,23 @@ class PlaneCache:
                 if flight.shared:
                     return self._hit(flight.value)
         try:
-            value, nbytes = loader()
+            value, nbytes, *parts = loader()
         except BaseException:
             with self._cond:
                 self._land(key, flight)
             raise
         with self._cond:
-            self._misses.inc()
-            charge(cache_misses=1)
-            if nbytes is not None:
-                flight.value, flight.shared = value, True
-                self._admit(key, value, int(nbytes), derived)
-            self._land(key, flight)
+            try:
+                self._misses.inc()
+                charge(cache_misses=1)
+                if nbytes is not None:
+                    flight.value, flight.shared = value, True
+                    self._admit(
+                        key, value, int(nbytes), derived,
+                        parts[0] if parts else {},
+                    )
+            finally:  # waiters are released whatever happens here
+                self._land(key, flight)
         return value
 
     def _hit(self, value):
@@ -228,27 +266,52 @@ class PlaneCache:
         self._sync_gauges()
         self._cond.notify_all()
 
-    def _admit(self, key: Hashable, value, nbytes: int, derived: bool) -> None:
+    def _admit(
+        self, key: Hashable, value, nbytes: int, derived: bool, parts: dict
+    ) -> None:
         """Cache ``value`` if the admission rule finds it room."""
-        room = self.max_bytes - self._bytes
         if derived:
-            tiers = (self._derived,)
             derived_bytes = sum(e.nbytes for e in self._derived.values())
-            fits = nbytes <= room + derived_bytes
-        else:
-            tiers = (self._derived, self._planes)
-            fits = nbytes <= self.max_bytes
-        if not fits:
+            if nbytes > self.max_bytes - self._bytes + derived_bytes:
+                return
+            self._make_room(nbytes, (self._derived,))
+            self._derived[key] = _Entry(value, nbytes)
+            self._bytes += nbytes
             return
-        for tier in tiers:
-            while room < nbytes and tier:
-                _, evicted = tier.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                room += evicted.nbytes
-                self._evictions.inc()
-        tier = self._derived if derived else self._planes
-        tier[key] = _Entry(value, nbytes)
+        if nbytes + sum(size for _, size in parts.values()) > self.max_bytes:
+            return
+        fresh = {k: part for k, part in parts.items() if k not in self._parts}
+        for k in parts.keys() - fresh.keys():
+            self._parts[k].holders += 1  # pinned: no eviction below frees it
+        self._make_room(
+            nbytes + sum(size for _, size in fresh.values()),
+            (self._derived, self._planes),
+        )
+        for k, (part, size) in fresh.items():
+            self._parts[k] = _Part(part, size)
+            self._bytes += size
+        self._planes[key] = _Entry(value, nbytes, tuple(parts))
         self._bytes += nbytes
+
+    def _make_room(self, nbytes: int, tiers: tuple) -> None:
+        """Evict least-recently-used entries, tier by tier, until
+        ``nbytes`` fit."""
+        for tier in tiers:
+            while self.max_bytes - self._bytes < nbytes and tier:
+                _, evicted = tier.popitem(last=False)
+                self._drop(evicted)
+                self._evictions.inc()
+
+    def _drop(self, entry: _Entry) -> None:
+        """Uncharge an entry that left the cache, and every shared part
+        it was the last to hold."""
+        self._bytes -= entry.nbytes
+        for k in entry.parts:
+            part = self._parts[k]
+            part.holders -= 1
+            if not part.holders:
+                del self._parts[k]
+                self._bytes -= part.nbytes
 
     def invalidate(self, key: Hashable) -> bool:
         """Drop one entry; returns whether it was cached."""
@@ -256,7 +319,7 @@ class PlaneCache:
             for tier in (self._planes, self._derived):
                 entry = tier.pop(key, None)
                 if entry is not None:
-                    self._bytes -= entry.nbytes
+                    self._drop(entry)
                     self._sync_gauges()
                     return True
             return False
@@ -265,5 +328,6 @@ class PlaneCache:
         with self._cond:
             self._planes.clear()
             self._derived.clear()
+            self._parts.clear()
             self._bytes = 0
             self._sync_gauges()

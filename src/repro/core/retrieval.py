@@ -62,12 +62,15 @@ def _prefix_intervals(planes: int) -> np.ndarray:
 
 def _prefix_interval(planes: list[bytes], shape: tuple) -> Interval:
     """What a payload's leading planes bound each weight to; at one or
-    two planes one table lookup per weight."""
+    two planes one table lookup per weight.  The bounds are ordered by
+    construction, so they are wrapped as they are: ``from_bounds``
+    would check them and copy ``hi`` again for nothing."""
     if len(planes) in (1, 2):
         return Interval.gather(
             _prefix_intervals(len(planes)), prefix_codes(planes, shape), shape
         )
-    return Interval.from_bounds(*bounds_from_prefix(planes, shape))
+    lo, hi = bounds_from_prefix(planes, shape)
+    return Interval(lo.astype(np.float64), hi.astype(np.float64))
 
 
 def _put(store, data: bytes) -> str:
@@ -247,12 +250,15 @@ class PlanArchive:
         plane_cache: Optional :class:`~repro.core.cache.PlaneCache`;
             when set, every plane read (:meth:`_fetch_plane`) goes
             through it under ``("plane", plane_address(entry, i))`` —
-            one entry per assembled plane, charged 1 B per weight and
-            carrying the plane's stored size for billing — so a plane
-            shared by several models is cached once and cold loads
-            coalesce (single-flight) across every model being served.
-            The :class:`~repro.core.progressive.ProgressiveEvaluator`
-            over this archive keeps its derived bounds in the same cache;
+            one entry per plane, carrying the plane's stored size for
+            billing — so a plane shared by several models is cached once
+            and cold loads coalesce (single-flight) across every model
+            being served.  A chunk plane is kept assembled, 1 B per
+            weight; a paged plane in page form when its patch is sparse
+            (:meth:`_plane_entry`), its base pages shared parts charged
+            once across all the planes that hold them.  The
+            :class:`~repro.core.progressive.ProgressiveEvaluator` over
+            this archive keeps its derived bounds in the same cache;
             they never displace a plane.  A plane read through the
             recovery path, or one without an address, is never cached.
     """
@@ -610,10 +616,11 @@ class PlanArchive:
                 "" if cache is None else self.plane_address(entry, index)
             )
             if address:
-                data, nbytes = cache.get_or_load(
+                form, nbytes = cache.get_or_load(
                     ("plane", address),
                     lambda: self._plane_entry(entry, index),
                 )
+                data = form if type(form) is bytes else form.assemble()
             else:
                 data, nbytes = self._read_plane(entry, index)
         except (KeyError, ValueError) as exc:
@@ -622,12 +629,32 @@ class PlanArchive:
             charge(planes_fetched=1, plane_bytes={index: nbytes})
         return data, nbytes
 
-    def _plane_entry(
-        self, entry: _StoredPayload, index: int
-    ) -> tuple[tuple[bytes, int], int]:
-        """A plane-cache loader: ``((bytes, stored_size), len(bytes))``."""
-        data, nbytes = self._read_plane(entry, index)
-        return (data, nbytes), len(data)
+    def _plane_entry(self, entry: _StoredPayload, index: int) -> tuple:
+        """A plane-cache loader: ``((form, stored_size), nbytes[, bases])``.
+
+        A chunk is kept as its bytes, 1 B per weight.  A paged plane
+        reads, in one ``get_many``, only the blobs the cache does not
+        already hold, and is kept as its
+        :class:`~repro.dedup.pages.PagedPlane` — its sparse patch
+        charged to the entry, each base page a part the cache charges
+        once however many planes hold it — unless the patch is no
+        smaller than the assembled plane, which is then kept instead.
+        """
+        if entry.kind != "pages":
+            data, nbytes = self._read_plane(entry, index)
+            return (data, nbytes), len(data)
+        manifest = self._page_manifest(entry, index)
+        shas = dict.fromkeys(_manifest_shas(manifest))
+        blobs = self.plane_cache.held(shas)
+        unheld = [sha for sha in shas if sha not in blobs]
+        if unheld:
+            blobs.update(self.page_store.blobs.get_many(unheld))
+        form = _decode_paged_plane(manifest, lambda sha: blobs[sha][0])
+        stored = sum(size for _data, size in blobs.values())
+        if form.own_bytes >= form.length:
+            return (form.assemble(), stored), form.length
+        bases = {sha: (blobs[sha], len(base)) for sha, base in form.bases.items()}
+        return (form, stored), form.own_bytes, bases
 
     def _read_plane(
         self, entry: _StoredPayload, index: int
@@ -638,8 +665,8 @@ class PlanArchive:
         if entry.kind == "pages":
             manifest = self._page_manifest(entry, index)
             found = self.page_store.blobs.get_many(_manifest_shas(manifest))
-            data = _decode_paged_plane(manifest, lambda sha: found[sha][0])
-            return data, sum(size for _data, size in found.values())
+            form = _decode_paged_plane(manifest, lambda sha: found[sha][0])
+            return form.assemble(), sum(size for _, size in found.values())
         sha = entry.chunk_ids[index]
         return self.plane_store(index).get_many((sha,))[sha]
 
@@ -693,7 +720,7 @@ class PlanArchive:
                     self._page_manifest(entry, index),
                     self.page_store.blobs.get, missing_ok=True,
                     on_missing=lambda page_sha, _err: lost.append(page_sha),
-                )
+                ).assemble()
                 nbytes = self.plane_stored_size(entry, index)
                 counter("recovery.degraded_pages").inc(max(1, len(lost)))
             else:

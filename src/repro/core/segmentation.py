@@ -51,38 +51,55 @@ def assemble_planes(planes: list[bytes], shape: tuple) -> np.ndarray:
     return raw.reshape(-1).view(">f4").astype(np.float32).reshape(shape)
 
 
-def _patterns_from_prefix(
-    planes: list[bytes], shape: tuple, fill: int
-) -> np.ndarray:
-    """Bit patterns obtained by filling the missing low planes with ``fill``."""
+#: The exponent bits of a float32 word.
+_EXPONENT = np.uint32(0x7F800000)
+
+
+def _general_bounds(
+    planes: list[bytes], shape: tuple
+) -> tuple[np.ndarray, np.ndarray]:
+    """Float32 bounds from any 1..3-plane prefix, element by element.
+
+    Each weight's prefix is one big-endian word whose missing low bytes
+    are zero — the zero-fill pattern; OR-ing the missing bytes' mask in
+    gives the one-fill pattern.  The sign decides which of the two is
+    the lower bound, so both bounds are integer operations on the word.
+    """
     count = int(np.prod(shape)) if shape else 1
-    raw = np.full((count, NUM_PLANES), fill, dtype=np.uint8)
+    word = np.zeros(count, dtype=np.uint32)
     for i, plane in enumerate(planes):
         buf = np.frombuffer(plane, dtype=np.uint8)
         if buf.size != count:
             raise ValueError(
                 f"plane {i} holds {buf.size} bytes, expected {count}"
             )
-        raw[:, i] = buf
-    return raw.reshape(-1).view(">f4").astype(np.float32)
-
-
-def _general_bounds(
-    planes: list[bytes], shape: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Float32 bounds from any 1..3-plane prefix, element by element."""
-    zeros_fill = _patterns_from_prefix(planes, shape, 0x00)
-    ones_fill = _patterns_from_prefix(planes, shape, 0xFF)
-    # A saturated exponent fills to NaN: the finite completions end at
-    # the float32 limit on the prefix's own side of zero.
-    ones_fill = np.where(
-        np.isnan(ones_fill),
-        np.where(np.signbit(ones_fill), -_FLOAT32_MAX, _FLOAT32_MAX),
-        ones_fill,
-    )
-    lo = np.minimum(zeros_fill, ones_fill).reshape(shape)
-    hi = np.maximum(zeros_fill, ones_fill).reshape(shape)
-    return lo, hi
+        word <<= 8
+        word |= buf
+    fill = 8 * (NUM_PLANES - len(planes))
+    word <<= fill
+    mask = np.uint32((1 << fill) - 1)
+    # The one-fill mask where negative, the zero fill elsewhere: the
+    # lower end.  The upper end flips the filled bits, in place of the
+    # word itself.
+    lo = word >> 31
+    lo *= mask
+    lo |= word
+    hi = np.bitwise_xor(lo, mask, out=word)
+    lo, hi = lo.view(np.float32), hi.view(np.float32)
+    # A saturated exponent fills to NaN (min and max find it): the
+    # finite completions end at the float32 limit on the prefix's own
+    # side of zero, and the zero-fill pattern (finite, infinite or NaN)
+    # is the other end.
+    if count and (np.isnan(lo.min()) or np.isnan(hi.max())):
+        zeros = (lo.view(np.uint32) & ~mask).view(np.float32)
+        saturated = np.flatnonzero(
+            (zeros.view(np.uint32) | mask) & _EXPONENT == _EXPONENT
+        )
+        zeros = zeros[saturated]
+        limit = np.where(np.signbit(zeros), -_FLOAT32_MAX, _FLOAT32_MAX)
+        lo[saturated] = np.minimum(zeros, limit)
+        hi[saturated] = np.maximum(zeros, limit)
+    return lo.reshape(shape), hi.reshape(shape)
 
 
 @functools.cache

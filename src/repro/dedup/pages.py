@@ -66,8 +66,9 @@ def xor_bytes(a: bytes, b: bytes) -> bytes:
     zero-padded or truncated to fit).
 
     The write path *makes* a patch with it (``xor_bytes(page, base)``);
-    :func:`decode_plane` applies one in place with the same rule, since
-    XOR is its own inverse and a patch records the page's true length.
+    :meth:`PagedPlane.assemble` applies one in place with the same rule,
+    since XOR is its own inverse and a patch records the page's true
+    length.
     """
     out = np.frombuffer(a, dtype=np.uint8).copy()
     n = min(len(a), len(b))
@@ -133,17 +134,57 @@ def manifest_shas(manifest: dict) -> Iterator[str]:
             yield patch_sha
 
 
+class PagedPlane:
+    """A plane held as its base pages plus a sparse XOR patch.
+
+    :meth:`assemble` is the one place a page manifest's XOR is applied:
+    a store read, a recovery read and a plane-cache hit all assemble
+    through it, so they cannot disagree about a byte.
+
+    Attributes:
+        pieces: The plane before its patch, in order: each page's base
+            (the shared page object itself, or a view of it truncated to
+            its page) and zero runs where no base covers a page.
+        positions: Plane offsets of the patch's nonzero bytes
+            (ascending, ``uint32``).
+        values: The byte XORed in at each of ``positions``.
+        bases: ``sha -> page bytes`` of the distinct base pages the
+            pieces refer to.
+        length: The plane's size in bytes.
+        own_bytes: What the form holds besides its bases: the sparse
+            patch (5 B per nonzero byte) and its zero runs.
+    """
+
+    __slots__ = ("pieces", "positions", "values", "bases", "length",
+                 "own_bytes")
+
+    def __init__(self, pieces, positions, values, bases, length, pads):
+        self.pieces = pieces
+        self.positions = positions
+        self.values = values
+        self.bases = bases
+        self.length = length
+        self.own_bytes = positions.nbytes + values.nbytes + pads
+
+    def assemble(self) -> bytes:
+        """The plane's bytes: the pieces joined, the patch XORed in."""
+        out = bytearray().join(self.pieces)
+        if len(self.positions):
+            view = np.frombuffer(out, dtype=np.uint8)
+            # Widened first: indexing by uint32 directly is twice as slow.
+            view[self.positions.astype(np.intp)] ^= self.values
+        return bytes(out)
+
+
 def decode_plane(
     manifest: dict,
     fetch: Callable[[str], bytes],
     *,
     missing_ok: bool = False,
     on_missing: Optional[Callable[[str, Exception], None]] = None,
-) -> bytes:
-    """Reassemble plane bytes from a page manifest.
-
-    Every page lands in one preallocated buffer and a patch XORs into it
-    in place, so assembly copies each page once.
+) -> PagedPlane:
+    """Resolve a page manifest to its :class:`PagedPlane`, whose
+    ``assemble()`` is the plane's bytes.
 
     Args:
         manifest: A plane manifest (see module docs).
@@ -158,29 +199,48 @@ def decode_plane(
     """
     psize = int(manifest["psize"])
     nbytes = int(manifest["nbytes"])
-    out = bytearray(nbytes)  # a lost page stays zero-filled
-    view = np.frombuffer(out, dtype=np.uint8)
+    pieces: list = []
+    bases: dict[str, bytes] = {}
+    pads = 0  # zero bytes the pieces hold of their own
+    patch = None  # the dense patch, made on the first patched page
+    covered = 0
     for pos, (base_sha, patch_sha) in zip(
         range(0, nbytes, psize), manifest["pages"]
     ):
+        page = min(psize, nbytes - pos)
+        covered += page
         try:
             failed = base_sha
             base = fetch(base_sha)
             failed = patch_sha
-            patch = fetch(patch_sha) if patch_sha else None
+            delta = fetch(patch_sha) if patch_sha else None
         except (KeyError, ValueError) as exc:
             if not missing_ok:
                 raise
             if on_missing is not None:
                 on_missing(failed, exc)
+            pieces.append(bytes(page))  # a lost page stays zero-filled
+            pads += page
             continue
-        want = min(psize, nbytes - pos)
-        if patch is not None:
-            # The patch carries the page's true length; the base is
-            # zero-padded or truncated to it (see xor_bytes).
-            want = min(want, len(patch))
+        # A patch carries the page's true length; the base is
+        # zero-padded or truncated to it (see xor_bytes).
+        want = page if delta is None else min(page, len(delta))
         n = min(want, len(base))
-        out[pos:pos + n] = base[:n]
-        if patch is not None:
-            view[pos:pos + want] ^= np.frombuffer(patch, np.uint8, want)
-    return bytes(out)
+        base = bases.setdefault(base_sha, base)
+        pieces.append(base if n == len(base) else memoryview(base)[:n])
+        if n < page:
+            pieces.append(bytes(page - n))
+            pads += page - n
+        if delta is not None and want:
+            if patch is None:
+                patch = np.zeros(nbytes, dtype=np.uint8)
+            patch[pos:pos + want] = np.frombuffer(delta, np.uint8, want)
+    if covered < nbytes:  # pages the manifest does not list stay zero
+        pieces.append(bytes(nbytes - covered))
+        pads += nbytes - covered
+    if patch is None:
+        patch = np.empty(0, dtype=np.uint8)
+    positions = np.flatnonzero(patch).astype(np.uint32)
+    values = patch[positions]
+    positions.flags.writeable = values.flags.writeable = False  # shared
+    return PagedPlane(tuple(pieces), positions, values, bases, nbytes, pads)

@@ -1,13 +1,18 @@
 """The runtime lock sanitizer: deadlock detection without hanging,
 Condition compatibility, metrics, and enable/disable hygiene."""
 
+import sys
 import threading
 import time
+import traceback
 
 import pytest
 
 from repro.analysis import locksan
 from repro.obs.metrics import get_registry
+
+with open(__file__) as _file:
+    _SOURCE = _file.read().splitlines()
 
 
 @pytest.fixture
@@ -75,50 +80,67 @@ class TestFactories:
         assert locksan.held_by_current_thread() == []
 
 
+def _abba():
+    """A true ABBA inversion: without the sanitizer both threads park
+    forever.  Returns the DeadlockErrors raised and who finished."""
+    lock_a = threading.Lock()
+    lock_b = threading.Lock()
+    t1_has_a = threading.Event()
+    t2_has_b = threading.Event()
+    errors = []
+    finished = []
+
+    def thread_one():
+        with lock_a:  # site: abba-1 holds A
+            t1_has_a.set()
+            t2_has_b.wait(5)
+            try:
+                with lock_b:  # parks: t2 holds B
+                    pass
+            except locksan.DeadlockError as exc:
+                errors.append(exc)
+        finished.append("t1")
+
+    def thread_two():
+        with lock_b:  # site: abba-2 holds B
+            t2_has_b.set()
+            t1_has_a.wait(5)
+            time.sleep(0.2)  # let t1 park on B first
+            try:
+                with lock_a:  # completes the cycle -> must raise
+                    pass
+            except locksan.DeadlockError as exc:
+                errors.append(exc)
+        finished.append("t2")
+
+    one = threading.Thread(target=thread_one, name="abba-1")
+    two = threading.Thread(target=thread_two, name="abba-2")
+    one.start()
+    two.start()
+    one.join(timeout=10)
+    two.join(timeout=10)
+    assert not one.is_alive() and not two.is_alive(), "deadlock hung"
+    return errors, finished
+
+
+def _formatted_at_acquire() -> str:
+    """The acquisition stack as the sanitizer once captured it: a full
+    ``traceback.extract_stack`` on every acquire, formatted at once —
+    the oracle for the report's ``stacks`` text."""
+    frames = [
+        frame for frame in traceback.extract_stack(sys._getframe(1))
+        if frame.filename != locksan._THIS_FILE
+    ]
+    return "".join(traceback.format_list(frames[-8:]))
+
+
 class TestDeadlockDetection:
     def test_seeded_abba_deadlock_is_detected_not_hung(self, sanitized):
         """The satellite fixture: a true ABBA inversion.  Without the
         sanitizer both threads park forever; with it exactly one raises
         DeadlockError carrying both acquisition stacks, the other
         proceeds, and the test finishes."""
-        lock_a = threading.Lock()
-        lock_b = threading.Lock()
-        t1_has_a = threading.Event()
-        t2_has_b = threading.Event()
-        errors = []
-        finished = []
-
-        def thread_one():
-            with lock_a:
-                t1_has_a.set()
-                t2_has_b.wait(5)
-                try:
-                    with lock_b:  # parks: t2 holds B
-                        pass
-                except locksan.DeadlockError as exc:
-                    errors.append(exc)
-            finished.append("t1")
-
-        def thread_two():
-            with lock_b:
-                t2_has_b.set()
-                t1_has_a.wait(5)
-                time.sleep(0.2)  # let t1 park on B first
-                try:
-                    with lock_a:  # completes the cycle -> must raise
-                        pass
-                except locksan.DeadlockError as exc:
-                    errors.append(exc)
-            finished.append("t2")
-
-        one = threading.Thread(target=thread_one, name="abba-1")
-        two = threading.Thread(target=thread_two, name="abba-2")
-        one.start()
-        two.start()
-        one.join(timeout=10)
-        two.join(timeout=10)
-
-        assert not one.is_alive() and not two.is_alive(), "deadlock hung"
+        errors, finished = _abba()
         assert sorted(finished) == ["t1", "t2"]
         assert len(errors) == 1
         error = errors[0]
@@ -132,6 +154,33 @@ class TestDeadlockDetection:
         assert "wait-for cycle" in message
         assert message.count("acquisition stack") == 2
         assert "thread_one" in message and "thread_two" in message
+
+    def test_report_stacks_are_the_full_capture_formatted(
+        self, sanitized, monkeypatch
+    ):
+        """Frames are kept unformatted until a report needs them; the
+        report's text is what formatting at every acquire gave: both
+        acquisition sites, by file, line, function and source line."""
+        errors, _ = _abba()
+        with monkeypatch.context() as patch:
+            patch.setattr(locksan, "_acquire_stack", _formatted_at_acquire)
+            patch.setattr(locksan, "_format_stack", lambda stack: stack)
+            oracle, _ = _abba()
+        assert len(errors) == len(oracle) == 1
+        stacks = errors[0].stacks
+        assert stacks == oracle[0].stacks
+        sites = "".join(stacks.values())
+        for function, site in (
+            ("thread_one", "abba-1 holds A"), ("thread_two", "abba-2 holds B")
+        ):
+            line, source = next(
+                (n, text.strip()) for n, text in enumerate(_SOURCE, start=1)
+                if text.endswith(f"# site: {site}")
+            )
+            assert (
+                f'  File "{__file__}", line {line}, in {function}\n'
+                f"    {source}\n"
+            ) in sites
 
     def test_self_deadlock_on_plain_lock(self, sanitized):
         lock = threading.Lock()

@@ -135,6 +135,34 @@ class TestBounds:
         assert np.all(hi <= 0.0)  # sign bit is in plane 0
 
 
+_FLOAT32_MAX = np.float32(np.finfo(np.float32).max)
+
+
+def _filled(planes: list[bytes], count: int, fill: int) -> np.ndarray:
+    raw = np.full((count, NUM_PLANES), fill, dtype=np.uint8)
+    for i, plane in enumerate(planes):
+        raw[:, i] = np.frombuffer(plane, dtype=np.uint8)
+    return raw.reshape(-1).view(">f4").astype(np.float32)
+
+
+def _oracle_bounds(planes: list[bytes], shape: tuple):
+    """The general rule as first written, kept as the oracle: fill the
+    missing low bytes with 0x00 and with 0xFF, clamp a NaN one-fill to
+    the float32 limit of its sign, and take the elementwise min and max
+    (which keep a NaN zero-fill)."""
+    count = int(np.prod(shape)) if shape else 1
+    zeros = _filled(planes, count, 0x00)
+    ones = _filled(planes, count, 0xFF)
+    ones = np.where(
+        np.isnan(ones),
+        np.where(np.signbit(ones), -_FLOAT32_MAX, _FLOAT32_MAX),
+        ones,
+    )
+    lo = np.minimum(zeros, ones).reshape(shape)
+    hi = np.maximum(zeros, ones).reshape(shape)
+    return lo, hi
+
+
 def _every_two_byte_prefix() -> np.ndarray:
     """A (256, 256) float32 matrix holding every 2-byte prefix once, in
     shuffled order, with random low-order bytes."""
@@ -166,7 +194,7 @@ class TestPrefixTables:
         :class:`Interval` derives from them."""
         planes = segment_planes(m)[:k]
         with np.errstate(invalid="ignore"):
-            want_lo, want_hi = _general_bounds(planes, m.shape)
+            want_lo, want_hi = _oracle_bounds(planes, m.shape)
             want = Interval.from_bounds(
                 want_lo.astype(np.float64), want_hi.astype(np.float64)
             )
@@ -184,6 +212,27 @@ class TestPrefixTables:
     @pytest.mark.parametrize("k", [1, 2])
     def test_table_equals_general_rule_for_every_prefix(self, k):
         self._assert_general(_every_two_byte_prefix(), k)
+
+    def test_every_three_byte_prefix_matches_the_oracle(self):
+        """All 2^24 three-plane prefixes, in slices: the word-built
+        bounds and the interval an escalated pass reads are the
+        oracle's bit for bit — saturated exponents, whose fills are
+        infinities or NaN patterns, included."""
+        step = 1 << 18
+        for start in range(0, 1 << 24, step):
+            codes = np.arange(start, start + step, dtype=">u4")
+            codes = codes.view(np.uint8).reshape(-1, NUM_PLANES)
+            planes = [codes[:, i].tobytes() for i in range(1, NUM_PLANES)]
+            with np.errstate(invalid="ignore"):
+                want_lo, want_hi = _oracle_bounds(planes, (step,))
+                want = [b.astype(np.float64) for b in (want_lo, want_hi)]
+                got = _prefix_interval(planes, (step,))
+            lo, hi = _general_bounds(planes, (step,))
+            for bound, oracle in ((lo, want_lo), (hi, want_hi)):
+                assert np.array_equal(bound.view(np.uint32), oracle.view(np.uint32))
+            for bound, oracle in zip((got.lo, got.hi), want):
+                assert bound.dtype == np.float64
+                assert np.array_equal(bound.view(np.uint64), oracle.view(np.uint64))
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_corner_prefixes(self, k):

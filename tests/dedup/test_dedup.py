@@ -108,7 +108,7 @@ class TestPages:
             "sha": page_digest(variant),
             "pages": [[page_digest(base), page_digest(patch)]],
         }
-        assert decode_plane(manifest, blobs.__getitem__) == variant
+        assert decode_plane(manifest, blobs.__getitem__).assemble() == variant
 
     def test_decode_plane_zero_fills_when_missing_ok(self):
         manifest = {
@@ -123,7 +123,7 @@ class TestPages:
             {}.__getitem__,
             missing_ok=True,
             on_missing=lambda sha, exc: lost.append(sha),
-        )
+        ).assemble()
         assert out == b"\x00" * 8
         assert lost == ["gone", "gone2"]
         with pytest.raises(KeyError):
@@ -146,7 +146,7 @@ class TestPages:
         out = decode_plane(
             manifest, blobs.__getitem__, missing_ok=True,
             on_missing=lambda sha, exc: reported.append((sha, exc.args[0])),
-        )
+        ).assemble()
         assert out == b"\x00" * 4 + other
         assert reported == [(gone, gone)]
 
@@ -553,6 +553,42 @@ def test_lost_page_is_reported_under_its_own_address(
     repo.close()
 
 
+def _cache_charge(archive, planes) -> int:
+    """What caching these ``(entry, index)`` planes charges, recounted
+    from the stored blobs: a chunk plane 1 B per weight; a paged plane 5
+    B per nonzero patch byte (offset and value) while that is less than
+    1 B per weight, else 1 B per weight; and each distinct base page of
+    the paged planes kept so, once."""
+    blobs = archive.page_store.blobs
+    total, bases = 0, {}
+    for entry, index in planes:
+        weights = int(np.prod(entry.shape))
+        if entry.kind != "pages":
+            total += weights
+            continue
+        pairs = entry.pages[index]["pages"]
+        nonzero = sum(
+            np.count_nonzero(np.frombuffer(blobs.get(patch), np.uint8))
+            for _base, patch in pairs if patch
+        )
+        if 5 * nonzero < weights:
+            total += 5 * nonzero
+            bases.update((base, len(blobs.get(base))) for base, _ in pairs)
+        else:
+            total += weights
+    return total + sum(bases.values())
+
+
+def _first_loaded(archive, planes) -> dict:
+    """``address -> (entry, index)``: the first of ``planes`` read under
+    each plane address, which is the one a cache filled in this order
+    holds (equal planes of two payloads may be stored differently)."""
+    loaded: dict = {}
+    for entry, index in planes:
+        loaded.setdefault(archive.plane_address(entry, index), (entry, index))
+    return loaded
+
+
 def test_page_cache_shares_entries_across_models(make_repo_target):
     repo = Repository.init(make_repo_target("sqlite"))
     _commit_family(repo, n=3, frac=0.03)
@@ -564,22 +600,21 @@ def test_page_cache_shares_entries_across_models(make_repo_target):
         {f"v{r['version_id']}/s{r['snapshot_idx']}"
          for r in repo.catalog.get_matrices()}
     )
-    # Page-encoded planes are cached whole, under the digest their page
-    # manifest records: a plane equal across siblings (the unperturbed
-    # bytes of a family) is one entry, hit when serving the next member.
+    # Planes are cached under the digest their page manifest records: a
+    # plane equal across siblings (the unperturbed bytes of a family) is
+    # one entry, hit when serving the next member.
     members = [m for snap in snaps for m in archive._snapshots[snap]]
     entries = [archive.manifest[m] for m in members]
     assert {e.kind for e in entries} & {"pages"}
-    sizes = {  # address -> charged bytes, 1 B per weight
-        archive.plane_address(e, i): int(np.prod(e.shape))
-        for e in entries for i in range(4)
-    }
+    loaded = _first_loaded(archive, [(e, i) for e in entries for i in range(4)])
     for snap in snaps:
         archive.recreate_snapshot(snap)
     cold = cache.stats()
-    assert cold["misses"] == len(sizes) == cold["entries"]
-    assert cold["hits"] == 4 * len(entries) - len(sizes) > 0
-    assert cold["cached_bytes"] == sum(sizes.values())
+    assert cold["misses"] == len(loaded) == cold["entries"]
+    assert cold["hits"] == 4 * len(entries) - len(loaded) > 0
+    # Each plane's own form, plus each distinct base page once.
+    assert cold["cached_bytes"] == _cache_charge(archive, loaded.values())
+    assert 0 < cold["shared_bytes"] < cold["cached_bytes"]
     # A warm pass over the family reads nothing: every plane is a hit.
     for snap in snaps:
         archive.recreate_snapshot(snap)
@@ -587,6 +622,141 @@ def test_page_cache_shares_entries_across_models(make_repo_target):
     assert warm["misses"] == cold["misses"]
     assert warm["hits"] == cold["hits"] + 4 * len(entries)
     repo.close()
+
+
+def _planes(archive, kind=None) -> list:
+    """Every ``(entry, plane index)`` of the archive, paged first."""
+    entries = sorted(
+        archive.manifest.values(),
+        key=lambda e: (e.kind != "pages", e.matrix_id),
+    )
+    return [
+        (entry, i) for entry in entries for i in range(4)
+        if kind is None or entry.kind == kind
+    ]
+
+
+def _shared_base(archive, min_plane: int = 0):
+    """A base page that paged planes of two members share, at plane
+    ``min_plane`` or deeper: ``(sha, [(entry, index), ...])``, one plane
+    per address."""
+    holders: dict[str, list] = {}
+    for entry, index in _planes(archive, "pages"):
+        if index < min_plane:
+            continue
+        for base in {base for base, _ in entry.pages[index]["pages"]}:
+            holders.setdefault(base, []).append((entry, index))
+    for sha, planes in holders.items():
+        planes = list(_first_loaded(archive, planes).values())
+        if len({entry.matrix_id for entry, _ in planes}) >= 2:
+            return sha, planes
+    raise AssertionError("the family shares no base page")
+
+
+@pytest.mark.parametrize("backend", STORE_BACKENDS)
+class TestPageFormCache:
+    """A paged plane is cached as its shared base pages plus a sparse
+    patch: it reads as stored, each base page is charged once, and a
+    lost base caches nothing."""
+
+    def test_every_plane_reads_as_stored(self, make_repo_target, backend):
+        """Cold, warm and under eviction pressure, through the cache
+        each plane is ``_read_plane``'s bytes, and the charge is the
+        recount of what is cached, within the budget."""
+        repo = _archived_family(make_repo_target, backend)
+        archive = repo.archive_view()
+        planes = _planes(archive)
+        stored = {  # address -> bytes (equal planes share an address)
+            archive.plane_address(e, i): archive._read_plane(e, i)[0]
+            for e, i in planes
+        }
+        everything = _cache_charge(
+            archive, _first_loaded(archive, planes).values()
+        )
+        for budget in (8 << 20, everything // 3):
+            cache = PlaneCache(budget, registry=MetricsRegistry())
+            archive.plane_cache = cache
+            held = {}  # address -> the (entry, index) whose read is cached
+            for entry, index in planes + planes[::-1] + planes:
+                address = archive.plane_address(entry, index)
+                if ("plane", address) not in cache:
+                    held[address] = entry, index
+                data, _nbytes = archive._fetch_plane(entry, index)
+                assert data == stored[address]
+                cached = [held[key[1]] for key in cache.keys()]
+                assert cache.cached_bytes == _cache_charge(archive, cached)
+                assert cache.cached_bytes <= budget
+            assert not archive.recovery
+            if budget < everything:
+                assert cache.evictions > 0
+            else:
+                assert cache.misses == len(stored)
+                assert cache.cached_bytes == everything
+        repo.close()
+
+    def test_shared_base_is_charged_once_and_freed_with_its_last_holder(
+        self, make_repo_target, backend
+    ):
+        repo = _archived_family(make_repo_target, backend)
+        cache = PlaneCache(8 << 20, registry=MetricsRegistry())
+        archive = repo.archive_view(plane_cache=cache)
+        base, holders = _shared_base(archive)
+        for count, (entry, index) in enumerate(holders, start=1):
+            archive._fetch_plane(entry, index)
+            assert cache.cached_bytes == _cache_charge(archive, holders[:count])
+            assert base in cache.held([base])
+        assert cache.cached_bytes < sum(  # the base is charged once
+            _cache_charge(archive, [plane]) for plane in holders
+        )
+        while holders:
+            entry, index = holders.pop()
+            assert cache.invalidate(("plane", archive.plane_address(entry, index)))
+            assert cache.cached_bytes == _cache_charge(archive, holders)
+            assert (base in cache.held([base])) == bool(holders)
+        assert (cache.cached_bytes, cache.stats()["shared_bytes"]) == (0, 0)
+        repo.close()
+
+    def test_lost_shared_base_caches_nothing_until_restored(
+        self, make_repo_target, backend
+    ):
+        """Both members sharing a lost base read degraded and uncached
+        (the base is past the mirrored planes); restored, both read
+        exact and are cached."""
+        repo = _archived_family(make_repo_target, backend)
+        cache = PlaneCache(8 << 20, registry=MetricsRegistry())
+        archive = repo.archive_view(plane_cache=cache)
+        base, holders = _shared_base(archive, archive.replicate_planes)
+        stored = {
+            (entry.matrix_id, index): archive._read_plane(entry, index)
+            for entry, index in holders
+        }
+        page = archive.page_store.blobs.get(base)
+        assert repo.pages.delete(base)
+        for entry, index in holders:
+            data, _nbytes = archive._fetch_plane(entry, index)
+            assert data != stored[entry.matrix_id, index][0]
+        lost = {(e.matrix_id, e.sha, e.action) for e in archive.recovery.events}
+        assert lost == {
+            (entry.matrix_id, base, "zero-fill") for entry, _ in holders
+        }
+        assert archive.recovery.degraded
+        assert (len(cache), cache.cached_bytes, cache.held([base])) == (
+            0, 0, {}
+        )
+
+        assert repo.pages.put(page) == base
+        seq = archive.recovery.seq
+        for entry, index in holders:
+            assert archive._fetch_plane(entry, index) == (
+                stored[entry.matrix_id, index]
+            )
+        assert archive.recovery.seq == seq
+        assert all(
+            ("plane", archive.plane_address(e, i)) in cache for e, i in holders
+        )
+        assert cache.cached_bytes == _cache_charge(archive, holders)
+        assert base in cache.held([base])
+        repo.close()
 
 
 # ---------------------------------------------------------------------------

@@ -272,10 +272,14 @@ class TestAdmission:
         assert (cache.misses, cache.hits, len(cache)) == (1, 5, 0)
 
     def test_stress_mixed_kinds_keep_the_budget(self):
-        """Many threads, both kinds, a budget a fifth of the key space:
-        every caller gets its key's value and the byte accounting holds."""
+        """Many threads, both kinds, a budget a fifth of the key space,
+        planes sharing base parts: every caller gets its key's value,
+        each held part is charged once, and the byte accounting holds."""
         cache = make_cache(max_bytes=200)
         errors = []
+
+        def bases(i):  # every plane shares its two parts with others
+            return {("base", j): (f"B{j}", 5 + j) for j in (i % 5, i * 3 % 5)}
 
         def worker(seed):
             rng = np.random.default_rng(seed)
@@ -284,10 +288,14 @@ class TestAdmission:
                     i = int(rng.integers(40))
                     derived = i % 4 == 0
                     key = ("bounds" if derived else "plane", i)
-                    value = cache.get_or_load(
-                        key, lambda i=i: (i, 10 + i % 3 * 10), derived=derived
-                    )
+
+                    def load(i=i, derived=derived):
+                        loaded = (i, 10 + i % 3 * 10)
+                        return loaded if derived else (*loaded, bases(i))
+
+                    value = cache.get_or_load(key, load, derived=derived)
                     assert value == i
+                    assert cache.cached_bytes <= 200
             except AssertionError as exc:  # pragma: no cover - reported
                 errors.append(exc)
 
@@ -305,9 +313,21 @@ class TestAdmission:
         finally:
             sys.setswitchinterval(interval)
         assert not errors and not any(t.is_alive() for t in threads)
+        planes = [i for kind, i in cache.keys() if kind == "plane"]
+        shared = {k: v for i in planes for k, v in bases(i).items()}
+        assert cache.held([("base", j) for j in range(5)]) == {
+            k: value for k, (value, _size) in shared.items()
+        }
+        assert cache.stats()["shared_bytes"] == sum(
+            size for _value, size in shared.values()
+        )
         cached = sum(10 + i % 3 * 10 for _, i in cache.keys())
+        cached += cache.stats()["shared_bytes"]
         assert cache.cached_bytes == cached <= 200
         assert cache.hits + cache.misses == 8 * 300
+        for key in cache.keys():  # the last holder frees every part
+            assert cache.invalidate(key)
+        assert (cache.cached_bytes, cache.held(shared)) == (0, {})
 
     def test_unkept_value_is_not_shared_with_waiters(self):
         """``nbytes=None`` (a recovery read): every caller loads itself."""
