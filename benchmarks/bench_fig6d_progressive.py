@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
 
 
@@ -29,7 +29,8 @@ def archive_weights(net):
             graph.add_materialization(mid, matrix.nbytes, 1.0)
             matrices[mid] = matrix
     plan = minimum_spanning_tree(graph)
-    return PlanArchive.build(MemoryChunkStore(), matrices, plan)
+    store = MemoryBackend(net.name, create=True).chunks
+    return PlanArchive.build(store, matrices, plan)
 
 
 @pytest.fixture(scope="module")

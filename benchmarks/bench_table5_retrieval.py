@@ -21,8 +21,8 @@ from repro.core.archival import (
     shortest_path_tree,
     solve,
 )
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.retrieval import PlanArchive
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import RetrievalScheme
 
 
@@ -38,7 +38,7 @@ def archives(sd_repo):
     }
     built = {}
     for name, plan in plans.items():
-        store = MemoryChunkStore()
+        store = MemoryBackend(name, create=True).chunks
         built[name] = PlanArchive.build(store, matrices, plan)
     # Use the last version's latest snapshot as the query target.
     snapshot_key = sorted(graph.snapshots)[-1]

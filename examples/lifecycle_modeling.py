@@ -19,7 +19,7 @@ from repro.dql import DQLExecutor
 
 def main() -> None:
     workdir = Path(tempfile.mkdtemp(prefix="modelhub-lifecycle-"))
-    repo = Repository.init(workdir / "repo")
+    repo = Repository.init(str(workdir / "repo"))
     dataset = synthetic_digits(size=16)
 
     # Populate the repository with a family of model versions.

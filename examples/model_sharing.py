@@ -20,7 +20,7 @@ def main() -> None:
     dataset = synthetic_digits()
 
     # Modeler A: train and publish.
-    repo_a = Repository.init(workdir / "alice")
+    repo_a = Repository.init(str(workdir / "alice"))
     net = lenet(
         input_shape=dataset.input_shape,
         num_classes=dataset.num_classes,

@@ -1,12 +1,13 @@
 """Observability walkthrough: metrics, spans, and the stats surface.
 
 Archives a tiny model, reads it through the one weights cache (the
-``PlaneCache`` behind a progressive evaluator), and shows the three ways
+``PlaneCache`` behind a progressive evaluator), and shows the four ways
 telemetry comes back out:
 
-1. counters/gauges/histograms from the metrics registry;
-2. nested trace spans exported as JSON;
-3. the same numbers a user would see via ``dlv stats``.
+1. a request's bill: the blobs and bytes it read, per byte plane;
+2. counters/gauges/histograms from the metrics registry;
+3. nested trace spans exported as JSON;
+4. the same numbers a user would see via ``dlv stats``.
 
 Run:  PYTHONPATH=src python examples/observability.py
 """
@@ -17,9 +18,9 @@ import numpy as np
 
 from repro import obs
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
 from repro.dnn.zoo import tiny_mlp
 from repro.serve import PlaneCache
@@ -47,21 +48,27 @@ def main() -> None:
     previous = obs.set_recorder(recorder)
 
     net = tiny_mlp(hidden=32).build(seed=0)
-    archive = build_archive(MemoryChunkStore(registry=registry), net)
+    archive = build_archive(MemoryBackend("example", create=True).chunks, net)
     cache = PlaneCache(registry=registry)
     evaluator = ProgressiveEvaluator(net, archive, "snap", plane_cache=cache)
     x = np.random.default_rng(7).standard_normal(
         (16, *net.input_shape)
     ).astype(np.float32)
 
-    # Cold pass (misses, chunkstore reads), then a warm pass (all hits).
-    evaluator.exact_weights()
-    evaluator.evaluate(x)
+    # Cold pass (misses, chunkstore reads) on its own bill, then a warm
+    # pass (all hits).
+    with obs.cost_context() as bill:
+        evaluator.exact_weights()
+        evaluator.evaluate(x)
     cache.reset()  # measure the warm phase's hit rate on its own
     evaluator.exact_weights()
     evaluator.evaluate(x)
 
-    print("== cache stats (warm phase) ==")
+    print("== request bill (cold phase) ==")
+    print(f"  {bill.chunks_fetched} blobs, {bill.bytes_read} bytes read; "
+          f"stored bytes by plane: {dict(sorted(bill.by_plane.items()))}")
+
+    print("\n== cache stats (warm phase) ==")
     for key, value in cache.stats().items():
         print(f"  {key:<14} {value}")
 

@@ -15,11 +15,11 @@ import numpy as np
 from repro.core import (
     MatrixRef,
     MatrixStorageGraph,
-    MemoryChunkStore,
     PlanArchive,
     ProgressiveEvaluator,
 )
 from repro.core.archival import minimum_spanning_tree
+from repro.core.storage.memory import MemoryBackend
 from repro.dnn import SGDConfig, Trainer, lenet, synthetic_digits
 
 
@@ -42,9 +42,9 @@ def main() -> None:
             graph.add_matrix(MatrixRef(matrix_id, "snap", matrix.nbytes))
             graph.add_materialization(matrix_id, matrix.nbytes, 1.0)
             matrices[matrix_id] = matrix
-    archive = PlanArchive.build(
-        MemoryChunkStore(), matrices, minimum_spanning_tree(graph)
-    )
+    # An in-memory blob store: the chunks tier of an unregistered backend.
+    store = MemoryBackend("example", create=True).chunks
+    archive = PlanArchive.build(store, matrices, minimum_spanning_tree(graph))
     print(f"archived {len(matrices)} matrices, "
           f"{archive.total_size() / 1024:.1f} KiB stored\n")
 

@@ -39,7 +39,7 @@ def main() -> None:
     )
 
     # 3. Commit everything into a DLV repository.
-    repo = Repository.init(workdir / "repo")
+    repo = Repository.init(str(workdir / "repo"))
     version = repo.commit(
         net,
         name="lenet-quickstart",

@@ -28,11 +28,7 @@ possible without compromising query performance.  Its pieces:
   prediction (Sec. IV-D).
 """
 
-from repro.core.chunkstore import (
-    ChunkStore,
-    LatencyStore,
-    MemoryChunkStore,
-)
+from repro.core.chunkstore import ChunkStore
 from repro.core.storage import (
     StorageBackend,
     parse_storage_url,
@@ -96,10 +92,8 @@ __all__ = [
     "Float16Scheme",
     "Float32Scheme",
     "FloatScheme",
-    "LatencyStore",
     "MatrixRef",
     "MatrixStorageGraph",
-    "MemoryChunkStore",
     "NUM_PLANES",
     "PlanArchive",
     "ProgressiveEvaluator",

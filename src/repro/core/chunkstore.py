@@ -7,9 +7,10 @@ matrices across versions share storage, a common outcome of fine-tuning
 with frozen layers).
 
 Every store counts its traffic — calls, uncompressed bytes in/out, and
-dedup hits — into a :class:`~repro.obs.MetricsRegistry` (the process
-global one unless an instance is injected), so ``dlv stats`` and the
-benchmark sidecars can report where bytes actually go.
+dedup hits — into the process-global :class:`~repro.obs.MetricsRegistry`,
+so ``dlv stats`` and the benchmark sidecars can report where bytes
+actually go; a request's own reads are on its bill
+(:func:`~repro.obs.cost.cost_context`).
 
 A write verb runs inside one :func:`write_batch`: while it is open, the
 stored form computed for an address — to price an edge or a page, or
@@ -29,7 +30,6 @@ import itertools
 import os
 import struct
 import threading
-import time
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Optional
 from repro.faults import fs as ffs
 from repro.faults.plan import CrashSimulated
 from repro.obs.cost import charge
-from repro.obs.metrics import MetricsRegistry, get_registry
+from repro.obs.metrics import counter
 
 
 class ChunkIntegrityError(ValueError):
@@ -198,19 +198,18 @@ class BlobCodec:
     every read decompresses and re-hashes, so silent corruption
     surfaces as :class:`ChunkIntegrityError`.  The
     ``chunkstore.*`` counters and the per-request read bill live here
-    too.  Subclasses move the already-encoded bytes — files, rows, a
-    dict — and add their own fault sites and transaction joins; none of
-    them knows the format.
+    too.  Subclasses move the already-encoded bytes — pack files or
+    database rows — and add their own fault sites and transaction
+    joins; none of them knows the format.
     """
 
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        self.registry = registry if registry is not None else get_registry()
-        self._put_calls = self.registry.counter("chunkstore.put_calls")
-        self._put_bytes = self.registry.counter("chunkstore.put_bytes")
-        self._dedup_hits = self.registry.counter("chunkstore.dedup_hits")
-        self._dedup_bytes = self.registry.counter("chunkstore.dedup_bytes")
-        self._get_calls = self.registry.counter("chunkstore.get_calls")
-        self._get_bytes = self.registry.counter("chunkstore.get_bytes")
+    def __init__(self) -> None:
+        self._put_calls = counter("chunkstore.put_calls")
+        self._put_bytes = counter("chunkstore.put_bytes")
+        self._dedup_hits = counter("chunkstore.dedup_hits")
+        self._dedup_bytes = counter("chunkstore.dedup_bytes")
+        self._get_calls = counter("chunkstore.get_calls")
+        self._get_bytes = counter("chunkstore.get_bytes")
 
     @staticmethod
     def address(data: bytes) -> str:
@@ -339,10 +338,8 @@ class ChunkStore(BlobCodec):
     handle wrote or folded after it was built.
     """
 
-    def __init__(
-        self, root: str | Path, registry: Optional[MetricsRegistry] = None
-    ) -> None:
-        super().__init__(registry)
+    def __init__(self, root: str | Path) -> None:
+        super().__init__()
         self.root = Path(root)
         self._root = str(self.root)
         self.root.mkdir(parents=True, exist_ok=True)
@@ -389,7 +386,7 @@ class ChunkStore(BlobCodec):
                     # Kept on disk for forensics; its blobs read as
                     # missing, which fsck reports and repairs.
                     self._unreadable.add(path)
-                    self.registry.counter("chunkstore.unreadable_packs").inc()
+                    counter("chunkstore.unreadable_packs").inc()
             if entries is not None:
                 fresh[path] = entries
         self._packs = fresh
@@ -438,7 +435,7 @@ class ChunkStore(BlobCodec):
             ffs.unlink(tmp, site="chunkstore.sweep", missing_ok=True)
             removed += 1
         if removed:
-            self.registry.counter("chunkstore.tmps_swept").inc(removed)
+            counter("chunkstore.tmps_swept").inc(removed)
         return removed
 
     # -- writes --------------------------------------------------------------
@@ -652,101 +649,3 @@ class ChunkStore(BlobCodec):
     def addresses(self) -> Iterator[str]:
         """Iterate over every stored content address (sorted)."""
         return iter(sorted(self._held()))
-
-
-class MemoryChunkStore(BlobCodec):
-    """In-memory store with the same interface, for tests and benchmarks."""
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        super().__init__(registry)
-        self._blobs: dict[str, bytes] = {}
-
-    def put(self, data: bytes) -> str:
-        return self.put_many((data,))[0]
-
-    def put_many(self, blobs: Iterable[bytes]) -> list[str]:
-        shas = []
-        for data in blobs:
-            sha = self.address(data)
-            existed = sha in self._blobs
-            if not existed:
-                self._blobs[sha] = self._stored_form(data, sha)
-            self._count_put(len(data), deduplicated=existed)
-            shas.append(sha)
-        return shas
-
-    def get(self, sha: str) -> bytes:
-        return self._decode(sha, self._read(sha))
-
-    def _read(self, sha: str) -> bytes:
-        try:
-            return self._blobs[sha]
-        except KeyError:
-            raise self._missing(sha) from None
-
-    def __contains__(self, sha: str) -> bool:
-        return sha in self._blobs
-
-    def delete_many(self, addresses: Iterable[str]) -> int:
-        return sum(
-            self._blobs.pop(sha, None) is not None for sha in set(addresses)
-        )
-
-    def stored_size(self, sha: str) -> int:
-        try:
-            return len(self._blobs[sha])
-        except KeyError:
-            raise self._missing(sha) from None
-
-    def total_size(self) -> int:
-        return sum(len(b) for b in self._blobs.values())
-
-    def addresses(self) -> Iterator[str]:
-        return iter(sorted(self._blobs))
-
-
-class LatencyStore:
-    """Wraps a chunk store with simulated per-operation latency.
-
-    Stands in for the paper's *remote storage* tier: PAS can offload the
-    low-order byte planes to slower, cheaper storage (Sec. IV-B), and the
-    archival optimizer can model such edges with higher recreation cost.
-    The latency is charged once per ``get``, once per ``get_many`` call
-    (one batched round trip, however many blobs) and per blob put — a
-    fixed round trip; every other operation is the inner store's own.
-    """
-
-    def __init__(self, inner, get_latency: float = 0.0, put_latency: float = 0.0) -> None:
-        self.inner = inner
-        self.get_latency = get_latency
-        self.put_latency = put_latency
-        self.get_count = 0
-        self.put_count = 0
-
-    def put(self, data: bytes) -> str:
-        return self.put_many((data,))[0]
-
-    def put_many(self, blobs: Iterable[bytes]) -> list[str]:
-        blobs = list(blobs)
-        self.put_count += len(blobs)
-        if self.put_latency > 0 and blobs:
-            time.sleep(self.put_latency * len(blobs))
-        return self.inner.put_many(blobs)
-
-    def get(self, sha: str) -> bytes:
-        self.get_count += 1
-        if self.get_latency > 0:
-            time.sleep(self.get_latency)
-        return self.inner.get(sha)
-
-    def get_many(self, addresses: Iterable[str]) -> dict[str, tuple[bytes, int]]:
-        self.get_count += 1
-        if self.get_latency > 0:
-            time.sleep(self.get_latency)
-        return self.inner.get_many(addresses)
-
-    def __contains__(self, sha: str) -> bool:
-        return sha in self.inner
-
-    def __getattr__(self, name: str):
-        return getattr(self.inner, name)

@@ -90,12 +90,6 @@ class ProgressiveEvaluator:
     run under a lock, making concurrent queries against one evaluator
     safe.  A value read through the archive's recovery path is served
     but never kept.
-
-    Deep networks, where the default midpoint-radius bound compounds
-    layer by layer and rarely determines predictions, pay off with the
-    tighter (costlier) interval products, per calling thread:
-    ``with tight_intervals(): evaluator.evaluate(x)``
-    (:class:`~repro.dnn.interval.tight_intervals`).
     """
 
     def __init__(

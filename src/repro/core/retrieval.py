@@ -308,8 +308,8 @@ class PlanArchive:
         """Archive ``matrices`` according to ``plan``.
 
         Args:
-            store: A :class:`~repro.core.chunkstore.ChunkStore` (or the
-                in-memory variant).
+            store: A :class:`~repro.core.storage.base.BlobStore` — a
+                backend's ``chunks`` tier.
             matrices: ``matrix_id -> float32 array`` for every matrix the
                 plan covers.
             plan: The storage plan to follow; every root edge is

@@ -97,12 +97,13 @@ class TxnState:
 class BlobStore(Protocol):
     """Structural interface of a content-addressed chunk store.
 
-    Conformers: ``ChunkStore`` (pack files), ``MemoryChunkStore``
-    (dict) and ``SQLiteBlobStore`` (rows) — raw keyed-bytes I/O under
-    the one :class:`~repro.core.chunkstore.BlobCodec` format, in which
-    the address of a blob is the SHA-256 hex digest of its
-    *uncompressed* content — and the ``LatencyStore`` wrapper around
-    any of them.
+    Conformers are the blob tiers of the backends: ``ChunkStore`` (pack
+    files, ``local-fs``) and ``SQLiteBlobStore`` (rows, ``sqlite`` and
+    ``mem://``) — raw keyed-bytes I/O under the one
+    :class:`~repro.core.chunkstore.BlobCodec` format, in which the
+    address of a blob is the SHA-256 hex digest of its *uncompressed*
+    content.  A store that is not a repository's is a tier of an
+    unregistered backend, e.g. ``MemoryBackend(name, create=True).chunks``.
     """
 
     def put_many(self, blobs: Iterable[bytes]) -> list[str]:

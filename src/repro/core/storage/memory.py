@@ -9,7 +9,10 @@ by the backend's write lock); it trades the WAL reader/writer
 concurrency of the file-backed variant for zero I/O.
 
 ``close`` is deliberately a no-op — a memory repo stays alive for
-reopening until :func:`drop` (or :func:`reset`) discards it.
+reopening until :func:`drop` (or :func:`reset`) discards it.  A
+:class:`MemoryBackend` built directly is not registered: its tiers are
+plain in-memory blob stores (``MemoryBackend(name, create=True).chunks``),
+collected with whatever holds them.
 :func:`clone` snapshots one memory repo into a new name via the sqlite
 backup API, which is how the crash matrix replays the same starting
 state under many fault plans.

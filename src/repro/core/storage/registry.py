@@ -82,15 +82,22 @@ def _detect_existing(path: Path) -> str:
     )
 
 
-def resolve_backend(target, *, create: bool = False, backend: Optional[str] = None):
+def resolve_backend(
+    target: str, *, create: bool = False, backend: Optional[str] = None
+):
     """Open (or create) the storage backend for a repository location.
 
     ``target`` is a URL or a bare path; ``backend`` (init only) forces a
     substrate for bare paths — a sqlite repo initialised at a bare path
     lands at ``<path>/.dlv/repo.db`` so the directory stays the
-    re-openable unit and hub pulls keep their layout.
+    re-openable unit and hub pulls keep their layout.  Any other type
+    than ``str`` (a ``pathlib.Path`` included) raises ``TypeError``.
     """
-    target = str(target)
+    if not isinstance(target, str):
+        raise TypeError(
+            f"a repository location is a URL or path string, not "
+            f"{type(target).__name__} (e.g. 'sqlite://repo.db')"
+        )
     scheme_backend, rest = parse_storage_url(target)
     if backend is not None and backend not in BACKEND_NAMES:
         raise ValueError(

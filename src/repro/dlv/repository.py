@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import datetime
 import json
-import warnings
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
@@ -94,11 +93,11 @@ class Repository:
 
     DLV_DIR = ".dlv"
 
-    def __init__(self, source: "str | Path | StorageBackend") -> None:
+    def __init__(self, source: "str | StorageBackend") -> None:
         if isinstance(source, StorageBackend):
             self.backend = source
         else:
-            self.backend = resolve_backend(str(source))
+            self.backend = resolve_backend(source)
         # Re-openable location token: repo dir (local-fs), db file
         # (sqlite), or mem:// URL (memory).
         self.root = self.backend.root
@@ -167,22 +166,9 @@ class Repository:
 
     # -- lifecycle ------------------------------------------------------------
 
-    @staticmethod
-    def _coerce_target(target: "str | Path", action: str) -> str:
-        if isinstance(target, Path):
-            warnings.warn(
-                f"Repository.{action}(Path) is deprecated; pass a storage "
-                "URL or a path string (e.g. 'sqlite://repo.db')",
-                DeprecationWarning,
-                stacklevel=3,
-            )
-        return str(target)
-
     @classmethod
-    def init(
-        cls, target: "str | Path", backend: Optional[str] = None
-    ) -> "Repository":
-        """``dlv init``: create a repository at a URL or path.
+    def init(cls, target: str, backend: Optional[str] = None) -> "Repository":
+        """``dlv init``: create a repository at a URL or path string.
 
         ``backend`` picks the substrate for bare paths ("local-fs",
         "sqlite", "memory"); URLs carry their own scheme.  A sqlite repo
@@ -190,13 +176,12 @@ class Repository:
         ``<path>/.dlv/repo.db`` so the directory stays the repository
         unit.
         """
-        target = cls._coerce_target(target, "init")
         return cls(resolve_backend(target, create=True, backend=backend))
 
     @classmethod
-    def open(cls, target: "str | Path") -> "Repository":
-        """Open an existing repository by URL or path (raises when absent)."""
-        target = cls._coerce_target(target, "open")
+    def open(cls, target: str) -> "Repository":
+        """Open an existing repository by URL or path string (raises when
+        absent)."""
         return cls(resolve_backend(target))
 
     def close(self) -> None:

@@ -9,7 +9,7 @@ progressive query evaluation.
 """
 
 from repro.dnn.augment import AugmentConfig, Augmenter
-from repro.dnn.interval import Interval, set_tight_mode, tight_intervals
+from repro.dnn.interval import Interval
 from repro.dnn.layers import (
     Add,
     AvgPool2D,
@@ -83,10 +83,8 @@ __all__ = [
     "per_class_accuracy",
     "resnet_mini",
     "resnet_residual",
-    "set_tight_mode",
     "synthetic_digits",
     "synthetic_faces",
-    "tight_intervals",
     "tiny_mlp",
     "top_k_accuracy",
     "vgg_mini",

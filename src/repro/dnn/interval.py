@@ -18,7 +18,6 @@ When one operand is exact (radius zero) the bound is exact as well.
 
 from __future__ import annotations
 
-import contextvars
 import functools
 from dataclasses import dataclass
 
@@ -123,44 +122,9 @@ class Interval:
         return self + (-other)
 
 
-#: When True, linear layers use the tighter (2-3x costlier) interval
-#: product.  A context variable, so each thread (and each copied context)
-#: has its own setting: one evaluator's tight pass never leaks into a
-#: concurrent one.  Toggle with :func:`set_tight_mode` /
-#: :class:`tight_intervals`.
-_tight_mode: contextvars.ContextVar[bool] = contextvars.ContextVar(
-    "repro_tight_intervals", default=False
-)
-
-
-def set_tight_mode(enabled: bool) -> bool:
-    """Enable/disable tight interval products in the current context (the
-    calling thread); returns the old value."""
-    previous = _tight_mode.get()
-    _tight_mode.set(bool(enabled))
-    return previous
-
-
-class tight_intervals:
-    """Context manager enabling tight interval products for the calling
-    thread, e.g. ``with tight_intervals(): evaluator.evaluate(x)``.
-
-    Progressive evaluation of deep networks benefits greatly: the default
-    midpoint-radius product over-approximates through every layer, while
-    the tight product is exact for the non-negative activation ranges that
-    follow ReLU/pooling layers.
-    """
-
-    def __enter__(self) -> "tight_intervals":
-        self._token = _tight_mode.set(True)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _tight_mode.reset(self._token)
-
-
-def _rump_matmul(x: Interval, w: Interval) -> Interval:
-    """Midpoint-radius bound: cheap (4 products), sound, often loose.
+def interval_matmul(x: Interval, w: Interval) -> Interval:
+    """Sound interval matrix product ``x @ w``: the midpoint-radius
+    bound of the module docstring.
 
     An exact ``x`` (zero radius, as at the first layer) skips the two
     ``xr`` products: for finite weights they are exactly zero, so the
@@ -174,60 +138,6 @@ def _rump_matmul(x: Interval, w: Interval) -> Interval:
         radius += xr @ np.abs(wc)
         radius += xr @ wr
     return Interval(center - radius, center + radius)
-
-
-def _nonneg_matmul(
-    lo: np.ndarray, hi: np.ndarray, w: Interval
-) -> tuple[np.ndarray, np.ndarray]:
-    """Exact interval product for a *non-negative* left operand.
-
-    For ``x in [lo, hi]`` with ``lo >= 0`` and ``w in [wl, wu]``, the
-    elementwise product is minimized at ``w = wl`` (then at ``x = lo`` when
-    ``wl >= 0`` else ``x = hi``), and symmetrically for the maximum —
-    which decomposes into four matrix products.
-    """
-    wl_pos = np.maximum(w.lo, 0.0)
-    wl_neg = np.minimum(w.lo, 0.0)
-    wu_pos = np.maximum(w.hi, 0.0)
-    wu_neg = np.minimum(w.hi, 0.0)
-    out_lo = lo @ wl_pos + hi @ wl_neg
-    out_hi = hi @ wu_pos + lo @ wu_neg
-    return out_lo, out_hi
-
-
-def _split_matmul(x: Interval, w: Interval) -> Interval:
-    """Positive/negative-split product: exact when ``x`` doesn't span zero.
-
-    ``x = x+ - x-`` with both parts non-negative intervals; each part
-    multiplies ``w`` exactly via :func:`_nonneg_matmul`.  Elements whose
-    interval straddles zero lose the correlation between the parts (a
-    sound over-approximation).
-    """
-    xp_lo = np.maximum(x.lo, 0.0)
-    xp_hi = np.maximum(x.hi, 0.0)
-    xn_lo = np.maximum(-x.hi, 0.0)
-    xn_hi = np.maximum(-x.lo, 0.0)
-    pos_lo, pos_hi = _nonneg_matmul(xp_lo, xp_hi, w)
-    neg_w = Interval(-w.hi, -w.lo)
-    neg_lo, neg_hi = _nonneg_matmul(xn_lo, xn_hi, neg_w)
-    return Interval(pos_lo + neg_lo, pos_hi + neg_hi)
-
-
-def interval_matmul(x: Interval, w: Interval) -> Interval:
-    """Sound interval matrix product ``x @ w``.
-
-    Default: the midpoint-radius bound (exact when either operand has zero
-    radius).  In tight mode the positive/negative-split product is
-    intersected with it — both are sound outer bounds, so their
-    intersection is sound and at least as tight as either.
-    """
-    rump = _rump_matmul(x, w)
-    if not _tight_mode.get():
-        return rump
-    split = _split_matmul(x, w)
-    return Interval(
-        np.maximum(rump.lo, split.lo), np.minimum(rump.hi, split.hi)
-    )
 
 
 def interval_add_bias(x: Interval, b: Interval) -> Interval:

@@ -69,8 +69,6 @@ def _flip_stored_byte(store, sha: str, xor: int = 0x20) -> None:
             stored = handle.read(length)
             handle.seek(offset)
             handle.write(flipped(stored))
-    elif hasattr(store, "_blobs"):  # dict
-        store._blobs[sha] = flipped(store._blobs[sha])
     else:  # sqlite rows
         conn, where = store._backend._writer, "WHERE ns = ? AND sha = ?"
         row = conn.execute(

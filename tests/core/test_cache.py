@@ -19,10 +19,10 @@ import numpy as np
 import pytest
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
 from repro.core.segmentation import NUM_PLANES
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import (
     MatrixRef,
     MatrixStorageGraph,
@@ -31,6 +31,7 @@ from repro.core.storage_graph import (
 from repro.dlv.repository import Repository
 from repro.dnn.network import Network
 from repro.dnn.zoo import tiny_mlp
+from repro.obs.cost import cost_context
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import BatchScheduler, ModelRuntime, PlaneCache, ServeConfig
 from tests.conftest import STORE_BACKENDS
@@ -148,8 +149,7 @@ def test_cli_and_serve_answer_alike(repo, trained_tiny, digits):
 
 @pytest.fixture
 def snap():
-    """A tiny model's weights archived as snapshot ``"snap"``, with the
-    store's read counters in their own registry."""
+    """A tiny model's weights archived as snapshot ``"snap"``."""
     net = tiny_mlp(hidden=16).build(seed=3)
     graph = MatrixStorageGraph()
     matrices = {}
@@ -159,16 +159,15 @@ def snap():
             graph.add_matrix(MatrixRef(mid, "snap", value.nbytes))
             graph.add_materialization(mid, value.nbytes, 1.0)
             matrices[mid] = value
-    registry = MetricsRegistry()
     archive = PlanArchive.build(
-        MemoryChunkStore(registry=registry), matrices,
+        MemoryBackend("snap", create=True).chunks, matrices,
         minimum_spanning_tree(graph),
     )
-    return net, archive, registry.counter("chunkstore.get_calls")
+    return net, archive
 
 
 def _evaluator(snap, cache=None):
-    net, archive, _ = snap
+    net, archive = snap
     return ProgressiveEvaluator(net, archive, "snap", plane_cache=cache)
 
 
@@ -183,13 +182,13 @@ def _plane_sizes(archive) -> dict:
 
 class TestCorrectness:
     def test_cached_values_match_archive(self, snap):
-        net, archive, reads = snap
+        net, archive = snap
         expected = archive.recreate_snapshot("snap").by_layer()  # uncached
         evaluator = _evaluator(snap)
         _assert_same_bytes(evaluator.exact_weights(), expected)
-        after_cold = reads.value
-        _assert_same_bytes(evaluator.exact_weights(), expected)
-        assert reads.value == after_cold  # the warm read is the cache's
+        with cost_context() as warm:
+            _assert_same_bytes(evaluator.exact_weights(), expected)
+        assert warm.chunks_fetched == 0  # the warm read is the cache's
         _assert_same_bytes(expected, net.get_weights())
         # Each cached plane is the stored chunk under its own address.
         for entry in archive.manifest.values():
@@ -198,7 +197,7 @@ class TestCorrectness:
                 assert data == archive.plane_store(i).get(sha)
 
     def test_planes_are_distinct_entries(self, snap):
-        _, archive, _ = snap
+        _, archive = snap
         evaluator = _evaluator(snap)
         one, two = evaluator.param_bounds(1), evaluator.param_bounds(2)
         evaluator.exact_weights()
@@ -224,7 +223,7 @@ class TestCorrectness:
         assert evaluator.exact_weights()["fc1"]["W"][0, 0] != 99.0
 
     def test_snapshot_retrieval(self, snap):
-        net, archive, _ = snap
+        net, archive = snap
         result = archive.recreate_snapshot("snap")
         assert set(result.matrices) == set(archive.manifest)
         assert result.bytes_read > 0
@@ -235,20 +234,19 @@ class TestCorrectness:
 
 class TestInvalidation:
     def test_invalidate_reloads_weights(self, snap):
-        _, _, reads = snap
         evaluator = _evaluator(snap)
         first = evaluator.exact_weights()
-        after = reads.value
         cache = evaluator.plane_cache
         key = next(k for k in cache.keys() if k[0] == "plane")
         assert cache.invalidate(key)
-        second = evaluator.exact_weights()
-        assert reads.value == after + 1  # that plane alone, once
+        with cost_context() as bill:
+            second = evaluator.exact_weights()
+        assert bill.chunks_fetched == 1  # that plane alone, once
         assert key in cache
         _assert_same_bytes(second, first)
 
     def test_budget_and_accounting_are_the_lrus(self, snap):
-        net, archive, _ = snap
+        net, archive = snap
         cache = PlaneCache(registry=MetricsRegistry())
         _evaluator(snap, cache).exact_weights()
         sizes = _plane_sizes(archive)
@@ -267,7 +265,7 @@ class TestInvalidation:
             PlaneCache(0)
 
     def test_one_cache_serves_a_read_path(self, snap):
-        net, archive, _ = snap
+        net, archive = snap
         evaluator = _evaluator(snap)
         assert archive.plane_cache is evaluator.plane_cache
         assert _evaluator(snap).plane_cache is evaluator.plane_cache

@@ -1,8 +1,10 @@
 """The one ``BlobStore`` conformance suite.
 
-Every conformer — packs, dict, sqlite rows (file-backed and
-``mem://``), and the latency wrapper — must behave identically: same
-addresses, same stored form, same integrity errors, same counters.
+Every conformer — packs (``local-fs``), sqlite rows (file-backed and
+``mem://``), and the tier of an unregistered in-memory backend, which
+is how a store that belongs to no repository is built — must behave
+identically: same addresses, same stored form, same integrity errors,
+same counters.
 """
 
 import hashlib
@@ -15,18 +17,15 @@ from pathlib import Path
 import pytest
 
 import repro.core.chunkstore as chunkstore
-from repro.core.chunkstore import (
-    ChunkIntegrityError,
-    ChunkStore,
-    LatencyStore,
-    MemoryChunkStore,
-)
+from repro.core.chunkstore import ChunkIntegrityError, ChunkStore
 from repro.core.storage import BlobStore, resolve_backend
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage.sqlite import GET_BATCH
 from repro.faults import FaultError, FaultPlan, FaultPoint, inject
 from repro.obs.cost import cost_context
+from repro.obs.metrics import counter
 
-CONFORMERS = ("disk", "memory", "sqlite", "mem", "latency")
+CONFORMERS = ("disk", "memory", "sqlite", "mem")
 
 
 @pytest.fixture(params=CONFORMERS)
@@ -34,9 +33,7 @@ def store(request, tmp_path, make_repo_target):
     if request.param == "disk":
         yield ChunkStore(tmp_path / "chunks")
     elif request.param == "memory":
-        yield MemoryChunkStore()
-    elif request.param == "latency":
-        yield LatencyStore(MemoryChunkStore())
+        yield MemoryBackend("conformance", create=True).chunks
     else:
         kind = {"sqlite": "sqlite", "mem": "memory"}[request.param]
         backend = resolve_backend(make_repo_target(kind), create=True)
@@ -110,13 +107,13 @@ class TestStore:
 
     def test_put_many_is_put_in_order(self, store):
         blobs = [b"first" * 40, b"second" * 40, b"first" * 40]
-        before = store.registry.counter("chunkstore.dedup_hits").value
+        before = counter("chunkstore.dedup_hits").value
         shas = store.put_many(blobs)
         assert shas == [store.address(b) for b in blobs]
         assert [store.get(sha) for sha in shas] == blobs
         assert set(store.addresses()) == set(shas)
         # The repeat inside the batch is a dedup hit, as a second put is.
-        assert store.registry.counter("chunkstore.dedup_hits").value == before + 1
+        assert counter("chunkstore.dedup_hits").value == before + 1
 
     def test_counters_and_request_bill(self, store):
         names = (
@@ -126,7 +123,7 @@ class TestStore:
 
         def read():
             return [
-                store.registry.counter(f"chunkstore.{n}").value for n in names
+                counter(f"chunkstore.{n}").value for n in names
             ]
 
         before = read()
@@ -163,10 +160,10 @@ class TestGetMany:
     def test_missing_address_raises_before_any_read_is_billed(self, store):
         sha = store.put(b"present" * 20)
         gone = "f" * 64
-        before = store.registry.counter("chunkstore.get_calls").value
+        before = counter("chunkstore.get_calls").value
         with cost_context() as cost, pytest.raises(KeyError, match=gone):
             store.get_many([sha, gone])
-        assert store.registry.counter("chunkstore.get_calls").value == before
+        assert counter("chunkstore.get_calls").value == before
         assert (cost.bytes_read, cost.chunks_fetched) == (0, 0)
 
     def test_corrupt_blob_raises_naming_its_sha(self, store, corrupt_store):
@@ -183,7 +180,7 @@ class TestGetMany:
 
         def read():
             return [
-                store.registry.counter(f"chunkstore.{n}").value for n in names
+                counter(f"chunkstore.{n}").value for n in names
             ]
 
         def bill(fetch) -> tuple:
@@ -201,19 +198,6 @@ class TestGetMany:
         shas = store.put_many(blobs)
         got = store.get_many(shas)
         assert [got[sha][0] for sha in shas] == blobs
-
-
-def test_latency_store_charges_one_round_trip_per_get_many(monkeypatch):
-    import repro.core.chunkstore as chunkstore
-
-    sleeps: list[float] = []
-    monkeypatch.setattr(chunkstore.time, "sleep", sleeps.append)
-    store = LatencyStore(MemoryChunkStore(), get_latency=0.25)
-    shas = store.put_many([b"one" * 9, b"two" * 9, b"three" * 9])
-    assert len(store.get_many(shas)) == 3
-    assert (store.get_count, sleeps) == (1, [0.25])
-    store.get(shas[0])
-    assert (store.get_count, sleeps) == (2, [0.25, 0.25])
 
 
 class TestDiskSpecific:

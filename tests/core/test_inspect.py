@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import LatencyStore, MemoryChunkStore
 from repro.core.inspect import (
     ascii_histogram,
     segment_compare,
@@ -12,6 +11,7 @@ from repro.core.inspect import (
     segment_stats,
 )
 from repro.core.retrieval import PlanArchive
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
 
 
@@ -27,7 +27,8 @@ def archive(seeded_rng):
         graph.add_matrix(MatrixRef(mid, "snap", matrix.nbytes))
         graph.add_materialization(mid, matrix.nbytes, 1.0)
     built = PlanArchive.build(
-        MemoryChunkStore(), matrices, minimum_spanning_tree(graph)
+        MemoryBackend("inspect", create=True).chunks, matrices,
+        minimum_spanning_tree(graph),
     )
     return built, matrices
 
@@ -110,20 +111,22 @@ class TestCompare:
         assert not report["comparable"]
 
     def test_no_remote_reads(self, seeded_rng):
-        """Inspection must never touch the offloaded low-order tier."""
+        """Inspection must never touch the offloaded low-order tier: it
+        answers with that tier emptied."""
         matrix = (seeded_rng.standard_normal((32, 32)) * 0.1).astype(
             np.float32
         )
         graph = MatrixStorageGraph()
         graph.add_matrix(MatrixRef("m", "snap", matrix.nbytes))
         graph.add_materialization("m", matrix.nbytes, 1.0)
-        remote = LatencyStore(MemoryChunkStore())
+        remote = MemoryBackend("remote", create=True).chunks
         archive = PlanArchive.build(
-            MemoryChunkStore(), {"m": matrix},
+            MemoryBackend("local", create=True).chunks, {"m": matrix},
             minimum_spanning_tree(graph),
             low_order_store=remote,
         )
-        remote.get_count = 0
+        assert remote.delete_many(list(remote.addresses())) > 0
         segment_stats(archive, "m", planes=2)
         segment_histogram(archive, "m", planes=2)
-        assert remote.get_count == 0
+        with pytest.raises(KeyError):
+            segment_stats(archive, "m", planes=3)

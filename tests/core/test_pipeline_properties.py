@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.delta import delta_sub_mismatched
 from repro.core.retrieval import PlanArchive
 from repro.core.segmentation import bounds_from_prefix, segment_planes
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import (
     ROOT,
     MatrixRef,
@@ -48,7 +48,8 @@ def build_chain_archive(chain):
             graph.add_edge(StorageEdge(previous, matrix_id, 1.0, 1.0))
         previous = matrix_id
     plan = minimum_spanning_tree(graph)
-    archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+    store = MemoryBackend("chain", create=True).chunks
+    archive = PlanArchive.build(store, matrices, plan)
     return archive, matrices
 
 
@@ -59,7 +60,7 @@ class TestPipelineExactness:
         """Legacy ``sub`` payloads, hand-written as older repositories
         stored them, recreate within float32 rounding, and their bounds
         contain the recreation."""
-        archive = PlanArchive(MemoryChunkStore())
+        archive = PlanArchive(MemoryBackend("sub", create=True).chunks)
         parent = ROOT
         for index, matrix in enumerate(chain):
             payload = matrix if parent == ROOT else delta_sub_mismatched(

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
 
 
@@ -21,7 +21,8 @@ def archive_snapshot(net, snapshot_id="snap"):
             graph.add_materialization(mid, matrix.nbytes, 1.0)
             matrices[mid] = matrix
     plan = minimum_spanning_tree(graph)
-    return PlanArchive.build(MemoryChunkStore(), matrices, plan)
+    store = MemoryBackend(snapshot_id, create=True).chunks
+    return PlanArchive.build(store, matrices, plan)
 
 
 @pytest.fixture(scope="module")

@@ -3,17 +3,19 @@
 The Sec. IV-D exactness guarantee must hold for *arbitrary* models and
 data, not just the trained fixtures: hypothesis generates random small
 MLPs and random inputs, and the progressive evaluator's answers must
-always equal full-precision evaluation.
+always equal full-precision evaluation — the argmax of the exact logits
+the evaluator decides on, not of the float32 softmax after them, which
+can round a near-tie of two logits to equal probabilities.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
 from repro.dnn.layers import Dense, Flatten, ReLU, Softmax
 from repro.dnn.network import Network
@@ -59,18 +61,28 @@ def archive_of(net):
             graph.add_materialization(mid, matrix.nbytes, 1.0)
             matrices[mid] = matrix
     return PlanArchive.build(
-        MemoryChunkStore(), matrices, minimum_spanning_tree(graph)
+        MemoryBackend("prop", create=True).chunks, matrices,
+        minimum_spanning_tree(graph),
     )
+
+
+def exact_labels(net, evaluator, x):
+    """Full-precision answers: the argmax of the exact logits."""
+    return np.argmax(net.forward(x, upto=evaluator.logits_node), axis=1)
 
 
 class TestExactnessProperty:
     @settings(max_examples=25, deadline=None)
     @given(model_params)
+    # Row 6's logits -0.00044372 and -0.00044361 tie to one float32
+    # softmax probability, so the softmax argmax answers class 1 where
+    # the exact logits (and the progressive pass) answer class 2.
+    @example((3, 7, 3, 266, 457, 0.01))
     def test_progressive_always_exact(self, params):
         net, x = build_case(params)
         evaluator = ProgressiveEvaluator(net, archive_of(net), "snap")
+        expected = exact_labels(net, evaluator, x)
         result = evaluator.evaluate(x, k=1)
-        expected = net.predict(x)
         np.testing.assert_array_equal(result.predictions, expected)
 
     @settings(max_examples=15, deadline=None)
@@ -78,8 +90,9 @@ class TestExactnessProperty:
     def test_any_start_plane_is_exact(self, params, start):
         net, x = build_case(params)
         evaluator = ProgressiveEvaluator(net, archive_of(net), "snap")
+        expected = exact_labels(net, evaluator, x)
         result = evaluator.evaluate(x, start_planes=start)
-        np.testing.assert_array_equal(result.predictions, net.predict(x))
+        np.testing.assert_array_equal(result.predictions, expected)
 
     @settings(max_examples=15, deadline=None)
     @given(model_params)
@@ -87,8 +100,9 @@ class TestExactnessProperty:
         """Points determined at plane k keep the same label at plane 4."""
         net, x = build_case(params)
         evaluator = ProgressiveEvaluator(net, archive_of(net), "snap")
+        expected = exact_labels(net, evaluator, x)
         result = evaluator.evaluate(x)
         early = result.resolved_at_plane < 4
         np.testing.assert_array_equal(
-            result.predictions[early], net.predict(x)[early]
+            result.predictions[early], expected[early]
         )

@@ -13,17 +13,18 @@ import numpy as np
 import pytest
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
 from repro.dnn.network import Network
+from repro.obs.cost import cost_context
 from repro.obs.metrics import MetricsRegistry
 from repro.serve import PlaneCache
 
 
-def archive_with_registry(net, registry, snapshot_id="snap"):
-    """Materialize net weights into an archive whose store counts reads."""
+def archive_of(net, snapshot_id="snap"):
+    """Materialize net weights into an archive of their own."""
     graph = MatrixStorageGraph()
     matrices = {}
     for layer, params in net.get_weights().items():
@@ -33,57 +34,54 @@ def archive_with_registry(net, registry, snapshot_id="snap"):
             graph.add_materialization(mid, matrix.nbytes, 1.0)
             matrices[mid] = matrix
     plan = minimum_spanning_tree(graph)
-    store = MemoryChunkStore(registry=registry)
+    store = MemoryBackend(snapshot_id, create=True).chunks
     return PlanArchive.build(store, matrices, plan)
 
 
 @pytest.fixture
 def counted_evaluator(trained_tiny):
     net, _, _ = trained_tiny
-    registry = MetricsRegistry()
-    archive = archive_with_registry(net, registry)
     fresh = Network.from_spec(net.spec()).build(0)
-    return ProgressiveEvaluator(fresh, archive, "snap"), registry, net
+    return ProgressiveEvaluator(fresh, archive_of(net), "snap"), net
 
 
 class TestChunkReadRegression:
     def test_repeated_evaluate_reads_no_new_chunks(
         self, counted_evaluator, digits
     ):
-        evaluator, registry, _ = counted_evaluator
-        get_calls = registry.counter("chunkstore.get_calls")
+        evaluator, _ = counted_evaluator
         x = digits.x_test[:20]
-        first = evaluator.evaluate(x)
-        after_first = get_calls.value
-        assert after_first > 0
-        second = evaluator.evaluate(x)
-        assert get_calls.value == after_first, (
+        with cost_context() as cold:
+            first = evaluator.evaluate(x)
+        assert cold.chunks_fetched > 0
+        with cost_context() as warm:
+            second = evaluator.evaluate(x)
+        assert warm.chunks_fetched == 0, (
             "second evaluate re-read the archive despite the memo"
         )
         np.testing.assert_array_equal(first.predictions, second.predictions)
 
     def test_param_bounds_memoized_per_plane_count(self, counted_evaluator):
-        evaluator, registry, _ = counted_evaluator
-        get_calls = registry.counter("chunkstore.get_calls")
+        evaluator, _ = counted_evaluator
         bounds_one = evaluator.param_bounds(1)
-        after = get_calls.value
-        assert evaluator.param_bounds(1) is bounds_one
-        assert get_calls.value == after
-        evaluator.param_bounds(2)  # deeper budget does read more
-        assert get_calls.value > after
+        with cost_context() as again:
+            assert evaluator.param_bounds(1) is bounds_one
+        assert again.chunks_fetched == 0
+        with cost_context() as deeper:
+            evaluator.param_bounds(2)  # deeper budget does read more
+        assert deeper.chunks_fetched > 0
 
     def test_exact_weights_read_once(self, counted_evaluator, digits):
-        evaluator, registry, _ = counted_evaluator
-        get_calls = registry.counter("chunkstore.get_calls")
+        evaluator, _ = counted_evaluator
         evaluator.forward_exact_many([digits.x_test[:4]])
-        after = get_calls.value
-        evaluator.forward_exact_many([digits.x_test[4:8]])
-        assert get_calls.value == after
+        with cost_context() as bill:
+            evaluator.forward_exact_many([digits.x_test[4:8]])
+        assert bill.chunks_fetched == 0
 
     def test_evaluate_matches_exact_predictions(
         self, counted_evaluator, digits
     ):
-        evaluator, _, trained = counted_evaluator
+        evaluator, trained = counted_evaluator
         x = digits.x_test[:30]
         result = evaluator.evaluate(x)
         np.testing.assert_array_equal(result.predictions, trained.predict(x))
@@ -96,7 +94,7 @@ class TestForwardExactMany:
     def test_matches_per_batch_exact_forward(
         self, counted_evaluator, digits
     ):
-        evaluator, _, trained = counted_evaluator
+        evaluator, trained = counted_evaluator
         batches = [digits.x_test[:4], digits.x_test[4:10], digits.x_test[10:11]]
         outputs = evaluator.forward_exact_many(batches)
         assert [len(out) for out in outputs] == [4, 6, 1]
@@ -108,17 +106,17 @@ class TestForwardExactMany:
     def test_reads_archive_once_across_calls(
         self, counted_evaluator, digits
     ):
-        evaluator, registry, _ = counted_evaluator
-        get_calls = registry.counter("chunkstore.get_calls")
-        evaluator.forward_exact_many([digits.x_test[:4]])
-        after = get_calls.value
-        assert after > 0
-        evaluator.forward_exact_many([digits.x_test[4:8]])
-        evaluator.forward_exact_many([digits.x_test[8:12]])
-        assert get_calls.value == after
+        evaluator, _ = counted_evaluator
+        with cost_context() as first:
+            evaluator.forward_exact_many([digits.x_test[:4]])
+        assert first.chunks_fetched > 0
+        with cost_context() as later:
+            evaluator.forward_exact_many([digits.x_test[4:8]])
+            evaluator.forward_exact_many([digits.x_test[8:12]])
+        assert later.chunks_fetched == 0
 
     def test_empty_batch_list(self, counted_evaluator):
-        evaluator, _, _ = counted_evaluator
+        evaluator, _ = counted_evaluator
         assert evaluator.forward_exact_many([]) == []
 
     def test_concurrent_exact_batches_are_consistent(
@@ -128,7 +126,7 @@ class TestForwardExactMany:
         # forward passes are atomic under the evaluator lock, so a
         # concurrent plane-budget evaluation cannot swap truncated
         # weights in mid-run.
-        evaluator, _, trained = counted_evaluator
+        evaluator, trained = counted_evaluator
         x = digits.x_test[:8]
         expected = trained.predict(x)
         errors = []
@@ -195,10 +193,11 @@ class TestConcurrentReuse:
         evaluator built without ``plane_cache`` gives its archive (whose
         predecessor memo documented "racing computes are possible")."""
         net, _, _ = trained_tiny
-        registry = MetricsRegistry()
-        archive = archive_with_registry(net, registry)
+        archive = archive_of(net)
         fresh = Network.from_spec(net.spec()).build(0)
-        cache = PlaneCache(64 << 20, registry=registry) if shared else None
+        cache = (
+            PlaneCache(64 << 20, registry=MetricsRegistry()) if shared else None
+        )
         evaluator = ProgressiveEvaluator(
             fresh, archive, "snap", plane_cache=cache
         )
@@ -206,12 +205,16 @@ class TestConcurrentReuse:
         barrier = threading.Barrier(8, timeout=10.0)
         results = []
         errors = []
+        bills = []
 
         def query():
             try:
                 barrier.wait()
-                determined, labels = evaluator.evaluate_bounded(x, 2)
-                results.append((determined, labels, evaluator.exact_weights()))
+                with cost_context() as bill:
+                    determined, labels = evaluator.evaluate_bounded(x, 2)
+                    weights = evaluator.exact_weights()
+                results.append((determined, labels, weights))
+                bills.append(bill)
             except Exception as exc:  # noqa: BLE001
                 errors.append(exc)
 
@@ -242,14 +245,13 @@ class TestConcurrentReuse:
         })
         assert lru.misses == 1 + planes
         assert lru.misses + lru.hits == 8 + 34 * matrices + 1
-        reads = registry.counter("chunkstore.get_calls").value
-        assert reads == planes
+        assert sum(bill.chunks_fetched for bill in bills) == planes
 
     def test_shared_cache_across_evaluators(self, trained_tiny, digits):
         """Two evaluators over one snapshot share the plane cache."""
         net, _, _ = trained_tiny
         registry = MetricsRegistry()
-        archive = archive_with_registry(net, registry)
+        archive = archive_of(net)
         cache = PlaneCache(64 << 20, registry=registry)
         evaluators = [
             ProgressiveEvaluator(
@@ -258,9 +260,8 @@ class TestConcurrentReuse:
             )
             for i in range(2)
         ]
-        get_calls = registry.counter("chunkstore.get_calls")
         evaluators[0].param_bounds(2)
-        after = get_calls.value
-        evaluators[1].param_bounds(2)
-        assert get_calls.value == after
+        with cost_context() as bill:
+            evaluators[1].param_bounds(2)
+        assert bill.chunks_fetched == 0
         assert registry.counter("serve.cache.hits").value == 1

@@ -4,16 +4,22 @@ import numpy as np
 import pytest
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.delta import delta_xor, embed_like
 from repro.core.retrieval import PlanArchive
 from repro.core.segmentation import bounds_from_prefix, segment_planes
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import (
     MatrixRef,
     MatrixStorageGraph,
     RetrievalScheme,
     StorageEdge,
 )
+
+
+def memory_store():
+    """A blob store of its own: the chunks tier of an unregistered
+    in-memory backend."""
+    return MemoryBackend("retrieval", create=True).chunks
 
 
 @pytest.fixture
@@ -48,13 +54,13 @@ def snapshot_chain(seeded_rng):
 class TestBuildAndRecreate:
     def test_full_recreation_exact(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         for mid, expected in matrices.items():
             np.testing.assert_array_equal(archive.recreate_matrix(mid), expected)
 
     def test_snapshot_recreation_all_schemes_agree(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         results = {}
         for scheme in RetrievalScheme:
             results[scheme] = archive.recreate_snapshot("snap2", scheme)
@@ -68,7 +74,7 @@ class TestBuildAndRecreate:
 
     def test_xor_deltas_exact(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         kinds = {entry.kind for entry in archive.manifest.values()}
         assert kinds == {"materialize", "xor"}
         for mid, expected in matrices.items():
@@ -78,7 +84,7 @@ class TestBuildAndRecreate:
 
     def test_manifest_roundtrip(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        store = MemoryChunkStore()
+        store = memory_store()
         archive = PlanArchive.build(store, matrices, plan)
         reopened = PlanArchive.from_manifest_dict(
             store, archive.to_manifest_dict()
@@ -90,7 +96,7 @@ class TestBuildAndRecreate:
 
     def test_unknown_matrix_raises(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         with pytest.raises(KeyError):
             archive.recreate_matrix("nope")
         with pytest.raises(KeyError):
@@ -100,7 +106,7 @@ class TestBuildAndRecreate:
 class TestPartialRetrieval:
     def test_partial_reads_fewer_bytes(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         full = archive.recreate_snapshot("snap0", planes=4)
         partial = archive.recreate_snapshot("snap0", planes=2)
         assert partial.bytes_read < full.bytes_read
@@ -108,7 +114,7 @@ class TestPartialRetrieval:
     @pytest.mark.parametrize("planes", [1, 2, 3])
     def test_partial_error_shrinks_with_planes(self, snapshot_chain, planes):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         expected = matrices["s0/a"]
         approx = archive.recreate_matrix("s0/a", planes=planes)
         max_abs = np.abs(expected).max()
@@ -119,7 +125,7 @@ class TestPartialRetrieval:
 
     def test_bytes_read_reflects_chain(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         later = archive.recreate_snapshot("snap2")
         first = archive.recreate_snapshot("snap0")
         # snap2 sits at the end of delta chains: more bytes touched.
@@ -129,7 +135,7 @@ class TestPartialRetrieval:
 class TestIntervalRetrieval:
     def test_bounds_contain_exact_value(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         for planes in (1, 2, 3):
             lo, hi = archive.matrix_bounds("s2/a", planes)
             value = matrices["s2/a"]
@@ -138,7 +144,7 @@ class TestIntervalRetrieval:
 
     def test_bounds_tighten_with_planes(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         lo1, hi1 = archive.matrix_bounds("s2/a", 1)
         lo2, hi2 = archive.matrix_bounds("s2/a", 2)
         assert (hi2 - lo2).max() <= (hi1 - lo1).max() + 1e-12
@@ -148,7 +154,7 @@ class TestIntervalRetrieval:
         self, snapshot_chain, planes
     ):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         assert len(archive.chain("s2/a")) == 3
         value = matrices["s2/a"]
         got = archive.matrix_bounds("s2/a", planes)
@@ -160,19 +166,19 @@ class TestIntervalRetrieval:
 class TestStorageAccounting:
     def test_total_size_counts_unique_chunks(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        store = MemoryChunkStore()
+        store = memory_store()
         archive = PlanArchive.build(store, matrices, plan)
         assert archive.total_size() == store.total_size()
 
     def test_delta_storage_smaller_than_materialize_all(self, snapshot_chain):
         matrices, graph, plan = snapshot_chain
-        delta_archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        delta_archive = PlanArchive.build(memory_store(), matrices, plan)
         # Materialize-everything plan for comparison.
         from repro.core.archival import shortest_path_tree
 
         flat_plan = shortest_path_tree(graph)
         flat_archive = PlanArchive.build(
-            MemoryChunkStore(), matrices, flat_plan
+            memory_store(), matrices, flat_plan
         )
         assert delta_archive.total_size() < flat_archive.total_size()
 
@@ -194,7 +200,7 @@ class TestMismatchedShapeChains:
         graph.add_materialization("s1/fc", grown.nbytes * 10, 1.0)
         graph.add_edge(StorageEdge("s0/fc", "s1/fc", 8, 1.0))
         plan = minimum_spanning_tree(graph)
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         return matrices, plan, archive
 
     def test_plan_uses_mismatched_delta(self):
@@ -218,7 +224,7 @@ class TestMismatchedShapeChains:
 class TestDeltaConsistency:
     def test_stored_delta_matches_manual(self, snapshot_chain):
         matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(MemoryChunkStore(), matrices, plan)
+        archive = PlanArchive.build(memory_store(), matrices, plan)
         deltas = {
             mid: e for mid, e in archive.manifest.items() if e.kind == "xor"
         }

@@ -170,12 +170,13 @@ class TestRegistry:
         with pytest.raises(FileNotFoundError):
             Repository.open("mem://never-created")
 
-    def test_path_arguments_warn_deprecation(self, tmp_path):
-        with pytest.warns(DeprecationWarning, match="storage URL"):
-            repo = Repository.init(tmp_path / "r")
-        repo.close()
-        with pytest.warns(DeprecationWarning, match="storage URL"):
-            Repository.open(tmp_path / "r").close()
+    def test_path_arguments_are_refused(self, tmp_path):
+        with pytest.raises(TypeError, match="path string"):
+            Repository.init(tmp_path / "r")
+        assert not (tmp_path / "r").exists()
+        Repository.init(str(tmp_path / "r")).close()
+        with pytest.raises(TypeError, match="path string"):
+            Repository.open(tmp_path / "r")
 
     def test_memory_clone_is_independent(self, make_repo_target):
         target = make_repo_target("memory", name="clone-src")

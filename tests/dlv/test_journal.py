@@ -192,13 +192,13 @@ def test_stats_surface_journal_counters(tmp_path, capsys):
     from repro.dlv.cli import main as dlv_main
     from repro.obs.metrics import counter
 
-    repo = Repository.init(tmp_path / "repo")
+    repo = Repository.init(str(tmp_path / "repo"))
     repo.commit(_net(0), name="m", message="v1")
     orphan = repo.store.put(b"orphan")
     repo.journal.record("commit", chunks=[orphan], files=[])
     repo.close()
     before = counter("journal.rollbacks").value
-    Repository.open(tmp_path / "repo").close()  # replay happens here
+    Repository.open(str(tmp_path / "repo")).close()  # replay happens here
     assert counter("journal.rollbacks").value == before + 1
     code = dlv_main(["--repo", str(tmp_path / "repo"), "stats", "--json"])
     assert code == 0

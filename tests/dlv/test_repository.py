@@ -37,20 +37,20 @@ class TestInitOpen:
             assert pack.name.startswith("pack-") and pack.suffix == ".pack"
 
     def test_double_init_rejected(self, tmp_path):
-        Repository.init(tmp_path / "r").close()
+        Repository.init(str(tmp_path / "r")).close()
         with pytest.raises(FileExistsError):
-            Repository.init(tmp_path / "r")
+            Repository.init(str(tmp_path / "r"))
 
     def test_open_missing_rejected(self, tmp_path):
         with pytest.raises(FileNotFoundError):
-            Repository.open(tmp_path / "nope")
+            Repository.open(str(tmp_path / "nope"))
 
     def test_reopen_preserves_data(self, tmp_path, trained_tiny):
         net, result, _ = trained_tiny
-        repo = Repository.init(tmp_path / "r")
+        repo = Repository.init(str(tmp_path / "r"))
         repo.commit(net.clone(), name="m", train_result=result)
         repo.close()
-        reopened = Repository.open(tmp_path / "r")
+        reopened = Repository.open(str(tmp_path / "r"))
         assert [v.name for v in reopened.list_versions()] == ["m"]
         reopened.close()
 

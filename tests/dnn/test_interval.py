@@ -5,8 +5,6 @@ inside the operand intervals, the operation's concrete result lies inside
 the returned interval.
 """
 
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.segmentation import bounds_from_prefix, segment_planes
-from repro.dnn import interval as interval_module
+from repro.dnn import layers as layers_module
 from repro.dnn.interval import (
     Interval,
     argmax_determined,
@@ -22,8 +20,6 @@ from repro.dnn.interval import (
     interval_relu,
     interval_sigmoid,
     interval_tanh,
-    set_tight_mode,
-    tight_intervals,
 )
 from repro.dnn.layers import Conv2D, Dense, MaxPool2D, Softmax
 from repro.dnn.zoo import MODEL_FACTORIES, build_model
@@ -108,97 +104,6 @@ class TestSoundness:
         out = interval_matmul(Interval.exact(x), Interval.exact(w))
         np.testing.assert_allclose(out.lo, x @ w, atol=1e-12)
         np.testing.assert_allclose(out.hi, x @ w, atol=1e-12)
-
-
-class TestTightMode:
-    @settings(max_examples=50, deadline=None)
-    @given(interval_pair((3, 4)), interval_pair((4, 2)))
-    def test_tight_matmul_sound(self, xp, wp):
-        x_iv, x = xp
-        w_iv, w = wp
-        with tight_intervals():
-            out = interval_matmul(x_iv, w_iv)
-        assert out.contains(x @ w, atol=1e-6)
-
-    @settings(max_examples=50, deadline=None)
-    @given(interval_pair((3, 4)), interval_pair((4, 2)))
-    def test_tight_never_looser_than_default(self, xp, wp):
-        x_iv, _ = xp
-        w_iv, _ = wp
-        loose = interval_matmul(x_iv, w_iv)
-        with tight_intervals():
-            tight = interval_matmul(x_iv, w_iv)
-        assert np.all(tight.lo >= loose.lo - 1e-9)
-        assert np.all(tight.hi <= loose.hi + 1e-9)
-
-    def test_tight_exact_for_nonnegative_input(self):
-        """Post-ReLU ranges (lo >= 0) get exact bounds in tight mode."""
-        x = Interval(
-            np.array([[0.5, 1.0]]), np.array([[1.5, 2.0]])
-        )
-        w = Interval(
-            np.array([[1.0], [-2.0]]), np.array([[3.0], [-1.0]])
-        )
-        # True extremes by enumeration of the 4 corner combinations per
-        # element (products are separable in this 1-output case).
-        true_lo = 0.5 * 1.0 + 2.0 * -2.0
-        true_hi = 1.5 * 3.0 + 1.0 * -1.0
-        with tight_intervals():
-            out = interval_matmul(x, w)
-        assert out.lo[0, 0] == pytest.approx(true_lo)
-        assert out.hi[0, 0] == pytest.approx(true_hi)
-
-    def test_mode_restored_after_context(self):
-        assert not set_tight_mode(False)
-        with tight_intervals():
-            pass
-        # still disabled afterwards
-        loose = interval_matmul(
-            Interval(np.zeros((1, 1)), np.ones((1, 1))),
-            Interval(np.zeros((1, 1)), np.ones((1, 1))),
-        )
-        assert loose.hi[0, 0] >= 1.0
-
-    def test_tight_mode_is_per_thread(self):
-        """Interleave two threads' contexts — A enters, B enters, A exits,
-        B exits: B stays tight until it exits, and afterwards the main
-        thread and a fresh thread both read loose (a process-global flag
-        ended stuck on)."""
-        x = Interval(np.array([[0.5, 1.0]]), np.array([[1.5, 2.0]]))
-        w = Interval(np.array([[1.0], [-2.0]]), np.array([[3.0], [-1.0]]))
-
-        def is_tight() -> bool:  # tight: -3.5 exactly; loose: -4.5
-            return bool(interval_matmul(x, w).lo[0, 0] == pytest.approx(-3.5))
-
-        a_in, b_in, a_out = (threading.Event() for _ in range(3))
-        seen = {}
-
-        def thread_a():
-            with tight_intervals():
-                a_in.set()
-                b_in.wait(5.0)
-            a_out.set()
-
-        def thread_b():
-            a_in.wait(5.0)
-            with tight_intervals():
-                b_in.set()
-                a_out.wait(5.0)
-                seen["after_a_exits"] = is_tight()
-            seen["after_b_exits"] = is_tight()
-
-        def run(*targets):
-            threads = [threading.Thread(target=t) for t in targets]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=10.0)
-
-        run(thread_a, thread_b)
-        assert seen == {"after_a_exits": True, "after_b_exits": False}
-        assert not is_tight()
-        run(lambda: seen.update(fresh=is_tight()))
-        assert seen["fresh"] is False
 
 
 class TestLayerIntervalSoundness:
@@ -334,7 +239,7 @@ def test_zero_radius_skip_keeps_zoo_logits_bit_identical(
     ).astype(np.float32)
     with np.errstate(all="ignore"):
         fast = net.forward_interval(x, bounds, upto=logits)
-        monkeypatch.setattr(interval_module, "_rump_matmul", _full_rump_matmul)
+        monkeypatch.setattr(layers_module, "interval_matmul", _full_rump_matmul)
         full = net.forward_interval(x, bounds, upto=logits)
     for got, want in ((fast.lo, full.lo), (fast.hi, full.hi)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))

@@ -213,7 +213,7 @@ class TestServeUnderChaos:
         ])
         with inject_net(plan):
             path = HubClient(model_fleet.urls).pull_for_serving("shared")
-        repo = Repository.open(path)
+        repo = Repository.open(str(path))
         try:
             server = ModelServer(
                 repo,

@@ -23,7 +23,7 @@ from repro.hub.server import (
 @pytest.fixture
 def published(tmp_path):
     """A hub with one published single-version repository."""
-    repo = Repository.init(tmp_path / "repo")
+    repo = Repository.init(str(tmp_path / "repo"))
     net = tiny_mlp(
         input_shape=(1, 4, 4), num_classes=3, hidden=4, name="m"
     ).build(0)

@@ -102,7 +102,7 @@ class TestModelerActions:
         dataset = synthetic_faces(
             size=16, num_classes=4, train_per_class=6, test_per_class=2
         )
-        repo = Repository.init(tmp_path / "r")
+        repo = Repository.init(str(tmp_path / "r"))
         AutoModeler(repo, dataset=dataset, config=config).run()
         names = [v.name for v in repo.list_versions()]
         assert names[0] == "sd-base"

@@ -16,10 +16,10 @@ import numpy as np
 import pytest
 
 from repro.core.archival import minimum_spanning_tree
-from repro.core.chunkstore import MemoryChunkStore
 from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
 from repro.core.segmentation import NUM_PLANES
+from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import (
     MatrixRef,
     MatrixStorageGraph,
@@ -27,7 +27,7 @@ from repro.core.storage_graph import (
 )
 from repro.dnn.zoo import tiny_mlp
 from repro.obs.cost import cost_context
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, counter
 from repro.obs.tracing import TraceRecorder, set_recorder
 from repro.serve import PlaneCache
 
@@ -41,17 +41,12 @@ def recorder():
 
 
 @pytest.fixture
-def store_registry():
-    return MetricsRegistry()
-
-
-@pytest.fixture
 def net():
     return tiny_mlp(hidden=8).build(seed=0)
 
 
 @pytest.fixture
-def archive(net, store_registry):
+def archive(net):
     graph = MatrixStorageGraph()
     matrices = {}
     for layer, params in net.get_weights().items():
@@ -61,7 +56,7 @@ def archive(net, store_registry):
             graph.add_materialization(mid, matrix.nbytes, 1.0)
             matrices[mid] = matrix
     return PlanArchive.build(
-        MemoryChunkStore(registry=store_registry),
+        MemoryBackend("obs", create=True).chunks,
         matrices,
         minimum_spanning_tree(graph),
     )
@@ -108,13 +103,17 @@ class TestCacheCounters:
 
 
 class TestChunkstoreCounters:
-    def test_retrieval_counts_store_reads(
-        self, archive, store_registry, recorder
-    ):
-        before = store_registry.counter("chunkstore.get_bytes").value
-        archive.recreate_snapshot("snap")
-        assert store_registry.counter("chunkstore.get_calls").value > 0
-        assert store_registry.counter("chunkstore.get_bytes").value > before
+    def test_retrieval_counts_store_reads(self, archive, recorder):
+        calls, nbytes = (
+            counter(f"chunkstore.get_{name}") for name in ("calls", "bytes")
+        )
+        before = calls.value, nbytes.value
+        with cost_context() as bill:
+            archive.recreate_snapshot("snap")
+        assert bill.chunks_fetched > 0 and bill.bytes_read > 0
+        assert (calls.value - before[0], nbytes.value - before[1]) == (
+            bill.chunks_fetched, bill.bytes_read,
+        )
 
 
 class TestRetrievalSpans:
@@ -168,7 +167,8 @@ class TestRetrievalBilling:
             graph.add_matrix(MatrixRef(f"l{i}.W", "snap", 256))
             graph.add_materialization(f"l{i}.W", 256, 1.0)
         archive = PlanArchive.build(
-            MemoryChunkStore(), matrices, minimum_spanning_tree(graph)
+            MemoryBackend("pool", create=True).chunks, matrices,
+            minimum_spanning_tree(graph),
         )
         bills = {}
         previous = sys.getswitchinterval()

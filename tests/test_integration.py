@@ -23,7 +23,7 @@ from repro.hub.client import HubClient
 @pytest.fixture(scope="module")
 def story(tmp_path_factory):
     root = tmp_path_factory.mktemp("story")
-    repo = Repository.init(root / "repo")
+    repo = Repository.init(str(root / "repo"))
     dataset = synthetic_digits(train_per_class=30, test_per_class=10)
 
     # 1. Train and commit a base model.

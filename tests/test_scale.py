@@ -19,7 +19,7 @@ from repro.dql.executor import DQLExecutor
 @pytest.fixture(scope="module")
 def big_repo(tmp_path_factory):
     rng = np.random.default_rng(77)
-    repo = Repository.init(tmp_path_factory.mktemp("scale") / "repo")
+    repo = Repository.init(str(tmp_path_factory.mktemp("scale") / "repo"))
     base = tiny_mlp(hidden=32, name="family-0").build(0)
     previous = repo.commit(base, name="family-0", message="root")
     net = base
