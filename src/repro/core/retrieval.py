@@ -139,12 +139,12 @@ def by_layer(values: dict[str, object]) -> dict[str, dict[str, object]]:
 
 @dataclass
 class RecoveryEvent:
-    """One plane read that needed the recovery path.
+    """One blob (``sha``) of a plane read that needed the recovery path.
 
     ``action`` is ``"replica"`` (exact bytes served from the replica
-    tier) or ``"zero-fill"`` (low-order plane lost; zeros substituted —
-    the partial-retrieval semantics of Table V, so the value is
-    approximate but the snapshot stays readable).
+    tier) or ``"zero-fill"`` (a blob of a plane >= 1 lost; zeros
+    substituted — the partial-retrieval semantics of Table V, so the
+    value is approximate but the snapshot stays readable).
     """
 
     matrix_id: str
@@ -214,7 +214,8 @@ class _StoredPayload:
     ``kind="pages"`` payloads are root-anchored like ``materialize`` but
     store no plane chunks; instead ``pages`` maps each plane index to a
     page manifest (see :mod:`repro.dedup.pages`) resolving into the
-    shared page tier.
+    shared page tier.  ``stored_sizes`` memoizes what reading each plane
+    bills (:meth:`PlanArchive._fetch_plane`).
     """
 
     matrix_id: str
@@ -223,6 +224,7 @@ class _StoredPayload:
     shape: tuple
     chunk_ids: list[str] = field(default_factory=list)
     pages: Optional[dict[int, dict]] = None
+    stored_sizes: dict = field(default_factory=dict, repr=False, compare=False)
 
 
 class PlanArchive:
@@ -235,10 +237,10 @@ class PlanArchive:
             design.  When given, planes with index >= ``offload_from`` are
             written to and read from it.
         offload_from: First plane index routed to ``low_order_store``.
-        replica_store: Optional redundancy tier holding second copies of
-            the high-order planes (written for plane indexes below
-            :attr:`replicate_planes`).  On a failed integrity check, reads
-            fall back to it — the archive's "alternate path".
+        replica_store: Optional redundancy tier holding a second copy of
+            each blob (chunk or page) of the planes below
+            :attr:`replicate_planes`, under its own address: a blob that
+            fails in its tier is read from it — the "alternate path".
         degraded: Permit lossy recovery — when a plane with index >= 1
             cannot be read from either store, substitute zeros instead of
             raising, recording a :class:`RecoveryEvent`.  Plane 0
@@ -250,13 +252,12 @@ class PlanArchive:
         plane_cache: Optional :class:`~repro.core.cache.PlaneCache`;
             when set, every plane read (:meth:`_fetch_plane`) goes
             through it under ``("plane", plane_address(entry, i))`` —
-            one entry per plane, carrying the plane's stored size for
-            billing — so a plane shared by several models is cached once
-            and cold loads coalesce (single-flight) across every model
-            being served.  A chunk plane is kept assembled, 1 B per
-            weight; a paged plane in page form when its patch is sparse
-            (:meth:`_plane_entry`), its base pages shared parts charged
-            once across all the planes that hold them.  The
+            one entry per plane — so a plane shared by several models is
+            cached once and cold loads coalesce (single-flight) across
+            every model being served.  A chunk plane is kept assembled,
+            1 B per weight; a paged plane in page form when its patch is
+            sparse (:meth:`_plane_entry`), its base pages shared parts
+            charged once across all the planes that hold them.  The
             :class:`~repro.core.progressive.ProgressiveEvaluator` over
             this archive keeps its derived bounds in the same cache;
             they never displace a plane.  A plane read through the
@@ -379,7 +380,7 @@ class PlanArchive:
     ) -> _StoredPayload:
         """Land one payload — the only code that puts planes (one chunk
         each, or ``kind="pages"``: pages of the shared tier) and the only
-        code that mirrors them into the replica tier.
+        code that mirrors their blobs into the replica tier.
 
         Inside a :func:`~repro.core.chunkstore.write_batch` the chunks
         and mirrors are deferred to the batch (they land with its
@@ -397,38 +398,41 @@ class PlanArchive:
                 entry.pages[index] = self.page_store.encode_plane(plane)
             else:
                 entry.chunk_ids.append(_put(self.plane_store(index), plane))
-            self._mirror(index, plane)
+            if self.replica_store is not None and index < self.replicate_planes:
+                self._mirror(entry, index, plane)
         self._manifest[matrix_id] = entry
         return entry
 
-    def _mirror(self, index: int, plane: bytes) -> None:
-        # The replica tier mirrors the leading *assembled* planes under
-        # their own digest (a page manifest records it), so its
-        # exact-recovery guarantee survives page encoding.
-        if self.replica_store is not None and index < self.replicate_planes:
+    def _mirror(self, entry: _StoredPayload, index: int, plane: bytes) -> None:
+        """Mirror one plane's blobs: the chunk (``plane``), or each page
+        of its manifest — from the page store's buffer when this run
+        stores it, read back only when stored but not yet mirrored."""
+        if entry.kind != "pages":
             _put(self.replica_store, plane)
+            return
+        for sha in dict.fromkeys(_manifest_shas(entry.pages[index])):
+            data = self.page_store.pending(sha)
+            if data is None:
+                if sha in self.replica_store:
+                    continue
+                data = self.page_store.blobs.get(sha)
+            _put(self.replica_store, data)
 
     def plane_address(self, entry: _StoredPayload, index: int) -> str:
-        """Whole-plane content address: the chunk id, or the digest the
-        page manifest records (``""`` for a manifest without one)."""
+        """Whole-plane content address, the plane cache's key: the chunk
+        id, or the digest the page manifest records (``""`` for a
+        manifest without one)."""
         if entry.kind == "pages":
             return self._page_manifest(entry, index).get("sha", "")
         return entry.chunk_ids[index]
 
-    def mirror_addresses(self, entry: _StoredPayload) -> list[str]:
-        """Replica addresses :meth:`write_payload` promised for ``entry``."""
-        return [
-            self.plane_address(entry, i) for i in range(self.replicate_planes)
-        ]
-
-    def restore_mirror(self, entry: _StoredPayload, index: int) -> bool:
-        """Re-mirror one plane from its main-tier chunk or reassembled
-        pages; ``False`` when what was read is not the promised plane."""
-        data, _nbytes = self._read_plane(entry, index)
-        if self.store.address(data) != self.plane_address(entry, index):
-            return False
-        self._mirror(index, data)
-        return True
+    def plane_blobs(self, entry: _StoredPayload, index: int) -> tuple:
+        """``(tier, addresses)`` of the blobs one plane is stored as: its
+        chunk, or the distinct pages its manifest names."""
+        if entry.kind != "pages":
+            return self.plane_store(index), [entry.chunk_ids[index]]
+        manifest = self._page_manifest(entry, index)
+        return self.page_store.blobs, list(dict.fromkeys(_manifest_shas(manifest)))
 
     # -- manifest -------------------------------------------------------------
 
@@ -485,35 +489,23 @@ class PlanArchive:
 
         Pages shared across matrices (the dedup win) count once.
         """
-        seen = set()
-        total = 0
+        sizes: dict[str, int] = {}
         for entry in self._manifest.values():
-            for index, sha in enumerate(entry.chunk_ids):
-                if sha not in seen:
-                    seen.add(sha)
-                    total += self.plane_store(index).stored_size(sha)
-            if entry.pages:
-                for manifest in entry.pages.values():
-                    for sha in _manifest_shas(manifest):
-                        if sha not in seen:
-                            seen.add(sha)
-                            total += self.page_store.blobs.stored_size(sha)
-        return total
+            for index in range(len(entry.chunk_ids or entry.pages)):
+                store, shas = self.plane_blobs(entry, index)
+                for sha in shas:
+                    if sha not in sizes:
+                        sizes[sha] = store.stored_size(sha)
+        return sum(sizes.values())
 
     def plane_stored_size(self, entry: _StoredPayload, index: int) -> int:
-        """Stored bytes behind one plane of one payload (pages-aware)."""
-        if entry.kind == "pages":
-            manifest = (entry.pages or {}).get(index)
-            if manifest is None:
-                return 0
-            total = 0
-            for sha in set(_manifest_shas(manifest)):
-                try:
-                    total += self.page_store.blobs.stored_size(sha)
-                except KeyError:
-                    continue
-            return total
-        return self.plane_store(index).stored_size(entry.chunk_ids[index])
+        """Stored bytes of the blobs behind one plane of one payload that
+        its tier holds (0 for a paged plane without a manifest)."""
+        try:
+            store, shas = self.plane_blobs(entry, index)
+        except KeyError:
+            return 0
+        return sum(store.stored_size(sha) for sha in shas if sha in store)
 
     def snapshot_fingerprint(self, snapshot_id: str) -> Optional[str]:
         """Content fingerprint of a snapshot's stored weights.
@@ -604,8 +596,10 @@ class PlanArchive:
 
         The active request is billed ``charge(planes_fetched=1,
         plane_bytes=...)`` in stored (compressed, deduplicated) bytes —
-        the paper's progressive-query byte-savings unit — whether the
-        plane is one chunk, reassembled from pages, or a cache hit.
+        the paper's progressive-query byte-savings unit: what
+        :meth:`_read_plane` of this payload reads, also on a cache hit
+        that another payload, stored differently, loaded (summed once
+        from the stored sizes the entry carries, and memoized).
 
         Returns ``(bytes, stored_size)``; ``(None, 0)`` means the plane
         was lost and the caller should zero-fill it (degraded mode).
@@ -616,11 +610,18 @@ class PlanArchive:
                 "" if cache is None else self.plane_address(entry, index)
             )
             if address:
-                form, nbytes = cache.get_or_load(
+                form, sizes = cache.get_or_load(
                     ("plane", address),
                     lambda: self._plane_entry(entry, index),
                 )
                 data = form if type(form) is bytes else form.assemble()
+                nbytes = entry.stored_sizes.get(index)
+                if nbytes is None:
+                    store, shas = self.plane_blobs(entry, index)
+                    nbytes = entry.stored_sizes[index] = sum(
+                        sizes[sha] if sha in sizes else store.stored_size(sha)
+                        for sha in shas
+                    )
             else:
                 data, nbytes = self._read_plane(entry, index)
         except (KeyError, ValueError) as exc:
@@ -630,7 +631,8 @@ class PlanArchive:
         return data, nbytes
 
     def _plane_entry(self, entry: _StoredPayload, index: int) -> tuple:
-        """A plane-cache loader: ``((form, stored_size), nbytes[, bases])``.
+        """A plane-cache loader: ``((form, sizes), nbytes[, bases])``,
+        ``sizes`` mapping each blob it read to its stored size.
 
         A chunk is kept as its bytes, 1 B per weight.  A paged plane
         reads, in one ``get_many``, only the blobs the cache does not
@@ -642,7 +644,7 @@ class PlanArchive:
         """
         if entry.kind != "pages":
             data, nbytes = self._read_plane(entry, index)
-            return (data, nbytes), len(data)
+            return (data, {entry.chunk_ids[index]: nbytes}), len(data)
         manifest = self._page_manifest(entry, index)
         shas = dict.fromkeys(_manifest_shas(manifest))
         blobs = self.plane_cache.held(shas)
@@ -650,11 +652,11 @@ class PlanArchive:
         if unheld:
             blobs.update(self.page_store.blobs.get_many(unheld))
         form = _decode_paged_plane(manifest, lambda sha: blobs[sha][0])
-        stored = sum(size for _data, size in blobs.values())
+        sizes = {sha: size for sha, (_data, size) in blobs.items()}
         if form.own_bytes >= form.length:
-            return (form.assemble(), stored), form.length
+            return (form.assemble(), sizes), form.length
         bases = {sha: (blobs[sha], len(base)) for sha, base in form.bases.items()}
-        return (form, stored), form.own_bytes, bases
+        return (form, sizes), form.own_bytes, bases
 
     def _read_plane(
         self, entry: _StoredPayload, index: int
@@ -662,13 +664,23 @@ class PlanArchive:
         """One plane's bytes and stored size, straight from its tier with
         one ``get_many``: a chunk, or (``kind="pages"``) every page of
         its manifest from the shared dedup tier."""
-        if entry.kind == "pages":
-            manifest = self._page_manifest(entry, index)
-            found = self.page_store.blobs.get_many(_manifest_shas(manifest))
-            form = _decode_paged_plane(manifest, lambda sha: found[sha][0])
-            return form.assemble(), sum(size for _, size in found.values())
-        sha = entry.chunk_ids[index]
-        return self.plane_store(index).get_many((sha,))[sha]
+        store, shas = self.plane_blobs(entry, index)
+        return self._assemble(entry, index, store.get_many(shas))
+
+    def _assemble(
+        self, entry: _StoredPayload, index: int, found: dict
+    ) -> tuple[Optional[bytes], int]:
+        """One plane and its stored size from its blobs ``found`` (``sha
+        -> (bytes, size)``): the chunk (``None`` when not found), or the
+        manifest's pages assembled, a page not found zero-filled."""
+        nbytes = sum(size for _data, size in found.values())
+        if entry.kind != "pages":
+            hit = found.get(entry.chunk_ids[index])
+            return (hit[0] if hit else None), nbytes
+        return _decode_paged_plane(
+            self._page_manifest(entry, index), lambda sha: found[sha][0],
+            missing_ok=True,
+        ).assemble(), nbytes
 
     def _page_manifest(self, entry: _StoredPayload, index: int) -> dict:
         if self.page_store is None:
@@ -686,51 +698,37 @@ class PlanArchive:
     def _recover_plane(
         self, entry: _StoredPayload, index: int, exc: Exception
     ) -> tuple[Optional[bytes], int]:
-        """Alternate-path read: replica tier first, then zero-fill.
-
-        The replica tier holds whole planes: under the chunk id, or under
-        the assembled-plane digest a page manifest records.  Zero-fill
-        (degraded mode, planes >= 1 only) drops the whole plane of a
-        chunk payload but only the unreadable pages of a paged one.
-        """
-        sha = self.plane_address(entry, index)
-
-        def record(lost_sha: str, action: str) -> None:
-            self.recovery.record(
-                RecoveryEvent(
-                    entry.matrix_id, lost_sha, index, action,
-                    action == "replica", str(exc),
-                )
-            )
-
-        if self.replica_store is not None and sha:
-            try:
-                data, nbytes = self.replica_store.get_many((sha,))[sha]
-            except (KeyError, ValueError):
-                pass
+        """Alternate-path read, one rule for every blob (chunk or page):
+        one that fails in its tier is read from the replica at the same
+        address; what neither holds is zero-filled (degraded mode,
+        planes >= 1 only) — a chunk's whole plane, or one page."""
+        store, shas = self.plane_blobs(entry, index)
+        tiers = [tier for tier in (store, self.replica_store) if tier is not None]
+        found, restored, lost = {}, [], []
+        for sha in shas:
+            for tier in tiers:
+                try:
+                    found[sha] = tier.get_many((sha,))[sha]
+                except (KeyError, ValueError):
+                    continue
+                if tier is not store:
+                    restored.append(sha)
+                break
             else:
-                record(sha, "replica")
-                counter("recovery.replica_reads").inc()
-                return data, nbytes
-        if self.degraded and index >= 1:
-            if entry.kind == "pages":
-                # Page by page, so only the pages that fail zero-fill.
-                lost: list[str] = []
-                data = _decode_paged_plane(
-                    self._page_manifest(entry, index),
-                    self.page_store.blobs.get, missing_ok=True,
-                    on_missing=lambda page_sha, _err: lost.append(page_sha),
-                ).assemble()
-                nbytes = self.plane_stored_size(entry, index)
-                counter("recovery.degraded_pages").inc(max(1, len(lost)))
-            else:
-                lost, data, nbytes = [sha], None, 0
-                counter("recovery.degraded_planes").inc()
-            for lost_sha in lost:
-                record(lost_sha, "zero-fill")
-            return data, nbytes
-        counter("recovery.failures").inc()
-        raise exc
+                lost.append(sha)
+        if lost and not (self.degraded and index >= 1):
+            counter("recovery.failures").inc()
+            raise exc
+        for action, blobs in (("replica", restored), ("zero-fill", lost)):
+            for sha in blobs:
+                self.recovery.record(RecoveryEvent(
+                    entry.matrix_id, sha, index, action, action == "replica",
+                    str(exc),
+                ))
+        counter("recovery.replica_reads").inc(len(restored))
+        if lost:
+            counter("recovery.degraded_planes").inc()
+        return self._assemble(entry, index, found)
 
     def _resolve(
         self,

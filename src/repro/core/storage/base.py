@@ -41,6 +41,7 @@ no read path will ever touch them again.
 from __future__ import annotations
 
 import abc
+import contextlib
 import datetime
 import json
 from contextlib import contextmanager
@@ -58,9 +59,10 @@ ARCHIVES_PREFIX = "archives/"
 
 #: On-disk format this code writes, recorded as ``format`` in the config
 #: document; a config without the field is format 1 (local-fs blobs as
-#: loose files), format 2 packs them, and format 3 stores associated
-#: files as a blob tier and intents as catalog rows.
-FORMAT = 3
+#: loose files), format 2 packs them, format 3 stores associated files
+#: as a blob tier and intents as catalog rows, and format 4 mirrors a
+#: paged plane's pages, not the whole plane (``mirror_page_blobs``).
+FORMAT = 4
 
 #: The blob tiers of every backend, and the suffix a quarantined blob of
 #: each is named with (``<sha><suffix>``).
@@ -233,6 +235,27 @@ class StorageBackend(abc.ABC):
                 f"reads formats up to {FORMAT} (upgrade dlv)"
             )
         return found
+
+    def mirror_page_blobs(self) -> None:
+        """Format 3 -> 4, run by the open that records format 4: copy
+        into the replica each page blob planes 0-1 reference (format 3's
+        whole-plane mirrors are left for ``gc``).  It copies only what
+        the replica lacks, so a crash part way repeats it; a page the
+        tier cannot read is left to fsck."""
+        from repro.core.retrieval import PlanArchive
+        from repro.dedup.pages import manifest_shas
+
+        wanted = {
+            sha
+            for _matrix, plane, man in self.catalog.all_page_manifests()
+            if plane < PlanArchive.replicate_planes
+            for sha in manifest_shas(man)
+        } - set(self.replica.addresses())
+        blobs = []
+        for sha in sorted(wanted):
+            with contextlib.suppress(KeyError, ValueError):
+                blobs.append(self.pages.get(sha))
+        self.replica.put_many(blobs)
 
     def record_format(self) -> None:
         """Write :data:`FORMAT` into the config (after an open's folds)."""

@@ -198,13 +198,15 @@ class LocalFSBackend(StorageBackend):
         repository with nothing to fold costs a few directory scans.
         Each source is removed only after what it became has landed, so
         a crash part way leaves it behind and the next open folds again,
-        writing nothing twice.  Only after the folds does an older
-        config record the new format."""
+        writing nothing twice.  Only after the folds, and an older
+        format's page mirrors (:meth:`mirror_page_blobs`, one pack), does
+        an older config record the new format."""
         found = super().open_format()
         for kind in TIERS:
             _fold_loose(self.tier(kind))
         _fold_intent_files(self.dlv_dir / "journal", self.catalog.journal)
         if found < FORMAT:
+            self.mirror_page_blobs()
             self.record_format()
         return FORMAT
 

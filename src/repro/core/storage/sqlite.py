@@ -311,8 +311,9 @@ class SQLiteBackend(StorageBackend):
 
     def open_format(self) -> int:
         """Check the format; move format 2's associated-file rows into
-        the ``files`` tier, drop their table and record the new format,
-        all in one transaction."""
+        the ``files`` tier, drop their table, mirror an older format's
+        page blobs (:meth:`mirror_page_blobs`) and record the new
+        format, all in one transaction."""
         found = super().open_format()
         if found < FORMAT:
             with self.catalog.transaction():
@@ -324,6 +325,7 @@ class SQLiteBackend(StorageBackend):
                     ).fetchall()
                     self.files.put_many(bytes(row[0]) for row in rows)
                     self._writer.execute("DROP TABLE store_file")
+                self.mirror_page_blobs()
                 self.record_format()
         return FORMAT
 

@@ -17,8 +17,8 @@ A plane manifest is JSON-friendly::
 ``pages[i]`` covers bytes ``[i*psize, (i+1)*psize)`` of the plane; a
 ``null`` patch means the base page *is* the content, otherwise the page
 is ``xor_bytes(patch, base)``.  ``sha`` is the digest of the whole
-assembled plane, which lets the replica tier keep serving exact planes
-for page-encoded payloads.
+assembled plane, the plane cache's key; the replica tier mirrors the
+pages themselves, each under its own address.
 """
 
 from __future__ import annotations

@@ -194,6 +194,10 @@ class PageStore:
         }
         return manifest, added
 
+    def pending(self, sha: str) -> Optional[bytes]:
+        """The bytes of a blob :meth:`flush` will land, or ``None``."""
+        return self._buffer.get(sha)
+
     def _holds(self, sha: str) -> bool:
         """Whether ``sha`` is buffered by this run, or stored and readable.
 

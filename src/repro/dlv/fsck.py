@@ -23,58 +23,30 @@ With ``repair=True`` it additionally:
   ``<sha>.replica``, ``<sha>.page`` and ``<sha>.file`` for the other
   tiers — a ``.dlv/quarantine/`` directory on the local-fs backend, a
   table in the database backends),
-* restores quarantined chunks from the replica tier when an intact copy
-  exists (exact recovery),
-* re-materializes payloads that reference lost chunks through degraded
-  retrieval — the alternate storage-graph path: replica planes first,
-  zero-filled low-order planes as a last resort — rewriting them as
-  exact-from-now-on materialized payloads,
+* restores a lost chunk or page from the replica tier, which holds the
+  blobs of every payload's high-order planes under their own addresses
+  (exact recovery: one rule for both tiers),
+* re-materializes only the payloads whose lost blobs neither tier holds,
+  through degraded retrieval — zero-filled low-order blobs — rewriting
+  them as exact-from-now-on materialized payloads,
 * deletes dangling catalog rows, orphan chunks/files, and stale tmps.
 
-Finding codes
-=============
+Finding codes are :data:`FSCK_CODES`, each with its severity.
 
-=========  ========  ====================================================
-code       severity  meaning
-=========  ========  ====================================================
-F101       error     corrupt chunk in the main store (re-hash failed)
-F102       warning   corrupt chunk in the replica store
-F103       error     payload references a chunk absent from the store
-F104       warning   replicated plane has no replica copy
-F105       error     version references a missing or corrupt associated file
-F201       error     snapshot row whose version does not exist
-F202       error     matrix row whose snapshot does not exist
-F203       error     payload row whose matrix does not exist
-F204       error     matrix row with no payload (unrecreatable)
-F205       error     payload parent chain broken (unknown parent)
-F206       error     payload parent chain contains a cycle
-F207       error     lineage edge referencing an unknown version
-F208       error     matrix does not recreate to its recorded shape
-F209       error     version whose network spec does not parse
-F301       warning   pending journal intent (unreplayed crash artifact)
-F302       warning   stale tmp file in a chunk store
-F303       info      orphan chunk (referenced by no payload)
-F304       info      orphan associated file
-F401       error     page manifest references a missing/corrupt page
-F403       info      orphan page (referenced by no manifest)
-=========  ========  ====================================================
-
-Replica-tier audit (F104): every plane the payload writer mirrors
-(:meth:`~repro.core.retrieval.PlanArchive.mirror_addresses`) must have
-its replica copy; ``--repair`` re-mirrors from the intact main-store
-chunk or the reassembled pages.  What counts as an orphan (F303, F304,
-F403) is :meth:`~repro.dlv.repository.Repository.live_addresses`, the
-one rule.
+What the replica must hold (F104: every blob of planes 0-1, under its
+own address; ``--repair`` copies the verified blob from its main tier)
+and what counts as an orphan (F303, F304, F403) is
+:meth:`~repro.dlv.repository.Repository.live_addresses`, the one rule.
 
 Associated-file tier (F105): a named file that is missing or corrupt
 has no second copy, so the finding stays unrepaired; ``--repair``
 quarantines a corrupt one (kind ``files``).
 
 Dedup-tier repairs (F4xx): corrupt page blobs are quarantined (kind
-``pages``); payloads whose pages are lost re-materialize through
-degraded retrieval exactly like F103 — the manifest's whole-plane
-replica mirror makes the high-order planes exact; orphan pages are
-swept with their index rows.
+``pages``); a lost page is restored from the replica exactly as a lost
+chunk is (F101/F103), so every paged matrix that shares it stays paged;
+a payload re-materializes only when neither tier has the page; orphan
+pages are swept.
 
 Exit codes of the CLI command: ``0`` — clean, or every error-severity
 finding was repaired; ``1`` — error findings remain (run with
@@ -92,28 +64,28 @@ from repro.obs.metrics import counter
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.dlv.repository import Repository
 
-#: Severity per finding code (also the authoritative code list).
+#: Every finding code: ``code -> (severity, meaning)``.
 FSCK_CODES: dict[str, tuple[str, str]] = {
-    "F101": ("error", "corrupt chunk in main store"),
-    "F102": ("warning", "corrupt chunk in replica store"),
-    "F103": ("error", "payload references missing chunk"),
-    "F104": ("warning", "replicated plane has no replica copy"),
-    "F105": ("error", "associated file missing or corrupt"),
-    "F201": ("error", "snapshot without version"),
-    "F202": ("error", "matrix without snapshot"),
-    "F203": ("error", "payload without matrix"),
-    "F204": ("error", "matrix without payload"),
-    "F205": ("error", "payload parent chain broken"),
-    "F206": ("error", "payload parent chain cycle"),
-    "F207": ("error", "lineage edge to unknown version"),
+    "F101": ("error", "corrupt chunk in the main store (re-hash failed)"),
+    "F102": ("warning", "corrupt chunk in the replica store"),
+    "F103": ("error", "payload references a chunk absent from the store"),
+    "F104": ("warning", "blob of a replicated plane has no replica copy"),
+    "F105": ("error", "version references a missing or corrupt file"),
+    "F201": ("error", "snapshot row whose version does not exist"),
+    "F202": ("error", "matrix row whose snapshot does not exist"),
+    "F203": ("error", "payload row whose matrix does not exist"),
+    "F204": ("error", "matrix row with no payload (unrecreatable)"),
+    "F205": ("error", "payload parent chain broken (unknown parent)"),
+    "F206": ("error", "payload parent chain contains a cycle"),
+    "F207": ("error", "lineage edge referencing an unknown version"),
     "F208": ("error", "matrix does not recreate to its recorded shape"),
-    "F209": ("error", "network spec does not parse"),
-    "F301": ("warning", "pending journal intent"),
-    "F302": ("warning", "stale tmp file"),
-    "F303": ("info", "orphan chunk"),
+    "F209": ("error", "version whose network spec does not parse"),
+    "F301": ("warning", "pending journal intent (unreplayed crash artifact)"),
+    "F302": ("warning", "stale tmp file in a chunk store"),
+    "F303": ("info", "orphan chunk (referenced by no payload)"),
     "F304": ("info", "orphan associated file"),
-    "F401": ("error", "page manifest references missing page"),
-    "F403": ("info", "orphan page"),
+    "F401": ("error", "page manifest references a missing/corrupt page"),
+    "F403": ("info", "orphan page (referenced by no manifest)"),
 }
 
 
@@ -210,7 +182,7 @@ def run_fsck(repo: "Repository", repair: bool = False) -> FsckReport:
     missing = _check_payload_chunks(repo, report, corrupt_main, repair)
     if repair:
         if missing:
-            _repair_payloads(repo, report, missing)
+            _restore(repo, report, repo.store, missing, ("F101", "F103"))
         referenced = {m for shas in missing.values() for m in shas}
         for sha in corrupt_main - referenced:
             # Corrupt blob no payload references: quarantining it IS the fix.
@@ -429,44 +401,49 @@ def _check_payload_chunks(
     return affected
 
 
-def _repair_payloads(
-    repo, report: FsckReport, affected: dict[str, list[str]]
+def _restore(
+    repo, report: FsckReport, tier, affected: dict[str, list[str]],
+    codes: tuple[str, ...],
 ) -> None:
-    """Re-land lost chunks: replica restore first, else re-materialize.
-
-    Exact path: an intact replica copy of the lost chunk is copied back
-    into the main store.  Degraded path (:func:`_rematerialize`):
-    approximate values, but the snapshot is readable again and every
-    descendant's delta chain stays intact.
-    """
+    """Re-land the lost blobs of one main tier (chunks or pages) from
+    the replica's copy under the same address (exact), else
+    re-materialize the payloads that reference them (degraded: the
+    values are approximate, but the snapshot is readable again and every
+    descendant's delta chain stays intact)."""
     still_lost: dict[str, list[str]] = {}
     for matrix_id, shas in affected.items():
-        remaining = []
         for sha in shas:
-            if sha in repo.store:
+            if sha in tier:
                 continue  # restored while handling an earlier payload
-            if sha in repo.replica and repo.replica.verify_blob(sha):
-                repo.store.put(repo.replica.get(sha))
+            if _copy(repo.replica, tier, sha):
                 counter("fsck.replica_restores").inc()
-                _annotate(report, sha, "restored from replica")
+                _annotate(report, sha, "restored from replica", codes=codes)
             else:
-                remaining.append(sha)
-        if remaining:
-            still_lost[matrix_id] = remaining
-
+                still_lost.setdefault(matrix_id, []).append(sha)
     if still_lost:
-        _rematerialize(repo, report, still_lost, ("F101", "F103"))
+        _rematerialize(repo, report, still_lost, codes)
+
+
+def _copy(source, dest, sha: str) -> bool:
+    """Put ``source``'s verified copy of one blob into ``dest``;
+    ``False`` when it has no intact one."""
+    try:
+        data = source.get(sha)
+    except (KeyError, ValueError):
+        return False
+    dest.put(data)
+    return True
 
 
 def _rematerialize(
     repo, report: FsckReport, affected: dict[str, list[str]],
     codes: tuple[str, ...],
 ) -> None:
-    """Rewrite payloads whose chunks or pages are lost as materialized.
+    """Rewrite payloads whose chunks or pages neither tier holds as
+    materialized.
 
-    The matrix is recreated through degraded retrieval — the replica
-    mirror makes the high-order planes exact (for page-encoded payloads
-    too: their whole-plane mirror), what nothing else can recover is
+    The matrix is recreated through degraded retrieval — what the
+    replica still holds reads exact, a lost blob of a plane >= 1 is
     zero-filled — and rewritten by the repository's one payload writer.
     """
     archive = repo._plan_archive()
@@ -534,7 +511,7 @@ def _check_pages(repo, report: FsckReport, repair: bool) -> None:
     if repair:
         repo.backend.quarantine_blobs("pages", corrupt)
         if affected:
-            _rematerialize(repo, report, affected, ("F401",))
+            _restore(repo, report, repo.pages, affected, ("F401",))
 
 
 # -- associated-file tier ------------------------------------------------------------
@@ -558,26 +535,17 @@ def _check_files(repo, report: FsckReport, repair: bool) -> None:
 
 
 def _check_mirrors(repo, report: FsckReport, repair: bool) -> None:
-    """F104: every plane the payload writer mirrors has its replica copy."""
-    archive = repo._plan_archive()
-    for entry in archive.manifest.values():
-        for index, sha in enumerate(archive.mirror_addresses(entry)):
-            if not sha or sha in repo.replica:
-                continue
-            f = Finding(
-                "F104",
-                f"plane {index} of {entry.matrix_id} has no replica copy",
-                sha=sha,
-                matrix_id=entry.matrix_id,
-            )
-            if repair:
-                try:
-                    f.repaired = archive.restore_mirror(entry, index)
-                except (KeyError, ValueError):
-                    pass  # the main-tier copy is lost too: F103/F401's job
-                if f.repaired:
-                    f.repair = "re-mirrored from the main tier"
-            report.findings.append(f)
+    """F104: the replica holds every blob the liveness rule keeps in it."""
+    _chunks, replica, _pages, _files = repo.live_addresses()
+    for sha in sorted(replica - set(repo.replica.addresses())):
+        f = Finding("F104", f"replicated blob {sha[:12]} has no replica copy",
+                    sha=sha)
+        # A main-tier copy that is lost too is F103/F401's job.
+        if repair and any(
+            _copy(tier, repo.replica, sha) for tier in (repo.store, repo.pages)
+        ):
+            f.repaired, f.repair = True, "re-mirrored from the main tier"
+        report.findings.append(f)
 
 
 # -- journal & filesystem litter -----------------------------------------------------
@@ -623,8 +591,8 @@ def _check_litter(repo, report: FsckReport, repair: bool) -> None:
         if sha not in live
     ]
     if repair and orphans:
-        # The one sweep: an orphan chunk's replica copy goes too — unless
-        # a page manifest's plane digest still claims it.
+        # The one sweep: an orphan chunk's replica copy goes too, unless
+        # a replicated plane still references a blob at that address.
         repo.gc()
         for f in orphans:
             f.repaired, f.repair = True, "swept"

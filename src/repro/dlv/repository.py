@@ -13,7 +13,8 @@ layout, for reference:
         catalog.db      relational catalog (repro.dlv.catalog), with the
                         write-ahead intents of in-flight mutations
         chunks/         PAS byte-plane chunk store (packs of blobs)
-        replica/        redundant copies of high-order planes (recovery tier)
+        replica/        second copies of the high-order planes' blobs,
+                        each under its own address (recovery tier)
         pages/          dedup page tier
         files/          associated files (packs of blobs)
         quarantine/     corrupt blobs set aside by `dlv fsck --repair`
@@ -36,8 +37,9 @@ first under a journaled intent, catalog rows apply in one sqlite
 transaction (a commit's also retires its intent), and
 :meth:`Repository.open` replays any pending intent — rolling back
 commits that never reached the catalog and sweeping the orphaned chunks
-and files they left behind.  The high-order byte planes of every
-payload are mirrored into a small replica store, which is what lets
+and files they left behind.  Every blob the high-order byte planes of
+a payload reference — a chunk, or a dedup page — is mirrored into a
+small replica store under the same address, which is what lets
 retrieval and ``dlv fsck --repair`` survive a corrupt blob.
 """
 
@@ -956,18 +958,19 @@ class Repository:
     ) -> tuple[set[str], set[str], set[str], set[str]]:
         """The liveness rule: the ``(chunks, replica, pages, files)``
         addresses the catalog keeps alive.  A payload's chunk list keeps
-        its chunks and their mirrors; a page manifest keeps its pages and
-        — in the replica tier only — the mirror under its whole-plane
-        digest (the same digest in the main store is a stale materialize
-        chunk); a version's file rows keep its associated files."""
-        chunks: set[str] = set()
+        its chunks, a page manifest its pages, and a version's file rows
+        its associated files; the replica keeps the blobs of the planes
+        the writer mirrors (:attr:`PlanArchive.replicate_planes`)."""
+        mirrored = PlanArchive.replicate_planes
+        chunks, replica, pages = set(), set(), set()
         for payload in self.catalog.all_payloads():
             chunks.update(payload["chunks"])
-        replica, pages = set(chunks), set()
-        for _matrix_id, _plane, man in self.catalog.all_page_manifests():
-            pages.update(manifest_shas(man))
-            if man.get("sha"):
-                replica.add(man["sha"])
+            replica.update(payload["chunks"][:mirrored])
+        for _matrix_id, plane, man in self.catalog.all_page_manifests():
+            shas = set(manifest_shas(man))
+            pages |= shas
+            if plane < mirrored:
+                replica |= shas
         return chunks, replica, pages, self.catalog.all_file_shas()
 
     def _sweep(self, listed: Optional[dict] = None) -> dict[str, int]:

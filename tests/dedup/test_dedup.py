@@ -661,7 +661,8 @@ class TestPageFormCache:
 
     def test_every_plane_reads_as_stored(self, make_repo_target, backend):
         """Cold, warm and under eviction pressure, through the cache
-        each plane is ``_read_plane``'s bytes, and the charge is the
+        each plane is ``_read_plane``'s bytes and bills its stored size
+        (also on a hit another payload loaded), and the charge is the
         recount of what is cached, within the budget."""
         repo = _archived_family(make_repo_target, backend)
         archive = repo.archive_view()
@@ -669,6 +670,9 @@ class TestPageFormCache:
         stored = {  # address -> bytes (equal planes share an address)
             archive.plane_address(e, i): archive._read_plane(e, i)[0]
             for e, i in planes
+        }
+        sizes = {  # what each payload's own read of a plane bills
+            (e.matrix_id, i): archive._read_plane(e, i)[1] for e, i in planes
         }
         everything = _cache_charge(
             archive, _first_loaded(archive, planes).values()
@@ -681,8 +685,9 @@ class TestPageFormCache:
                 address = archive.plane_address(entry, index)
                 if ("plane", address) not in cache:
                     held[address] = entry, index
-                data, _nbytes = archive._fetch_plane(entry, index)
+                data, nbytes = archive._fetch_plane(entry, index)
                 assert data == stored[address]
+                assert nbytes == sizes[entry.matrix_id, index]
                 cached = [held[key[1]] for key in cache.keys()]
                 assert cache.cached_bytes == _cache_charge(archive, cached)
                 assert cache.cached_bytes <= budget

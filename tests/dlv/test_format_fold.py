@@ -1,18 +1,23 @@
-"""Format 2 repositories fold into format 3 on open.
+"""Older repositories fold into the current format on open.
 
 Format 2 kept associated files outside the blob tiers (raw
 ``files/<sha>`` on local-fs, a ``store_file`` table on sqlite), kept
 local-fs intents as ``journal/<txid>.json`` files, and told a finished
 commit's pending intent apart by a ``commit_marker`` row.  The layouts
-are rebuilt here by hand from a format-3 repository, with two pending
+are rebuilt here by hand from a current repository, with two pending
 commit intents each: one for a commit that never reached the catalog
 (its orphans must be swept) and one for a commit whose marker row
 exists (none of its blobs or files may be swept).
+
+Format 3 mirrored a paged plane of planes 0-1 whole, under its
+manifest's plane digest; format 4 mirrors its page blobs instead, each
+under its own address, and the open that upgrades copies them once.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sqlite3
 import uuid
 import zlib
@@ -20,8 +25,11 @@ import zlib
 import pytest
 
 from repro.core.storage.base import CONFIG_DOC, FORMAT
+from repro.dedup.pages import manifest_shas
 from repro.dlv.fsck import run_fsck
 from repro.dlv.repository import Repository
+from repro.faults import CrashSimulated, FaultPlan, FaultPoint, inject
+from tests.dedup.test_dedup import _commit_family
 from tests.dlv.test_packs import _chain, _exports
 
 
@@ -80,8 +88,8 @@ def _add_marker(conn, txid) -> None:
 
 def _assert_folded(repo, tmp_path, before, files, orphans) -> None:
     orphan_chunk, orphan_file = orphans
-    assert repo.format == FORMAT == 3
-    assert repo.backend.read_config()["format"] == 3
+    assert repo.format == FORMAT == 4
+    assert repo.backend.read_config()["format"] == 4
     assert repo.last_replay["rolled_back"] == 2
     assert repo.last_replay["swept_chunks"] == 1
     assert repo.last_replay["swept_files"] == 1
@@ -204,4 +212,89 @@ def test_sqlite_format_2_folds_file_rows(tmp_path):
     }
     assert not tables & {"store_file", "commit_marker"}
     _assert_folded(repo, tmp_path, before, files, orphans)
+    repo.close()
+
+
+# -- format 3: whole-plane mirrors of paged planes -----------------------------
+
+
+def _page_mirrors(repo) -> set[str]:
+    """The page blobs planes 0-1 of the page manifests reference."""
+    mirrored = repo.archive_view().replicate_planes
+    return {
+        sha
+        for _matrix, plane, man in repo.catalog.all_page_manifests()
+        if plane < mirrored
+        for sha in manifest_shas(man)
+    }
+
+
+def _format_3_repo(target, tmp_path):
+    """A dedup-archived family rebuilt as format 3 left it: its paged
+    planes 0-1 mirrored whole, none of their pages mirrored.  Returns
+    the exports, the whole-plane mirrors and the page mirrors."""
+    repo = Repository.init(target)
+    _commit_family(repo, n=4)  # planes of several pages
+    repo.archive(alpha=4.0, dedup=True)
+    repo.gc()
+    before = _exports(repo, tmp_path / "before")
+    archive = repo.archive_view()
+    chunks, _replica, _pages, _files = repo.live_addresses()
+    planes = {}
+    for entry in archive.manifest.values():
+        if entry.kind == "pages":
+            for index in range(archive.replicate_planes):
+                data = archive._read_plane(entry, index)[0]
+                planes[archive.plane_address(entry, index)] = data
+    pages = _page_mirrors(repo)
+    assert pages - chunks - planes.keys()
+    assert repo.replica.delete_many(pages - chunks - planes.keys())
+    repo.replica.put_many(planes.values())
+    config = repo.backend.read_config()
+    repo.backend.write_doc(
+        CONFIG_DOC, json.dumps({**config, "format": 3}).encode()
+    )
+    repo.close()
+    return before, set(planes) - pages - chunks, pages
+
+
+def _replica_state(repo):
+    """What a write to the replica would change: its addresses and
+    bytes, and on local-fs its pack files."""
+    listing = (
+        sorted(os.listdir(repo.dlv_dir / "replica")) if repo.dlv_dir else None
+    )
+    return sorted(repo.replica.addresses()), repo.replica.total_size(), listing
+
+
+@pytest.mark.parametrize("backend", ["local-fs", "sqlite"])
+@pytest.mark.parametrize("crash", [False, True])
+def test_format_3_mirrors_page_blobs_on_open(
+    make_repo_target, tmp_path, backend, crash
+):
+    target = make_repo_target(backend)
+    before, whole, pages = _format_3_repo(target, tmp_path)
+    assert whole
+    if crash:  # inside the step: its replica write dies, nothing lands
+        plan = FaultPlan(
+            [FaultPoint(site="chunkstore.put.write", action="crash")]
+        )
+        with inject(plan), pytest.raises(CrashSimulated):
+            Repository.open(target)
+        assert [f.site for f in plan.fired] == ["chunkstore.put.write"]
+
+    repo = Repository.open(target)
+    assert repo.format == 4 and repo.backend.read_config()["format"] == 4
+    assert pages <= set(repo.replica.addresses())
+    assert whole <= set(repo.replica.addresses())  # orphans until gc
+    state = _replica_state(repo)
+    repo.close()
+
+    repo = Repository.open(target)  # the step ran once
+    assert _replica_state(repo) == state
+    repo.gc()
+    assert not whole & set(repo.replica.addresses())
+    assert set(repo.replica.addresses()) == repo.live_addresses()[1]
+    assert run_fsck(repo).findings == []
+    assert _exports(repo, tmp_path / "after") == before
     repo.close()

@@ -270,14 +270,26 @@ def test_clean_paged_repo(paged_repo):
 
 
 def test_missing_page_rematerializes(paged_repo):
+    """A lost page no replicated plane references has no second copy:
+    its payloads re-materialize (degraded), the repo stays consistent."""
     from repro.dedup.pages import manifest_shas
 
     repo = paged_repo
     before = {
         v.name: repo.get_snapshot_weights(v.id) for v in repo.list_versions()
     }
-    matrix_id, _plane, manifest = repo.catalog.all_page_manifests()[0]
-    repo.pages.delete(next(iter(manifest_shas(manifest))))
+    mirrored = repo.archive_view().replicate_planes
+    manifests = repo.catalog.all_page_manifests()
+    replicated = {
+        sha for _m, plane, man in manifests if plane < mirrored
+        for sha in manifest_shas(man)
+    }
+    matrix_id, victim = next(
+        (matrix_id, sha) for matrix_id, _plane, man in manifests
+        for sha in manifest_shas(man) if sha not in replicated
+    )
+    repo.pages.delete(victim)
+    assert victim not in repo.replica
 
     report = run_fsck(repo)
     assert not report.clean
@@ -285,12 +297,14 @@ def test_missing_page_rematerializes(paged_repo):
 
     report = run_fsck(repo, repair=True)
     assert report.clean
-    assert any(f.code == "F401" and f.repaired for f in report.findings)
+    assert any(
+        f.code == "F401" and f.repaired and "re-materialized" in f.repair
+        for f in report.findings
+    )
     # The victim payload is re-materialized; the repo stays consistent.
     payload = repo.catalog.get_payload(matrix_id)
     assert payload["kind"] == "materialize"
     assert run_fsck(repo).findings == []
-    # High-order planes replicate, so tiny payloads recover exactly.
     for version in repo.list_versions():
         after = repo.get_snapshot_weights(version.id)
         for layer, params in before[version.name].items():
@@ -334,29 +348,45 @@ def test_orphan_page_swept(paged_repo):
 
 
 def _paged_mirrors(repo):
-    """Replica addresses the page manifests promise (planes 0-1)."""
-    return [
-        man["sha"]
+    """Replica addresses the page manifests of planes 0-1 promise: their
+    page blobs, each under its own address."""
+    from repro.dedup.pages import manifest_shas
+
+    return sorted({
+        sha
         for _mid, plane, man in repo.catalog.all_page_manifests()
         if plane < repo.archive_view().replicate_planes
-    ]
+        for sha in manifest_shas(man)
+    })
 
 
-def test_orphan_chunk_repair_keeps_paged_plane_mirror(paged_repo):
-    """A stale main-store chunk sharing a paged plane's digest is an
-    orphan; the replica copy under that digest is the plane's mirror."""
-    repo = paged_repo
-    chunks = {sha for p in repo.catalog.all_payloads() for sha in p["chunks"]}
-    mirror = next(sha for sha in _paged_mirrors(repo) if sha not in chunks)
-    repo.store.put(repo.replica.get(mirror))
+def test_stale_chunk_equal_to_paged_plane_swept_from_both_tiers(repo):
+    """A whole paged plane stored as a chunk and mirrored (what an older
+    format's replica held) is an orphan in both tiers: one sweep takes
+    both copies, and every page mirror stays."""
+    from tests.dedup.test_dedup import _commit_family
+
+    _commit_family(repo, n=3)  # planes of several pages
+    repo.archive(alpha=4.0, dedup=True)
+    archive = repo.archive_view()
+    chunks, replica, _pages, _files = repo.live_addresses()
+    entry, index = next(
+        (entry, index) for entry in archive.manifest.values()
+        if entry.kind == "pages"
+        for index in range(archive.replicate_planes)
+        if archive.plane_address(entry, index) not in chunks | replica
+    )
+    plane = archive._read_plane(entry, index)[0]
+    stale = repo.store.put(plane)
+    assert repo.replica.put(plane) == stale
 
     report = run_fsck(repo, repair=True)
     assert any(
-        f.code == "F303" and f.sha == mirror and f.repaired
+        f.code == "F303" and f.sha == stale and f.repaired
         for f in report.findings
     )
-    assert mirror not in repo.store
-    assert mirror in repo.replica
+    assert stale not in repo.store and stale not in repo.replica
+    assert set(_paged_mirrors(repo)) <= set(repo.replica.addresses())
     assert run_fsck(repo).findings == []
 
 

@@ -210,8 +210,8 @@ def test_format_1_repository_upgrades_on_open_and_packs_on_gc(tmp_path):
     root, before = _format_1_repo(tmp_path)
 
     repo = Repository.open(str(root))
-    assert repo.format == FORMAT == 3
-    assert json.loads((root / ".dlv" / CONFIG_DOC).read_text())["format"] == 3
+    assert repo.format == FORMAT == 4
+    assert json.loads((root / ".dlv" / CONFIG_DOC).read_text())["format"] == 4
     _assert_one_pack_per_tier(root)
     assert _exports(repo, tmp_path / "folded") == before
     assert run_fsck(repo).clean

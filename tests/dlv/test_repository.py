@@ -28,7 +28,7 @@ class TestInitOpen:
         dlv = tmp_path / "r" / ".dlv"
         assert (dlv / "catalog.db").exists()
         assert (dlv / "chunks").is_dir()
-        assert repo.format == 3 and repo.backend.read_config()["format"] == 3
+        assert repo.format == 4 and repo.backend.read_config()["format"] == 4
         repo.commit(trained_tiny[0].clone(), name="m")
         repo.close()
         # One commit: one pack per tier it wrote, no bucket directories.

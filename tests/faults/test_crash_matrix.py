@@ -6,8 +6,8 @@ filesystem operations a scenario performs, then replay it once per op
 index with a simulated hard crash at that index, reopen the repository
 (journal replay), and assert the invariants:
 
-* every plane the writer mirrors still has its replica copy — before
-  any repair;
+* every blob of a plane the writer mirrors (a chunk, or each page of a
+  page manifest) still has its replica copy — before any repair;
 * fsck is clean (or repairs to clean);
 * every version the catalog lists has loadable weights — a commit is
   either fully present or fully absent;
@@ -15,8 +15,9 @@ index with a simulated hard crash at that index, reopen the repository
   byte-identical to before.
 
 Seven verbs run through the matrix: commit, archive, archive --dedup,
-convert, prune, ``fsck --repair`` re-materialization, and a commit that
-shares plane content with page-encoded matrices.
+convert, prune, ``fsck --repair`` restoring a lost page from the
+replica, and a commit that shares plane content with page-encoded
+matrices.
 """
 
 from __future__ import annotations
@@ -93,15 +94,16 @@ def _assert_consistent(root, baseline):
     """Reopen after a crash and check every crash-safety invariant."""
     repo = Repository.open(root)
     try:
-        # Before fsck gets a chance to heal anything: every replicated
-        # plane has its mirror.
+        # Before fsck gets a chance to heal anything: every blob of a
+        # replicated plane has its mirror under its own address.
         mirrored = repo.archive_view().replicate_planes
         for payload in repo.catalog.all_payloads():
             for sha in payload["chunks"][:mirrored]:
                 assert sha in repo.replica, (payload["matrix_id"], sha)
         for matrix_id, plane, man in repo.catalog.all_page_manifests():
             if plane < mirrored:
-                assert man["sha"] in repo.replica, (matrix_id, plane)
+                for sha in manifest_shas(man):
+                    assert sha in repo.replica, (matrix_id, plane, sha)
         report = run_fsck(repo)
         if not report.clean:
             report = run_fsck(repo, repair=True)
@@ -301,8 +303,8 @@ def _paged_version_net(repo):
 
 def _sharing_commit_scenario(repo):
     # Identical content to a page-encoded version: the commit's journaled
-    # chunk addresses equal the plane digests that version's page
-    # manifests keep alive in the replica tier.
+    # chunk addresses equal the addresses of the one-page planes whose
+    # page mirrors that version's manifests keep alive in the replica.
     repo.commit(_paged_version_net(repo), name="again", message="v3")
 
 
@@ -316,8 +318,8 @@ def test_sharing_commit_crash_matrix(paged_base_repo, tmp_path):
 
 
 def _fsck_rematerialize_scenario(repo):
-    # Lose a page only replicated planes reference: the repair must
-    # re-materialize the payload, and the whole-plane mirror makes it exact.
+    # Lose a page only replicated planes reference: the repair restores
+    # it from its replica copy under the same address, exactly.
     by_sha: dict[str, set[int]] = {}
     for _mid, plane, man in repo.catalog.all_page_manifests():
         for sha in manifest_shas(man):
@@ -327,7 +329,10 @@ def _fsck_rematerialize_scenario(repo):
         sha for sha, planes in by_sha.items() if max(planes) < mirrored
     ))
     report = run_fsck(repo, repair=True)
-    assert any(f.code == "F401" and f.repaired for f in report.findings)
+    assert any(
+        f.code == "F401" and f.repair == "restored from replica"
+        for f in report.findings
+    )
 
 
 def test_fsck_rematerialize_crash_matrix(paged_base_repo, tmp_path):

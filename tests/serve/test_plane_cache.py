@@ -421,8 +421,9 @@ class TestRecoveryNeverPoisons:
 
     @pytest.mark.parametrize("plane", [1, NUM_PLANES - 1])
     def test_restored_page_reads_exact_again(self, dedup_family, plane):
-        """Lose a page (and, for a mirrored plane, its replica), read the
-        plane degraded, restore it: the next read is exact."""
+        """Lose a page (and, for a mirrored plane, its replica copy under
+        the same address), read the plane degraded, restore it: the next
+        read is exact."""
         repo, archive, runtime, net, paged = dedup_family
         cache = runtime.evaluator.plane_cache
         x = np.random.default_rng(0).standard_normal(
@@ -435,8 +436,7 @@ class TestRecoveryNeverPoisons:
         assert repo.pages.delete(lost)
         mirrored = plane < archive.replicate_planes
         if mirrored:
-            mirror = repo.replica.get(address)
-            assert repo.replica.delete(address)
+            assert repo.replica.delete(lost)
 
         _, _, degraded = runtime.bounded(x, budget)
         assert degraded  # the page was zero-filled
@@ -444,7 +444,7 @@ class TestRecoveryNeverPoisons:
 
         assert repo.pages.put(page) == lost
         if mirrored:
-            assert repo.replica.put(mirror) == address
+            assert repo.replica.put(page) == lost
         _, labels, degraded = runtime.bounded(x, budget)
         assert not degraded
         assert ("plane", address) in cache
