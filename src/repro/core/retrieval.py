@@ -6,9 +6,11 @@ either a materialized matrix (root edges) or a delta payload, stored as
 four separately-compressed byte planes (the segmented design of
 Sec. IV-B).  Retrieval then supports:
 
-* the three recreation schemes of Table III — independent (one matrix at a
-  time), parallel (thread pool), and reusable (cache shared path
-  prefixes);
+* recreation as one read plan (:meth:`PlanArchive.recreate_matrices`):
+  every payload on the union of the requested matrices' chains is read
+  and applied once — the reusable scheme of Table III.  The three
+  schemes stay the cost model the solver prices plans with
+  (:mod:`repro.core.storage_graph`); execution does not fork on them;
 * *partial* retrieval reading only the first ``k`` high-order byte planes
   (the Table V "2 bytes" / "1 byte" rows);
 * interval retrieval, returning per-weight bounds for the progressive
@@ -17,18 +19,16 @@ Sec. IV-B).  Retrieval then supports:
 
 from __future__ import annotations
 
-import contextvars
 import functools
 import hashlib
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from repro.dnn.interval import Interval
-from repro.obs.cost import RequestCost, charge, cost_context, current_cost
+from repro.obs.cost import charge, cost_context, current_cost
 from repro.obs.metrics import counter, histogram
 from repro.obs.tracing import trace_span
 
@@ -44,11 +44,7 @@ from repro.core.segmentation import (
     prefix_table,
     segment_planes,
 )
-from repro.core.storage_graph import (
-    ROOT,
-    RetrievalScheme,
-    StoragePlan,
-)
+from repro.core.storage_graph import ROOT, StoragePlan
 
 
 @functools.cache
@@ -225,6 +221,30 @@ class _StoredPayload:
     chunk_ids: list[str] = field(default_factory=list)
     pages: Optional[dict[int, dict]] = None
     stored_sizes: dict = field(default_factory=dict, repr=False, compare=False)
+
+
+class _SharedPrefixes(dict):
+    """The memo of one :meth:`PlanArchive.recreate_matrices` plan: the
+    matrices it has recreated that a later requested id's chain still
+    passes through.  ``last`` maps every matrix on the requested chains
+    to the position of the last id whose chain holds it (counted from
+    :meth:`PlanArchive.chain` walks, which read only the manifest), so a
+    matrix no later chain holds is never kept, and one is dropped once
+    the last id that needs it is resolved."""
+
+    def __init__(self, last: dict[str, int]) -> None:
+        super().__init__()
+        self.last, self.position = last, 0
+
+    def __setitem__(self, matrix_id: str, value: np.ndarray) -> None:
+        if self.last[matrix_id] > self.position:
+            super().__setitem__(matrix_id, value)
+
+    def advance(self) -> None:
+        """The id at ``position`` is resolved: drop what only it needed."""
+        for matrix_id in [m for m in self if self.last[m] <= self.position]:
+            del self[matrix_id]
+        self.position += 1
 
 
 class PlanArchive:
@@ -730,125 +750,95 @@ class PlanArchive:
             counter("recovery.degraded_planes").inc()
         return self._assemble(entry, index, found)
 
-    def _resolve(
-        self,
-        matrix_id: str,
-        planes: int,
-        memo: Optional[dict[str, np.ndarray]] = None,
-    ) -> tuple[np.ndarray, int]:
-        """Recreate one matrix by applying its path from the root (or from
-        the nearest matrix already in ``memo``), recording each matrix it
-        recreates into ``memo``."""
-        chain = self.chain(matrix_id, stop=memo or ())
-        base = chain[-1].parent if chain else matrix_id
-        value = memo.get(base) if memo else None
-        bytes_read = 0
-        for entry in reversed(chain):
-            payload, nbytes = self._read_payload(entry.matrix_id, planes)
-            bytes_read += nbytes
-            if entry.kind in ("materialize", "pages"):
-                value = payload
-            else:
-                if value.shape != payload.shape:
-                    value = embed_like(value, payload.shape)
-                if entry.kind == "sub":
-                    value = apply_delta(value, payload, "sub")
-                else:
-                    value = apply_delta(value, payload.view("<u4"), "xor")
-            if memo is not None:
-                memo[entry.matrix_id] = value
-        return value, bytes_read
-
     def recreate_matrix(
         self,
         matrix_id: str,
         planes: int = NUM_PLANES,
         memo: Optional[dict[str, np.ndarray]] = None,
     ) -> np.ndarray:
-        """Recreate a single matrix (approximately when ``planes < 4``).
+        """Recreate a single matrix (approximately when ``planes < 4``) by
+        applying its path from the root, or from the nearest matrix
+        already in ``memo``.
 
-        ``memo`` (``matrix_id -> array``, filled as matrices are
-        recreated) lets callers share path prefixes across matrices —
-        the REUSABLE scheme of :meth:`recreate_snapshot`.
+        ``memo`` (``matrix_id -> array``) is offered each matrix the walk
+        recreates, so callers share path prefixes across matrices — the
+        read plan of :meth:`recreate_matrices`.
         """
         if matrix_id not in self._manifest:
             raise KeyError(f"unknown matrix {matrix_id!r}")
         with trace_span("pas.matrix", matrix=matrix_id, planes=planes) as span:
-            value, nbytes = self._resolve(matrix_id, planes, memo)
+            chain = self.chain(matrix_id, stop=memo or ())
+            base = chain[-1].parent if chain else matrix_id
+            value = memo.get(base) if memo else None
+            nbytes = 0
+            for entry in reversed(chain):
+                payload, read = self._read_payload(entry.matrix_id, planes)
+                nbytes += read
+                if entry.kind in ("materialize", "pages"):
+                    value = payload
+                else:
+                    if value.shape != payload.shape:
+                        value = embed_like(value, payload.shape)
+                    if entry.kind == "sub":
+                        value = apply_delta(value, payload, "sub")
+                    else:
+                        value = apply_delta(value, payload.view("<u4"), "xor")
+                if memo is not None:
+                    memo[entry.matrix_id] = value
             span.set_attr("bytes_read", nbytes)
         counter("retrieval.matrices").inc()
         counter("retrieval.bytes_read").inc(nbytes)
         return value
 
-    def recreate_snapshot(
-        self,
-        snapshot_id: str,
-        scheme: RetrievalScheme = RetrievalScheme.INDEPENDENT,
-        planes: int = NUM_PLANES,
-        max_workers: int = 4,
-    ) -> RecreationResult:
-        """Recreate all matrices of a snapshot under a retrieval scheme,
-        each through :meth:`recreate_matrix`.
+    def recreate_matrices(
+        self, matrix_ids: Iterable[str], planes: int = NUM_PLANES
+    ) -> dict[str, np.ndarray]:
+        """Recreate several matrices as one read plan — the only executor.
 
-        ``bytes_read`` is the stored plane bytes the members billed
-        (:func:`~repro.obs.cost.charge`); their bills are then added to
-        the caller's active one.
+        Each id goes through :meth:`recreate_matrix`, in order, with one
+        memo for the call, so every payload on the union of their chains
+        is read and applied once: the reusable scheme of Table III,
+        whatever scheme the plan was priced under.  The memo keeps a
+        recreated matrix only while a later id's chain still passes
+        through it (:class:`_SharedPrefixes`), so the peak is one
+        matrix's recreation plus the shared prefixes.
+        """
+        ids = list(dict.fromkeys(matrix_ids))
+        memo = _SharedPrefixes({
+            entry.matrix_id: position
+            for position, matrix_id in enumerate(ids)
+            for entry in self.chain(matrix_id)
+        })
+        values = {}
+        for matrix_id in ids:
+            values[matrix_id] = self.recreate_matrix(matrix_id, planes, memo)
+            memo.advance()
+        return values
+
+    def recreate_snapshot(
+        self, snapshot_id: str, planes: int = NUM_PLANES
+    ) -> RecreationResult:
+        """Recreate all matrices of a snapshot: :meth:`recreate_matrices`
+        of its members under one ``pas.snapshot`` span.
+
+        The reads are charged to the caller's bill (to a bill of their
+        own outside one); ``bytes_read`` is the stored plane bytes they
+        billed (:func:`~repro.obs.cost.charge`) — the sum of the
+        members' ``pas.matrix`` bytes.
         """
         if snapshot_id not in self._snapshots:
             raise KeyError(f"unknown snapshot {snapshot_id!r}")
         members = self._snapshots[snapshot_id]
         with trace_span(
-            "pas.snapshot",
-            snapshot=snapshot_id,
-            scheme=scheme.value,
-            planes=planes,
-        ) as span:
-            if scheme is RetrievalScheme.PARALLEL:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    # Pool threads inherit no contextvars: copy the caller's
-                    # context per task so per-matrix spans stay children of
-                    # this snapshot span.
-                    futures = [
-                        pool.submit(
-                            contextvars.copy_context().run,
-                            self._recreate_billed,
-                            matrix_id,
-                            planes,
-                        )
-                        for matrix_id in members
-                    ]
-                    resolved = [future.result() for future in futures]
-            else:
-                # REUSABLE shares path prefixes across members.
-                memo = {} if scheme is RetrievalScheme.REUSABLE else None
-                resolved = [
-                    self._recreate_billed(m, planes, memo) for m in members
-                ]
-            bytes_read = sum(sum(b.by_plane.values()) for _, b in resolved)
+            "pas.snapshot", snapshot=snapshot_id, planes=planes
+        ) as span, cost_context(current_cost()) as bill:
+            billed = sum(bill.by_plane.values())
+            matrices = self.recreate_matrices(members, planes)
+            bytes_read = sum(bill.by_plane.values()) - billed
             span.set_attr("bytes_read", bytes_read)
-        caller = current_cost()
-        if caller is not None:
-            for _, bill in resolved:
-                caller.absorb(bill)
         counter("retrieval.snapshots").inc()
         histogram("retrieval.snapshot_seconds").observe(span.elapsed)
-        return RecreationResult(
-            {m: value for m, (value, _) in zip(members, resolved)},
-            span.elapsed, bytes_read, planes,
-        )
-
-    def _recreate_billed(
-        self,
-        matrix_id: str,
-        planes: int,
-        memo: Optional[dict[str, np.ndarray]] = None,
-    ) -> tuple[np.ndarray, RequestCost]:
-        """:meth:`recreate_matrix` under a bill of its own, returned with
-        the value: an accumulator is charged from one thread, so a pool
-        task must not share its caller's."""
-        with cost_context() as bill:
-            value = self.recreate_matrix(matrix_id, planes, memo)
-        return value, bill
+        return RecreationResult(matrices, span.elapsed, bytes_read, planes)
 
     # -- interval retrieval -------------------------------------------------------
 

@@ -24,7 +24,7 @@ pages themselves, each under its own address.
 from __future__ import annotations
 
 import zlib
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -181,7 +181,6 @@ def decode_plane(
     fetch: Callable[[str], bytes],
     *,
     missing_ok: bool = False,
-    on_missing: Optional[Callable[[str, Exception], None]] = None,
 ) -> PagedPlane:
     """Resolve a page manifest to its :class:`PagedPlane`, whose
     ``assemble()`` is the plane's bytes.
@@ -193,9 +192,6 @@ def decode_plane(
         missing_ok: Zero-fill pages whose blobs cannot be read instead
             of raising — the degraded-retrieval analogue of a lost
             low-order plane.
-        on_missing: Callback invoked per unreadable page with the sha
-            that failed (the base or the patch) and the original
-            exception.
     """
     psize = int(manifest["psize"])
     nbytes = int(manifest["nbytes"])
@@ -210,15 +206,11 @@ def decode_plane(
         page = min(psize, nbytes - pos)
         covered += page
         try:
-            failed = base_sha
             base = fetch(base_sha)
-            failed = patch_sha
             delta = fetch(patch_sha) if patch_sha else None
-        except (KeyError, ValueError) as exc:
+        except (KeyError, ValueError):
             if not missing_ok:
                 raise
-            if on_missing is not None:
-                on_missing(failed, exc)
             pieces.append(bytes(page))  # a lost page stays zero-filled
             pads += page
             continue

@@ -665,16 +665,16 @@ class Repository:
         archive it.
         """
         graph = MatrixStorageGraph()
-        matrices: dict[str, np.ndarray] = {}
         rows_by_snapshot: dict[tuple[int, int], list[dict]] = {}
         archive = self._plan_archive()
         estimator = None
         if dedup:
             estimator = DedupEstimator(page_store or self.page_store(page_size))
-        for row in self.catalog.get_matrices():
+        rows = self.catalog.get_matrices()
+        matrices = archive.recreate_matrices(row["matrix_id"] for row in rows)
+        for row in rows:
             matrix_id = row["matrix_id"]
-            value = archive.recreate_matrix(matrix_id)
-            matrices[matrix_id] = value
+            value = matrices[matrix_id]
             snapshot_key = f"v{row['version_id']}/s{row['snapshot_idx']}"
             graph.add_matrix(
                 MatrixRef(matrix_id, snapshot_key, value.nbytes)
@@ -852,10 +852,9 @@ class Repository:
         scheme = get_scheme(float_scheme)
         archive = self._plan_archive()
         rows = self.catalog.get_matrices(version.id, snapshot.index)
-        exact_values = {
-            row["matrix_id"]: archive.recreate_matrix(row["matrix_id"])
-            for row in rows
-        }
+        exact_values = archive.recreate_matrices(
+            row["matrix_id"] for row in rows
+        )
         intent = self.journal.record(
             "convert", ref=version.ref, snapshot=snapshot.index,
             float_scheme=float_scheme,

@@ -142,7 +142,8 @@ def copyfile(src: str | Path, dst: str | Path, *, site: str) -> None:
     shutil.copyfile(src, dst)
 
 
-def copytree(src: str | Path, dst: str | Path, *, site: str) -> None:
-    """Copy a directory tree (hub publish/pull)."""
+def copytree(src: str | Path, dst: str | Path, *, site: str, ignore=None) -> None:
+    """Copy a directory tree (hub publish); ``ignore`` is
+    :func:`shutil.copytree`'s."""
     checkpoint(site)
-    shutil.copytree(src, dst)
+    shutil.copytree(src, dst, ignore=ignore)

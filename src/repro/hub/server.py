@@ -300,7 +300,13 @@ class HubServer:
         if dest.exists():
             shutil.rmtree(dest)
         dest.parent.mkdir(parents=True, exist_ok=True)
-        ffs.copytree(dlv_dir, dest, site="hub.publish.copytree")
+        # A catalog's rollback journal is not repository state: between
+        # transactions it is absent or, persisted, has a zeroed header
+        # over stale page images, so it does not ship.
+        ffs.copytree(
+            dlv_dir, dest, site="hub.publish.copytree",
+            ignore=shutil.ignore_patterns("*-journal"),
+        )
         self._write_manifest(
             name, revision, compute_manifest(dest), "hub.publish.manifest"
         )

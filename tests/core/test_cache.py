@@ -1,10 +1,11 @@
 """The read path: one chain walk, one snapshot reader, one plane cache.
 
 The oracle: every reader of a snapshot — ``get_snapshot_weights``,
-``recreate_snapshot(...).by_layer()`` under each retrieval scheme, the
-evaluator's ``exact_weights()`` (planes through the cache) and
-``load_network()`` — returns the same bytes per matrix, on every
-backend, for committed, archived and ``archive --dedup`` layouts, and
+``recreate_snapshot(...).by_layer()``, the evaluator's
+``exact_weights()`` (planes through the cache), ``load_network()`` and
+``build_storage_graph()`` — returns the same bytes per matrix, on every
+backend, for committed, archived and ``archive --dedup`` layouts (the
+archived ones planned under each retrieval scheme's cost model), and
 those bytes match what was committed.  One progressive request answers
 the same through ``evaluate()`` (what ``dlv eval --progressive`` runs)
 and through the serving scheduler.
@@ -93,7 +94,7 @@ def test_every_reader_returns_the_same_bytes(
     repo = Repository.init(make_repo_target(backend))
     committed = _commit_family(repo)
     if layout != "committed":
-        repo.archive(alpha=4.0, dedup=layout == "dedup")
+        repo.archive(alpha=4.0, scheme=scheme, dedup=layout == "dedup")
     archive = repo.archive_view()
     kinds = {entry.kind for entry in archive.manifest.values()}
     assert {"archived": "xor", "dedup": "pages"}.get(layout, "materialize") in kinds
@@ -105,11 +106,14 @@ def test_every_reader_returns_the_same_bytes(
             Network.from_spec(version.network).build(0), archive, key
         )
         for got in (
-            archive.recreate_snapshot(key, scheme).by_layer(),
+            archive.recreate_snapshot(key).by_layer(),
             evaluator.exact_weights(),
             repo.load_network(version).get_weights(),
         ):
             _assert_same_bytes(got, reference)
+    _, planned = repo.build_storage_graph()  # one read plan of every matrix
+    for matrix_id, value in planned.items():
+        assert value.tobytes() == archive.recreate_matrix(matrix_id).tobytes()
     repo.close()
 
 

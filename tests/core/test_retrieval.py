@@ -1,4 +1,7 @@
-"""Physical archive tests: build/recreate roundtrips, schemes, partial reads."""
+"""Physical archive tests: build/recreate roundtrips, shared-prefix
+snapshot reads, partial reads."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -9,11 +12,13 @@ from repro.core.retrieval import PlanArchive
 from repro.core.segmentation import bounds_from_prefix, segment_planes
 from repro.core.storage.memory import MemoryBackend
 from repro.core.storage_graph import (
+    ROOT,
     MatrixRef,
     MatrixStorageGraph,
-    RetrievalScheme,
     StorageEdge,
 )
+from repro.dlv.repository import Repository
+from tests.conftest import STORE_BACKENDS
 
 
 def memory_store():
@@ -58,19 +63,71 @@ class TestBuildAndRecreate:
         for mid, expected in matrices.items():
             np.testing.assert_array_equal(archive.recreate_matrix(mid), expected)
 
-    def test_snapshot_recreation_all_schemes_agree(self, snapshot_chain):
-        matrices, _, plan = snapshot_chain
-        archive = PlanArchive.build(memory_store(), matrices, plan)
-        results = {}
-        for scheme in RetrievalScheme:
-            results[scheme] = archive.recreate_snapshot("snap2", scheme)
-        for scheme, result in results.items():
-            assert set(result.matrices) == {"s2/a", "s2/b"}
-            for mid in result.matrices:
-                np.testing.assert_allclose(
-                    result.matrices[mid],
-                    results[RetrievalScheme.INDEPENDENT].matrices[mid],
-                )
+    @pytest.mark.parametrize("layout", ["chunks", "pages"])
+    @pytest.mark.parametrize("backend", STORE_BACKENDS)
+    def test_snapshot_reads_each_shared_prefix_once(
+        self, make_repo_target, seeded_rng, backend, layout
+    ):
+        """Two members of one snapshot share a chain prefix: ``s1/b`` is
+        an XOR delta off ``s1/a``, which is a delta off ``s0/r`` (chunks)
+        or a page-encoded root (pages).  A snapshot read is one plan: it
+        reads each distinct chain entry once, bills exactly their stored
+        planes, and equals each member's own recreation bit for bit."""
+        repo = Repository.init(make_repo_target(backend))
+        r = (seeded_rng.standard_normal((16, 8)) * 0.1).astype(np.float32)
+        a = (r + seeded_rng.standard_normal(r.shape) * 1e-3).astype(np.float32)
+        b = (a + seeded_rng.standard_normal(r.shape) * 1e-3).astype(np.float32)
+        matrices = {"s0/r": r, "s1/a": a, "s1/b": b}
+        graph = MatrixStorageGraph()
+        for mid, matrix in matrices.items():
+            graph.add_matrix(MatrixRef(mid, mid.split("/")[0], matrix.nbytes))
+        graph.add_materialization("s0/r", r.nbytes, 1.0)
+        graph.add_materialization("s1/b", b.nbytes, 1.0)
+        graph.add_edge(StorageEdge("s1/a", "s1/b", b.nbytes // 8, 1.0))
+        if layout == "pages":
+            graph.add_edge(StorageEdge(ROOT, "s1/a", 16, 1.0, kind="pages"))
+        else:
+            graph.add_materialization("s1/a", a.nbytes, 1.0)
+            graph.add_edge(StorageEdge("s0/r", "s1/a", a.nbytes // 8, 1.0))
+        page_store = repo.page_store()
+        archive = PlanArchive.build(
+            repo.store, matrices, minimum_spanning_tree(graph),
+            page_store=page_store,
+        )
+        with repo.catalog.transaction():
+            page_store.flush()
+        entries = {entry.matrix_id for entry in archive.chain("s1/b")}
+        assert entries == (
+            {"s1/a", "s1/b"} if layout == "pages" else set(matrices)
+        )
+        assert archive.manifest["s1/a"].kind == (
+            "pages" if layout == "pages" else "xor"
+        )
+        read = Counter()
+        read_payload = archive._read_payload
+
+        def counted(matrix_id, planes):
+            read[matrix_id] += 1
+            return read_payload(matrix_id, planes)
+
+        archive._read_payload = counted
+        for planes in range(1, 5):
+            read.clear()
+            result = archive.recreate_snapshot("s1", planes=planes)
+            assert read == {mid: 1 for mid in entries}
+            assert result.bytes_read == sum(
+                archive.plane_stored_size(archive.manifest[mid], index)
+                for mid in entries
+                for index in range(planes)
+            )
+            assert set(result.matrices) == {"s1/a", "s1/b"}
+            for mid, value in result.matrices.items():
+                alone = archive.recreate_matrix(mid, planes=planes)
+                assert value.tobytes() == alone.tobytes()
+            if planes == 4:
+                for mid, value in result.matrices.items():
+                    np.testing.assert_array_equal(value, matrices[mid])
+        repo.close()
 
     def test_xor_deltas_exact(self, snapshot_chain):
         matrices, _, plan = snapshot_chain

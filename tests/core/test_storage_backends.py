@@ -20,7 +20,6 @@ import numpy as np
 import pytest
 
 from repro.core.chunkstore import ChunkIntegrityError
-from repro.core.retrieval import RetrievalScheme
 from repro.core.storage import memory as memstore
 from repro.core.storage import parse_storage_url
 from repro.dlv.cli import main as dlv_main
@@ -329,17 +328,28 @@ class TestWALConcurrency:
         repo.close()
 
     def test_reader_connections_are_pooled(self, make_repo_target):
-        """Each PARALLEL recreation reads on fresh pool threads; their
+        """Each round recreates the snapshot on four fresh threads; their
         connections go back to one pool, so twenty recreations leave no
-        more readers than one recreation's workers."""
+        more readers than one round's threads."""
         repo = Repository.init(make_repo_target("sqlite"))
         version = repo.commit(_net(0), name="m", message="v1")
         archive = repo.archive_view()
-        for _ in range(20):
-            archive.recreate_snapshot(
-                version.snapshots[-1].key, RetrievalScheme.PARALLEL,
-                max_workers=4,
-            )
+        errors = []
+
+        def recreate():
+            try:
+                archive.recreate_snapshot(version.snapshots[-1].key)
+            except Exception as exc:  # surfaced by the assert below
+                errors.append(exc)
+
+        for _ in range(5):
+            threads = [threading.Thread(target=recreate) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+        assert errors == []
         assert 1 <= len(repo.backend._readers) <= 4
         repo.close()
         assert repo.backend._readers == []

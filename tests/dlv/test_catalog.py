@@ -3,8 +3,12 @@
 import pytest
 
 from repro.dlv.catalog import Catalog
+from repro.dlv.fsck import run_fsck
 from repro.dlv.objects import Snapshot
+from repro.dlv.repository import Repository
 from repro.dnn.zoo import tiny_mlp
+from repro.hub.client import HubClient
+from repro.hub.server import HubServer
 
 
 @pytest.fixture
@@ -129,3 +133,42 @@ class TestSnapshotsAndPayloads:
 
     def test_get_payload_missing(self, catalog):
         assert catalog.get_payload("ghost") is None
+
+
+def test_local_fs_catalog_persists_its_journal(tmp_path):
+    """The local-fs catalog keeps its rollback journal between commits
+    (``journal_mode=PERSIST``: a commit zeroes the journal's header and
+    unlinks nothing) at sqlite's default ``synchronous=FULL``.  A publish
+    leaves the journal, which holds only stale page images, behind; the
+    pulled repository opens in the same mode, checks clean, reads the
+    same weights and commits."""
+    repo = Repository.init(str(tmp_path / "repo"))
+    version = repo.commit(tiny_mlp(hidden=8).build(0), name="m", message="v1")
+
+    def modes(repository):
+        conn = repository.catalog._conn
+        return (
+            conn.execute("PRAGMA journal_mode").fetchone()[0],
+            conn.execute("PRAGMA synchronous").fetchone()[0],
+        )
+
+    assert modes(repo) == ("persist", 2)  # 2 is FULL
+    assert (tmp_path / "repo" / ".dlv" / "catalog.db-journal").is_file()
+    baseline = repo.get_snapshot_weights(version)
+    client = HubClient(HubServer(tmp_path / "hub"))
+    client.publish(repo, "persist")
+    repo.close()
+    assert not list((tmp_path / "hub").rglob("*-journal"))
+
+    pulled = client.pull_repository("persist", tmp_path / "pulled")
+    try:
+        assert modes(pulled) == ("persist", 2)
+        assert run_fsck(pulled).clean
+        recovered = pulled.get_snapshot_weights(version.id)
+        for layer, params in baseline.items():
+            for param, value in params.items():
+                assert recovered[layer][param].tobytes() == value.tobytes()
+        pulled.commit(tiny_mlp(hidden=8).build(1), name="m2", message="v2")
+        assert [v.name for v in pulled.list_versions()] == ["m", "m2"]
+    finally:
+        pulled.close()

@@ -6,11 +6,9 @@ one nested ``pas.matrix`` span per member in the trace recorder.  Reads
 through the one plane cache — a :class:`PlaneCache` behind an archive
 and its evaluator — must (3) move that cache's hit/miss counters and
 gauges, one per plane, and (4) leave the archive untouched once the
-exact weights are installed.  Every scheme bills the
-caller the same, including the PARALLEL pool's threads (5).
+exact weights are installed.  A snapshot read bills the caller
+the stored plane bytes it reports (5).
 """
-
-import sys
 
 import numpy as np
 import pytest
@@ -20,11 +18,7 @@ from repro.core.progressive import ProgressiveEvaluator
 from repro.core.retrieval import PlanArchive
 from repro.core.segmentation import NUM_PLANES
 from repro.core.storage.memory import MemoryBackend
-from repro.core.storage_graph import (
-    MatrixRef,
-    MatrixStorageGraph,
-    RetrievalScheme,
-)
+from repro.core.storage_graph import MatrixRef, MatrixStorageGraph
 from repro.dnn.zoo import tiny_mlp
 from repro.obs.cost import cost_context
 from repro.obs.metrics import MetricsRegistry, counter
@@ -119,20 +113,24 @@ class TestChunkstoreCounters:
 class TestRetrievalSpans:
     def test_group_retrieval_records_nested_spans(self, archive, recorder):
         members = len(archive.manifest)
-        for scheme in RetrievalScheme:
-            recorder.clear()
-            result = archive.recreate_snapshot("snap", scheme)
-            [group] = recorder.spans("pas.snapshot")
-            assert group.attrs["snapshot"] == "snap"
-            assert group.attrs["scheme"] == scheme.value
-            assert group.elapsed is not None
-            matrix_spans = recorder.spans("pas.matrix")
-            assert len(matrix_spans) == members  # one per member matrix
-            for span in matrix_spans:
-                assert span.parent_id == group.span_id
-                assert span.attrs["bytes_read"] > 0
-            total = sum(span.attrs["bytes_read"] for span in matrix_spans)
-            assert group.attrs["bytes_read"] == result.bytes_read == total
+        result = archive.recreate_snapshot("snap")
+        [group] = recorder.spans("pas.snapshot")
+        assert group.attrs["snapshot"] == "snap"
+        assert "scheme" not in group.attrs  # execution does not fork on it
+        assert group.elapsed is not None
+        matrix_spans = recorder.spans("pas.matrix")
+        assert len(matrix_spans) == members  # one per member matrix
+        for span in matrix_spans:
+            assert span.parent_id == group.span_id
+            assert span.attrs["bytes_read"] > 0
+        total = sum(span.attrs["bytes_read"] for span in matrix_spans)
+        assert group.attrs["bytes_read"] == result.bytes_read == total
+
+    def test_snapshot_read_bills_what_it_reports(self, archive):
+        with cost_context() as bill:
+            result = archive.recreate_snapshot("snap")
+        planes = bill.to_dict()["bytes_by_plane"]
+        assert sum(planes.values()) == result.bytes_read > 0
 
     def test_warm_retrieval_records_no_matrix_spans(
         self, net, archive, recorder
@@ -150,36 +148,5 @@ class TestRetrievalSpans:
     def test_uncached_archive_snapshot_span(self, archive, recorder):
         archive.recreate_snapshot("snap")
         [group] = recorder.spans("pas.snapshot")
-        assert group.attrs["scheme"] == "independent"
         assert group.attrs["bytes_read"] > 0
         assert len(recorder.spans("pas.matrix")) == len(archive.manifest)
-
-
-class TestRetrievalBilling:
-    def test_parallel_pool_bills_like_one_thread(self):
-        """Eight pool threads over 64 members, switching every microsecond:
-        no charge is lost on the way to the caller's bill."""
-        rng = np.random.default_rng(5)
-        graph = MatrixStorageGraph()
-        matrices = {}
-        for i in range(64):
-            matrices[f"l{i}.W"] = rng.standard_normal((8, 8)).astype(np.float32)
-            graph.add_matrix(MatrixRef(f"l{i}.W", "snap", 256))
-            graph.add_materialization(f"l{i}.W", 256, 1.0)
-        archive = PlanArchive.build(
-            MemoryBackend("pool", create=True).chunks, matrices,
-            minimum_spanning_tree(graph),
-        )
-        bills = {}
-        previous = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for scheme in (RetrievalScheme.INDEPENDENT, RetrievalScheme.PARALLEL):
-                with cost_context() as bill:
-                    result = archive.recreate_snapshot("snap", scheme, max_workers=8)
-                bills[scheme] = bill.to_dict()
-        finally:
-            sys.setswitchinterval(previous)
-        assert bills[RetrievalScheme.PARALLEL] == bills[RetrievalScheme.INDEPENDENT]
-        planes = bills[RetrievalScheme.PARALLEL]["bytes_by_plane"]
-        assert sum(planes.values()) == result.bytes_read > 0

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from repro.core.progressive import ProgressiveEvaluator
-from repro.core.storage_graph import RetrievalScheme
 from repro.dlv.repository import Repository
 from repro.dnn.data import synthetic_digits
 from repro.dnn.training import SGDConfig, Trainer
@@ -128,18 +127,16 @@ class TestLifecycle:
         )
 
     def test_recreation_schemes_consistent(self, story):
+        """The schemes price plans; they do not change what is read: a
+        snapshot read is one plan whose members equal their
+        one-at-a-time recreation."""
         repo, _, base, _, _ = story
         version = repo.resolve(base)
         archive = repo.archive_view()
         key = version.snapshots[-1].key
-        independent = archive.recreate_snapshot(
-            key, RetrievalScheme.INDEPENDENT
-        )
-        parallel = archive.recreate_snapshot(key, RetrievalScheme.PARALLEL)
-        for mid in independent.matrices:
-            np.testing.assert_array_equal(
-                independent.matrices[mid], parallel.matrices[mid]
-            )
+        snapshot = archive.recreate_snapshot(key)
+        for mid, value in snapshot.matrices.items():
+            np.testing.assert_array_equal(value, archive.recreate_matrix(mid))
 
     def test_residual_batchnorm_model_roundtrips(self, story):
         """DAG models with BatchNorm running stats survive commit/reload."""
